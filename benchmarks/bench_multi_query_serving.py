@@ -35,7 +35,7 @@ from repro.serving import (  # noqa: E402
     TpchRefreshStream,
     capture_tpch_items,
 )
-from repro.serving.metrics import percentile  # noqa: E402
+from repro.observe import percentile  # noqa: E402
 from repro.tpch.datagen import generate  # noqa: E402
 from repro.tpch.environment import make_environment  # noqa: E402
 from repro.tpch.harness import build_schemes  # noqa: E402

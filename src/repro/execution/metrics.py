@@ -10,7 +10,7 @@ The reproduction targets of Figures 2 and 3 are *simulated* quantities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -157,8 +157,6 @@ def merge_operator_actuals(
     overwritten, which silently dropped work and broke the
     sum-to-totals invariant.  First occurrences are copied so the
     merged entry never aliases (and later mutates) a per-fragment one."""
-    from dataclasses import replace
-
     for key, actuals in operators.items():
         existing = merged.get(key)
         if existing is None:
@@ -241,6 +239,11 @@ class ExecutionMetrics:
     cpu_seconds: float = 0.0
     rows_scanned: int = 0
     rows_produced: int = 0
+    #: on a single fragment's own metrics: the size of the result it
+    #: produced — the exchange buffer its consumers read.  The merge
+    #: takes a fragment's rows and bytes from here, never from the
+    #: result itself.
+    output_bytes: float = 0.0
     #: rows read from delta (uncompacted insert) runs by merge-on-read
     #: scans; a subset of ``rows_scanned``.
     delta_rows_scanned: int = 0
@@ -263,21 +266,29 @@ class ExecutionMetrics:
     #: serial run this equals ``total_seconds``; a parallel run overlaps
     #: fragments, so makespan < total (the resource-seconds sum).
     makespan_seconds: float = 0.0
-    #: per-fragment actuals of a parallel execution (empty when serial).
+    #: per-fragment actuals of a finished execution (a serial run is one
+    #: fragment of role ``serial``); empty on a single fragment's own
+    #: metrics.
     fragments: List[FragmentActuals] = field(default_factory=list)
     #: execution backend that produced these metrics ("simulated" — the
-    #: deterministic in-process scheduler — or "process").
+    #: deterministic in-process scheduler — or "process"); merged metrics
+    #: take it from their fragments'.
     backend: str = "simulated"
     #: real wall-clock seconds of the whole execution on a measuring
-    #: backend (dispatch, IPC and the serial tail included); 0.0 on
-    #: purely simulated runs.  Lives *next to* the simulated charges —
-    #: it never feeds ``total_seconds``/``wall_seconds``, which stay
-    #: deterministic model outputs.
+    #: backend, from its start to the end of the last fragment
+    #: (dispatch, IPC and the serial tail included); 0.0 on purely
+    #: simulated runs.  Lives *next to* the simulated charges — it never
+    #: feeds ``total_seconds``/``wall_seconds``, which stay deterministic
+    #: model outputs.
     measured_wall_seconds: float = 0.0
-    #: top-N cProfile function stats of this execution (opt-in via
-    #: ``ExecutionOptions.profile``; see ``repro.observe.profiling``).
-    #: For parallel runs the per-fragment stats live on
-    #: ``fragments[i].profile`` instead and this stays empty.
+    #: on a single fragment's own metrics from a measuring backend:
+    #: where its measured window starts, relative to the run's origin
+    #: (``measured_wall_seconds`` is then the window's length).
+    measured_start_seconds: float = 0.0
+    #: on a single fragment's own metrics: top-N cProfile function
+    #: stats of its run (opt-in via ``ExecutionOptions.profile``; see
+    #: ``repro.observe.profiling``).  Merged query metrics carry them
+    #: on ``fragments[i].profile`` and leave this empty.
     profile: List[dict] = field(default_factory=list)
 
     @property
@@ -313,6 +324,22 @@ class ExecutionMetrics:
 
     def note(self, message: str) -> None:
         self.notes.append(message)
+
+    def absorb(self, other: "ExecutionMetrics", note_prefix: str = "") -> None:
+        """Add another execution's charges to this one: IO/CPU seconds,
+        scan counts, counters, notes and per-operator actuals (see
+        :func:`merge_operator_actuals`).  How the two *overlapped* —
+        wall clock, peak memory, fragment timelines — is the caller's
+        to say."""
+        self.charge_io(other.io_bytes, other.io_accesses, other.io_seconds)
+        self.charge_cpu(other.cpu_seconds)
+        self.rows_scanned += other.rows_scanned
+        self.delta_rows_scanned += other.delta_rows_scanned
+        self.compaction_seconds += other.compaction_seconds
+        for key, value in other.counters.items():
+            self.counters[key] = self.counters.get(key, 0.0) + value
+        self.notes.extend(note_prefix + note for note in other.notes)
+        merge_operator_actuals(self.operators, other.operators)
 
     def bump(self, counter: str, amount: float = 1.0) -> None:
         self.counters[counter] = self.counters.get(counter, 0.0) + amount

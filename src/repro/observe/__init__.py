@@ -48,6 +48,7 @@ from .query_log import (
     SUPPORTED_SCHEMA_VERSIONS,
     QueryLog,
     build_record,
+    percentile,
     plan_fingerprint,
     read_records,
     record_errors,
@@ -72,6 +73,7 @@ __all__ = [
     "SUPPORTED_SCHEMA_VERSIONS",
     "QueryLog",
     "build_record",
+    "percentile",
     "plan_fingerprint",
     "read_records",
     "record_errors",

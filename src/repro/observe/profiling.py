@@ -1,8 +1,8 @@
 """Opt-in cProfile capture around fragment execution.
 
 ``ExecutionOptions.profile`` (or ``--profile`` on the CLIs) wraps every
-fragment's ``run`` — and the serial root's — in a :class:`cProfile.Profile`
-and keeps the top functions by exclusive time.  The capture is *passive*:
+fragment's ``run`` (a serial plan is one fragment) in a
+:class:`cProfile.Profile` and keeps the top functions by exclusive time.  The capture is *passive*:
 simulated charges are computed by the very frames being observed, so
 results and charges are bit-identical with profiling on or off (pinned
 by tests); only measured wall clocks pay the profiler overhead.

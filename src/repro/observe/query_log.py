@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from typing import Dict, List, Optional
 
 from ..execution.metrics import ExecutionMetrics
@@ -47,6 +48,7 @@ __all__ = [
     "QueryLog",
     "read_records",
     "summarize_records",
+    "percentile",
 ]
 
 SCHEMA_VERSION = 2
@@ -405,12 +407,15 @@ def read_records(path: str) -> List[dict]:
 
 
 # --------------------------------------------------------------- summary
-def _percentile(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile (exact for the small per-query samples a
-    log holds; no interpolation surprises)."""
-    ordered = sorted(values)
-    rank = max(int(-(-len(ordered) * fraction // 1)), 1)  # ceil
-    return ordered[rank - 1]
+def percentile(values: List[float], fraction: float) -> float:
+    """Nearest-rank percentile: the ``ceil(n * fraction)``-th smallest
+    value (exact for the small per-query samples a log or a serving run
+    holds; deterministic, no interpolation surprises); 0.0 for an empty
+    list."""
+    if not values:
+        return 0.0
+    rank = max(math.ceil(len(values) * fraction), 1)
+    return sorted(values)[min(rank, len(values)) - 1]
 
 
 def _hit_rate(counters: Dict[str, float], prefix: str) -> Optional[float]:
@@ -447,8 +452,8 @@ def summarize_records(records: List[dict]) -> dict:
         seconds = [r["simulated"]["total_seconds"] for r in group]
         queries[label] = {
             "records": len(group),
-            "p50_simulated_seconds": _percentile(seconds, 0.50),
-            "p95_simulated_seconds": _percentile(seconds, 0.95),
+            "p50_simulated_seconds": percentile(seconds, 0.50),
+            "p95_simulated_seconds": percentile(seconds, 0.95),
             "delta_rows_scanned": int(
                 sum(r["simulated"]["delta_rows_scanned"] for r in group)
             ),

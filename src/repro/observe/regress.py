@@ -49,7 +49,7 @@ __all__ = [
 LOWER_IS_BETTER = frozenset(
     {
         "seconds", "ms", "latency", "makespan", "error", "errors",
-        "bytes", "misses", "miss", "compactions", "residual",
+        "bytes", "misses", "miss", "compactions", "residual", "lines",
     }
 )
 #: ... and where *larger* is better.

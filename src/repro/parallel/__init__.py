@@ -43,15 +43,17 @@ from .fragments import (
     Fragment,
     ParallelPlan,
     plan_fragments,
+    serial_plan,
 )
 from .scheduler import (
     FragmentWork,
     ScheduledFragment,
+    TimelineSimulator,
     concurrent_peak,
-    execute_fragments,
+    fragment_works,
     merge_parallel_metrics,
-    run_parallel,
-    simulate_schedule,
+    merge_scheduled,
+    run_fragment,
 )
 
 __all__ = [
@@ -65,13 +67,15 @@ __all__ = [
     "Fragment",
     "ParallelPlan",
     "plan_fragments",
+    "serial_plan",
     "FragmentWork",
     "ScheduledFragment",
+    "TimelineSimulator",
     "concurrent_peak",
-    "execute_fragments",
+    "run_fragment",
+    "fragment_works",
+    "merge_scheduled",
     "merge_parallel_metrics",
-    "run_parallel",
-    "simulate_schedule",
     "BACKEND_NAMES",
     "ExecutionBackend",
     "SimulatedBackend",

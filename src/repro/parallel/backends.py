@@ -1,22 +1,24 @@
-"""Execution backends: *where* a fragmented plan's fragments run.
+"""Execution backends: *where* a plan's fragments run.
 
 The engine keeps one fragmenting pass and one timing model, but two ways
-of actually producing the fragment results:
+of actually producing the fragment results — a backend is its
+``execute_fragments``, the *run* stage, and nothing else:
 
-* :class:`SimulatedBackend` — today's behaviour, unchanged: fragments
-  execute in-process in topological order
-  (:func:`~repro.parallel.scheduler.execute_fragments`) and wall clock
-  is purely *modelled* by the deterministic scheduler.
+* :class:`SimulatedBackend` — fragments execute in-process in
+  topological order and wall clock is purely *modelled* by the
+  deterministic scheduler.
 * :class:`ProcessBackend` — the same :class:`~repro.parallel.fragments.ParallelPlan`
   on a real ``multiprocessing`` pool: base numpy arrays are exported
   once into :mod:`multiprocessing.shared_memory` blocks (workers map
   them as zero-copy views), fragments are dispatched as their
   ``depends_on`` sets drain, exchange results are pickled back through
   the ordinary ``fragment_results`` map, and per-fragment wall-clock
-  timings are recorded *alongside* the simulated charges.
+  windows are recorded *alongside* the simulated charges.
 
-Both backends feed the shared *time* stage
-(:func:`~repro.parallel.scheduler.merge_parallel_metrics`), so the
+Both run every fragment through
+:func:`~repro.parallel.scheduler.run_fragment` and feed the shared
+*time* stage (:func:`~repro.parallel.scheduler.merge_parallel_metrics`
+for a solo run, the serving engine's shared timeline otherwise), so the
 simulated totals, the makespan and the per-operator actuals are
 identical whichever backend produced the results — and the results
 themselves are bit-identical, which the workload oracle and the backend
@@ -47,12 +49,11 @@ import numpy as np
 
 from ..execution.cost import CostModel
 from ..execution.metrics import ExecutionMetrics
-from ..execution.operators import ExecutionContext, walk_physical
+from ..execution.operators import walk_physical
 from ..execution.relation import Relation
-from ..observe.profiling import profile_call
 from ..storage.io_model import DiskModel
 from .fragments import Fragment, ParallelPlan
-from .scheduler import execute_fragments, merge_parallel_metrics, run_parallel
+from .scheduler import merge_parallel_metrics, run_fragment
 
 __all__ = [
     "ExecutionBackend",
@@ -222,13 +223,9 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes):
     they pickle like everything else)."""
     index, root, disk, costs, profile = _loads_shared(payload)
     deps: Dict[int, Relation] = pickle.loads(deps_blob)
-    metrics = ExecutionMetrics()
-    ctx = ExecutionContext(disk, costs, metrics, fragment_results=deps)
     started = time.perf_counter()
-    relation, metrics.profile = profile_call(root.run, ctx, enabled=profile)
+    relation, metrics = run_fragment(root, disk, costs, deps, profile)
     ended = time.perf_counter()
-    ctx.release_all()
-    metrics.rows_produced = relation.num_rows
     actuals = [metrics.operators.get(id(op)) for op in walk_physical(root)]
     metrics.operators = {}
     return index, relation, metrics, actuals, (started, ended)
@@ -236,55 +233,64 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes):
 
 # ------------------------------------------------------------- backends
 class ExecutionBackend:
-    """How the *run* stage of a parallel execution is carried out."""
+    """How the *run* stage of an execution is carried out."""
 
     name = "abstract"
-
-    def run(
-        self, plan: ParallelPlan, disk: DiskModel, costs: CostModel,
-        profile: bool = False,
-    ) -> Tuple[Relation, ExecutionMetrics]:
-        raise NotImplementedError
 
     def execute_fragments(
         self, plan: ParallelPlan, disk: DiskModel, costs: CostModel,
         profile: bool = False,
     ) -> Tuple[Dict[int, Relation], Dict[int, ExecutionMetrics]]:
-        """The bare *run* stage: per-fragment results and charged
-        metrics, **without** the single-query time stage.  The serving
-        layer (``repro.serving``) uses this to produce exact results
-        and charges, then places the fragments on its own shared
-        multi-query timeline instead of a per-query schedule."""
+        """The *run* stage: every fragment executed once — per-fragment
+        exact results and charged metrics, not yet placed on any
+        timeline.  :meth:`run` places them on a private one; the
+        serving layer (``repro.serving``) on its shared multi-query
+        timeline."""
         raise NotImplementedError
+
+    def run(
+        self, plan: ParallelPlan, disk: DiskModel, costs: CostModel,
+        profile: bool = False,
+    ) -> Tuple[Relation, ExecutionMetrics]:
+        """A solo execution: run, place, merge.  Returns the final
+        fragment's relation and the query's metrics."""
+        results, fragment_metrics = self.execute_fragments(
+            plan, disk, costs, profile=profile
+        )
+        return merge_parallel_metrics(plan, results, fragment_metrics, disk)
 
     def close(self) -> None:  # backends holding pools/blocks override
         pass
 
 
 class SimulatedBackend(ExecutionBackend):
-    """In-process execution under the deterministic simulated scheduler
-    — the engine's default, byte-for-byte today's ``run_parallel``."""
+    """In-process execution, fragments one after another in topological
+    order — the engine's default.  Wall clock is purely modelled."""
 
     name = "simulated"
 
-    def run(self, plan, disk, costs, profile=False):
-        return run_parallel(plan, disk, costs, profile=profile)
-
     def execute_fragments(self, plan, disk, costs, profile=False):
-        return execute_fragments(plan, disk, costs, profile=profile)
+        results: Dict[int, Relation] = {}
+        fragment_metrics: Dict[int, ExecutionMetrics] = {}
+        for fragment in plan.fragments:  # topological by construction
+            results[fragment.index], fragment_metrics[fragment.index] = (
+                run_fragment(fragment.root, disk, costs, results, profile)
+            )
+        return results, fragment_metrics
 
 
 class ProcessBackend(ExecutionBackend):
     """Executes the same fragment DAG on a real ``multiprocessing``
     pool, measuring wall clock next to the simulated charges.
 
-    The pool is created lazily at the first parallel run and reused
-    across queries (grown if a later plan asks for more workers); the
-    final (serial-tail) fragment runs in the parent — it consumes every
-    gathered partition anyway, so running it here saves shipping the
-    gathered result through one more process hop.  ``close()`` tears
-    down the pool and unlinks every shared-memory block; the backend is
-    unusable afterwards until the next ``run`` recreates the pool.
+    The pool is created lazily, when the first fragment is dispatched
+    to it, and reused across queries (grown if a later plan asks for
+    more workers); the final (serial-tail) fragment runs in the parent
+    — it consumes every gathered partition anyway, so running it here
+    saves shipping the gathered result through one more process hop,
+    and a one-fragment plan never touches the pool.  ``close()`` tears
+    down the pool and unlinks every shared-memory block; the next
+    dispatch recreates what it needs.
     """
 
     name = "process"
@@ -328,43 +334,11 @@ class ProcessBackend(ExecutionBackend):
 
     # -------------------------------------------------------------- run
     def execute_fragments(self, plan, disk, costs, profile=False):
-        if len(plan.fragments) <= 1:  # degenerate: nothing to dispatch
-            return execute_fragments(plan, disk, costs, profile=profile)
-        results, fragment_metrics, _ = self._execute(
-            plan, disk, costs, profile, time.perf_counter()
-        )
-        return results, fragment_metrics
-
-    def run(self, plan, disk, costs, profile=False):
-        started = time.perf_counter()
-        if len(plan.fragments) <= 1:  # degenerate: nothing to dispatch
-            relation, merged = run_parallel(plan, disk, costs, profile=profile)
-            merged.backend = self.name
-            merged.measured_wall_seconds = time.perf_counter() - started
-            return relation, merged
-
-        results, fragment_metrics, measured = self._execute(
-            plan, disk, costs, profile, started
-        )
-        relation, merged = merge_parallel_metrics(
-            plan, results, fragment_metrics, disk
-        )
-        merged.backend = self.name
-        for fragment_actuals in merged.fragments:
-            window = measured.get(fragment_actuals.index)
-            if window is not None:
-                fragment_actuals.measured_start_seconds = window[0]
-                fragment_actuals.measured_end_seconds = window[1]
-                fragment_actuals.measured_seconds = window[1] - window[0]
-        merged.measured_wall_seconds = time.perf_counter() - started
-        return relation, merged
-
-    def _execute(self, plan, disk, costs, profile, started):
         """Dispatch the fragment DAG on the pool; the final (serial
-        tail) fragment runs in the parent.  Returns per-fragment
-        results, charged metrics, and measured wall-clock windows
-        rebased onto ``started``."""
-        pool = self._ensure_pool(plan.workers)
+        tail) fragment runs in the parent.  Every fragment's metrics
+        carry its measured wall-clock window, rebased onto this call's
+        start."""
+        started = time.perf_counter()
         final = plan.final
         by_index: Dict[int, Fragment] = {f.index: f for f in plan.fragments}
         remaining = {f.index: set(f.depends_on) for f in plan.fragments}
@@ -375,9 +349,16 @@ class ProcessBackend(ExecutionBackend):
 
         results: Dict[int, Relation] = {}
         fragment_metrics: Dict[int, ExecutionMetrics] = {}
-        #: index -> (start, end) seconds relative to the run's origin.
-        measured: Dict[int, Tuple[float, float]] = {}
         events: "queue.SimpleQueue" = queue.SimpleQueue()
+
+        def keep(index, relation, metrics, window) -> None:
+            # rebase the perf_counter window onto this run's origin
+            # (same clock across fork) for the measured timeline
+            metrics.measured_start_seconds = window[0] - started
+            metrics.measured_wall_seconds = window[1] - window[0]
+            metrics.backend = self.name
+            results[index] = relation
+            fragment_metrics[index] = metrics
 
         def submit(fragment: Fragment) -> None:
             payload = _dumps_shared(
@@ -388,7 +369,7 @@ class ProcessBackend(ExecutionBackend):
                 {dep: results[dep] for dep in fragment.depends_on},
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-            pool.apply_async(
+            self._ensure_pool(plan.workers).apply_async(
                 _run_fragment_task,
                 (payload, deps_blob),
                 callback=lambda value: events.put(("done", value)),
@@ -417,11 +398,7 @@ class ProcessBackend(ExecutionBackend):
                 for op, record in zip(walk_physical(fragment.root), actuals)
                 if record is not None
             }
-            results[index] = relation
-            fragment_metrics[index] = metrics
-            # rebase the worker's perf_counter window onto this run's
-            # origin (same clock across fork) for the measured timeline
-            measured[index] = (window[0] - started, window[1] - started)
+            keep(index, relation, metrics, window)
             completed += 1
             for waiter in dependents.get(index, ()):
                 deps = remaining[waiter]
@@ -430,18 +407,10 @@ class ProcessBackend(ExecutionBackend):
                     submit(by_index[waiter])
 
         # serial tail in the parent, over the gathered worker results
-        metrics = ExecutionMetrics()
-        ctx = ExecutionContext(disk, costs, metrics, fragment_results=results)
         tail_start = time.perf_counter()
-        relation, metrics.profile = profile_call(
-            final.root.run, ctx, enabled=profile
-        )
-        measured[final.index] = (tail_start - started, time.perf_counter() - started)
-        ctx.release_all()
-        metrics.rows_produced = relation.num_rows
-        results[final.index] = relation
-        fragment_metrics[final.index] = metrics
-        return results, fragment_metrics, measured
+        relation, metrics = run_fragment(final.root, disk, costs, results, profile)
+        keep(final.index, relation, metrics, (tail_start, time.perf_counter()))
+        return results, fragment_metrics
 
 
 BACKEND_NAMES = ("simulated", "process")

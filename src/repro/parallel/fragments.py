@@ -83,6 +83,7 @@ __all__ = [
     "Fragment",
     "ParallelPlan",
     "plan_fragments",
+    "serial_plan",
     "DEFAULT_MIN_PARTITION_ROWS",
     "MIN_COPARTITION_PARTS",
     "PARTIAL_AGG_SHRINK",
@@ -135,7 +136,7 @@ class ParallelPlan:
     Fragments are topologically ordered: every producer precedes its
     consumers and the final (serial-tail) fragment comes last.  A plan
     with a single fragment means nothing was splittable — the executor
-    falls back to the plain serial path."""
+    runs :func:`serial_plan` instead, the same way."""
 
     fragments: List[Fragment]
     workers: int
@@ -177,6 +178,19 @@ class ParallelPlan:
     def operators(self):
         for fragment in self.fragments:
             yield from walk_physical(fragment.root)
+
+
+def serial_plan(pplan) -> ParallelPlan:
+    """A lowered plan as the one-fragment DAG: the whole operator tree,
+    one worker.  What runs when the options ask for one worker or
+    nothing splits — through the same run/place/merge steps as any
+    other fragment plan."""
+    whole = Fragment(
+        index=0, root=pplan.root, role="serial", note="whole plan, one worker"
+    )
+    return ParallelPlan(
+        fragments=[whole], workers=1, scheme_name=pplan.scheme_name, serial=pplan
+    )
 
 
 def _fragment_deps(root: PhysicalOp) -> Tuple[int, ...]:

@@ -1,23 +1,31 @@
 """Deterministic multi-worker scheduling of plan fragments.
 
 Execution is split from timing, mirroring the engine's simulation
-philosophy (results are exact, time is modelled):
+philosophy (results are exact, time is modelled).  Every execution —
+serial, simulated-parallel, process-parallel, served — is the same
+three steps over a :class:`~repro.parallel.fragments.ParallelPlan`
+(a serial plan is the one-fragment plan):
 
 1. **Run** every fragment once, in topological order, each with its own
-   :class:`~repro.execution.metrics.ExecutionMetrics` — producing exact
-   results and the fragment's *charged* (uncontended) IO/CPU seconds.
-   Results flow between fragments through the context's
-   ``fragment_results`` map, never recomputed.
-2. **Schedule** the fragments onto *k* simulated workers with
+   :class:`~repro.execution.metrics.ExecutionMetrics`
+   (:func:`run_fragment`) — producing exact results and the fragment's
+   *charged* (uncontended) IO/CPU seconds.  Results flow between
+   fragments through the context's ``fragment_results`` map, never
+   recomputed.  *Where* fragments run is the backend's choice
+   (:mod:`repro.parallel.backends`).
+2. **Place** the fragments (:func:`fragment_works`) on a
+   :class:`TimelineSimulator` of *k* simulated workers with
    dependency-aware list dispatch (longest fragment first, index as the
    deterministic tie-break).  The event-driven timeline models each
    fragment as an IO phase followed by a CPU phase; concurrent IO
    phases share the disk according to
    :meth:`~repro.storage.io_model.DiskModel.stream_rate`, so a device
    with 4 parallel streams serves 4 scans at full speed and stretches 8.
-   Wall clock is the **makespan** over worker timelines.
-3. **Merge**: query totals are the *sums* over fragments (so exclusive
-   per-operator actuals still sum to totals), the makespan becomes
+   A solo run owns a private timeline (:func:`merge_parallel_metrics`);
+   the serving layer places the same works on its shared one.
+3. **Merge** (:func:`merge_scheduled`): query totals are the *sums*
+   over fragments (so exclusive per-operator actuals still sum to
+   totals), the last fragment's finish becomes
    ``metrics.makespan_seconds``, and peak memory is recomputed as the
    peak of *concurrently live* footprints: overlapping fragments'
    reservation peaks plus exchanged result buffers held from a
@@ -38,15 +46,11 @@ the makespan exactly like scan IO does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..execution.cost import CostModel
-from ..execution.metrics import (
-    ExecutionMetrics,
-    FragmentActuals,
-    merge_operator_actuals,
-)
-from ..execution.operators import ExecutionContext
+from ..execution.metrics import ExecutionMetrics, FragmentActuals
+from ..execution.operators import ExecutionContext, PhysicalOp
 from ..execution.relation import Relation
 from ..observe.profiling import profile_call
 from ..storage.io_model import DiskModel
@@ -56,11 +60,11 @@ __all__ = [
     "FragmentWork",
     "ScheduledFragment",
     "TimelineSimulator",
-    "simulate_schedule",
     "concurrent_peak",
-    "execute_fragments",
+    "run_fragment",
+    "fragment_works",
+    "merge_scheduled",
     "merge_parallel_metrics",
-    "run_parallel",
 ]
 
 _EPS = 1e-15
@@ -88,23 +92,35 @@ class ScheduledFragment:
     end_seconds: float = 0.0
 
 
-class TimelineSimulator:
-    """Online form of the deterministic list scheduler.
+@dataclass(eq=False)
+class _BatchClock:
+    """Seconds since one ``add_works`` call; ticks while the batch has
+    unfinished works."""
 
-    The batch :func:`simulate_schedule` places a *closed* set of works;
-    the serving layer (``repro.serving``) needs the same timeline rules
-    while work keeps arriving — fragments of newly admitted queries,
-    refresh-commit work, background compaction.  This class keeps the
-    identical semantics — among ready works the one with the highest
-    priority first (default: most total work, ties by index) onto the
-    lowest-numbered free worker; concurrent IO phases share the disk
-    through ``stream_rate``; phase finishes processed in index order —
-    but exposes an incremental interface: :meth:`add_works` registers
-    work at the current instant, :meth:`run_until` advances the clock to
-    the next completion (or a caller-supplied horizon), and the caller
-    reacts to completions by adding more work.  ``simulate_schedule`` is
-    a thin wrapper, so the single-query timing model and the multi-query
-    serving timeline can never drift apart.
+    seconds: float = 0.0
+    unfinished: int = 0
+
+
+class TimelineSimulator:
+    """The deterministic list scheduler, in online form.
+
+    Among ready works the one with the highest priority first (default:
+    most total work, ties by index) onto the lowest-numbered free
+    worker; concurrent IO phases share the disk through ``stream_rate``
+    — the per-stream rate as a function of the number of active
+    streams, defaulting to
+    :meth:`~repro.storage.io_model.DiskModel.stream_rate` of a device
+    with ``streams`` parallel streams; phase finishes are processed in
+    index order.  The interface is incremental because the serving
+    layer (``repro.serving``) keeps adding work — fragments of newly
+    admitted queries, refresh-commit work, background compaction:
+    :meth:`add_works` registers work at the current instant,
+    :meth:`run_until` advances the clock to the next completion (or a
+    caller-supplied horizon), and the caller reacts to completions by
+    adding more work.  A single query is the closed case — one
+    ``add_works``, then :meth:`run_to_idle` — so the single-query
+    timing model and the multi-query serving timeline are one piece of
+    code.
     """
 
     def __init__(
@@ -126,6 +142,9 @@ class TimelineSimulator:
         self.now = 0.0
         self.works: Dict[int, FragmentWork] = {}
         self.slots: Dict[int, ScheduledFragment] = {}
+        #: index -> (batch clock, slot on that clock); see add_works
+        self._local: Dict[int, Tuple[_BatchClock, ScheduledFragment]] = {}
+        self._clocks: List[_BatchClock] = []  # those still ticking
         self._remaining_deps: Dict[int, set] = {}
         self._dependents: Dict[int, List[int]] = {}
         self._ready: List[int] = []
@@ -149,11 +168,23 @@ class TimelineSimulator:
         return self._priority_of(self.works[index])
 
     # ------------------------------------------------------------ input
-    def add_works(self, works: List[FragmentWork]) -> None:
+    def add_works(self, works: List[FragmentWork]) -> List[ScheduledFragment]:
         """Register works at the current instant.  ``depends_on`` may
         reference works in the same batch, earlier batches, or already
         completed ones; indices must be unique across the timeline's
-        whole life."""
+        whole life.
+
+        Returns the batch's slots *on its own clock* (parallel to
+        ``works``; filled in as the timeline advances): positions
+        counted from this instant by a clock that starts at 0.0 and
+        takes the very steps ``now`` takes.  ``slot - now`` would lose
+        bits to rounding; the batch clock does not, so a batch that has
+        the timeline to itself gets, bit for bit, the positions a
+        private timeline would give it — a solo run *is* the one-stream
+        case of a served one."""
+        clock = _BatchClock(unfinished=len(works))
+        if works:
+            self._clocks.append(clock)
         for w in works:
             if w.index in self.works:
                 raise ValueError(f"duplicate work index {w.index}")
@@ -161,6 +192,7 @@ class TimelineSimulator:
             self.slots[w.index] = ScheduledFragment(
                 index=w.index, ready_seconds=self.now
             )
+            self._local[w.index] = (clock, ScheduledFragment(index=w.index))
             deps = {d for d in w.depends_on if d not in self._completed}
             self._remaining_deps[w.index] = deps
             for dep in deps:
@@ -168,6 +200,18 @@ class TimelineSimulator:
             if not deps:
                 self._ready.append(w.index)
         self._ready.sort(key=self._priority)
+        return [self._local[w.index][1] for w in works]
+
+    def _stamp(self, index: int, instant: str) -> None:
+        """Record the current instant on both of a work's slots."""
+        setattr(self.slots[index], instant, self.now)
+        clock, local = self._local[index]
+        setattr(local, instant, clock.seconds)
+
+    def _advance(self, seconds: float, to: float) -> None:
+        self.now = to
+        for clock in self._clocks:
+            clock.seconds += seconds
 
     # --------------------------------------------------------- stepping
     def _dispatch(self) -> None:
@@ -175,13 +219,12 @@ class TimelineSimulator:
             index = self._ready.pop(0)
             worker = self._free.pop(0)
             w = self.works[index]
-            slot = self.slots[index]
-            slot.worker = worker
-            slot.start_seconds = self.now
+            self.slots[index].worker = self._local[index][1].worker = worker
+            self._stamp(index, "start_seconds")
             if w.io_seconds > _EPS:
                 self._running[index] = ["io", w.io_seconds, worker]
             else:
-                slot.io_end_seconds = self.now
+                self._stamp(index, "io_end_seconds")
                 self._running[index] = ["cpu", w.cpu_seconds, worker]
 
     def _next_step(self) -> Tuple[float, float]:
@@ -229,9 +272,9 @@ class TimelineSimulator:
                         state[1] -= partial * (
                             rate if state[0] == "io" else 1.0
                         )
-                    self.now = until
+                    self._advance(partial, to=until)
                 return []
-            self.now = target
+            self._advance(step, to=target)
             finished_phase = []
             for index, state in self._running.items():
                 state[1] -= step * (rate if state[0] == "io" else 1.0)
@@ -240,24 +283,27 @@ class TimelineSimulator:
             completed: List[int] = []
             for index in sorted(finished_phase):
                 phase, _, worker = self._running[index]
-                slot = self.slots[index]
                 if phase == "io":
-                    slot.io_end_seconds = self.now
+                    self._stamp(index, "io_end_seconds")
                     cpu = self.works[index].cpu_seconds
                     if cpu > _EPS:
                         self._running[index] = ["cpu", cpu, worker]
                         continue
-                slot.end_seconds = self.now
+                self._stamp(index, "end_seconds")
                 del self._running[index]
                 self._completed.add(index)
                 completed.append(index)
+                clock = self._local[index][0]
+                clock.unfinished -= 1
+                if not clock.unfinished:
+                    self._clocks.remove(clock)
                 self._free.append(worker)
                 self._free.sort()
                 for dependent in self._dependents.get(index, ()):
                     deps = self._remaining_deps[dependent]
                     deps.discard(index)
                     if not deps and dependent not in self._running:
-                        self.slots[dependent].ready_seconds = self.now
+                        self._stamp(dependent, "ready_seconds")
                         self._ready.append(dependent)
                 self._ready.sort(key=self._priority)
             if completed:
@@ -280,36 +326,6 @@ class TimelineSimulator:
             )
         return completed
 
-    def busy_seconds(self) -> float:
-        """Total worker-occupied seconds over completed works."""
-        return sum(
-            self.slots[i].end_seconds - self.slots[i].start_seconds
-            for i in self._completed
-        )
-
-
-def simulate_schedule(
-    works: List[FragmentWork],
-    workers: int,
-    streams: int = 1,
-    stream_rate: Optional[Callable[[int], float]] = None,
-) -> Tuple[List[ScheduledFragment], float]:
-    """Deterministically place fragments on worker timelines.
-
-    Dispatch is list scheduling: among ready fragments, the one with the
-    most remaining work first (ties by index), onto the lowest-numbered
-    free worker.  IO phases of concurrently running fragments share the
-    disk through ``stream_rate`` — the per-stream rate as a function of
-    the number of active streams, defaulting to
-    :meth:`~repro.storage.io_model.DiskModel.stream_rate` of a device
-    with ``streams`` parallel streams.  Returns the per-fragment slots
-    and the makespan.  (A thin wrapper over :class:`TimelineSimulator`,
-    which serves the same timeline rules incrementally.)"""
-    sim = TimelineSimulator(workers, streams=streams, stream_rate=stream_rate)
-    sim.add_works(works)
-    sim.run_to_idle()
-    return [sim.slots[w.index] for w in works], sim.makespan
-
 
 # --------------------------------------------------------------- memory
 def concurrent_peak(intervals: List[Tuple[float, float, float]]) -> float:
@@ -331,69 +347,75 @@ def concurrent_peak(intervals: List[Tuple[float, float, float]]) -> float:
 
 
 # -------------------------------------------------------------- running
-def execute_fragments(
-    plan: ParallelPlan,
+def run_fragment(
+    root: PhysicalOp,
     disk: DiskModel,
     costs: CostModel,
+    deps: Optional[Dict[int, Relation]] = None,
     profile: bool = False,
-) -> Tuple[Dict[int, Relation], Dict[int, ExecutionMetrics]]:
-    """The *run* stage: execute every fragment once, in topological
-    order, in the current process — producing exact results and each
-    fragment's charged (uncontended) metrics.  Backends that run
-    fragments elsewhere (``repro.parallel.backends.ProcessBackend``)
-    replace exactly this function; the *time* stage
-    (:func:`merge_parallel_metrics`) is shared so the simulated charges
-    are identical whichever backend produced the results.  With
-    ``profile`` each fragment runs under ``cProfile`` and its top
-    functions land on ``metrics.profile`` (passive: charges and results
-    are unaffected)."""
-    results: Dict[int, Relation] = {}
-    fragment_metrics: Dict[int, ExecutionMetrics] = {}
-    for fragment in plan.fragments:  # topological by construction
-        metrics = ExecutionMetrics()
-        ctx = ExecutionContext(disk, costs, metrics, fragment_results=results)
-        relation, metrics.profile = profile_call(
-            fragment.root.run, ctx, enabled=profile
-        )
-        ctx.release_all()
-        metrics.rows_produced = relation.num_rows
-        results[fragment.index] = relation
-        fragment_metrics[fragment.index] = metrics
-    return results, fragment_metrics
-
-
-def merge_parallel_metrics(
-    plan: ParallelPlan,
-    results: Dict[int, Relation],
-    fragment_metrics: Dict[int, ExecutionMetrics],
-    disk: DiskModel,
 ) -> Tuple[Relation, ExecutionMetrics]:
-    """The *time* stage: place the executed fragments on the simulated
-    worker timelines (:func:`simulate_schedule`) and merge their metrics
-    into the query's.  Totals are sums over fragments; per-operator
-    actuals *accumulate* across fragments (fragmenting clones only the
-    spine, so a shared leaf/broadcast operator may have run several
-    times under the same identity — see
-    :func:`~repro.execution.metrics.merge_operator_actuals`); peak
-    memory is the concurrent peak over fragment reservations plus every
-    exchanged producer buffer held until its last consumer finishes."""
-    works = [
+    """The *run* stage of one fragment: execute its operator tree once,
+    in this process, under a fresh metrics object — producing the exact
+    result and the fragment's charged (uncontended) metrics.  ``deps``
+    holds the producer-fragment results its exchange leaves read.
+    Every backend — and every worker process — runs fragments through
+    this function.  With ``profile`` the run happens under ``cProfile``
+    and its top functions land on ``metrics.profile`` (passive: charges
+    and results are unaffected)."""
+    metrics = ExecutionMetrics()
+    ctx = ExecutionContext(disk, costs, metrics, fragment_results=deps)
+    relation, metrics.profile = profile_call(root.run, ctx, enabled=profile)
+    ctx.release_all()
+    metrics.rows_produced = relation.num_rows
+    metrics.output_bytes = relation.data_bytes()
+    return relation, metrics
+
+
+def fragment_works(
+    plan: ParallelPlan,
+    fragment_metrics: Dict[int, ExecutionMetrics],
+    first_index: int = 0,
+) -> List[FragmentWork]:
+    """The *place* stage's input: one work per executed fragment
+    (parallel to ``plan.fragments``), carrying its charged seconds and
+    its dependencies.  ``first_index`` offsets the work indices so many
+    plans can share one timeline."""
+    return [
         FragmentWork(
-            index=f.index,
+            index=first_index + f.index,
             io_seconds=fragment_metrics[f.index].io_seconds,
             cpu_seconds=fragment_metrics[f.index].cpu_seconds,
-            depends_on=f.depends_on,
+            depends_on=tuple(first_index + dep for dep in f.depends_on),
         )
         for f in plan.fragments
     ]
-    slots, makespan = simulate_schedule(
-        works, plan.workers, stream_rate=disk.stream_rate
-    )
-    slot_of = {s.index: s for s in slots}
 
+
+def merge_scheduled(
+    plan: ParallelPlan,
+    fragment_metrics: Dict[int, ExecutionMetrics],
+    slots: Sequence[ScheduledFragment],
+) -> ExecutionMetrics:
+    """The *merge* stage: fold the executed fragments' metrics and
+    their places on a timeline (``slots``, parallel to
+    ``plan.fragments``, counted from the query's start — what
+    :meth:`TimelineSimulator.add_works` returns) into the query's
+    metrics.  It reads no fragment *result* — what it needs of one
+    (rows, bytes) :func:`run_fragment` left on the fragment's metrics —
+    so a caller that merges later (the serving engine, at query finish)
+    holds no intermediate relation meanwhile.  Totals are sums over
+    fragments; per-operator actuals
+    *accumulate* across fragments (fragmenting clones only the spine,
+    so a shared leaf/broadcast operator may have run several times
+    under the same identity — see
+    :func:`~repro.execution.metrics.merge_operator_actuals`); the
+    makespan is the last fragment's finish; peak memory is the
+    concurrent peak over fragment reservations plus every exchanged
+    producer buffer held until its last consumer finishes."""
+    slot_of = {f.index: slot for f, slot in zip(plan.fragments, slots)}
     merged = ExecutionMetrics()
     merged.workers = plan.workers
-    merged.makespan_seconds = makespan
+    merged.makespan_seconds = max(slot.end_seconds for slot in slots)
     consumers: Dict[int, List[int]] = {}
     for fragment in plan.fragments:
         for dep in fragment.depends_on:
@@ -406,18 +428,14 @@ def merge_parallel_metrics(
     for fragment in plan.fragments:
         metrics = fragment_metrics[fragment.index]
         slot = slot_of[fragment.index]
-        relation = results[fragment.index]
-        merged.charge_io(metrics.io_bytes, metrics.io_accesses, metrics.io_seconds)
-        merged.charge_cpu(metrics.cpu_seconds)
-        merged.rows_scanned += metrics.rows_scanned
-        merged.delta_rows_scanned += metrics.delta_rows_scanned
-        for key, value in metrics.counters.items():
-            merged.counters[key] = merged.counters.get(key, 0.0) + value
-        merged.notes.extend(f"[f{fragment.index}] {note}" for note in metrics.notes)
-        merge_operator_actuals(merged.operators, metrics.operators)
+        # notes keep their fragment provenance; a one-fragment plan has
+        # none to keep
+        merged.absorb(
+            metrics, note_prefix=f"[f{fragment.index}] " if plan.is_parallel else ""
+        )
         output_bytes = 0.0
         if consumers.get(fragment.index):
-            output_bytes = relation.data_bytes()
+            output_bytes = metrics.output_bytes
             reads_end = max(slot_of[c].end_seconds for c in consumers[fragment.index])
             memory_intervals.append((slot.end_seconds, reads_end, output_bytes))
             tag_intervals.setdefault("exchange", []).append(
@@ -443,9 +461,14 @@ def merge_parallel_metrics(
                 end_seconds=slot.end_seconds,
                 io_seconds=metrics.io_seconds,
                 cpu_seconds=metrics.cpu_seconds,
-                rows_out=relation.num_rows,
+                rows_out=metrics.rows_produced,
                 output_bytes=output_bytes,
                 peak_memory_bytes=metrics.memory.peak_bytes,
+                measured_seconds=metrics.measured_wall_seconds,
+                measured_start_seconds=metrics.measured_start_seconds,
+                measured_end_seconds=(
+                    metrics.measured_start_seconds + metrics.measured_wall_seconds
+                ),
                 profile=list(metrics.profile),
             )
         )
@@ -454,30 +477,25 @@ def merge_parallel_metrics(
         tag: concurrent_peak(intervals)
         for tag, intervals in tag_intervals.items()
     }
-    final = results[plan.final.index]
-    merged.rows_produced = final.num_rows
-    return final, merged
-
-
-def run_parallel(
-    plan: ParallelPlan,
-    disk: DiskModel,
-    costs: CostModel,
-    profile: bool = False,
-) -> Tuple[Relation, ExecutionMetrics]:
-    """Execute a fragmented plan on the simulated worker pool and return
-    the final fragment's relation plus the merged metrics.
-
-    Deterministic end to end: fragments run once in topological order
-    (results are exact and never recomputed), the schedule is the pure
-    list dispatch of :func:`simulate_schedule`, and the merged metrics
-    satisfy the invariants the tests pin — per-fragment exclusive
-    IO/CPU sums equal the query totals, ``makespan_seconds`` lies
-    between ``total_seconds / workers`` and ``total_seconds``, and peak
-    memory is the concurrent peak over fragment reservations plus every
-    exchanged (broadcast, partition gather, or rebin shuffle) producer
-    buffer held until its last consumer finishes."""
-    results, fragment_metrics = execute_fragments(
-        plan, disk, costs, profile=profile
+    # a measuring backend's wall clock is where its measured timeline ends
+    merged.measured_wall_seconds = max(
+        f.measured_end_seconds for f in merged.fragments
     )
-    return merge_parallel_metrics(plan, results, fragment_metrics, disk)
+    final = fragment_metrics[plan.final.index]
+    merged.rows_produced = final.rows_produced
+    merged.backend = final.backend
+    return merged
+
+
+def merge_parallel_metrics(
+    plan: ParallelPlan,
+    results: Dict[int, Relation],
+    fragment_metrics: Dict[int, ExecutionMetrics],
+    disk: DiskModel,
+) -> Tuple[Relation, ExecutionMetrics]:
+    """The *time* stage of a solo run: place the executed fragments on
+    a private timeline of ``plan.workers`` workers and merge."""
+    sim = TimelineSimulator(plan.workers, stream_rate=disk.stream_rate)
+    slots = sim.add_works(fragment_works(plan, fragment_metrics))
+    sim.run_to_idle()
+    return results[plan.final.index], merge_scheduled(plan, fragment_metrics, slots)

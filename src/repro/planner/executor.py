@@ -1,4 +1,4 @@
-"""Plan execution: lower once, fragment if parallel, then run.
+"""Plan execution: lower once, fragment, then run.
 
 The :class:`Executor` glues the layers of the engine together for one
 :class:`~repro.schemes.base.PhysicalDatabase`:
@@ -9,13 +9,19 @@ The :class:`Executor` glues the layers of the engine together for one
   choice) resolved and recorded on the operators;
 * with ``options.workers > 1``, :func:`repro.parallel.plan_fragments`
   derives zone-/page-aligned partition fragments from that *same*
-  lowering (fragments never re-lower) and ``options.backend`` picks the
-  execution backend (:mod:`repro.parallel.backends`): the deterministic
-  simulated worker pool, or a real ``multiprocessing`` pool that
-  measures wall clock next to the simulated charges;
-* :mod:`repro.execution.operators` runs the plan, charging simulated
-  IO/CPU time and tracking the peak of concurrently live operator
-  memory (the paper's Figure 3 quantity).
+  lowering (fragments never re-lower); with one worker, or when nothing
+  splits, the plan is its own single fragment
+  (:func:`repro.parallel.fragments.serial_plan`);
+* ``options.backend`` picks where the fragments run
+  (:mod:`repro.parallel.backends`): in this process, or on a real
+  ``multiprocessing`` pool that measures wall clock next to the
+  simulated charges.  :mod:`repro.execution.operators` charges
+  simulated IO/CPU time as they run; the scheduler
+  (:mod:`repro.parallel.scheduler`) places the fragments on the
+  simulated workers and merges their metrics — the makespan, and the
+  peak of concurrently live operator memory (the paper's Figure 3
+  quantity).  A serial run is the one-fragment, one-worker case of the
+  same three steps.
 
 Results are identical under every scheme *and every worker count* (the
 integration tests assert this bit-for-bit for all 22 TPC-H queries);
@@ -34,13 +40,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..execution.cost import DEFAULT_COSTS, CostModel
-from ..execution.metrics import ExecutionMetrics, FragmentActuals
-from ..execution.operators import ExecutionContext
+from ..execution.metrics import ExecutionMetrics
 from ..execution.relation import Relation
-from ..observe.profiling import profile_call
 from ..observe.registry import REGISTRY
 from ..parallel.backends import ExecutionBackend, create_backend
-from ..parallel.fragments import ParallelPlan, plan_fragments
+from ..parallel.fragments import ParallelPlan, plan_fragments, serial_plan
 from ..schemes.base import PhysicalDatabase
 from ..storage.io_model import PAPER_SSD, DiskModel
 from .lowering import ExecutionOptions, PhysicalPlan, lower
@@ -84,8 +88,8 @@ class Executor:
         #: first run never raises.
         self.metrics: ExecutionMetrics = ExecutionMetrics()
         #: backend name -> instantiated backend; created lazily on the
-        #: first parallel run so serial executors never pay for (or
-        #: leak) a process pool.
+        #: first run (a process backend starts its pool later still, at
+        #: the first fragment it dispatches).
         self._backends: dict = {}
         #: (id(node), options key) -> (node, PhysicalPlan), LRU-ordered.
         #: Keyed by node *identity* (logical plans may hold unhashable
@@ -160,6 +164,18 @@ class Executor:
             self._fragment_cache.popitem(last=False)
         return parallel
 
+    def execution_plan(self, pplan: PhysicalPlan) -> ParallelPlan:
+        """The fragment DAG :meth:`run` executes for a lowered plan:
+        its :meth:`parallel_plan` when the options ask for workers and
+        something splits, else the whole plan as one serial fragment
+        (built directly — one worker never consults the fragment
+        planner or its cache)."""
+        if self.options.workers > 1:
+            parallel = self.parallel_plan(pplan)
+            if parallel.is_parallel:
+                return parallel
+        return serial_plan(pplan)
+
     # ------------------------------------------------------------ running
     def backend(self) -> ExecutionBackend:
         """The execution backend the options name (created lazily and
@@ -174,9 +190,9 @@ class Executor:
 
     def close(self) -> None:
         """Release backend resources (process pools, shared-memory
-        blocks).  Serial/simulated executors hold none; safe to call
-        repeatedly.  The executor stays usable — the next parallel run
-        simply recreates what it needs."""
+        blocks).  Simulated executors hold none; safe to call
+        repeatedly.  The executor stays usable — the next run simply
+        recreates what it needs."""
         for backend in self._backends.values():
             backend.close()
         self._backends = {}
@@ -188,58 +204,27 @@ class Executor:
         self.close()
 
     def run(self, pplan: PhysicalPlan) -> QueryResult:
-        """Execute an already-lowered physical plan (parallel when the
-        options ask for workers and the plan has a splittable scan)."""
-        result = self._run(pplan)
-        REGISTRY.inc("queries_executed")
-        if result.metrics.delta_rows_scanned:
-            REGISTRY.inc("delta_rows_scanned", result.metrics.delta_rows_scanned)
-        if self.tracer is not None:
-            self.tracer.record_query(pplan.root.describe(), result.metrics)
-        return result
-
-    def _run(self, pplan: PhysicalPlan) -> QueryResult:
-        if self.options.workers > 1:
-            parallel = self.parallel_plan(pplan)
-            if parallel.is_parallel:
-                with self._span(
-                    "execute", backend=self.options.backend,
-                    workers=parallel.workers, fragments=len(parallel.fragments),
-                ):
-                    relation, metrics = self.backend().run(
-                        parallel, self.disk, self.costs,
-                        profile=self.options.profile,
-                    )
-                self.metrics = metrics
-                return QueryResult(relation, metrics)
-        metrics = ExecutionMetrics()
+        """Execute an already-lowered physical plan: its fragments run
+        on the backend, are placed on the simulated workers and merged
+        (see :meth:`execution_plan` for what the fragments are)."""
+        plan = self.execution_plan(pplan)
+        if plan.is_parallel:
+            attributes = dict(
+                backend=self.options.backend, workers=plan.workers,
+                fragments=len(plan.fragments),
+            )
+        else:
+            attributes = dict(backend="serial", workers=1)
+        with self._span("execute", **attributes):
+            relation, metrics = self.backend().run(
+                plan, self.disk, self.costs, profile=self.options.profile
+            )
         self.metrics = metrics
-        ctx = ExecutionContext(self.disk, self.costs, metrics)
-        with self._span("execute", backend="serial", workers=1):
-            relation, profile = profile_call(
-                pplan.root.run, ctx, enabled=self.options.profile
-            )
-        metrics.profile = profile
-        metrics.rows_produced = relation.num_rows
-        ctx.release_all()
-        # a serial run is one fragment on one worker: wall clock is the
-        # total, and the fragment-sum invariant holds degenerately
-        metrics.makespan_seconds = metrics.total_seconds
-        metrics.fragments.append(
-            FragmentActuals(
-                index=0,
-                role="serial",
-                description="whole plan, one worker",
-                worker=0,
-                io_end_seconds=metrics.io_seconds,
-                end_seconds=metrics.total_seconds,
-                io_seconds=metrics.io_seconds,
-                cpu_seconds=metrics.cpu_seconds,
-                rows_out=relation.num_rows,
-                peak_memory_bytes=metrics.peak_memory_bytes,
-                profile=profile,
-            )
-        )
+        REGISTRY.inc("queries_executed")
+        if metrics.delta_rows_scanned:
+            REGISTRY.inc("delta_rows_scanned", metrics.delta_rows_scanned)
+        if self.tracer is not None:
+            self.tracer.record_query(pplan.root.describe(), metrics)
         return QueryResult(relation, metrics)
 
     def execute(self, plan) -> QueryResult:

@@ -184,16 +184,12 @@ def explain(executor: Executor, plan, analyze: bool = False) -> str:
     query and report actual notes and simulated costs.  With
     ``options.workers > 1`` the plan is rendered as its fragments."""
     pplan = executor.lower(plan)
-    parallel: Optional[ParallelPlan] = None
-    if executor.options.workers > 1:
-        parallel = executor.parallel_plan(pplan)
-        if not parallel.is_parallel:
-            parallel = None
+    parallel = executor.execution_plan(pplan)
     metrics: Optional[ExecutionMetrics] = None
     if analyze:
         metrics = executor.run(pplan).metrics
     scheme_line = f"scheme: {executor.pdb.scheme_name}"
-    if parallel is not None:
+    if parallel.is_parallel:
         scheme_line += f", workers: {parallel.workers}"
         body = format_parallel_plan(parallel, verbose=True, metrics=metrics)
     else:

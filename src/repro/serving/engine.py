@@ -16,9 +16,15 @@ an event is processed:
   and is **physically executed right now**, in program order, before
   any later commit mutates storage — that is the MVCC mechanism: reads
   at the admission instant see exactly the pinned epochs, with zero
-  copying.  Its fragments' *charged* costs then interleave with every
-  other query's on the shared simulated timeline; the query completes
-  when its final fragment's slot ends;
+  copying.  This is the executor's own *run* stage
+  (``backend.execute_fragments`` over ``executor.execution_plan``);
+  only the *place* stage differs from a solo run: the fragments'
+  *charged* costs (:func:`~repro.parallel.scheduler.fragment_works`)
+  interleave with every other query's on the shared simulated
+  timeline.  The query completes when its final fragment's slot ends,
+  and its metrics are then merged by the solo run's own
+  :func:`~repro.parallel.scheduler.merge_scheduled`, over its
+  fragments' places counted from the admission instant;
 * **commit** — the refresh batch is applied and becomes visible
   *atomically at the issue instant* (the write-ahead-log view: later
   admissions see it, in-flight queries — already executed — do not).
@@ -36,11 +42,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..execution.cost import DEFAULT_COSTS, CostModel
 from ..execution.metrics import ExecutionMetrics
-from ..execution.operators import ExecutionContext, walk_physical
+from ..execution.operators import walk_physical
 from ..observe.registry import REGISTRY
 from ..planner.executor import ExecutionOptions, Executor
 from ..schemes.base import PhysicalDatabase
@@ -51,7 +57,12 @@ from .metrics import CommitRecord, QueryRecord, ServingReport, WorkSlot
 from .policies import AdmissionPolicy, create_policy
 from .snapshot import EpochSnapshot
 from .streams import QueryStream, RefreshStream
-from ..parallel.scheduler import FragmentWork, TimelineSimulator
+from ..parallel.scheduler import (
+    FragmentWork,
+    TimelineSimulator,
+    fragment_works,
+    merge_scheduled,
+)
 
 __all__ = ["QueryTicket", "ServingEngine"]
 
@@ -79,8 +90,6 @@ class _WorkInfo:
     kind: str                     # "fragment" | "commit" | "compaction"
     label: str
     stream: str
-    io_seconds: float
-    cpu_seconds: float
     finish: Optional[Callable[[float], None]] = None
 
 
@@ -190,17 +199,12 @@ class _ServeState:
         self.next_event_seq += 1
 
     def new_work(
-        self, info: _WorkInfo, depends_on: Tuple[int, ...] = ()
+        self, info: _WorkInfo, io_seconds: float, cpu_seconds: float
     ) -> FragmentWork:
         index = self.next_work_id
         self.next_work_id += 1
         self.work_info[index] = info
-        return FragmentWork(
-            index=index,
-            io_seconds=info.io_seconds,
-            cpu_seconds=info.cpu_seconds,
-            depends_on=depends_on,
-        )
+        return FragmentWork(index, io_seconds, cpu_seconds)
 
     def log(self, kind: str, stream: str, index: int) -> None:
         self.report.events.append(
@@ -245,7 +249,10 @@ class _ServeState:
         for index in completed:
             info = self.work_info[index]
             if info.finish is not None:
-                info.finish(self.sim.now)
+                # fires once; dropping it frees what it holds (a
+                # query's per-fragment metrics) while the run goes on
+                finish, info.finish = info.finish, None
+                finish(self.sim.now)
 
     # ------------------------------------------------------- submissions
     def process_submit(self, stream: QueryStream, index: int) -> None:
@@ -293,96 +300,33 @@ class _ServeState:
         self.log("execute", ticket.stream, ticket.seq)
         REGISTRY.inc("serving.admitted")
 
-        pplan = engine.executor.lower(ticket.plan)
-        parallel = None
-        if engine.options.workers > 1:
-            candidate = engine.executor.parallel_plan(pplan)
-            if candidate.is_parallel:
-                parallel = candidate
-
-        merged = ExecutionMetrics()
-        merged.workers = engine.workers
-        admit_now = self.sim.now
-        works: List[FragmentWork] = []
-        if parallel is not None:
-            results, fragment_metrics = engine.executor.backend().execute_fragments(
-                parallel, engine.disk, engine.costs,
-                profile=engine.options.profile,
-            )
-            relation = results[parallel.final.index]
-            local_to_global: Dict[int, int] = {}
-            final_fragment = parallel.final
-            for fragment in parallel.fragments:
-                metrics = fragment_metrics[fragment.index]
-                merged.charge_io(
-                    metrics.io_bytes, metrics.io_accesses, metrics.io_seconds
-                )
-                merged.charge_cpu(metrics.cpu_seconds)
-                merged.rows_scanned += metrics.rows_scanned
-                merged.delta_rows_scanned += metrics.delta_rows_scanned
-                label = f"{ticket.description} f{fragment.index}"
-                info = _WorkInfo(
-                    kind="fragment", label=label, stream=ticket.stream,
-                    io_seconds=metrics.io_seconds,
-                    cpu_seconds=metrics.cpu_seconds,
-                )
-                work = self.new_work(
-                    info,
-                    depends_on=tuple(
-                        local_to_global[dep] for dep in fragment.depends_on
-                    ),
-                )
-                local_to_global[fragment.index] = work.index
-                works.append(work)
-                if fragment is final_fragment:
-                    info.finish = self.query_finisher(
-                        ticket, snapshot, relation, merged,
-                        admit_now, len(parallel.fragments),
-                        reorders=parallel.reorders,
-                        reaggregates=parallel.reaggregates,
-                    )
-        else:
-            metrics = ExecutionMetrics()
-            ctx = ExecutionContext(engine.disk, engine.costs, metrics)
-            relation = pplan.root.run(ctx)
-            ctx.release_all()
-            merged.charge_io(
-                metrics.io_bytes, metrics.io_accesses, metrics.io_seconds
-            )
-            merged.charge_cpu(metrics.cpu_seconds)
-            merged.rows_scanned += metrics.rows_scanned
-            merged.delta_rows_scanned += metrics.delta_rows_scanned
-            info = _WorkInfo(
-                kind="fragment", label=ticket.description,
-                stream=ticket.stream,
-                io_seconds=metrics.io_seconds,
-                cpu_seconds=metrics.cpu_seconds,
-            )
-            info.finish = self.query_finisher(
-                ticket, snapshot, relation, merged, admit_now, 1,
-                reorders=False, reaggregates=False,
-            )
-            works.append(self.new_work(info))
-
+        executor = engine.executor
+        plan = executor.execution_plan(executor.lower(ticket.plan))
+        results, fragment_metrics = executor.backend().execute_fragments(
+            plan, engine.disk, engine.costs, profile=engine.options.profile
+        )
         # reads must not move epochs: the MVCC invariant, checked hot
         snapshot.check(engine.pdb)
-        merged.rows_produced = relation.num_rows
-        self.inflight += 1
-        self.sim.add_works(works)
+        # the fragments' results die with this call (the merge at finish
+        # reads only their metrics), so an in-flight query holds no
+        # intermediate relation, and no final one it will not report
+        relation = results[plan.final.index] if engine.keep_results else None
 
-    def query_finisher(
-        self,
-        ticket: QueryTicket,
-        snapshot: EpochSnapshot,
-        relation,
-        merged: ExecutionMetrics,
-        admit_seconds: float,
-        fragment_count: int,
-        reorders: bool,
-        reaggregates: bool,
-    ) -> Callable[[float], None]:
+        works = fragment_works(plan, fragment_metrics, self.next_work_id)
+        self.next_work_id += len(works)
+        for fragment, work in zip(plan.fragments, works):
+            label = ticket.description
+            if plan.is_parallel:
+                label += f" f{fragment.index}"
+            self.work_info[work.index] = _WorkInfo(
+                kind="fragment", label=label, stream=ticket.stream
+            )
+        admit_seconds = self.sim.now
+        self.inflight += 1
+        slots = self.sim.add_works(works)
+
         def finish(now: float) -> None:
-            merged.makespan_seconds = now - admit_seconds
+            metrics = merge_scheduled(plan, fragment_metrics, slots)
             record = QueryRecord(
                 stream=ticket.stream,
                 seq=ticket.seq,
@@ -392,12 +336,12 @@ class _ServeState:
                 admit_seconds=admit_seconds,
                 finish_seconds=now,
                 snapshot=snapshot,
-                reorders=reorders,
-                reaggregates=reaggregates,
-                rows=relation.num_rows,
-                fragment_count=fragment_count,
-                metrics=merged,
-                relation=relation if self.engine.keep_results else None,
+                reorders=plan.reorders,
+                reaggregates=plan.reaggregates,
+                rows=metrics.rows_produced,
+                fragment_count=len(plan.fragments),
+                metrics=metrics,
+                relation=relation,
             )
             self.report.queries.append(record)
             self.inflight -= 1
@@ -409,7 +353,7 @@ class _ServeState:
             if stream is not None:
                 self.push(now, _EVENT_SUBMIT, stream, ticket.seq + 1)
 
-        return finish
+        self.work_info[works[-1].index].finish = finish
 
     # ----------------------------------------------------------- commits
     def process_commit(self, stream: RefreshStream, index: int) -> None:
@@ -446,8 +390,6 @@ class _ServeState:
         info = _WorkInfo(
             kind="commit", label=f"{stream.name}: {description}",
             stream=stream.name,
-            io_seconds=metrics.io_seconds,
-            cpu_seconds=metrics.cpu_seconds,
         )
 
         def commit_work_done(now: float) -> None:
@@ -457,7 +399,7 @@ class _ServeState:
             self.push(now, _EVENT_COMMIT, stream, index + 1)
 
         info.finish = commit_work_done
-        works = [self.new_work(info)]
+        works = [self.new_work(info, metrics.io_seconds, metrics.cpu_seconds)]
         if metrics.compaction_seconds > 0.0:
             # compaction is rewrite-dominated: modelled as IO so it
             # contends for disk streams, on whichever worker is idle
@@ -467,9 +409,9 @@ class _ServeState:
                         kind="compaction",
                         label=f"{stream.name}: compaction",
                         stream=stream.name,
-                        io_seconds=metrics.compaction_seconds,
-                        cpu_seconds=0.0,
-                    )
+                    ),
+                    io_seconds=metrics.compaction_seconds,
+                    cpu_seconds=0.0,
                 )
             )
             REGISTRY.inc("serving.background_compactions")
@@ -480,6 +422,7 @@ class _ServeState:
         slots = []
         for index in sorted(self.sim.slots):
             slot = self.sim.slots[index]
+            work = self.sim.works[index]
             info = self.work_info[index]
             slots.append(
                 WorkSlot(
@@ -492,8 +435,8 @@ class _ServeState:
                     start_seconds=slot.start_seconds,
                     io_end_seconds=slot.io_end_seconds,
                     end_seconds=slot.end_seconds,
-                    io_seconds=info.io_seconds,
-                    cpu_seconds=info.cpu_seconds,
+                    io_seconds=work.io_seconds,
+                    cpu_seconds=work.cpu_seconds,
                 )
             )
         return slots

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..execution.metrics import ExecutionMetrics
+from ..observe.query_log import percentile
 from .snapshot import EpochSnapshot
 
 __all__ = [
-    "percentile",
     "QueryRecord",
     "CommitRecord",
     "WorkSlot",
@@ -25,16 +25,6 @@ __all__ = [
     "ServingReport",
     "serving_trace",
 ]
-
-
-def percentile(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile of ``values`` (deterministic, no
-    interpolation); 0.0 for an empty list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(int(len(ordered) * fraction + 0.999999) - 1, 0)
-    return ordered[min(rank, len(ordered) - 1)]
 
 
 @dataclass

@@ -371,16 +371,11 @@ def main(argv: List[str] | None = None) -> int:
                         if len(runner.physical_plans) > 1:
                             print(f"-- stage {stage + 1}")
                         stage_metrics = runner.stage_metrics[stage]
-                        if options.workers > 1:
-                            parallel = executor.parallel_plan(pplan)
-                            if parallel.is_parallel:
-                                print(
-                                    format_parallel_plan(
-                                        parallel, metrics=stage_metrics
-                                    )
-                                )
-                                continue
-                        print(format_physical_plan(pplan, metrics=stage_metrics))
+                        parallel = executor.execution_plan(pplan)
+                        if parallel.is_parallel:
+                            print(format_parallel_plan(parallel, metrics=stage_metrics))
+                        else:
+                            print(format_physical_plan(pplan, metrics=stage_metrics))
                     print(
                         "cost: %.3f ms simulated, peak memory %.3f MB, %d rows"
                         % (

@@ -57,13 +57,9 @@ class QueryRunner:
 
     def _merge(self, stage: ExecutionMetrics) -> None:
         merged = self.metrics
-        merged.io_bytes += stage.io_bytes
-        merged.io_accesses += stage.io_accesses
-        merged.io_seconds += stage.io_seconds
-        merged.cpu_seconds += stage.cpu_seconds
-        merged.rows_scanned += stage.rows_scanned
-        merged.delta_rows_scanned += stage.delta_rows_scanned
-        merged.compaction_seconds += stage.compaction_seconds
+        # stages hold distinct operator trees, so absorbing keeps every
+        # stage's actuals
+        merged.absorb(stage)
         merged.rows_produced = stage.rows_produced
         if stage.peak_memory_bytes > merged.memory.peak_bytes:
             merged.memory.peak_bytes = stage.peak_memory_bytes
@@ -72,11 +68,6 @@ class QueryRunner:
         for tag, peak in stage.memory.tag_peaks.items():
             if peak > merged.memory.tag_peaks.get(tag, 0.0):
                 merged.memory.tag_peaks[tag] = peak
-        for key, value in stage.counters.items():
-            merged.counters[key] = merged.counters.get(key, 0.0) + value
-        merged.notes.extend(stage.notes)
-        # stages hold distinct operator trees; keep every stage's actuals
-        merged.operators.update(stage.operators)
         # stages run one after another: wall clocks add up, and the
         # per-stage fragment timelines are kept for inspection
         merged.makespan_seconds += stage.makespan_seconds

@@ -377,7 +377,7 @@ class WorkloadReport:
         return "\n".join(lines)
 
 
-def _bitwise_mismatch(serial, got) -> Optional[str]:
+def bitwise_mismatch(serial, got) -> Optional[str]:
     """Exact (order- and bit-sensitive) comparison of a parallel
     execution's relation against the same scheme's serial default run.
     Fragmented plans without a reordering exchange gather partitions in
@@ -409,11 +409,6 @@ def _bitwise_mismatch(serial, got) -> Optional[str]:
                 f"serial {a[where]!r}, parallel {b[where]!r})"
             )
     return None
-
-
-#: public name for external exact-comparison users (the serving
-#: differential); the underscore form stays the patchable internal hook.
-bitwise_mismatch = _bitwise_mismatch
 
 
 # ------------------------------------------------------------------ runner
@@ -536,9 +531,8 @@ def _check_one_query(
             # multisets, not serial-ordered streams — the normalized
             # comparison above already covers them; everything else must
             # still match the serial run bit-for-bit, order included
-            parallel = executor.parallel_plan(executor.lower(query.plan))
-            if not (parallel.is_parallel and parallel.reorders):
-                mismatch = _bitwise_mismatch(serial_relations[scheme], result.relation)
+            if not executor.execution_plan(executor.lower(query.plan)).reorders:
+                mismatch = bitwise_mismatch(serial_relations[scheme], result.relation)
                 if mismatch is not None:
                     detail = (
                         f"workers={executor.options.workers} diverges bit-for-bit "

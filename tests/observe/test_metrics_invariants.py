@@ -6,11 +6,8 @@ attribution, and its surfacing in ``explain(analyze=True)``."""
 import pytest
 
 from repro.execution.metrics import MemoryTracker
-from repro.parallel.scheduler import (
-    concurrent_peak,
-    execute_fragments,
-    merge_parallel_metrics,
-)
+from repro.parallel.backends import SimulatedBackend
+from repro.parallel.scheduler import concurrent_peak, merge_parallel_metrics
 from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
 from repro.planner.executor import ExecutionOptions, Executor
@@ -90,7 +87,7 @@ class TestMergeParallelMetrics:
         pplan = executor.lower(_q6_plan())
         parallel = executor.parallel_plan(pplan)
         assert parallel.is_parallel
-        results, fragment_metrics = execute_fragments(
+        results, fragment_metrics = SimulatedBackend().execute_fragments(
             parallel, environment.disk, environment.cost_model
         )
         return parallel, results, fragment_metrics

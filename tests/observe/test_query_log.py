@@ -8,6 +8,7 @@ from repro.observe import (
     SUPPORTED_SCHEMA_VERSIONS,
     QueryLog,
     build_record,
+    percentile,
     plan_fingerprint,
     read_records,
     record_errors,
@@ -186,6 +187,27 @@ class TestSummarize:
         summary = summarize_records([])
         assert summary["queries"] == {}
         assert summary["overall"]["records"] == 0
+
+
+@pytest.mark.parametrize(
+    "values, fraction, expected",
+    [
+        ([], 0.95, 0.0),                                  # empty: no IndexError
+        ([7.0], 0.50, 7.0),                               # one element
+        ([7.0], 0.95, 7.0),
+        ([float(v) for v in range(20, 0, -1)], 0.50, 10.0),  # n*f integral: 10th
+        ([float(v) for v in range(20, 0, -1)], 0.95, 19.0),
+        ([3.0, 1.0, 2.0], 0.50, 2.0),                     # n*f = 1.5 -> 2nd
+        ([3.0, 1.0, 2.0, 4.0], 0.95, 4.0),                # n*f = 3.8 -> 4th
+    ],
+)
+def test_percentile_is_nearest_rank(values, fraction, expected):
+    # the one percentile of the repo: the query-log summary and the
+    # serving metrics share it
+    from repro.serving import metrics as serving_metrics
+
+    assert percentile(values, fraction) == expected
+    assert serving_metrics.percentile is percentile
 
 
 class TestQueryLog:

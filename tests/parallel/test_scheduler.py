@@ -5,9 +5,19 @@ import pytest
 
 from repro.parallel.scheduler import (
     FragmentWork,
+    TimelineSimulator,
     concurrent_peak,
-    simulate_schedule,
 )
+
+
+def _place(works, workers, streams):
+    """One closed batch on a private timeline: its slots and makespan."""
+    sim = TimelineSimulator(workers, streams=streams)
+    slots = sim.add_works(works)
+    sim.run_to_idle()
+    # a lone batch's own clock is the timeline's clock
+    assert slots == [sim.slots[w.index] for w in works]
+    return slots, sim.makespan
 
 
 def _slot(slots, index):
@@ -20,7 +30,7 @@ class TestDispatch:
             FragmentWork(0, io_seconds=0.0, cpu_seconds=1.0),
             FragmentWork(1, io_seconds=0.0, cpu_seconds=1.0),
         ]
-        slots, makespan = simulate_schedule(works, workers=2, streams=4)
+        slots, makespan = _place(works, workers=2, streams=4)
         assert makespan == pytest.approx(1.0)
         assert {_slot(slots, 0).worker, _slot(slots, 1).worker} == {0, 1}
 
@@ -29,7 +39,7 @@ class TestDispatch:
             FragmentWork(0, io_seconds=0.0, cpu_seconds=1.0),
             FragmentWork(1, io_seconds=0.0, cpu_seconds=2.0),
         ]
-        slots, makespan = simulate_schedule(works, workers=1, streams=4)
+        slots, makespan = _place(works, workers=1, streams=4)
         assert makespan == pytest.approx(3.0)
         # longest fragment dispatches first (list scheduling)
         assert _slot(slots, 1).start_seconds == 0.0
@@ -37,15 +47,15 @@ class TestDispatch:
 
     def test_queue_wait_recorded(self):
         works = [FragmentWork(i, io_seconds=0.0, cpu_seconds=1.0) for i in range(3)]
-        slots, makespan = simulate_schedule(works, workers=2, streams=4)
+        slots, makespan = _place(works, workers=2, streams=4)
         assert makespan == pytest.approx(2.0)
         waits = sorted(s.start_seconds for s in slots)
         assert waits == pytest.approx([0.0, 0.0, 1.0])
 
     def test_deterministic_tie_break_by_index(self):
         works = [FragmentWork(i, io_seconds=0.0, cpu_seconds=1.0) for i in range(4)]
-        first, _ = simulate_schedule(works, workers=2, streams=4)
-        second, _ = simulate_schedule(works, workers=2, streams=4)
+        first, _ = _place(works, workers=2, streams=4)
+        second, _ = _place(works, workers=2, streams=4)
         assert [(s.index, s.worker, s.start_seconds) for s in first] == [
             (s.index, s.worker, s.start_seconds) for s in second
         ]
@@ -60,9 +70,9 @@ class TestDiskContention:
             FragmentWork(0, io_seconds=1.0, cpu_seconds=0.0),
             FragmentWork(1, io_seconds=1.0, cpu_seconds=0.0),
         ]
-        _, contended = simulate_schedule(works, workers=2, streams=1)
+        _, contended = _place(works, workers=2, streams=1)
         assert contended == pytest.approx(2.0)
-        _, parallel = simulate_schedule(works, workers=2, streams=2)
+        _, parallel = _place(works, workers=2, streams=2)
         assert parallel == pytest.approx(1.0)
 
     def test_cpu_phase_not_stretched(self):
@@ -70,7 +80,7 @@ class TestDiskContention:
             FragmentWork(0, io_seconds=1.0, cpu_seconds=1.0),
             FragmentWork(1, io_seconds=1.0, cpu_seconds=1.0),
         ]
-        _, makespan = simulate_schedule(works, workers=2, streams=1)
+        _, makespan = _place(works, workers=2, streams=1)
         # both IO phases share the single stream (done at t=2), then the
         # CPU phases run at full speed on their own workers (t=3)
         assert makespan == pytest.approx(3.0)
@@ -80,7 +90,7 @@ class TestDiskContention:
             FragmentWork(i, io_seconds=0.5, cpu_seconds=0.25) for i in range(8)
         ]
         spans = [
-            simulate_schedule(works, workers=w, streams=4)[1] for w in (1, 2, 4, 8)
+            _place(works, workers=w, streams=4)[1] for w in (1, 2, 4, 8)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(spans, spans[1:]))
 
@@ -92,7 +102,7 @@ class TestDependencies:
             FragmentWork(1, io_seconds=0.0, cpu_seconds=2.0),
             FragmentWork(2, io_seconds=0.0, cpu_seconds=0.5, depends_on=(0, 1)),
         ]
-        slots, makespan = simulate_schedule(works, workers=4, streams=4)
+        slots, makespan = _place(works, workers=4, streams=4)
         assert _slot(slots, 2).ready_seconds == pytest.approx(2.0)
         assert _slot(slots, 2).start_seconds == pytest.approx(2.0)
         assert makespan == pytest.approx(2.5)
@@ -104,7 +114,7 @@ class TestDependencies:
             FragmentWork(2, io_seconds=0.0, cpu_seconds=1.0, depends_on=(0,)),
             FragmentWork(3, io_seconds=0.0, cpu_seconds=0.1, depends_on=(1, 2)),
         ]
-        slots, makespan = simulate_schedule(works, workers=2, streams=4)
+        slots, makespan = _place(works, workers=2, streams=4)
         assert _slot(slots, 1).start_seconds == pytest.approx(0.5)
         assert makespan == pytest.approx(1.6)
 
@@ -114,7 +124,42 @@ class TestDependencies:
             FragmentWork(1, io_seconds=0.0, cpu_seconds=1.0, depends_on=(0,)),
         ]
         with pytest.raises(RuntimeError):
-            simulate_schedule(works, workers=2, streams=4)
+            _place(works, workers=2, streams=4)
+
+
+class TestBatchClock:
+    def test_later_batch_is_placed_as_on_a_private_timeline(self):
+        # the serving case at MPL 1: a batch registered at t > 0 that
+        # has the pool to itself reads, on its own clock, exactly what
+        # a fresh timeline gives it — `slot - now` would lose bits
+        batch = [
+            FragmentWork(10, io_seconds=0.3, cpu_seconds=0.1),
+            FragmentWork(11, io_seconds=0.7, cpu_seconds=0.2),
+            FragmentWork(12, io_seconds=0.1, cpu_seconds=0.05, depends_on=(10, 11)),
+        ]
+        private, _ = _place(batch, workers=2, streams=1)
+        shared = TimelineSimulator(2, streams=1)
+        shared.add_works([FragmentWork(0, io_seconds=0.1, cpu_seconds=0.123)])
+        shared.run_to_idle()
+        assert shared.now > 0.0
+        local = shared.add_works(batch)
+        shared.run_to_idle()
+        assert local == private
+        assert shared.slots[12].end_seconds == pytest.approx(
+            0.223 + private[2].end_seconds
+        )
+
+    def test_contended_batch_counts_from_its_registration(self):
+        shared = TimelineSimulator(1, streams=1)
+        shared.add_works([FragmentWork(0, io_seconds=0.0, cpu_seconds=2.0)])
+        shared.run_until(0.5)
+        (late,) = shared.add_works([FragmentWork(1, io_seconds=0.0, cpu_seconds=1.0)])
+        shared.run_to_idle()
+        # queued behind work 0 (1.5 s left), then 1 s of its own
+        assert late.ready_seconds == 0.0
+        assert late.start_seconds == pytest.approx(1.5)
+        assert late.end_seconds == pytest.approx(2.5)
+        assert shared.slots[1].end_seconds == pytest.approx(3.0)
 
 
 class TestConcurrentPeak:

@@ -5,6 +5,7 @@ build with generated streams.  Heavier cross-scheme sweeps live in the
 ``serving``-marked modules."""
 
 import json
+import weakref
 
 import pytest
 
@@ -106,6 +107,40 @@ class TestAccounting:
         for slot in report.timeline:
             charged = slot.io_seconds + slot.cpu_seconds
             assert slot.end_seconds - slot.start_seconds >= charged - _EPS
+
+    def test_in_flight_queries_hold_no_fragment_result(self, bdcc_pdb):
+        """Between admission and finish a query keeps its fragments'
+        metrics, never their results (the merge reads only metrics):
+        whenever a query finishes, every relation any fragment has
+        produced so far — its own and those of the queries still in
+        flight — is already gone, so a round's host memory does not
+        depend on how long the simulated clock keeps queries in flight."""
+        streams = [
+            GeneratedQueryStream(f"s{i}", bdcc_pdb.database, 11 + 101 * i, 3)
+            for i in range(3)
+        ]
+        with ServingEngine(
+            bdcc_pdb, options=ExecutionOptions(workers=4), keep_results=False
+        ) as engine:
+            backend = engine.executor.backend()
+            run_stage = backend.execute_fragments
+            produced, alive_at_finish = [], []
+
+            def execute_fragments(plan, disk, costs, profile=False):
+                results, metrics = run_stage(plan, disk, costs, profile=profile)
+                produced.extend(weakref.ref(r) for r in results.values())
+                return results, metrics
+
+            backend.execute_fragments = execute_fragments
+            report = engine.serve(
+                streams,
+                observer=lambda record: alive_at_finish.append(
+                    sum(ref() is not None for ref in produced)
+                ),
+            )
+        assert len(produced) >= len(report.queries) == len(alive_at_finish) == 9
+        assert max(r.fragment_count for r in report.queries) > 1
+        assert alive_at_finish == [0] * 9
 
     def test_registry_counters_track_the_run(self, bdcc_pdb):
         before_submitted = REGISTRY.get("serving.submitted")

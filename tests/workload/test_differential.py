@@ -169,7 +169,7 @@ class TestWorkerSweepSmoke:
         import repro.workload.differential as differential
 
         monkeypatch.setattr(
-            differential, "_bitwise_mismatch", lambda serial, got: "forced mismatch"
+            differential, "bitwise_mismatch", lambda serial, got: "forced mismatch"
         )
         report = run_differential(
             {"bdcc": physical_dbs["bdcc"]},
