@@ -14,7 +14,8 @@ and the regression sentinel gates QPS (higher-is-better, via the
 rate-over-time direction rule) and latency (lower-is-better) tightly.
 
 Usable standalone (CI runs ``python benchmarks/bench_multi_query_serving.py
---smoke``); the report lands under ``benchmarks/results/``.
+--smoke``); the report is printed and its metrics appended to the
+ledger.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro.tpch.environment import make_environment  # noqa: E402
 from repro.tpch.harness import build_schemes  # noqa: E402
 from repro.tpch.queries import QUERIES  # noqa: E402
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: single-stage probe queries: cheap, scheme-sensitive, deterministic.
 PROBES = ("Q01", "Q06", "Q12", "Q14")
 SCHEME = "bdcc"
@@ -158,11 +158,6 @@ def run(sf: float, seed: int, stream_counts, json_mode: bool = False) -> int:
             for (streams, policy), cell in cells.items()
         },
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "multi_query_serving.txt").write_text(text + "\n")
-    (RESULTS_DIR / "multi_query_serving.json").write_text(
-        json.dumps(data, sort_keys=True, indent=2) + "\n"
-    )
     # ledger: one record per run; every leaf name carries a direction
     # token the sentinel reads (qps / *_seconds / utilization).
     metrics = {"queries_per_second": aggregate_qps}
@@ -208,7 +203,7 @@ def main() -> int:
     parser.add_argument(
         "--json", action="store_true",
         help="print the structured JSON report instead of the text table "
-             "(both forms are always written to benchmarks/results/)",
+             "(either way the metrics are appended to the BENCH_*.json ledger)",
     )
     args = parser.parse_args()
     sf = 0.004 if args.smoke else args.sf

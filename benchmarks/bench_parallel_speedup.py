@@ -235,8 +235,8 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
         f"{'query':<14}" + "".join(f"{f'w={w} wall':>12}{f'w={w} x':>9}" for w in WORKER_COUNTS),
     ]
     failures = []
-    # the structured twin of the text report; written next to the .txt
-    # and printed instead of it under --json
+    # the structured twin of the text report: printed instead of it
+    # under --json, and the source of the ledger records
     repo_root = pathlib.Path(__file__).resolve().parent.parent
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -338,12 +338,6 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
     data["failures"] = list(failures)
     data["ok"] = not failures
     report = "\n".join(lines)
-    results_dir = pathlib.Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "parallel_speedup.txt").write_text(report + "\n")
-    (results_dir / "parallel_speedup.json").write_text(
-        json.dumps(data, sort_keys=True, indent=2) + "\n"
-    )
 
     # --- history ledgers: the speedup trajectory (simulated, hence
     # deterministic and tightly gateable) and the cost-model drift
@@ -399,7 +393,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--json", action="store_true",
         help="print the structured JSON report instead of the text table "
-             "(both forms are always written to benchmarks/results/)",
+             "(either way the metrics are appended to the BENCH_*.json ledgers)",
     )
     args = parser.parse_args(argv)
     scale_factor = args.sf

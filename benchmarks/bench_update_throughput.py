@@ -10,7 +10,8 @@ Measures, per scheme:
   probe-query latency (a fresh build, default compaction policy).
 
 Usable standalone (CI runs ``python benchmarks/bench_update_throughput.py
---smoke``); the report lands under ``benchmarks/results/``.
+--smoke``); the report is printed and its metrics appended to the
+``BENCH_update_throughput.json`` ledger.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from repro.tpch.datagen import generate  # noqa: E402
 from repro.tpch.environment import make_environment  # noqa: E402
 from repro.tpch.harness import build_schemes  # noqa: E402
 from repro.tpch.queries import QUERIES  # noqa: E402
-from repro.tpch.refresh import generate_rf1, run_refresh_suite  # noqa: E402
+from repro.tpch.refresh import run_refresh_suite, stage_rf1  # noqa: E402
 from repro.tpch.runner import run_query  # noqa: E402
 from repro.updates import CompactionPolicy, UpdateSession, compact_table  # noqa: E402
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 PROBES = ("Q01", "Q06")
 #: compaction must restore at least this fraction of clean scan speed
 RESTORE_TARGET = 0.9
@@ -56,9 +56,7 @@ def _grow_delta(db, pdbs, rng, lineitem_rows):
     session = UpdateSession(
         *pdbs.values(), policy=CompactionPolicy(max_delta_fraction=None)
     )
-    orders_rows, line_rows = generate_rf1(db, rng, max(lineitem_rows // 4, 1))
-    session.insert_rows("orders", orders_rows)
-    session.insert_rows("lineitem", line_rows)
+    stage_rf1(session, db, rng, max(lineitem_rows // 4, 1))
     session.commit()
 
 
@@ -127,8 +125,6 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
     lines.append(refresh.render())
 
     text = "\n".join(lines)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "update_refresh.txt").write_text(text + "\n")
     repo_root = pathlib.Path(__file__).resolve().parent.parent
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -155,9 +151,6 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
         ],
         "ok": not failures,
     }
-    (RESULTS_DIR / "update_refresh.json").write_text(
-        json.dumps(data, sort_keys=True, indent=2) + "\n"
-    )
     # ledger record: probe latencies renamed so every leaf carries a
     # "seconds" token the sentinel's direction inference reads (the
     # stage keys themselves are scheme/query labels).
@@ -197,7 +190,7 @@ def main() -> int:
     parser.add_argument(
         "--json", action="store_true",
         help="print the structured JSON report instead of the text table "
-             "(both forms are always written to benchmarks/results/)",
+             "(either way the metrics are appended to the BENCH_*.json ledger)",
     )
     args = parser.parse_args()
     sf = 0.004 if args.smoke else args.sf

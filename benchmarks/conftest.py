@@ -1,29 +1,27 @@
 """Benchmark fixtures: TPC-H data and the three physical schemes.
 
-Scale factor via ``REPRO_SF`` (default 0.02); results are printed and
-appended to ``benchmarks/results/``.
+Scale factor via ``REPRO_SF`` (default 0.02); each report is printed and
+its metrics appended to the benchmark's ``BENCH_<name>.json`` ledger.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
 import pytest
 
 from repro import tpch
-from repro.observe import SCHEMA_VERSION, history
+from repro.observe import history
 from repro.tpch.environment import make_environment
 from repro.tpch.harness import build_schemes
 
 BENCH_SF = float(os.environ.get("REPRO_SF", "0.02"))
 BENCH_SEED = 7
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-#: report keys that describe the run, not its outcome — stamped into
-#: the JSON twin but kept out of the ledger's metric dict.
+#: report keys that describe the run, not its outcome — kept out of the
+#: ledger's metric dict (the ledger record carries its own provenance).
 _PROVENANCE_KEYS = (
     "schema_version", "kind", "scale_factor", "seed",
     "git_sha", "timestamp_utc", "host",
@@ -46,29 +44,13 @@ def bench_pdbs(bench_db, bench_env):
 
 
 def write_report(name: str, text: str, data: dict | None = None) -> None:
-    """Print a paper-style table and persist it under results/.  With
-    ``data`` a structured JSON twin is written next to the .txt — now
-    self-describing (git SHA, UTC timestamp, host fingerprint, schema
-    version) — and the flattened metrics are appended as one record to
-    the benchmark's history ledger ``BENCH_{name}.json`` at the repo
-    root (``$REPRO_LEDGER_DIR`` overrides), growing the perf trajectory
-    the regression sentinel gates on."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    """Print a paper-style table.  With ``data`` the flattened metrics
+    are appended as one self-describing record (git SHA, UTC timestamp,
+    host fingerprint) to the benchmark's history ledger
+    ``BENCH_{name}.json`` at the repo root (``$REPRO_LEDGER_DIR``
+    overrides), growing the perf trajectory the regression sentinel
+    gates on; ``python -m repro.observe summary`` renders it back."""
     if data is not None:
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": name,
-            "scale_factor": BENCH_SF,
-            "seed": BENCH_SEED,
-            "git_sha": history.current_git_sha(str(REPO_ROOT)),
-            "timestamp_utc": history.utc_timestamp(),
-            "host": history.host_fingerprint(),
-            **data,
-        }
-        (RESULTS_DIR / f"{name}.json").write_text(
-            json.dumps(document, sort_keys=True, indent=2) + "\n"
-        )
         history.append_record(
             name,
             history.flatten_metrics(
@@ -76,8 +58,6 @@ def write_report(name: str, text: str, data: dict | None = None) -> None:
             ),
             meta={"scale_factor": BENCH_SF, "seed": BENCH_SEED},
             directory=REPO_ROOT,
-            git_sha=document["git_sha"],
-            timestamp=document["timestamp_utc"],
-            host=document["host"],
+            git_sha=history.current_git_sha(str(REPO_ROOT)),
         )
     print(f"\n===== {name} =====\n{text}\n")

@@ -16,6 +16,8 @@ bit-identical with observability on or off:
   CLIs' ``--json`` modes and the structured benchmark reports;
 * :mod:`repro.observe.registry` — process-wide counters/gauges (cache
   hits, compactions, epoch bumps) snapshotted into every record;
+* :mod:`repro.observe.sink` — the one fan-out from a finished execution
+  to trace, query log and ``--json`` records that every driver uses;
 * :mod:`repro.observe.history` — the benchmark history ledger:
   schema-versioned ``BENCH_<name>.json`` trajectories at the repo
   root, one record per benchmark run (git SHA, timestamp, host, flat
@@ -65,6 +67,7 @@ from .regress import (
     metric_direction,
 )
 from .registry import REGISTRY, MetricsRegistry
+from .sink import ObservabilitySink
 from .spans import Span, SpanTracer, fragment_spans, operator_spans, query_span
 from .trace_events import TraceBuilder, validate_trace, validate_trace_events
 
@@ -99,6 +102,7 @@ __all__ = [
     "metric_direction",
     "REGISTRY",
     "MetricsRegistry",
+    "ObservabilitySink",
     "Span",
     "SpanTracer",
     "fragment_spans",

@@ -15,12 +15,18 @@ checks it by replay:
    plans and batches sample literals from the current data, so order is
    identity), apply each commit, and execute each query **solo** through
    a plain executor at exactly the state the serving run pinned;
-3. compare bit-for-bit (:func:`~repro.workload.differential.bitwise_mismatch`);
-   plans whose contracts allow reordering (co-partition gather) or
-   re-aggregation (merge agg) fall back to the normalized-multiset
-   comparison with per-dtype tolerances.  Optionally every solo result
-   is additionally checked against the naive reference evaluator —
-   reusing the update-differential oracle's machinery end to end.
+3. judge each pair with the sweep's own verdict
+   (:func:`~repro.workload.differential.twin_mismatch`): bit-for-bit,
+   unless the plan's contract lets a gather reorder (``reorders`` —
+   which re-aggregating plans imply), then as normalized multisets
+   under per-dtype tolerances.  Optionally every served result is
+   additionally judged against the naive reference evaluator
+   (:func:`~repro.workload.differential.reference_mismatch`).
+
+A failed check is reported as the sweep's own
+:class:`~repro.workload.differential.Divergence`: logical plan, physical
+plan with the solo run's actuals, and a ``python -m repro.workload
+--streams …`` line that reproduces the serving run.
 
 Epochs are cross-checked too: at each replayed execution the rebuilt
 database must sit at the very epochs the serving query pinned, or the
@@ -29,6 +35,7 @@ replay (and hence the MVCC bookkeeping) is broken.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -37,10 +44,9 @@ from ..planner.executor import ExecutionOptions, Executor
 from ..schemes.base import PhysicalDatabase
 from ..storage.io_model import DiskModel
 from ..workload.differential import (
-    bitwise_mismatch,
-    column_tolerances,
-    normalized_rows,
-    rows_match,
+    Divergence,
+    reference_mismatch,
+    twin_mismatch,
 )
 from ..workload.reference import evaluate_reference
 from .engine import ServingEngine
@@ -49,33 +55,7 @@ from .snapshot import EpochSnapshot
 from .streams import GeneratedQueryStream, GeneratedRefreshStream
 from ..updates.session import UpdateSession
 
-__all__ = [
-    "ServingDivergence",
-    "ServingDifferentialReport",
-    "run_serving_differential",
-]
-
-
-@dataclass
-class ServingDivergence:
-    """One served query that failed its solo-replay (or reference)
-    check."""
-
-    scheme: str
-    policy: str
-    stream: str
-    seq: int
-    description: str
-    check: str                    # "solo" | "reference" | "epoch"
-    detail: str
-
-    def render(self) -> str:
-        return (
-            f"DIVERGENCE scheme={self.scheme} policy={self.policy} "
-            f"stream={self.stream} seq={self.seq} check={self.check}\n"
-            f"  query: {self.description}\n"
-            f"  {self.detail}"
-        )
+__all__ = ["ServingDifferentialReport", "run_serving_differential"]
 
 
 @dataclass
@@ -89,7 +69,7 @@ class ServingDifferentialReport:
     queries_checked: int = 0
     commits_replayed: int = 0
     reference_checks: int = 0
-    divergences: List[ServingDivergence] = field(default_factory=list)
+    divergences: List[Divergence] = field(default_factory=list)
     serving_reports: Dict[str, ServingReport] = field(default_factory=dict)
 
     @property
@@ -148,10 +128,18 @@ def run_serving_differential(
     check_reference: bool = False,
     fail_fast: bool = False,
     progress: Optional[Callable[[str, int], None]] = None,
+    repro_flags: str = "",
+    observer: Optional[Callable] = None,
 ) -> ServingDifferentialReport:
     """Serve, replay solo, compare.  ``build`` must return a *fresh*
     identical ``{scheme: PhysicalDatabase}`` mapping on every call (the
-    serving run mutates its copy; the replay needs a pristine one)."""
+    serving run mutates its copy; the replay needs a pristine one).
+
+    ``repro_flags`` names the CLI flags that rebuild the same database
+    (as for :func:`~repro.workload.differential.run_differential`);
+    ``observer`` is called as ``observer(record, pdb=..., options=...)``
+    for every served query — the CLI's observability sink hangs off
+    it."""
     options = options or ExecutionOptions()
     report = ServingDifferentialReport(
         seed=seed,
@@ -159,22 +147,63 @@ def run_serving_differential(
         workers=max(int(options.workers), 1),
         backend=options.backend,
     )
+    serving_flags = (
+        f"--streams {num_streams} --updates {refresh_rounds} "
+        f"--policy {policy} --workers {report.workers} "
+        f"--backend {report.backend}"
+    )
+    if max_concurrent is not None:
+        serving_flags += f" --max-concurrent {max_concurrent}"
+
+    def streams(db):
+        """The run's stream sources over ``db`` — built once to serve,
+        once more over the pristine copy to replay."""
+        queries = [
+            GeneratedQueryStream(
+                f"s{i}", db, _stream_seed(seed, i), queries_per_stream
+            )
+            for i in range(num_streams)
+        ]
+        refresh = []
+        if refresh_rounds > 0:
+            refresh.append(
+                GeneratedRefreshStream(
+                    "rf", db, _stream_seed(seed, -1), refresh_rounds
+                )
+            )
+        return queries, refresh
 
     first = build()
     wanted = list(schemes) if schemes is not None else list(first)
     for scheme in wanted:
         pdbs = first if first is not None else build()
         first = None
-        serving_report = _serve_once(
-            pdbs[scheme], seed, num_streams, queries_per_stream,
-            refresh_rounds, policy, options, max_concurrent, disk, costs,
+        pdb = pdbs[scheme]
+        query_streams, refresh_streams = streams(pdb.database)
+        with ServingEngine(
+            pdb, disk=disk, costs=costs, options=options, policy=policy,
+            max_concurrent=max_concurrent, keep_results=True,
+        ) as engine:
+            served = engine.serve(
+                query_streams, refresh_streams,
+                observer=observer
+                and functools.partial(observer, pdb=pdb, options=options),
+            )
+        report.serving_reports[scheme] = served
+        # a divergence reproduces by serving the whole run again: every
+        # query of every stream, this scheme
+        reproduce = dict(
+            seed=seed,
+            index=num_streams * queries_per_stream - 1,
+            repro_flags=f"{serving_flags} --schemes {scheme} {repro_flags}".strip(),
         )
-        report.serving_reports[scheme] = serving_report
-        _replay_and_compare(
-            report, serving_report, build()[scheme], seed, num_streams,
-            queries_per_stream, refresh_rounds, options, disk, costs,
-            check_reference=check_reference, fail_fast=fail_fast,
-        )
+        with Executor(
+            build()[scheme], disk=disk, costs=costs, options=options
+        ) as executor:
+            _replay_and_compare(
+                report, served, executor, streams, reproduce,
+                check_reference=check_reference, fail_fast=fail_fast,
+            )
         if progress is not None:
             progress(scheme, len(report.divergences))
         if report.divergences and fail_fast:
@@ -182,116 +211,69 @@ def run_serving_differential(
     return report
 
 
-def _build_query_streams(
-    db, seed: int, num_streams: int, queries_per_stream: int
-) -> List[GeneratedQueryStream]:
-    return [
-        GeneratedQueryStream(
-            f"s{i}", db, _stream_seed(seed, i), queries_per_stream
-        )
-        for i in range(num_streams)
-    ]
-
-
-def _serve_once(
-    pdb, seed, num_streams, queries_per_stream, refresh_rounds,
-    policy, options, max_concurrent, disk, costs,
-) -> ServingReport:
-    query_streams = _build_query_streams(
-        pdb.database, seed, num_streams, queries_per_stream
-    )
-    refresh_streams = []
-    if refresh_rounds > 0:
-        refresh_streams.append(
-            GeneratedRefreshStream(
-                "rf", pdb.database, _stream_seed(seed, -1), refresh_rounds
-            )
-        )
-    with ServingEngine(
-        pdb, disk=disk, costs=costs, options=options, policy=policy,
-        max_concurrent=max_concurrent, keep_results=True,
-    ) as engine:
-        return engine.serve(query_streams, refresh_streams)
-
-
 def _replay_and_compare(
     report: ServingDifferentialReport,
-    serving_report: ServingReport,
-    pdb,
-    seed: int,
-    num_streams: int,
-    queries_per_stream: int,
-    refresh_rounds: int,
-    options: ExecutionOptions,
-    disk,
-    costs,
+    served: ServingReport,
+    executor: Executor,
+    streams: Callable,
+    reproduce: dict,
     check_reference: bool,
     fail_fast: bool,
 ) -> None:
-    """Walk the serving run's event log against a pristine database."""
-    db = pdb.database
-    query_streams = {
-        s.name: s
-        for s in _build_query_streams(
-            db, seed, num_streams, queries_per_stream
-        )
-    }
-    refresh_streams = {}
-    if refresh_rounds > 0:
-        stream = GeneratedRefreshStream(
-            "rf", db, _stream_seed(seed, -1), refresh_rounds
-        )
-        refresh_streams[stream.name] = stream
+    """Walk the serving run's event log against ``executor``'s pristine
+    database."""
+    pdb = executor.pdb
+    queries, refresh = streams(pdb.database)
+    query_streams = {s.name: s for s in queries}
+    refresh_streams = {s.name: s for s in refresh}
     records: Dict[tuple, QueryRecord] = {
-        (r.stream, r.seq): r for r in serving_report.queries
+        (r.stream, r.seq): r for r in served.queries
     }
     items: Dict[tuple, object] = {}
-    scheme = serving_report.scheme
 
-    with Executor(pdb, disk=disk, costs=costs, options=options) as executor:
-        for event in serving_report.events:
-            kind = event["kind"]
-            stream_name = event["stream"]
-            index = event["index"]
-            if kind == "generate":
-                items[(stream_name, index)] = query_streams[stream_name].item(index)
-            elif kind == "commit":
-                session = UpdateSession(pdb, disk=disk, costs=costs)
-                description = refresh_streams[stream_name].apply(index, session)
-                if description is not None:
-                    session.commit()
-                report.commits_replayed += 1
-            elif kind == "execute":
-                item = items.pop((stream_name, index))
-                record = records[(stream_name, index)]
-                _check_one(
-                    report, serving_report, executor, db, item, record, scheme,
-                    check_reference=check_reference,
-                )
-                if report.divergences and fail_fast:
-                    return
+    for event in served.events:
+        kind = event["kind"]
+        stream_name = event["stream"]
+        index = event["index"]
+        if kind == "generate":
+            items[(stream_name, index)] = query_streams[stream_name].item(index)
+        elif kind == "commit":
+            session = UpdateSession(
+                pdb, disk=executor.disk, costs=executor.costs
+            )
+            description = refresh_streams[stream_name].apply(index, session)
+            if description is not None:
+                session.commit()
+            report.commits_replayed += 1
+        elif kind == "execute":
+            _check_one(
+                report, executor, items.pop((stream_name, index)),
+                records[(stream_name, index)], reproduce, check_reference,
+            )
+            if report.divergences and fail_fast:
+                return
 
 
 def _check_one(
     report: ServingDifferentialReport,
-    serving_report: ServingReport,
     executor: Executor,
-    db,
     item,
     record: QueryRecord,
-    scheme: str,
+    reproduce: dict,
     check_reference: bool,
 ) -> None:
-    def diverge(check: str, detail: str) -> None:
+    def diverge(check: str, detail: str, metrics=None) -> None:
         report.divergences.append(
-            ServingDivergence(
-                scheme=scheme,
-                policy=serving_report.policy,
-                stream=record.stream,
-                seq=record.seq,
+            Divergence.of(
+                executor, item.plan, metrics,
+                scheme=executor.pdb.scheme_name,
+                variant=(
+                    f"served policy={report.policy} stream={record.stream} "
+                    f"seq={record.seq} check={check}"
+                ),
                 description=record.description,
-                check=check,
                 detail=detail,
+                **reproduce,
             )
         )
 
@@ -309,40 +291,16 @@ def _check_one(
         diverge("solo", "serving run kept no result (keep_results=False)")
         return
 
-    solo = executor.execute(item.plan).relation
+    solo = executor.execute(item.plan)
     report.queries_checked += 1
-    detail = bitwise_mismatch(solo, record.relation)
+    detail = twin_mismatch(
+        solo.relation, record.relation, exact=not record.reorders
+    )
     if detail is not None:
-        if record.reorders or record.reaggregates:
-            names = sorted(solo.column_names)
-            expected = normalized_rows(solo.columns, names)
-            got = normalized_rows(record.relation.columns, names)
-            tolerances = column_tolerances(
-                names, solo.columns, record.relation.columns
-            )
-            if not rows_match(expected, got, tolerances):
-                diverge("solo", f"order-insensitive mismatch: {detail}")
-        else:
-            diverge("solo", detail)
+        diverge("solo", detail, solo.metrics)
     if check_reference:
-        reference = evaluate_reference(db, item.plan)
-        names = sorted(reference.visible_names)
-        got_names = sorted(record.relation.column_names)
-        if names != got_names:
-            diverge(
-                "reference",
-                f"column mismatch: reference {names}, served {got_names}",
-            )
-            return
-        expected = normalized_rows(reference.columns, names)
-        got = normalized_rows(record.relation.columns, names)
-        tolerances = column_tolerances(
-            names, reference.columns, record.relation.columns
-        )
+        reference = evaluate_reference(executor.pdb.database, item.plan)
         report.reference_checks += 1
-        if not rows_match(expected, got, tolerances):
-            diverge(
-                "reference",
-                f"served result differs from the naive reference "
-                f"({len(expected)} vs {len(got)} rows)",
-            )
+        detail = reference_mismatch(reference, record.relation)[0]
+        if detail is not None:
+            diverge("reference", detail, solo.metrics)

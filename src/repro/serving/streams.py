@@ -23,9 +23,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..execution.expressions import Col, InList
 from ..planner.executor import ExecutionOptions, Executor
 from ..storage.database import Database
+from ..tpch.refresh import refresh_pair_size, stage_rf1, stage_rf2
 from ..updates.session import UpdateSession
 from ..workload.generator import PlanGenerator
 from ..workload.updates import UpdateGenerator
@@ -133,10 +133,7 @@ class GeneratedRefreshStream(RefreshStream):
         if index >= self.rounds:
             return None
         batch = self._generator.generate(self.seed, index)
-        for table, rows in batch.inserts:
-            session.insert_rows(table, rows)
-        for table, predicate in batch.deletes:
-            session.delete_where(table, predicate)
+        batch.apply(session)
         return batch.description
 
 
@@ -153,21 +150,15 @@ class TpchRefreshStream(RefreshStream):
         self._rng = np.random.default_rng(seed)
 
     def apply(self, index: int, session: UpdateSession) -> Optional[str]:
-        from ..tpch.refresh import generate_rf1, refresh_pair_size, rf2_order_keys
-
         if index >= 2 * self.pairs:
             return None
         sf = self.db.scale_factor or 0.01
         batch = refresh_pair_size(sf)
         if index % 2 == 0:
-            orders_rows, lineitem_rows = generate_rf1(self.db, self._rng, batch)
-            session.insert_rows("orders", orders_rows)
-            session.insert_rows("lineitem", lineitem_rows)
+            stage_rf1(session, self.db, self._rng, batch)
             return f"RF1 pair {index // 2 + 1} (+{batch} orders)"
-        doomed = rf2_order_keys(self.db, self._rng, batch)
-        session.delete_where("lineitem", InList(Col("l_orderkey"), doomed.tolist()))
-        session.delete_where("orders", InList(Col("o_orderkey"), doomed.tolist()))
-        return f"RF2 pair {index // 2 + 1} (-{len(doomed)} orders)"
+        doomed = stage_rf2(session, self.db, self._rng, batch)
+        return f"RF2 pair {index // 2 + 1} (-{doomed} orders)"
 
 
 # ----------------------------------------------------- TPC-H capture

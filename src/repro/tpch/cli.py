@@ -14,17 +14,27 @@ machine-readable document built from the same record shape.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import List, Optional
+from typing import List
 
-from ..observe import SCHEMA_VERSION, QueryLog, TraceBuilder, build_record
-from ..planner.executor import ExecutionOptions, Executor
+from ..core.advisor import SchemaAdvisor
+from ..core.report import design_report
+from ..observe import SCHEMA_VERSION
+from ..planner.executor import Executor
 from ..planner.explain import format_parallel_plan, format_physical_plan
-from .datagen import generate
-from .environment import make_environment
-from .harness import build_schemes, run_suite
+from ..serving import (
+    PlanListStream,
+    ServingEngine,
+    TpchRefreshStream,
+    capture_tpch_items,
+    serving_trace,
+)
+from .driver import open_session, shared_flags
+from .harness import run_suite
 from .queries import QUERIES
+from .refresh import run_refresh_suite
 from .runner import QueryRunner
 
 __all__ = ["main"]
@@ -41,71 +51,23 @@ def normalize_query_id(token: str) -> str:
     return token
 
 
-class ObservabilitySink:
-    """Fans one finished query out to the enabled sinks: the trace
-    builder (``--trace``), the JSONL query log (``--query-log``) and an
-    in-memory record list (``--json``)."""
-
-    def __init__(
-        self,
-        trace_path: Optional[str],
-        query_log_path: Optional[str],
-        collect: bool,
-        options: ExecutionOptions,
-    ):
-        self.trace_path = trace_path
-        self.builder = TraceBuilder() if trace_path else None
-        self.query_log = QueryLog(query_log_path) if query_log_path else None
-        self.records: Optional[List[dict]] = [] if collect else None
-        self.options = options
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.builder or self.query_log or self.records is not None)
-
-    def observe(self, qname: str, sname: str, runner, result) -> None:
-        label = f"{qname}/{sname}"
-        if self.builder is not None:
-            stages = runner.stage_metrics
-            for position, stage in enumerate(stages):
-                stage_label = (
-                    label if len(stages) == 1
-                    else f"{label} stage {position + 1}"
-                )
-                self.builder.add_execution(stage_label, stage)
-        if self.query_log is not None or self.records is not None:
-            record = build_record(
-                label,
-                runner.metrics,
-                pdb=runner.executor.pdb,
-                scheme=sname,
-                options=self.options,
-                plans=runner.physical_plans,
-                relation=result.relation,
-            )
-            if self.query_log is not None:
-                self.query_log.write(record)
-            if self.records is not None:
-                self.records.append(record)
-
-    def finish(self) -> None:
-        if self.builder is not None:
-            self.builder.write(self.trace_path)
-        if self.query_log is not None:
-            self.query_log.close()
-
-
 def _parse_args(argv: List[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tpch",
         description="Run the BDCC reproduction's TPC-H evaluation.",
+        parents=[
+            shared_flags(
+                streams=(
+                    "the TPC-H throughput test — each stream a deterministic "
+                    "rotation of the selected queries — reporting per-stream "
+                    "latency percentiles and aggregate QPS; combine with "
+                    "--refresh for concurrent RF1/RF2 commits under MVCC "
+                    "snapshot reads"
+                )
+            )
+        ],
     )
-    parser.add_argument("--sf", type=float, default=0.01, help="scale factor (default 0.01)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--schemes", default="plain,pk,bdcc",
-        help="comma-separated subset of plain,pk,bdcc",
-    )
     parser.add_argument(
         "--queries", default="all",
         help="comma-separated query ids (Q01..Q22) or 'all'",
@@ -132,16 +94,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--backend", choices=("simulated", "process"), default="simulated",
-        help=(
-            "where parallel fragments execute: 'simulated' (in-process, "
-            "deterministic scheduler; the default) or 'process' (a real "
-            "multiprocessing pool over shared-memory column exports — "
-            "bit-identical results, with measured wall clock reported "
-            "next to the simulated charges)"
-        ),
-    )
-    parser.add_argument(
         "--refresh", type=int, default=0, metavar="N",
         help=(
             "run N TPC-H refresh pairs (RF1 inserts / RF2 deletes) through "
@@ -151,77 +103,23 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
             "run as a concurrent refresh stream instead"
         ),
     )
-    parser.add_argument(
-        "--streams", type=int, default=0, metavar="N",
-        help=(
-            "TPC-H throughput test: serve N concurrent closed-loop query "
-            "streams (each a deterministic rotation of the selected "
-            "queries) through the multi-query serving layer on the shared "
-            "worker pool, reporting per-stream latency percentiles and "
-            "aggregate QPS; combine with --refresh for concurrent RF1/RF2 "
-            "commits under MVCC snapshot reads"
-        ),
-    )
-    parser.add_argument(
-        "--policy", choices=("fifo", "round-robin", "shortest"),
-        default="fifo",
-        help="admission (fairness) policy for --streams (default fifo)",
-    )
-    parser.add_argument(
-        "--max-concurrent", type=int, default=None, metavar="M",
-        help=(
-            "multiprogramming limit for --streams: at most M queries in "
-            "flight at once (default: the worker count)"
-        ),
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help=(
-            "write a Chrome trace-event JSON timeline of every execution "
-            "(workers as lanes, fragments as slices, exchanges as flow "
-            "arrows; open in https://ui.perfetto.dev)"
-        ),
-    )
-    parser.add_argument(
-        "--query-log", metavar="FILE", default=None,
-        help=(
-            "append one schema-validated JSONL record per query "
-            "(plan fingerprint, options, epochs, actuals, timeline)"
-        ),
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help=(
-            "print a machine-readable JSON document (query-log record "
-            "shape) instead of the text tables"
-        ),
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help=(
-            "run every fragment under cProfile and attach the top "
-            "functions to query-log records and trace slices (passive: "
-            "simulated charges and results are unchanged)"
-        ),
-    )
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    # the design report and the refresh-cost report hand no execution to
+    # the sink: refuse its flags rather than accept and drop them
+    reports_only = args.design or (args.refresh > 0 and args.streams == 0)
+    if reports_only and (args.trace or args.query_log or args.json or args.profile):
+        parser.error(
+            "--trace/--query-log/--json/--profile observe query executions; "
+            "--design and --refresh (without --streams) report none"
+        )
+    return args
 
 
 def _run_serving(args, pdbs, env, selected, options, sink) -> int:
     """The ``--streams N`` throughput test: N rotated closed-loop query
     streams (plus an optional RF1/RF2 refresh stream) per scheme through
     the serving layer."""
-    from ..observe import build_record
-    from ..serving import (
-        PlanListStream,
-        ServingEngine,
-        TpchRefreshStream,
-        capture_tpch_items,
-        serving_trace,
-    )
-
     documents = {}
-    trace_builder = None
     for sname, pdb in pdbs.items():
         items = capture_tpch_items(
             pdb, selected, disk=env.disk, costs=env.cost_model
@@ -246,39 +144,23 @@ def _run_serving(args, pdbs, env, selected, options, sink) -> int:
                     "rf", pdb.database, args.seed, pairs=args.refresh
                 )
             )
-
-        observer = None
-        if sink.query_log is not None or sink.records is not None:
-            def observer(record, sname=sname, pdb=pdb):
-                log_record = build_record(
-                    f"{record.description}/{sname}/{record.stream}",
-                    record.metrics,
-                    pdb=pdb,
-                    scheme=sname,
-                    options=options,
-                    relation=record.relation,
-                )
-                if sink.query_log is not None:
-                    sink.query_log.write(log_record)
-                if sink.records is not None:
-                    sink.records.append(log_record)
-
         with ServingEngine(
             pdb, disk=env.disk, costs=env.cost_model, options=options,
             policy=args.policy, max_concurrent=args.max_concurrent,
             keep_results=False,
         ) as engine:
-            report = engine.serve(streams, refresh, observer=observer)
+            report = engine.serve(
+                streams, refresh,
+                observer=functools.partial(sink.served, pdb=pdb, options=options)
+                if sink.enabled else None,
+            )
         documents[sname] = report.to_dict()
         if sink.builder is not None:
-            trace_builder = serving_trace(report, builder=trace_builder)
+            serving_trace(report, builder=sink.builder)
         if not args.json:
             print(report.render())
             print()
-    if trace_builder is not None:
-        trace_builder.write(sink.trace_path)
-    if sink.query_log is not None:
-        sink.query_log.close()
+    sink.finish()
     if args.json:
         print(
             json.dumps(
@@ -303,7 +185,6 @@ def _run_serving(args, pdbs, env, selected, options, sink) -> int:
 
 def main(argv: List[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    names = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if args.queries == "all":
         selected = dict(QUERIES)
     else:
@@ -314,28 +195,17 @@ def main(argv: List[str] | None = None) -> int:
             return 2
         selected = {q: QUERIES[q] for q in wanted}
 
-    options = ExecutionOptions(
+    names, options, sink, env, build = open_session(
+        args, datagen_seed=args.seed, workers=args.workers,
         enable_sandwich=not args.no_sandwich,
         enable_pushdown=not args.no_pushdown,
-        workers=max(args.workers, 1),
-        backend=args.backend,
-        profile=args.profile,
     )
-    sink = ObservabilitySink(
-        args.trace, args.query_log, collect=args.json, options=options
-    )
-
-    print(f"generating TPC-H SF={args.sf} (seed {args.seed}) ...", file=sys.stderr)
-    db = generate(scale_factor=args.sf, seed=args.seed)
-    env = make_environment(args.sf)
-    pdbs = build_schemes(db, env, include=names)
+    pdbs = build()
 
     if args.streams > 0:
         return _run_serving(args, pdbs, env, selected, options, sink)
 
     if args.refresh > 0:
-        from .refresh import run_refresh_suite
-
         result = run_refresh_suite(
             pdbs, env, pairs=args.refresh, seed=args.seed
         )
@@ -343,14 +213,19 @@ def main(argv: List[str] | None = None) -> int:
         return 0
 
     if args.design:
-        from ..core.advisor import SchemaAdvisor
-        from ..core.report import design_report
-
+        db = next(iter(pdbs.values())).database
         advisor = SchemaAdvisor(db.schema, env.advisor_config())
         design = advisor.design(db)
         built = advisor.build(db, design)
         print(design_report(design, built))
         return 0
+
+    def observe(qname: str, sname: str, runner: QueryRunner, result) -> None:
+        sink.observe(
+            f"{qname}/{sname}", runner.metrics, pdb=runner.executor.pdb,
+            options=options, plans=runner.physical_plans,
+            relation=result.relation, stages=runner.stage_metrics,
+        )
 
     if args.explain:
         for qname, fn in selected.items():
@@ -365,8 +240,7 @@ def main(argv: List[str] | None = None) -> int:
                     # physical plans are available alongside the actuals
                     runner = QueryRunner(executor)
                     result = fn(runner)
-                    if sink.enabled:
-                        sink.observe(qname, scheme_name, runner, result)
+                    observe(qname, scheme_name, runner, result)
                     for stage, pplan in enumerate(runner.physical_plans):
                         if len(runner.physical_plans) > 1:
                             print(f"-- stage {stage + 1}")
@@ -404,7 +278,7 @@ def main(argv: List[str] | None = None) -> int:
 
     suite = run_suite(
         pdbs, env, queries=selected, options=options,
-        observer=sink.observe if sink.enabled else None,
+        observer=observe if sink.enabled else None,
     )
     sink.finish()
     if args.json:

@@ -19,6 +19,7 @@ from ..schemes.bdcc import BDCCScheme
 from ..schemes.plain import PlainScheme
 from ..schemes.primary_key import PrimaryKeyScheme
 from ..storage.database import Database
+from ..workload.differential import twin_mismatch
 from .environment import Environment, make_environment
 from .queries import QUERIES
 from .runner import run_query
@@ -183,7 +184,10 @@ def run_suite(
     tracer=None,
     observer: Optional[Callable] = None,
 ) -> SuiteResult:
-    """Run the query set cold under every scheme.
+    """Run the query set cold under every scheme.  With
+    ``check_results_match`` every scheme's result must equal the first
+    scheme's as a multiset (the shared verdict,
+    :func:`~repro.workload.differential.twin_mismatch`).
 
     ``tracer``/``observer`` thread through to :func:`run_query`; the
     observer here is called as ``observer(qname, sname, runner, result)``
@@ -191,7 +195,7 @@ def run_suite(
     """
     queries = queries or QUERIES
     schemes = {name: SchemeResults(name) for name in physical_dbs}
-    reference_rows: Dict[str, list] = {}
+    first_relations: Dict[str, object] = {}
     for qname, fn in queries.items():
         for sname, pdb in physical_dbs.items():
             hook = None
@@ -220,14 +224,12 @@ def run_suite(
                 workers=metrics.workers,
             )
             if check_results_match:
-                rows = sorted(
-                    tuple(round(v, 4) if isinstance(v, float) else v for v in row)
-                    for row in result.rows
-                )
-                if qname not in reference_rows:
-                    reference_rows[qname] = rows
-                elif reference_rows[qname] != rows:
+                # schemes order rows differently: the multiset contract
+                first = first_relations.setdefault(qname, result.relation)
+                detail = twin_mismatch(first, result.relation, exact=False)
+                if detail is not None:
                     raise AssertionError(
-                        f"{qname}: scheme {sname} returned different results"
+                        f"{qname}: scheme {sname} returned different results\n"
+                        f"{detail}"
                     )
     return SuiteResult(environment=environment, schemes=schemes)

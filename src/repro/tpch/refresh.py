@@ -34,7 +34,10 @@ from .environment import Environment
 from .queries import QUERIES
 from .runner import run_query
 
-__all__ = ["refresh_pair_size", "generate_rf1", "rf2_order_keys", "RefreshResult", "run_refresh_suite"]
+__all__ = [
+    "refresh_pair_size", "generate_rf1", "rf2_order_keys", "stage_rf1",
+    "stage_rf2", "RefreshResult", "run_refresh_suite",
+]
 
 
 def refresh_pair_size(scale_factor: float) -> int:
@@ -138,6 +141,24 @@ def rf2_order_keys(db: Database, rng: np.random.Generator, num_orders: int) -> n
     return rng.choice(keys, num, replace=False)
 
 
+def stage_rf1(session: UpdateSession, db: Database, rng, num_orders: int) -> None:
+    """Stage one RF1 (new orders, then their lineitems) into ``session``;
+    the caller commits."""
+    orders_rows, lineitem_rows = generate_rf1(db, rng, num_orders)
+    session.insert_rows("orders", orders_rows)
+    session.insert_rows("lineitem", lineitem_rows)
+
+
+def stage_rf2(session: UpdateSession, db: Database, rng, num_orders: int) -> int:
+    """Stage one RF2 (lineitems first, then their orders — children and
+    parents in one commit) into ``session``; returns how many orders
+    were doomed.  The caller commits."""
+    doomed = rf2_order_keys(db, rng, num_orders).tolist()
+    session.delete_where("lineitem", InList(Col("l_orderkey"), doomed))
+    session.delete_where("orders", InList(Col("o_orderkey"), doomed))
+    return len(doomed)
+
+
 # -------------------------------------------------------------- harness
 @dataclass
 class RefreshMeasurement:
@@ -230,15 +251,11 @@ def run_refresh_suite(
             *physical_dbs.values(), policy=policy,
             disk=environment.disk, costs=environment.cost_model,
         )
-        orders_rows, lineitem_rows = generate_rf1(db, rng, batch)
-        session.insert_rows("orders", orders_rows)
-        session.insert_rows("lineitem", lineitem_rows)
+        stage_rf1(session, db, rng, batch)
         rf1 = session.commit()
         result.rows_inserted += sum(rf1.inserted.values())
         # ---- RF2: delete orders + their lineitems -----------------------
-        doomed = rf2_order_keys(db, rng, batch)
-        session.delete_where("lineitem", InList(Col("l_orderkey"), doomed.tolist()))
-        session.delete_where("orders", InList(Col("o_orderkey"), doomed.tolist()))
+        stage_rf2(session, db, rng, batch)
         rf2 = session.commit()
         result.rows_deleted += sum(rf2.deleted.values())
 

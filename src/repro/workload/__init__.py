@@ -14,19 +14,29 @@ into a *property* checked over an unbounded query space:
 * :mod:`repro.workload.reference` — a naive reference evaluator that
   computes each logical plan directly on the base numpy arrays,
   independent of schemes, lowering and the physical operators;
-* :mod:`repro.workload.differential` — the differential runner: every
-  generated plan is executed under Plain/PK/BDCC x the ablation grid and
-  compared against the reference; any divergence fails loudly with the
-  seed, the logical plan and the per-scheme physical plans annotated
-  with their per-operator actuals.
+* :mod:`repro.workload.differential` — one verdict, one sweep.  The two
+  verdict functions every driver judges results with
+  (``reference_mismatch`` against the naive reference, ``twin_mismatch``
+  between two engine results — bit-for-bit, or as multisets when the
+  plan's contract lets a gather reorder), and the one sweep built on
+  them: every generated plan is executed under Plain/PK/BDCC x the
+  ablation grid — with ``update_rounds``, between seeded insert/delete
+  commits — and any divergence fails loudly with the seed, the logical
+  plan and the per-scheme physical plans annotated with their
+  per-operator actuals.  The serving replay
+  (:mod:`repro.serving.differential`) reports through the same
+  ``Divergence``.
 
 Command line
 ------------
 
 ``python -m repro.workload --seed S --queries N`` generates and checks
 ``N`` plans (options: ``--sf`` scale factor, ``--datagen-seed``,
-``--schemes plain,pk,bdcc``, ``--variants default|all``, ``--fail-fast``,
-``--verbose``).  Exit status is non-zero when any divergence was found;
+``--schemes plain,pk,bdcc``, ``--variants default|all``, ``--updates
+ROUNDS``, ``--streams N``, ``--fail-fast``, ``--verbose``; every mode
+hands its executions to the one observability sink, so ``--trace``,
+``--query-log``, ``--json`` and ``--profile`` work in all of them).
+Exit status is non-zero when any divergence was found;
 each divergence report carries everything needed to reproduce it:
 the ``--seed``, the query index, and the data flags (``--sf``,
 ``--datagen-seed``) the plan's sampled literals depend on.

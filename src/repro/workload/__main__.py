@@ -12,70 +12,18 @@ import dataclasses
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import List
 
-from ..observe import SCHEMA_VERSION, QueryLog, TraceBuilder, build_record
-from ..tpch.datagen import generate
-from ..tpch.environment import make_environment
-from ..tpch.harness import build_schemes
+from ..observe import SCHEMA_VERSION
+from ..serving import run_serving_differential, serving_trace
+from ..tpch.driver import open_session, shared_flags
 from .differential import (
     ablation_variants,
     run_differential,
-    run_update_differential,
     worker_count_variants,
 )
 
 __all__ = ["main"]
-
-
-class _Sink:
-    """Observability fan-out for sweep executions: ``--trace`` and
-    ``--query-log`` capture *every* (scheme, variant) execution; the
-    ``--json`` record list keeps only the default variant's (one per
-    query x scheme) so the document stays bounded."""
-
-    def __init__(
-        self,
-        trace_path: Optional[str],
-        query_log_path: Optional[str],
-        collect: bool,
-    ):
-        self.trace_path = trace_path
-        self.builder = TraceBuilder() if trace_path else None
-        self.query_log = QueryLog(query_log_path) if query_log_path else None
-        self.records: Optional[List[dict]] = [] if collect else None
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.builder or self.query_log or self.records is not None)
-
-    def observe(self, query, scheme, variant, executor, result) -> None:
-        label = f"q{query.index}/{scheme}/{variant}"
-        if self.builder is not None:
-            self.builder.add_execution(label, result.metrics)
-        if self.query_log is None and (
-            self.records is None or variant != "default"
-        ):
-            return
-        record = build_record(
-            label,
-            result.metrics,
-            pdb=executor.pdb,
-            scheme=scheme,
-            options=executor.options,
-            plans=[executor.lower(query.plan)],
-            relation=result.relation,
-        )
-        if self.query_log is not None:
-            self.query_log.write(record)
-        if self.records is not None and variant == "default":
-            self.records.append(record)
-
-    def finish(self) -> None:
-        if self.builder is not None:
-            self.builder.write(self.trace_path)
-        if self.query_log is not None:
-            self.query_log.close()
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
@@ -86,14 +34,23 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
             "under Plain/PK/BDCC x the ablation grid, checked against a "
             "scheme-independent reference evaluator."
         ),
+        parents=[
+            shared_flags(
+                streams=(
+                    "the concurrent-serving differential — N generated "
+                    "streams (plus --updates refresh rounds) are served, "
+                    "then the recorded event log is replayed solo against "
+                    "a pristine identical database; every served result "
+                    "must match its pinned-epoch solo run bit-for-bit "
+                    "(and the naive reference)"
+                )
+            )
+        ],
     )
+    parser.set_defaults(sf=0.005)
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
     parser.add_argument("--queries", type=int, default=100, help="number of plans (default 100)")
-    parser.add_argument("--sf", type=float, default=0.005, help="TPC-H scale factor (default 0.005)")
     parser.add_argument("--datagen-seed", type=int, default=7, help="data generator seed")
-    parser.add_argument(
-        "--schemes", default="plain,pk,bdcc", help="comma-separated subset of plain,pk,bdcc"
-    )
     parser.add_argument(
         "--variants", choices=("all", "default"), default="all",
         help="'all' sweeps the ablation grid, 'default' runs only default options",
@@ -101,187 +58,98 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     parser.add_argument(
         "--workers", default="",
         help=(
-            "comma-separated worker counts to sweep (e.g. 1,2,4); parallel "
-            "runs are additionally checked bit-for-bit against the serial "
-            "default run (the full ablation grid already includes 2 and 4)"
-        ),
-    )
-    parser.add_argument(
-        "--backend", choices=("simulated", "process"), default="simulated",
-        help=(
-            "execution backend for the --workers sweep variants: 'simulated' "
-            "(in-process deterministic scheduler) or 'process' (a real "
-            "multiprocessing pool over shared-memory column exports); the "
-            "oracle holds both to the same result contracts"
+            "comma-separated worker counts to sweep (e.g. 1,2,4) on the "
+            "--backend; parallel runs are additionally checked against the "
+            "serial default run (the full ablation grid already includes 2 "
+            "and 4); with --streams the first count is the pool size "
+            "(default 4)"
         ),
     )
     parser.add_argument(
         "--updates", type=int, default=0, metavar="ROUNDS",
         help=(
-            "run the update-aware sweep instead: ROUNDS seeded insert/delete "
+            "make the sweep update-aware: ROUNDS seeded insert/delete "
             "batches committed through an UpdateSession, each followed by "
             "generated queries checked against the reference (which reads "
-            "the shared logical database, so it sees every commit)"
+            "the shared logical database, so it sees every commit); with "
+            "--streams the rounds run as a concurrent refresh stream"
         ),
-    )
-    parser.add_argument(
-        "--streams", type=int, default=0, metavar="N",
-        help=(
-            "run the concurrent-serving differential instead: serve N "
-            "generated closed-loop query streams (plus --updates refresh "
-            "rounds) through the multi-query serving layer, then replay "
-            "the recorded event log solo against a pristine identical "
-            "database — every served result must match its pinned-epoch "
-            "solo run bit-for-bit (and the naive reference)"
-        ),
-    )
-    parser.add_argument(
-        "--policy", choices=("fifo", "round-robin", "shortest"),
-        default="fifo",
-        help="admission policy for the --streams serving run (default fifo)",
-    )
-    parser.add_argument(
-        "--max-concurrent", type=int, default=None, metavar="M",
-        help="multiprogramming limit for --streams (default: worker count)",
     )
     parser.add_argument("--fail-fast", action="store_true", help="stop at the first divergence")
     parser.add_argument("--verbose", action="store_true", help="per-query progress")
-    parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help=(
-            "write a Chrome trace-event timeline of every sweep execution "
-            "(open in https://ui.perfetto.dev)"
-        ),
-    )
-    parser.add_argument(
-        "--query-log", metavar="FILE", default=None,
-        help="append one validated JSONL record per sweep execution",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help=(
-            "print a machine-readable JSON document (report summary plus "
-            "default-variant query-log records) instead of the text report"
-        ),
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help=(
-            "run every sweep variant's fragments under cProfile and attach "
-            "the top functions to query-log records and trace slices "
-            "(passive: the oracle's result contracts are unaffected)"
-        ),
-    )
     return parser.parse_args(argv)
-
-
-def _run_serving_mode(args, names: List[str]) -> int:
-    """``--streams N``: the concurrent-serving differential."""
-    from ..planner.executor import ExecutionOptions
-    from ..serving import run_serving_differential
-
-    env = make_environment(args.sf)
-    counts = [int(n) for n in args.workers.split(",") if n.strip()]
-    workers = counts[0] if counts else 4
-    options = ExecutionOptions(workers=workers, backend=args.backend)
-
-    def build():
-        db = generate(scale_factor=args.sf, seed=args.datagen_seed)
-        return build_schemes(db, env, include=names)
-
-    def progress(scheme: str, divergences: int) -> None:
-        print(
-            f"  {scheme}: served + replayed "
-            f"({divergences} divergence(s) so far)",
-            file=sys.stderr,
-        )
-
-    started = time.time()
-    report = run_serving_differential(
-        build,
-        seed=args.seed,
-        num_streams=args.streams,
-        queries_per_stream=max(args.queries // args.streams, 1),
-        refresh_rounds=args.updates,
-        policy=args.policy,
-        options=options,
-        max_concurrent=args.max_concurrent,
-        disk=env.disk,
-        costs=env.cost_model,
-        schemes=names,
-        check_reference=True,
-        fail_fast=args.fail_fast,
-        progress=progress if args.verbose else None,
-    )
-    if args.json:
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "serving_differential",
-            "report": report.to_dict(),
-        }
-        print(json.dumps(document, sort_keys=True, indent=2))
-    else:
-        print(report.render())
-    print(f"({time.time() - started:.1f}s)", file=sys.stderr)
-    return 0 if report.ok else 1
 
 
 def main(argv: List[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    names = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    if args.streams > 0:
-        return _run_serving_mode(args, names)
-    print(
-        f"generating TPC-H SF={args.sf} (seed {args.datagen_seed}) and "
-        f"building {','.join(names)} ...",
-        file=sys.stderr,
+    counts = [int(n) for n in args.workers.split(",") if n.strip()]
+    names, options, sink, env, build = open_session(
+        args, datagen_seed=args.datagen_seed, workers=counts[0] if counts else 4
     )
-    db = generate(scale_factor=args.sf, seed=args.datagen_seed)
-    env = make_environment(args.sf)
-    pdbs = build_schemes(db, env, include=names)
-
+    repro_flags = f"--sf {args.sf} --datagen-seed {args.datagen_seed}"
     started = time.time()
 
-    def progress(done: int, total: int) -> None:
-        if args.verbose or done % 25 == 0 or done == total:
-            print(f"  {done}/{total} queries checked", file=sys.stderr)
+    if args.streams > 0:
+        def progress(scheme: str, divergences: int) -> None:
+            print(
+                f"  {scheme}: served + replayed "
+                f"({divergences} divergence(s) so far)",
+                file=sys.stderr,
+            )
 
-    variants = ablation_variants(full=args.variants == "all")
-    if args.workers:
-        counts = [int(n) for n in args.workers.split(",") if n.strip()]
+        kind = "serving_differential"
+        report = run_serving_differential(
+            build,
+            seed=args.seed,
+            num_streams=args.streams,
+            queries_per_stream=max(args.queries // args.streams, 1),
+            refresh_rounds=args.updates,
+            policy=args.policy,
+            options=options,
+            max_concurrent=args.max_concurrent,
+            disk=env.disk,
+            costs=env.cost_model,
+            schemes=names,
+            check_reference=True,
+            fail_fast=args.fail_fast,
+            progress=progress if args.verbose else None,
+            repro_flags=repro_flags,
+            observer=sink.served if sink.enabled else None,
+        )
+        if sink.builder is not None:
+            for served in report.serving_reports.values():
+                serving_trace(served, builder=sink.builder)
+    else:
+        def progress(done: int, total: int) -> None:
+            if args.verbose or done % 25 == 0 or done == total:
+                print(f"  {done}/{total} queries checked", file=sys.stderr)
+
+        def observe(query, scheme, variant, executor, result) -> None:
+            # --trace and --query-log capture *every* (scheme, variant)
+            # execution; the --json record list keeps only the default
+            # variant's (one per query x scheme) so the document stays
+            # bounded
+            sink.observe(
+                f"q{query.index}/{scheme}/{variant}", result.metrics,
+                pdb=executor.pdb, options=executor.options,
+                plans=[executor.lower(query.plan)], relation=result.relation,
+                stages=[result.metrics], collect=variant == "default",
+            )
+
+        variants = ablation_variants(full=args.variants == "all")
         variants.update(
             worker_count_variants(
                 [n for n in counts if n > 1], backend=args.backend
             )
         )
-
-    if args.profile:
-        variants = {
-            name: dataclasses.replace(options, profile=True)
-            for name, options in variants.items()
-        }
-
-    sink = _Sink(args.trace, args.query_log, collect=args.json)
-    observer = sink.observe if sink.enabled else None
-
-    repro_flags = f"--sf {args.sf} --datagen-seed {args.datagen_seed}"
-    if args.updates > 0:
-        report = run_update_differential(
-            pdbs,
-            seed=args.seed,
-            rounds=args.updates,
-            queries_per_round=max(args.queries // args.updates, 1),
-            variants=variants,
-            disk=env.disk,
-            costs=env.cost_model,
-            fail_fast=args.fail_fast,
-            progress=progress,
-            repro_flags=repro_flags + f" --updates {args.updates}",
-            observer=observer,
-        )
-    else:
+        if args.profile:
+            variants = {
+                name: dataclasses.replace(variant, profile=True)
+                for name, variant in variants.items()
+            }
+        kind = "workload_differential"
         report = run_differential(
-            pdbs,
+            build(),
             seed=args.seed,
             num_queries=args.queries,
             variants=variants,
@@ -290,13 +158,14 @@ def main(argv: List[str] | None = None) -> int:
             fail_fast=args.fail_fast,
             progress=progress,
             repro_flags=repro_flags,
-            observer=observer,
+            observer=observe if sink.enabled else None,
+            update_rounds=args.updates,
         )
     sink.finish()
     if args.json:
         document = {
             "schema_version": SCHEMA_VERSION,
-            "kind": "workload_differential",
+            "kind": kind,
             "report": report.to_dict(),
             "records": sink.records or [],
         }

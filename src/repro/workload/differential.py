@@ -7,23 +7,34 @@ everywhere.  A divergence fails loudly: the report carries the seed and
 query index (which fully determine the plan), the logical plan, and the
 offending scheme/variant's physical plan annotated with its
 per-operator actuals.
+
+One verdict: "are these two results the same?" is decided here and
+nowhere else.  :func:`reference_mismatch` judges an engine result
+against the naive reference, :func:`twin_mismatch` two engine results
+against each other (bit-for-bit, or as multisets when the plan's
+contract lets a gather reorder); every driver — this sweep, the serving
+replay, the TPC-H suite's cross-scheme check — calls those two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.append import append_rows
 from ..execution.cost import CostModel
 from ..planner.executor import ExecutionOptions, Executor
 from ..planner.explain import format_physical_plan, format_plan
 from ..schemes.base import PhysicalDatabase
 from ..storage.io_model import DiskModel
+from ..updates import UpdateSession
 from .generator import PlanGenerator
 from .reference import evaluate_reference
+from .updates import UpdateGenerator
 
 __all__ = [
     "Divergence",
@@ -35,8 +46,9 @@ __all__ = [
     "rows_match",
     "bitwise_mismatch",
     "worst_relative_error",
+    "reference_mismatch",
+    "twin_mismatch",
     "run_differential",
-    "run_update_differential",
 ]
 
 _SWITCHES = (
@@ -255,6 +267,19 @@ class Divergence:
     detail: str
     repro_flags: str = ""
 
+    @classmethod
+    def of(cls, executor: Executor, plan, metrics=None, **fields) -> "Divergence":
+        """The divergence of ``plan`` under ``executor``: renders the
+        logical plan and the executor's physical plan for it, annotated
+        with the per-operator actuals of ``metrics`` when it ran."""
+        return cls(
+            logical_plan=format_plan(plan),
+            physical_plan=format_physical_plan(
+                executor.lower(plan), verbose=True, metrics=metrics
+            ),
+            **fields,
+        )
+
     def render(self) -> str:
         flags = f" {self.repro_flags}" if self.repro_flags else ""
         return "\n".join(
@@ -411,7 +436,7 @@ def bitwise_mismatch(serial, got) -> Optional[str]:
     return None
 
 
-# ------------------------------------------------------------------ runner
+# ---------------------------------------------------------------- verdicts
 def _diff_detail(
     expected: List[tuple],
     got: List[tuple],
@@ -437,6 +462,60 @@ def _diff_detail(
     return "\n".join(lines)
 
 
+def _multiset_mismatch(
+    names: List[str], expected_columns, expected_rows: List[tuple], got
+) -> Tuple[Optional[str], float]:
+    """Compare relation ``got`` with an expected side already normalized
+    over its sorted visible ``names``, each column under the loosest
+    tolerance either side's dtype needs; returns the mismatch text
+    (``None`` when equal) and the worst relative float error between
+    the matched rows."""
+    got_names = sorted(got.column_names)
+    if got_names != names:
+        return f"column mismatch: expected {names}, got {got_names}", 0.0
+    got_rows = normalized_rows(got.columns, names)
+    tolerances = column_tolerances(names, expected_columns, got.columns)
+    if not rows_match(expected_rows, got_rows, tolerances):
+        return _diff_detail(expected_rows, got_rows, tolerances), 0.0
+    return None, worst_relative_error(expected_rows, got_rows)
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_rows(reference) -> Tuple[List[str], List[tuple]]:
+    """``(sorted visible names, normalized rows)`` of a reference; the
+    last one is kept, because the sweep judges every scheme x variant
+    against the same reference in a row."""
+    names = sorted(reference.visible_names)
+    return names, normalized_rows(reference.columns, names)
+
+
+def reference_mismatch(reference, relation) -> Tuple[Optional[str], float]:
+    """The verdict against the naive reference: ``(detail, worst)`` —
+    ``detail`` says how ``relation`` differs from ``reference`` (a
+    :class:`~repro.workload.reference.RefRelation`) as a normalized
+    multiset, ``None`` when it does not; ``worst`` is the largest
+    relative float error between the matched rows, which the sweep
+    reports next to the tolerance."""
+    names, rows = _reference_rows(reference)
+    return _multiset_mismatch(names, reference.columns, rows, relation)
+
+
+def twin_mismatch(expected, got, exact: bool) -> Optional[str]:
+    """The verdict between two engine results for one plan (serial vs
+    parallel, solo vs served, scheme vs scheme): how ``got`` differs
+    from ``expected``, or ``None``.  ``exact`` holds ``got`` to the
+    bit-for-bit, order-included contract of plans without a reordering
+    exchange (``not plan.reorders``); otherwise the two must be the same
+    multiset within both sides' float tolerances."""
+    detail = bitwise_mismatch(expected, got)
+    if exact or detail is None:   # bit-identical relations are equal multisets
+        return detail
+    names = sorted(expected.column_names)
+    rows = normalized_rows(expected.columns, names)
+    return _multiset_mismatch(names, expected.columns, rows, got)[0]
+
+
+# ------------------------------------------------------------------ runner
 def run_differential(
     physical_dbs: Dict[str, PhysicalDatabase],
     seed: int = 0,
@@ -448,33 +527,73 @@ def run_differential(
     progress: Optional[Callable[[int, int], None]] = None,
     repro_flags: str = "",
     observer: Optional[Callable] = None,
+    *,
+    update_rounds: int = 0,
+    policy=None,
 ) -> WorkloadReport:
-    """Generate ``num_queries`` plans from ``seed`` and check every
-    scheme x variant against the scheme-independent reference.
+    """Generate plans from ``seed`` and check every scheme x variant
+    against the scheme-independent reference — and parallel variants
+    against the scheme's serial default run.
+
+    With ``update_rounds`` the sweep is update-aware: that many seeded
+    insert/delete batches are committed through one
+    :class:`~repro.updates.UpdateSession` (all schemes share the logical
+    database, so the naive reference sees every change automatically),
+    each followed by ``num_queries // update_rounds`` queries.  Round 0
+    is insert-only and additionally cross-checks the incremental append
+    path against the full-rebuild slow path (the oracle's second
+    reference).  Executors persist across rounds, so a stale cached plan
+    surviving a commit would surface as a divergence — the epoch keying
+    is under test too.  Plan ``index`` is drawn from ``(seed, index)``
+    with or without updates, so every seeded sweep checks the same
+    sequence.
 
     ``repro_flags`` names the extra CLI flags (``--sf``,
     ``--datagen-seed``) that rebuild the same database, so divergence
     reports reproduce exactly.  ``observer`` is called as
     ``observer(query, scheme, variant, executor, result)`` after every
-    execution — the CLI's observability sinks hang off it."""
+    execution — the CLI's observability sink hangs off it."""
     variants = variants or ablation_variants()
     db = next(iter(physical_dbs.values())).database
-    generator = PlanGenerator(db)
+    plan_generator = PlanGenerator(db)
     executors: Dict[Tuple[str, str], Executor] = {
         (scheme, variant): Executor(pdb, disk=disk, costs=costs, options=options)
         for scheme, pdb in physical_dbs.items()
         for variant, options in variants.items()
     }
-    report = WorkloadReport(seed=seed, queries=num_queries)
+    per_round = max(num_queries // update_rounds, 1) if update_rounds else num_queries
+    total = per_round * max(update_rounds, 1)
+    report = WorkloadReport(seed=seed, queries=total)
+    if update_rounds:
+        update_generator = UpdateGenerator(db)
+        session = UpdateSession(
+            *physical_dbs.values(), policy=policy, disk=disk, costs=costs
+        )
+        repro_flags = f"{repro_flags} --updates {update_rounds}".strip()
+    batch = None
 
     try:
-        for index in range(num_queries):
-            query = generator.generate(seed, index)
+        for index in range(total):
+            if update_rounds and index % per_round == 0:
+                batch = update_generator.generate(seed, index // per_round)
+                batch.apply(session)
+                result = session.commit()
+                report.commits += 1
+                report.rows_inserted += sum(result.inserted.values())
+                report.rows_deleted += sum(result.deleted.values())
+                report.compactions += sum(1 for c in result.changes if c.compacted)
+                if index == 0 and batch.is_insert_only and not result.compacted_tables():
+                    _append_second_reference(report, physical_dbs, batch, repro_flags)
+                if report.divergences and fail_fast:
+                    break
+            query = plan_generator.generate(seed, index)
+            if batch is not None:
+                query.description += f" (after {batch.description})"
             _check_one_query(report, executors, db, query, repro_flags, observer)
             if report.divergences and fail_fast:
-                return report
+                break
             if progress is not None:
-                progress(index + 1, num_queries)
+                progress(index + 1, total)
         return report
     finally:
         # process-backend variants hold worker pools and shared memory
@@ -492,10 +611,8 @@ def _check_one_query(
 ) -> None:
     """Run one generated query under every (scheme, variant) executor and
     record divergences against the naive reference (parallel variants
-    additionally bit-for-bit against the scheme's serial default run)."""
+    additionally against the scheme's serial default run)."""
     reference = evaluate_reference(db, query.plan)
-    expected_names = sorted(reference.visible_names)
-    expected = normalized_rows(reference.columns, expected_names)
     serial_relations: Dict[str, object] = {}
 
     for (scheme, variant), executor in executors.items():
@@ -505,54 +622,34 @@ def _check_one_query(
             observer(query, scheme, variant, executor, result)
         if variant == "default":
             serial_relations[scheme] = result.relation
-        got_names = sorted(result.relation.column_names)
-        if got_names != expected_names:
-            detail = f"column mismatch: expected {expected_names}, got {got_names}"
-            got = None
-        else:
-            got = normalized_rows(result.relation.columns, got_names)
-            tolerances = column_tolerances(
-                got_names, reference.columns, result.relation.columns
-            )
-            if rows_match(expected, got, tolerances):
-                detail = None
-                report.worst_rel_error = max(
-                    report.worst_rel_error, worst_relative_error(expected, got)
-                )
-            else:
-                detail = _diff_detail(expected, got, tolerances)
+        detail, worst = reference_mismatch(reference, result.relation)
+        report.worst_rel_error = max(report.worst_rel_error, worst)
         if (
             detail is None
             and executor.options.workers > 1
             and scheme in serial_relations
         ):
-            # result-contract dispatch: plans whose fragment plan
-            # contains a reordering (canonical) gather are deterministic
-            # multisets, not serial-ordered streams — the normalized
-            # comparison above already covers them; everything else must
-            # still match the serial run bit-for-bit, order included
-            if not executor.execution_plan(executor.lower(query.plan)).reorders:
-                mismatch = bitwise_mismatch(serial_relations[scheme], result.relation)
-                if mismatch is not None:
-                    detail = (
-                        f"workers={executor.options.workers} diverges bit-for-bit "
-                        f"from the serial default run:\n{mismatch}"
-                    )
+            # the one result-contract dispatch: a plan without a
+            # reordering (canonical) gather must reproduce the serial
+            # stream bit-for-bit, order included; one with it is a
+            # deterministic multiset
+            plan = executor.execution_plan(executor.lower(query.plan))
+            mismatch = twin_mismatch(
+                serial_relations[scheme], result.relation, exact=not plan.reorders
+            )
+            if mismatch is not None:
+                contract = "bit-for-bit" if not plan.reorders else "as a multiset"
+                detail = (
+                    f"workers={executor.options.workers} diverges {contract} "
+                    f"from the serial default run:\n{mismatch}"
+                )
         if detail is not None:
-            pplan = executor.lower(query.plan)
             report.divergences.append(
-                Divergence(
-                    seed=query.seed,
-                    index=query.index,
-                    scheme=scheme,
-                    variant=variant,
-                    description=query.description,
-                    logical_plan=format_plan(query.plan),
-                    physical_plan=format_physical_plan(
-                        pplan, verbose=True, metrics=result.metrics
-                    ),
-                    detail=detail,
-                    repro_flags=repro_flags,
+                Divergence.of(
+                    executor, query.plan, result.metrics,
+                    seed=query.seed, index=query.index, scheme=scheme,
+                    variant=variant, description=query.description,
+                    detail=detail, repro_flags=repro_flags,
                 )
             )
         elif variant == "default":
@@ -590,10 +687,6 @@ def _append_second_reference(
     insert-only commit, while the BDCC base tables still match the
     pristine build.  Key order, row placement and the incrementally
     merged count table must agree exactly."""
-    import numpy as np
-
-    from ..core.append import append_rows
-
     bdcc_pdb = next(
         (pdb for pdb in physical_dbs.values() if pdb.bdcc_tables()), None
     )
@@ -627,83 +720,3 @@ def _append_second_reference(
                     repro_flags=repro_flags,
                 )
             )
-
-
-def run_update_differential(
-    physical_dbs: Dict[str, PhysicalDatabase],
-    seed: int = 0,
-    rounds: int = 5,
-    queries_per_round: int = 5,
-    variants: Optional[Dict[str, ExecutionOptions]] = None,
-    disk: Optional[DiskModel] = None,
-    costs: Optional[CostModel] = None,
-    fail_fast: bool = False,
-    progress: Optional[Callable[[int, int], None]] = None,
-    repro_flags: str = "",
-    policy=None,
-    observer: Optional[Callable] = None,
-) -> WorkloadReport:
-    """The update-aware sweep: seeded insert/delete batches committed
-    through one :class:`~repro.updates.UpdateSession` (all schemes share
-    the logical database, so the naive reference sees every change
-    automatically), each commit followed by ``queries_per_round``
-    generated queries checked against the reference under every
-    scheme × variant — and parallel variants bit-for-bit against serial.
-
-    Round 0 is insert-only and additionally cross-checks the incremental
-    append path against the full-rebuild slow path (the oracle's second
-    reference).  Executors persist across rounds, so a stale cached plan
-    surviving a commit would surface as a divergence — the epoch keying
-    is under test too.
-    """
-    from ..updates import UpdateSession
-    from .updates import UpdateGenerator
-
-    variants = variants or ablation_variants()
-    db = next(iter(physical_dbs.values())).database
-    plan_generator = PlanGenerator(db)
-    update_generator = UpdateGenerator(db)
-    executors: Dict[Tuple[str, str], Executor] = {
-        (scheme, variant): Executor(pdb, disk=disk, costs=costs, options=options)
-        for scheme, pdb in physical_dbs.items()
-        for variant, options in variants.items()
-    }
-    session = UpdateSession(
-        *physical_dbs.values(), policy=policy, disk=disk, costs=costs
-    )
-    report = WorkloadReport(seed=seed, queries=rounds * queries_per_round)
-
-    try:
-        for round_index in range(rounds):
-            batch = update_generator.generate(seed, round_index)
-            for table, rows in batch.inserts:
-                session.insert_rows(table, rows)
-            for table, predicate in batch.deletes:
-                session.delete_where(table, predicate)
-            result = session.commit()
-            report.commits += 1
-            report.rows_inserted += sum(result.inserted.values())
-            report.rows_deleted += sum(result.deleted.values())
-            report.compactions += sum(1 for c in result.changes if c.compacted)
-            if round_index == 0 and batch.is_insert_only and not result.compacted_tables():
-                _append_second_reference(report, physical_dbs, batch, repro_flags)
-            if report.divergences and fail_fast:
-                return report
-
-            for q in range(queries_per_round):
-                query = plan_generator.generate(
-                    seed, round_index * queries_per_round + q
-                )
-                query.description += f" (after {batch.description})"
-                _check_one_query(
-                    report, executors, db, query, repro_flags, observer
-                )
-                if report.divergences and fail_fast:
-                    return report
-            if progress is not None:
-                progress(round_index + 1, rounds)
-        return report
-    finally:
-        # process-backend variants hold worker pools and shared memory
-        for executor in executors.values():
-            executor.close()

@@ -40,9 +40,11 @@ from ..storage.database import Database
 __all__ = ["RefRelation", "evaluate_reference"]
 
 
-@dataclass
+@dataclass(eq=False)
 class RefRelation:
-    """Columns plus per-column validity (False = NULL)."""
+    """Columns plus per-column validity (False = NULL).  Compared and
+    hashed by identity: a generated ``__eq__`` over numpy columns has no
+    truth value, and the differential memoises per reference."""
 
     columns: Dict[str, np.ndarray]
     valid: Dict[str, np.ndarray] = field(default_factory=dict)

@@ -56,6 +56,14 @@ class UpdateBatch:
     def is_empty(self) -> bool:
         return not self.inserts and not self.deletes
 
+    def apply(self, session) -> None:
+        """Stage the batch into an :class:`~repro.updates.UpdateSession`
+        (the caller commits)."""
+        for table, rows in self.inserts:
+            session.insert_rows(table, rows)
+        for table, predicate in self.deletes:
+            session.delete_where(table, predicate)
+
 
 class UpdateGenerator:
     """Draws random valid update batches against one logical database."""

@@ -184,3 +184,95 @@ class TestWorkloadCli:
         assert validate_trace(json.loads(trace.read_text())) == []
         for record in read_records(str(log)):
             assert record_errors(record) == []
+
+
+class TestServingModesFeedTheSink:
+    """``--streams N`` hands served queries to the same sink as every
+    other mode, in both CLIs."""
+
+    def test_workload_streams_honours_trace_log_json_and_profile(
+        self, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.json"
+        log = tmp_path / "log.jsonl"
+        code = workload_main(
+            SMALL
+            + ["--streams", "2", "--queries", "4", "--updates", "1",
+               "--workers", "2", "--profile", "--json",
+               "--trace", str(trace), "--query-log", str(log)]
+        )
+        assert code == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["kind"] == "serving_differential"
+        assert document["report"]["ok"] is True
+        records = read_records(str(log))
+        assert len(records) == 4 and document["records"] == records
+        for record in records:
+            assert record_errors(record) == []
+            assert record["scheme"] == "bdcc"
+            assert record["options"]["workers"] == 2
+            assert record["options"]["profile"] is True
+        assert any(
+            f.get("profile") for r in records for f in r["fragments"]
+        )
+        trace_document = json.loads(trace.read_text())
+        assert validate_trace(trace_document) == []
+        assert _process_names(trace_document) == {
+            "serving workers (bdcc)", "streams (bdcc)",
+        }
+
+    def test_tpch_streams_draws_on_the_sinks_builder(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        log = tmp_path / "log.jsonl"
+        code = tpch_main(
+            SMALL
+            + ["--streams", "2", "--queries", "1,6", "--workers", "2",
+               "--trace", str(trace), "--query-log", str(log)]
+        )
+        assert code == 0
+        records = read_records(str(log))
+        assert sorted(r["label"] for r in records) == [
+            "Q01/bdcc/s00", "Q01/bdcc/s01", "Q06/bdcc/s00", "Q06/bdcc/s01",
+        ]
+        trace_document = json.loads(trace.read_text())
+        assert validate_trace(trace_document) == []
+        assert _process_names(trace_document) == {
+            "serving workers (bdcc)", "streams (bdcc)",
+        }
+
+
+def _process_names(trace_document):
+    return {
+        event["args"]["name"]
+        for event in trace_document["traceEvents"]
+        if event.get("ph") == "M" and event.get("name") == "process_name"
+    }
+
+
+class TestModesWithoutExecutionsRejectSinkFlags:
+    """The design report and the refresh-cost report hand nothing to the
+    sink; its flags are refused (argparse exit 2), not silently dropped
+    — and no empty query-log file is left behind."""
+
+    @pytest.mark.parametrize("mode", [["--design"], ["--refresh", "1"]])
+    @pytest.mark.parametrize(
+        "flag", [["--query-log", "FILE"], ["--trace", "FILE"], ["--json"],
+                 ["--profile"]],
+    )
+    def test_rejected(self, mode, flag, tmp_path, capsys):
+        target = tmp_path / "artifact"
+        flag = [str(target) if token == "FILE" else token for token in flag]
+        with pytest.raises(SystemExit) as exit_info:
+            tpch_main(SMALL + mode + flag)
+        assert exit_info.value.code == 2
+        assert not target.exists()
+
+    def test_refresh_with_streams_still_observes(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        code = tpch_main(
+            SMALL
+            + ["--streams", "1", "--refresh", "1", "--queries", "6",
+               "--query-log", str(log)]
+        )
+        assert code == 0
+        assert len(read_records(str(log))) == 1

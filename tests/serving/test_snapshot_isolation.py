@@ -13,7 +13,7 @@ from repro.planner.executor import ExecutionOptions
 from repro.serving import run_serving_differential
 from repro.tpch.environment import make_environment
 from repro.updates.compaction import CompactionPolicy
-from repro.workload.differential import run_update_differential
+from repro.workload.differential import run_differential
 
 from .conftest import SERVING_SF, fresh_schemes
 
@@ -111,11 +111,11 @@ class TestSnapshotIsolation:
         """The reused oracle itself stays green over the same schemes —
         anchoring the serving results to the update subsystem's own
         correctness sweep."""
-        report = run_update_differential(
+        report = run_differential(
             fresh_schemes(),
             seed=4,
-            rounds=2,
-            queries_per_round=2,
+            num_queries=4,
+            update_rounds=2,
             variants={"default": ExecutionOptions()},
             disk=ENV.disk,
             costs=ENV.cost_model,

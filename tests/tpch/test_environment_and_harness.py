@@ -1,7 +1,11 @@
 """Scaled environment geometry and the benchmark harness."""
 
+import numpy as np
 import pytest
 
+from repro.execution.metrics import ExecutionMetrics
+from repro.execution.relation import Relation
+from repro.planner.executor import QueryResult
 from repro.tpch.environment import PAPER_PAGE_BYTES, make_environment, scaled_page_bytes
 from repro.tpch.harness import build_schemes, run_suite
 from repro.tpch.queries import QUERIES
@@ -60,6 +64,41 @@ class TestHarness:
 
     def test_speedup_helper(self, suite):
         assert suite.speedup("plain", "bdcc") > 0
+
+    @staticmethod
+    def _per_scheme(values):
+        """A query function whose one-row, one-float-column result is
+        ``values[scheme]``."""
+        def query(runner):
+            value = values[runner.executor.pdb.scheme_name]
+            return QueryResult(
+                Relation({"x": np.array([value])}), ExecutionMetrics()
+            )
+        return query
+
+    def test_results_match_is_tolerance_based_not_digit_rounding(
+        self, physical_dbs, environment
+    ):
+        """Summation-order noise straddling a 4th-decimal rounding
+        boundary (round() sends the two sides to 0.0 and 0.0001) is the
+        same result under the shared verdict."""
+        noise = self._per_scheme(
+            {"plain": 0.00005 - 1e-11, "pk": 0.00005 + 1e-11, "bdcc": 0.00005}
+        )
+        run_suite(
+            physical_dbs, environment, queries={"noise": noise},
+            check_results_match=True,
+        )
+
+    def test_results_match_still_catches_a_real_difference(
+        self, physical_dbs, environment
+    ):
+        wrong = self._per_scheme({"plain": 1.0, "pk": 1.0, "bdcc": 1.001})
+        with pytest.raises(AssertionError, match="bdcc returned different results"):
+            run_suite(
+                physical_dbs, environment, queries={"wrong": wrong},
+                check_results_match=True,
+            )
 
     def test_unknown_scheme_rejected(self, tpch_db, environment):
         with pytest.raises(ValueError):

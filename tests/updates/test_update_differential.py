@@ -12,7 +12,7 @@ import pytest
 from repro.tpch.environment import make_environment
 from repro.tpch.harness import build_schemes
 from repro.updates import CompactionPolicy
-from repro.workload.differential import ablation_variants, run_update_differential
+from repro.workload.differential import ablation_variants, run_differential
 from repro import tpch
 
 pytestmark = pytest.mark.updates
@@ -28,11 +28,11 @@ class TestUpdateDifferential:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_full_grid_stays_divergence_free(self, seed):
         _, env, pdbs = _fresh()
-        report = run_update_differential(
+        report = run_differential(
             pdbs,
             seed=seed,
-            rounds=5,
-            queries_per_round=4,
+            num_queries=20,
+            update_rounds=5,
             disk=env.disk,
             costs=env.cost_model,
             policy=CompactionPolicy(max_delta_fraction=None),
@@ -46,11 +46,11 @@ class TestUpdateDifferential:
         """With compaction firing on every commit the results must still
         match the reference — and plans go back to plain scans."""
         _, env, pdbs = _fresh()
-        report = run_update_differential(
+        report = run_differential(
             pdbs,
             seed=2,
-            rounds=4,
-            queries_per_round=3,
+            num_queries=12,
+            update_rounds=4,
             disk=env.disk,
             costs=env.cost_model,
             policy=CompactionPolicy(max_delta_fraction=0.0001, min_delta_rows=1),
@@ -64,11 +64,11 @@ class TestUpdateDifferential:
 
         variants = ablation_variants(full=False)
         variants.update(worker_count_variants([2, 4]))
-        report = run_update_differential(
+        report = run_differential(
             pdbs,
             seed=3,
-            rounds=3,
-            queries_per_round=3,
+            num_queries=9,
+            update_rounds=3,
             variants=variants,
             disk=env.disk,
             costs=env.cost_model,

@@ -8,16 +8,24 @@ via ``addopts``).
 import numpy as np
 import pytest
 
+from repro.execution.relation import Relation
+from repro.planner.executor import ExecutionOptions, Executor
+from repro.tpch.queries import QUERIES
+from repro.tpch.runner import QueryRunner
 from repro.workload.differential import (
     WorkloadReport,
     ablation_variants,
     column_tolerances,
     normalized_rows,
+    reference_mismatch,
     rows_match,
     run_differential,
+    twin_mismatch,
     worker_count_variants,
     worst_relative_error,
 )
+from repro.workload.generator import PlanGenerator
+from repro.workload.reference import RefRelation
 
 
 class TestNormalization:
@@ -72,6 +80,107 @@ class TestNormalization:
         assert worst_relative_error([(1.0, "x")], [(1.0, "x")]) == 0.0
         got = worst_relative_error([(2.0, 7)], [(2.0 + 2e-7, 7)])
         assert got == pytest.approx(1e-7, rel=1e-3)
+
+
+def _columns(**columns):
+    return {name: np.asarray(values) for name, values in columns.items()}
+
+
+#: (expected, got, same multiset?, same bit-for-bit?) — every way two
+#: results can relate under the two contracts
+VERDICT_CASES = {
+    "identical": (
+        _columns(k=[1, 2], x=[1.5, 2.5]), _columns(k=[1, 2], x=[1.5, 2.5]),
+        True, True,
+    ),
+    "summation-order-noise": (
+        _columns(k=[1, 2], x=[1.5, 2.5e8]),
+        _columns(k=[1, 2], x=[1.5 * (1 + 1e-11), 2.5e8 * (1 - 1e-11)]),
+        True, False,
+    ),
+    "one-value-outside-tolerance": (
+        _columns(k=[1, 2], x=[1.5, 2.5]), _columns(k=[1, 2], x=[1.5, 2.5001]),
+        False, False,
+    ),
+    "nan-and-negative-zero": (
+        _columns(x=[np.nan, -0.0]), _columns(x=[np.nan, 0.0]), True, True,
+    ),
+    # a 3e-5 relative gap: inside the float32 envelope only
+    "float32-column": (
+        _columns(x=np.array([1.0], np.float32)), _columns(x=[1.00003]),
+        True, False,
+    ),
+    "float64-same-gap": (
+        _columns(x=[1.0]), _columns(x=[1.00003]), False, False,
+    ),
+    "column-name-mismatch": (
+        _columns(x=[1.0]), _columns(y=[1.0]), False, False,
+    ),
+    "row-count-mismatch": (
+        _columns(x=[1.0]), _columns(x=[1.0, 1.0]), False, False,
+    ),
+    "row-permutation": (
+        _columns(k=[1, 2], x=[1.5, 2.5]), _columns(k=[2, 1], x=[2.5, 1.5]),
+        True, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_CASES)
+class TestVerdicts:
+    """The two functions every driver judges results with."""
+
+    def test_reference_mismatch(self, case):
+        expected, got, same_multiset, _ = VERDICT_CASES[case]
+        detail, worst = reference_mismatch(RefRelation(expected), Relation(got))
+        assert (detail is None) == same_multiset, detail
+        if case == "identical":
+            assert worst == 0.0
+        if case == "summation-order-noise":
+            assert worst == pytest.approx(1e-11, rel=1e-3)
+
+    def test_twin_mismatch(self, case):
+        expected, got, same_multiset, same_bits = VERDICT_CASES[case]
+        expected, got = Relation(expected), Relation(got)
+        exact = twin_mismatch(expected, got, exact=True)
+        assert (exact is None) == same_bits, exact
+        multiset = twin_mismatch(expected, got, exact=False)
+        assert (multiset is None) == same_multiset, multiset
+
+
+class TestOneContractFlag:
+    """``reaggregates`` implies ``reorders`` (a partial aggregate's
+    streams are gathered unordered), so ``not plan.reorders`` is the
+    whole bit-for-bit-or-multiset dispatch."""
+
+    def test_tpch_q1_at_four_workers(self, physical_dbs, environment):
+        reaggregating = 0
+        for pdb in physical_dbs.values():
+            with Executor(
+                pdb, disk=environment.disk, costs=environment.cost_model,
+                options=ExecutionOptions(workers=4),
+            ) as executor:
+                runner = QueryRunner(executor)
+                QUERIES["Q01"](runner)
+                for pplan in runner.physical_plans:
+                    plan = executor.execution_plan(pplan)
+                    reaggregating += plan.reaggregates
+                    assert not plan.reaggregates or plan.reorders
+        assert reaggregating, "Q1 no longer pre-aggregates: the test is vacuous"
+
+    def test_every_plan_of_a_seeded_sweep(self, physical_dbs, tpch_db):
+        generator = PlanGenerator(tpch_db)
+        reaggregating = 0
+        for pdb in physical_dbs.values():
+            for options in worker_count_variants([2, 4]).values():
+                with Executor(pdb, options=options) as executor:
+                    for index in range(40):
+                        plan = executor.execution_plan(
+                            executor.lower(generator.generate(0, index).plan)
+                        )
+                        reaggregating += plan.reaggregates
+                        assert not plan.reaggregates or plan.reorders
+        assert reaggregating, "no generated plan pre-aggregates: vacuous"
 
 
 class TestVariants:
