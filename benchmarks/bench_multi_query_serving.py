@@ -10,8 +10,7 @@ layer, for every admission policy, and reports per-configuration:
 
 Everything is simulated and deterministic, so the ledger record
 (``BENCH_multi_query_serving.json``) is bit-stable per configuration
-and the regression sentinel gates QPS (higher-is-better, via the
-rate-over-time direction rule) and latency (lower-is-better) tightly.
+and ``regress`` holds every number in it to the committed record.
 
 Usable standalone (CI runs ``python benchmarks/bench_multi_query_serving.py
 --smoke``); the report is printed and its metrics appended to the
@@ -138,15 +137,11 @@ def run(sf: float, seed: int, stream_counts, json_mode: bool = False) -> int:
     )
     text = "\n".join(lines)
 
-    repo_root = pathlib.Path(__file__).resolve().parent.parent
     data = {
         "schema_version": SCHEMA_VERSION,
         "kind": "bench_multi_query_serving",
         "scale_factor": sf,
         "seed": seed,
-        "git_sha": history.current_git_sha(str(repo_root)),
-        "timestamp_utc": history.utc_timestamp(),
-        "host": history.host_fingerprint(),
         "scheme": SCHEME,
         "workers": WORKERS,
         "probes": list(PROBES),
@@ -158,8 +153,6 @@ def run(sf: float, seed: int, stream_counts, json_mode: bool = False) -> int:
             for (streams, policy), cell in cells.items()
         },
     }
-    # ledger: one record per run; every leaf name carries a direction
-    # token the sentinel reads (qps / *_seconds / utilization).
     metrics = {"queries_per_second": aggregate_qps}
     for (streams, policy), cell in cells.items():
         prefix = f"streams.{streams}.policy.{policy}"
@@ -179,10 +172,7 @@ def run(sf: float, seed: int, stream_counts, json_mode: bool = False) -> int:
             "workers": WORKERS,
             "streams": list(stream_counts),
         },
-        directory=repo_root,
-        git_sha=data["git_sha"],
-        timestamp=data["timestamp_utc"],
-        host=data["host"],
+        directory=pathlib.Path(__file__).resolve().parent.parent,
     )
     print(json.dumps(data, sort_keys=True, indent=2) if json_mode else text)
     return 0

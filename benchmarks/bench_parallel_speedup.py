@@ -18,14 +18,11 @@ invariants the subsystem promises:
 * Q3's co-partitioned join reaches >= 1.5x at 4 workers and beats the
   broadcast-only path, whose build side serialises it.
 
-A final cost-model validation stage re-runs Q1/Q6/Q3 on the *process*
-backend (a real multiprocessing pool over shared-memory column exports)
-and regresses the simulated makespans against the measured wall clocks:
-results must be bit-identical across backends, and the Pearson
-correlation of simulated-vs-measured is reported.  Measured-speedup
-assertions are gated on the host's core count — a single-core container
-physically cannot show wall-clock speedup, and the report says so
-instead of pretending.
+Everything here is on the simulated clock, so the ledger record repeats
+to the bit.  The real-process side lives where a host clock is judged:
+bit-identity across backends in ``tests/parallel/test_backends.py``,
+measured walls in the ``process_parallel`` workload of
+``benchmarks/e2e``.
 
 Usable standalone (CI runs ``python benchmarks/bench_parallel_speedup.py
 --smoke``) — no pytest required.
@@ -38,11 +35,8 @@ import json
 import os
 import pathlib
 import sys
-import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-import numpy as np  # noqa: E402
 
 from repro.observe import SCHEMA_VERSION, history  # noqa: E402
 from repro.planner.executor import ExecutionOptions, Executor  # noqa: E402
@@ -55,9 +49,6 @@ from repro.tpch.runner import QueryRunner  # noqa: E402
 WORKER_COUNTS = (1, 2, 4, 8)
 SCAN_QUERIES = ("Q01", "Q06")  # scan-heavy: the headline >= 2x speedups
 JOIN_QUERIES = ("Q03",)        # co-partitioned sandwich join vs broadcast
-VALIDATION_QUERIES = ("Q01", "Q06", "Q03")
-VALIDATION_WORKERS = (2, 4)
-VALIDATION_REPEATS = 3
 
 
 def _makespans(pdb, env, qname, copartition=True, partial_agg=True,
@@ -80,148 +71,6 @@ def _makespans(pdb, env, qname, copartition=True, partial_agg=True,
     return spans, serial_total
 
 
-def _timed_query(executor, qname, repeats):
-    """Best-of-``repeats`` execution: (relation, merged metrics, wall s)."""
-    best = None
-    for _ in range(repeats):
-        runner = QueryRunner(executor)
-        started = time.perf_counter()
-        result = QUERIES[qname](runner)
-        wall = time.perf_counter() - started
-        if best is None or wall < best[2]:
-            best = (result.relation, runner.metrics, wall)
-    return best
-
-
-def _identical(a, b):
-    """Bit-for-bit relation equality (NaN pairs count as equal)."""
-    if a.column_names != b.column_names or a.num_rows != b.num_rows:
-        return False
-    for name in a.column_names:
-        left, right = a.column(name), b.column(name)
-        equal = (
-            np.array_equal(left, right, equal_nan=True)
-            if left.dtype.kind == "f" and right.dtype.kind == "f"
-            else np.array_equal(left, right)
-        )
-        if not equal:
-            return False
-    return True
-
-
-def validate_backends(pdb, env, lines, failures, repeats=VALIDATION_REPEATS,
-                      data=None):
-    """Run the validation queries on the process backend and regress the
-    simulated makespans against the measured wall clocks.
-
-    Wall measurements are best-of-``repeats`` whole-query timings; the
-    correlation uses the backend's own fragment wall
-    (``measured_wall_seconds``), which is the quantity the simulated
-    makespan models.  Measured-speedup assertions only arm on hosts with
-    enough cores to make speedup physically possible."""
-    cores = os.cpu_count() or 1
-    lines.append("")
-    lines.append(
-        "cost-model validation: process backend vs simulated charges "
-        f"({cores} core(s), best of {repeats} runs)"
-    )
-    lines.append(
-        f"{'query':<8}{'w':>3}{'sim makespan ms':>17}{'measured ms':>13}"
-        f"{'measured x':>12}{'identical':>11}"
-    )
-    serial_walls = {}
-    points = []
-    executors = []
-    try:
-        serial_ex = Executor(
-            pdb, disk=env.disk, costs=env.cost_model,
-            options=ExecutionOptions(workers=1),
-        )
-        executors.append(serial_ex)
-        for qname in VALIDATION_QUERIES:
-            serial_walls[qname] = _timed_query(serial_ex, qname, repeats)[2]
-        for workers in VALIDATION_WORKERS:
-            sim_ex = Executor(
-                pdb, disk=env.disk, costs=env.cost_model,
-                options=ExecutionOptions(workers=workers, min_partition_rows=256),
-            )
-            # one process executor per worker count: the pool and the
-            # shared-memory exports are reused across the three queries
-            proc_ex = Executor(
-                pdb, disk=env.disk, costs=env.cost_model,
-                options=ExecutionOptions(
-                    workers=workers, min_partition_rows=256, backend="process"
-                ),
-            )
-            executors.extend([sim_ex, proc_ex])
-            for qname in VALIDATION_QUERIES:
-                sim_rel, sim_metrics, _ = _timed_query(sim_ex, qname, 1)
-                proc_rel, proc_metrics, proc_wall = _timed_query(
-                    proc_ex, qname, repeats
-                )
-                identical = _identical(sim_rel, proc_rel)
-                if not identical:
-                    failures.append(
-                        f"{qname} w={workers}: process-backend result is not "
-                        "bit-identical to the simulated backend's"
-                    )
-                if proc_metrics.backend != "process":
-                    failures.append(
-                        f"{qname} w={workers}: expected process-backend "
-                        f"metrics, got {proc_metrics.backend!r}"
-                    )
-                measured = proc_metrics.measured_wall_seconds
-                speedup = serial_walls[qname] / proc_wall
-                points.append((sim_metrics.makespan_seconds, measured))
-                if data is not None:
-                    data["validation"].append(
-                        {
-                            "query": qname,
-                            "workers": workers,
-                            "simulated_makespan_seconds": sim_metrics.makespan_seconds,
-                            "measured_wall_seconds": measured,
-                            "best_wall_seconds": proc_wall,
-                            "measured_speedup": speedup,
-                            "identical": identical,
-                        }
-                    )
-                lines.append(
-                    f"{qname:<8}{workers:>3}"
-                    f"{sim_metrics.makespan_seconds * 1e3:>17.3f}"
-                    f"{measured * 1e3:>13.3f}"
-                    f"{speedup:>12.2f}"
-                    f"{'yes' if identical else 'NO':>11}"
-                )
-                if qname == "Q06" and workers == 4:
-                    if cores >= 4 and speedup <= 1.0:
-                        failures.append(
-                            f"Q06: measured speedup {speedup:.2f}x at 4 "
-                            f"workers on a {cores}-core host (expected > 1)"
-                        )
-    finally:
-        for executor in executors:
-            executor.close()
-    simulated = np.array([p[0] for p in points])
-    measured = np.array([p[1] for p in points])
-    if len(points) >= 2 and simulated.std() > 0 and measured.std() > 0:
-        r = float(np.corrcoef(simulated, measured)[0, 1])
-        if data is not None:
-            data["pearson_r"] = r
-        lines.append(
-            f"simulated-makespan vs measured-wall Pearson r = {r:.3f} "
-            f"over {len(points)} parallel plans"
-        )
-    if cores < 4:
-        lines.append(
-            f"note: {cores}-core host — measured wall-clock speedup > 1 is "
-            "physically unattainable here (fragments serialise on the one "
-            "core and walls are dominated by dispatch/IPC overhead, so the "
-            "correlation is informational only); measured-speedup "
-            "assertions are disarmed, while simulated charges and "
-            "bit-identical results are still enforced"
-        )
-
-
 def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
     print(f"generating TPC-H SF={scale_factor} (seed {seed}) ...", file=sys.stderr)
     db = generate(scale_factor=scale_factor, seed=seed)
@@ -236,22 +85,15 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
     ]
     failures = []
     # the structured twin of the text report: printed instead of it
-    # under --json, and the source of the ledger records
-    repo_root = pathlib.Path(__file__).resolve().parent.parent
+    # under --json, and the source of the ledger record
     data = {
         "schema_version": SCHEMA_VERSION,
         "kind": "bench_parallel_speedup",
         "scale_factor": scale_factor,
         "seed": seed,
-        "git_sha": history.current_git_sha(str(repo_root)),
-        "timestamp_utc": history.utc_timestamp(),
-        "host": history.host_fingerprint(),
         "disk_streams": streams,
-        "cores": os.cpu_count() or 1,
         "worker_counts": list(WORKER_COUNTS),
         "queries": {},
-        "validation": [],
-        "pearson_r": None,
     }
 
     def check_monotone(qname, spans):
@@ -333,45 +175,15 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
                 f"broadcast-only path ({broadcast_x:.2f}x) at 4 workers"
             )
 
-    validate_backends(pdb, env, lines, failures, data=data)
-
     data["failures"] = list(failures)
     data["ok"] = not failures
     report = "\n".join(lines)
 
-    # --- history ledgers: the speedup trajectory (simulated, hence
-    # deterministic and tightly gateable) and the cost-model drift
-    # trajectory (simulated-vs-measured residuals; measured walls are
-    # host-sensitive, so the host's core count joins the meta and the
-    # sentinel applies its wide measured-class bands).
-    provenance = dict(
-        directory=repo_root,
-        git_sha=data["git_sha"],
-        timestamp=data["timestamp_utc"],
-        host=data["host"],
-    )
     history.append_record(
         "parallel_speedup",
-        history.flatten_metrics(
-            {k: data[k] for k in ("queries", "pearson_r", "ok") if data[k] is not None}
-        ),
+        history.flatten_metrics({"queries": data["queries"], "ok": data["ok"]}),
         meta={"scale_factor": scale_factor, "seed": seed},
-        **provenance,
-    )
-    drift = history.residual_stats(
-        [
-            (v["simulated_makespan_seconds"], v["measured_wall_seconds"])
-            for v in data["validation"]
-        ]
-    )
-    drift["ok"] = float(data["ok"])
-    history.append_record(
-        "cost_model",
-        drift,
-        meta={
-            "scale_factor": scale_factor, "seed": seed, "cores": data["cores"],
-        },
-        **provenance,
+        directory=pathlib.Path(__file__).resolve().parent.parent,
     )
 
     print(json.dumps(data, sort_keys=True, indent=2) if json_mode else report)

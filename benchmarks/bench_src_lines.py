@@ -1,9 +1,9 @@
 """Source size per package: the design trend next to the speed trend.
 
 Counts the lines of every ``src/repro`` package (top-level modules under
-``_top``) into ``BENCH_src_lines.json``.  ``lines`` is a lower-is-better
-token, so the sentinel flags a change that grows ``src/`` beyond its
-band (ROADMAP "One of each").
+``_top``) into ``BENCH_src_lines.json``.  It is in the fast set, so
+``regress`` fails a change to ``src/`` that does not commit its own
+count: the size of every package is a number a PR states, not guesses.
 """
 import pathlib
 

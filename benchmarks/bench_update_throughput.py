@@ -125,15 +125,11 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
     lines.append(refresh.render())
 
     text = "\n".join(lines)
-    repo_root = pathlib.Path(__file__).resolve().parent.parent
     data = {
         "schema_version": SCHEMA_VERSION,
         "kind": "bench_update_throughput",
         "scale_factor": scale_factor,
         "seed": seed,
-        "git_sha": history.current_git_sha(str(repo_root)),
-        "timestamp_utc": history.utc_timestamp(),
-        "host": history.host_fingerprint(),
         "probes": list(PROBES),
         "stages": {
             stage: {
@@ -151,9 +147,6 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
         ],
         "ok": not failures,
     }
-    # ledger record: probe latencies renamed so every leaf carries a
-    # "seconds" token the sentinel's direction inference reads (the
-    # stage keys themselves are scheme/query labels).
     history.append_record(
         "update_throughput",
         history.flatten_metrics(
@@ -164,10 +157,7 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
             }
         ),
         meta={"scale_factor": scale_factor, "seed": seed},
-        directory=repo_root,
-        git_sha=data["git_sha"],
-        timestamp=data["timestamp_utc"],
-        host=data["host"],
+        directory=pathlib.Path(__file__).resolve().parent.parent,
     )
     print(json.dumps(data, sort_keys=True, indent=2) if json_mode else text)
     if failures:

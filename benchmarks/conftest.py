@@ -20,12 +20,6 @@ BENCH_SF = float(os.environ.get("REPRO_SF", "0.02"))
 BENCH_SEED = 7
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-#: report keys that describe the run, not its outcome — kept out of the
-#: ledger's metric dict (the ledger record carries its own provenance).
-_PROVENANCE_KEYS = (
-    "schema_version", "kind", "scale_factor", "seed",
-    "git_sha", "timestamp_utc", "host",
-)
 
 
 @pytest.fixture(scope="session")
@@ -48,16 +42,13 @@ def write_report(name: str, text: str, data: dict | None = None) -> None:
     are appended as one self-describing record (git SHA, UTC timestamp,
     host fingerprint) to the benchmark's history ledger
     ``BENCH_{name}.json`` at the repo root (``$REPRO_LEDGER_DIR``
-    overrides), growing the perf trajectory the regression sentinel
-    gates on; ``python -m repro.observe summary`` renders it back."""
+    overrides), which ``python -m repro.observe regress`` holds to the
+    committed record."""
     if data is not None:
         history.append_record(
             name,
-            history.flatten_metrics(
-                {k: v for k, v in data.items() if k not in _PROVENANCE_KEYS}
-            ),
+            history.flatten_metrics(data),
             meta={"scale_factor": BENCH_SF, "seed": BENCH_SEED},
             directory=REPO_ROOT,
-            git_sha=history.current_git_sha(str(REPO_ROOT)),
         )
     print(f"\n===== {name} =====\n{text}\n")

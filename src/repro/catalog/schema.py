@@ -199,18 +199,11 @@ class Schema:
     def foreign_keys(self) -> List[ForeignKey]:
         return list(self._foreign_keys.values())
 
-    @property
-    def index_hints(self) -> List[IndexHint]:
-        return list(self._index_hints)
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]
         except KeyError:
             raise SchemaError(f"unknown table {name!r}") from None
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
 
     def foreign_key(self, name: str) -> ForeignKey:
         try:

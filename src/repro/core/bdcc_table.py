@@ -81,12 +81,6 @@ class BDCCTable:
         bits at SF100)."""
         return [u.truncated(self.total_bits, self.granularity) for u in self.uses]
 
-    def use_for(self, dimension_name: str, path: Tuple[str, ...]) -> Optional[DimensionUse]:
-        for use in self.uses:
-            if use.dimension.name == dimension_name and use.path == path:
-                return use
-        return None
-
     # ------------------------------------------------------------- groups
     def entry_group_values(self, use_index: int, num_bits: Optional[int] = None) -> np.ndarray:
         """Per count-table entry: the group number of one dimension use

@@ -15,11 +15,9 @@ up with fewer, well-filled bins.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
-
-from .bits import bits_needed
 
 __all__ = ["KeyEncoder", "equi_frequency_cuts"]
 
@@ -55,11 +53,6 @@ class KeyEncoder:
     @property
     def num_attributes(self) -> int:
         return len(self._uniques)
-
-    @property
-    def domain_size(self) -> int:
-        """Number of representable key tuples (product of cardinalities)."""
-        return self._cards[0] * self._multipliers[0]
 
     def encode(self, attribute_values: Sequence[np.ndarray]) -> np.ndarray:
         """Codes for key tuples whose attribute values were observed.
@@ -148,9 +141,3 @@ def equi_frequency_cuts(codes: np.ndarray, max_bits: int) -> np.ndarray:
     np.minimum(idx, len(distinct) - 1, out=idx)
     uppers = np.unique(distinct[idx])
     return uppers.astype(np.int64)
-
-
-def unique_value_bins(codes: np.ndarray) -> Tuple[np.ndarray, int]:
-    """One bin per distinct code; returns (uppers, bits)."""
-    distinct = np.unique(codes).astype(np.int64)
-    return distinct, bits_needed(len(distinct))

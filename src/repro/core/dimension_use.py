@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .bits import mask_to_string, ones, truncate_mask
+from .bits import ones, truncate_mask
 from .dimension import Dimension
 
 __all__ = ["DimensionUse", "check_bdcc_constraints"]
@@ -46,11 +46,6 @@ class DimensionUse:
     @property
     def first_fk(self) -> Optional[str]:
         return self.path[0] if self.path else None
-
-    def mask_string(self, total_bits: int) -> str:
-        """The mask as printed in the paper (MSB-first, no leading zeros)."""
-        text = mask_to_string(self.mask, total_bits).lstrip("0")
-        return text or "0"
 
     def truncated(self, total_bits: int, granularity: int) -> "DimensionUse":
         """This use with its mask restricted to the top ``granularity``

@@ -404,9 +404,6 @@ class DeltaMergeScan(PhysicalScan):
 
     kind = "DeltaMergeScan"
 
-    def _delta_rows_selected(self) -> int:
-        return int(sum(len(sel) for _, sel in self.delta_selected))
-
     def execute(self, ctx: ExecutionContext) -> Relation:
         if self.replica_note:
             ctx.metrics.note(self.replica_note)

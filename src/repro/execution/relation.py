@@ -159,9 +159,6 @@ class Relation:
             owners={c: a for c, a in self.owners.items() if c in new_cols},
         )
 
-    def uses_for_alias(self, alias: str) -> List[StreamUse]:
-        return [u for u in self.uses if u.alias == alias and u.column in self.columns]
-
     def to_rows(self) -> List[tuple]:
         """Materialise visible columns as python tuples (tests, examples)."""
         names = self.column_names

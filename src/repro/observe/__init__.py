@@ -22,14 +22,15 @@ bit-identical with observability on or off:
   schema-versioned ``BENCH_<name>.json`` trajectories at the repo
   root, one record per benchmark run (git SHA, timestamp, host, flat
   metric dict);
-* :mod:`repro.observe.regress` — the regression sentinel comparing
-  each ledger's newest record against a robust same-configuration
-  baseline, direction-aware per metric.
+* :mod:`repro.observe.regress` — the regression gate: a ledger's
+  newest record, when produced at the checked-out commit, must equal
+  the previous same-configuration record on every metric.  Ledgers
+  hold simulated and counted numbers only; the host clock is judged by
+  ``BENCHMARK.json``'s harness and nowhere else.
 
 ``python -m repro.observe validate|summary|regress ...`` validates
-emitted artifacts, aggregates query logs and gates CI on the ledgers
-(bare ``FILE...`` arguments still validate).  See
-``docs/observability.md``.
+emitted artifacts, aggregates query logs and gates CI on the ledgers.
+See ``docs/observability.md``.
 """
 
 from .history import (
@@ -41,9 +42,7 @@ from .history import (
     ledger_path,
     ledger_paths,
     ledger_record_errors,
-    metric_series,
     read_ledger,
-    residual_stats,
 )
 from .query_log import (
     SCHEMA_VERSION,
@@ -60,11 +59,8 @@ from .query_log import (
 from .regress import (
     LedgerVerdict,
     MetricVerdict,
-    RegressionPolicy,
-    check_directory,
     check_ledger,
     format_table,
-    metric_direction,
 )
 from .registry import REGISTRY, MetricsRegistry
 from .sink import ObservabilitySink
@@ -90,16 +86,11 @@ __all__ = [
     "ledger_path",
     "ledger_paths",
     "ledger_record_errors",
-    "metric_series",
     "read_ledger",
-    "residual_stats",
     "LedgerVerdict",
     "MetricVerdict",
-    "RegressionPolicy",
-    "check_directory",
     "check_ledger",
     "format_table",
-    "metric_direction",
     "REGISTRY",
     "MetricsRegistry",
     "ObservabilitySink",

@@ -8,13 +8,11 @@ Three subcommands:
   invalid artifact (the CI ``observe`` job gate).
 * ``summary FILE...`` — aggregate JSONL query logs into per-query
   p50/p95 simulated seconds, cache hit rates and delta-scan totals.
-* ``regress [LEDGER...]`` — the regression sentinel: compare each
-  benchmark ledger's newest record against the median of prior
-  same-configuration records and exit nonzero with a diff table when a
-  gated metric left its noise band (see :mod:`repro.observe.regress`).
-
-For backwards compatibility bare ``FILE...`` arguments (no subcommand)
-validate, exactly as before this CLI grew subcommands.
+* ``regress [LEDGER...]`` — the regression gate: every benchmark
+  ledger whose newest record was produced at the checked-out commit
+  must equal its previous same-configuration record on every metric;
+  exits nonzero with a diff table naming each metric that changed or
+  went missing (see :mod:`repro.observe.regress`).  No options.
 """
 
 from __future__ import annotations
@@ -24,9 +22,9 @@ import json
 import sys
 from typing import List
 
-from .history import ledger_record_errors, read_ledger
+from .history import current_git_sha, ledger_paths, read_ledger
 from .query_log import read_records, record_errors, summarize_records
-from .regress import RegressionPolicy, check_ledger, check_directory, format_table
+from .regress import check_ledger, format_table
 from .trace_events import validate_trace
 
 __all__ = ["main"]
@@ -135,39 +133,28 @@ def _cmd_summary(files: List[str], as_json: bool) -> int:
 
 
 def _cmd_regress(args) -> int:
-    policy = RegressionPolicy(
-        window=args.window, rel_tolerance=args.rel_tolerance
-    )
-    if args.ledgers:
-        verdicts = [
-            check_ledger(read_ledger(path), policy) for path in args.ledgers
-        ]
-    else:
-        verdicts = check_directory(args.dir, policy)
+    head = current_git_sha()
+    verdicts = [
+        check_ledger(read_ledger(path), head)
+        for path in args.ledgers or ledger_paths(args.dir)
+    ]
     if not verdicts:
         print("no BENCH_*.json ledgers found")
         return 0
-    failed = False
     for verdict in verdicts:
         print(format_table(verdict, verbose=args.verbose))
-        if not verdict.passed:
-            failed = True
+    failed = [v.name for v in verdicts if not v.passed]
+    judged = sum(v.judged for v in verdicts)
     print(
         "regression check: "
-        + ("FAILED" if failed else f"ok ({len(verdicts)} ledger(s))")
+        + (f"FAILED ({', '.join(failed)})" if failed else "ok")
+        + f" — {judged} ledger(s) judged at HEAD {head[:7]}, "
+        f"{len(verdicts) - judged} skipped"
     )
     return 1 if failed else 0
 
 
 def main(argv: List[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Backwards compatibility: bare FILE arguments validate, as they
-    # did before this CLI grew subcommands.
-    if argv and not argv[0].startswith("-") and argv[0] not in (
-        "validate", "summary", "regress"
-    ):
-        return _cmd_validate(argv)
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.observe",
         description=(
@@ -191,7 +178,9 @@ def main(argv: List[str] | None = None) -> int:
     )
 
     p_regress = sub.add_parser(
-        "regress", help="compare newest ledger records against baselines"
+        "regress",
+        help="newest ledger records produced at HEAD must equal the "
+             "records before them",
     )
     p_regress.add_argument(
         "ledgers", nargs="*",
@@ -202,15 +191,7 @@ def main(argv: List[str] | None = None) -> int:
         help="ledger directory (default: $REPRO_LEDGER_DIR or repo root)",
     )
     p_regress.add_argument(
-        "--window", type=int, default=RegressionPolicy.window,
-        help="baseline = median of up to this many prior records",
-    )
-    p_regress.add_argument(
-        "--rel-tolerance", type=float, default=RegressionPolicy.rel_tolerance,
-        help="noise band for deterministic metrics",
-    )
-    p_regress.add_argument(
-        "--verbose", action="store_true", help="list quiet metrics too"
+        "--verbose", action="store_true", help="list unchanged metrics too"
     )
 
     args = parser.parse_args(argv)

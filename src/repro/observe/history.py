@@ -5,10 +5,9 @@ Every benchmark harness writes a structured JSON report
 benches); this module *remembers* them.  Each run appends one
 schema-versioned record — git SHA, UTC timestamp, host fingerprint and
 a flat ``{metric: number}`` dict — to a per-benchmark ledger
-``BENCH_<name>.json`` at the repository root, and the reader
-reconstructs per-metric time series from the accumulated records.  The
-regression sentinel (:mod:`repro.observe.regress`,
-``python -m repro.observe regress``) gates CI on those series.
+``BENCH_<name>.json`` at the repository root.  The regression gate
+(:mod:`repro.observe.regress`, ``python -m repro.observe regress``)
+holds each ledger's newest record to the one before it.
 
 Ledger files are plain JSON documents::
 
@@ -22,16 +21,17 @@ Ledger files are plain JSON documents::
                   "metrics": {"queries.Q01.speedup.4": 3.6, ...}}, ...]}
 
 ``meta`` names the benchmark configuration (scale factor, seed, worker
-grid...); the sentinel only compares records whose ``meta`` matches, so
-a smoke run never regresses against a full-scale one.  Metrics are a
-*flat* dotted-name → number mapping (:func:`flatten_metrics` collapses
-a nested report); metric names double as the direction hint the
-sentinel uses (``...seconds``/``...error`` lower-is-better,
-``...speedup``/``...pearson_r`` higher-is-better).
+grid...); the gate only compares records whose ``meta`` matches, so a
+smoke run is never held to a full-scale one.  Metrics are a *flat*
+dotted-name → number mapping (:func:`flatten_metrics` collapses a
+nested report) and hold only simulated-clock and counted numbers, which
+repeat to the bit; host-clock numbers belong to ``BENCHMARK.json``.
 
-Appends are read-modify-write with an atomic rename, and the reader
-rejects corrupted records individually (:func:`ledger_record_errors`)
-so one bad append cannot poison a whole trajectory.
+Appends are read-modify-write with an atomic rename.  The reader
+reports corrupted records individually (:func:`ledger_record_errors`)
+and keeps the valid ones; an append refuses a ledger with any problem
+and leaves the file as it found it, so corruption stays on disk to be
+seen (and fails ``regress``) instead of being rewritten away.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ __all__ = [
     "append_record",
     "read_ledger",
     "ledger_paths",
-    "metric_series",
-    "residual_stats",
 ]
 
 LEDGER_SCHEMA_VERSION = 1
@@ -72,9 +70,9 @@ LEDGER_PREFIX = "BENCH_"
 
 # ------------------------------------------------------------ provenance
 def host_fingerprint() -> Dict[str, object]:
-    """Where a record was produced: enough to explain why measured
-    (wall-clock) metrics differ between records, never used to *gate*
-    — the sentinel groups records by ``meta``, not by host."""
+    """Where a record was produced: provenance for a reader tracking
+    down a number that moved (a different numpy or python), never used
+    to *gate* — records are grouped by ``meta``, not by host."""
     return {
         "cpu_count": int(os.cpu_count() or 1),
         "platform": platform.system().lower(),
@@ -83,7 +81,7 @@ def host_fingerprint() -> Dict[str, object]:
     }
 
 
-def current_git_sha(cwd: Optional[str] = None) -> str:
+def current_git_sha(cwd=None) -> str:
     """The checked-out commit, or ``"unknown"`` outside a git repo."""
     try:
         out = subprocess.run(
@@ -137,16 +135,14 @@ def build_ledger_record(
     *,
     meta: Optional[dict] = None,
     git_sha: Optional[str] = None,
-    timestamp: Optional[str] = None,
-    host: Optional[dict] = None,
 ) -> dict:
     """One self-describing trajectory point for benchmark ``name``."""
     record = {
         "ledger_schema_version": LEDGER_SCHEMA_VERSION,
         "bench": str(name),
         "git_sha": current_git_sha() if git_sha is None else str(git_sha),
-        "timestamp_utc": utc_timestamp() if timestamp is None else str(timestamp),
-        "host": host_fingerprint() if host is None else dict(host),
+        "timestamp_utc": utc_timestamp(),
+        "host": host_fingerprint(),
         "meta": dict(meta or {}),
         "metrics": {
             str(metric): float(value) for metric, value in metrics.items()
@@ -202,15 +198,6 @@ class Ledger:
     #: silently truncates a trajectory — it is reported).
     errors: List[str] = field(default_factory=list)
 
-    def series(self, metric: str) -> List[Tuple[str, float]]:
-        return metric_series(self, metric)
-
-    def metric_names(self) -> List[str]:
-        names = set()
-        for record in self.records:
-            names.update(record["metrics"])
-        return sorted(names)
-
 
 def default_ledger_dir(fallback: Optional[pathlib.Path] = None) -> pathlib.Path:
     """Where ``BENCH_*.json`` ledgers live: ``$REPRO_LEDGER_DIR`` if
@@ -245,7 +232,7 @@ def ledger_paths(directory=None) -> List[pathlib.Path]:
 def read_ledger(path, *, name: Optional[str] = None) -> Ledger:
     """Load a ledger, keeping valid records and reporting corrupted
     ones (a missing file is an empty ledger, so the first append and
-    the sentinel's "nothing yet" case need no special-casing)."""
+    the gate's "nothing yet" case need no special-casing)."""
     path = pathlib.Path(path)
     inferred = path.stem[len(LEDGER_PREFIX):] if path.stem.startswith(
         LEDGER_PREFIX
@@ -287,19 +274,27 @@ def append_record(
     meta: Optional[dict] = None,
     directory=None,
     git_sha: Optional[str] = None,
-    timestamp: Optional[str] = None,
-    host: Optional[dict] = None,
 ) -> dict:
     """Append one record to ``BENCH_<name>.json`` (created on first
-    use) and return it.  Read-modify-write with an atomic rename, so a
-    crashed benchmark can truncate at worst its own append.  Corrupted
-    records already in the file are dropped by the rewrite — the
-    reader refuses them anyway, and keeping them would re-report the
-    same corruption on every subsequent run."""
+    use) and return it; the commit is the one checked out in
+    ``directory`` unless ``git_sha`` names it.  Read-modify-write with
+    an atomic rename, so a crashed benchmark can truncate at worst its
+    own append.  A ledger the reader has any problem with — truncated
+    JSON, the wrong document shape, one corrupt record among good ones
+    — is refused with ``ValueError`` and left byte-for-byte untouched:
+    rewriting it from the records that still parse would replace the
+    evidence with a shorter, clean-looking trajectory before
+    ``regress`` ever saw it."""
     path = ledger_path(name, directory)
     ledger = read_ledger(path, name=name)
+    if ledger.errors:
+        raise ValueError(
+            f"refusing to append to corrupt ledger {path}: "
+            + "; ".join(ledger.errors[:5])
+        )
     record = build_ledger_record(
-        name, metrics, meta=meta, git_sha=git_sha, timestamp=timestamp, host=host
+        name, metrics, meta=meta,
+        git_sha=current_git_sha(directory) if git_sha is None else git_sha,
     )
     document = {
         "ledger_schema_version": LEDGER_SCHEMA_VERSION,
@@ -311,54 +306,3 @@ def append_record(
     scratch.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
     scratch.replace(path)
     return record
-
-
-def metric_series(ledger: Ledger, metric: str) -> List[Tuple[str, float]]:
-    """The ``(timestamp_utc, value)`` trajectory of one metric, in
-    append order, skipping records that do not carry it."""
-    return [
-        (record["timestamp_utc"], record["metrics"][metric])
-        for record in ledger.records
-        if metric in record["metrics"]
-    ]
-
-
-# ------------------------------------------------------ cost-model drift
-def residual_stats(points: Sequence[Tuple[float, float]]) -> Dict[str, float]:
-    """Simulated-vs-measured residual summary for the cost-model drift
-    ledger.
-
-    ``points`` are ``(simulated_seconds, measured_seconds)`` pairs.
-    Simulated charges and measured walls live in different units, so
-    residuals are taken against the least-squares *scale* fit
-    ``measured ≈ a × simulated`` — what the cost model claims to
-    predict is the shape, not the absolute wall.  Returns the Pearson
-    correlation, the fitted scale and the median/mean relative
-    residuals (``|measured - a·sim| / measured``)."""
-    pairs = [
-        (float(s), float(m)) for s, m in points if s > 0.0 and m > 0.0
-    ]
-    stats: Dict[str, float] = {"points": float(len(pairs))}
-    if len(pairs) < 2:
-        return stats
-    sims = [s for s, _ in pairs]
-    walls = [m for _, m in pairs]
-    scale = sum(s * m for s, m in pairs) / sum(s * s for s in sims)
-    residuals = sorted(abs(m - scale * s) / m for s, m in pairs)
-    middle = len(residuals) // 2
-    median = (
-        residuals[middle]
-        if len(residuals) % 2
-        else 0.5 * (residuals[middle - 1] + residuals[middle])
-    )
-    mean_s = sum(sims) / len(sims)
-    mean_m = sum(walls) / len(walls)
-    cov = sum((s - mean_s) * (m - mean_m) for s, m in pairs)
-    var_s = sum((s - mean_s) ** 2 for s in sims)
-    var_m = sum((m - mean_m) ** 2 for m in walls)
-    stats["scale"] = scale
-    stats["median_rel_error"] = median
-    stats["mean_rel_error"] = sum(residuals) / len(residuals)
-    if var_s > 0.0 and var_m > 0.0:
-        stats["pearson_r"] = cov / math.sqrt(var_s * var_m)
-    return stats

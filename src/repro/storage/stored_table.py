@@ -65,14 +65,6 @@ class StoredTable:
         deleted base rows)."""
         return self.delta is not None and self.delta.is_dirty
 
-    @property
-    def live_rows(self) -> int:
-        """Logical rows visible to queries: base minus deleted plus
-        live delta inserts."""
-        if self.delta is None:
-            return self.logical_rows
-        return self.logical_rows - self.delta.deleted_base_rows + self.delta.live_delta_rows
-
     def invalidate_statistics(self) -> None:
         """Drop lazily built zone maps (after compaction rewrote the
         base columns)."""

@@ -2,7 +2,7 @@
 
 from . import queries
 from .datagen import generate, table_cardinalities
-from .dates import CURRENT_DATE, END_DATE, START_DATE, date_str, days
+from .dates import CURRENT_DATE, END_DATE, START_DATE, days
 from .runner import QueryRunner, run_query
 from .schema import add_paper_hints, build_schema
 
@@ -13,7 +13,6 @@ __all__ = [
     "CURRENT_DATE",
     "END_DATE",
     "START_DATE",
-    "date_str",
     "days",
     "QueryRunner",
     "run_query",

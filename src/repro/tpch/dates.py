@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..execution.expressions import days
 
 __all__ = [
     "START_DATE", "END_DATE", "CURRENT_DATE", "ORDER_DATE_MIN",
-    "ORDER_DATE_MAX", "days", "date_str",
+    "ORDER_DATE_MAX", "days",
 ]
 
 #: the TPC-H population interval
@@ -19,8 +17,3 @@ CURRENT_DATE = days("1995-06-17")
 #: order dates span [STARTDATE, ENDDATE - 151 days]
 ORDER_DATE_MIN = START_DATE
 ORDER_DATE_MAX = END_DATE - 151
-
-
-def date_str(day: int) -> str:
-    """ISO string for an int-days value (examples, debugging)."""
-    return str(np.datetime64(int(day), "D"))

@@ -9,7 +9,7 @@ import pytest
 
 from repro.observe import read_records, record_errors, validate_trace
 from repro.observe.__main__ import main as observe_main
-from repro.observe.history import append_record
+from repro.observe.history import append_record, current_git_sha
 from repro.tpch.cli import main as tpch_main
 from repro.tpch.cli import normalize_query_id
 from repro.workload.__main__ import main as workload_main
@@ -114,11 +114,6 @@ class TestObserveCli:
         assert observe_main(["validate", str(log)]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_bare_file_args_still_validate(self, tmp_path, capsys):
-        log = self._write_log(tmp_path)
-        capsys.readouterr()
-        assert observe_main([str(log)]) == 0
-
     def test_validate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"not": "a record"}\n')
@@ -144,27 +139,54 @@ class TestObserveCli:
         document = json.loads(capsys.readouterr().out)
         assert document["overall"]["records"] == 1
 
-    def test_regress_green_directory(self, tmp_path, capsys):
-        for value in (1.0, 1.0, 1.02):
-            append_record("demo", {"q.seconds": value}, directory=tmp_path)
-        assert observe_main(["regress", "--dir", str(tmp_path)]) == 0
-        assert "regression check: ok" in capsys.readouterr().out
+    def _fresh_ledger(self, tmp_path, values, metric="q.seconds"):
+        """Records the CLI will judge: produced at this checkout's HEAD."""
+        for value in values:
+            append_record("demo", {metric: value}, directory=tmp_path,
+                          git_sha=current_git_sha())
 
-    def test_regress_fails_on_injected_regression(self, tmp_path, capsys):
-        for value in (1.0, 1.0, 1.0, 2.0):
-            append_record("demo", {"q.makespan_seconds": value},
-                          directory=tmp_path)
+    def test_regress_green_directory(self, tmp_path, capsys):
+        self._fresh_ledger(tmp_path, (1.0, 1.2, 1.2))
+        assert observe_main(["regress", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "regression check: ok" in out and "1 ledger(s) judged" in out
+
+    def test_regress_fails_and_names_the_moved_metric(self, tmp_path, capsys):
+        self._fresh_ledger(
+            tmp_path, (1.73, 1.73 * (1 + 1e-6)), metric="ratios.plain_over_bdcc"
+        )
         assert observe_main(["regress", "--dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "FAILED" in out
-        assert "q.makespan_seconds" in out
+        assert "ratios.plain_over_bdcc" in out
 
-    def test_regress_explicit_files_and_tolerance(self, tmp_path, capsys):
-        for value in (1.0, 1.0, 1.3):
-            append_record("demo", {"q.seconds": value}, directory=tmp_path)
+    def test_regress_skips_ledgers_not_rerun_at_head(self, tmp_path, capsys):
+        for value in (1.0, 9.0):
+            append_record("demo", {"q.seconds": value}, directory=tmp_path,
+                          git_sha="0" * 40)
         path = str(tmp_path / "BENCH_demo.json")
-        assert observe_main(["regress", path]) == 1
-        assert observe_main(["regress", "--rel-tolerance", "0.5", path]) == 0
+        assert observe_main(["regress", path]) == 0
+        out = capsys.readouterr().out
+        assert "skipped: not re-run at HEAD" in out
+        assert "0 ledger(s) judged" in out and "1 skipped" in out
+
+    def test_regress_empty_directory_is_not_an_error(self, tmp_path, capsys):
+        assert observe_main(["regress", "--dir", str(tmp_path)]) == 0
+        assert "no BENCH_*.json ledgers found" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag", [["--window", "2"], ["--rel-tolerance", "0.5"]]
+    )
+    def test_regress_has_no_tunables(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as raised:
+            observe_main(["regress", *flag, "--dir", str(tmp_path)])
+        assert raised.value.code == 2
+
+    def test_a_subcommand_is_required(self, tmp_path):
+        # bare FILE arguments no longer validate
+        with pytest.raises(SystemExit) as raised:
+            observe_main([str(self._write_log(tmp_path))])
+        assert raised.value.code == 2
 
 
 class TestWorkloadCli:

@@ -1,8 +1,9 @@
 """The benchmark history ledger: append/read round-trips, corrupted
-record rejection, metric flattening, series reconstruction and the
-cost-model residual statistics."""
+record rejection (by the reader) and refusal (by the append), and
+metric flattening."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -16,9 +17,7 @@ from repro.observe.history import (
     ledger_path,
     ledger_paths,
     ledger_record_errors,
-    metric_series,
     read_ledger,
-    residual_stats,
 )
 
 
@@ -78,29 +77,24 @@ class TestLedgerRoundTrip:
         ledger = read_ledger(tmp_path / "BENCH_never.json")
         assert ledger.records == [] and ledger.errors == []
 
-    def test_series_reconstruction(self, tmp_path):
-        append_record(
-            "demo", {"a": 1.0, "b": 5.0}, directory=tmp_path,
-            timestamp="2026-01-01T00:00:00Z",
-        )
-        append_record(
-            "demo", {"a": 2.0}, directory=tmp_path,
-            timestamp="2026-01-02T00:00:00Z",
-        )
-        ledger = read_ledger(ledger_path("demo", tmp_path))
-        assert metric_series(ledger, "a") == [
-            ("2026-01-01T00:00:00Z", 1.0),
-            ("2026-01-02T00:00:00Z", 2.0),
-        ]
-        # records without the metric are skipped, not zero-filled
-        assert ledger.series("b") == [("2026-01-01T00:00:00Z", 5.0)]
-        assert ledger.metric_names() == ["a", "b"]
-
     def test_ledger_paths_finds_every_ledger(self, tmp_path):
         append_record("beta", {"x": 1.0}, directory=tmp_path)
         append_record("alpha", {"x": 1.0}, directory=tmp_path)
         names = [p.name for p in ledger_paths(tmp_path)]
         assert names == ["BENCH_alpha.json", "BENCH_beta.json"]
+
+    def test_commit_is_read_from_the_directory_not_the_cwd(self, tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "one")
+        record = append_record("demo", {"x": 1.0}, directory=tmp_path)
+        assert record["git_sha"] == git("rev-parse", "HEAD")
+        assert record["git_sha"] != history.current_git_sha()
 
     def test_env_override_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "elsewhere"))
@@ -153,31 +147,37 @@ class TestCorruption:
         assert any(fragment in e for e in ledger_record_errors(record))
 
 
-class TestResidualStats:
-    def test_perfect_scale_fit(self):
-        points = [(1.0, 3.0), (2.0, 6.0), (4.0, 12.0)]
-        stats = residual_stats(points)
-        assert stats["points"] == 3.0
-        assert stats["scale"] == pytest.approx(3.0)
-        assert stats["median_rel_error"] == pytest.approx(0.0, abs=1e-12)
-        assert stats["pearson_r"] == pytest.approx(1.0)
+class TestAppendRefusesCorruption:
+    """An append never rewrites a ledger it could not fully read: the
+    file stays byte-for-byte as found and the error names it."""
 
-    def test_noise_raises_residuals_not_correlation_sign(self):
-        points = [(1.0, 2.1), (2.0, 3.8), (3.0, 6.3), (4.0, 7.6)]
-        stats = residual_stats(points)
-        assert 0.9 < stats["pearson_r"] <= 1.0
-        assert 0.0 < stats["median_rel_error"] < 0.2
+    def _refused(self, path, text):
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            append_record("demo", {"x": 2.0}, directory=path.parent)
+        assert path.read_text() == text
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        return str(raised.value)
 
-    def test_degenerate_inputs(self):
-        assert residual_stats([]) == {"points": 0.0}
-        assert residual_stats([(1.0, 1.0)]) == {"points": 1.0}
-        # non-positive points are filtered, not crashed on
-        assert residual_stats([(0.0, 1.0), (-1.0, 2.0)]) == {"points": 0.0}
+    def test_truncated_json(self, tmp_path):
+        append_record("demo", {"x": 1.0}, directory=tmp_path)
+        path = ledger_path("demo", tmp_path)
+        message = self._refused(path, path.read_text()[:-40])
+        assert str(path) in message and "unreadable" in message
 
-    def test_constant_series_has_no_pearson(self):
-        stats = residual_stats([(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)])
-        assert "pearson_r" not in stats
-        assert stats["scale"] == pytest.approx(2.0)
+    def test_wrong_document_shape(self, tmp_path):
+        path = ledger_path("demo", tmp_path)
+        message = self._refused(path, json.dumps([1, 2, 3]))
+        assert str(path) in message and "records" in message
+
+    def test_one_bad_record_among_good_ones(self, tmp_path):
+        append_record("demo", {"x": 1.0}, directory=tmp_path)
+        append_record("demo", {"x": 1.0}, directory=tmp_path)
+        path = ledger_path("demo", tmp_path)
+        document = json.loads(path.read_text())
+        document["records"].insert(1, {"bogus": True})
+        message = self._refused(path, json.dumps(document))
+        assert str(path) in message and "records[1]" in message
 
 
 class TestAtomicAppend:
