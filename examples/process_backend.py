@@ -3,11 +3,15 @@
 Builds a small TPC-H database under the BDCC scheme and runs Q1 and Q6
 at ``workers=4`` twice — once on the default **simulated** backend
 (in-process, deterministic scheduler) and once on the **process**
-backend (``ExecutionOptions(backend="process")``): a real
-`multiprocessing` pool where base columns are exported once into
+backend (``ExecutionOptions(backend="process")``): real worker processes
+where base columns are exported once into
 `multiprocessing.shared_memory` blocks (zero-copy, read-only views in
 the workers), fragments are dispatched as their dependencies drain, and
-the serial tail runs in the parent.
+the serial tail runs in the parent.  The pool and the blocks belong to
+the process, not to an executor: every executor below shares them,
+``Executor.close()`` releases nothing, and
+``repro.parallel.backends.shutdown()`` — which runs at exit anyway —
+stops the pool and unlinks the blocks.
 
 The script verifies the headline guarantee — the *same* ``ParallelPlan``
 produces **bit-identical** rows and **identical simulated charges** on
@@ -68,7 +72,7 @@ def main() -> None:
                 result = QUERIES[qname](runner)
                 out[qname] = (result.relation, runner.metrics)
         finally:
-            executor.close()  # tears down the pool, unlinks shared memory
+            executor.close()  # the pool and the blocks stay: they are the process's
         return out
 
     simulated = run("simulated")

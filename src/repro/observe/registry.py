@@ -26,6 +26,18 @@ Counter names in use:
 ``epochs_bumped``      stored-table epoch bumps (commit or compaction)
 ``compactions``        delta stores folded back into base layouts
 ====================== =================================================
+
+and, from the process backend (``repro.parallel.backends``), what "one
+pool per process, one shared-memory export per array" comes to:
+
+=================================== ====================================
+``process_backend.pool_starts``     worker pools forked
+``process_backend.blocks_exported`` arrays copied into shared memory
+``process_backend.bytes_exported``  ... and their bytes
+``process_backend.blocks_retired``  blocks unlinked (their array died, or
+                                    ``shutdown()``) and announced to the
+                                    workers
+=================================== ====================================
 """
 
 from __future__ import annotations

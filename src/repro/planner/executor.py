@@ -88,8 +88,8 @@ class Executor:
         #: first run never raises.
         self.metrics: ExecutionMetrics = ExecutionMetrics()
         #: backend name -> instantiated backend; created lazily on the
-        #: first run (a process backend starts its pool later still, at
-        #: the first fragment it dispatches).
+        #: first run (a process backend is only a handle: the process's
+        #: one pool starts at the first fragment anyone dispatches).
         self._backends: dict = {}
         #: (id(node), options key) -> (node, PhysicalPlan), LRU-ordered.
         #: Keyed by node *identity* (logical plans may hold unhashable
@@ -179,8 +179,10 @@ class Executor:
     # ------------------------------------------------------------ running
     def backend(self) -> ExecutionBackend:
         """The execution backend the options name (created lazily and
-        cached, so a process pool persists across this executor's
-        queries; see :meth:`close`)."""
+        cached).  A process backend owns nothing: the worker pool and
+        the shared-memory export are the *process's*
+        (:mod:`repro.parallel.backends`), shared by every executor, so
+        a cold executor per query pays for neither."""
         name = self.options.backend
         backend = self._backends.get(name)
         if backend is None:
@@ -189,10 +191,12 @@ class Executor:
         return backend
 
     def close(self) -> None:
-        """Release backend resources (process pools, shared-memory
-        blocks).  Simulated executors hold none; safe to call
-        repeatedly.  The executor stays usable — the next run simply
-        recreates what it needs."""
+        """Drop this executor's backend handles.  Releases nothing
+        shared — the process backend's pool and shared-memory blocks
+        outlive every executor and are torn down by
+        :func:`repro.parallel.backends.shutdown` (registered with
+        ``atexit``).  Safe to call repeatedly; the executor stays
+        usable."""
         for backend in self._backends.values():
             backend.close()
         self._backends = {}

@@ -105,4 +105,4 @@ def run_query(
             observer(runner, result)
         return result, runner.metrics
     finally:
-        executor.close()  # releases process-backend pools/shared memory
+        executor.close()

@@ -4,11 +4,30 @@ plus the parallel-metrics correctness fixes that ride along (operator
 actuals accumulate instead of last-fragment-wins; ``Executor.metrics``
 exists before the first run).
 
-The fast tests here stay in tier-1 (one small process-backend smoke
-included); the full scheme × query × worker matrix, the delta-store
-round and the seeded workload sweep carry the ``backend`` marker and
-run in their own CI job.
+The process backend's pool and shared-memory export are process-wide
+(one pool per process, one block per array), so their lifetime rules and
+failure behaviour are pinned here too: blocks die with their arrays,
+workers let go of retired blocks, ``shutdown()`` leaves ``/dev/shm`` as
+it found it, and a worker that dies or a fragment that raises ends the
+query in a named error — never a hang — with the next query clean.
+
+The fast tests here stay in tier-1 (one small process-backend smoke, the
+store's lifetime rules, the two fault tests and the one-pool/one-export
+counters included); the full scheme × query × worker matrix, the
+delta-store round, the worker-attachment and clean-exit checks and the
+seeded workload sweep carry the ``backend`` marker and run in their own
+CI job.
 """
+
+import gc
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -18,15 +37,28 @@ from repro.execution.metrics import (
     OperatorActuals,
     merge_operator_actuals,
 )
+from repro.observe.registry import REGISTRY
+from repro.parallel import backends
 from repro.parallel.backends import (
     BACKEND_NAMES,
     ProcessBackend,
+    SharedArrayStore,
     SimulatedBackend,
     create_backend,
 )
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.tpch.queries import QUERIES
-from repro.tpch.runner import QueryRunner
+from repro.tpch.runner import QueryRunner, run_query
+
+SHM_DIR = "/dev/shm"
+needs_dev_shm = pytest.mark.skipif(
+    not os.path.isdir(SHM_DIR), reason="POSIX shared memory is not listed under /dev/shm"
+)
+
+
+def _shm_blocks() -> set:
+    """Names of the shared-memory blocks python has created on this host."""
+    return {name for name in os.listdir(SHM_DIR) if name.startswith("psm_")}
 
 
 def _run(pdb, environment, qname, workers=1, backend="simulated"):
@@ -161,6 +193,275 @@ class TestBackendBasics:
         assert all(f.measured_seconds >= 0.0 for f in proc_metrics.fragments)
 
 
+@needs_dev_shm
+class TestSharedArrayLifetime:
+    """A block lives exactly as long as the array it copied."""
+
+    def test_block_dies_with_its_array(self):
+        store = SharedArrayStore()
+        array = np.arange(2048, dtype=np.int64)
+        name, dtype, shape = store.export(array)
+        assert store.export(array) == (name, dtype, shape)  # one export per array
+        assert store.names() == {name}
+        assert name in _shm_blocks()
+        assert np.array_equal(
+            np.fromfile(os.path.join(SHM_DIR, name), dtype=dtype)[:2048], array
+        )
+        del array
+        gc.collect()
+        assert not store.names() and name not in _shm_blocks()
+        assert store.retirement() == (1, (name,))
+
+    def test_a_recycled_id_never_hits_a_stale_block(self):
+        """Arrays created and dropped in a loop reuse each other's
+        ``id()``; every export must still hold its own array's data."""
+        store = SharedArrayStore()
+        ids = set()
+        for value in range(40):
+            array = np.full(1024, value, dtype=np.int64)
+            ids.add(id(array))
+            name, dtype, _ = store.export(array)
+            stored = np.fromfile(os.path.join(SHM_DIR, name), dtype=dtype)[:1024]
+            assert np.array_equal(stored, array), value
+            del array
+        assert len(ids) < 40, "no id() was recycled; the test shows nothing"
+        assert not store.names()
+        assert store.retirement()[0] == 40
+
+    def test_small_and_object_arrays_are_not_exported(self):
+        store = SharedArrayStore()
+        assert not store.exportable(np.arange(8))
+        assert not store.exportable(np.array([object()] * 4096, dtype=object))
+        assert store.exportable(np.zeros(backends.SHARED_MIN_BYTES, dtype=np.uint8))
+
+    def test_close_is_safe_against_finalizers_firing_meanwhile(self, monkeypatch):
+        store = SharedArrayStore()
+        arrays = [np.full(1024, i, dtype=np.int64) for i in range(6)]
+        names = {store.export(a)[0] for a in arrays}
+        assert names <= _shm_blocks()
+        unlinked = []
+        posixshmem = backends.shared_memory._posixshmem
+        real_unlink = posixshmem.shm_unlink
+
+        def unlink_and_collect(path):
+            # the first unlink of close() drops every other array, so
+            # their finalizers fire while close() is still iterating
+            unlinked.append(path.lstrip("/"))
+            real_unlink(path)
+            arrays.clear()
+            gc.collect()
+
+        monkeypatch.setattr(posixshmem, "shm_unlink", unlink_and_collect)
+        store.close()
+        assert sorted(unlinked) == sorted(names)  # each exactly once
+        assert not store.names() and names.isdisjoint(_shm_blocks())
+        assert store.retirement()[0] == 6
+        store.close()  # idempotent
+        assert store.retirement()[0] == 6
+
+    def test_worker_releases_what_the_parent_retired(self, monkeypatch):
+        """The worker half of a retirement, run in this process: the
+        retired suffix names what to unmap, and a worker that has
+        fallen behind the suffix unmaps everything."""
+        monkeypatch.setattr(backends, "RETIRED_SUFFIX", 2)
+        monkeypatch.setattr(backends, "_ATTACHED_BLOCKS", {})
+        monkeypatch.setattr(backends, "_RETIRED_SEEN", 0)
+        store = SharedArrayStore()
+        arrays = {k: np.full(1024, i, dtype=np.int64) for i, k in enumerate("abcdef")}
+        names = {k: store.export(a)[0] for k, a in arrays.items()}
+        views = backends._loads_shared(backends._dumps_shared(arrays, store))
+        assert all(np.array_equal(views[k], arrays[k]) for k in arrays)
+        assert not views["a"].flags.writeable
+        assert set(backends._ATTACHED_BLOCKS) == set(names.values())
+
+        views.clear()  # a worker keeps no view from one task to the next
+        del arrays["a"], arrays["b"]
+        gc.collect()
+        backends._release_retired(*store.retirement())
+        assert set(backends._ATTACHED_BLOCKS) == {names[k] for k in "cdef"}
+        backends._release_retired(*store.retirement())  # nothing new: a no-op
+        assert set(backends._ATTACHED_BLOCKS) == {names[k] for k in "cdef"}
+
+        del arrays["c"], arrays["d"], arrays["e"]  # three retirements > suffix of 2
+        gc.collect()
+        retired, recent = store.retirement()
+        assert retired == 5 and len(recent) == 2
+        backends._release_retired(retired, recent)
+        assert backends._ATTACHED_BLOCKS == {}  # fell behind: everything unmapped
+        # ... and what is still live re-attaches on its next use
+        again = backends._loads_shared(backends._dumps_shared(arrays, store))
+        assert np.array_equal(again["f"], arrays["f"])
+        assert set(backends._ATTACHED_BLOCKS) == {names["f"]}
+        with pytest.raises(ValueError):
+            again["f"][0] = 1  # the mapping is read-only: base data is immutable
+        del again
+        backends._ATTACHED_BLOCKS.pop(names["f"]).close()
+        store.close()
+
+
+def _worker_attachments(retirement):
+    """Runs in a pool worker: what a task does first, then the names
+    of the blocks the worker is attached to.  The nap lets the other
+    workers take the next probes."""
+    backends._release_retired(*retirement)
+    time.sleep(0.05)
+    return os.getpid(), set(backends._ATTACHED_BLOCKS)
+
+
+def _guarded(target, seconds=5.0) -> dict:
+    """Run ``target`` on a thread under a watchdog: ``{"value": ...}``
+    or ``{"error": ...}``, and a failed test — not a stuck suite — if it
+    has not come back after ``seconds``."""
+    outcome = {}
+
+    def body():
+        try:
+            outcome["value"] = target()
+        except BaseException as error:  # handed to the test, which asserts on it
+            outcome["error"] = error
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no outcome after {seconds} s: the backend hangs"
+    return outcome
+
+
+class _WorkerFault:
+    """Stands in for ``backends.run_fragment``: once armed, the next
+    fragment to start in a *pool worker* dies or raises (one shot — the
+    flag is shared memory the forked workers inherit); everything else
+    runs the real function."""
+
+    KILL, RAISE = 1, 2
+
+    def __init__(self):
+        self._armed = multiprocessing.get_context("fork").Value("i", 0)
+        self._parent = os.getpid()
+        self._real = backends.run_fragment
+
+    def arm(self, kind: int) -> None:
+        self._armed.value = kind
+
+    def __call__(self, *args, **kwargs):
+        if os.getpid() != self._parent:
+            with self._armed.get_lock():
+                kind, self._armed.value = self._armed.value, 0
+            if kind == self.KILL:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if kind == self.RAISE:
+                raise ValueError("injected fragment failure")
+        return self._real(*args, **kwargs)
+
+
+@pytest.fixture
+def worker_fault(monkeypatch):
+    backends.shutdown()  # the next pool is forked with the stand-in in place
+    fault = _WorkerFault()
+    monkeypatch.setattr(backends, "run_fragment", fault)
+    yield fault
+    backends.shutdown()  # ... and no later test gets those workers
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the injected fault reaches the workers through fork",
+)
+class TestFailureIsDefined:
+    def test_killed_worker_is_a_named_error_not_a_hang(
+        self, bdcc_db, environment, worker_fault
+    ):
+        """Regression: a SIGKILLed pool worker never fired its callback
+        and ``execute_fragments`` blocked on ``events.get()`` forever."""
+        sim_rel, _ = _run(bdcc_db, environment, "Q06", workers=2)
+        process = lambda: _run(bdcc_db, environment, "Q06", workers=2, backend="process")
+        process()  # forks the pool, from the main thread
+        starts = REGISTRY.get("process_backend.pool_starts")
+        worker_fault.arm(_WorkerFault.KILL)
+        error = _guarded(process).get("error")
+        assert isinstance(error, RuntimeError), error
+        assert "process backend: a pool worker died" in str(error)
+        assert isinstance(error.__cause__, BrokenProcessPool)
+        assert backends._POOL is None  # the broken pool is gone ...
+        proc_rel, proc_metrics = process()  # ... and the next query forks a fresh one
+        assert REGISTRY.get("process_backend.pool_starts") == starts + 1
+        assert _identical(sim_rel, proc_rel)
+        assert proc_metrics.backend == "process"
+
+    def test_raising_fragment_is_a_named_error_and_the_pool_survives(
+        self, bdcc_db, environment, worker_fault
+    ):
+        sim_rel, _ = _run(bdcc_db, environment, "Q01", workers=2)
+        process = lambda: _run(bdcc_db, environment, "Q01", workers=2, backend="process")
+        process()
+        starts = REGISTRY.get("process_backend.pool_starts")
+        worker_fault.arm(_WorkerFault.RAISE)
+        error = _guarded(process).get("error")
+        assert isinstance(error, RuntimeError), error
+        assert "process backend: a fragment failed in a pool worker" in str(error)
+        assert isinstance(error.__cause__, ValueError)
+        assert "injected fragment failure" in str(error.__cause__)
+        proc_rel, _ = process()  # same pool, clean result
+        assert REGISTRY.get("process_backend.pool_starts") == starts
+        assert _identical(sim_rel, proc_rel)
+
+
+@needs_dev_shm
+class TestOnePoolOneExport:
+    def test_the_promise_is_a_count(self, physical_dbs, environment):
+        """Cold executors (``run_query`` makes one per query) share one
+        pool and one export: the second pass forks nothing and copies
+        only its plans' own arrays, which die with the plans."""
+        counters = [
+            "process_backend.pool_starts", "process_backend.blocks_exported",
+            "process_backend.bytes_exported", "process_backend.blocks_retired",
+        ]
+        options = ExecutionOptions(workers=2, min_partition_rows=256, backend="process")
+
+        def one_pass() -> dict:
+            before = {name: REGISTRY.get(name) for name in counters}
+            for qname in ("Q01", "Q03", "Q06"):
+                for scheme in ("plain", "bdcc"):
+                    run_query(
+                        physical_dbs[scheme], QUERIES[qname], disk=environment.disk,
+                        costs=environment.cost_model, options=options,
+                    )
+            gc.collect()
+            backends._STORE.retirement()  # settles what the collection retired
+            return {name: REGISTRY.get(name) - before[name] for name in counters}
+
+        backends.shutdown()
+        first, second = one_pass(), one_pass()
+        assert first["process_backend.pool_starts"] == 1
+        assert second["process_backend.pool_starts"] == 0
+        assert first["process_backend.blocks_exported"] > 0
+        assert (
+            second["process_backend.bytes_exported"]
+            < 0.2 * first["process_backend.bytes_exported"]
+        )
+        assert first["process_backend.blocks_retired"] > 0
+        # the second pass retires exactly what it exported: nothing accumulates
+        assert (
+            second["process_backend.blocks_retired"]
+            == second["process_backend.blocks_exported"]
+        )
+
+    def test_shutdown_is_idempotent_and_the_next_query_recreates(
+        self, bdcc_db, environment
+    ):
+        backends.shutdown()
+        before = _shm_blocks()
+        first, _ = _run(bdcc_db, environment, "Q06", workers=2, backend="process")
+        assert backends._POOL is not None and backends._STORE.names()
+        assert _shm_blocks() - before == backends._STORE.names()
+        backends.shutdown()
+        backends.shutdown()
+        assert backends._POOL is None and not backends._STORE.names()
+        assert _shm_blocks() == before
+        again, metrics = _run(bdcc_db, environment, "Q06", workers=2, backend="process")
+        assert _identical(first, again) and metrics.backend == "process"
+
+
 # -------------------------------------------------- backend matrix (CI job)
 
 
@@ -186,12 +487,12 @@ class TestProcessBackendMatrix:
                 sim_metrics.makespan_seconds
             ), (scheme, qname, workers)
 
+    @needs_dev_shm
     def test_delta_store_round_survives_epoch_changes(self):
         """Commit through the update subsystem between process-backend
         runs: compaction/epoch bumps create new base arrays, so a stale
-        shared-memory export keyed to a dead array would surface here."""
-        import numpy as np
-
+        shared-memory export keyed to a dead array would surface here —
+        and the dead epoch's blocks must not outlive it."""
         from repro import tpch
         from repro.execution.expressions import col
         from repro.tpch.environment import make_environment
@@ -238,9 +539,96 @@ class TestProcessBackendMatrix:
                         sim_result.relation, proc_result.relation
                     ), (round_index, qname)
                     assert proc.metrics.backend == "process"
+
+            # a compaction rewrites the table into new arrays: the old
+            # epoch's column blocks are retired with the arrays, before
+            # any query of the new epoch runs ...
+            store = backends._STORE
+            old_columns = {
+                store.export(array)[0]
+                for array in pdb.table("lineitem").columns.values()
+                if store.exportable(array)
+            }
+            assert old_columns and old_columns <= _shm_blocks()
+            session.policy = CompactionPolicy(max_delta_fraction=0.0, min_delta_rows=1)
+            session.delete_where("lineitem", col("l_quantity").ge(47.0))
+            assert session.commit().compacted_tables("bdcc") == ["lineitem"]
+            gc.collect()
+            assert old_columns.isdisjoint(store.names())
+            assert old_columns.isdisjoint(_shm_blocks())
+            for qname in ("Q06", "Q01"):
+                sim_result = QUERIES[qname](QueryRunner(baseline))
+                proc_result = QUERIES[qname](QueryRunner(executor))
+                assert _identical(sim_result.relation, proc_result.relation), qname
+            # ... and what only the executors' caches kept alive (old
+            # plans and their per-plan arrays) goes when they drop it
+            live = len(store.names())
+            for cached in (executor, baseline):
+                cached._plan_cache.clear()
+                cached._fragment_cache.clear()
+            gc.collect()
+            assert len(store.names()) < live
+            assert store.names() <= _shm_blocks()
         finally:
             executor.close()
             baseline.close()
+
+    def test_workers_hold_only_live_blocks(self, bdcc_db, environment):
+        """Cold executors lower afresh, so every round exports new
+        per-plan arrays and retires the previous round's: the store must
+        not grow, and no worker may stay attached to a retired block."""
+        backends.shutdown()
+        live_counts = []
+        for _ in range(6):
+            for qname in ("Q06", "Q01", "Q03"):
+                _run(bdcc_db, environment, qname, workers=2, backend="process")
+            gc.collect()
+            retirement = backends._STORE.retirement()
+            live = backends._STORE.names()
+            live_counts.append(len(live))
+            probes = [
+                backends._pool(2).submit(_worker_attachments, retirement)
+                for _ in range(8)
+            ]
+            attached = dict(probe.result(timeout=30) for probe in probes)
+            assert any(attached.values())
+            for pid, names in attached.items():
+                assert names <= live, (pid, sorted(names - live))
+        assert retirement[0] > 0
+        assert live_counts[2] == live_counts[5], live_counts
+
+    @needs_dev_shm
+    def test_exit_without_close_leaves_nothing_behind(self):
+        """A process that runs a process-backend query and just exits —
+        no ``close()``, no ``shutdown()`` — unlinks its blocks through
+        ``atexit`` and gives the resource tracker nothing to report."""
+        script = (
+            "from repro import tpch\n"
+            "from repro.planner.executor import ExecutionOptions\n"
+            "from repro.tpch.environment import make_environment\n"
+            "from repro.tpch.harness import build_schemes\n"
+            "from repro.tpch.queries import QUERIES\n"
+            "from repro.tpch.runner import run_query\n"
+            "from repro.parallel import backends\n"
+            "db = tpch.generate(scale_factor=0.002, seed=1234)\n"
+            "env = make_environment(0.002)\n"
+            "pdb = build_schemes(db, env, include=['bdcc'])['bdcc']\n"
+            "options = ExecutionOptions(workers=2, min_partition_rows=256, backend='process')\n"
+            "result, metrics = run_query(pdb, QUERIES['Q06'], disk=env.disk,\n"
+            "                            costs=env.cost_model, options=options)\n"
+            "assert metrics.backend == 'process' and backends._STORE.names()\n"
+            "print('blocks', len(backends._STORE.names()))\n"
+        )
+        before = _shm_blocks()
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("blocks ")
+        assert "leaked shared_memory" not in done.stderr, done.stderr
+        assert "resource_tracker" not in done.stderr, done.stderr
+        assert _shm_blocks() == before
 
     def test_seeded_workload_property(self, physical_dbs, environment):
         """Differential oracle over generated plans with process-backend
