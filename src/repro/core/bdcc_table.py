@@ -260,10 +260,7 @@ def _consolidate_small_groups(
         return
 
     small_indices = np.flatnonzero(small)  # already in key order
-    pieces = [
-        np.arange(ct.offsets[i], ct.offsets[i] + ct.counts[i]) for i in small_indices
-    ]
-    moved = np.concatenate(pieces)
+    moved = ct.rows_for_entries(small_indices)
     base = bdcc.stored_rows
     bdcc.row_source = np.concatenate([bdcc.row_source, bdcc.row_source[moved]])
     bdcc.keys = np.concatenate([bdcc.keys, bdcc.keys[moved]])

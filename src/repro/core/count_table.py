@@ -11,11 +11,11 @@ read through the original entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["CountTable"]
+__all__ = ["CountTable", "expand_runs"]
 
 
 @dataclass
@@ -120,28 +120,42 @@ class CountTable:
         mask = self.valid if entry_mask is None else (self.valid & entry_mask)
         return np.flatnonzero(mask)
 
-    def row_runs(self, entries: np.ndarray) -> List[Tuple[int, int]]:
-        """``(offset, length)`` runs for the given entries, with adjacent
-        runs merged — the scatter scan's access list, and the unit the IO
-        model charges seeks for."""
-        runs: List[Tuple[int, int]] = []
-        for idx in np.sort(entries):
-            start = int(self.offsets[idx])
-            length = int(self.counts[idx])
-            if runs and runs[-1][0] + runs[-1][1] == start:
-                prev_start, prev_len = runs[-1]
-                runs[-1] = (prev_start, prev_len + length)
-            else:
-                runs.append((start, length))
-        return runs
+    @property
+    def is_dense(self) -> bool:
+        """True when the entries tile the stored table: every entry is
+        valid, the first starts at row 0 and each next one starts where
+        the previous ends, so the entries' rows are exactly
+        ``0..total_rows()-1`` in storage order.  A consolidated table
+        (invalid originals plus an appended region) is not dense.
+        O(groups)."""
+        return bool(self.valid.all()) and np.array_equal(
+            self.offsets, np.cumsum(self.counts) - self.counts
+        )
 
     def rows_for_entries(self, entries: np.ndarray) -> np.ndarray:
         """Concrete row indices (into the stored order) for the entries,
-        in key order."""
-        pieces = [
-            np.arange(self.offsets[idx], self.offsets[idx] + self.counts[idx])
-            for idx in np.sort(entries)
-        ]
-        if not pieces:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(pieces)
+        in *entry-index* order: entries are visited by ascending index
+        whatever order they are given in, each contributing its rows
+        ``offset..offset+count-1``.  That is key order on a freshly built
+        table; on a consolidated one the moved groups are the last
+        entries, so their rows come last whatever their key.  Always
+        ``int64``; no entries (or only empty ones) give an empty array."""
+        order = np.sort(np.asarray(entries, dtype=np.int64))
+        return expand_runs(self.offsets[order], self.counts[order])
+
+
+def expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``(start, length)`` runs -> the ``int64`` row indices they cover,
+    run after run, in a constant number of numpy calls.
+
+    Position ``p`` of run ``i`` is ``starts[i] + (p - first[i])`` where
+    ``first[i]`` is the output index at which run ``i`` begins; so the
+    result is one ``arange(total)`` plus each run's shift
+    ``starts[i] - first[i]`` repeated ``lengths[i]`` times."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    rows = np.arange(total, dtype=np.int64)
+    rows += np.repeat(starts - (ends - lengths), lengths)
+    return rows

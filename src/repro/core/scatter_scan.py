@@ -19,6 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .count_table import expand_runs
+
 __all__ = ["ScanResult", "ScatterScan"]
 
 
@@ -91,21 +93,18 @@ class ScatterScan:
             entries = entries[order]
             entry_groups = np.zeros(len(entries), dtype=np.uint64)
 
-        rows_pieces: List[np.ndarray] = []
         runs: List[Tuple[int, int]] = []
         for idx in entries:
             start = int(ct.offsets[idx])
             length = int(ct.counts[idx])
-            rows_pieces.append(np.arange(start, start + length, dtype=np.int64))
             if runs and runs[-1][0] + runs[-1][1] == start:
                 prev_start, prev_len = runs[-1]
                 runs[-1] = (prev_start, prev_len + length)
             else:
                 runs.append((start, length))
-        if rows_pieces:
-            rows = np.concatenate(rows_pieces)
-            group_ids = np.repeat(entry_groups, ct.counts[entries])
-        else:
-            rows = np.zeros(0, dtype=np.int64)
-            group_ids = np.zeros(0, dtype=np.uint64)
+        # emission order, not entry-index order: the kernel, not
+        # rows_for_entries (which sorts the entries)
+        counts = ct.counts[entries]
+        rows = expand_runs(ct.offsets[entries], counts)
+        group_ids = np.repeat(entry_groups, counts)
         return ScanResult(rows=rows, group_ids=group_ids, runs=runs)

@@ -253,9 +253,17 @@ class PhysicalScan(PhysicalOp):
     """A table scan with all access-path decisions resolved at lowering:
     the physical copy to read (replica selection), the demanded columns,
     the count-table restrictions (pushdown + propagation), the zone-map
-    ranges that prune — with the resulting row selection already
-    materialised — and the BDCC uses to carry as hidden group columns
-    for downstream sandwich operators."""
+    ranges that prune, the row selection they leave (``selected_rows``)
+    and the BDCC uses to carry as hidden group columns for downstream
+    sandwich operators.
+
+    A selection of the whole table is no selection: ``selected_rows`` is
+    ``None`` whenever the scan reads every stored row in storage order,
+    on every scheme, and the scan then hands its consumers *views* of
+    the stored columns (and of ``bdcc.keys``) — operators never write
+    into the arrays they are handed.  Row indices exist only for scans
+    that really select: pruned groups or blocks, masked deletes, a
+    consolidated BDCC table, a fragment's partition."""
 
     table: str
     alias: str
@@ -267,8 +275,10 @@ class PhysicalScan(PhysicalOp):
     restrictions: Tuple[Tuple[int, np.ndarray, int], ...] = ()
     #: (base_column, low, high) ranges whose zone maps prune blocks.
     minmax_ranges: Tuple[Tuple[str, float, float], ...] = ()
-    #: rows selected by restrictions+minmax (None = full scan), resolved
-    #: once at lowering from metadata and reused on every run.
+    #: sorted int64 stored-row indices left by restrictions + minmax +
+    #: delete masking; None = every stored row in storage order, on
+    #: every scheme.  Resolved once at lowering from metadata and reused
+    #: on every run.
     selected_rows: Optional[np.ndarray] = None
     selection_notes: Tuple[str, ...] = ()
     #: (use_index, effective_bits, hidden_column) BDCC uses to surface.
@@ -1138,4 +1148,5 @@ def _rows_to_runs(rows: np.ndarray) -> List[Tuple[int, int]]:
     breaks = np.flatnonzero(np.diff(rows) != 1)
     starts = np.concatenate([[0], breaks + 1])
     ends = np.concatenate([breaks, [len(rows) - 1]])
-    return [(int(rows[s]), int(rows[e] - rows[s] + 1)) for s, e in zip(starts, ends)]
+    first = rows[starts]
+    return list(zip(first.tolist(), (rows[ends] - first + 1).tolist()))

@@ -20,6 +20,11 @@ Counter names in use:
 ``plan_cache.misses``  ... misses (a fresh lowering ran)
 ``fragment_cache.hits``   fragment-plan cache hits
 ``fragment_cache.misses`` ... misses (the fragmenting pass ran)
+``lowering.scans``     scans in freshly lowered plans (plan-cache misses)
+``lowering.full_scans``   ... whose ``selected_rows`` is None: every stored
+                       row in storage order, no row index materialised
+``lowering.rows_selected`` row indices lowering materialised for the rest
+                       (Σ ``len(selected_rows)``)
 ``queries_executed``   plans run through ``Executor.run``
 ``delta_rows_scanned`` merge-on-read rows served from delta runs
 ``commits``            update-session commits applied

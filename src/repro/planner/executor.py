@@ -41,6 +41,7 @@ from typing import List, Optional, Tuple
 
 from ..execution.cost import DEFAULT_COSTS, CostModel
 from ..execution.metrics import ExecutionMetrics
+from ..execution.operators import PhysicalScan
 from ..execution.relation import Relation
 from ..observe.registry import REGISTRY
 from ..parallel.backends import ExecutionBackend, create_backend
@@ -132,6 +133,12 @@ class Executor:
         REGISTRY.inc("plan_cache.misses")
         with self._span("lower", scheme=self.pdb.scheme_name):
             pplan = lower(self.pdb, node, self.options)
+        # counted here, not in lower(): lowering stays pure
+        scans = [op for op in pplan.operators() if isinstance(op, PhysicalScan)]
+        selected = [op.selected_rows for op in scans if op.selected_rows is not None]
+        REGISTRY.inc("lowering.scans", len(scans))
+        REGISTRY.inc("lowering.full_scans", len(scans) - len(selected))
+        REGISTRY.inc("lowering.rows_selected", sum(map(len, selected)))
         self._plan_cache[key] = (node, pplan)
         while len(self._plan_cache) > _PLAN_CACHE_SIZE:
             self._plan_cache.popitem(last=False)

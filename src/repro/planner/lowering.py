@@ -230,22 +230,31 @@ def _resolve_selection(stored, restrictions, minmax_ranges):
 
     Applies count-table group pruning (``restrictions``) and zone-map
     block pruning (``minmax_ranges``); returns ``(rows, note_bits)``
-    where ``rows`` is None for a full scan.  Computed once here and
-    carried on the :class:`PhysicalScan` for every run."""
+    where ``rows`` is None for "every stored row, in storage order" on
+    every scheme — for a BDCC scan, whenever the surviving groups are
+    all the groups of a dense count table (restrictions or not), which
+    a consolidated table never is.  Computed once here and carried on
+    the :class:`PhysicalScan` for every run."""
     n = stored.stored_rows
     bdcc = stored.bdcc
     note_bits: List[str] = []
+    rows = None  # all rows, in storage order
     if bdcc is not None:
+        count_table = bdcc.count_table
         if restrictions:
             entries = bdcc.entries_matching(list(restrictions))
             note_bits.append(
-                f"pushdown {len(entries)}/{bdcc.count_table.num_groups} groups"
+                f"pushdown {len(entries)}/{count_table.num_groups} groups"
             )
         else:
             entries = bdcc.all_entries()
-        rows = bdcc.count_table.rows_for_entries(entries)
-    else:
-        rows = None  # all rows, in storage order
+        tiles_storage = (
+            len(entries) == count_table.num_entries
+            and count_table.is_dense
+            and count_table.total_rows() == n
+        )
+        if not tiles_storage:
+            rows = count_table.rows_for_entries(entries)
 
     if minmax_ranges and n > 0:
         mask: Optional[np.ndarray] = None

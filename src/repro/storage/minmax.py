@@ -12,7 +12,6 @@ paper exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,24 +53,6 @@ class MinMaxIndex:
         if high is not None:
             keep &= self.mins <= high
         return keep
-
-    def row_runs_overlapping(
-        self, low, high, total_rows: int
-    ) -> List[Tuple[int, int]]:
-        """Qualifying blocks as merged ``(start_row, num_rows)`` runs."""
-        keep = self.blocks_overlapping(low, high)
-        runs: List[Tuple[int, int]] = []
-        for b in np.flatnonzero(keep):
-            start = int(b) * self.block_rows
-            length = min(self.block_rows, total_rows - start)
-            if length <= 0:
-                continue
-            if runs and runs[-1][0] + runs[-1][1] == start:
-                prev_start, prev_len = runs[-1]
-                runs[-1] = (prev_start, prev_len + length)
-            else:
-                runs.append((start, length))
-        return runs
 
     def selectivity(self, low, high) -> float:
         """Fraction of blocks that must be read for the range."""

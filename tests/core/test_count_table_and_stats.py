@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bdcc_table import BDCCBuildConfig, build_bdcc_table
-from repro.core.count_table import CountTable
+from repro.core.count_table import CountTable, expand_runs
 from repro.core.dimension_use import DimensionUse, check_bdcc_constraints
 from repro.core.histograms import choose_granularity, collect_granularity_stats
 from repro.core.scatter_scan import ScatterScan
+from repro.execution.operators import _rows_to_runs
 
 from .test_bdcc_table import _mini_db, _uses
 
@@ -33,14 +34,6 @@ class TestCountTable:
         ct = CountTable.from_sorted_keys(np.zeros(0, dtype=np.uint64), 4, 2)
         assert ct.num_entries == 0 and ct.total_rows() == 0
 
-    def test_row_runs_merge_adjacent(self):
-        keys = np.array([0, 0, 1, 3, 3], dtype=np.uint64)
-        ct = CountTable.from_sorted_keys(keys, 2, 2)
-        runs = ct.row_runs(np.array([0, 1, 2]))
-        assert runs == [(0, 5)]
-        runs = ct.row_runs(np.array([0, 2]))
-        assert runs == [(0, 2), (3, 2)]
-
     def test_bad_granularity(self):
         with pytest.raises(ValueError):
             CountTable.from_sorted_keys(np.zeros(1, dtype=np.uint64), 2, 5)
@@ -55,6 +48,157 @@ class TestCountTable:
         ct = CountTable.from_sorted_keys(keys, 6, g)
         assert ct.total_rows() == len(keys)
         assert np.all(np.diff(ct.keys.astype(np.int64)) > 0)
+
+
+def _rows_per_entry_loop(ct: CountTable, entries) -> np.ndarray:
+    """The per-entry ``arange`` loop ``rows_for_entries`` used to be,
+    kept here as the reference the vectorised kernel must equal."""
+    pieces = [
+        np.arange(ct.offsets[idx], ct.offsets[idx] + ct.counts[idx])
+        for idx in np.sort(entries)
+    ]
+    if not pieces:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(pieces)
+
+
+@st.composite
+def _count_tables(draw):
+    """A random count table — zero-count entries included — and, when
+    drawn, consolidated: some originals invalid, their copies appended
+    as new entries over a region behind the base rows."""
+    counts = np.array(draw(st.lists(st.integers(0, 5), max_size=30)), dtype=np.int64)
+    n = len(counts)
+    offsets = np.cumsum(counts) - counts
+    keys = np.arange(n, dtype=np.uint64)
+    valid = np.ones(n, dtype=bool)
+    moved = np.flatnonzero(
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    )
+    if len(moved):
+        valid[moved] = False
+        moved_counts = counts[moved]
+        base = int(counts.sum())
+        offsets = np.concatenate([offsets, base + np.cumsum(moved_counts) - moved_counts])
+        counts = np.concatenate([counts, moved_counts])
+        keys = np.concatenate([keys, keys[moved]])
+        valid = np.concatenate([valid, np.ones(len(moved), dtype=bool)])
+    ct = CountTable(granularity=6, keys=keys, counts=counts, offsets=offsets, valid=valid)
+    entries = draw(st.lists(st.integers(0, max(len(keys) - 1, 0)), unique=True, max_size=len(keys)))
+    return ct, np.array(entries, dtype=np.int64)
+
+
+class TestRunExpansion:
+    """``rows_for_entries`` is one vectorised kernel; the old loop lives
+    on only as this class's reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_count_tables())
+    def test_kernel_equals_the_per_entry_loop(self, drawn):
+        ct, entries = drawn  # entries arrive unsorted, possibly empty
+        rows = ct.rows_for_entries(entries)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, _rows_per_entry_loop(ct, entries))
+        valid_rows = ct.rows_for_entries(ct.select_entries())
+        assert len(valid_rows) == ct.total_rows()
+        assert len(np.unique(valid_rows)) == len(valid_rows)
+
+    def test_empty_input_is_empty_int64(self):
+        ct = CountTable.from_sorted_keys(np.array([0, 0, 1], dtype=np.uint64), 2, 2)
+        for rows in (
+            ct.rows_for_entries(np.zeros(0, dtype=np.int64)),
+            expand_runs([], []),
+            expand_runs([7, 3], [0, 0]),
+        ):
+            assert rows.dtype == np.int64 and rows.shape == (0,)
+
+    def test_entry_index_order_not_key_order(self):
+        """A consolidated table's moved groups are its last entries, so
+        their rows come last whatever their key."""
+        ct = CountTable(
+            granularity=2,
+            keys=np.array([0, 1, 2, 0], dtype=np.uint64),
+            counts=np.array([1, 2, 1, 1]),
+            offsets=np.array([0, 1, 3, 4]),
+            valid=np.array([False, True, True, True]),
+        )
+        assert ct.rows_for_entries(np.array([3, 2, 1])).tolist() == [1, 2, 3, 4]
+
+    def test_runs_in_the_order_given(self):
+        assert expand_runs([5, 0, 2], [2, 1, 3]).tolist() == [5, 6, 0, 2, 3, 4]
+
+    def test_no_python_loop_over_entries(self, monkeypatch):
+        """The loop cannot come back unnoticed: expanding 100 000 groups
+        makes a constant number of ``np.arange`` calls."""
+        n = 100_000
+        ct = CountTable.from_sorted_keys(
+            np.repeat(np.arange(n, dtype=np.uint64), 2), total_bits=17, granularity=17
+        )
+        assert ct.num_entries == n
+        calls = []
+        real_arange = np.arange
+        monkeypatch.setattr(
+            np, "arange", lambda *a, **k: calls.append(1) or real_arange(*a, **k)
+        )
+        rows = ct.rows_for_entries(ct.select_entries()[::2])
+        monkeypatch.undo()
+        assert len(calls) <= 2
+        assert len(rows) == n and rows[:4].tolist() == [0, 1, 4, 5]
+
+    def test_adjacent_groups_read_as_one_run(self):
+        keys = np.array([0, 0, 1, 3, 3], dtype=np.uint64)
+        ct = CountTable.from_sorted_keys(keys, 2, 2)
+        assert _rows_to_runs(ct.rows_for_entries(np.array([0, 1, 2]))) == [(0, 5)]
+        runs = _rows_to_runs(ct.rows_for_entries(np.array([0, 2])))
+        assert runs == [(0, 2), (3, 2)]
+        assert all(type(v) is int for run in runs for v in run)
+
+
+class TestDenseCountTable:
+    def test_fresh_and_merged_tables_are_dense(self):
+        keys = np.array([0, 0, 1, 3, 3], dtype=np.uint64)
+        ct = CountTable.from_sorted_keys(keys, 2, 2)
+        assert ct.is_dense
+        merged = CountTable.merge_entries(
+            2, ct.keys, ct.counts,
+            added_keys=np.array([2], dtype=np.uint64), added_counts=np.array([4]),
+            removed_keys=np.array([1], dtype=np.uint64), removed_counts=np.array([1]),
+        )
+        assert merged.is_dense and merged.total_rows() == 8
+        assert CountTable.from_sorted_keys(np.zeros(0, dtype=np.uint64), 4, 2).is_dense
+
+    def test_dense_entries_are_the_identity_selection(self):
+        keys = np.sort(np.random.default_rng(3).integers(0, 64, 500).astype(np.uint64))
+        ct = CountTable.from_sorted_keys(keys, 6, 4)
+        assert ct.is_dense
+        assert np.array_equal(ct.rows_for_entries(ct.select_entries()), np.arange(500))
+
+    def test_invalid_gapped_or_shifted_tables_are_not(self):
+        def table(counts, offsets, valid=None):
+            n = len(counts)
+            return CountTable(
+                2, np.arange(n, dtype=np.uint64), np.array(counts), np.array(offsets),
+                np.ones(n, dtype=bool) if valid is None else np.array(valid),
+            )
+
+        assert table([2, 3], [0, 2]).is_dense
+        assert not table([2, 3], [0, 2], valid=[True, False]).is_dense
+        assert not table([2, 3], [0, 3]).is_dense      # a gap
+        assert not table([2, 3], [1, 3]).is_dense      # does not start at row 0
+        assert not table([2, 3], [3, 0]).is_dense      # tiles, but out of storage order
+
+    def test_consolidated_build_is_not_dense(self):
+        db = _mini_db(n_fact=512, seed=2)
+        db.table_data("fact")["f_dkey"][:450] = 0  # one heavy bin, many tiny groups
+        bdcc = build_bdcc_table(
+            db, "fact", _uses(db),
+            BDCCBuildConfig(efficient_access_bytes=512.0, consolidate_max_fraction=0.5),
+        )
+        ct = bdcc.count_table
+        assert not ct.valid.all(), "the fixture must actually consolidate"
+        assert not ct.is_dense
+        rows = ct.rows_for_entries(bdcc.all_entries())
+        assert np.array_equal(np.sort(bdcc.row_source[rows]), np.arange(512))
 
 
 class TestGranularityStats:

@@ -82,11 +82,6 @@ class TestMinMax:
         assert np.all(idx.blocks_overlapping(None, None))
         assert np.count_nonzero(idx.blocks_overlapping(95, None)) == 1
 
-    def test_row_runs_merge(self):
-        idx = MinMaxIndex.build(np.arange(100), 10)
-        runs = idx.row_runs_overlapping(0, 35, total_rows=100)
-        assert runs == [(0, 40)]
-
     def test_random_order_prunes_nothing(self):
         rng = np.random.default_rng(0)
         values = rng.permutation(10_000)
