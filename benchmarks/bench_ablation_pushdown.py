@@ -1,4 +1,4 @@
-"""Ablation: selection pushdown and propagation (DESIGN.md §3).
+"""Ablation: selection pushdown and propagation (ARCHITECTURE.md, Layer 3).
 
 Runs pushdown-heavy queries under BDCC with (a) everything on, (b)
 propagation off (only local-dimension pushdown), (c) pushdown fully off.

@@ -1,4 +1,4 @@
-"""Workload-aware use pruning (future-work extension, DESIGN.md §3).
+"""Workload-aware use pruning (future-work extension, ``repro/core/workload.py``).
 
 LINEITEM carries four dimension uses under the full design.  A
 date-dominated workload lets the analyzer drop the part/supplier uses;

@@ -33,7 +33,8 @@ from repro import (
 from repro.core.bits import mask_to_string
 
 # a device scaled to this toy data volume (A_R = page = 256 B), so the
-# self-tuned count tables get useful granularity — see DESIGN.md §5
+# self-tuned count tables get useful granularity — the scaling rule of
+# repro/tpch/environment.py
 PAGE = 256
 DISK = DiskModel(sequential_bandwidth=1e9, access_latency=PAGE / 4e9)
 

@@ -41,7 +41,7 @@ class BDCCBuildConfig:
     #: "major_minor" (the hand-tuned MDAM-style comparison layout).
     interleave: str = "round_robin"
     #: use the prose variant of Algorithm 1(i) that groups round-robin
-    #: turns by foreign key (see DESIGN.md §5).
+    #: turns by foreign key (see :mod:`repro.core.interleave`).
     fk_grouped: bool = False
     #: consolidate groups smaller than A_R if they hold at most this
     #: fraction of the data; None disables consolidation.

@@ -5,12 +5,12 @@ granularities ``bits(D(U_i))`` of a table's dimension uses, produce the
 masks ``M(U_i)`` that interleave all dimension bits into one clustering
 key of ``B = sum_i bits(D(U_i))`` bits.
 
-Two discrepant readings of Algorithm 1(i) exist in the paper (see
-DESIGN.md §5): the prose groups round-robin turns by foreign key, while
-the published TPC-H dimension-use tables show plain round-robin over the
-dimension uses.  ``assign_masks`` implements the published behaviour by
-default (verified bit-for-bit against the paper's tables) and the prose
-variant behind ``fk_grouped=True``.
+Two discrepant readings of Algorithm 1(i) exist in the paper: the prose
+groups round-robin turns by foreign key, while the published TPC-H
+dimension-use tables show plain round-robin over the dimension uses.
+``assign_masks`` implements the published behaviour by default (verified
+bit-for-bit against the paper's tables) and the prose variant behind
+``fk_grouped=True``.
 """
 
 from __future__ import annotations

@@ -63,6 +63,14 @@ def group_rows(key_columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarra
     return inverse.astype(np.int64), first_rows.astype(np.int64), len(uniques)
 
 
+def _group_sums(group_index: np.ndarray, values: np.ndarray, num_groups: int) -> np.ndarray:
+    """Per-group float64 sums.  ``np.bincount`` answers an empty input
+    with *integer* zeros, weights or not; the cast keeps the column's
+    type independent of how many rows fed it."""
+    sums = np.bincount(group_index, weights=values.astype(np.float64), minlength=num_groups)
+    return sums.astype(np.float64, copy=False)
+
+
 def apply_aggregate(
     spec: AggSpec,
     group_index: np.ndarray,
@@ -85,24 +93,25 @@ def apply_aggregate(
         values = values[mask]
 
     if spec.fn == "sum":
-        return np.bincount(group_index, weights=values.astype(np.float64), minlength=num_groups)
+        return _group_sums(group_index, values, num_groups)
     if spec.fn == "avg":
-        sums = np.bincount(group_index, weights=values.astype(np.float64), minlength=num_groups)
+        sums = _group_sums(group_index, values, num_groups)
         counts = np.bincount(group_index, minlength=num_groups)
         with np.errstate(invalid="ignore", divide="ignore"):
             return sums / counts
     if spec.fn in ("min", "max"):
         if values.dtype.kind == "U":
-            # string extrema via per-group sort (rare; small inputs)
+            # string extrema via per-group sort (rare; small inputs): the
+            # first (min) or last (max) row of each group's run — no run,
+            # hence nothing to pick, when the input is empty
             order = np.lexsort((values, group_index))
             gsorted = group_index[order]
-            boundaries = np.flatnonzero(np.diff(np.append(-1, gsorted)))
-            out = np.empty(num_groups, dtype=values.dtype)
             if spec.fn == "min":
-                out[gsorted[boundaries]] = values[order][boundaries]
+                picks = np.flatnonzero(np.diff(np.append(-1, gsorted)))
             else:
-                last = np.append(boundaries[1:], len(gsorted)) - 1
-                out[gsorted[boundaries]] = values[order][last]
+                picks = np.flatnonzero(np.diff(np.append(gsorted, -1)))
+            out = np.empty(num_groups, dtype=values.dtype)
+            out[gsorted[picks]] = values[order][picks]
             return out
         init = np.inf if spec.fn == "min" else -np.inf
         out = np.full(num_groups, init, dtype=np.float64)
@@ -194,29 +203,19 @@ def merge_partial_aggregates(
     Matches the serial kernels' output dtypes and null semantics
     exactly: counts come back int64, an all-null group's min/max
     reproduces the serial sentinel (0 for ints, ±inf for floats), and
-    an empty group set yields empty float columns."""
+    an empty group set yields the same kernels' zero-length output — an
+    integer extremum stays int64 when a partition filtered to nothing."""
     out: Dict[str, np.ndarray] = {}
     for m in merges:
-        if num_groups == 0:
-            out[m.name] = np.zeros(0)
-            continue
         values = np.asarray(columns[m.value])
         if m.fn == "sum":
-            out[m.name] = np.bincount(
-                group_index, weights=values.astype(np.float64), minlength=num_groups
-            )
+            out[m.name] = _group_sums(group_index, values, num_groups)
         elif m.fn == "count":
-            out[m.name] = np.bincount(
-                group_index, weights=values.astype(np.float64), minlength=num_groups
-            ).astype(np.int64)
+            out[m.name] = _group_sums(group_index, values, num_groups).astype(np.int64)
         elif m.fn == "avg":
-            sums = np.bincount(
-                group_index, weights=values.astype(np.float64), minlength=num_groups
-            )
-            counts = np.bincount(
-                group_index,
-                weights=np.asarray(columns[m.count], dtype=np.float64),
-                minlength=num_groups,
+            sums = _group_sums(group_index, values, num_groups)
+            counts = _group_sums(
+                group_index, np.asarray(columns[m.count]), num_groups
             ).astype(np.int64)
             with np.errstate(invalid="ignore", divide="ignore"):
                 out[m.name] = sums / counts

@@ -283,7 +283,6 @@ class PhysicalScan(PhysicalOp):
     selection_notes: Tuple[str, ...] = ()
     #: (use_index, effective_bits, hidden_column) BDCC uses to surface.
     sandwich_uses: Tuple[Tuple[int, int, str], ...] = ()
-    sorted_on: Tuple[str, ...] = ()
     est_rows: float = 0.0
     rationale: str = ""
     replica_note: str = ""
@@ -348,28 +347,17 @@ class PhysicalScan(PhysicalOp):
     def _finish(self, ctx: ExecutionContext, columns, keys, num_selected, note_bits):
         """Surface hidden group columns, assemble the relation, apply the
         residual predicate."""
-        bdcc = self.stored.bdcc
-        owners = {name: self.alias for name in columns}
-        uses: List[StreamUse] = []
         if self.sandwich_uses:
+            uses = self.stored.bdcc.uses
             for use_index, eff_bits, column_name in self.sandwich_uses:
-                use = bdcc.uses[use_index]
                 # top eff_bits positions of the full mask == the use's
                 # bits that survive at count-table granularity
-                columns[column_name] = gather_use_bits(keys, use.mask, eff_bits)
-                uses.append(
-                    StreamUse(self.alias, use.dimension, use.path, eff_bits, column_name)
-                )
+                columns[column_name] = gather_use_bits(keys, uses[use_index].mask, eff_bits)
             ctx.metrics.charge_cpu(
-                num_selected * ctx.costs.sandwich_row_overhead * max(len(uses), 1),
+                num_selected * ctx.costs.sandwich_row_overhead * len(self.sandwich_uses),
                 "scan",
             )
-        rel = Relation(
-            columns=columns,
-            sorted_on=self.sorted_on,
-            uses=uses,
-            owners=owners,
-        )
+        rel = Relation(columns=columns)
         if note_bits:
             ctx.metrics.note(f"scan {self.alias}: " + ", ".join(note_bits))
 
@@ -403,8 +391,8 @@ class DeltaMergeScan(PhysicalScan):
     pushdown keeps pruning deltas zone-wise.  The merged stream restores
     the scheme's storage order — ``_bdcc_``-key order (stable: base rows
     before delta rows, runs in commit order) on BDCC, primary-key order
-    on PK, arrival order on Plain — so every stream property the planner
-    guaranteed (``sorted_on``, carried dimension uses) holds with deltas
+    on PK, arrival order on Plain — so every stream property lowering
+    inferred (sort order, carried dimension uses) holds with deltas
     present and merge/sandwich strategies keep firing.
     """
 
@@ -544,8 +532,16 @@ class PhysicalFilter(PhysicalOp):
 # --------------------------------------------------------------- project
 @dataclass(eq=False)
 class PhysicalProject(PhysicalOp):
+    """Evaluates ``exprs`` and forwards ``carry``: the hidden group
+    columns of the dimension uses the input stream still carries, as
+    inferred at lowering — the sandwich operators above read them.  Not
+    "every ``__grp__`` column": a null-extended left-join side's group
+    columns stay in ``columns`` after their uses were dropped, and are
+    not forwarded."""
+
     input: PhysicalOp
     exprs: Tuple[Tuple[str, Expr], ...]
+    carry: Tuple[str, ...] = ()
     rationale: str = ""
 
     kind = "Project"
@@ -559,26 +555,18 @@ class PhysicalProject(PhysicalOp):
     def execute(self, ctx: ExecutionContext) -> Relation:
         rel = self.input.run(ctx)
         columns: Dict[str, np.ndarray] = {}
-        owners: Dict[str, str] = {}
         valid: Dict[str, np.ndarray] = {}
         expr_cost = 0.0
         for name, expr in self.exprs:
             columns[name] = np.asarray(expr.eval(rel))
             if not isinstance(expr, Col):
                 expr_cost += rel.num_rows * ctx.costs.expr_value
-            if isinstance(expr, Col):
-                if expr.name in rel.owners:
-                    owners[name] = rel.owners[expr.name]
-                if expr.name in rel.valid:
-                    valid[name] = rel.valid[expr.name]
+            elif expr.name in rel.valid:
+                valid[name] = rel.valid[expr.name]
         ctx.metrics.charge_cpu(expr_cost, "project")
-        live_uses = [u for u in rel.uses if u.column in rel.columns]
-        for use in live_uses:
-            columns[use.column] = rel.columns[use.column]
-        sorted_on = rel.sorted_on if all(c in columns for c in rel.sorted_on) else ()
-        return Relation(
-            columns=columns, valid=valid, sorted_on=sorted_on, uses=live_uses, owners=owners
-        )
+        for name in self.carry:
+            columns[name] = rel.columns[name]
+        return Relation(columns=columns, valid=valid)
 
 
 # ----------------------------------------------------------------- joins
@@ -633,7 +621,7 @@ class MergeJoin(_JoinOp):
             return left.filter(keep)
         lidx, ridx = inner_join_pairs(lkeys, rkeys)
         ctx.metrics.charge_cpu(len(lidx) * ctx.costs.join_output_row, "join")
-        return _assemble_inner(left, right, lidx, ridx, order_from="left")
+        return _assemble_inner(left, right, lidx, ridx)
 
 
 @dataclass(eq=False)
@@ -689,19 +677,17 @@ class HashJoin(_JoinOp):
             # PK scheme's key order through an earlier N:1 join
             if build_is_left:
                 ridx, lidx = inner_join_pairs(rkeys, lkeys)
-                order_from = "right"
             else:
                 lidx, ridx = inner_join_pairs(lkeys, rkeys)
-                order_from = "left"
             if self.residual is not None:
-                joined = _assemble_inner(left, right, lidx, ridx, order_from)
+                joined = _assemble_inner(left, right, lidx, ridx)
                 mask = np.asarray(self.residual.eval(joined), dtype=bool)
                 ctx.metrics.charge_cpu(len(lidx) * costs.expr_value, "join")
                 joined = joined.filter(mask)
                 ctx.metrics.charge_cpu(joined.num_rows * costs.join_output_row, "join")
                 return joined
             ctx.metrics.charge_cpu(len(lidx) * costs.join_output_row, "join")
-            return _assemble_inner(left, right, lidx, ridx, order_from)
+            return _assemble_inner(left, right, lidx, ridx)
         if how == "left":
             lidx, ridx = left_join_pairs(lkeys, rkeys)
             ctx.metrics.charge_cpu(len(lidx) * costs.join_output_row, "join")
@@ -776,9 +762,9 @@ class SandwichJoin(HashJoin):
 
 
 # ----------------------------------------------------- join assembly
-def _assemble_inner(left, right, lidx, ridx, order_from: str) -> Relation:
-    lpart = left.take(lidx, keep_sorted=order_from == "left")
-    rpart = right.take(ridx, keep_sorted=order_from == "right")
+def _assemble_inner(left, right, lidx, ridx) -> Relation:
+    lpart = left.take(lidx)
+    rpart = right.take(ridx)
     columns = dict(lpart.columns)
     valid = dict(lpart.valid)
     for name, arr in rpart.columns.items():
@@ -787,22 +773,13 @@ def _assemble_inner(left, right, lidx, ridx, order_from: str) -> Relation:
     for name, mask in rpart.valid.items():
         if name not in valid:
             valid[name] = mask
-    owners = dict(left.owners)
-    owners.update(right.owners)
-    uses = list(lpart.uses) + [u for u in rpart.uses if u.column in columns]
-    return Relation(
-        columns=columns,
-        valid=valid,
-        sorted_on=lpart.sorted_on if order_from == "left" else rpart.sorted_on,
-        uses=uses,
-        owners=owners,
-    )
+    return Relation(columns=columns, valid=valid)
 
 
 def _assemble_left(left, right, lidx, ridx) -> Relation:
     matched = ridx >= 0
     safe_ridx = np.where(matched, ridx, 0)
-    lpart = left.take(lidx, keep_sorted=True)
+    lpart = left.take(lidx)
     if right.num_rows == 0:
         # nothing to gather: null-extend with typed placeholders
         rpart = Relation(
@@ -810,7 +787,6 @@ def _assemble_left(left, right, lidx, ridx) -> Relation:
                 name: np.zeros(len(lidx), dtype=arr.dtype)
                 for name, arr in right.columns.items()
             },
-            owners=dict(right.owners),
         )
     else:
         rpart = right.take(safe_ridx)
@@ -821,16 +797,33 @@ def _assemble_left(left, right, lidx, ridx) -> Relation:
             columns[name] = arr
             prior = rpart.valid.get(name)
             valid[name] = matched if prior is None else (matched & prior)
-    owners = dict(left.owners)
-    owners.update(right.owners)
-    # right-side uses are not valid on unmatched rows; drop them
-    uses = list(lpart.uses)
-    return Relation(
-        columns=columns, valid=valid, sorted_on=lpart.sorted_on, uses=uses, owners=owners
-    )
+    return Relation(columns=columns, valid=valid)
 
 
 # ----------------------------------------------------------- aggregation
+def _group_by(rel: Relation, keys: Tuple[str, ...]):
+    """``(group index per row, representative row per group, number of
+    groups)`` of ``rel`` under ``keys``; no keys is one group, no rows is
+    no group.  Shared by every aggregation operator."""
+    n = rel.num_rows
+    if keys:
+        if n:
+            return group_rows([rel.column(k) for k in keys])
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
+    group_index = np.zeros(n, dtype=np.int64)
+    first_rows = np.zeros(1 if n else 0, dtype=np.int64)
+    return group_index, first_rows, 1 if n else 0
+
+
+def _state_row_bytes(rel: Relation, keys: Tuple[str, ...], num_states: int) -> float:
+    """Bytes of one group's entry in an aggregation table."""
+    return (
+        (rel.row_bytes(list(keys)) if keys else 0.0)
+        + num_states * _AGG_STATE_BYTES
+        + _HASH_ENTRY_OVERHEAD
+    )
+
+
 @dataclass(eq=False)
 class _AggOp(PhysicalOp):
     input: PhysicalOp
@@ -851,44 +844,20 @@ class _AggOp(PhysicalOp):
         keys = ", ".join(self.keys) if self.keys else "<scalar>"
         return f"{self.kind} [{keys}] -> {aggs}"
 
-    # ---------------------------------------------------- shared plumbing
-    def _group(self, rel: Relation):
-        n = rel.num_rows
-        if self.keys:
-            key_arrays = [rel.column(k) for k in self.keys]
-            if n:
-                return group_rows(key_arrays)
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
-        group_index = np.zeros(n, dtype=np.int64)
-        first_rows = np.zeros(1 if n else 0, dtype=np.int64)
-        return group_index, first_rows, 1 if n else 0
-
-    def _state_row(self, rel: Relation) -> float:
-        return (
-            (rel.row_bytes(list(self.keys)) if self.keys else 0.0)
-            + len(self.aggs) * _AGG_STATE_BYTES
-            + _HASH_ENTRY_OVERHEAD
-        )
-
     def _account(self, ctx, rel, group_index, num_groups, state_row) -> List[StreamUse]:
         """Strategy-specific cost/memory accounting; returns the stream
-        uses the output carries."""
+        uses whose hidden group columns the output keeps."""
         raise NotImplementedError
 
     def execute(self, ctx: ExecutionContext) -> Relation:
         rel = self.input.run(ctx)
         n = rel.num_rows
-        group_index, first_rows, num_groups = self._group(rel)
-        state_row = self._state_row(rel)
+        group_index, first_rows, num_groups = _group_by(rel, self.keys)
+        state_row = _state_row_bytes(rel, self.keys, len(self.aggs))
         out_uses = self._account(ctx, rel, group_index, num_groups, state_row)
 
         # ---- execute (strategy-independent kernels) ---------------------
-        columns: Dict[str, np.ndarray] = {}
-        owners: Dict[str, str] = {}
-        for key in self.keys:
-            columns[key] = rel.column(key)[first_rows]
-            if key in rel.owners:
-                owners[key] = rel.owners[key]
+        columns = {key: rel.column(key)[first_rows] for key in self.keys}
         for spec in self.aggs:
             values = None
             valid = None
@@ -897,21 +866,11 @@ class _AggOp(PhysicalOp):
                 if isinstance(spec.expr, Col):
                     valid = rel.valid.get(spec.expr.name)
                 ctx.metrics.charge_cpu(n * ctx.costs.expr_value, "aggregate")
-            elif spec.fn == "count":
-                pass
-            if num_groups == 0:
-                columns[spec.name] = np.zeros(0)
-                continue
             columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, valid)
 
         for use in out_uses:
             columns[use.column] = rel.columns[use.column][first_rows]
-        return Relation(
-            columns=columns,
-            sorted_on=tuple(self.keys),
-            uses=list(out_uses),
-            owners=owners,
-        )
+        return Relation(columns=columns)
 
 
 @dataclass(eq=False)
@@ -1038,25 +997,8 @@ class MergeAgg(PhysicalOp):
     def execute(self, ctx: ExecutionContext) -> Relation:
         rel = self.input.run(ctx)
         n = rel.num_rows
-        if self.keys:
-            if n:
-                group_index, first_rows, num_groups = group_rows(
-                    [rel.column(k) for k in self.keys]
-                )
-            else:
-                group_index = np.zeros(0, dtype=np.int64)
-                first_rows = np.zeros(0, dtype=np.int64)
-                num_groups = 0
-        else:
-            group_index = np.zeros(n, dtype=np.int64)
-            first_rows = np.zeros(1 if n else 0, dtype=np.int64)
-            num_groups = 1 if n else 0
-        state_row = (
-            (rel.row_bytes(list(self.keys)) if self.keys else 0.0)
-            + len(self.merges) * _AGG_STATE_BYTES
-            + _HASH_ENTRY_OVERHEAD
-        )
-        total_state = num_groups * state_row
+        group_index, first_rows, num_groups = _group_by(rel, self.keys)
+        total_state = num_groups * _state_row_bytes(rel, self.keys, len(self.merges))
         ctx.hold("agg:merge", total_state)
         factor = ctx.costs.cache_factor(total_state)
         ctx.metrics.charge_cpu(n * ctx.costs.agg_update_row * factor, "aggregate")
@@ -1065,16 +1007,11 @@ class MergeAgg(PhysicalOp):
                 f"merge aggregation on {self.keys}: {num_groups} groups "
                 f"from {n} partial rows"
             )
-        columns: Dict[str, np.ndarray] = {}
-        owners: Dict[str, str] = {}
-        for key in self.keys:
-            columns[key] = rel.column(key)[first_rows]
-            if key in rel.owners:
-                owners[key] = rel.owners[key]
+        columns = {key: rel.column(key)[first_rows] for key in self.keys}
         columns.update(
             merge_partial_aggregates(self.merges, group_index, num_groups, rel.columns)
         )
-        return Relation(columns=columns, sorted_on=tuple(self.keys), owners=owners)
+        return Relation(columns=columns)
 
 
 # ------------------------------------------------------------ sort/limit
@@ -1114,8 +1051,6 @@ class Sort(PhysicalOp):
         ctx.metrics.charge_cpu(
             n * max(math.log2(max(n, 2)), 1.0) * ctx.costs.sort_row, "sort"
         )
-        if all(asc for _, asc in self.keys):
-            rel.sorted_on = tuple(c for c, _ in self.keys)
         return rel
 
 
@@ -1137,7 +1072,7 @@ class Limit(PhysicalOp):
     def execute(self, ctx: ExecutionContext) -> Relation:
         rel = self.input.run(ctx)
         if rel.num_rows > self.count:
-            rel = rel.take(np.arange(self.count), keep_sorted=True)
+            rel = rel.take(np.arange(self.count))
         return rel
 
 

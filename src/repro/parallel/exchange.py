@@ -24,10 +24,10 @@ unchanged:
   partition order*.  With ``preserve_order=True`` the fragments
   partition a stream into contiguous ascending storage ranges, so the
   concatenation reproduces the serial stream exactly — same rows, same
-  order, same physical properties — the **bit-identical** result
-  contract.  A co-partitioned join's gather instead sets
-  ``preserve_order=False, canonical=True``: its inputs are bin-major,
-  not storage-major, so the gather drops the order property and the
+  order — the **bit-identical** result contract.  A co-partitioned
+  join's gather instead sets ``preserve_order=False, canonical=True``:
+  its inputs are bin-major, not storage-major, so the plan stops
+  claiming the serial order (``ParallelPlan.reorders``) and the
   concatenation *in fragment-key order* becomes the **canonical order**
   of the order-insensitive result contract — a deterministic row order
   that is not the serial one (see docs/execution-model.md).
@@ -54,14 +54,14 @@ from ..execution.relation import Relation
 __all__ = ["Exchange", "Repartition", "UnionAll", "concat_relations", "rebin_ids"]
 
 
-def concat_relations(rels: List[Relation], preserve_order: bool = True) -> Relation:
+def concat_relations(rels: List[Relation]) -> Relation:
     """Concatenate structurally identical relations (the outputs of the
     partition fragments of one split stream) in list order.
 
     Columns are concatenated per name; validity masks are extended with
-    all-valid runs for parts that lack one.  Physical properties carry
-    over only when every part agrees and ``preserve_order`` vouches the
-    parts arrive in stream order."""
+    all-valid runs for parts that lack one.  Whether the result is the
+    serial stream is the plan's business (``UnionAll.preserve_order``),
+    not the batch's."""
     if not rels:
         return Relation(columns={})
     base = rels[0]
@@ -78,14 +78,7 @@ def concat_relations(rels: List[Relation], preserve_order: bool = True) -> Relat
                 for r in rels
             ]
         )
-    sorted_on: Tuple[str, ...] = ()
-    if preserve_order and all(r.sorted_on == base.sorted_on for r in rels):
-        sorted_on = base.sorted_on
-    owners: Dict[str, str] = {}
-    for r in rels:
-        owners.update(r.owners)
-    uses = [u for u in base.uses if u.column in columns]
-    return Relation(columns=columns, valid=valid, sorted_on=sorted_on, uses=uses, owners=owners)
+    return Relation(columns=columns, valid=valid)
 
 
 def rebin_ids(rel: Relation, on: Tuple[Tuple[str, int, int], ...]) -> np.ndarray:
@@ -138,8 +131,8 @@ class Repartition(PhysicalOp):
     partitions by contiguous range: ``(bin * partitions) >> total_bits``
     — deterministic, and bin-major across the gathered partitions.  The
     kept stream is a stable subsequence of the producers' concatenation,
-    so per-partition physical properties (sort order, carried uses)
-    survive even though the *gathered* stream is no longer in serial
+    so within a partition the order and group columns lowering inferred
+    still hold even though the *gathered* stream is no longer in serial
     order.
     """
 
@@ -189,7 +182,7 @@ class Repartition(PhysicalOp):
             if bucket.num_rows:
                 bucket_bytes.append(bucket.data_bytes())
             kept.append(bucket)
-        out = concat_relations(kept, preserve_order=True)
+        out = concat_relations(kept)
         # the modelled shuffle: re-binning CPU over everything received,
         # plus one bucket read per producer through the disk model
         ctx.metrics.charge_cpu(
@@ -218,7 +211,10 @@ class UnionAll(PhysicalOp):
     (bit-identical contract).  ``canonical=True`` marks the gather of a
     co-partitioned (re-binned) join: concatenation in fragment-key order
     is the deterministic *canonical* order of the order-insensitive
-    contract — same multiset as serial, different row order."""
+    contract — same multiset as serial, different row order.  Both are
+    plan metadata (``ParallelPlan.reorders`` reads ``preserve_order`` to
+    pick the result contract); ``execute`` concatenates the same way
+    under either."""
 
     inputs: Tuple[PhysicalOp, ...] = ()
     preserve_order: bool = True
@@ -236,6 +232,6 @@ class UnionAll(PhysicalOp):
 
     def execute(self, ctx: ExecutionContext) -> Relation:
         rels = [child.run(ctx) for child in self.inputs]
-        out = concat_relations(rels, preserve_order=self.preserve_order)
+        out = concat_relations(rels)
         ctx.metrics.charge_cpu(out.num_rows * ctx.costs.exchange_row, "exchange")
         return out

@@ -16,11 +16,14 @@ on, and emits a typed physical plan of
   dimension use) or :class:`HashAgg`.
 
 Decisions rest on *guaranteed* physical stream properties (sort order,
-carried dimension uses, column ownership) that lowering tracks exactly
-as execution propagates them — so a plan never claims an order the data
-will not have.  Cardinalities, in contrast, are *estimates* (count-table
-and zone-map metadata plus predicate-shape selectivities); they only tip
-performance choices such as the hash-join build side.
+carried dimension uses, column ownership) that follow from the schema
+design and are inferred here, in :class:`_Stream`, and nowhere else —
+no batch carries them at run time.  That a plan never claims an order
+or a co-clustering the data will not have is checked against executed
+data by ``tests/planner/test_stream_claims.py``.  Cardinalities, in
+contrast, are *estimates* (count-table and zone-map metadata plus
+predicate-shape selectivities); they only tip performance choices such
+as the hash-join build side.
 
 Lowering is pure: it reads table metadata (count tables, zone maps,
 schema, and — for tables with pending updates — the delta store's keys,
@@ -74,7 +77,7 @@ from ..execution.operators import (
     StreamAgg,
     walk_physical,
 )
-from ..execution.relation import StreamUse
+from ..execution.relation import StreamUse, value_bytes
 from ..schemes.base import PhysicalDatabase
 from .analysis import PlanAnalysis, analyse_plan, strip_prefix
 from .logical import (
@@ -218,13 +221,6 @@ def _selectivity(expr: Optional[Expr]) -> float:
     return 0.5
 
 
-def _value_bytes(array: np.ndarray) -> float:
-    """Engine-side bytes per value (mirrors Relation.row_bytes)."""
-    if array.dtype.kind == "U":
-        return array.dtype.itemsize / 4.0
-    return float(array.dtype.itemsize)
-
-
 def _resolve_selection(stored, restrictions, minmax_ranges):
     """Resolve a scan's selected row set from metadata only.
 
@@ -277,9 +273,11 @@ def _resolve_selection(stored, restrictions, minmax_ranges):
 
 @dataclass
 class _Stream:
-    """Statically inferred physical properties of an operator's output —
-    the planning-time mirror of what :class:`Relation` carries at run
-    time.  ``columns`` maps every output column (including hidden group
+    """Statically inferred physical properties of an operator's output,
+    and their only owner: the operators are emitted with the decisions
+    these imply already taken, and a run-time
+    :class:`~repro.execution.relation.Relation` carries none of them.
+    ``columns`` maps every output column (including hidden group
     columns) to estimated engine bytes per value."""
 
     op: PhysicalOp
@@ -471,7 +469,6 @@ class _Lowering:
                 "carries " + "+".join(u.dimension.name for u in uses)
             )
 
-        sorted_on = tuple(prefix + c for c in stored.sort_columns)
         scan_fields = dict(
             table=node.table,
             alias=node.alias,
@@ -484,7 +481,6 @@ class _Lowering:
             selected_rows=rows,
             selection_notes=tuple(note_bits),
             sandwich_uses=tuple(sandwich_uses),
-            sorted_on=sorted_on,
             est_rows=est_rows,
             rationale=", ".join(rationale_bits),
             replica_note=replica_note,
@@ -493,10 +489,11 @@ class _Lowering:
             op: PhysicalScan = DeltaMergeScan(delta_selected=delta_selected, **scan_fields)
         else:
             op = PhysicalScan(**scan_fields)
-        columns = {prefix + c: _value_bytes(stored.columns[c]) for c in demanded}
+        columns = {prefix + c: value_bytes(stored.columns[c]) for c in demanded}
         owners = {name: node.alias for name in columns}
         for _, _, column_name in sandwich_uses:
             columns[column_name] = 8.0
+        sorted_on = tuple(prefix + c for c in stored.sort_columns)
         return _Stream(op, columns, owners, sorted_on, uses, max(est_rows, 1.0))
 
     def _select_delta_rows(
@@ -582,7 +579,10 @@ class _Lowering:
     # ------------------------------------------------------------ project
     def _lower_project(self, node: ProjectNode) -> _Stream:
         inp = self._lower(node.input)
-        op = PhysicalProject(inp.op, node.exprs)
+        # the hidden group columns of the uses the input still carries
+        # are what the sandwich operators above will read
+        carry = tuple(use.column for use in inp.uses)
+        op = PhysicalProject(inp.op, node.exprs, carry=carry)
         columns: Dict[str, float] = {}
         owners: Dict[str, str] = {}
         for name, expr in node.exprs:
@@ -592,8 +592,8 @@ class _Lowering:
                     owners[name] = inp.owners[expr.name]
             else:
                 columns[name] = 8.0
-        for use in inp.uses:
-            columns[use.column] = 8.0
+        for name in carry:
+            columns[name] = 8.0
         sorted_on = inp.sorted_on if all(c in columns for c in inp.sorted_on) else ()
         return _Stream(op, columns, owners, sorted_on, list(inp.uses), inp.est_rows)
 

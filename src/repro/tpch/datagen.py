@@ -15,7 +15,7 @@ orders     SF * 1,500,000           dates in [1992-01-01, 1998-08-02]
 lineitem   1..7 per order (avg 4)   ship/commit/receipt offsets
 =========  =======================  ==========================
 
-Simplifications (documented in DESIGN.md): order keys are contiguous
+Simplifications: order keys are contiguous
 (dbgen leaves gaps — immaterial to every query), text columns are drawn
 from dbgen's vocabularies with a compact grammar, and the "special
 requests" / "Customer Complaints" comment patterns are injected at

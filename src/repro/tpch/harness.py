@@ -2,9 +2,9 @@
 render the paper's Figure 2 / Figure 3 tables.
 
 Reported times and memory are the *simulated* quantities of the cost
-model (see DESIGN.md §4); the harness also prints an SF100-equivalent
-column (linear extrapolation) next to the paper's reported numbers so
-EXPERIMENTS.md can record paper-vs-measured side by side.
+model (see ARCHITECTURE.md, Layer 5); the harness also prints an
+SF100-equivalent column (linear extrapolation) next to the paper's
+reported numbers, so paper and measured read side by side.
 """
 
 from __future__ import annotations

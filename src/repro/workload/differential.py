@@ -506,13 +506,23 @@ def twin_mismatch(expected, got, exact: bool) -> Optional[str]:
     from ``expected``, or ``None``.  ``exact`` holds ``got`` to the
     bit-for-bit, order-included contract of plans without a reordering
     exchange (``not plan.reorders``); otherwise the two must be the same
-    multiset within both sides' float tolerances."""
+    multiset within both sides' float tolerances.  Either way a column
+    must have the same dtype *kind* on both sides: value comparison
+    calls ``1498`` and ``1498.0`` equal, and an engine path that turns
+    an integer column into floats is a divergence no oracle would
+    otherwise see."""
     detail = bitwise_mismatch(expected, got)
-    if exact or detail is None:   # bit-identical relations are equal multisets
+    if detail is not None and not exact:   # bit-identical relations are equal multisets
+        names = sorted(expected.column_names)
+        rows = normalized_rows(expected.columns, names)
+        detail = _multiset_mismatch(names, expected.columns, rows, got)[0]
+    if detail is not None:
         return detail
-    names = sorted(expected.column_names)
-    rows = normalized_rows(expected.columns, names)
-    return _multiset_mismatch(names, expected.columns, rows, got)[0]
+    for name in expected.column_names:
+        a, b = expected.column(name).dtype, got.column(name).dtype
+        if a.kind != b.kind:
+            return f"column {name!r}: dtype {a} vs {b}"
+    return None
 
 
 # ------------------------------------------------------------------ runner

@@ -181,13 +181,33 @@ def test_apply_aggregate_string_min_max():
     assert high.tolist() == ["pear", "quince"]
 
 
-def test_apply_aggregate_empty_input():
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, "<U3"], ids=["float", "int", "str"])
+def test_apply_aggregate_empty_input(dtype):
+    """Zero rows give each kernel's own zero-length output — the dtype
+    it produces for a non-empty input of the same type — so a partition
+    that filtered to nothing cannot change a gathered column's type."""
     group_index = np.zeros(0, dtype=np.int64)
-    values = np.zeros(0)
-    for fn in ("sum", "count", "min", "max", "count_distinct"):
+    values = np.zeros(0, dtype=dtype)
+    fns = ("count", "min", "max", "count_distinct")
+    if values.dtype.kind != "U":
+        fns += ("sum", "avg")
+    for fn in fns:
         spec = AggSpec("x", fn, object() if fn != "count" else None)
         result = apply_aggregate(spec, group_index, 0, values if fn != "count" else None)
+        filled = apply_aggregate(
+            spec, np.zeros(1, dtype=np.int64), 1,
+            np.zeros(1, dtype=dtype) if fn != "count" else None,
+        )
         assert len(result) == 0
+        assert result.dtype == filled.dtype, fn
+    # ... and a group whose every row is null (string extrema included)
+    # still gets its slot
+    for fn in ("min", "max"):
+        masked = apply_aggregate(
+            AggSpec("x", fn, object()), np.zeros(2, dtype=np.int64), 1,
+            np.zeros(2, dtype=dtype), valid=np.zeros(2, dtype=bool),
+        )
+        assert len(masked) == 1 and masked.dtype == np.zeros(1, dtype=dtype).dtype
 
 
 @pytest.mark.parametrize("seed", SEEDS)

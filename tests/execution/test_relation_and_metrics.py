@@ -1,10 +1,12 @@
 """Relation container, memory tracker, execution metrics, query runner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.execution.metrics import ExecutionMetrics, MemoryTracker
-from repro.execution.relation import Relation, StreamUse, row_bytes_of
+from repro.execution.relation import Relation, row_bytes_of
 
 
 def _rel():
@@ -14,50 +16,34 @@ def _rel():
             "b": np.array(["x", "y", "z"]),
             "__grp__t__0": np.array([0, 0, 1], dtype=np.uint64),
         },
-        sorted_on=("a",),
-        owners={"a": "t", "b": "t"},
     )
 
 
 class TestRelation:
+    def test_is_columns_and_validity_only(self):
+        # stream properties (order, carried uses, ownership) are plan
+        # facts owned by lowering; a batch must not grow them back
+        assert [f.name for f in dataclasses.fields(Relation)] == ["columns", "valid"]
+        with pytest.raises(TypeError):
+            Relation(columns={}, sorted_on=("a",))
+
     def test_visible_columns_hide_group_ids(self):
         rel = _rel()
         assert rel.column_names == ["a", "b"]
         assert rel.num_rows == 3
 
-    def test_take_preserves_or_drops_sort(self):
-        rel = _rel()
-        taken = rel.take(np.array([0, 2]), keep_sorted=True)
-        assert taken.sorted_on == ("a",)
-        shuffled = rel.take(np.array([2, 0]))
-        assert shuffled.sorted_on == ()
-
     def test_filter_preserves_properties(self):
         rel = _rel()
         out = rel.filter(np.array([True, False, True]))
-        assert out.sorted_on == ("a",)
         assert out.num_rows == 2
-        assert out.owners["a"] == "t"
-
-    def test_project_keeps_hidden_use_columns(self):
-        rel = _rel()
-        rel.uses = [StreamUse("t", None, (), 1, "__grp__t__0")]
-        out = rel.project(["a"])
-        assert "__grp__t__0" in out.columns
-        assert out.column_names == ["a"]
-
-    def test_project_drops_stale_sort(self):
-        rel = _rel()
-        out = rel.project(["b"])
-        assert out.sorted_on == ()
+        assert list(out.columns) == list(rel.columns)
+        assert list(out.columns["__grp__t__0"]) == [0, 1]
+        taken = rel.take(np.array([2, 0]))
+        assert list(taken.columns["a"]) == [3, 1]
 
     def test_row_bytes_strings_counted_as_chars(self):
         cols = {"s": np.array(["abcd", "ef"])}  # <U4 -> 4 bytes modelled
         assert row_bytes_of(cols) == pytest.approx(4.0)
-
-    def test_with_column_and_owner(self):
-        rel = _rel().with_column("c", np.zeros(3), owner="t2")
-        assert rel.owners["c"] == "t2"
 
     def test_missing_column_error_is_helpful(self):
         with pytest.raises(KeyError, match="no column 'zz'"):

@@ -22,6 +22,7 @@ CI job.
 import gc
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -191,6 +192,35 @@ class TestBackendBasics:
         assert proc_metrics.fragments
         assert any(f.measured_seconds > 0.0 for f in proc_metrics.fragments)
         assert all(f.measured_seconds >= 0.0 for f in proc_metrics.fragments)
+
+    def test_fragment_results_ship_arrays_only(self, bdcc_db, environment):
+        """What crosses the pool's pipe is columns + validity.  Carried
+        dimension uses are plan facts, so no fragment result pickles a
+        ``Dimension`` (D_PART alone is 60 KB) — not even a stream whose
+        hidden group columns a sandwich operator above still reads."""
+        from repro.execution.aggregate import AggSpec
+        from repro.planner.logical import scan
+
+        plan = (
+            scan("customer")
+            .join(scan("orders"), on=[("c_custkey", "o_custkey")])
+            .groupby(["o_custkey"], [AggSpec("n", "count")])
+        )
+        executor = Executor(
+            bdcc_db, disk=environment.disk, costs=environment.cost_model,
+            options=ExecutionOptions(workers=2, min_partition_rows=256),
+        )
+        parallel = executor.parallel_plan(executor.lower(plan))
+        results, _ = create_backend("process").execute_fragments(
+            parallel, environment.disk, environment.cost_model
+        )
+        assert len(results) > 1
+        assert any(
+            name.startswith("__grp__") for rel in results.values() for name in rel.columns
+        )
+        for relation in results.values():
+            blob = pickle.dumps(relation, protocol=pickle.HIGHEST_PROTOCOL)
+            assert b"Dimension" not in blob and b"StreamUse" not in blob
 
 
 @needs_dev_shm

@@ -379,6 +379,45 @@ class TestPartialAggregation:
         again = self._executor(pdb).execute(self._plan())
         assert _identical(parallel.relation, again.relation)
 
+    @pytest.mark.parametrize("scheme", ["plain", "pk"])
+    def test_empty_partition_keeps_column_types(self, physical_dbs, tpch_db, scheme):
+        """A partition whose rows all fail the predicate emits zero
+        partial rows; their columns must have the types the other
+        partitions' partials have, or the gather's concatenate upcasts
+        and an integer max comes back float64 (it did).  ORDERS is
+        stored in key order on plain and pk, so a low-key predicate
+        empties the later partitions once zone maps are off."""
+        from repro.execution.aggregate import AggSpec
+        from repro.execution.expressions import col
+        from repro.execution.operators import PartialAgg
+        from repro.planner.logical import scan
+        from repro.workload.differential import twin_mismatch
+
+        cut = int(np.percentile(tpch_db.column("orders", "o_orderkey"), 10))
+        plan = scan("orders", predicate=col("o_orderkey").lt(cut)).groupby(
+            [],
+            [
+                AggSpec("mx", "max", col("o_custkey")),
+                AggSpec("lo", "min", col("o_orderstatus")),
+                AggSpec("s", "sum", col("o_custkey")),
+                AggSpec("c", "count"),
+            ],
+        )
+        pdb = physical_dbs[scheme]
+        serial = Executor(pdb, options=ExecutionOptions(enable_minmax=False)).execute(plan)
+        executor = self._executor(pdb, enable_minmax=False, min_partition_rows=256)
+        parallel = executor.execute(plan)
+        partial_rows = [
+            actuals.rows_in
+            for actuals in parallel.metrics.operators.values()
+            if actuals.kind == PartialAgg.kind
+        ]
+        assert 0 in partial_rows and any(partial_rows)
+        assert serial.relation.column("mx").dtype == np.int64
+        assert twin_mismatch(serial.relation, parallel.relation, exact=False) is None
+        for name in serial.relation.column_names:
+            assert parallel.relation.column(name).dtype == serial.relation.column(name).dtype
+
     def test_ablation_disables_rewrite_and_stays_bit_identical(self, pdb):
         from repro.execution.operators import MergeAgg, PartialAgg
 

@@ -411,3 +411,54 @@ class TestPlanCacheKeyedOnEveryOption:
                 assert executor.lower(plan) is not baseline, spec.name
             setattr(executor.options, spec.name, default)
             assert executor.lower(plan) is baseline, spec.name
+
+
+class TestProjectCarry:
+    """``PhysicalProject.carry`` is the one stream fact the run time takes
+    from lowering: the hidden group columns of the uses the input still
+    carries.  A ``__grp__`` name-prefix rule would forward more — a
+    null-extended left-join side's group columns stay in the batch after
+    lowering dropped their uses — and move ``data_bytes()`` with it."""
+
+    PLANS = 60
+
+    def _projects(self, pdb, tpch_db, **options):
+        from repro.execution.operators import PhysicalProject
+        from repro.workload.generator import PlanGenerator
+
+        generator = PlanGenerator(tpch_db)
+        for index in range(self.PLANS):
+            pplan = lower(pdb, generator.generate(0, index).plan, ExecutionOptions(**options))
+            for op in walk_physical(pplan.root):
+                if isinstance(op, PhysicalProject):
+                    yield op
+
+    def test_forwards_exactly_carry_above_a_left_join(self, bdcc_db, tpch_db, environment):
+        from repro.execution.metrics import ExecutionMetrics
+        from repro.execution.operators import ExecutionContext
+
+        def hidden(rel):
+            return {name for name in rel.columns if name.startswith("__grp__")}
+
+        lingering = 0
+        for project in self._projects(bdcc_db, tpch_db):
+            if not any(
+                getattr(op, "how", None) == "left" for op in walk_physical(project.input)
+            ):
+                continue
+            ctx = ExecutionContext(environment.disk, environment.cost_model, ExecutionMetrics())
+            fed = project.input.run(ctx)
+            out = project.run(ctx)
+            assert hidden(out) == set(project.carry)
+            assert set(project.carry) <= hidden(fed)
+            lingering += bool(hidden(fed) - set(project.carry))
+        # the case that tells carry from a name-prefix rule must occur
+        assert lingering >= 2
+
+    def test_empty_without_carried_uses(self, plain_db, pk_db, bdcc_db, tpch_db):
+        assert any(p.carry for p in self._projects(bdcc_db, tpch_db))
+        for pdb, options in (
+            (plain_db, {}), (pk_db, {}), (bdcc_db, {"enable_sandwich": False}),
+        ):
+            projects = list(self._projects(pdb, tpch_db, **options))
+            assert projects and all(p.carry == () for p in projects)

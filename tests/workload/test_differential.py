@@ -148,6 +148,24 @@ class TestVerdicts:
         assert (multiset is None) == same_multiset, multiset
 
 
+def test_twin_mismatch_rejects_a_dtype_kind_change():
+    """``1498`` and ``1498.0`` compare equal by value, so only the twin
+    verdict can see an engine path that turns an integer column into
+    floats (a two-phase max over a partition that filtered to nothing
+    did) — in both of its modes; a width change within one kind is not
+    a divergence, and the reference verdict stays value-only."""
+    expected = Relation(_columns(k=[1, 2], mx=[1498, 7]))
+    got = Relation(_columns(k=[1, 2], mx=[1498.0, 7.0]))
+    for exact in (True, False):
+        assert (
+            twin_mismatch(expected, got, exact=exact)
+            == "column 'mx': dtype int64 vs float64"
+        )
+    assert reference_mismatch(RefRelation(expected.columns), got)[0] is None
+    narrow = Relation(_columns(x=np.array([1.0], np.float32)))
+    assert twin_mismatch(narrow, Relation(_columns(x=[1.0])), exact=True) is None
+
+
 class TestOneContractFlag:
     """``reaggregates`` implies ``reorders`` (a partial aggregate's
     streams are gathered unordered), so ``not plan.reorders`` is the
