@@ -1,7 +1,6 @@
 """BDCC core: dimensions, interleaving, Algorithms 1 & 2, scatter scan."""
 
 from .advisor import AdvisorConfig, SchemaAdvisor, SchemaDesign
-from .append import append_rows
 from .bdcc_table import BDCCBuildConfig, BDCCTable, build_bdcc_table
 from .binning import KeyEncoder, equi_frequency_cuts
 from .bits import (
@@ -51,7 +50,6 @@ __all__ = [
     "assign_masks_major_minor",
     "ScanResult",
     "ScatterScan",
-    "append_rows",
     "UseScore",
     "WorkloadAnalyzer",
     "prune_design",

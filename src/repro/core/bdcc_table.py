@@ -146,8 +146,7 @@ class BDCCTable:
         """``_bdcc_`` keys for the given rows of the live database,
         binned with the *existing* dimensions — no renumbering,
         out-of-domain key values clamp to the nearest bin (the paper's
-        update story).  Shared by the incremental append path and the
-        delta-store placement."""
+        update story).  What delta-run placement keys new rows with."""
         keys = np.zeros(len(row_indices), dtype=np.uint64)
         for use in self.uses:
             values = db.resolve_path_values(

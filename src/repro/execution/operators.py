@@ -470,33 +470,15 @@ class DeltaMergeScan(PhysicalScan):
 
         # --- order-preserving merge --------------------------------------
         if delta_n == 0:
-            merged = columns
-            merged_keys = keys
+            merged, merged_keys = columns, keys
         else:
-            if bdcc is not None:
-                all_keys = np.concatenate(key_pieces)
-                order = np.argsort(all_keys, kind="stable")
-                merged_keys = all_keys[order]
-            elif stored.sort_columns:
-                sort_arrays = []
-                for c in stored.sort_columns:
-                    name = prefix + c
-                    if name in pieces:
-                        sort_arrays.append(np.concatenate(pieces[name]))
-                    else:
-                        sort_arrays.append(np.concatenate(merge_values[c]))
-                # lexsort is stable: equal keys keep base-then-commit order
-                order = np.lexsort(tuple(reversed(sort_arrays)))
-                merged_keys = None
-            else:
-                order = None  # arrival order: base first, runs in commit order
-                merged_keys = None
-            if order is None:
-                merged = {name: np.concatenate(arrs) for name, arrs in pieces.items()}
-            else:
-                merged = {
-                    name: np.concatenate(arrs)[order] for name, arrs in pieces.items()
-                }
+            merged, merged_keys = stored.merge_pieces(
+                pieces, key_pieces,
+                {
+                    c: merge_values[c] if c in merge_values else pieces[prefix + c]
+                    for c in stored.sort_columns
+                },
+            )
             ctx.metrics.charge_cpu(total * ctx.costs.merge_row, "scan")
 
         note_bits = list(self.selection_notes)

@@ -6,8 +6,8 @@ The eighth pillar.  Everything else in the engine produces *numbers*
 passive by construction, so simulated charges and results are
 bit-identical with observability on or off:
 
-* :mod:`repro.observe.spans` — nested span model over both clocks
-  (wall-measured planning phases, metrics-derived simulated timelines);
+* :mod:`repro.observe.spans` — nested wall-clock spans over the
+  planning and execution phases;
 * :mod:`repro.observe.trace_events` — Chrome trace-event (Perfetto)
   export of scheduler timelines: workers as lanes, fragments as slices,
   IO contention as sub-slices, exchanges as flow arrows;
@@ -64,7 +64,7 @@ from .regress import (
 )
 from .registry import REGISTRY, MetricsRegistry
 from .sink import ObservabilitySink
-from .spans import Span, SpanTracer, fragment_spans, operator_spans, query_span
+from .spans import Span, SpanTracer
 from .trace_events import TraceBuilder, validate_trace, validate_trace_events
 
 __all__ = [
@@ -96,9 +96,6 @@ __all__ = [
     "ObservabilitySink",
     "Span",
     "SpanTracer",
-    "fragment_spans",
-    "operator_spans",
-    "query_span",
     "TraceBuilder",
     "validate_trace",
     "validate_trace_events",

@@ -1,29 +1,20 @@
-"""Span tracing: nested, attributed time windows over query processing.
+"""Span tracing: nested, attributed wall-clock windows over query processing.
 
-Two clocks coexist in this engine and the span model keeps them apart
-explicitly (``Span.clock``):
-
-* ``"wall"`` spans are *measured* with ``time.perf_counter`` as the
-  code runs — the planning phases (``plan`` → ``lower`` → ``fragment``
-  → ``execute``) recorded live by a :class:`SpanTracer` attached to an
-  :class:`~repro.planner.executor.Executor`, and anything a caller
-  wraps in :meth:`SpanTracer.span`;
-* ``"simulated"`` spans are *derived* from a finished execution's
-  :class:`~repro.execution.metrics.ExecutionMetrics` — per-fragment
-  spans sit at their scheduler timeline positions
-  (``ready/start/io_end/end``), per-operator spans carry their
-  exclusive charged durations.
+Spans are *measured* with ``time.perf_counter`` as the code runs — the
+planning phases (``lower`` → ``fragment`` → ``execute``) recorded live
+by a :class:`SpanTracer` attached to an
+:class:`~repro.planner.executor.Executor`, and anything a caller wraps
+in :meth:`SpanTracer.span`.  The simulated clock has no spans: a
+finished execution's :class:`~repro.execution.metrics.ExecutionMetrics`
+is rendered by :meth:`~repro.observe.trace_events.TraceBuilder.add_execution`
+(``--trace``: fragments at their scheduler timeline positions, IO
+contention as sub-slices) and by
+:func:`~repro.observe.query_log.build_record` (``--query-log`` /
+``--json``: per-operator and per-fragment actuals).
 
 Tracing is strictly passive: a tracer never touches
 ``ExecutionMetrics``, so simulated charges and results are bit-identical
 with tracing on or off (pinned by ``tests/observe/test_spans.py``).
-
-Per-operator spans have no timeline position — the serial executor
-interleaves operators and the merged parallel metrics accumulate an
-operator across fragments — so :func:`operator_spans` emits them as
-duration-only spans anchored at 0.  Per-fragment spans are real
-intervals; a fragment that also carries measured wall positions (the
-process backend) gets a ``measured`` child span on the wall clock.
 """
 
 from __future__ import annotations
@@ -31,30 +22,20 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..execution.metrics import ExecutionMetrics
-
-__all__ = [
-    "Span",
-    "SpanTracer",
-    "operator_spans",
-    "fragment_spans",
-    "query_span",
-]
+__all__ = ["Span", "SpanTracer"]
 
 
 @dataclass
 class Span:
     """One nested time window.
 
-    ``start_seconds``/``end_seconds`` are relative to the owning trace's
-    origin (tracer birth for wall spans, query start for simulated
-    ones)."""
+    ``start_seconds``/``end_seconds`` are wall-clock seconds since the
+    owning tracer's birth."""
 
     name: str
-    category: str = "phase"      # "phase" | "query" | "fragment" | "operator"
-    clock: str = "wall"          # "wall" | "simulated"
+    category: str = "phase"      # "phase" | "query"
     start_seconds: float = 0.0
     end_seconds: float = 0.0
     attributes: Dict[str, object] = field(default_factory=dict)
@@ -73,7 +54,6 @@ class Span:
         return {
             "name": self.name,
             "category": self.category,
-            "clock": self.clock,
             "start_seconds": self.start_seconds,
             "end_seconds": self.end_seconds,
             "attributes": dict(self.attributes),
@@ -82,22 +62,19 @@ class Span:
 
 
 class SpanTracer:
-    """Collects live wall-clock spans and finished query span trees.
+    """Collects live wall-clock spans.
 
     Attach one to an executor (``Executor(..., tracer=tracer)`` or
     ``executor.tracer = tracer``): the executor wraps its planning and
-    execution phases in :meth:`span` and, after every run, appends the
-    metrics-derived simulated span tree to :attr:`queries`.  The tracer
-    is reusable across executors and queries; ``roots`` accumulates
-    top-level wall spans in completion order."""
+    execution phases in :meth:`span`.  The tracer is reusable across
+    executors and queries; ``roots`` accumulates top-level spans in
+    completion order."""
 
     def __init__(self) -> None:
         self._origin = time.perf_counter()
         self._stack: List[Span] = []
         #: completed top-level wall spans, in completion order.
         self.roots: List[Span] = []
-        #: metrics-derived query span trees (see :func:`query_span`).
-        self.queries: List[Span] = []
 
     def _now(self) -> float:
         return time.perf_counter() - self._origin
@@ -108,7 +85,6 @@ class SpanTracer:
         span = Span(
             name=name,
             category=category,
-            clock="wall",
             start_seconds=self._now(),
             attributes=dict(attributes),
         )
@@ -122,133 +98,3 @@ class SpanTracer:
         finally:
             span.end_seconds = self._now()
             self._stack.pop()
-
-    def record_query(self, label: str, metrics: ExecutionMetrics) -> Span:
-        """Derive and keep the simulated span tree of one execution."""
-        span = query_span(label, metrics)
-        self.queries.append(span)
-        return span
-
-
-# ------------------------------------------------- metrics-derived spans
-def operator_spans(metrics: ExecutionMetrics) -> List[Span]:
-    """Duration-only simulated spans, one per recorded operator."""
-    spans: List[Span] = []
-    for actuals in metrics.operators.values():
-        spans.append(
-            Span(
-                name=actuals.description,
-                category="operator",
-                clock="simulated",
-                start_seconds=0.0,
-                end_seconds=actuals.total_seconds,
-                attributes={
-                    "kind": actuals.kind,
-                    "rows_in": actuals.rows_in,
-                    "rows_out": actuals.rows_out,
-                    "io_seconds": actuals.io_seconds,
-                    "cpu_seconds": actuals.cpu_seconds,
-                    "reserved_bytes": actuals.reserved_bytes,
-                    "executions": actuals.executions,
-                },
-            )
-        )
-    return spans
-
-
-def fragment_spans(metrics: ExecutionMetrics) -> List[Span]:
-    """Simulated timeline spans, one per fragment, at their scheduled
-    positions; IO phases as child spans; measured wall positions (when a
-    measuring backend ran) as wall-clock child spans."""
-    spans: List[Span] = []
-    for f in metrics.fragments:
-        span = Span(
-            name=f"f{f.index} [{f.role}]",
-            category="fragment",
-            clock="simulated",
-            start_seconds=f.start_seconds,
-            end_seconds=f.end_seconds,
-            attributes={
-                "index": f.index,
-                "role": f.role,
-                "description": f.description,
-                "worker": f.worker,
-                "depends_on": list(f.depends_on),
-                "ready_seconds": f.ready_seconds,
-                "queue_wait_seconds": f.queue_wait_seconds,
-                "io_seconds": f.io_seconds,
-                "cpu_seconds": f.cpu_seconds,
-                "rows_out": f.rows_out,
-                "output_bytes": f.output_bytes,
-                "peak_memory_bytes": f.peak_memory_bytes,
-            },
-        )
-        if f.io_end_seconds > f.start_seconds:
-            span.children.append(
-                Span(
-                    name="io",
-                    category="fragment",
-                    clock="simulated",
-                    start_seconds=f.start_seconds,
-                    end_seconds=f.io_end_seconds,
-                    attributes={
-                        "charged_io_seconds": f.io_seconds,
-                        # contention stretch: scheduled IO window minus
-                        # the charged (uncontended) IO seconds
-                        "stretch_seconds": max(
-                            (f.io_end_seconds - f.start_seconds) - f.io_seconds,
-                            0.0,
-                        ),
-                    },
-                )
-            )
-        if f.measured_end_seconds > f.measured_start_seconds:
-            span.children.append(
-                Span(
-                    name="measured",
-                    category="fragment",
-                    clock="wall",
-                    start_seconds=f.measured_start_seconds,
-                    end_seconds=f.measured_end_seconds,
-                    attributes={"measured_seconds": f.measured_seconds},
-                )
-            )
-        spans.append(span)
-    return spans
-
-
-def query_span(label: str, metrics: ExecutionMetrics) -> Span:
-    """The simulated span tree of one finished execution: a query root
-    spanning the simulated wall clock, fragment spans at their timeline
-    positions, and the duration-only operator spans grouped under an
-    ``operators`` pseudo-span."""
-    root = Span(
-        name=label,
-        category="query",
-        clock="simulated",
-        start_seconds=0.0,
-        end_seconds=metrics.wall_seconds,
-        attributes={
-            "backend": metrics.backend,
-            "workers": metrics.workers,
-            "total_seconds": metrics.total_seconds,
-            "makespan_seconds": metrics.makespan_seconds,
-            "measured_wall_seconds": metrics.measured_wall_seconds,
-            "peak_memory_bytes": metrics.peak_memory_bytes,
-            "rows_produced": metrics.rows_produced,
-        },
-    )
-    root.children.extend(fragment_spans(metrics))
-    ops = operator_spans(metrics)
-    if ops:
-        holder = Span(
-            name="operators",
-            category="operator",
-            clock="simulated",
-            start_seconds=0.0,
-            end_seconds=metrics.total_seconds,
-            attributes={"note": "duration-only; operators have no timeline position"},
-        )
-        holder.children.extend(ops)
-        root.children.append(holder)
-    return root

@@ -79,9 +79,8 @@ class Executor:
         self.costs = costs or DEFAULT_COSTS
         self.options = options or ExecutionOptions()
         #: optional :class:`repro.observe.SpanTracer`.  Strictly passive:
-        #: phases are wrapped in wall-clock spans and finished runs are
-        #: recorded from their metrics, but the tracer never touches the
-        #: metrics themselves — simulated charges and results are
+        #: phases are wrapped in wall-clock spans, and the tracer never
+        #: touches the metrics — simulated charges and results are
         #: bit-identical with tracing on or off.
         self.tracer = tracer
         #: metrics of the most recent execution; present from birth (an
@@ -234,8 +233,6 @@ class Executor:
         REGISTRY.inc("queries_executed")
         if metrics.delta_rows_scanned:
             REGISTRY.inc("delta_rows_scanned", metrics.delta_rows_scanned)
-        if self.tracer is not None:
-            self.tracer.record_query(pplan.root.describe(), metrics)
         return QueryResult(relation, metrics)
 
     def execute(self, plan) -> QueryResult:

@@ -16,7 +16,7 @@ it so a cached plan can never read a stale delta state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +69,45 @@ class StoredTable:
         """Drop lazily built zone maps (after compaction rewrote the
         base columns)."""
         self._minmax.clear()
+
+    def storage_order(
+        self, keys: Optional[np.ndarray], columns: Mapping[str, np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """The permutation that puts rows into this table's storage
+        order: by their ``_bdcc_`` ``keys`` on a BDCC table, else by the
+        ``sort_columns`` values in ``columns``; ``None`` where storage is
+        arrival order (Plain).  Stable — rows handed over base first,
+        then runs in commit order, keep that order among equal keys.
+        Placing a delta run, merge-on-read and compaction all order rows
+        through here, so a read before compaction and the table after it
+        agree by construction."""
+        if self.bdcc is not None:
+            return np.argsort(keys, kind="stable")
+        if self.sort_columns:
+            # lexsort: last key is primary
+            return np.lexsort(tuple(columns[c] for c in reversed(self.sort_columns)))
+        return None
+
+    def merge_pieces(
+        self,
+        pieces: Mapping[str, List[np.ndarray]],
+        key_pieces: Optional[List[np.ndarray]] = None,
+        sort_pieces: Optional[Mapping[str, List[np.ndarray]]] = None,
+    ) -> Tuple[Dict[str, np.ndarray], Optional[np.ndarray]]:
+        """Concatenate per-column ``pieces`` (the base first, then the
+        runs in commit order) and put the rows in :meth:`storage_order`;
+        returns ``(columns, keys)``.  ``sort_pieces`` holds the sort
+        columns when ``pieces`` does not (a scan that outputs other, or
+        renamed, columns)."""
+        keys = np.concatenate(key_pieces) if key_pieces is not None else None
+        sort_from = pieces if sort_pieces is None else sort_pieces
+        order = self.storage_order(
+            keys, {c: np.concatenate(sort_from[c]) for c in self.sort_columns}
+        )
+        if order is None:
+            return {name: np.concatenate(arrs) for name, arrs in pieces.items()}, keys
+        merged = {name: np.concatenate(arrs)[order] for name, arrs in pieces.items()}
+        return merged, None if keys is None else keys[order]
 
     # ------------------------------------------------------------- layout
     def stored_bytes_per_value(self, column: str) -> float:

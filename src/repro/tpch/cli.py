@@ -230,8 +230,8 @@ def main(argv: List[str] | None = None) -> int:
     if args.explain:
         for qname, fn in selected.items():
             for scheme_name, pdb in pdbs.items():
-                # context-managed: a process-backend executor holds a
-                # worker pool and shared-memory blocks to release
+                # close() drops backend handles only: the pool and the
+                # shared-memory blocks are the process's (backends.shutdown)
                 with Executor(
                     pdb, disk=env.disk, costs=env.cost_model, options=options
                 ) as executor:

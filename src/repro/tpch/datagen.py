@@ -24,7 +24,7 @@ dbgen-like rates so Q13/Q16 remain selective.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from . import text
 from .dates import CURRENT_DATE, ORDER_DATE_MAX, ORDER_DATE_MIN
 from .schema import add_paper_hints, build_schema
 
-__all__ = ["generate", "table_cardinalities"]
+__all__ = ["generate", "orders_with_lineitems", "table_cardinalities"]
 
 
 def table_cardinalities(scale_factor: float) -> Dict[str, int]:
@@ -213,29 +213,54 @@ def generate(
         "ps_comment": _comments(rng, n_ps, 17, 199),
     })
 
-    # ------------------------------------------------------------- orders
-    n_ord = card["orders"]
-    o_key = np.arange(1, n_ord + 1, dtype=np.int64)
-    # a third of customers place no orders (custkey % 3 == 0 is skipped)
-    eligible = c_key[c_key % 3 != 0]
-    o_cust = rng.choice(eligible, n_ord).astype(np.int32)
+    # -------------------------------------------------- orders + lineitem
+    def pick_parts(n_line: int):
+        l_part = rng.integers(1, n_part + 1, n_line).astype(np.int32)
+        supp_slot = rng.integers(0, 4, n_line)
+        l_supp = (
+            (l_part + supp_slot * (n_supp // 4 + (l_part - 1) // n_supp)) % n_supp + 1
+        ).astype(np.int32)
+        return l_part, l_supp, p_retail[l_part - 1]
+
+    clerk_count = max(1, int(1000 * scale_factor))
+    orders, lineitem = orders_with_lineitems(
+        rng,
+        np.arange(1, card["orders"] + 1, dtype=np.int64),
+        # a third of customers place no orders (custkey % 3 == 0 is skipped)
+        c_key[c_key % 3 != 0],
+        pick_parts,
+        lambda n: np.char.add("Clerk#", _zfill(rng.integers(1, clerk_count + 1, n), 9)),
+    )
+    db.add_table_data("lineitem", lineitem)
+    db.add_table_data("orders", orders)
+    return db
+
+
+def orders_with_lineitems(
+    rng: np.random.Generator,
+    o_key: np.ndarray,
+    customers: np.ndarray,
+    pick_parts: Callable[[int], Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    pick_clerks: Callable[[int], np.ndarray],
+) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """ORDERS rows for the keys ``o_key`` plus their LINEITEMs, with the
+    dbgen-style distributions — the initial load and RF1 both draw here
+    (in this RNG order) and differ only in where parts and clerks come
+    from: ``pick_parts(n)`` returns ``(partkey, suppkey, retail price)``
+    per line, ``pick_clerks(n)`` the clerk per order."""
+    n_ord = len(o_key)
+    o_cust = rng.choice(customers, n_ord)
     o_date = rng.integers(ORDER_DATE_MIN, ORDER_DATE_MAX + 1, n_ord).astype(np.int32)
 
-    # ----------------------------------------------------------- lineitem
     lines_per_order = rng.integers(1, 8, n_ord)
     n_line = int(lines_per_order.sum())
-    l_orderkey = np.repeat(o_key, lines_per_order)
     order_row = np.repeat(np.arange(n_ord), lines_per_order)
     l_linenumber = (
         np.arange(n_line) - np.repeat(np.cumsum(lines_per_order) - lines_per_order, lines_per_order) + 1
     ).astype(np.int32)
-    l_part = rng.integers(1, n_part + 1, n_line).astype(np.int32)
-    supp_slot = rng.integers(0, 4, n_line)
-    l_supp = (
-        (l_part + supp_slot * (n_supp // 4 + (l_part - 1) // n_supp)) % n_supp + 1
-    ).astype(np.int32)
+    l_part, l_supp, retail = pick_parts(n_line)
     l_qty = rng.integers(1, 51, n_line).astype(np.float64)
-    l_extprice = np.round(l_qty * p_retail[l_part - 1], 2)
+    l_extprice = np.round(l_qty * retail, 2)
     l_discount = np.round(rng.integers(0, 11, n_line) / 100.0, 2)
     l_tax = np.round(rng.integers(0, 9, n_line) / 100.0, 2)
     o_date_per_line = o_date[order_row]
@@ -247,8 +272,8 @@ def generate(
     l_returnflag = np.where(received, np.where(flag_rand, "R", "A"), "N").astype("<U1")
     l_linestatus = np.where(l_ship > CURRENT_DATE, "O", "F").astype("<U1")
 
-    db.add_table_data("lineitem", {
-        "l_orderkey": l_orderkey,
+    lineitem = {
+        "l_orderkey": o_key[order_row],
         "l_partkey": l_part,
         "l_suppkey": l_supp,
         "l_linenumber": l_linenumber,
@@ -264,7 +289,7 @@ def generate(
         "l_shipinstruct": rng.choice(np.array(text.INSTRUCTIONS), n_line),
         "l_shipmode": rng.choice(np.array(text.MODES), n_line),
         "l_comment": _comments(rng, n_line, 4, 44),
-    })
+    }
 
     # order aggregates derived from their lineitems (per the spec)
     charge = l_extprice * (1.0 + l_tax) * (1.0 - l_discount)
@@ -273,18 +298,17 @@ def generate(
     o_status = np.where(
         open_lines == lines_per_order, "O", np.where(open_lines == 0, "F", "P")
     ).astype("<U1")
-    clerk_count = max(1, int(1000 * scale_factor))
-    db.add_table_data("orders", {
+    orders = {
         "o_orderkey": o_key,
         "o_custkey": o_cust,
         "o_orderstatus": o_status,
         "o_totalprice": o_total,
         "o_orderdate": o_date,
         "o_orderpriority": rng.choice(np.array(text.PRIORITIES), n_ord),
-        "o_clerk": np.char.add("Clerk#", _zfill(rng.integers(1, clerk_count + 1, n_ord), 9)),
+        "o_clerk": pick_clerks(n_ord),
         "o_shippriority": np.zeros(n_ord, dtype=np.int32),
         "o_comment": _comments(
             rng, n_ord, 6, 79, inject=("special", "requests"), inject_rate=0.01
         ),
-    })
-    return db
+    }
+    return orders, lineitem

@@ -27,9 +27,7 @@ from ..execution.expressions import Col, InList
 from ..schemes.base import PhysicalDatabase
 from ..storage.database import Database, lookup_rows
 from ..updates import CompactionPolicy, UpdateSession
-from . import text
-from .dates import CURRENT_DATE, ORDER_DATE_MAX, ORDER_DATE_MIN
-from .datagen import _comments
+from .datagen import orders_with_lineitems
 from .environment import Environment
 from .queries import QUERIES
 from .runner import run_query
@@ -52,86 +50,25 @@ def generate_rf1(
     """New ORDERS plus their LINEITEMs, dbgen-style distributions drawn
     against the *current* database content."""
     orders = db.table_data("orders")
-    customers = db.table_data("customer")
+    customers = db.table_data("customer")["c_custkey"]
     partsupp = db.table_data("partsupp")
     part = db.table_data("part")
 
-    o_key = orders["o_orderkey"].max() + 1 + np.arange(num_orders, dtype=np.int64)
-    eligible = customers["c_custkey"][customers["c_custkey"] % 3 != 0]
-    o_cust = rng.choice(eligible, num_orders).astype(orders["o_custkey"].dtype)
-    o_date = rng.integers(ORDER_DATE_MIN, ORDER_DATE_MAX + 1, num_orders).astype(np.int32)
+    def pick_parts(n_line: int):
+        # (partkey, suppkey) pairs come from PARTSUPP so the composite FK holds
+        ps_pick = rng.integers(0, len(partsupp["ps_partkey"]), n_line)
+        l_part = partsupp["ps_partkey"][ps_pick]
+        part_row = lookup_rows([part["p_partkey"]], [l_part])
+        return l_part, partsupp["ps_suppkey"][ps_pick], part["p_retailprice"][part_row]
 
-    lines_per_order = rng.integers(1, 8, num_orders)
-    n_line = int(lines_per_order.sum())
-    order_row = np.repeat(np.arange(num_orders), lines_per_order)
-    l_orderkey = o_key[order_row]
-    l_linenumber = (
-        np.arange(n_line)
-        - np.repeat(np.cumsum(lines_per_order) - lines_per_order, lines_per_order)
-        + 1
-    ).astype(np.int32)
-    # (partkey, suppkey) pairs come from PARTSUPP so the composite FK holds
-    ps_pick = rng.integers(0, len(partsupp["ps_partkey"]), n_line)
-    l_part = partsupp["ps_partkey"][ps_pick]
-    l_supp = partsupp["ps_suppkey"][ps_pick]
-    part_row = lookup_rows([part["p_partkey"]], [l_part])
-    l_qty = rng.integers(1, 51, n_line).astype(np.float64)
-    l_extprice = np.round(l_qty * part["p_retailprice"][part_row], 2)
-    l_discount = np.round(rng.integers(0, 11, n_line) / 100.0, 2)
-    l_tax = np.round(rng.integers(0, 9, n_line) / 100.0, 2)
-    o_date_per_line = o_date[order_row]
-    l_ship = (o_date_per_line + rng.integers(1, 122, n_line)).astype(np.int32)
-    l_commit = (o_date_per_line + rng.integers(30, 91, n_line)).astype(np.int32)
-    l_receipt = (l_ship + rng.integers(1, 31, n_line)).astype(np.int32)
-    received = l_receipt <= CURRENT_DATE
-    flag_rand = rng.random(n_line) < 0.5
-    l_returnflag = np.where(received, np.where(flag_rand, "R", "A"), "N").astype("<U1")
-    l_linestatus = np.where(l_ship > CURRENT_DATE, "O", "F").astype("<U1")
-
-    lineitem_rows = {
-        "l_orderkey": l_orderkey,
-        "l_partkey": l_part,
-        "l_suppkey": l_supp,
-        "l_linenumber": l_linenumber,
-        "l_quantity": l_qty,
-        "l_extendedprice": l_extprice,
-        "l_discount": l_discount,
-        "l_tax": l_tax,
-        "l_returnflag": l_returnflag,
-        "l_linestatus": l_linestatus,
-        "l_shipdate": l_ship,
-        "l_commitdate": l_commit,
-        "l_receiptdate": l_receipt,
-        "l_shipinstruct": rng.choice(np.array(text.INSTRUCTIONS), n_line),
-        "l_shipmode": rng.choice(np.array(text.MODES), n_line),
-        "l_comment": _comments(rng, n_line, 4, 44),
-    }
-
-    charge = l_extprice * (1.0 + l_tax) * (1.0 - l_discount)
-    o_total = np.round(
-        np.bincount(order_row, weights=charge, minlength=num_orders), 2
-    )
-    open_lines = np.bincount(
-        order_row, weights=(l_linestatus == "O"), minlength=num_orders
-    )
-    o_status = np.where(
-        open_lines == lines_per_order, "O", np.where(open_lines == 0, "F", "P")
-    ).astype("<U1")
     clerk_domain = np.unique(orders["o_clerk"])
-    orders_rows = {
-        "o_orderkey": o_key.astype(orders["o_orderkey"].dtype),
-        "o_custkey": o_cust,
-        "o_orderstatus": o_status,
-        "o_totalprice": o_total,
-        "o_orderdate": o_date,
-        "o_orderpriority": rng.choice(np.array(text.PRIORITIES), num_orders),
-        "o_clerk": rng.choice(clerk_domain, num_orders),
-        "o_shippriority": np.zeros(num_orders, dtype=orders["o_shippriority"].dtype),
-        "o_comment": _comments(
-            rng, num_orders, 6, 79, inject=("special", "requests"), inject_rate=0.01
-        ),
-    }
-    return orders_rows, lineitem_rows
+    return orders_with_lineitems(
+        rng,
+        orders["o_orderkey"].max() + 1 + np.arange(num_orders, dtype=np.int64),
+        customers[customers % 3 != 0],
+        pick_parts,
+        lambda n: rng.choice(clerk_domain, n),
+    )
 
 
 def rf2_order_keys(db: Database, rng: np.random.Generator, num_orders: int) -> np.ndarray:

@@ -81,31 +81,6 @@ def _base_logical_rows(stored: StoredTable) -> np.ndarray:
     return np.arange(stored.stored_rows, dtype=np.int64)
 
 
-def _merged_order(
-    stored: StoredTable, base_keys: Optional[np.ndarray], delta: DeltaStore,
-    live_base: np.ndarray,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Permutation merging live base rows (first) and live run rows (in
-    commit order) into scheme storage order; also the merged BDCC keys."""
-    if stored.bdcc is not None:
-        pieces = [base_keys]
-        for run in delta.runs:
-            pieces.append(run.keys[run.live_positions()])
-        all_keys = np.concatenate(pieces)
-        return np.argsort(all_keys, kind="stable"), all_keys
-    if stored.sort_columns:
-        merged_cols = {}
-        for column in stored.sort_columns:
-            pieces = [stored.columns[column][live_base]]
-            for run in delta.runs:
-                pieces.append(run.columns[column][run.live_positions()])
-            merged_cols[column] = np.concatenate(pieces)
-        order = np.lexsort(tuple(merged_cols[c] for c in reversed(stored.sort_columns)))
-        return order, None
-    total = len(live_base) + delta.live_delta_rows
-    return np.arange(total, dtype=np.int64), None
-
-
 def compact_table(
     stored: StoredTable, disk: DiskModel, costs: CostModel
 ) -> Tuple[float, float]:
@@ -121,26 +96,25 @@ def compact_table(
 
     base_rows = _base_logical_rows(stored)
     live_base = base_rows[~delta.base_deleted[base_rows]]
+    live_runs = [(run, run.live_positions()) for run in delta.runs]
     bdcc = stored.bdcc
-    base_keys = bdcc.keys[live_base] if bdcc is not None else None
-    order, merged_keys = _merged_order(stored, base_keys, delta, live_base)
-
-    merged_columns = {}
-    read_bytes: List[float] = []
-    write_bytes: List[float] = []
-    for name in stored.columns:
-        pieces = [stored.columns[name][live_base]]
-        for run in delta.runs:
-            pieces.append(run.columns[name][run.live_positions()])
-        merged = np.concatenate(pieces)[order]
-        merged_columns[name] = merged
-        width = stored.stored_bytes_per_value(name)
-        read_bytes.append((len(live_base) + delta.live_delta_rows) * width)
-        write_bytes.append(len(merged) * width)
-    n = len(next(iter(merged_columns.values()))) if merged_columns else 0
+    key_pieces = None
+    if bdcc is not None:
+        key_pieces = [bdcc.keys[live_base]] + [run.keys[at] for run, at in live_runs]
+    merged_columns, merged_keys = stored.merge_pieces(
+        {
+            name: [values[live_base]] + [run.columns[name][at] for run, at in live_runs]
+            for name, values in stored.columns.items()
+        },
+        key_pieces,
+    )
+    n = len(live_base) + delta.live_delta_rows
+    # read base + deltas, write the merged table: the same bytes either way
+    rewrite_bytes: List[float] = [
+        n * stored.stored_bytes_per_value(name) for name in stored.columns
+    ]
 
     if bdcc is not None:
-        merged_keys = merged_keys[order]
         shift = np.uint64(bdcc.total_bits - bdcc.granularity)
         ct = bdcc.count_table
         valid = np.flatnonzero(ct.valid)
@@ -148,9 +122,7 @@ def compact_table(
         removed_keys, removed_counts = np.unique(
             bdcc.keys[deleted_rows] >> shift, return_counts=True
         )
-        added: List[np.ndarray] = [
-            run.keys[run.live_positions()] >> shift for run in delta.runs
-        ]
+        added: List[np.ndarray] = [keys >> shift for keys in key_pieces[1:]]
         added_all = np.concatenate(added) if added else np.zeros(0, dtype=np.uint64)
         added_keys, added_counts = np.unique(added_all, return_counts=True)
         bdcc.count_table = CountTable.merge_entries(
@@ -163,9 +135,8 @@ def compact_table(
         bdcc.row_source = np.arange(n, dtype=np.int64)
         bdcc.logical_rows = n
         bdcc.stats = collect_granularity_stats(merged_keys, bdcc.total_bits)
-        # read the key column (RLE, ~1 byte/tuple) and rewrite it too
-        read_bytes.append(float(len(live_base) + delta.live_delta_rows))
-        write_bytes.append(float(n))
+        # the key column (RLE, ~1 byte/tuple) is read and rewritten too
+        rewrite_bytes.append(float(n))
 
     stored.columns = merged_columns
     stored.invalidate_statistics()
@@ -174,6 +145,6 @@ def compact_table(
     REGISTRY.inc("compactions")
     REGISTRY.inc("epochs_bumped")
 
-    io_seconds = disk.time_for_runs(read_bytes) + disk.time_for_runs(write_bytes)
+    io_seconds = 2 * disk.time_for_runs(rewrite_bytes)
     cpu_seconds = n * costs.merge_row + n * costs.scan_value * max(len(merged_columns), 1)
     return io_seconds, cpu_seconds

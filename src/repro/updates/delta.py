@@ -117,23 +117,17 @@ def place_delta_run(
     just appended to the logical database (they sit at positions
     ``n_old .. n_old+n_new`` of the db arrays).
 
-    Placement per scheme: BDCC runs are binned into existing zones and
-    key-sorted; PK runs are sorted on the primary key; Plain runs keep
-    arrival order.
+    Placement per scheme: BDCC rows are binned into existing zones; the
+    run is then a one-piece merge into the table's storage order (key
+    order on BDCC, primary-key order on PK, arrival order on Plain).
     """
-    data = db.table_data(stored.name)
-    row_indices = np.arange(n_old, n_old + n_new, dtype=np.int64)
-    columns = {name: values[row_indices] for name, values in data.items()}
+    key_pieces = None
     if stored.bdcc is not None:
-        keys = stored.bdcc.keys_for_rows(db, row_indices)
-        order = np.argsort(keys, kind="stable")
-        return DeltaRun(
-            columns={name: values[order] for name, values in columns.items()},
-            keys=keys[order],
-        )
-    if stored.sort_columns:
-        order = np.lexsort(tuple(columns[c] for c in reversed(stored.sort_columns)))
-        return DeltaRun(
-            columns={name: values[order] for name, values in columns.items()}
-        )
-    return DeltaRun(columns=columns)
+        row_indices = np.arange(n_old, n_old + n_new, dtype=np.int64)
+        key_pieces = [stored.bdcc.keys_for_rows(db, row_indices)]
+    data = db.table_data(stored.name)
+    columns, keys = stored.merge_pieces(
+        {name: [values[n_old:n_old + n_new]] for name, values in data.items()},
+        key_pieces,
+    )
+    return DeltaRun(columns=columns, keys=keys)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.append import append_rows
+from ..core.count_table import CountTable
 from ..execution.cost import CostModel
 from ..planner.executor import ExecutionOptions, Executor
 from ..planner.explain import format_physical_plan, format_plan
@@ -324,6 +324,8 @@ class WorkloadReport:
     rows_inserted: int = 0
     rows_deleted: int = 0
     compactions: int = 0
+    #: compacted BDCC tables held to the full count-table rebuild
+    rebuild_checks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -347,6 +349,7 @@ class WorkloadReport:
             "rows_inserted": int(self.rows_inserted),
             "rows_deleted": int(self.rows_deleted),
             "compactions": int(self.compactions),
+            "rebuild_checks": int(self.rebuild_checks),
             "divergences": [
                 {
                     "seed": d.seed,
@@ -368,7 +371,8 @@ class WorkloadReport:
         if self.commits:
             lines.append(
                 f"updates: {self.commits} commits (+{self.rows_inserted} rows, "
-                f"-{self.rows_deleted} rows, {self.compactions} compactions)"
+                f"-{self.rows_deleted} rows, {self.compactions} compactions, "
+                f"{self.rebuild_checks} held to the full rebuild)"
             )
         if self.executions:
             lines.append(
@@ -549,14 +553,14 @@ def run_differential(
     insert/delete batches are committed through one
     :class:`~repro.updates.UpdateSession` (all schemes share the logical
     database, so the naive reference sees every change automatically),
-    each followed by ``num_queries // update_rounds`` queries.  Round 0
-    is insert-only and additionally cross-checks the incremental append
-    path against the full-rebuild slow path (the oracle's second
-    reference).  Executors persist across rounds, so a stale cached plan
-    surviving a commit would surface as a divergence — the epoch keying
-    is under test too.  Plan ``index`` is drawn from ``(seed, index)``
-    with or without updates, so every seeded sweep checks the same
-    sequence.
+    each followed by ``num_queries // update_rounds`` queries.  Every
+    BDCC table a commit compacts is additionally held to the full
+    re-aggregation of its own key column (the oracle's second
+    reference, counted in ``rebuild_checks``).  Executors persist across
+    rounds, so a stale cached plan surviving a commit would surface as a
+    divergence — the epoch keying is under test too.  Plan ``index`` is
+    drawn from ``(seed, index)`` with or without updates, so every
+    seeded sweep checks the same sequence.
 
     ``repro_flags`` names the extra CLI flags (``--sf``,
     ``--datagen-seed``) that rebuild the same database, so divergence
@@ -592,8 +596,9 @@ def run_differential(
                 report.rows_inserted += sum(result.inserted.values())
                 report.rows_deleted += sum(result.deleted.values())
                 report.compactions += sum(1 for c in result.changes if c.compacted)
-                if index == 0 and batch.is_insert_only and not result.compacted_tables():
-                    _append_second_reference(report, physical_dbs, batch, repro_flags)
+                _compaction_second_reference(
+                    report, physical_dbs, result, batch, repro_flags
+                )
                 if report.divergences and fail_fast:
                     break
             query = plan_generator.generate(seed, index)
@@ -606,7 +611,8 @@ def run_differential(
                 progress(index + 1, total)
         return report
     finally:
-        # process-backend variants hold worker pools and shared memory
+        # drops backend handles only: the process backend's pool and
+        # shared-memory blocks outlive executors (backends.shutdown)
         for executor in executors.values():
             executor.close()
 
@@ -686,47 +692,51 @@ def _check_one_query(
                 totals["reserved_bytes"] += actuals.reserved_bytes
 
 
-def _append_second_reference(
+def _compaction_second_reference(
     report: WorkloadReport,
     physical_dbs: Dict[str, PhysicalDatabase],
+    result,
     batch,
     repro_flags: str,
 ) -> None:
-    """Cross-check the incremental append path against the full-rebuild
-    slow path (``append_rows(..., rebuild=True)``) — valid on the first,
-    insert-only commit, while the BDCC base tables still match the
-    pristine build.  Key order, row placement and the incrementally
-    merged count table must agree exactly."""
-    bdcc_pdb = next(
-        (pdb for pdb in physical_dbs.values() if pdb.bdcc_tables()), None
-    )
-    if bdcc_pdb is None:
-        return
-    db = bdcc_pdb.database
-    for table, rows in batch.inserts:
-        stored = bdcc_pdb.table(table)
-        if stored.bdcc is None:
+    """Hold every BDCC table this commit compacted to the full rebuild:
+    its merged keys must be non-decreasing and its incrementally
+    maintained count table (``CountTable.merge_entries``) all-valid and
+    equal to the re-aggregation of the merged key column
+    (``CountTable.from_sorted_keys``) — the write path production runs,
+    at real table sizes, in any round."""
+    for change in result.changes:
+        if not change.compacted:
             continue
-        incremental = append_rows(stored.bdcc, db, rows)
-        rebuilt = append_rows(stored.bdcc, db, rows, rebuild=True)
-        same = (
-            np.array_equal(incremental.keys, rebuilt.keys)
-            and np.array_equal(incremental.row_source, rebuilt.row_source)
-            and np.array_equal(incremental.count_table.keys, rebuilt.count_table.keys)
-            and np.array_equal(incremental.count_table.counts, rebuilt.count_table.counts)
-            and np.array_equal(incremental.count_table.offsets, rebuilt.count_table.offsets)
-        )
-        if not same:
-            report.divergences.append(
-                Divergence(
-                    seed=batch.seed,
-                    index=batch.index,
-                    scheme=bdcc_pdb.scheme_name,
-                    variant="append-rebuild-reference",
-                    description=batch.description,
-                    logical_plan=f"append {len(next(iter(rows.values())))} rows to {table}",
-                    physical_plan="(incremental append vs rebuild=True reference)",
-                    detail="incremental append diverges from the full rebuild",
-                    repro_flags=repro_flags,
-                )
+        for stored in physical_dbs[change.scheme].stored_copies(change.table):
+            bdcc = stored.bdcc
+            if bdcc is None or stored.has_delta:
+                continue  # not co-clustered, or a copy this commit left uncompacted
+            report.rebuild_checks += 1
+            ct = bdcc.count_table
+            rebuilt = CountTable.from_sorted_keys(
+                bdcc.keys, bdcc.total_bits, bdcc.granularity
             )
+            problems = [
+                f"count table {attr} differ from the full re-aggregation"
+                for attr in ("keys", "counts", "offsets")
+                if not np.array_equal(getattr(ct, attr), getattr(rebuilt, attr))
+            ]
+            if np.any(bdcc.keys[1:] < bdcc.keys[:-1]):
+                problems.append("_bdcc_ keys are not sorted")
+            if not ct.valid.all():
+                problems.append("count table has invalid entries")
+            if problems:
+                report.divergences.append(
+                    Divergence(
+                        seed=batch.seed,
+                        index=batch.index,
+                        scheme=change.scheme,
+                        variant="compaction-rebuild-reference",
+                        description=batch.description,
+                        logical_plan=f"compact {change.table} ({stored.stored_rows} rows)",
+                        physical_plan="(merge_entries count table vs from_sorted_keys)",
+                        detail="; ".join(problems),
+                        repro_flags=repro_flags,
+                    )
+                )

@@ -49,10 +49,6 @@ class UpdateBatch:
     description: str = ""
 
     @property
-    def is_insert_only(self) -> bool:
-        return bool(self.inserts) and not self.deletes
-
-    @property
     def is_empty(self) -> bool:
         return not self.inserts and not self.deletes
 
@@ -185,9 +181,8 @@ class UpdateGenerator:
     # -------------------------------------------------------------- public
     def generate(self, seed: int, index: int) -> UpdateBatch:
         """The batch for ``(seed, index)``; deterministic for a given
-        database state.  Round 0 is insert-only so the differential
-        oracle can cross-check the incremental append path against the
-        full-rebuild reference."""
+        database state.  Round 0 is insert-only: the seeded batch
+        sequence is pinned, and every later round draws from it."""
         rng = np.random.RandomState([seed & 0x7FFFFFFF, (index + 0x5EED) & 0x7FFFFFFF])
         batch = UpdateBatch(seed=seed, index=index)
         shape: List[str] = []

@@ -1,10 +1,10 @@
-"""Span tracing: nesting, the metrics-derived span trees, and the
+"""Span tracing: nesting, the executor's phase spans, and the
 passive-tracing invariant (bit-identical results and simulated charges
 with tracing on or off) that ``repro.observe.spans`` promises."""
 
 import numpy as np
 
-from repro.observe import SpanTracer, fragment_spans, operator_spans, query_span
+from repro.observe import SpanTracer
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
 from repro.tpch.queries import QUERIES
@@ -65,7 +65,6 @@ class TestSpanTracer:
         outer = tracer.roots[0]
         assert [c.name for c in outer.children] == ["inner"]
         assert outer.attributes == {"kind": "test"}
-        assert outer.clock == "wall"
         inner = outer.children[0]
         assert outer.start_seconds <= inner.start_seconds
         assert inner.end_seconds <= outer.end_seconds
@@ -96,17 +95,12 @@ class TestExecutorIntegration:
         assert [s.name for s in tracer.roots] == ["query"]
         child_names = [c.name for c in tracer.roots[0].children]
         assert child_names == ["lower", "execute"]
-        # the finished run's simulated span tree was recorded too
-        assert len(tracer.queries) == 1
-        assert tracer.queries[0].category == "query"
-        assert tracer.queries[0].clock == "simulated"
 
     def test_runner_records_query_spans(self, bdcc_db, environment):
         tracer = SpanTracer()
         _run(bdcc_db, environment, "Q06", workers=4, tracer=tracer)
         names = [s.name for s in tracer.roots]
         assert "lower" in names and "execute" in names
-        assert tracer.queries, "finished runs must land in tracer.queries"
 
 
 class TestPassiveInvariant:
@@ -125,45 +119,3 @@ class TestPassiveInvariant:
         )
         assert _identical(result_off.relation, result_on.relation)
         assert _charges(metrics_off) == _charges(metrics_on)
-
-
-class TestDerivedSpans:
-    def test_fragment_spans_sit_on_the_timeline(self, bdcc_db, environment):
-        _, metrics = _run(bdcc_db, environment, "Q01", workers=4)
-        assert metrics.workers > 1 and len(metrics.fragments) > 1
-        spans = fragment_spans(metrics)
-        assert len(spans) == len(metrics.fragments)
-        for span, f in zip(spans, metrics.fragments):
-            assert span.clock == "simulated"
-            assert span.start_seconds == f.start_seconds
-            assert span.end_seconds == f.end_seconds
-            io_children = [c for c in span.children if c.name == "io"]
-            if f.io_end_seconds > f.start_seconds:
-                (io,) = io_children
-                assert io.start_seconds == f.start_seconds
-                assert io.end_seconds == f.io_end_seconds
-                # stretch = scheduled IO window minus charged IO seconds
-                expected = max(
-                    (f.io_end_seconds - f.start_seconds) - f.io_seconds, 0.0
-                )
-                assert io.attributes["stretch_seconds"] == expected
-
-    def test_operator_spans_are_duration_only(self, bdcc_db, environment):
-        _, metrics = _run(bdcc_db, environment, "Q06")
-        spans = operator_spans(metrics)
-        assert len(spans) == len(metrics.operators)
-        for span, actuals in zip(spans, metrics.operators.values()):
-            assert span.start_seconds == 0.0
-            assert span.end_seconds == actuals.total_seconds
-            assert span.attributes["kind"] == actuals.kind
-
-    def test_query_span_groups_fragments_and_operators(self, bdcc_db, environment):
-        _, metrics = _run(bdcc_db, environment, "Q01", workers=4)
-        root = query_span("Q01", metrics)
-        assert root.category == "query"
-        assert root.end_seconds == metrics.wall_seconds
-        fragments = [c for c in root.children if c.category == "fragment"]
-        assert len(fragments) == len(metrics.fragments)
-        holders = [c for c in root.children if c.name == "operators"]
-        assert len(holders) == 1
-        assert len(holders[0].children) == len(metrics.operators)

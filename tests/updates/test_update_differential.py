@@ -3,8 +3,8 @@
 Seeded random insert/delete batches are committed between generated
 queries; every query must agree with the naive reference under all three
 schemes × the full ablation grid × workers 1/2/4 (parallel bit-for-bit
-against serial), after every commit.  Round 0 additionally cross-checks
-the incremental append path against the full-rebuild slow path.
+against serial), after every commit.  Every BDCC table a commit
+compacts is additionally held to the full count-table rebuild.
 """
 
 import pytest
