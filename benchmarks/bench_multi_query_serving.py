@@ -35,7 +35,7 @@ from repro.serving import (  # noqa: E402
     TpchRefreshStream,
     capture_tpch_items,
 )
-from repro.observe import percentile  # noqa: E402
+from repro.observe import latency_stats  # noqa: E402
 from repro.tpch.datagen import generate  # noqa: E402
 from repro.tpch.environment import make_environment  # noqa: E402
 from repro.tpch.harness import build_schemes  # noqa: E402
@@ -80,19 +80,18 @@ def _serve_config(sf: float, seed: int, streams: int, policy: str) -> dict:
         policy=policy, max_concurrent=MAX_CONCURRENT, keep_results=False,
     ) as engine:
         report = engine.serve(query_streams, refresh)
-    latencies = [r.latency_seconds for r in report.queries]
+    latency = latency_stats([r.latency_seconds for r in report.queries])
     return {
         "queries": len(report.queries),
         "commits": len(report.commits),
         "qps": report.queries_per_second,
         "makespan_seconds": report.makespan_seconds,
         "utilization": report.utilization,
-        "p50_latency_seconds": percentile(latencies, 0.50),
-        "p95_latency_seconds": percentile(latencies, 0.95),
-        "mean_queue_seconds": (
-            sum(r.queue_seconds for r in report.queries) / len(report.queries)
-            if report.queries else 0.0
-        ),
+        "p50_latency_seconds": latency["p50"],
+        "p95_latency_seconds": latency["p95"],
+        "mean_queue_seconds": latency_stats(
+            [r.queue_seconds for r in report.queries]
+        )["mean"],
         "commit_work_seconds": sum(c.work_seconds for c in report.commits),
         "compaction_seconds": sum(
             c.compaction_seconds for c in report.commits

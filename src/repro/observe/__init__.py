@@ -12,8 +12,11 @@ bit-identical with observability on or off:
   export of scheduler timelines: workers as lanes, fragments as slices,
   IO contention as sub-slices, exchanges as flow arrows;
 * :mod:`repro.observe.query_log` — schema-versioned JSONL records, one
-  per execution, with a validator; the same record shape backs the
-  CLIs' ``--json`` modes and the structured benchmark reports;
+  per execution; the same record shape backs the CLIs' ``--json`` modes
+  and the structured benchmark reports;
+* :mod:`repro.observe.schema` — the one checker behind the record,
+  trace and ledger validators: a shape is a declarative spec, a problem
+  is named by path, and no JSON input makes it raise;
 * :mod:`repro.observe.registry` — process-wide counters/gauges (cache
   hits, compactions, epoch bumps) snapshotted into every record;
 * :mod:`repro.observe.sink` — the one fan-out from a finished execution
@@ -46,9 +49,9 @@ from .history import (
 )
 from .query_log import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     QueryLog,
     build_record,
+    latency_stats,
     percentile,
     plan_fingerprint,
     read_records,
@@ -69,9 +72,9 @@ from .trace_events import TraceBuilder, validate_trace, validate_trace_events
 
 __all__ = [
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "QueryLog",
     "build_record",
+    "latency_stats",
     "percentile",
     "plan_fingerprint",
     "read_records",

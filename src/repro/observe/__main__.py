@@ -5,9 +5,11 @@ Three subcommands:
 * ``validate FILE...`` — check Chrome trace-event JSON, JSONL query
   logs, ``--json`` CLI documents and ``BENCH_*.json`` ledgers against
   their schemas; one summary line per file, nonzero exit on any
-  invalid artifact (the CI ``observe`` job gate).
+  invalid artifact (the CI ``observe`` job gate).  A bad file ends in
+  ``INVALID`` and the path of each offending field, never a traceback.
 * ``summary FILE...`` — aggregate JSONL query logs into per-query
-  p50/p95 simulated seconds, cache hit rates and delta-scan totals.
+  p50/p95 simulated seconds, cache hit rates and delta-scan totals;
+  nothing is aggregated from a log ``validate`` would refuse.
 * ``regress [LEDGER...]`` — the regression gate: every benchmark
   ledger whose newest record was produced at the checked-out commit
   must equal its previous same-configuration record on every metric;
@@ -23,11 +25,26 @@ import sys
 from typing import List
 
 from .history import current_git_sha, ledger_paths, read_ledger
-from .query_log import read_records, record_errors, summarize_records
+from .query_log import (
+    RECORD_SPEC,
+    read_records,
+    record_errors,
+    summarize_records,
+)
 from .regress import check_ledger, format_table
+from .schema import problems
 from .trace_events import validate_trace
 
 __all__ = ["main"]
+
+
+def _log_problems(records: List[dict]) -> List[str]:
+    """Every schema problem of a loaded log, as ``line N: problem``."""
+    return [
+        f"line {line_number}: {error}"
+        for line_number, record in enumerate(records, start=1)
+        for error in record_errors(record)
+    ]
 
 
 def _validate_file(path: str) -> List[str]:
@@ -35,12 +52,7 @@ def _validate_file(path: str) -> List[str]:
         records = read_records(path)
         if not records:
             return ["no records"]
-        errors: List[str] = []
-        for line_number, record in enumerate(records, start=1):
-            errors.extend(
-                f"line {line_number}: {error}" for error in record_errors(record)
-            )
-        return errors
+        return _log_problems(records)
     with open(path) as fh:
         document = json.load(fh)
     if isinstance(document, dict) and "traceEvents" in document:
@@ -57,13 +69,16 @@ def _validate_file(path: str) -> List[str]:
     if isinstance(document, dict) and "records" in document:
         if not document["records"]:
             return ["no records"]
-        errors = []
-        for position, record in enumerate(document["records"]):
-            errors.extend(
-                f"records[{position}]: {error}" for error in record_errors(record)
-            )
-        return errors
+        return problems(document["records"], [RECORD_SPEC], "records")
     return ["unrecognised document: neither a trace nor a record collection"]
+
+
+def _print_invalid(path: str, errors: List[str], file) -> None:
+    print(f"{path}: INVALID", file=file)
+    for error in errors[:20]:
+        print(f"  - {error}", file=file)
+    if len(errors) > 20:
+        print(f"  ... and {len(errors) - 20} more", file=file)
 
 
 def _cmd_validate(files: List[str]) -> int:
@@ -71,15 +86,11 @@ def _cmd_validate(files: List[str]) -> int:
     for path in files:
         try:
             errors = _validate_file(path)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
             errors = [str(exc)]
         if errors:
             failed = True
-            print(f"{path}: INVALID")
-            for error in errors[:20]:
-                print(f"  - {error}")
-            if len(errors) > 20:
-                print(f"  ... and {len(errors) - 20} more")
+            _print_invalid(path, errors, sys.stdout)
         else:
             print(f"{path}: ok")
     return 1 if failed else 0
@@ -93,10 +104,14 @@ def _cmd_summary(files: List[str], as_json: bool) -> int:
     records = []
     for path in files:
         try:
-            records.extend(read_records(path))
-        except OSError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
+            batch = read_records(path)
+            errors = _log_problems(batch)
+        except (OSError, ValueError) as exc:  # unreadable, or a non-JSON line
+            errors = [str(exc)]
+        if errors:
+            _print_invalid(path, errors, sys.stderr)
             return 1
+        records.extend(batch)
     summary = summarize_records(records)
     if as_json:
         print(json.dumps(summary, sort_keys=True, indent=2))
@@ -109,7 +124,6 @@ def _cmd_summary(files: List[str], as_json: bool) -> int:
     print(
         f"  plan cache hit rate:     "
         f"{_format_rate(overall['plan_cache_hit_rate'])}"
-        + (f"  ({overall['cache_source']})" if overall["cache_source"] else "")
     )
     print(
         f"  fragment cache hit rate: "

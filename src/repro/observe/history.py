@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .schema import NUMBER, problems
+
 __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "LEDGER_PREFIX",
@@ -154,35 +156,22 @@ def build_ledger_record(
     return record
 
 
+#: one trajectory point; a metric is a finite number (``regress`` could
+#: never find a NaN ``same``).
+LEDGER_RECORD_SPEC = {
+    "ledger_schema_version": LEDGER_SCHEMA_VERSION,
+    "bench": str,
+    "git_sha": str,
+    "timestamp_utc": str,
+    "host": dict,
+    "meta": dict,
+    "metrics": {...: NUMBER},
+}
+
+
 def ledger_record_errors(record) -> List[str]:
     """Schema problems of one ledger record (empty = valid)."""
-    if not isinstance(record, dict):
-        return ["record is not an object"]
-    errors: List[str] = []
-    for key, types in (
-        ("ledger_schema_version", int),
-        ("bench", str),
-        ("git_sha", str),
-        ("timestamp_utc", str),
-        ("host", dict),
-        ("meta", dict),
-        ("metrics", dict),
-    ):
-        if not isinstance(record.get(key), types):
-            errors.append(f"{key}: missing or not a {types.__name__}")
-    if errors:
-        return errors
-    if record["ledger_schema_version"] != LEDGER_SCHEMA_VERSION:
-        errors.append(
-            f"ledger_schema_version {record['ledger_schema_version']} "
-            f"!= {LEDGER_SCHEMA_VERSION}"
-        )
-    for metric, value in record["metrics"].items():
-        if not isinstance(metric, str):
-            errors.append(f"metrics: non-string name {metric!r}")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"metrics[{metric}]: not a number")
-    return errors
+    return problems(record, LEDGER_RECORD_SPEC)
 
 
 # ---------------------------------------------------------------- ledger
@@ -257,11 +246,9 @@ def read_ledger(path, *, name: Optional[str] = None) -> Ledger:
         )
         return ledger
     for position, record in enumerate(document["records"]):
-        problems = ledger_record_errors(record)
-        if problems:
-            ledger.errors.extend(
-                f"records[{position}]: {problem}" for problem in problems
-            )
+        found = problems(record, LEDGER_RECORD_SPEC, f"records[{position}]")
+        if found:
+            ledger.errors.extend(found)
         else:
             ledger.records.append(record)
     return ledger
@@ -303,6 +290,8 @@ def append_record(
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     scratch = path.with_suffix(".json.tmp")
-    scratch.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+    scratch.write_text(
+        json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    )
     scratch.replace(path)
     return record

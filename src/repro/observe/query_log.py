@@ -15,16 +15,16 @@ modes, and the structured benchmark reports.  ``validate_record``
 checks a record against the schema; the CI ``observe`` job holds every
 emitted record to it.
 
-Records are plain JSON: floats, ints, strings, lists, string-keyed
-dicts.  ``SCHEMA_VERSION`` bumps whenever a required field changes
-meaning; adding optional fields is compatible.  Version 2 added the
-per-record ``registry_delta`` (counter increments since the previous
-record, next to the cumulative ``registry`` snapshot — in a suite run
-record N's cumulative snapshot includes all prior queries' counters,
-so per-execution churn needs the delta) and the optional per-fragment
-``profile`` entries (top-N cProfile stats when
-``ExecutionOptions.profile`` was on); the validator accepts both
-versions.
+Records are plain JSON: finite floats, ints, strings, lists,
+string-keyed dicts.  ``SCHEMA_VERSION`` bumps whenever a required field
+changes meaning, and the validator accepts exactly the current version
+(2: the per-record ``registry_delta`` — counter increments since the
+previous record, next to the cumulative ``registry`` snapshot, which in
+a suite run includes every prior query's counters — and the per-fragment
+``profile`` entries).  The shape is declared once, in ``RECORD_SPEC``
+(checked by :mod:`~repro.observe.schema`); the ``operators`` /
+``fragments`` entries and the ``simulated`` block are derived from the
+:mod:`~repro.execution.metrics` dataclasses that own those fields.
 """
 
 from __future__ import annotations
@@ -33,14 +33,19 @@ import dataclasses
 import hashlib
 import json
 import math
-from typing import Dict, List, Optional
+import typing
+from typing import Dict, List, Optional, Tuple
 
-from ..execution.metrics import ExecutionMetrics
+from ..execution.metrics import (
+    ExecutionMetrics,
+    FragmentActuals,
+    OperatorActuals,
+)
 from .registry import REGISTRY, MetricsRegistry
+from .schema import COUNT, NUMBER, Rule, problems
 
 __all__ = [
     "SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "plan_fingerprint",
     "build_record",
     "record_errors",
@@ -49,11 +54,10 @@ __all__ = [
     "read_records",
     "summarize_records",
     "percentile",
+    "latency_stats",
 ]
 
 SCHEMA_VERSION = 2
-#: versions ``record_errors`` accepts — old logs keep validating.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 
 # ---------------------------------------------------------- fingerprints
@@ -79,48 +83,57 @@ def plan_fingerprint(plans) -> str:
 
 
 # --------------------------------------------------------------- records
-def _operator_entries(metrics: ExecutionMetrics) -> List[dict]:
-    return [
-        {
-            "kind": a.kind,
-            "description": a.description,
-            "rows_in": int(a.rows_in),
-            "rows_out": int(a.rows_out),
-            "io_bytes": float(a.io_bytes),
-            "io_accesses": int(a.io_accesses),
-            "io_seconds": float(a.io_seconds),
-            "cpu_seconds": float(a.cpu_seconds),
-            "reserved_bytes": float(a.reserved_bytes),
-            "executions": int(a.executions),
-        }
-        for a in metrics.operators.values()
-    ]
+#: what one per-fragment cProfile entry holds (``observe/profiling.py``).
+_PROFILE_ENTRY = {
+    "function": str, "calls": NUMBER,
+    "total_seconds": NUMBER, "cumulative_seconds": NUMBER,
+}
+
+#: declared type of an actuals attribute -> (cast to plain JSON, spec)
+_BY_TYPE = {
+    str: (str, str),
+    int: (int, NUMBER),
+    float: (float, NUMBER),
+    Tuple[int, ...]: (lambda ids: [int(i) for i in ids], [COUNT]),
+    List[dict]: (lambda entries: [dict(e) for e in entries], [_PROFILE_ENTRY]),
+}
 
 
-def _fragment_entries(metrics: ExecutionMetrics) -> List[dict]:
-    return [
-        {
-            "index": int(f.index),
-            "role": f.role,
-            "description": f.description,
-            "worker": int(f.worker),
-            "depends_on": [int(d) for d in f.depends_on],
-            "ready_seconds": float(f.ready_seconds),
-            "start_seconds": float(f.start_seconds),
-            "io_end_seconds": float(f.io_end_seconds),
-            "end_seconds": float(f.end_seconds),
-            "io_seconds": float(f.io_seconds),
-            "cpu_seconds": float(f.cpu_seconds),
-            "rows_out": int(f.rows_out),
-            "output_bytes": float(f.output_bytes),
-            "peak_memory_bytes": float(f.peak_memory_bytes),
-            "measured_seconds": float(f.measured_seconds),
-            "measured_start_seconds": float(f.measured_start_seconds),
-            "measured_end_seconds": float(f.measured_end_seconds),
-            "profile": [dict(entry) for entry in f.profile],
-        }
-        for f in metrics.fragments
-    ]
+def _declared(cls, names=None) -> Dict[str, tuple]:
+    """``{attribute: (cast, spec)}`` by declared type, for every
+    dataclass field of ``cls`` or just the ``names`` given (a property
+    counts by its return annotation).  The dataclass is the only place
+    an entry's fields are named: the builder and the spec both read
+    this, so a field added there shows up in both with no edit here."""
+    hints = typing.get_type_hints(cls)
+    declared = {}
+    for name in names or [f.name for f in dataclasses.fields(cls)]:
+        attribute = getattr(cls, name, None)
+        if isinstance(attribute, property):
+            hints[name] = typing.get_type_hints(attribute.fget)["return"]
+        declared[name] = _BY_TYPE[hints[name]]
+    return declared
+
+
+_OPERATOR = _declared(OperatorActuals)
+_FRAGMENT = _declared(FragmentActuals)
+#: the ``simulated`` block: the query totals the model charged, by
+#: ``ExecutionMetrics`` attribute name.
+_SIMULATED = _declared(ExecutionMetrics, (
+    "io_seconds", "cpu_seconds", "total_seconds", "makespan_seconds",
+    "wall_seconds", "io_bytes", "io_accesses", "rows_scanned",
+    "delta_rows_scanned", "rows_produced", "compaction_seconds",
+))
+
+
+def _entry(source, declared: Dict[str, tuple]) -> dict:
+    return {
+        name: cast(getattr(source, name)) for name, (cast, _) in declared.items()
+    }
+
+
+def _shape(declared: Dict[str, tuple]) -> dict:
+    return {name: spec for name, (_, spec) in declared.items()}
 
 
 def build_record(
@@ -160,19 +173,7 @@ def build_record(
         "plan_fingerprint": plan_fingerprint(plans) if plans else "",
         "epoch": epoch,
         "table_epochs": table_epochs,
-        "simulated": {
-            "io_seconds": float(metrics.io_seconds),
-            "cpu_seconds": float(metrics.cpu_seconds),
-            "total_seconds": float(metrics.total_seconds),
-            "makespan_seconds": float(metrics.makespan_seconds),
-            "wall_seconds": float(metrics.wall_seconds),
-            "io_bytes": float(metrics.io_bytes),
-            "io_accesses": int(metrics.io_accesses),
-            "rows_scanned": int(metrics.rows_scanned),
-            "delta_rows_scanned": int(metrics.delta_rows_scanned),
-            "rows_produced": int(metrics.rows_produced),
-            "compaction_seconds": float(metrics.compaction_seconds),
-        },
+        "simulated": _entry(metrics, _SIMULATED),
         "measured": {
             "wall_seconds": float(metrics.measured_wall_seconds),
         },
@@ -185,8 +186,8 @@ def build_record(
         },
         "counters": {k: float(v) for k, v in sorted(metrics.counters.items())},
         "notes": list(metrics.notes),
-        "operators": _operator_entries(metrics),
-        "fragments": _fragment_entries(metrics),
+        "operators": [_entry(a, _OPERATOR) for a in metrics.operators.values()],
+        "fragments": [_entry(f, _FRAGMENT) for f in metrics.fragments],
         "registry": registry.snapshot(),
         # counter increments attributable to *this* record, next to the
         # cumulative snapshot above (which includes every prior query's
@@ -202,160 +203,40 @@ def build_record(
 
 
 # ------------------------------------------------------------ validation
-_NUMBER = (int, float)
+def _fragment_order(fragment: dict) -> List[str]:
+    if fragment["end_seconds"] < fragment["start_seconds"]:
+        return ["end_seconds before start_seconds"]
+    return []
 
-_TOP_LEVEL = {
-    # name -> (types, required)
-    "schema_version": (int, True),
-    "label": (str, True),
-    "scheme": (str, True),
-    "backend": (str, True),
-    "workers": (int, True),
-    "options": (dict, True),
-    "plan_fingerprint": (str, True),
-    "epoch": (int, True),
-    "table_epochs": (dict, True),
-    "simulated": (dict, True),
-    "measured": (dict, True),
-    "memory": (dict, True),
-    "counters": (dict, True),
-    "notes": (list, True),
-    "operators": (list, True),
-    "fragments": (list, True),
-    "registry": (dict, True),
-    # required in schema version 2, absent in version 1
-    "registry_delta": (dict, False),
-    "result": (dict, False),
+
+#: the record's shape — the schema's documentation; a new field of the
+#: record is one entry here (and one line in ``build_record``).
+RECORD_SPEC = {
+    "schema_version": SCHEMA_VERSION,
+    "label": str,
+    "scheme": str,
+    "backend": str,
+    "workers": COUNT,
+    "options": dict,
+    "plan_fingerprint": str,
+    "epoch": COUNT,
+    "table_epochs": {...: COUNT},
+    "simulated": _shape(_SIMULATED),
+    "measured": {"wall_seconds": NUMBER},
+    "memory": {"peak_bytes": NUMBER, "by_tag": {...: NUMBER}},
+    "counters": {...: NUMBER},
+    "notes": list,
+    "operators": [_shape(_OPERATOR)],
+    "fragments": [Rule(_shape(_FRAGMENT), _fragment_order)],
+    "registry": {"counters": {...: NUMBER}, "gauges": {...: NUMBER}},
+    "registry_delta": {"counters": {...: NUMBER}},
+    "result?": {"rows": COUNT, "columns": [str]},
 }
-
-_SIMULATED_KEYS = (
-    "io_seconds", "cpu_seconds", "total_seconds", "makespan_seconds",
-    "wall_seconds", "io_bytes", "io_accesses", "rows_scanned",
-    "delta_rows_scanned", "rows_produced", "compaction_seconds",
-)
-
-_OPERATOR_KEYS = {
-    "kind": str, "description": str, "rows_in": _NUMBER, "rows_out": _NUMBER,
-    "io_bytes": _NUMBER, "io_accesses": _NUMBER, "io_seconds": _NUMBER,
-    "cpu_seconds": _NUMBER, "reserved_bytes": _NUMBER, "executions": _NUMBER,
-}
-
-_FRAGMENT_KEYS = {
-    "index": _NUMBER, "role": str, "description": str, "worker": _NUMBER,
-    "depends_on": list, "ready_seconds": _NUMBER, "start_seconds": _NUMBER,
-    "io_end_seconds": _NUMBER, "end_seconds": _NUMBER, "io_seconds": _NUMBER,
-    "cpu_seconds": _NUMBER, "rows_out": _NUMBER, "output_bytes": _NUMBER,
-    "peak_memory_bytes": _NUMBER, "measured_seconds": _NUMBER,
-    "measured_start_seconds": _NUMBER, "measured_end_seconds": _NUMBER,
-}
-
-#: per-fragment cProfile entries (schema version 2, opt-in profiling).
-_PROFILE_KEYS = {
-    "function": str, "calls": _NUMBER,
-    "total_seconds": _NUMBER, "cumulative_seconds": _NUMBER,
-}
-
-
-def _check_mapping(errors, where, value, value_types) -> None:
-    for key, item in value.items():
-        if not isinstance(key, str):
-            errors.append(f"{where}: non-string key {key!r}")
-        elif not isinstance(item, value_types):
-            errors.append(f"{where}[{key}]: expected number, got {type(item).__name__}")
 
 
 def record_errors(record) -> List[str]:
     """Schema problems of one query-log record (empty = valid)."""
-    errors: List[str] = []
-    if not isinstance(record, dict):
-        return ["record is not an object"]
-    for name, (types, required) in _TOP_LEVEL.items():
-        if name not in record:
-            if required:
-                errors.append(f"missing required field {name!r}")
-            continue
-        if not isinstance(record[name], types):
-            errors.append(
-                f"{name}: expected {getattr(types, '__name__', types)}, "
-                f"got {type(record[name]).__name__}"
-            )
-    for name in record:
-        if name not in _TOP_LEVEL:
-            errors.append(f"unknown field {name!r}")
-    if errors:
-        return errors
-    version = record["schema_version"]
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
-        errors.append(
-            f"schema_version {version} not in {SUPPORTED_SCHEMA_VERSIONS}"
-        )
-    if version >= 2 and "registry_delta" not in record:
-        errors.append("registry_delta: required from schema version 2 on")
-    if "registry_delta" in record:
-        delta = record["registry_delta"]
-        if not isinstance(delta.get("counters"), dict):
-            errors.append("registry_delta.counters: missing or not an object")
-        else:
-            _check_mapping(
-                errors, "registry_delta.counters", delta["counters"], _NUMBER
-            )
-    for key in _SIMULATED_KEYS:
-        if key not in record["simulated"]:
-            errors.append(f"simulated.{key} missing")
-        elif not isinstance(record["simulated"][key], _NUMBER):
-            errors.append(f"simulated.{key}: not a number")
-    if not isinstance(record["measured"].get("wall_seconds"), _NUMBER):
-        errors.append("measured.wall_seconds: missing or not a number")
-    memory = record["memory"]
-    if not isinstance(memory.get("peak_bytes"), _NUMBER):
-        errors.append("memory.peak_bytes: missing or not a number")
-    if not isinstance(memory.get("by_tag"), dict):
-        errors.append("memory.by_tag: missing or not an object")
-    else:
-        _check_mapping(errors, "memory.by_tag", memory["by_tag"], _NUMBER)
-    _check_mapping(errors, "counters", record["counters"], _NUMBER)
-    _check_mapping(errors, "table_epochs", record["table_epochs"], int)
-    registry = record["registry"]
-    for part in ("counters", "gauges"):
-        if not isinstance(registry.get(part), dict):
-            errors.append(f"registry.{part}: missing or not an object")
-        else:
-            _check_mapping(errors, f"registry.{part}", registry[part], _NUMBER)
-    for position, entry in enumerate(record["operators"]):
-        where = f"operators[{position}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        for key, types in _OPERATOR_KEYS.items():
-            if not isinstance(entry.get(key), types):
-                errors.append(f"{where}.{key}: missing or wrong type")
-    for position, entry in enumerate(record["fragments"]):
-        where = f"fragments[{position}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        for key, types in _FRAGMENT_KEYS.items():
-            if not isinstance(entry.get(key), types):
-                errors.append(f"{where}.{key}: missing or wrong type")
-        if isinstance(entry.get("end_seconds"), _NUMBER) and isinstance(
-            entry.get("start_seconds"), _NUMBER
-        ):
-            if entry["end_seconds"] < entry["start_seconds"]:
-                errors.append(f"{where}: end_seconds before start_seconds")
-        profile = entry.get("profile", [])
-        if not isinstance(profile, list):
-            errors.append(f"{where}.profile: not a list")
-            continue
-        for slot, stat in enumerate(profile):
-            if not isinstance(stat, dict):
-                errors.append(f"{where}.profile[{slot}]: not an object")
-                continue
-            for key, types in _PROFILE_KEYS.items():
-                if not isinstance(stat.get(key), types):
-                    errors.append(
-                        f"{where}.profile[{slot}].{key}: missing or wrong type"
-                    )
-    return errors
+    return problems(record, RECORD_SPEC)
 
 
 def validate_record(record) -> None:
@@ -379,7 +260,9 @@ class QueryLog:
 
     def write(self, record: dict) -> None:
         validate_record(record)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        # allow_nan=False: a non-finite value where the schema does not
+        # reach (the free-form ``options``) is an error, not a NaN on disk
+        self._fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
         self.written += 1
 
     def close(self) -> None:
@@ -395,14 +278,19 @@ class QueryLog:
 
 
 def read_records(path: str) -> List[dict]:
-    """Load a JSONL query log (no validation; pair with
-    :func:`record_errors` to check)."""
+    """Load a JSONL query log (no schema validation; pair with
+    :func:`record_errors` to check).  A line that is not JSON — a
+    half-written last line — raises ``ValueError`` naming the line."""
     records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"line {number}: not JSON ({exc.msg})"
+                    ) from None
     return records
 
 
@@ -418,6 +306,19 @@ def percentile(values: List[float], fraction: float) -> float:
     return sorted(values)[min(rank, len(values)) - 1]
 
 
+def latency_stats(values: List[float]) -> Dict[str, float]:
+    """``count`` / ``mean`` / ``p50`` / ``p95`` / ``max`` of a list of
+    seconds — the one aggregate the log summary, the serving report and
+    the serving benchmark share; all 0 for an empty list."""
+    return {
+        "count": len(values),
+        "mean": sum(values) / len(values) if values else 0.0,
+        "p50": percentile(values, 0.50),
+        "p95": percentile(values, 0.95),
+        "max": max(values, default=0.0),
+    }
+
+
 def _hit_rate(counters: Dict[str, float], prefix: str) -> Optional[float]:
     hits = counters.get(f"{prefix}.hits", 0.0)
     misses = counters.get(f"{prefix}.misses", 0.0)
@@ -426,45 +327,31 @@ def _hit_rate(counters: Dict[str, float], prefix: str) -> Optional[float]:
 
 
 def summarize_records(records: List[dict]) -> dict:
-    """Aggregate query-log records into a per-label latency/cache view.
+    """Aggregate valid query-log records into a per-label latency/cache
+    view.
 
     Returns ``{"queries": {label: {...}}, "overall": {...}}``: per label
     the record count, p50/p95 simulated seconds and delta-scan totals;
     overall the record count, total delta rows and the plan-/fragment-
-    cache hit rates.  Cache rates come from the version-2 per-record
-    ``registry_delta`` counters summed over the log; version-1 records
-    only carry cumulative snapshots, so for an all-v1 log the last
-    record's cumulative registry is used instead (marked by
-    ``overall["cache_source"]``)."""
-    queries: Dict[str, dict] = {}
+    cache hit rates, from the per-record ``registry_delta`` counters
+    summed over the log."""
     by_label: Dict[str, List[dict]] = {}
+    cache_counters: Dict[str, float] = {}
     for record in records:
-        by_label.setdefault(record.get("label", "?"), []).append(record)
-    delta_counters: Dict[str, float] = {}
-    deltas_seen = False
-    for record in records:
-        for name, value in (
-            record.get("registry_delta", {}).get("counters", {}).items()
-        ):
-            deltas_seen = True
-            delta_counters[name] = delta_counters.get(name, 0.0) + value
+        by_label.setdefault(record["label"], []).append(record)
+        for name, value in record["registry_delta"]["counters"].items():
+            cache_counters[name] = cache_counters.get(name, 0.0) + value
+    queries: Dict[str, dict] = {}
     for label, group in sorted(by_label.items()):
-        seconds = [r["simulated"]["total_seconds"] for r in group]
+        stats = latency_stats([r["simulated"]["total_seconds"] for r in group])
         queries[label] = {
-            "records": len(group),
-            "p50_simulated_seconds": percentile(seconds, 0.50),
-            "p95_simulated_seconds": percentile(seconds, 0.95),
+            "records": stats["count"],
+            "p50_simulated_seconds": stats["p50"],
+            "p95_simulated_seconds": stats["p95"],
             "delta_rows_scanned": int(
                 sum(r["simulated"]["delta_rows_scanned"] for r in group)
             ),
         }
-    if deltas_seen:
-        cache_counters, cache_source = delta_counters, "registry_delta"
-    else:
-        cache_counters = (
-            records[-1].get("registry", {}).get("counters", {}) if records else {}
-        )
-        cache_source = "cumulative (v1 log)"
     overall = {
         "records": len(records),
         "queries": len(queries),
@@ -473,6 +360,5 @@ def summarize_records(records: List[dict]) -> dict:
         ),
         "plan_cache_hit_rate": _hit_rate(cache_counters, "plan_cache"),
         "fragment_cache_hit_rate": _hit_rate(cache_counters, "fragment_cache"),
-        "cache_source": cache_source,
     }
     return {"queries": queries, "overall": overall}

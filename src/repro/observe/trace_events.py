@@ -38,9 +38,10 @@ shifted to its own time window so a whole suite reads left-to-right.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..execution.metrics import ExecutionMetrics
+from .schema import ANY, NUMBER, Number, Rule, Tagged, problems
 
 __all__ = ["TraceBuilder", "validate_trace_events", "validate_trace"]
 
@@ -61,8 +62,10 @@ class TraceBuilder:
         self._origin_us: Dict[int, float] = {}
         self._flow_id = 0
 
-    # ---------------------------------------------------------- plumbing
-    def _pid(self, process: str) -> int:
+    # ---- drawing: public, ``repro.serving.serving_trace`` draws with them too
+    def process(self, process: str) -> int:
+        """The pid of the named process lane group (created and named
+        on first use)."""
         pid = self._pids.get(process)
         if pid is None:
             pid = len(self._pids) + 1
@@ -78,7 +81,8 @@ class TraceBuilder:
             )
         return pid
 
-    def _thread(self, pid: int, tid: int, name: str) -> None:
+    def thread(self, pid: int, tid: int, name: str) -> None:
+        """Name lane ``tid`` of process ``pid`` (once)."""
         if (pid, tid) not in self._named_threads:
             self._named_threads.add((pid, tid))
             self.events.append(
@@ -91,7 +95,8 @@ class TraceBuilder:
                 }
             )
 
-    def _slice(self, pid, tid, name, cat, ts, dur, args=None) -> None:
+    def slice(self, pid, tid, name, cat, ts, dur, args=None) -> None:
+        """One complete (``"X"``) event, in trace microseconds."""
         self.events.append(
             {
                 "name": name,
@@ -127,10 +132,10 @@ class TraceBuilder:
     ) -> None:
         """One execution on one process: ``positions`` maps fragment
         index to its ``(start, end)`` seconds on this timeline."""
-        pid = self._pid(process)
+        pid = self.process(process)
         origin = self._origin_us.get(pid, 0.0)
-        self._thread(pid, _QUERY_LANE, "queries")
-        self._slice(
+        self.thread(pid, _QUERY_LANE, "queries")
+        self.slice(
             pid, _QUERY_LANE, label, "query", origin, wall_seconds * _US,
             args={
                 "backend": metrics.backend,
@@ -145,9 +150,9 @@ class TraceBuilder:
                 continue
             start, end = positions[f.index]
             tid = max(f.worker, 0) + 1
-            self._thread(pid, tid, f"worker {max(f.worker, 0)}")
+            self.thread(pid, tid, f"worker {max(f.worker, 0)}")
             ts = origin + start * _US
-            self._slice(
+            self.slice(
                 pid, tid, f"{label} f{f.index} [{f.role}]", "fragment",
                 ts, (end - start) * _US,
                 args={
@@ -165,7 +170,7 @@ class TraceBuilder:
             if io_ends is not None:
                 io_end = io_ends.get(f.index, start)
                 if io_end > start:
-                    self._slice(
+                    self.slice(
                         pid, tid, "io", "io", ts, (io_end - start) * _US,
                         args={
                             "charged_io_seconds": f.io_seconds,
@@ -190,7 +195,7 @@ class TraceBuilder:
                         entry.get("total_seconds", 0.0) / profiled
                         if profiled > 0.0 else 0.0
                     )
-                    self._slice(
+                    self.slice(
                         pid, tid, entry.get("function", "?"), "profile",
                         cursor, slice_us * share,
                         args={
@@ -251,61 +256,53 @@ class TraceBuilder:
         return {"traceEvents": list(self.events), "displayTimeUnit": "ms"}
 
     def write(self, path: str) -> None:
+        # serialised first: a non-finite value must fail before the file
+        # exists, not leave an ``Infinity`` token or half a document in it
+        text = json.dumps(self.to_json(), allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 # ------------------------------------------------------------ validation
-_REQUIRED_BY_PHASE = {
-    "X": ("ts", "dur"),
-    "M": (),
-    "s": ("ts", "id"),
-    "f": ("ts", "id"),
-}
+def _flow_problems(events: List[dict]) -> Iterator[str]:
+    """Every flow start has exactly one finish, not earlier in time."""
+    departed: Dict[str, dict] = {}
+    for position, event in enumerate(events):
+        if event["ph"] not in ("s", "f"):
+            continue
+        # ``cat`` and ``id`` may be any JSON value: key on their text
+        flow = repr((event.get("cat"), event["id"]))
+        if event["ph"] == "s":
+            departed[flow] = event
+        elif flow not in departed:
+            yield f"event {position}: flow finish without a start (id {event['id']!r})"
+        elif event["ts"] < departed.pop(flow)["ts"]:
+            yield f"event {position}: flow arrives before it departs (id {event['id']!r})"
+    for event in departed.values():
+        yield f"flow start without a finish (id {event['id']!r})"
+
+
+_EVENT = {"name": ANY, "pid": ANY, "tid": ANY, ...: ANY}
+_NON_NEGATIVE = Number(non_negative=True)
+#: what the exporter promises: well-formed events per phase,
+#: non-negative slice geometry, matched and time-ordered flow pairs.
+EVENTS_SPEC = Rule(
+    [Tagged("ph", {
+        "X": {**_EVENT, "ts": _NON_NEGATIVE, "dur": _NON_NEGATIVE},
+        "M": _EVENT,
+        "s": {**_EVENT, "ts": NUMBER, "id": ANY},
+        "f": {**_EVENT, "ts": NUMBER, "id": ANY},
+    })],
+    _flow_problems,
+)
 
 
 def validate_trace_events(events: List[dict]) -> List[str]:
     """Structural validation of a trace-event list; returns problems
-    (empty = valid).  Checks the invariants the exporter promises:
-    well-formed events, matched flow pairs, and non-negative geometry."""
-    errors: List[str] = []
-    if not isinstance(events, list):
-        return ["traceEvents is not a list"]
-    open_flows: Dict[tuple, dict] = {}
-    for position, event in enumerate(events):
-        where = f"event {position}"
-        if not isinstance(event, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        phase = event.get("ph")
-        if phase not in _REQUIRED_BY_PHASE:
-            errors.append(f"{where}: unknown phase {phase!r}")
-            continue
-        for key in ("name", "pid", "tid") + _REQUIRED_BY_PHASE[phase]:
-            if key not in event:
-                errors.append(f"{where}: missing {key!r} ({phase} event)")
-        if phase == "X":
-            if event.get("ts", 0) < 0 or event.get("dur", 0) < 0:
-                errors.append(f"{where}: negative ts/dur")
-        if phase == "s":
-            open_flows[(event.get("cat"), event.get("id"))] = event
-        if phase == "f":
-            key = (event.get("cat"), event.get("id"))
-            start = open_flows.pop(key, None)
-            if start is None:
-                errors.append(f"{where}: flow finish without a start (id {event.get('id')})")
-            elif event.get("ts", 0) < start.get("ts", 0):
-                errors.append(f"{where}: flow arrives before it departs (id {event.get('id')})")
-    for (_, flow_id), _ in open_flows.items():
-        errors.append(f"flow start without a finish (id {flow_id})")
-    return errors
+    (empty = valid), each naming the event's position and field."""
+    return problems(events, EVENTS_SPEC, "traceEvents")
 
 
 def validate_trace(document) -> List[str]:
     """Validate a whole trace document (the ``to_json()`` shape)."""
-    if not isinstance(document, dict):
-        return ["trace document is not an object"]
-    if "traceEvents" not in document:
-        return ["trace document has no traceEvents"]
-    return validate_trace_events(document["traceEvents"])
+    return problems(document, {"traceEvents": EVENTS_SPEC, ...: ANY})

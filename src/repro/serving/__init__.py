@@ -27,7 +27,7 @@ See ``docs/serving.md`` for the model and its invariants.
 
 from .differential import ServingDifferentialReport, run_serving_differential
 from .engine import ServingEngine
-from .metrics import QueryRecord, ServingReport, StreamStats, serving_trace
+from .metrics import QueryRecord, ServingReport, serving_trace
 from .policies import (
     POLICY_NAMES,
     AdmissionPolicy,
@@ -50,7 +50,6 @@ from .streams import (
 __all__ = [
     "ServingEngine",
     "ServingReport",
-    "StreamStats",
     "QueryRecord",
     "serving_trace",
     "AdmissionPolicy",

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..execution.metrics import ExecutionMetrics
-from ..observe.query_log import percentile
+from ..observe.query_log import latency_stats
 from .snapshot import EpochSnapshot
 
 __all__ = [
     "QueryRecord",
     "CommitRecord",
     "WorkSlot",
-    "StreamStats",
     "ServingReport",
     "serving_trace",
 ]
@@ -94,46 +93,6 @@ class WorkSlot:
 
 
 @dataclass
-class StreamStats:
-    """Aggregates of one stream's finished queries."""
-
-    name: str
-    queries: int
-    latencies: List[float]
-    queue_delays: List[float]
-    first_submit_seconds: float
-    last_finish_seconds: float
-
-    @property
-    def mean_latency_seconds(self) -> float:
-        return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
-
-    @property
-    def p50_latency_seconds(self) -> float:
-        return percentile(self.latencies, 0.50)
-
-    @property
-    def p95_latency_seconds(self) -> float:
-        return percentile(self.latencies, 0.95)
-
-    @property
-    def max_latency_seconds(self) -> float:
-        return max(self.latencies, default=0.0)
-
-    @property
-    def mean_queue_seconds(self) -> float:
-        return (
-            sum(self.queue_delays) / len(self.queue_delays)
-            if self.queue_delays else 0.0
-        )
-
-    @property
-    def qps(self) -> float:
-        window = self.last_finish_seconds - self.first_submit_seconds
-        return self.queries / window if window > 0 else 0.0
-
-
-@dataclass
 class ServingReport:
     """Everything one :meth:`~repro.serving.engine.ServingEngine.serve`
     run produced: per-query records, commit records, the shared
@@ -170,21 +129,31 @@ class ServingReport:
         denom = self.workers * self.makespan_seconds
         return self.worker_busy_seconds / denom if denom > 0 else 0.0
 
-    def stream_stats(self) -> Dict[str, StreamStats]:
+    def stream_stats(self) -> Dict[str, dict]:
+        """Per stream, in name order: query count, QPS over the stream's
+        own window, and the latency / queue-delay aggregates — the
+        ``to_dict()["streams"]`` entries."""
         per: Dict[str, List[QueryRecord]] = {}
         for record in self.queries:
             per.setdefault(record.stream, []).append(record)
-        return {
-            name: StreamStats(
-                name=name,
-                queries=len(records),
-                latencies=[r.latency_seconds for r in records],
-                queue_delays=[r.queue_seconds for r in records],
-                first_submit_seconds=min(r.submit_seconds for r in records),
-                last_finish_seconds=max(r.finish_seconds for r in records),
+        stats = {}
+        for name, records in sorted(per.items()):
+            latency = latency_stats([r.latency_seconds for r in records])
+            window = max(r.finish_seconds for r in records) - min(
+                r.submit_seconds for r in records
             )
-            for name, records in sorted(per.items())
-        }
+            stats[name] = {
+                "queries": latency["count"],
+                "qps": len(records) / window if window > 0 else 0.0,
+                "mean_latency_seconds": latency["mean"],
+                "p50_latency_seconds": latency["p50"],
+                "p95_latency_seconds": latency["p95"],
+                "max_latency_seconds": latency["max"],
+                "mean_queue_seconds": latency_stats(
+                    [r.queue_seconds for r in records]
+                )["mean"],
+            }
+        return stats
 
     # ---------------------------------------------------- serialization
     def fingerprint(self) -> tuple:
@@ -212,7 +181,6 @@ class ServingReport:
         )
 
     def to_dict(self) -> dict:
-        stats = self.stream_stats()
         return {
             "scheme": self.scheme,
             "policy": self.policy,
@@ -224,18 +192,7 @@ class ServingReport:
             "queries_per_second": self.queries_per_second,
             "worker_busy_seconds": self.worker_busy_seconds,
             "utilization": self.utilization,
-            "streams": {
-                name: {
-                    "queries": s.queries,
-                    "qps": s.qps,
-                    "mean_latency_seconds": s.mean_latency_seconds,
-                    "p50_latency_seconds": s.p50_latency_seconds,
-                    "p95_latency_seconds": s.p95_latency_seconds,
-                    "max_latency_seconds": s.max_latency_seconds,
-                    "mean_queue_seconds": s.mean_queue_seconds,
-                }
-                for name, s in stats.items()
-            },
+            "streams": self.stream_stats(),
             "events": list(self.events),
         }
 
@@ -252,11 +209,11 @@ class ServingReport:
         ]
         for name, s in self.stream_stats().items():
             lines.append(
-                f"  {name:<14}{s.queries:>8}{s.qps:>12,.1f}"
-                f"{s.p50_latency_seconds * 1e3:>10.3f}"
-                f"{s.p95_latency_seconds * 1e3:>10.3f}"
-                f"{s.max_latency_seconds * 1e3:>10.3f}"
-                f"{s.mean_queue_seconds * 1e3:>10.3f}"
+                f"  {name:<14}{s['queries']:>8}{s['qps']:>12,.1f}"
+                f"{s['p50_latency_seconds'] * 1e3:>10.3f}"
+                f"{s['p95_latency_seconds'] * 1e3:>10.3f}"
+                f"{s['max_latency_seconds'] * 1e3:>10.3f}"
+                f"{s['mean_queue_seconds'] * 1e3:>10.3f}"
             )
         if self.commits:
             refresh_work = sum(c.work_seconds for c in self.commits)
@@ -284,11 +241,11 @@ def serving_trace(report: ServingReport, builder=None):
 
     if builder is None:
         builder = TraceBuilder()
-    pool_pid = builder._pid(f"serving workers ({report.scheme})")
+    pool_pid = builder.process(f"serving workers ({report.scheme})")
     for worker in range(report.workers):
-        builder._thread(pool_pid, worker + 1, f"worker {worker}")
+        builder.thread(pool_pid, worker + 1, f"worker {worker}")
     for slot in report.timeline:
-        builder._slice(
+        builder.slice(
             pool_pid, slot.worker + 1, slot.label, slot.kind,
             slot.start_seconds * _US,
             (slot.end_seconds - slot.start_seconds) * _US,
@@ -304,21 +261,21 @@ def serving_trace(report: ServingReport, builder=None):
             (slot.io_end_seconds - slot.start_seconds) - slot.io_seconds
         )
         if slot.io_seconds > 0.0:
-            builder._slice(
+            builder.slice(
                 pool_pid, slot.worker + 1, "io", "io",
                 slot.start_seconds * _US,
                 (slot.io_end_seconds - slot.start_seconds) * _US,
                 args={"charged_io_s": slot.io_seconds, "stretch_s": stretch},
             )
-    streams_pid = builder._pid(f"streams ({report.scheme})")
+    streams_pid = builder.process(f"streams ({report.scheme})")
     lanes: Dict[str, int] = {}
     for record in report.queries:
         lane = lanes.get(record.stream)
         if lane is None:
             lane = len(lanes) + 1
             lanes[record.stream] = lane
-            builder._thread(streams_pid, lane, record.stream)
-        builder._slice(
+            builder.thread(streams_pid, lane, record.stream)
+        builder.slice(
             streams_pid, lane, record.description, "query",
             record.submit_seconds * _US,
             record.latency_seconds * _US,
@@ -331,7 +288,7 @@ def serving_trace(report: ServingReport, builder=None):
             },
         )
         if record.queue_seconds > 0.0:
-            builder._slice(
+            builder.slice(
                 streams_pid, lane, "queued", "queue",
                 record.submit_seconds * _US,
                 record.queue_seconds * _US,
@@ -344,8 +301,8 @@ def serving_trace(report: ServingReport, builder=None):
         if lane is None:
             lane = refresh_lane_base + len(refresh_lanes)
             refresh_lanes[commit.stream] = lane
-            builder._thread(streams_pid, lane, commit.stream)
-        builder._slice(
+            builder.thread(streams_pid, lane, commit.stream)
+        builder.slice(
             streams_pid, lane, commit.description, "commit",
             commit.issue_seconds * _US,
             max(commit.work_end_seconds - commit.issue_seconds, 0.0) * _US,

@@ -119,6 +119,73 @@ class TestObserveCli:
         bad.write_text('{"not": "a record"}\n')
         assert observe_main(["validate", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "event, where",
+        [
+            ({"ph": "X", "name": "a", "pid": 1, "tid": 1, "ts": "0", "dur": 1},
+             "traceEvents[0].ts"),
+            ({"ph": "X", "name": "a", "pid": 1, "tid": 1, "ts": None, "dur": 1},
+             "traceEvents[0].ts"),
+            ("not an object", "traceEvents[0]"),
+        ],
+    )
+    def test_validate_names_a_bad_trace_event_instead_of_crashing(
+        self, tmp_path, capsys, event, where
+    ):
+        bad = tmp_path / "t.json"
+        bad.write_text(json.dumps({"traceEvents": [event]}))
+        assert observe_main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out and f"- {where}: expected" in out
+
+    def test_validate_names_the_half_written_line(self, tmp_path, capsys):
+        log = self._write_log(tmp_path)
+        text = log.read_text()
+        log.write_text(text + text[: len(text) // 2])
+        capsys.readouterr()
+        assert observe_main(["validate", str(log)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out and "line 2: not JSON" in out
+        assert observe_main(["summary", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{log}: INVALID" in captured.err
+        assert "line 2: not JSON" in captured.err
+
+    def test_validate_rejects_non_numbers(self, tmp_path, capsys):
+        record = read_records(str(self._write_log(tmp_path)))[0]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            json.dumps(dict(record, workers=True)) + "\n"
+            + json.dumps(dict(record, simulated=dict(
+                record["simulated"], io_seconds=float("nan")
+            ))) + "\n"
+        )
+        capsys.readouterr()
+        assert observe_main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "line 1: workers: expected a non-negative integer, got bool" in out
+        assert "line 2: simulated.io_seconds: expected a finite number, got nan" in out
+
+    def test_validate_rejects_a_nan_ledger_metric(self, tmp_path, capsys):
+        append_record("demo", {"q.seconds": 1.0}, directory=tmp_path)
+        path = tmp_path / "BENCH_demo.json"
+        path.write_text(path.read_text().replace('"q.seconds": 1.0', '"q.seconds": NaN'))
+        assert observe_main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "records[0].metrics[q.seconds]: expected a finite number" in out
+
+    def test_summary_refuses_a_log_it_cannot_trust(self, tmp_path, capsys):
+        # used to die with KeyError: 'simulated'
+        log = self._write_log(tmp_path)
+        log.write_text(log.read_text() + '{"label": "a"}\n')
+        capsys.readouterr()
+        assert observe_main(["summary", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""       # nothing aggregated
+        assert f"{log}: INVALID" in captured.err
+        assert "- line 2: simulated: missing" in captured.err
+
     def test_validate_accepts_ledger_documents(self, tmp_path, capsys):
         append_record("demo", {"q.seconds": 1.0}, directory=tmp_path)
         assert observe_main(

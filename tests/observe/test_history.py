@@ -131,6 +131,8 @@ class TestCorruption:
     def test_build_record_refuses_invalid_metrics(self):
         with pytest.raises(ValueError):
             build_ledger_record("demo", {"name": "not-a-number"})
+        with pytest.raises(ValueError):
+            build_ledger_record("demo", {"name": float("nan")})
 
     @pytest.mark.parametrize(
         "mutation,fragment",
@@ -139,6 +141,10 @@ class TestCorruption:
             (lambda r: r.update(metrics="nope"), "metrics"),
             (lambda r: r.update(ledger_schema_version=99), "ledger_schema_version"),
             (lambda r: r["metrics"].update(bad="x"), "metrics[bad]"),
+            (lambda r: r["metrics"].update(bad=True), "metrics[bad]"),
+            # regress could never find a NaN ``same``
+            (lambda r: r["metrics"].update(bad=float("nan")), "metrics[bad]"),
+            (lambda r: r["metrics"].update(bad=float("inf")), "metrics[bad]"),
         ],
     )
     def test_record_errors_name_the_problem(self, mutation, fragment):

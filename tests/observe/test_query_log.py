@@ -1,13 +1,17 @@
 """Query-log records: building from real executions, JSONL round-trips,
 and the validator's rejection of malformed records."""
 
+import dataclasses
+import json
+
 import pytest
 
+from repro.execution.metrics import FragmentActuals, OperatorActuals
 from repro.observe import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     QueryLog,
     build_record,
+    latency_stats,
     percentile,
     plan_fingerprint,
     read_records,
@@ -15,6 +19,7 @@ from repro.observe import (
     summarize_records,
     validate_record,
 )
+from repro.observe.query_log import RECORD_SPEC
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.tpch.queries import QUERIES
 from repro.tpch.runner import QueryRunner
@@ -63,6 +68,61 @@ class TestBuildRecord:
         # Q15 decorrelates into a scalar pre-query plus the main plan
         record = _record(bdcc_db, environment, "Q15")
         assert record_errors(record) == []
+
+
+class TestRecordShape:
+    """The entries are derived from the dataclasses that own the fields;
+    these literals are what keeps a derived shape from drifting
+    unnoticed (a new field is a deliberate edit here, and none in
+    ``query_log.py``)."""
+
+    def test_key_sets_are_pinned(self, bdcc_db, environment):
+        record = _record(bdcc_db, environment, "Q01", workers=4)
+        assert sorted(record) == [
+            "backend", "counters", "epoch", "fragments", "label", "measured",
+            "memory", "notes", "operators", "options", "plan_fingerprint",
+            "registry", "registry_delta", "result", "schema_version",
+            "scheme", "simulated", "table_epochs", "workers",
+        ]
+        assert sorted(key.rstrip("?") for key in RECORD_SPEC) == sorted(record)
+        assert list(record["simulated"]) == [
+            "io_seconds", "cpu_seconds", "total_seconds", "makespan_seconds",
+            "wall_seconds", "io_bytes", "io_accesses", "rows_scanned",
+            "delta_rows_scanned", "rows_produced", "compaction_seconds",
+        ]
+        assert list(record["operators"][0]) == [
+            "kind", "description", "rows_in", "rows_out", "io_bytes",
+            "io_accesses", "io_seconds", "cpu_seconds", "reserved_bytes",
+            "executions",
+        ]
+        assert list(record["fragments"][0]) == [
+            "index", "role", "description", "worker", "depends_on",
+            "ready_seconds", "start_seconds", "io_end_seconds", "end_seconds",
+            "io_seconds", "cpu_seconds", "rows_out", "output_bytes",
+            "peak_memory_bytes", "measured_seconds", "measured_start_seconds",
+            "measured_end_seconds", "profile",
+        ]
+
+    def test_entries_follow_the_dataclasses(self, bdcc_db, environment):
+        record = _record(bdcc_db, environment, "Q01", workers=4)
+        for entries, owner in (
+            (record["operators"], OperatorActuals),
+            (record["fragments"], FragmentActuals),
+        ):
+            names = [f.name for f in dataclasses.fields(owner)]
+            assert all(list(entry) == names for entry in entries)
+
+    def test_entries_are_plain_json_of_the_declared_type(
+        self, bdcc_db, environment
+    ):
+        record = _record(bdcc_db, environment, "Q01", workers=4)
+        fragment = record["fragments"][-1]
+        assert type(fragment["index"]) is int
+        assert type(fragment["output_bytes"]) is float
+        assert type(fragment["depends_on"]) is list
+        assert type(record["simulated"]["io_accesses"]) is int
+        assert type(record["simulated"]["wall_seconds"]) is float
+        assert json.loads(json.dumps(record, allow_nan=False)) == record
 
 
 class TestFingerprint:
@@ -128,12 +188,44 @@ class TestValidator:
         del stripped["registry_delta"]
         assert any("registry_delta" in e for e in record_errors(stripped))
 
-    def test_v1_record_is_accepted_without_delta(self, bdcc_db, environment):
+    def test_only_the_current_schema_version_is_accepted(
+        self, bdcc_db, environment
+    ):
         record = dict(_record(bdcc_db, environment, "Q06"))
-        del record["registry_delta"]
-        record["schema_version"] = 1
-        assert 1 in SUPPORTED_SCHEMA_VERSIONS
-        assert record_errors(record) == []
+        for version in (1, SCHEMA_VERSION + 1, True, float(SCHEMA_VERSION), "2"):
+            record["schema_version"] = version
+            assert any(e.startswith("schema_version") for e in record_errors(record))
+
+    @pytest.mark.parametrize(
+        "steps, value, where",
+        [
+            (("workers",), True, "workers"),
+            (("workers",), 2.0, "workers"),
+            (("epoch",), False, "epoch"),
+            (("simulated", "io_seconds"), float("nan"), "simulated.io_seconds"),
+            (("simulated", "total_seconds"), float("inf"), "simulated.total_seconds"),
+            (("memory", "peak_bytes"), float("-inf"), "memory.peak_bytes"),
+            (("counters", "x"), float("nan"), "counters[x]"),
+            (("registry_delta", "counters", "plan_cache.hits"), True,
+             "registry_delta.counters[plan_cache.hits]"),
+            (("table_epochs", "orders"), 1.5, "table_epochs[orders]"),
+            (("operators", 0, "rows_out"), "many", "operators[0].rows_out"),
+            (("fragments", 0, "depends_on"), [0, "one"],
+             "fragments[0].depends_on[1]"),
+        ],
+    )
+    def test_one_idea_of_a_number(
+        self, bdcc_db, environment, steps, value, where
+    ):
+        """A bool is not a number and neither is NaN or an infinity,
+        wherever the record holds one; the problem names the field."""
+        record = json.loads(json.dumps(_record(bdcc_db, environment, "Q06")))
+        holder = record
+        for step in steps[:-1]:
+            holder = holder[step]
+        holder[steps[-1]] = value
+        (error,) = record_errors(record)
+        assert error.startswith(where + ": expected a ")
 
     def test_malformed_registry_delta_is_rejected(self, bdcc_db, environment):
         record = dict(_record(bdcc_db, environment, "Q06"))
@@ -173,15 +265,16 @@ class TestSummarize:
         overall = summary["overall"]
         assert overall["records"] == 3
         assert overall["queries"] == 2
-        # v2 records carry deltas, so rates come from the summed deltas
-        assert overall["cache_source"] == "registry_delta"
-
-    def test_v1_log_falls_back_to_cumulative(self, bdcc_db, environment):
-        record = dict(_record(bdcc_db, environment, "Q06"))
-        del record["registry_delta"]
-        record["schema_version"] = 1
-        summary = summarize_records([record])
-        assert summary["overall"]["cache_source"] == "cumulative (v1 log)"
+        # rates come from the per-record deltas summed over the log
+        hits = sum(
+            r["registry_delta"]["counters"].get("plan_cache.hits", 0.0)
+            for r in records
+        )
+        misses = sum(
+            r["registry_delta"]["counters"].get("plan_cache.misses", 0.0)
+            for r in records
+        )
+        assert overall["plan_cache_hit_rate"] == hits / (hits + misses)
 
     def test_empty_log(self):
         summary = summarize_records([])
@@ -202,12 +295,18 @@ class TestSummarize:
     ],
 )
 def test_percentile_is_nearest_rank(values, fraction, expected):
-    # the one percentile of the repo: the query-log summary and the
-    # serving metrics share it
-    from repro.serving import metrics as serving_metrics
-
     assert percentile(values, fraction) == expected
-    assert serving_metrics.percentile is percentile
+
+
+def test_latency_stats():
+    # the one latency aggregate of the repo: the query-log summary, the
+    # serving report and the serving benchmark share it
+    assert latency_stats([]) == {
+        "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0
+    }
+    assert latency_stats([3.0, 1.0, 2.0, 6.0]) == {
+        "count": 4, "mean": 3.0, "p50": 2.0, "p95": 6.0, "max": 6.0
+    }
 
 
 class TestQueryLog:
@@ -228,6 +327,32 @@ class TestQueryLog:
                 log.write({"not": "a record"})
             assert log.written == 0
         assert read_records(str(path)) == []
+
+    def test_a_non_finite_value_is_an_error_at_the_producer(
+        self, bdcc_db, environment, tmp_path
+    ):
+        # ``options`` is free-form, so the schema does not reach into it:
+        # the writer refuses the NaN instead of putting a non-JSON token
+        # on disk
+        path = tmp_path / "log.jsonl"
+        record = dict(_record(bdcc_db, environment, "Q06"))
+        record["options"] = {"threshold": float("nan")}
+        assert record_errors(record) == []
+        with QueryLog(str(path)) as log:
+            with pytest.raises(ValueError):
+                log.write(record)
+        assert path.read_text() == ""
+
+    def test_half_written_last_line_names_the_line(
+        self, bdcc_db, environment, tmp_path
+    ):
+        path = tmp_path / "log.jsonl"
+        with QueryLog(str(path)) as log:
+            log.write(_record(bdcc_db, environment, "Q06"))
+        text = path.read_text()
+        path.write_text(text + text[: len(text) // 2])
+        with pytest.raises(ValueError, match="line 2: not JSON"):
+            read_records(str(path))
 
     def test_appends_across_reopens(self, bdcc_db, environment, tmp_path):
         path = tmp_path / "log.jsonl"

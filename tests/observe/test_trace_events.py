@@ -3,6 +3,8 @@ that gates the CI ``observe`` job."""
 
 import json
 
+import pytest
+
 from repro.observe import TraceBuilder, validate_trace, validate_trace_events
 from repro.planner.executor import ExecutionOptions
 from repro.tpch.queries import QUERIES
@@ -91,6 +93,14 @@ class TestTraceBuilder:
         assert validate_trace(document) == []
         assert document["displayTimeUnit"] == "ms"
 
+    def test_a_non_finite_value_never_reaches_disk(self, tmp_path):
+        builder = TraceBuilder()
+        pid = builder.process("p")
+        builder.slice(pid, 1, "x", "query", 0.0, float("inf"))
+        with pytest.raises(ValueError):
+            builder.write(str(tmp_path / "trace.json"))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestValidator:
     def test_rejects_non_list_and_malformed_events(self):
@@ -100,11 +110,37 @@ class TestValidator:
 
     def test_rejects_missing_keys_and_unknown_phases(self):
         errors = validate_trace_events([{"ph": "X", "name": "x", "pid": 1}])
-        assert any("missing" in e for e in errors)
+        assert errors == [
+            "traceEvents[0].tid: missing",
+            "traceEvents[0].ts: missing",
+            "traceEvents[0].dur: missing",
+        ]
         errors = validate_trace_events(
             [{"ph": "B", "name": "x", "pid": 1, "tid": 0, "ts": 0}]
         )
-        assert any("unknown phase" in e for e in errors)
+        assert errors == ["traceEvents[0]: unknown ph 'B'"]
+
+    @pytest.mark.parametrize("ts", ["0", None, True, float("nan"), [0]])
+    def test_a_non_number_timestamp_is_a_problem_not_a_crash(self, ts):
+        # the input the validator exists to reject: it used to raise
+        # TypeError comparing it with 0
+        for event in (
+            {"ph": "X", "name": "a", "pid": 1, "tid": 1, "ts": ts, "dur": 1},
+            {"ph": "s", "name": "a", "pid": 1, "tid": 1, "ts": ts, "id": 1},
+        ):
+            (error,) = validate_trace_events([event])
+            assert error.startswith("traceEvents[0].ts: expected a ")
+
+    def test_any_json_flow_id_pairs_up(self):
+        # ``id`` is only required to be present; an unhashable one must
+        # still match its partner
+        start = {"ph": "s", "name": "e", "id": [1, {}], "pid": 1, "tid": 1, "ts": 1.0}
+        finish = dict(start, ph="f", ts=2.0)
+        assert validate_trace_events([start, finish]) == []
+        assert any(
+            "without a start" in e
+            for e in validate_trace_events([dict(finish, id=[2])])
+        )
 
     def test_rejects_negative_geometry(self):
         errors = validate_trace_events(

@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from repro.observe import latency_stats
 from repro.observe.registry import REGISTRY
 from repro.planner.executor import ExecutionOptions
 from repro.serving import (
@@ -83,12 +84,32 @@ class TestAccounting:
     def test_stream_latencies_sum_consistently_with_makespan(self, bdcc_pdb):
         report = _serve(bdcc_pdb, max_concurrent=2)
         stats = report.stream_stats()
-        assert sum(s.queries for s in stats.values()) == len(report.queries)
+        assert sum(s["queries"] for s in stats.values()) == len(report.queries)
         for s in stats.values():
-            assert 0.0 < s.p50_latency_seconds <= s.p95_latency_seconds
-            assert s.p95_latency_seconds <= s.max_latency_seconds
-            assert s.max_latency_seconds <= report.makespan_seconds + _EPS
-            assert s.qps > 0.0
+            assert 0.0 < s["p50_latency_seconds"] <= s["p95_latency_seconds"]
+            assert s["p95_latency_seconds"] <= s["max_latency_seconds"]
+            assert s["max_latency_seconds"] <= report.makespan_seconds + _EPS
+            assert s["qps"] > 0.0
+
+    def test_stream_stats_are_the_shared_latency_aggregate(self, bdcc_pdb):
+        """One aggregator: a stream's entry is ``latency_stats`` of its
+        latencies (and the mean of its queue delays), and ``to_dict``
+        reports exactly these entries."""
+        report = _serve(bdcc_pdb, max_concurrent=2)
+        stats = report.stream_stats()
+        assert list(stats) == sorted({r.stream for r in report.queries})
+        for name, entry in stats.items():
+            mine = [r for r in report.queries if r.stream == name]
+            latency = latency_stats([r.latency_seconds for r in mine])
+            assert entry["queries"] == latency["count"] == len(mine)
+            assert {
+                key: entry[f"{key}_latency_seconds"]
+                for key in ("mean", "p50", "p95", "max")
+            } == {key: latency[key] for key in ("mean", "p50", "p95", "max")}
+            assert entry["mean_queue_seconds"] == latency_stats(
+                [r.queue_seconds for r in mine]
+            )["mean"]
+        assert report.to_dict()["streams"] == stats
 
     def test_worker_busy_time_bounded_by_pool_capacity(self, bdcc_pdb):
         report = _serve(bdcc_pdb, workers=2)
