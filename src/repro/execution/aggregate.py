@@ -3,6 +3,13 @@
 Like the join kernels these are strategy-agnostic: hash, streaming and
 sandwiched aggregation all produce identical results through these
 functions; the planner's choice changes only cost and memory accounting.
+
+Everything that ranks a column — grouping, composite join keys, distinct
+counts, descending sorts, sandwich group sizes — goes through
+:func:`factorize` (tuples of columns: :func:`fold_keys`).  It ranks dense
+integer keys (surrogate keys, dates, flags, group ids) by offset instead
+of sorting them and holds the package's only ``np.unique`` call; group
+numbering follows key sort order on either path.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ import numpy as np
 __all__ = [
     "AggSpec",
     "MergeSpec",
+    "factorize",
+    "fold_keys",
     "group_rows",
     "apply_aggregate",
     "decompose_aggs",
@@ -47,20 +56,78 @@ class AggSpec:
             raise ValueError(f"unsupported aggregate {self.fn!r}")
 
 
+def offsets(keys: np.ndarray, low: np.generic) -> np.ndarray:
+    """``keys - low`` as int64, exact wherever the true difference fits.
+    Two's-complement wrap-around makes the detour through int64 right
+    for ``uint64`` keys beyond 2**63 and for narrow dtypes whose own
+    subtraction would overflow (``int8``: 127 - -128)."""
+    return keys.astype(np.int64, copy=False) - low.astype(np.int64)
+
+
+def factorize(column: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Order-preserving int64 codes: ``(codes, cardinality)`` with codes
+    in ``[0, cardinality)`` and ``a < b  <=>  code(a) < code(b)``.
+
+    An integer, bool or one-character column whose span is no larger
+    than its length is ranked by offset from its minimum (cardinality =
+    span; codes may have gaps); anything else by ``np.unique``.
+    """
+    ranked = column
+    if column.dtype.kind == "b":
+        ranked = column.view(np.uint8)
+    elif column.dtype == np.dtype("<U1"):
+        ranked = column.view(np.uint32)  # one UCS-4 code point a value
+    if ranked.dtype.kind in "iu" and len(ranked):
+        low = ranked.min()
+        span = int(ranked.max()) - int(low) + 1
+        if span <= len(ranked):
+            return offsets(ranked, low), span
+    uniques, inverse = np.unique(column, return_inverse=True)
+    return inverse.astype(np.int64), len(uniques)
+
+
+def fold_keys(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """One int64 code per row for a tuple of key columns, mixed radix
+    over each column's :func:`factorize` codes, so code order is the
+    tuples' lexicographic order.  Returns ``(codes, code space)``.  The
+    running code is re-ranked before ``space * cardinality`` can leave
+    int64 — five 16-bit columns would otherwise wrap and merge rows
+    that differ only in the first."""
+    codes, space = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for column in columns:
+        column_codes, cardinality = factorize(column)
+        if space * cardinality > np.iinfo(np.int64).max:
+            codes, space = factorize(codes)
+        codes = codes * np.int64(cardinality) + column_codes
+        space *= cardinality
+    return codes, space
+
+
 def group_rows(key_columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, int]:
     """Factorise rows by key tuple.
 
     Returns ``(group_index_per_row, representative_row_per_group,
-    num_groups)``; group numbering follows key sort order.
+    num_groups)``; group numbering follows key sort order and a group's
+    representative is its first row.
     """
     if not key_columns:
         raise ValueError("group_rows requires at least one key column")
-    codes = np.zeros(len(key_columns[0]), dtype=np.int64)
-    for column in key_columns:
-        uniques, inverse = np.unique(column, return_inverse=True)
-        codes = codes * np.int64(len(uniques)) + inverse.astype(np.int64)
-    uniques, first_rows, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    return inverse.astype(np.int64), first_rows.astype(np.int64), len(uniques)
+    codes, space = fold_keys(key_columns)
+    n = len(codes)
+    if space > n:  # sparse tuples: rank the codes themselves
+        codes, space = factorize(codes)
+    # a code space no larger than the rows: number the codes that occur
+    # through a presence table instead of sorting the rows
+    present = np.zeros(space, dtype=bool)
+    present[codes] = True
+    rank = np.cumsum(present) - 1
+    group_index = rank[codes]
+    num_groups = int(np.count_nonzero(present))
+    # np.minimum.at, not first_rows[codes[::-1]] = ...: which write wins
+    # a repeated fancy-index assignment is unspecified
+    first_rows = np.full(num_groups, n, dtype=np.int64)
+    np.minimum.at(first_rows, group_index, np.arange(n, dtype=np.int64))
+    return group_index, first_rows, num_groups
 
 
 def _group_sums(group_index: np.ndarray, values: np.ndarray, num_groups: int) -> np.ndarray:
@@ -80,17 +147,14 @@ def apply_aggregate(
 ) -> np.ndarray:
     """Evaluate one aggregate over pre-factorised groups."""
     if spec.fn == "count":
-        if values is None and valid is None:
-            return np.bincount(group_index, minlength=num_groups).astype(np.int64)
-        mask = valid if valid is not None else np.ones(len(group_index), dtype=bool)
-        return np.bincount(group_index[mask], minlength=num_groups).astype(np.int64)
+        counted = group_index if valid is None else group_index[valid]
+        return np.bincount(counted, minlength=num_groups).astype(np.int64)
 
     if values is None:
         raise ValueError(f"aggregate {spec.fn} requires an expression")
-    mask = valid
-    if mask is not None:
-        group_index = group_index[mask]
-        values = values[mask]
+    if valid is not None:
+        group_index = group_index[valid]
+        values = values[valid]
 
     if spec.fn == "sum":
         return _group_sums(group_index, values, num_groups)
@@ -113,22 +177,22 @@ def apply_aggregate(
             out = np.empty(num_groups, dtype=values.dtype)
             out[gsorted[picks]] = values[order][picks]
             return out
-        init = np.inf if spec.fn == "min" else -np.inf
-        out = np.full(num_groups, init, dtype=np.float64)
         ufunc = np.minimum if spec.fn == "min" else np.maximum
-        ufunc.at(out, group_index, values.astype(np.float64))
         if values.dtype.kind in "iu":
-            finite = np.isfinite(out)
-            result = np.zeros(num_groups, dtype=np.int64)
-            result[finite] = out[finite].astype(np.int64)
-            return np.where(finite, result, 0) if not finite.all() else result
+            # exact in int64: a detour through float64 rounds beyond
+            # 2**53 to a value that is not in the input
+            info = np.iinfo(np.int64)
+            out = np.full(num_groups, info.max if spec.fn == "min" else info.min, dtype=np.int64)
+            ufunc.at(out, group_index, values.astype(np.int64, copy=False))
+            seen = np.bincount(group_index, minlength=num_groups) > 0
+            return np.where(seen, out, 0)  # 0 for an all-null group
+        out = np.full(num_groups, np.inf if spec.fn == "min" else -np.inf, dtype=np.float64)
+        ufunc.at(out, group_index, values.astype(np.float64, copy=False))
         return out
     if spec.fn == "count_distinct":
-        uniques, inverse = np.unique(values, return_inverse=True)
-        pair = group_index.astype(np.int64) * np.int64(len(uniques)) + inverse
-        distinct_pairs = np.unique(pair)
-        groups_of_pairs = (distinct_pairs // np.int64(len(uniques))).astype(np.int64)
-        return np.bincount(groups_of_pairs, minlength=num_groups).astype(np.int64)
+        # one representative row per distinct (group, value) pair
+        _, pair_rows, _ = group_rows([group_index, values])
+        return np.bincount(group_index[pair_rows], minlength=num_groups).astype(np.int64)
     raise AssertionError(spec.fn)
 
 
@@ -231,11 +295,5 @@ def distinct_per_partition(partition_ids: np.ndarray, group_index: np.ndarray) -
     """Number of distinct aggregation groups inside each partition —
     the per-partition hash-table population a sandwiched aggregation
     holds (its memory high-water mark is the max of these)."""
-    if len(partition_ids) == 0:
-        return np.zeros(0, dtype=np.int64)
-    num_groups = int(group_index.max()) + 1 if len(group_index) else 0
-    pair = partition_ids.astype(np.int64) * np.int64(max(num_groups, 1)) + group_index
-    distinct_pairs = np.unique(pair)
-    partitions_of_pairs = distinct_pairs // np.int64(max(num_groups, 1))
-    _, counts = np.unique(partitions_of_pairs, return_counts=True)
-    return counts.astype(np.int64)
+    _, pair_rows, _ = group_rows([partition_ids, group_index])
+    return np.bincount(group_rows([partition_ids[pair_rows]])[0])  # pairs per partition

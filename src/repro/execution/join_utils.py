@@ -5,13 +5,25 @@ planner picks (hash, merge, sandwich): the strategies differ in cost and
 memory accounting, not in results.  All kernels preserve the probe
 (left) side's row order in their output, so sort-order properties survive
 probe-side joins.
+
+All three run one probe, :func:`_match`.  When the build keys' span is no
+larger than the rows the probe serves (``len(probe) + len(build)`` — true
+of every dense surrogate key and of a text column's join codes) it is a
+direct-address hash table: one slot per key value, no sort for a unique
+build side, no binary search.  The table never outweighs its inputs, so
+the rule needs no constant.  Sparser keys, and keys that are not
+integers, take a stable sort of the build side and two binary searches.
+Both paths return the same pairs in the same order.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+
+from ..core.count_table import expand_runs
+from .aggregate import fold_keys, offsets
 
 __all__ = [
     "encode_join_keys",
@@ -19,15 +31,6 @@ __all__ = [
     "left_join_pairs",
     "semi_join_mask",
 ]
-
-
-def _factorize_pair(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Codes for two arrays over their union domain; equal values share a
-    code.  Returns (left_codes, right_codes, cardinality)."""
-    combined = np.concatenate([left, right])
-    uniques, inverse = np.unique(combined, return_inverse=True)
-    inverse = inverse.astype(np.int64)
-    return inverse[: len(left)], inverse[len(left):], len(uniques)
 
 
 def encode_join_keys(
@@ -40,35 +43,47 @@ def encode_join_keys(
         left, right = left_cols[0], right_cols[0]
         if left.dtype.kind in "iu" and right.dtype.kind in "iu":
             return left.astype(np.int64), right.astype(np.int64)
-        lcode, rcode, _ = _factorize_pair(left, right)
-        return lcode, rcode
-    lcodes = np.zeros(len(left_cols[0]), dtype=np.int64)
-    rcodes = np.zeros(len(right_cols[0]), dtype=np.int64)
-    for lcol, rcol in zip(left_cols, right_cols):
-        lc, rc, card = _factorize_pair(lcol, rcol)
-        lcodes = lcodes * card + lc
-        rcodes = rcodes * card + rc
-    return lcodes, rcodes
+    # codes over the union domain of both sides: equal tuples share a code
+    codes, _ = fold_keys([np.concatenate(pair) for pair in zip(left_cols, right_cols)])
+    return codes[: len(left_cols[0])], codes[len(left_cols[0]):]
+
+
+def _match(probe: np.ndarray, build: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, lo, counts)``: probe row *i* matches
+    ``build[order[lo[i] : lo[i] + counts[i]]]``, in build order."""
+    if len(build) and probe.dtype == build.dtype and build.dtype.kind in "iu":
+        low, high = build.min(), build.max()
+        span = int(high) - int(low) + 1  # python ints: no wrap-around
+        if span <= len(probe) + len(build):
+            # probe keys outside [low, high] go to a spare slot that holds
+            # nothing *before* they index the table: a negative offset
+            # would wrap to the table's end
+            inside = (probe >= low) & (probe <= high)
+            slot = np.where(inside, offsets(probe, low), span)
+            build_slot = offsets(build, low)
+            per_key = np.bincount(build_slot, minlength=span + 1)
+            counts = per_key[slot]
+            if np.count_nonzero(per_key) == len(build):
+                # a unique build side (every N:1 join): a key's slot
+                # holds its row, nothing to sort
+                order = np.zeros(span + 1, dtype=np.int64)
+                order[build_slot] = np.arange(len(build), dtype=np.int64)
+                return order, slot, counts
+            order = np.argsort(build_slot, kind="stable")
+            return order, (np.cumsum(per_key) - per_key)[slot], counts
+    order = np.argsort(build, kind="stable")
+    sorted_build = build[order]
+    lo = np.searchsorted(sorted_build, probe, side="left")
+    return order, lo, np.searchsorted(sorted_build, probe, side="right") - lo
 
 
 def inner_join_pairs(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Matching (left_idx, right_idx) pairs, left-major order."""
-    order = np.argsort(right_keys, kind="stable")
-    sorted_right = right_keys[order]
-    lo = np.searchsorted(sorted_right, left_keys, side="left")
-    hi = np.searchsorted(sorted_right, left_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
-    if total == 0:
-        return left_idx, np.zeros(0, dtype=np.int64)
-    starts = np.repeat(lo, counts)
-    ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    right_idx = order[starts + within]
-    return left_idx, right_idx
+    order, lo, counts = _match(left_keys, right_keys)
+    left_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return left_idx, order[expand_runs(lo, counts)].astype(np.int64, copy=False)
 
 
 def left_join_pairs(
@@ -76,25 +91,16 @@ def left_join_pairs(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Left-outer pairs: every left row appears; unmatched rows carry
     right index -1."""
-    order = np.argsort(right_keys, kind="stable")
-    sorted_right = right_keys[order]
-    lo = np.searchsorted(sorted_right, left_keys, side="left")
-    hi = np.searchsorted(sorted_right, left_keys, side="right")
-    counts = hi - lo
-    out_counts = np.maximum(counts, 1)
-    total = int(out_counts.sum())
-    left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64), out_counts)
-    starts = np.repeat(lo, out_counts)
-    ends = np.cumsum(out_counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - out_counts, out_counts)
-    matched = np.repeat(counts > 0, out_counts)
-    right_idx = np.full(total, -1, dtype=np.int64)
-    take = starts[matched] + within[matched]
-    right_idx[matched] = order[take]
+    order, lo, counts = _match(left_keys, right_keys)
+    runs = np.maximum(counts, 1)  # an unmatched row keeps one output row
+    left_idx = np.repeat(np.arange(len(runs), dtype=np.int64), runs)
+    matched = counts[left_idx] > 0
+    right_idx = np.full(len(left_idx), -1, dtype=np.int64)
+    right_idx[matched] = order[expand_runs(lo, runs)[matched]]
     return left_idx, right_idx
 
 
 def semi_join_mask(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
     """Boolean mask over left rows with at least one match (semi join);
     invert for anti join."""
-    return np.isin(left_keys, right_keys)
+    return _match(left_keys, right_keys)[2] > 0

@@ -123,16 +123,20 @@ class OperatorActuals:
     def total_seconds(self) -> float:
         return self.io_seconds + self.cpu_seconds
 
-    def absorb(self, other: "OperatorActuals") -> None:
-        """Accumulate another execution of the same operator object."""
-        self.rows_in += other.rows_in
-        self.rows_out += other.rows_out
-        self.io_bytes += other.io_bytes
-        self.io_accesses += other.io_accesses
-        self.io_seconds += other.io_seconds
-        self.cpu_seconds += other.cpu_seconds
-        self.reserved_bytes += other.reserved_bytes
-        self.executions += other.executions
+    def plus(self, other: "OperatorActuals") -> "OperatorActuals":
+        """This and another execution of the same operator object, as a
+        new record: actuals are values, no merge mutates one."""
+        return replace(
+            self,
+            rows_in=self.rows_in + other.rows_in,
+            rows_out=self.rows_out + other.rows_out,
+            io_bytes=self.io_bytes + other.io_bytes,
+            io_accesses=self.io_accesses + other.io_accesses,
+            io_seconds=self.io_seconds + other.io_seconds,
+            cpu_seconds=self.cpu_seconds + other.cpu_seconds,
+            reserved_bytes=self.reserved_bytes + other.reserved_bytes,
+            executions=self.executions + other.executions,
+        )
 
     def summary(self) -> str:
         """One-line ``(actual ...)`` annotation for EXPLAIN ANALYZE."""
@@ -155,14 +159,11 @@ def merge_operator_actuals(
     means the same operator object ran again in another fragment (shared
     leaf/broadcast subtrees), so its charges are *accumulated* — never
     overwritten, which silently dropped work and broke the
-    sum-to-totals invariant.  First occurrences are copied so the
-    merged entry never aliases (and later mutates) a per-fragment one."""
+    sum-to-totals invariant.  Entries are shared with ``operators``, never
+    mutated: a repeat replaces the entry with :meth:`OperatorActuals.plus`."""
     for key, actuals in operators.items():
         existing = merged.get(key)
-        if existing is None:
-            merged[key] = replace(actuals)
-        else:
-            existing.absorb(actuals)
+        merged[key] = actuals if existing is None else existing.plus(actuals)
 
 
 @dataclass

@@ -39,6 +39,7 @@ from .aggregate import (
     MergeSpec,
     apply_aggregate,
     distinct_per_partition,
+    factorize,
     group_rows,
     merge_partial_aggregates,
 )
@@ -719,11 +720,11 @@ class SandwichJoin(HashJoin):
             build_gid = (build_gid << np.uint64(g)) | vals
         if total_bits == 0 or len(build_gid) == 0:
             return build_bytes, 1
-        _, counts = np.unique(build_gid, return_counts=True)
+        counts = np.bincount(factorize(build_gid)[0])  # rows per group id
         build_rows = max(len(build_gid), 1)
         per_row = build_bytes / build_rows
         state_bytes = float(counts.max()) * per_row
-        num_groups = len(counts)
+        num_groups = int(np.count_nonzero(counts))
         ctx.metrics.note(
             f"sandwich join on {self.left_cols} via "
             + "+".join(p[0].dimension.name for p in self.pairs)
@@ -789,9 +790,7 @@ def _group_by(rel: Relation, keys: Tuple[str, ...]):
     no group.  Shared by every aggregation operator."""
     n = rel.num_rows
     if keys:
-        if n:
-            return group_rows([rel.column(k) for k in keys])
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
+        return group_rows([rel.column(k) for k in keys])
     group_index = np.zeros(n, dtype=np.int64)
     first_rows = np.zeros(1 if n else 0, dtype=np.int64)
     return group_index, first_rows, 1 if n else 0
@@ -1024,8 +1023,7 @@ class Sort(PhysicalOp):
                     if values.dtype.kind in "iuf":
                         values = -values.astype(np.float64)
                     else:
-                        _, codes = np.unique(values, return_inverse=True)
-                        values = -codes
+                        values = -factorize(values)[0]
                 sort_keys.append(values)
             order = np.lexsort(tuple(sort_keys))
             rel = rel.take(order)

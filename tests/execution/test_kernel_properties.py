@@ -24,15 +24,92 @@ from repro.execution.join_utils import (
     semi_join_mask,
 )
 
+from .test_kernel_paths import CASTS  # a small key domain in every dtype
+
 SEEDS = range(10)
 
+I64 = np.iinfo(np.int64)
 
-def _random_keys(rng, max_len=40, domain=8):
+#: key domains: 8 always takes the direct-address / offset path, 10**3
+#: takes it once a side has a few hundred rows, the rest never do
+DOMAINS = {"8": 8, "1e3": 10**3, "1e6": 10**6, "1e12": 10**12, "int64": None}
+OFFSETS = {"zero": 0, "negative": -(10**3) // 2, "1e9": 10**9}
+BUILD_SHAPES = ("unsorted", "sorted", "all-equal", "unique")
+SIZES = {"small": 40, "large": 700}
+
+
+def _draw(rng, n, domain, offset):
+    if domain is None:  # the whole of int64, both ends included
+        keys = rng.randint(I64.min, I64.max, n, dtype=np.int64)
+        if n >= 2:
+            keys[:2] = I64.min, I64.max
+        return keys
+    return rng.randint(0, domain, n).astype(np.int64) + offset
+
+
+def _random_keys(rng, max_len=40, domain=8, offset=0, shape="unsorted", like=None):
+    """Keys of one join side.  ``like``: take half the keys from another
+    side's values, so that wide domains still produce matches."""
     n = int(rng.randint(0, max_len))
-    return rng.randint(-domain, domain, n).astype(np.int64)
+    keys = _draw(rng, n, domain, offset)
+    if like is not None and len(like) and n:
+        borrowed = rng.random_sample(n) < 0.5
+        keys[borrowed] = like[rng.randint(0, len(like), int(borrowed.sum()))]
+    if shape == "sorted":
+        keys = np.sort(keys)
+    elif shape == "all-equal" and n:
+        keys = np.full(n, keys[0])
+    elif shape == "unique":
+        keys = rng.permutation(np.unique(keys))
+    return keys
+
+
+def _naive_inner(left, right):
+    """Pairs in the kernels' contract order: left-major, build order
+    within a key — from a dict of lists, no sorting, no numpy."""
+    rows_of = {}
+    for j, value in enumerate(right.tolist()):
+        rows_of.setdefault(value, []).append(j)
+    return [(i, j) for i, value in enumerate(left.tolist()) for j in rows_of.get(value, [])]
+
+
+def _naive_left(left, right):
+    rows_of = {}
+    for j, value in enumerate(right.tolist()):
+        rows_of.setdefault(value, []).append(j)
+    return [(i, j) for i, value in enumerate(left.tolist()) for j in rows_of.get(value, [-1])]
+
+
+def _check_joins(left, right):
+    lidx, ridx = inner_join_pairs(left, right)
+    assert lidx.dtype == ridx.dtype == np.int64
+    assert list(zip(lidx.tolist(), ridx.tolist())) == _naive_inner(left, right)
+    lidx, ridx = left_join_pairs(left, right)
+    assert lidx.dtype == ridx.dtype == np.int64
+    assert list(zip(lidx.tolist(), ridx.tolist())) == _naive_left(left, right)
+    mask = semi_join_mask(left, right)
+    members = set(right.tolist())
+    assert mask.dtype == bool
+    assert mask.tolist() == [value in members for value in left.tolist()]
 
 
 # ------------------------------------------------------------------- joins
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("shape", BUILD_SHAPES)
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_join_kernels_match_naive(domain, offset, shape, size, seed):
+    """Inner, left and semi against the dict reference, exact order
+    included, on both sides of the density rule: every key domain x
+    offset x build-side shape, at a size where 10**3 keys are sparse
+    (40 rows) and one where they are dense (700)."""
+    rng = np.random.RandomState(seed)
+    right = _random_keys(rng, SIZES[size], DOMAINS[domain], OFFSETS[offset], shape)
+    left = _random_keys(rng, SIZES[size], DOMAINS[domain], OFFSETS[offset], like=right)
+    _check_joins(left, right)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_inner_join_pairs_matches_naive(seed):
     rng = np.random.RandomState(seed)
@@ -74,6 +151,31 @@ def test_semi_join_mask_matches_set(seed):
     assert mask.tolist() == [v in members for v in left.tolist()]
 
 
+@pytest.mark.parametrize("where", ["below", "above", "both"])
+@pytest.mark.parametrize("domain", ["8", "1e6"])
+def test_probe_keys_outside_the_build_range(domain, where):
+    """Probe keys entirely below / above [min, max] of the build side
+    match nothing on either path (8: direct table, 1e6: sorted)."""
+    rng = np.random.RandomState(0)
+    right = _draw(rng, 30, DOMAINS[domain], 100)
+    below = np.arange(100 - 25, 100, dtype=np.int64)
+    above = right.max() + 1 + np.arange(25, dtype=np.int64)
+    left = {"below": below, "above": above, "both": np.concatenate([above, below])}[where]
+    _check_joins(left, right)
+    assert len(inner_join_pairs(left, right)[0]) == 0
+    # ... and beside keys that do match
+    _check_joins(np.concatenate([left, right[:5]]), right)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dtype", CASTS)
+def test_join_kernels_over_dtypes(dtype, seed):
+    rng = np.random.RandomState(seed)
+    left = CASTS[dtype](rng.randint(0, 8, int(rng.randint(0, 40))))
+    right = CASTS[dtype](rng.randint(0, 8, int(rng.randint(0, 40))))
+    _check_joins(left, right)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_encode_join_keys_preserves_tuple_equality(seed):
     rng = np.random.RandomState(seed)
@@ -109,22 +211,53 @@ def _reference_groups(columns):
     return groups
 
 
+def _check_group_rows(columns):
+    """Against dict grouping: same tuple <=> same group, groups numbered
+    in key sort order, each represented by its first row."""
+    group_index, first_rows, num_groups = group_rows(columns)
+    assert group_index.dtype == first_rows.dtype == np.int64
+    tuples = list(zip(*[c.tolist() for c in columns]))
+    reference = _reference_groups(columns)
+    assert num_groups == len(reference)
+    ordered = sorted(reference)
+    assert group_index.tolist() == [ordered.index(t) for t in tuples]
+    assert first_rows.tolist() == [reference[t][0] for t in ordered]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_group_rows_matches_dict_grouping(seed):
     rng = np.random.RandomState(seed)
     n = int(rng.randint(1, 50))
-    columns = [rng.randint(0, 5, n), rng.randint(0, 3, n)]
-    group_index, first_rows, num_groups = group_rows(columns)
-    reference = _reference_groups(columns)
-    assert num_groups == len(reference)
-    # same tuple <-> same group id, and representatives belong to their group
-    by_group = {}
-    tuples = list(zip(*[c.tolist() for c in columns]))
-    for i, g in enumerate(group_index.tolist()):
-        by_group.setdefault(g, set()).add(tuples[i])
-    assert all(len(values) == 1 for values in by_group.values())
-    for g, first in enumerate(first_rows.tolist()):
-        assert group_index[first] == g
+    _check_group_rows([rng.randint(0, 5, n), rng.randint(0, 3, n)])
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("shape", BUILD_SHAPES)
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_group_rows_over_key_domains(domain, offset, shape, size, seed):
+    """One and two key columns on both sides of the offset rule (a
+    column's span against its length) and of the presence-table rule
+    (the code space against the row count)."""
+    rng = np.random.RandomState(seed)
+    keys = _random_keys(rng, SIZES[size], DOMAINS[domain], OFFSETS[offset], shape)
+    if not len(keys):
+        keys = np.zeros(1, dtype=np.int64)
+    _check_group_rows([keys])
+    _check_group_rows([rng.randint(0, 3, len(keys)), keys])
+    _check_group_rows([keys, rng.randint(-2, 2, len(keys))])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dtype", CASTS)
+def test_group_rows_over_dtypes(dtype, seed):
+    rng = np.random.RandomState(seed)
+    n = int(rng.randint(1, 40))
+    column = CASTS[dtype](rng.randint(0, 8, n))
+    _check_group_rows([column])
+    _check_group_rows([column, rng.randint(0, 3, n)])
+    _check_group_rows([CASTS["U3"](rng.randint(0, 8, n)), column])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -137,7 +137,7 @@ class TestMetricsBugfixes:
         assert got.io_seconds == pytest.approx(0.8)
         assert got.cpu_seconds == pytest.approx(0.4)
         assert got.reserved_bytes == pytest.approx(96.0)
-        # the merge copies: the per-fragment record must stay untouched
+        # the merge never mutates: the per-fragment record stays untouched
         assert first.executions == 1 and first.rows_out == 10
         assert "execs=2" in got.summary()
 
