@@ -11,9 +11,11 @@ larger than the rows the probe serves (``len(probe) + len(build)`` — true
 of every dense surrogate key and of a text column's join codes) it is a
 direct-address hash table: one slot per key value, no sort for a unique
 build side, no binary search.  The table never outweighs its inputs, so
-the rule needs no constant.  Sparser keys, and keys that are not
-integers, take a stable sort of the build side and two binary searches.
-Both paths return the same pairs in the same order.
+the rule needs no constant.  A repeated build side sorts by slot only
+the rows a probe key reaches, so the sort grows with the join's output.
+Sparser keys, and keys that are not integers, take a stable sort of the
+build side and two binary searches.  Both paths return the same pairs
+in the same order.
 """
 
 from __future__ import annotations
@@ -69,7 +71,11 @@ def _match(probe: np.ndarray, build: np.ndarray) -> Tuple[np.ndarray, np.ndarray
                 order = np.zeros(span + 1, dtype=np.int64)
                 order[build_slot] = np.arange(len(build), dtype=np.int64)
                 return order, slot, counts
-            order = np.argsort(build_slot, kind="stable")
+            probed = np.zeros(span + 1, dtype=bool)  # sort what probes reach
+            probed[slot] = True
+            reached = np.flatnonzero(probed[build_slot])
+            order = reached[np.argsort(build_slot[reached], kind="stable")]
+            per_key = np.where(probed, per_key, 0)
             return order, (np.cumsum(per_key) - per_key)[slot], counts
     order = np.argsort(build, kind="stable")
     sorted_build = build[order]

@@ -261,10 +261,12 @@ class PhysicalScan(PhysicalOp):
     A selection of the whole table is no selection: ``selected_rows`` is
     ``None`` whenever the scan reads every stored row in storage order,
     on every scheme, and the scan then hands its consumers *views* of
-    the stored columns (and of ``bdcc.keys``) — operators never write
-    into the arrays they are handed.  Row indices exist only for scans
-    that really select: pruned groups or blocks, masked deletes, a
-    consolidated BDCC table, a fragment's partition."""
+    the stored columns — operators never write into the arrays they are
+    handed.  Row indices exist only for scans that really select: pruned
+    groups or blocks, masked deletes, a consolidated BDCC table, a
+    fragment's partition.  A carried use's group column is a per-entry
+    fact read off the count table; only merged delta rows, which have no
+    entry, extract it from their ``_bdcc_`` keys."""
 
     table: str
     alias: str
@@ -296,15 +298,12 @@ class PhysicalScan(PhysicalOp):
         return f"{self.kind} {self.table}{alias}{pred}"
 
     # ------------------------------------------------------- base reading
-    def _read_base(self, ctx: ExecutionContext, want_keys: bool = False):
+    def _read_base(self, ctx: ExecutionContext):
         """Charge and materialise the base storage's selected rows.
 
-        Returns ``(columns, keys, num_selected)`` where ``columns`` maps
-        prefixed demanded names to gathered arrays and ``keys`` holds the
-        selected rows' ``_bdcc_`` keys — gathered only when the sandwich
-        uses need them or the caller asks (``want_keys``; the
-        delta-merging subclass merges on them), None otherwise.  Shared
-        between the plain scan and the delta-merging subclass.
+        Returns ``(columns, num_selected)`` where ``columns`` maps
+        prefixed demanded names to gathered arrays.  Shared between the
+        plain scan and the delta-merging subclass.
         """
         stored = self.stored
         demanded = list(self.demanded)
@@ -340,20 +339,29 @@ class PhysicalScan(PhysicalOp):
         ctx.metrics.charge_cpu(
             num_selected * len(demanded) * ctx.costs.scan_value, "scan"
         )
-        keys = None
-        if bdcc is not None and (want_keys or self.sandwich_uses):
-            keys = bdcc.keys if rows is None else bdcc.keys[rows]
-        return columns, keys, num_selected
+        return columns, num_selected
 
     def _finish(self, ctx: ExecutionContext, columns, keys, num_selected, note_bits):
-        """Surface hidden group columns, assemble the relation, apply the
-        residual predicate."""
+        """Surface hidden group columns (from ``keys`` when given, else
+        per count-table entry), assemble the relation, apply the residual
+        predicate."""
         if self.sandwich_uses:
-            uses = self.stored.bdcc.uses
+            bdcc, rows = self.stored.bdcc, self.selected_rows
+            ct = bdcc.count_table
+            if keys is None and rows is not None:
+                # each row's entry: the valid entries' offsets ascend in
+                # entry order, the consolidated region last
+                valid = np.flatnonzero(ct.valid)
+                entry = valid[np.searchsorted(ct.offsets[valid], rows, side="right") - 1]
             for use_index, eff_bits, column_name in self.sandwich_uses:
-                # top eff_bits positions of the full mask == the use's
-                # bits that survive at count-table granularity
-                columns[column_name] = gather_use_bits(keys, uses[use_index].mask, eff_bits)
+                if keys is not None:
+                    # top eff_bits positions of the full mask == the use's
+                    # bits that survive at count-table granularity
+                    values = gather_use_bits(keys, bdcc.uses[use_index].mask, eff_bits)
+                else:  # per entry; a dense count table's entries tile storage
+                    values = bdcc.entry_group_values(use_index, eff_bits)
+                    values = np.repeat(values, ct.counts) if rows is None else values[entry]
+                columns[column_name] = values
             ctx.metrics.charge_cpu(
                 num_selected * ctx.costs.sandwich_row_overhead * len(self.sandwich_uses),
                 "scan",
@@ -361,23 +369,16 @@ class PhysicalScan(PhysicalOp):
         rel = Relation(columns=columns)
         if note_bits:
             ctx.metrics.note(f"scan {self.alias}: " + ", ".join(note_bits))
-
-        # --- residual predicate ------------------------------------------
         if self.predicate is not None:
-            mask = np.asarray(self.predicate.eval(rel), dtype=bool)
-            ctx.metrics.charge_cpu(
-                rel.num_rows * max(len(self.predicate.columns()), 1) * ctx.costs.expr_value,
-                "filter",
-            )
-            rel = rel.filter(mask)
+            rel = _filter(ctx, rel, self.predicate)
         return rel
 
     def execute(self, ctx: ExecutionContext) -> Relation:
         if self.replica_note:
             ctx.metrics.note(self.replica_note)
-        columns, keys, num_selected = self._read_base(ctx)
+        columns, num_selected = self._read_base(ctx)
         return self._finish(
-            ctx, columns, keys, num_selected, list(self.selection_notes)
+            ctx, columns, None, num_selected, list(self.selection_notes)
         )
 
 
@@ -410,7 +411,7 @@ class DeltaMergeScan(PhysicalScan):
         bdcc = stored.bdcc
         demanded = list(self.demanded)
         prefix = self.prefix
-        columns, keys, base_n = self._read_base(ctx, want_keys=True)
+        columns, base_n = self._read_base(ctx)
 
         # merge keys may need columns beyond the demanded set (a PK scan
         # does not have to materialise its sort columns to be ordered,
@@ -437,7 +438,9 @@ class DeltaMergeScan(PhysicalScan):
 
         # --- read the delta runs ----------------------------------------
         pieces: Dict[str, List[np.ndarray]] = {name: [arr] for name, arr in columns.items()}
-        key_pieces = [keys] if keys is not None else None
+        key_pieces = None  # base keys: merged on only when delta rows join them
+        if bdcc is not None and any(len(s) for _, s in self.delta_selected):
+            key_pieces = [bdcc.keys if base_rows is None else bdcc.keys[base_rows]]
         delta_n = 0
         delta = stored.delta
         for run_index, sel in self.delta_selected:
@@ -471,7 +474,7 @@ class DeltaMergeScan(PhysicalScan):
 
         # --- order-preserving merge --------------------------------------
         if delta_n == 0:
-            merged, merged_keys = columns, keys
+            merged, merged_keys = columns, None  # base rows: groups per entry
         else:
             merged, merged_keys = stored.merge_pieces(
                 pieces, key_pieces,
@@ -503,13 +506,17 @@ class PhysicalFilter(PhysicalOp):
         return (self.input,)
 
     def execute(self, ctx: ExecutionContext) -> Relation:
-        rel = self.input.run(ctx)
-        mask = np.asarray(self.predicate.eval(rel), dtype=bool)
-        ctx.metrics.charge_cpu(
-            rel.num_rows * max(len(self.predicate.columns()), 1) * ctx.costs.expr_value,
-            "filter",
-        )
-        return rel.filter(mask)
+        return _filter(ctx, self.input.run(ctx), self.predicate)
+
+
+def _filter(ctx: ExecutionContext, rel: Relation, predicate: Expr) -> Relation:
+    """The rows ``predicate`` keeps (a scan's residual or a filter's),
+    charged per input row and column read."""
+    mask = np.asarray(predicate.eval(rel), dtype=bool)
+    ctx.metrics.charge_cpu(
+        rel.num_rows * max(len(predicate.columns()), 1) * ctx.costs.expr_value, "filter"
+    )
+    return rel.filter(mask)
 
 
 # --------------------------------------------------------------- project
@@ -678,10 +685,8 @@ class HashJoin(_JoinOp):
         if how in ("semi", "anti"):
             if self.residual is not None:
                 lidx, ridx = inner_join_pairs(lkeys, rkeys)
-                joined_cols = dict(left.take(lidx).columns)
-                for name, arr in right.take(ridx).columns.items():
-                    joined_cols.setdefault(name, arr)
-                mask_pairs = np.asarray(self.residual.eval(joined_cols), dtype=bool)
+                joined = _assemble_inner(left, right, lidx, ridx)
+                mask_pairs = np.asarray(self.residual.eval(joined), dtype=bool)
                 ctx.metrics.charge_cpu(len(lidx) * costs.expr_value, "join")
                 matched = np.zeros(left.num_rows, dtype=bool)
                 matched[lidx[mask_pairs]] = True

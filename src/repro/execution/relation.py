@@ -11,6 +11,8 @@ dimension uses in their plan fields (``SandwichJoin.pairs``,
 
 Hidden columns (named ``__grp_*``) carry per-row BDCC group numbers; they
 flow through joins and filters like data but never into query results.
+Every filter in the engine is :meth:`Relation.take` over a *candidate
+list*: the kept rows' positions, found once and shared by every column.
 """
 
 from __future__ import annotations
@@ -93,8 +95,14 @@ class Relation:
 
     # ---------------------------------------------------------- transforms
     def take(self, indices: np.ndarray) -> "Relation":
-        """Gather rows by index (or keep those a boolean mask selects);
-        hidden columns and validity masks travel with them."""
+        """Gather rows by position, or keep those a boolean mask selects
+        through its positions (boolean indexing would re-scan the mask
+        per array); hidden columns and validity masks travel with them."""
+        indices = np.asarray(indices)
+        if indices.dtype == bool:
+            if indices.shape != (self.num_rows,):  # as boolean indexing did
+                raise IndexError(f"boolean mask of shape {indices.shape} for {self.num_rows} rows")
+            indices = np.flatnonzero(indices)
         return Relation(
             columns={n: a[indices] for n, a in self.columns.items()},
             valid={n: m[indices] for n, m in self.valid.items()},

@@ -1,8 +1,8 @@
 """The two host kernels — the direct-address probe and the offset
 factoriser — against the frozen sort-based kernels, bit for bit, on both
-sides of their density rules; the rules' boundaries; and the two bugs
-fixed beside them (composite keys past int64, integer extrema through
-float64).
+sides of their density rules; the rules' boundaries; the probed-only
+sort of a repeated build side; and the two bugs fixed beside them
+(composite keys past int64, integer extrema through float64).
 
 "Bit for bit" is the point: the process backend compares its results
 with the simulated backend's exactly and ``twin_mismatch(exact=True)``
@@ -273,6 +273,63 @@ class TestDensityRuleBoundaries:
         assert codes.tolist() == [ord(c) - ord("A") for c in flags]
         assert_same_bits(group_rows([dense]), frozen.group_rows([dense]))
         assert_same_bits(group_rows([column]), frozen.group_rows([column]))
+
+
+def _same_as_frozen(probe, build):
+    for kernel in ("inner_join_pairs", "left_join_pairs", "semi_join_mask"):
+        assert_same_bits(globals()[kernel](probe, build), getattr(frozen, kernel)(probe, build))
+
+
+class TestProbedOnlySort:
+    """A repeated build side on the direct path sorts only the build rows
+    some probe key reaches: ``order`` is a permutation of those rows, and
+    the pairs are the frozen sort's, in the frozen sort's order."""
+
+    #: 9 rows over keys 3..9 (span 7): 3, 5 and 7 repeat; 6 and 8 are gaps
+    BUILD = np.array([5, 3, 5, 9, 3, 5, 7, 7, 4], dtype=np.int64)
+    LOWS = [0, -7, 10**9, I64.min, I64.max - 30]
+
+    @pytest.mark.parametrize("low", LOWS)
+    @pytest.mark.parametrize(
+        "probe,reached",
+        [
+            ([6, 8, 6], 0),                     # gaps only: no key reached
+            ([2, 10], 0),                       # min - 1 and max + 1
+            ([9, 7, 3, 4, 5, 7, 9, 4], 9),      # every key
+            ([5, 5], 3),                        # one key of a repeated build
+            ([2, 7, 10, 3], 4),                 # both ends beside two hits
+        ],
+    )
+    def test_sorts_only_what_is_probed(self, low, probe, reached):
+        build = self.BUILD + low
+        probe = np.array(probe, dtype=np.int64) + low
+        order, lo, counts = _match(probe, build)
+        assert len(order) == reached
+        assert sorted(order.tolist()) == np.flatnonzero(np.isin(build, probe)).tolist()
+        for i, key in enumerate(probe):
+            run = order[lo[i]: lo[i] + counts[i]]
+            assert run.tolist() == np.flatnonzero(build == key).tolist()
+        _same_as_frozen(probe, build)
+
+    @pytest.mark.parametrize("low", LOWS)
+    def test_span_equal_to_the_rows_is_direct_one_more_is_sorted(self, low):
+        build = np.array([0, 11, 0], dtype=np.int64) + low        # 3 rows, span 12
+        for probe_rows, direct in ((9, True), (8, False)):        # 12 and 11 rows
+            for key, reached in ((11, 1), (5, 0)):                # the max, a gap
+                probe = np.full(probe_rows, key, dtype=np.int64) + low
+                # the direct path sorts the reached rows, the sorted path all
+                assert len(_match(probe, build)[0]) == (reached if direct else 3)
+                _same_as_frozen(probe, build)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), min_size=1, max_size=60),
+        st.lists(st.integers(-2, 32), max_size=60),
+    )
+    def test_any_repeated_build_side(self, build, probe):
+        build = np.array(build + build[:1], dtype=np.int64)       # at least one repeat
+        probe = np.array(probe, dtype=np.int64)
+        _same_as_frozen(probe, build)
 
 
 class TestNoNegativeSlot:

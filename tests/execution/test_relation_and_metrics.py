@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.execution.metrics import ExecutionMetrics, MemoryTracker
 from repro.execution.relation import Relation, row_bytes_of
@@ -58,6 +60,67 @@ class TestRelation:
         rel.valid["a"] = np.array([True, False, True])
         out = rel.filter(np.array([True, True, False]))
         assert list(out.valid["a"]) == [True, False]
+
+
+class TestMaskIsACandidateList:
+    """``take(mask)`` turns the mask into positions once; a mask of the
+    wrong length must still fail, as boolean indexing did, instead of
+    selecting a prefix."""
+
+    @pytest.mark.parametrize("mask", [[True, False], [True, False, True, True], []])
+    def test_mask_of_the_wrong_length_raises(self, mask):
+        rel = _rel()
+        rel.valid["a"] = np.array([True, False, True])
+        with pytest.raises(IndexError, match="boolean mask"):
+            rel.filter(np.array(mask, dtype=bool))
+
+    def test_all_false_mask_keeps_every_column_and_dtype(self):
+        rel = _rel()
+        rel.valid["b"] = np.array([False, True, True])
+        out = rel.filter(np.zeros(3, dtype=bool))
+        assert out.num_rows == 0
+        for name, array in rel.columns.items():
+            assert out.columns[name].dtype == array.dtype
+        assert out.valid["b"].dtype == bool and len(out.valid["b"]) == 0
+
+    def test_zero_row_relation(self):
+        rel = Relation(columns={"a": np.zeros(0, dtype=np.int32)}, valid={"a": np.zeros(0, bool)})
+        out = rel.filter(np.zeros(0, dtype=bool))
+        assert out.num_rows == 0 and out.columns["a"].dtype == np.int32
+        with pytest.raises(IndexError):
+            rel.filter(np.ones(1, dtype=bool))
+        assert Relation(columns={}).filter(np.zeros(0, dtype=bool)).num_rows == 0
+
+    def test_validity_masks_and_hidden_columns_follow_the_positions(self):
+        rel = _rel()
+        rel.valid["a"] = np.array([False, True, True])
+        out = rel.filter(np.array([False, True, True]))
+        assert out.columns["__grp__t__0"].tolist() == [0, 1]
+        assert out.valid["a"].tolist() == [True, True]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-5, 5), st.booleans(), st.booleans()), max_size=40))
+    def test_a_mask_equals_its_positions_and_the_boolean_gather(self, rows):
+        values = np.array([r[0] for r in rows], dtype=np.int64)
+        valid = np.array([r[1] for r in rows], dtype=bool)
+        mask = np.array([r[2] for r in rows], dtype=bool)
+        rel = Relation(
+            columns={
+                "v": values,
+                "s": values.astype(str),
+                "__grp__t__0": values.astype(np.uint64),
+            },
+            valid={"v": valid},
+        )
+        by_mask = rel.take(mask)
+        by_positions = rel.take(np.flatnonzero(mask))
+        for got, name in ((by_mask, "mask"), (by_positions, "positions")):
+            assert list(got.columns) == list(rel.columns), name
+            for column, array in rel.columns.items():
+                expected = array[mask]  # what boolean indexing returned
+                assert got.columns[column].dtype == expected.dtype
+                assert got.columns[column].tobytes() == expected.tobytes()
+            assert got.valid["v"].tobytes() == valid[mask].tobytes()
 
 
 class TestMemoryTracker:
