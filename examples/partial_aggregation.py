@@ -6,14 +6,14 @@ paper's "no index helps this" pricing-summary scan — three ways:
 1. **serial** — one worker, the baseline;
 2. **gather-then-aggregate** (``workers=4, enable_partial_agg=False``)
    — the LINEITEM scan splits into zone-aligned fragments, but every
-   scanned row crosses the exchange and the whole ``HashAgg`` runs in
+   scanned row crosses the exchange and the whole hash aggregation runs in
    the serial tail fragment, which caps the speedup around 2.2x;
 3. **partial aggregation** (``workers=4``, the default) — each fragment
    pre-aggregates its rows down to its local group states with a
-   ``PartialAgg`` *below* the exchange (sums stay sums, avg becomes a
+   ``partial`` aggregate *below* the exchange (sums stay sums, avg becomes a
    sum plus a ``__pcnt__`` companion count, min/max carry validity
    counts), the exchange ships those few state rows, and one
-   ``MergeAgg`` above the gather combines them exactly.
+   ``merge`` aggregate above the gather combines them exactly.
 
 Merging re-sums floats in gather order, so the partial plan carries the
 order-insensitive result contract (see docs/execution-model.md): same

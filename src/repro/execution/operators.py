@@ -1,10 +1,10 @@
 """Physical operators: the executable form of a lowered query plan.
 
 Each operator is one node of a *physical plan* as emitted by
-:mod:`repro.planner.lowering`: the strategy decisions (merge vs sandwich
-vs hash join, streaming vs sandwich vs hash aggregation, scan pruning)
-are already resolved and recorded on the nodes — running a plan never
-re-plans.  Operators are composable batch transformers over
+:mod:`repro.planner.lowering`: the strategy decisions (a join's merge vs
+sandwich vs hash strategy, an aggregation's streaming vs sandwich vs
+hash, scan pruning) are plan fields, resolved before execution — running
+a plan never re-plans.  Operators are composable batch transformers over
 :class:`~repro.execution.relation.Relation`; ``run`` recurses through
 ``children`` and charges simulated IO/CPU/memory to the
 :class:`ExecutionContext`.
@@ -17,17 +17,18 @@ The split matters for two reasons:
   operator is a natural unit for per-operator metrics and, later,
   parallel execution.
 
-Results are identical under every scheme and every strategy: the
-operators share the logical kernels in :mod:`repro.execution.join_utils`
-and :mod:`repro.execution.aggregate`; strategies differ in cost and
-memory accounting, exactly as in the paper's evaluation.
+Results are identical under every scheme and every strategy: a
+:class:`Join` or :class:`Aggregate` runs one result body over the
+kernels in :mod:`repro.execution.join_utils` and :mod:`.aggregate`; its
+strategy (a row of ``STRATEGIES``) fixes only ``kind``, the ordered
+inputs and the cost/memory accounting, as in the paper's evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -61,14 +62,8 @@ __all__ = [
     "DeltaMergeScan",
     "PhysicalFilter",
     "PhysicalProject",
-    "MergeJoin",
-    "HashJoin",
-    "SandwichJoin",
-    "HashAgg",
-    "StreamAgg",
-    "SandwichAgg",
-    "PartialAgg",
-    "MergeAgg",
+    "Join",
+    "Aggregate",
     "Sort",
     "Limit",
     "walk_physical",
@@ -200,15 +195,15 @@ class ExecutionContext:
 class PhysicalOp:
     """Base class for physical plan nodes.
 
-    Besides execution, every class declares its *result contract* toward
-    row order (consumed by :func:`repro.planner.propagation.compute_order_contracts`
+    Besides execution, every operator declares its *result contract*
+    toward row order (consumed by :func:`repro.planner.propagation.compute_order_contracts`
     and the fragmenting pass):
 
     * ``ordered_inputs`` names the child attributes whose input must
       arrive in the exact serial order for this operator to be correct
-      or deterministic (a :class:`MergeJoin`'s two sides, a
-      :class:`StreamAgg`'s input, a :class:`Limit`'s prefix).  A
-      reordering gather may never be introduced below such a child.
+      or deterministic (both sides of a merge-strategy join, a streaming
+      aggregation's input, a :class:`Limit`'s prefix).  A reordering
+      gather may never be introduced below such a child.
     * ``restores_order`` marks operators that re-establish a
       deterministic row order of their own (:class:`Sort`): a reordering
       below them cannot escape past them, except through tie-breaks,
@@ -221,9 +216,17 @@ class PhysicalOp:
     ordered_inputs = ()
     #: True when the operator re-sorts, containing reorderings below it.
     restores_order = False
+    #: why lowering (or the fragmenter) chose this node, shown by verbose
+    #: EXPLAIN; never part of ``describe()``.
+    rationale: str = field(default="", kw_only=True)
 
     def children(self) -> Tuple["PhysicalOp", ...]:
-        return ()
+        """The input operators: whichever of ``input``, ``left`` and
+        ``right`` the node has (none for a leaf)."""
+        return tuple(
+            getattr(self, name) for name in ("input", "left", "right")
+            if isinstance(getattr(self, name, None), PhysicalOp)
+        )
 
     def run(self, ctx: ExecutionContext) -> Relation:
         """Execute this operator (recursing through ``children``) and
@@ -287,7 +290,6 @@ class PhysicalScan(PhysicalOp):
     #: (use_index, effective_bits, hidden_column) BDCC uses to surface.
     sandwich_uses: Tuple[Tuple[int, int, str], ...] = ()
     est_rows: float = 0.0
-    rationale: str = ""
     replica_note: str = ""
 
     kind = "Scan"
@@ -305,6 +307,8 @@ class PhysicalScan(PhysicalOp):
         prefixed demanded names to gathered arrays.  Shared between the
         plain scan and the delta-merging subclass.
         """
+        if self.replica_note:
+            ctx.metrics.note(self.replica_note)
         stored = self.stored
         demanded = list(self.demanded)
         n = stored.stored_rows
@@ -341,10 +345,10 @@ class PhysicalScan(PhysicalOp):
         )
         return columns, num_selected
 
-    def _finish(self, ctx: ExecutionContext, columns, keys, num_selected, note_bits):
+    def _finish(self, ctx: ExecutionContext, columns, keys, num_selected, *extra_notes):
         """Surface hidden group columns (from ``keys`` when given, else
-        per count-table entry), assemble the relation, apply the residual
-        predicate."""
+        per count-table entry), assemble the relation, note the selection
+        (plus ``extra_notes``), apply the residual predicate."""
         if self.sandwich_uses:
             bdcc, rows = self.stored.bdcc, self.selected_rows
             ct = bdcc.count_table
@@ -367,6 +371,7 @@ class PhysicalScan(PhysicalOp):
                 "scan",
             )
         rel = Relation(columns=columns)
+        note_bits = [*self.selection_notes, *extra_notes]
         if note_bits:
             ctx.metrics.note(f"scan {self.alias}: " + ", ".join(note_bits))
         if self.predicate is not None:
@@ -374,12 +379,8 @@ class PhysicalScan(PhysicalOp):
         return rel
 
     def execute(self, ctx: ExecutionContext) -> Relation:
-        if self.replica_note:
-            ctx.metrics.note(self.replica_note)
         columns, num_selected = self._read_base(ctx)
-        return self._finish(
-            ctx, columns, None, num_selected, list(self.selection_notes)
-        )
+        return self._finish(ctx, columns, None, num_selected)
 
 
 @dataclass(eq=False)
@@ -405,13 +406,11 @@ class DeltaMergeScan(PhysicalScan):
     kind = "DeltaMergeScan"
 
     def execute(self, ctx: ExecutionContext) -> Relation:
-        if self.replica_note:
-            ctx.metrics.note(self.replica_note)
+        columns, base_n = self._read_base(ctx)
         stored = self.stored
         bdcc = stored.bdcc
         demanded = list(self.demanded)
         prefix = self.prefix
-        columns, base_n = self._read_base(ctx)
 
         # merge keys may need columns beyond the demanded set (a PK scan
         # does not have to materialise its sort columns to be ordered,
@@ -425,16 +424,7 @@ class DeltaMergeScan(PhysicalScan):
             for c in merge_cols
         }
         if merge_cols:
-            extra_bytes = [
-                base_n * stored.stored_bytes_per_value(c) for c in merge_cols
-            ]
-            ctx.metrics.charge_io(
-                float(sum(extra_bytes)), len(extra_bytes),
-                ctx.disk.time_for_runs(extra_bytes),
-            )
-            ctx.metrics.charge_cpu(
-                base_n * len(merge_cols) * ctx.costs.scan_value, "scan"
-            )
+            self._charge_columns(ctx, base_n, merge_cols)
 
         # --- read the delta runs ----------------------------------------
         pieces: Dict[str, List[np.ndarray]] = {name: [arr] for name, arr in columns.items()}
@@ -448,20 +438,9 @@ class DeltaMergeScan(PhysicalScan):
             if len(sel) == 0:
                 continue
             delta_n += len(sel)
-            run_bytes = [
-                len(sel) * stored.stored_bytes_per_value(c)
-                for c in demanded + merge_cols
-            ]
-            if bdcc is not None:
-                run_bytes.append(float(len(sel)))  # the run's key column
-            ctx.metrics.charge_io(
-                float(sum(run_bytes)), len(run_bytes),
-                ctx.disk.time_for_runs(run_bytes),
-            )
-            ctx.metrics.charge_cpu(
-                len(sel) * (len(demanded) + len(merge_cols)) * ctx.costs.scan_value,
-                "scan",
-            )
+            # plus the run's key column on BDCC, ~1 byte/row
+            key_bytes = () if bdcc is None else (float(len(sel)),)
+            self._charge_columns(ctx, len(sel), demanded + merge_cols, *key_bytes)
             for c in demanded:
                 pieces[prefix + c].append(run.columns[c][sel])
             for c in merge_cols:
@@ -485,12 +464,19 @@ class DeltaMergeScan(PhysicalScan):
             )
             ctx.metrics.charge_cpu(total * ctx.costs.merge_row, "scan")
 
-        note_bits = list(self.selection_notes)
-        note_bits.append(
-            f"delta merge {delta_n} rows from "
-            f"{sum(1 for _, s in self.delta_selected if len(s))} runs"
+        runs_read = sum(1 for _, s in self.delta_selected if len(s))
+        note = f"delta merge {delta_n} rows from {runs_read} runs"
+        return self._finish(ctx, merged, merged_keys, total, note)
+
+    def _charge_columns(self, ctx: ExecutionContext, num_rows: int, cols, *extra_bytes):
+        """Charge reading ``num_rows`` values of each of ``cols`` (one
+        access per column, plus one per ``extra_bytes``) and their scan CPU."""
+        run_bytes = [num_rows * self.stored.stored_bytes_per_value(c) for c in cols]
+        run_bytes.extend(extra_bytes)
+        ctx.metrics.charge_io(
+            float(sum(run_bytes)), len(run_bytes), ctx.disk.time_for_runs(run_bytes)
         )
-        return self._finish(ctx, merged, merged_keys, total, note_bits)
+        ctx.metrics.charge_cpu(num_rows * len(cols) * ctx.costs.scan_value, "scan")
 
 
 # ---------------------------------------------------------------- filter
@@ -498,12 +484,8 @@ class DeltaMergeScan(PhysicalScan):
 class PhysicalFilter(PhysicalOp):
     input: PhysicalOp
     predicate: Expr
-    rationale: str = ""
 
     kind = "Filter"
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.input,)
 
     def execute(self, ctx: ExecutionContext) -> Relation:
         return _filter(ctx, self.input.run(ctx), self.predicate)
@@ -532,12 +514,8 @@ class PhysicalProject(PhysicalOp):
     input: PhysicalOp
     exprs: Tuple[Tuple[str, Expr], ...]
     carry: Tuple[str, ...] = ()
-    rationale: str = ""
 
     kind = "Project"
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.input,)
 
     def describe(self) -> str:
         return f"Project [{', '.join(name for name, _ in self.exprs)}]"
@@ -559,125 +537,165 @@ class PhysicalProject(PhysicalOp):
         return Relation(columns=columns, valid=valid)
 
 
+# ------------------------------------------------------------ strategies
+class _Strategy(NamedTuple):
+    """A strategy's contract: its ``kind``, the inputs it needs in serial
+    order, and the cost/memory accounting run before the result body."""
+
+    kind: str
+    ordered_inputs: Tuple[str, ...]
+    account: Callable
+
+
+class _ByStrategy:
+    """``kind`` and ``ordered_inputs`` of an operator whose strategy is a
+    plan field: that strategy's row of the class's ``STRATEGIES``."""
+
+    def __post_init__(self) -> None:
+        if self.strategy not in self.STRATEGIES:
+            raise ValueError(
+                f"unknown {type(self).__name__} strategy {self.strategy!r}; "
+                f"expected one of {', '.join(self.STRATEGIES)}"
+            )
+
+    @property
+    def kind(self) -> str:
+        return self.STRATEGIES[self.strategy].kind
+
+    @property
+    def ordered_inputs(self) -> Tuple[str, ...]:
+        return self.STRATEGIES[self.strategy].ordered_inputs
+
+
+def _group_ids(rel: Relation, granted) -> Tuple[np.ndarray, int]:
+    """Per-row sandwich group ids over ``(use, granted_bits)`` pairs (the
+    top granted bits of each use's hidden column, dimension-major) and
+    the total bits granted."""
+    ids = np.zeros(rel.num_rows, dtype=np.uint64)
+    total_bits = 0
+    for use, g in granted:
+        if g > 0:
+            ids = (ids << np.uint64(g)) | (rel.columns[use.column] >> np.uint64(use.bits - g))
+            total_bits += g
+    return ids, total_bits
+
+
 # ----------------------------------------------------------------- joins
+def _account_merge_join(op, ctx, left, right) -> None:
+    """Both inputs arrive ordered on the join keys (the PK scheme's
+    LINEITEM/ORDERS and PART/PARTSUPP cases); state-free."""
+    ctx.metrics.note(
+        f"merge join on {op.left_cols} ({op.how}, {left.num_rows}x{right.num_rows})"
+    )
+    ctx.metrics.charge_cpu((left.num_rows + right.num_rows) * ctx.costs.merge_row, "join")
+
+
+def _account_hash_join(op, ctx, left, right) -> None:
+    """A hash table over the build side; a sandwich join holds per-group
+    tables sized by the largest group rather than the full build [3]."""
+    costs = ctx.costs
+    build_is_left = op.build_side == "left"
+    build_rel, probe_rel = (left, right) if build_is_left else (right, left)
+    if op.how in ("semi", "anti"):
+        build_bytes = build_rel.row_bytes(list(op.right_cols)) * build_rel.num_rows
+    else:
+        build_bytes = build_rel.data_bytes()
+    build_bytes += _HASH_ENTRY_OVERHEAD * build_rel.num_rows
+
+    state_bytes, num_groups, sandwich_cpu = build_bytes, 1, 0.0
+    if op.strategy == "sandwich":
+        build_gid, total_bits = _group_ids(
+            build_rel, [(l if build_is_left else r, g) for l, r, g in op.pairs]
+        )
+        if total_bits and len(build_gid):
+            counts = np.bincount(factorize(build_gid)[0])  # rows per group id
+            per_row = build_bytes / len(build_gid)
+            state_bytes = float(counts.max()) * per_row
+            num_groups = int(np.count_nonzero(counts))
+            ctx.metrics.note(
+                f"sandwich join on {op.left_cols} via "
+                + "+".join(p[0].dimension.name for p in op.pairs)
+                + f" @{total_bits} bits: {num_groups} groups, "
+                f"max group {state_bytes/1e6:.3f} MB (full build {build_bytes/1e6:.2f} MB)"
+            )
+            ctx.metrics.bump("sandwich_joins")
+        # scatter-order delivery of both inputs: one random access per
+        # group run instead of a straight sequential pass
+        ctx.metrics.charge_io(0.0, 2 * num_groups, 2 * num_groups * ctx.disk.access_latency)
+        sandwich_cpu = (
+            num_groups * costs.sandwich_group_overhead
+            + (left.num_rows + right.num_rows) * costs.sandwich_row_overhead
+        )
+    else:
+        ctx.metrics.note(
+            f"hash join on {op.left_cols} ({op.how}), build "
+            f"{build_rel.num_rows} rows / {build_bytes/1e6:.2f} MB"
+        )
+    ctx.hold(f"join:{op.left_cols}", state_bytes + num_groups * _GROUP_HEADER_BYTES)
+    factor = costs.cache_factor(state_bytes)
+    ctx.metrics.charge_cpu(
+        build_rel.num_rows * costs.hash_build_row * factor
+        + probe_rel.num_rows * costs.hash_probe_row * factor
+        + sandwich_cpu,
+        "join",
+    )
+
+
 @dataclass(eq=False)
-class _JoinOp(PhysicalOp):
+class Join(_ByStrategy, PhysicalOp):
+    """An equi-join in the strategy lowering chose: ``merge``,
+    ``sandwich`` (``pairs``: the co-clustered uses and the group bits
+    granted to each) or ``hash``.  ``build_side`` is the hashed input —
+    a pipelined engine builds on the smaller input and streams the
+    larger one, which is also what preserves the probe side's order."""
+
+    STRATEGIES = {
+        "merge": _Strategy("MergeJoin", ("left", "right"), _account_merge_join),
+        "hash": _Strategy("HashJoin", (), _account_hash_join),
+        "sandwich": _Strategy("SandwichJoin", (), _account_hash_join),
+    }
+
     left: PhysicalOp
     right: PhysicalOp
     left_cols: Tuple[str, ...]
     right_cols: Tuple[str, ...]
     how: str = "inner"
     residual: Optional[Expr] = None
-    rationale: str = ""
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.left, self.right)
+    build_side: str = "right"  # "left" | "right"
+    #: (left_use, right_use, granted_bits) per co-clustered dimension.
+    pairs: Tuple[Tuple[StreamUse, StreamUse, int], ...] = ()
+    strategy: str = field(kw_only=True)
 
     def describe(self) -> str:
         on = ", ".join(f"{l}={r}" for l, r in zip(self.left_cols, self.right_cols))
         extra = " + residual" if self.residual is not None else ""
         return f"{self.kind} {self.how} ON {on}{extra}"
 
-    def _join_keys(self, left: Relation, right: Relation):
-        return encode_join_keys(
+    def execute(self, ctx: ExecutionContext) -> Relation:
+        left = self.left.run(ctx)
+        right = self.right.run(ctx)
+        lkeys, rkeys = encode_join_keys(
             [left.column(c) for c in self.left_cols],
             [right.column(c) for c in self.right_cols],
         )
-
-
-@dataclass(eq=False)
-class MergeJoin(_JoinOp):
-    """Both inputs arrive ordered on the join keys (the PK scheme's
-    LINEITEM/ORDERS and PART/PARTSUPP cases); state-free."""
-
-    kind = "MergeJoin"
-    ordered_inputs = ("left", "right")
-
-    def execute(self, ctx: ExecutionContext) -> Relation:
-        left = self.left.run(ctx)
-        right = self.right.run(ctx)
-        lkeys, rkeys = self._join_keys(left, right)
-        ctx.metrics.note(
-            f"merge join on {self.left_cols} ({self.how}, "
-            f"{left.num_rows}x{right.num_rows})"
-        )
-        ctx.metrics.charge_cpu(
-            (left.num_rows + right.num_rows) * ctx.costs.merge_row, "join"
-        )
-        if self.how in ("semi", "anti"):
-            matched = semi_join_mask(lkeys, rkeys)
-            keep = matched if self.how == "semi" else ~matched
-            ctx.metrics.charge_cpu(int(keep.sum()) * ctx.costs.join_output_row, "join")
-            return left.filter(keep)
-        lidx, ridx = inner_join_pairs(lkeys, rkeys)
-        ctx.metrics.charge_cpu(len(lidx) * ctx.costs.join_output_row, "join")
-        return _assemble_inner(left, right, lidx, ridx)
-
-
-@dataclass(eq=False)
-class HashJoin(_JoinOp):
-    """Plain hash join; the build side was fixed at lowering (a pipelined
-    engine builds on the smaller input and streams the larger one, which
-    is also what preserves the probe side's physical order)."""
-
-    build_side: str = "right"  # "left" | "right"
-
-    kind = "HashJoin"
-
-    # -- accounting hooks overridden by SandwichJoin ----------------------
-    def _state(self, ctx, left, right, build_rel, build_bytes) -> Tuple[float, int]:
-        ctx.metrics.note(
-            f"hash join on {self.left_cols} ({self.how}), build "
-            f"{build_rel.num_rows} rows / {build_bytes/1e6:.2f} MB"
-        )
-        return build_bytes, 1
-
-    def _extra_charges(self, ctx, left, right, num_groups) -> float:
-        return 0.0
-
-    def execute(self, ctx: ExecutionContext) -> Relation:
-        left = self.left.run(ctx)
-        right = self.right.run(ctx)
-        lkeys, rkeys = self._join_keys(left, right)
+        self.STRATEGIES[self.strategy].account(self, ctx, left, right)
         costs = ctx.costs
         how = self.how
-        build_is_left = self.build_side == "left"
-        build_rel = left if build_is_left else right
-        probe_rel = right if build_is_left else left
-        if how in ("semi", "anti"):
-            build_bytes = build_rel.row_bytes(list(self.right_cols)) * build_rel.num_rows
-        else:
-            build_bytes = build_rel.data_bytes()
-        build_bytes += _HASH_ENTRY_OVERHEAD * build_rel.num_rows
-
-        state_bytes, num_groups = self._state(ctx, left, right, build_rel, build_bytes)
-        ctx.hold(f"join:{self.left_cols}", state_bytes + num_groups * _GROUP_HEADER_BYTES)
-        factor = costs.cache_factor(state_bytes)
-        cpu = (
-            build_rel.num_rows * costs.hash_build_row * factor
-            + probe_rel.num_rows * costs.hash_probe_row * factor
-        )
-        cpu += self._extra_charges(ctx, left, right, num_groups)
-        ctx.metrics.charge_cpu(cpu, "join")
-
-        # ---- execute ----------------------------------------------------
         if how == "inner":
             # output follows the probe side's order, as a pipelined hash
             # join does — this is what lets a later merge join see the
             # PK scheme's key order through an earlier N:1 join
-            if build_is_left:
+            if self.build_side == "left":
                 ridx, lidx = inner_join_pairs(rkeys, lkeys)
             else:
                 lidx, ridx = inner_join_pairs(lkeys, rkeys)
+            joined = _assemble_inner(left, right, lidx, ridx)
             if self.residual is not None:
-                joined = _assemble_inner(left, right, lidx, ridx)
                 mask = np.asarray(self.residual.eval(joined), dtype=bool)
                 ctx.metrics.charge_cpu(len(lidx) * costs.expr_value, "join")
                 joined = joined.filter(mask)
-                ctx.metrics.charge_cpu(joined.num_rows * costs.join_output_row, "join")
-                return joined
-            ctx.metrics.charge_cpu(len(lidx) * costs.join_output_row, "join")
-            return _assemble_inner(left, right, lidx, ridx)
+            ctx.metrics.charge_cpu(joined.num_rows * costs.join_output_row, "join")
+            return joined
         if how == "left":
             lidx, ridx = left_join_pairs(lkeys, rkeys)
             ctx.metrics.charge_cpu(len(lidx) * costs.join_output_row, "join")
@@ -696,57 +714,6 @@ class HashJoin(_JoinOp):
             ctx.metrics.charge_cpu(int(keep.sum()) * costs.join_output_row, "join")
             return left.filter(keep)
         raise AssertionError(how)
-
-
-@dataclass(eq=False)
-class SandwichJoin(HashJoin):
-    """Hash join over co-clustered inputs: per-group hash tables sized by
-    the largest group rather than the full build side [3].  ``pairs``
-    holds the matched dimension uses with the group bits granted to each
-    at lowering (capped by ``max_sandwich_bits``)."""
-
-    #: (left_use, right_use, granted_bits) per co-clustered dimension.
-    pairs: Tuple[Tuple[StreamUse, StreamUse, int], ...] = ()
-
-    kind = "SandwichJoin"
-
-    def _state(self, ctx, left, right, build_rel, build_bytes) -> Tuple[float, int]:
-        """Per-group peak state and group count of the sandwiched build."""
-        build_is_left = self.build_side == "left"
-        build_gid = np.zeros(build_rel.num_rows, dtype=np.uint64)
-        total_bits = 0
-        for left_use, right_use, g in self.pairs:
-            if g <= 0:
-                continue
-            total_bits += g
-            use = left_use if build_is_left else right_use
-            rel = left if build_is_left else right
-            vals = rel.columns[use.column] >> np.uint64(use.bits - g)
-            build_gid = (build_gid << np.uint64(g)) | vals
-        if total_bits == 0 or len(build_gid) == 0:
-            return build_bytes, 1
-        counts = np.bincount(factorize(build_gid)[0])  # rows per group id
-        build_rows = max(len(build_gid), 1)
-        per_row = build_bytes / build_rows
-        state_bytes = float(counts.max()) * per_row
-        num_groups = int(np.count_nonzero(counts))
-        ctx.metrics.note(
-            f"sandwich join on {self.left_cols} via "
-            + "+".join(p[0].dimension.name for p in self.pairs)
-            + f" @{total_bits} bits: {num_groups} groups, "
-            f"max group {state_bytes/1e6:.3f} MB (full build {build_bytes/1e6:.2f} MB)"
-        )
-        ctx.metrics.bump("sandwich_joins")
-        return state_bytes, num_groups
-
-    def _extra_charges(self, ctx, left, right, num_groups) -> float:
-        # scatter-order delivery of both inputs: one random access per
-        # group run instead of a straight sequential pass
-        ctx.metrics.charge_io(0.0, 2 * num_groups, 2 * num_groups * ctx.disk.access_latency)
-        return (
-            num_groups * ctx.costs.sandwich_group_overhead
-            + (left.num_rows + right.num_rows) * ctx.costs.sandwich_row_overhead
-        )
 
 
 # ----------------------------------------------------- join assembly
@@ -789,61 +756,125 @@ def _assemble_left(left, right, lidx, ridx) -> Relation:
 
 
 # ----------------------------------------------------------- aggregation
-def _group_by(rel: Relation, keys: Tuple[str, ...]):
-    """``(group index per row, representative row per group, number of
-    groups)`` of ``rel`` under ``keys``; no keys is one group, no rows is
-    no group.  Shared by every aggregation operator."""
+def _account_table_agg(op, ctx, rel, group_index, num_groups, state_row) -> None:
+    """One table of every group: a hash aggregate's, a partial's (of one
+    partition) or a merge's (of the gathered partial rows)."""
+    total_state = num_groups * state_row
+    ctx.hold(f"agg:{op.strategy}", total_state)
+    factor = ctx.costs.cache_factor(total_state)
+    ctx.metrics.charge_cpu(rel.num_rows * ctx.costs.agg_update_row * factor, "aggregate")
+    if op.strategy == "partial":
+        ctx.metrics.bump("partial_agg_rows", num_groups)
+    elif op.keys and op.strategy == "hash":
+        ctx.metrics.note(
+            f"hash aggregation on {op.keys}: {num_groups} groups, "
+            f"{total_state/1e6:.2f} MB"
+        )
+    elif op.keys:
+        ctx.metrics.note(
+            f"merge aggregation on {op.keys}: {num_groups} groups "
+            f"from {rel.num_rows} partial rows"
+        )
+
+
+def _account_stream_agg(op, ctx, rel, group_index, num_groups, state_row) -> None:
+    """The input arrives ordered on (a functional determinant of) the
+    grouping keys: one live group at a time."""
+    ctx.metrics.note(f"streaming aggregation on {op.keys}")
+    ctx.metrics.charge_cpu(rel.num_rows * ctx.costs.stream_agg_row, "aggregate")
+    ctx.hold("agg:stream", state_row)  # one live group
+
+
+def _account_sandwich_agg(op, ctx, rel, group_index, num_groups, state_row) -> None:
+    """The grouping keys functionally determine carried dimension uses
+    (the paper's Q13/Q18 effect): the aggregation pre-partitions along
+    those groups and holds only the largest partition's table."""
     n = rel.num_rows
-    if keys:
-        return group_rows([rel.column(k) for k in keys])
-    group_index = np.zeros(n, dtype=np.int64)
-    first_rows = np.zeros(1 if n else 0, dtype=np.int64)
-    return group_index, first_rows, 1 if n else 0
-
-
-def _state_row_bytes(rel: Relation, keys: Tuple[str, ...], num_states: int) -> float:
-    """Bytes of one group's entry in an aggregation table."""
-    return (
-        (rel.row_bytes(list(keys)) if keys else 0.0)
-        + num_states * _AGG_STATE_BYTES
-        + _HASH_ENTRY_OVERHEAD
+    per_part = distinct_per_partition(_group_ids(rel, op.partition_uses)[0], group_index)
+    max_state = float(per_part.max()) * state_row if len(per_part) else 0.0
+    num_partitions = len(per_part)
+    ctx.hold("agg:sandwich", max_state + num_partitions * _GROUP_HEADER_BYTES)
+    factor = ctx.costs.cache_factor(max_state)
+    ctx.metrics.charge_cpu(
+        n * ctx.costs.agg_update_row * factor
+        + num_partitions * ctx.costs.sandwich_group_overhead
+        + n * ctx.costs.sandwich_row_overhead,
+        "aggregate",
     )
+    ctx.metrics.charge_io(0.0, num_partitions, num_partitions * ctx.disk.access_latency)
+    ctx.metrics.note(
+        f"sandwich aggregation on {op.keys} via "
+        + "+".join(u.dimension.name for u, _ in op.partition_uses)
+        + f": {num_partitions} partitions, max state "
+        f"{max_state/1e6:.3f} MB (full {num_groups * state_row/1e6:.2f} MB)"
+    )
+    ctx.metrics.bump("sandwich_aggs")
 
 
 @dataclass(eq=False)
-class _AggOp(PhysicalOp):
+class Aggregate(_ByStrategy, PhysicalOp):
+    """A grouped aggregation in the strategy lowering chose — ``stream``,
+    ``sandwich`` (``partition_uses``: the carried uses and their granted
+    bits) or ``hash`` — or a phase of the fragmenter's two-phase
+    aggregation: ``partial`` runs the decomposed partial specs
+    (:func:`repro.execution.aggregate.decompose_aggs`) over one
+    partition below the gather; ``merge`` recombines the gathered
+    partial-state rows (``merges``) above it.  A merge's input arrives
+    partition-major and its output is key-sorted like every
+    aggregation's, so only float summation order differs from the
+    serial aggregate (order-insensitive result contract)."""
+
+    STRATEGIES = {
+        "hash": _Strategy("HashAgg", (), _account_table_agg),
+        "stream": _Strategy("StreamAgg", ("input",), _account_stream_agg),
+        "sandwich": _Strategy("SandwichAgg", (), _account_sandwich_agg),
+        "partial": _Strategy("PartialAgg", (), _account_table_agg),
+        "merge": _Strategy("MergeAgg", (), _account_table_agg),
+    }
+
     input: PhysicalOp
     keys: Tuple[str, ...] = ()
     aggs: Tuple[AggSpec, ...] = ()
-    rationale: str = ""
+    merges: Tuple[MergeSpec, ...] = ()
+    #: (use, granted_bits) per carried dimension, capped at lowering.
+    partition_uses: Tuple[Tuple[StreamUse, int], ...] = ()
     #: lowering's cardinality estimates, recorded for the fragmenter's
     #: partial-aggregation cost rule (group count vs input rows); 0.0
     #: when the operator was built outside the lowering pass.
     est_groups: float = 0.0
     est_input_rows: float = 0.0
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.input,)
+    strategy: str = field(kw_only=True)
 
     def describe(self) -> str:
-        aggs = ", ".join(f"{s.name}={s.fn}" for s in self.aggs)
+        specs = ", ".join(f"{s.name}={s.fn}" for s in (*self.aggs, *self.merges))
         keys = ", ".join(self.keys) if self.keys else "<scalar>"
-        return f"{self.kind} [{keys}] -> {aggs}"
-
-    def _account(self, ctx, rel, group_index, num_groups, state_row) -> List[StreamUse]:
-        """Strategy-specific cost/memory accounting; returns the stream
-        uses whose hidden group columns the output keeps."""
-        raise NotImplementedError
+        return f"{self.kind} [{keys}] -> {specs}"
 
     def execute(self, ctx: ExecutionContext) -> Relation:
         rel = self.input.run(ctx)
         n = rel.num_rows
-        group_index, first_rows, num_groups = _group_by(rel, self.keys)
-        state_row = _state_row_bytes(rel, self.keys, len(self.aggs))
-        out_uses = self._account(ctx, rel, group_index, num_groups, state_row)
+        if self.keys:
+            group_index, first_rows, num_groups = group_rows([rel.column(k) for k in self.keys])
+        else:  # no keys is one group, no rows is no group
+            group_index = np.zeros(n, dtype=np.int64)
+            first_rows = np.zeros(1 if n else 0, dtype=np.int64)
+            num_groups = 1 if n else 0
+        # one group's table entry: its keys, one state per aggregate (a
+        # merge has merges, the others aggs) and the hash-entry overhead
+        state_row = (
+            (rel.row_bytes(list(self.keys)) if self.keys else 0.0)
+            + (len(self.aggs) + len(self.merges)) * _AGG_STATE_BYTES
+            + _HASH_ENTRY_OVERHEAD
+        )
+        account = self.STRATEGIES[self.strategy].account
+        account(self, ctx, rel, group_index, num_groups, state_row)
 
         # ---- execute (strategy-independent kernels) ---------------------
         columns = {key: rel.column(key)[first_rows] for key in self.keys}
+        if self.strategy == "merge":
+            columns.update(
+                merge_partial_aggregates(self.merges, group_index, num_groups, rel.columns)
+            )
         for spec in self.aggs:
             values = None
             valid = None
@@ -853,150 +884,9 @@ class _AggOp(PhysicalOp):
                     valid = rel.valid.get(spec.expr.name)
                 ctx.metrics.charge_cpu(n * ctx.costs.expr_value, "aggregate")
             columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, valid)
-
-        for use in out_uses:
+        # a sandwich aggregate's output keeps its uses' hidden group columns
+        for use, _ in self.partition_uses:
             columns[use.column] = rel.columns[use.column][first_rows]
-        return Relation(columns=columns)
-
-
-@dataclass(eq=False)
-class HashAgg(_AggOp):
-    kind = "HashAgg"
-
-    def _account(self, ctx, rel, group_index, num_groups, state_row) -> List[StreamUse]:
-        total_state = num_groups * state_row
-        ctx.hold("agg:hash", total_state)
-        factor = ctx.costs.cache_factor(total_state)
-        ctx.metrics.charge_cpu(rel.num_rows * ctx.costs.agg_update_row * factor, "aggregate")
-        if self.keys:
-            ctx.metrics.note(
-                f"hash aggregation on {self.keys}: {num_groups} groups, "
-                f"{total_state/1e6:.2f} MB"
-            )
-        return []
-
-
-@dataclass(eq=False)
-class StreamAgg(_AggOp):
-    """The input arrives ordered on (a functional determinant of) the
-    grouping keys: one live group at a time."""
-
-    kind = "StreamAgg"
-    ordered_inputs = ("input",)
-
-    def _account(self, ctx, rel, group_index, num_groups, state_row) -> List[StreamUse]:
-        ctx.metrics.note(f"streaming aggregation on {self.keys}")
-        ctx.metrics.charge_cpu(rel.num_rows * ctx.costs.stream_agg_row, "aggregate")
-        ctx.hold("agg:stream", state_row)  # one live group
-        return []
-
-
-@dataclass(eq=False)
-class SandwichAgg(_AggOp):
-    """The grouping keys functionally determine carried dimension uses
-    (the paper's Q13/Q18 effect): the aggregation pre-partitions along
-    those groups and holds only the largest partition's table."""
-
-    #: (use, granted_bits) per carried dimension, capped at lowering.
-    partition_uses: Tuple[Tuple[StreamUse, int], ...] = ()
-
-    kind = "SandwichAgg"
-
-    def _account(self, ctx, rel, group_index, num_groups, state_row) -> List[StreamUse]:
-        n = rel.num_rows
-        pid = np.zeros(n, dtype=np.uint64)
-        total_bits = 0
-        for use, g in self.partition_uses:
-            if g <= 0:
-                continue
-            pid = (pid << np.uint64(g)) | (rel.columns[use.column] >> np.uint64(use.bits - g))
-            total_bits += g
-        per_part = distinct_per_partition(pid, group_index)
-        max_state = float(per_part.max()) * state_row if len(per_part) else 0.0
-        num_partitions = len(per_part)
-        ctx.hold("agg:sandwich", max_state + num_partitions * _GROUP_HEADER_BYTES)
-        factor = ctx.costs.cache_factor(max_state)
-        ctx.metrics.charge_cpu(
-            n * ctx.costs.agg_update_row * factor
-            + num_partitions * ctx.costs.sandwich_group_overhead
-            + n * ctx.costs.sandwich_row_overhead,
-            "aggregate",
-        )
-        ctx.metrics.charge_io(0.0, num_partitions, num_partitions * ctx.disk.access_latency)
-        ctx.metrics.note(
-            f"sandwich aggregation on {self.keys} via "
-            + "+".join(u.dimension.name for u, _ in self.partition_uses)
-            + f": {num_partitions} partitions, max state "
-            f"{max_state/1e6:.3f} MB (full {num_groups * state_row/1e6:.2f} MB)"
-        )
-        ctx.metrics.bump("sandwich_aggs")
-        return [use for use, _ in self.partition_uses]
-
-
-@dataclass(eq=False)
-class PartialAgg(_AggOp):
-    """Per-fragment pre-aggregation below the gather (phase one of the
-    two-phase aggregation): runs decomposed partial specs (see
-    :func:`repro.execution.aggregate.decompose_aggs`) over one
-    partition's rows, holding only that partition's group table, and
-    emits one row per locally seen group.  The shrunken partial stream
-    is what the exchange ships; :class:`MergeAgg` above the gather
-    recombines it."""
-
-    kind = "PartialAgg"
-
-    def _account(self, ctx, rel, group_index, num_groups, state_row) -> List[StreamUse]:
-        total_state = num_groups * state_row
-        ctx.hold("agg:partial", total_state)
-        factor = ctx.costs.cache_factor(total_state)
-        ctx.metrics.charge_cpu(rel.num_rows * ctx.costs.agg_update_row * factor, "aggregate")
-        ctx.metrics.bump("partial_agg_rows", num_groups)
-        return []
-
-
-@dataclass(eq=False)
-class MergeAgg(PhysicalOp):
-    """Phase two of the two-phase aggregation: the serial tail above the
-    gather that recombines the partial-state rows of every fragment's
-    :class:`PartialAgg` into the final aggregates.  Input rows arrive
-    partition-major (each partition's partials key-sorted, the gathered
-    stream not globally sorted); output is key-sorted like every
-    aggregation, so the operator reproduces the serial aggregate's row
-    order — only float summation order differs (order-insensitive
-    result contract)."""
-
-    input: PhysicalOp
-    keys: Tuple[str, ...] = ()
-    merges: Tuple[MergeSpec, ...] = ()
-    rationale: str = ""
-
-    kind = "MergeAgg"
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.input,)
-
-    def describe(self) -> str:
-        merges = ", ".join(f"{m.name}={m.fn}" for m in self.merges)
-        keys = ", ".join(self.keys) if self.keys else "<scalar>"
-        return f"MergeAgg [{keys}] -> {merges}"
-
-    def execute(self, ctx: ExecutionContext) -> Relation:
-        rel = self.input.run(ctx)
-        n = rel.num_rows
-        group_index, first_rows, num_groups = _group_by(rel, self.keys)
-        total_state = num_groups * _state_row_bytes(rel, self.keys, len(self.merges))
-        ctx.hold("agg:merge", total_state)
-        factor = ctx.costs.cache_factor(total_state)
-        ctx.metrics.charge_cpu(n * ctx.costs.agg_update_row * factor, "aggregate")
-        if self.keys:
-            ctx.metrics.note(
-                f"merge aggregation on {self.keys}: {num_groups} groups "
-                f"from {n} partial rows"
-            )
-        columns = {key: rel.column(key)[first_rows] for key in self.keys}
-        columns.update(
-            merge_partial_aggregates(self.merges, group_index, num_groups, rel.columns)
-        )
         return Relation(columns=columns)
 
 
@@ -1005,13 +895,9 @@ class MergeAgg(PhysicalOp):
 class Sort(PhysicalOp):
     input: PhysicalOp
     keys: Tuple[Tuple[str, bool], ...] = ()
-    rationale: str = ""
 
     kind = "Sort"
     restores_order = True
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.input,)
 
     def describe(self) -> str:
         keys = ", ".join(f"{c}{'' if asc else ' desc'}" for c, asc in self.keys)
@@ -1043,13 +929,9 @@ class Sort(PhysicalOp):
 class Limit(PhysicalOp):
     input: PhysicalOp
     count: int = 0
-    rationale: str = ""
 
     kind = "Limit"
     ordered_inputs = ("input",)
-
-    def children(self) -> Tuple[PhysicalOp, ...]:
-        return (self.input,)
 
     def describe(self) -> str:
         return f"Limit {self.count}"

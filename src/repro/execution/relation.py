@@ -6,8 +6,8 @@ else.  Whether a stream is ordered or co-clustered is a fact about the
 *plan*, decided once by :mod:`repro.planner.lowering` and recorded on
 the physical operators; no batch carries it at run time.
 :class:`StreamUse` lives here because the operators name carried
-dimension uses in their plan fields (``SandwichJoin.pairs``,
-``SandwichAgg.partition_uses``).
+dimension uses in their plan fields (``Join.pairs``,
+``Aggregate.partition_uses``).
 
 Hidden columns (named ``__grp_*``) carry per-row BDCC group numbers; they
 flow through joins and filters like data but never into query results.

@@ -169,6 +169,15 @@ LEDGER_RECORD_SPEC = {
 }
 
 
+#: a whole ``BENCH_*.json`` file; its records are checked one by one, so
+#: a corrupt record is reported while the valid ones are kept.
+LEDGER_DOCUMENT_SPEC = {
+    "bench": str,
+    "ledger_schema_version": LEDGER_SCHEMA_VERSION,
+    "records": list,
+}
+
+
 def ledger_record_errors(record) -> List[str]:
     """Schema problems of one ledger record (empty = valid)."""
     return problems(record, LEDGER_RECORD_SPEC)
@@ -234,16 +243,8 @@ def read_ledger(path, *, name: Optional[str] = None) -> Ledger:
     except (OSError, json.JSONDecodeError) as exc:
         ledger.errors.append(f"unreadable ledger: {exc}")
         return ledger
-    if not isinstance(document, dict) or not isinstance(
-        document.get("records"), list
-    ):
-        ledger.errors.append("ledger document is not {.., records: [...]}")
-        return ledger
-    if document.get("ledger_schema_version") != LEDGER_SCHEMA_VERSION:
-        ledger.errors.append(
-            f"ledger_schema_version {document.get('ledger_schema_version')} "
-            f"!= {LEDGER_SCHEMA_VERSION}"
-        )
+    ledger.errors.extend(problems(document, LEDGER_DOCUMENT_SPEC))
+    if ledger.errors:
         return ledger
     for position, record in enumerate(document["records"]):
         found = problems(record, LEDGER_RECORD_SPEC, f"records[{position}]")

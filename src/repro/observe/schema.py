@@ -4,8 +4,9 @@
 violation by path (``fragments[3].end_seconds``) and never raises,
 whatever JSON it is handed — a validator that crashes on the input it
 exists to reject is no validator.  The query-log record, the Perfetto
-trace and the ledger record are each one spec (``RECORD_SPEC``,
-``EVENTS_SPEC``, ``LEDGER_RECORD_SPEC``) and one call.  A spec is:
+trace and the ledger record and document are each one spec
+(``RECORD_SPEC``, ``EVENTS_SPEC``, ``LEDGER_RECORD_SPEC``,
+``LEDGER_DOCUMENT_SPEC``) and one call.  A spec is:
 
 * a type (``str``, ``list``, ``dict``; :data:`ANY` accepts anything);
 * :data:`NUMBER` — a finite ``int``/``float``: a ``bool`` is not a

@@ -186,24 +186,19 @@ class TraceBuilder:
                 # width is its share of the profiled exclusive time; the
                 # real seconds live in args
                 slice_us = (end - start) * _US
-                profiled = sum(
-                    entry.get("total_seconds", 0.0) for entry in f.profile
-                )
+                profiled = sum(entry["total_seconds"] for entry in f.profile)
                 cursor = ts
                 for entry in f.profile:
                     share = (
-                        entry.get("total_seconds", 0.0) / profiled
-                        if profiled > 0.0 else 0.0
+                        entry["total_seconds"] / profiled if profiled > 0.0 else 0.0
                     )
                     self.slice(
-                        pid, tid, entry.get("function", "?"), "profile",
+                        pid, tid, entry["function"], "profile",
                         cursor, slice_us * share,
                         args={
-                            "calls": entry.get("calls", 0),
-                            "total_seconds": entry.get("total_seconds", 0.0),
-                            "cumulative_seconds": entry.get(
-                                "cumulative_seconds", 0.0
-                            ),
+                            "calls": entry["calls"],
+                            "total_seconds": entry["total_seconds"],
+                            "cumulative_seconds": entry["cumulative_seconds"],
                             "share_of_profiled": share,
                         },
                     )

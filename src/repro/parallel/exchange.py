@@ -86,9 +86,9 @@ def rebin_ids(rel: Relation, on: Tuple[Tuple[str, int, int], ...]) -> np.ndarray
 
     ``on`` holds ``(hidden group column, column bit width, bits taken)``
     per shared dimension; the id concatenates the *top* ``taken`` bits
-    of each column, dimension-major — exactly how
-    :class:`~repro.execution.operators.SandwichJoin` forms its group
-    ids, so equal join keys yield equal ids on both join sides."""
+    of each column, dimension-major — exactly how a sandwich join
+    (:class:`~repro.execution.operators.Join`) forms its group ids, so
+    equal join keys yield equal ids on both join sides."""
     ids = np.zeros(rel.num_rows, dtype=np.uint64)
     for column, bits, take in on:
         values = rel.columns[column].astype(np.uint64, copy=False)
@@ -103,7 +103,6 @@ class Exchange(PhysicalOp):
     source_fragment: int = -1
     partition: int = 0
     partitions: int = 1
-    rationale: str = ""
 
     kind = "Exchange"
 
@@ -144,7 +143,6 @@ class Repartition(PhysicalOp):
     partition: int = 0
     partitions: int = 1
     total_bits: int = 0
-    rationale: str = ""
 
     kind = "Repartition"
 
@@ -219,7 +217,6 @@ class UnionAll(PhysicalOp):
     inputs: Tuple[PhysicalOp, ...] = ()
     preserve_order: bool = True
     canonical: bool = False
-    rationale: str = ""
 
     kind = "UnionAll"
 

@@ -60,21 +60,15 @@ import numpy as np
 
 from ..execution.aggregate import decompose_aggs
 from ..execution.operators import (
+    Aggregate,
     DeltaMergeScan,
-    HashAgg,
-    HashJoin,
+    Join,
     Limit,
-    MergeAgg,
-    MergeJoin,
-    PartialAgg,
     PhysicalFilter,
     PhysicalOp,
     PhysicalProject,
     PhysicalScan,
-    SandwichAgg,
-    SandwichJoin,
     Sort,
-    StreamAgg,
     walk_physical,
 )
 from .exchange import Exchange, Repartition, UnionAll
@@ -168,12 +162,15 @@ class ParallelPlan:
 
     @property
     def reaggregates(self) -> bool:
-        """True when this plan pre-aggregates below the gather (a
-        MergeAgg serial tail over per-fragment PartialAgg): row *order*
+        """True when this plan pre-aggregates below the gather (a merge
+        aggregate's serial tail over per-fragment partials): row *order*
         is still the serial aggregate's key order, but float summation
         order differs, so such plans also carry the order-insensitive
         (tolerance) contract rather than the bit-identical one."""
-        return any(isinstance(op, MergeAgg) for op in self.operators())
+        return any(
+            isinstance(op, Aggregate) and op.strategy == "merge"
+            for op in self.operators()
+        )
 
     def operators(self):
         for fragment in self.fragments:
@@ -248,7 +245,7 @@ class _FragmentPlanner:
     def visit(self, op: PhysicalOp) -> PhysicalOp:
         """Return the serial-tail form of ``op``: splittable subtrees are
         replaced by gathers over newly registered partition fragments."""
-        if isinstance(op, (HashAgg, StreamAgg)):
+        if isinstance(op, Aggregate) and op.strategy in ("hash", "stream"):
             rewritten = self._visit_agg(op)
             if rewritten is not None:
                 return rewritten
@@ -256,7 +253,7 @@ class _FragmentPlanner:
         if split is not None:
             return self._gather(split)
         # not splittable as a whole: recurse into the children
-        if isinstance(op, (MergeJoin, HashJoin)):
+        if isinstance(op, Join):
             left, right = self.visit(op.left), self.visit(op.right)
             if left is not op.left or right is not op.right:
                 return dataclasses.replace(op, left=left, right=right)
@@ -311,11 +308,11 @@ class _FragmentPlanner:
         return max(op.est_groups, 1.0) * PARTIAL_AGG_SHRINK <= op.est_input_rows
 
     def _visit_agg(self, op) -> Optional[PhysicalOp]:
-        """Two-phase rewrite of a HashAgg/StreamAgg whose input splits:
-        each partition fragment pre-aggregates with a :class:`PartialAgg`
-        (the decomposed partial specs), the exchange ships the shrunken
-        partial streams, and one :class:`MergeAgg` above the gather
-        recombines them as the serial tail.
+        """Two-phase rewrite of a hash or streaming aggregate whose
+        input splits: each partition fragment pre-aggregates with a
+        ``partial`` aggregate (the decomposed partial specs), the
+        exchange ships the shrunken partial streams, and one ``merge``
+        aggregate above the gather recombines them as the serial tail.
 
         Gated on (a) the ablation switch, (b) the PR 5 result contract —
         merging changes float summation order, so every ancestor must
@@ -330,17 +327,18 @@ class _FragmentPlanner:
         sub = self._split(op.input)
         if sub is None:
             return None
-        if isinstance(op, StreamAgg) and not sub.ordered:
+        if op.strategy == "stream" and not sub.ordered:
             # unreachable by construction — a reordering split below a
-            # StreamAgg is forbidden by its own ordered-input contract —
+            # streaming aggregate is forbidden by its own ordered-input contract —
             # but degrade to the plain gather rather than trust that
             return dataclasses.replace(op, input=self._gather(sub))
         partial_specs, merges = decomposition
         parts = [
-            PartialAgg(
+            Aggregate(
                 input=part,
                 keys=op.keys,
                 aggs=partial_specs,
+                strategy="partial",
                 rationale="partial pre-aggregation below the gather",
                 est_groups=op.est_groups,
                 est_input_rows=op.est_input_rows / len(sub.parts),
@@ -363,10 +361,11 @@ class _FragmentPlanner:
                 "order-insensitive result contract (merge re-sums)"
             ),
         )
-        return MergeAgg(
+        return Aggregate(
             input=gather,
             keys=op.keys,
             merges=merges,
+            strategy="merge",
             rationale=(
                 f"merge of {len(parts)} per-fragment partial aggregates "
                 f"(two-phase {op.kind})"
@@ -392,7 +391,7 @@ class _FragmentPlanner:
                 sub,
                 parts=[dataclasses.replace(op, input=p) for p in sub.parts],
             )
-        if isinstance(op, (MergeJoin, HashJoin)):  # SandwichJoin included
+        if isinstance(op, Join):
             return self._split_join(op)
         return None
 
@@ -400,14 +399,14 @@ class _FragmentPlanner:
     def _partition_side(op) -> str:
         """The join input whose row order the output follows — the side
         that can be partitioned while the other is broadcast."""
-        if isinstance(op, MergeJoin):
+        if op.strategy == "merge":
             return "left"
         if op.how != "inner":
             return "left"  # left/semi/anti assemble the left side
         return "right" if op.build_side == "left" else "left"
 
     def _split_join(self, op) -> Optional[_Split]:
-        if self.enable_copartition and isinstance(op, SandwichJoin):
+        if self.enable_copartition and op.strategy == "sandwich":
             split = self._split_join_copartition(op)
             if split is not None:
                 return split
@@ -444,7 +443,10 @@ class _FragmentPlanner:
         stack = [root]
         while stack:
             node = stack.pop()
-            if isinstance(node, (HashAgg, SandwichAgg, StreamAgg, Sort, Limit)):
+            if isinstance(node, (Sort, Limit)) or (
+                isinstance(node, Aggregate)
+                and node.strategy in ("hash", "sandwich", "stream")
+            ):
                 continue
             if isinstance(node, PhysicalScan):
                 rows = node.selected_rows
@@ -471,7 +473,7 @@ class _FragmentPlanner:
             for i, part in enumerate(sub.parts)
         )
 
-    def _split_join_copartition(self, op: SandwichJoin) -> Optional[_Split]:
+    def _split_join_copartition(self, op: Join) -> Optional[_Split]:
         """Split *both* join sides along the shared BDCC dimension bits
         the join is sandwiched on.
 
@@ -730,8 +732,8 @@ def plan_fragments(
             split; with False every parallelised join broadcasts its
             build side.
         enable_partial_agg: allow the two-phase aggregation rewrite
-            (per-fragment PartialAgg below the exchange, MergeAgg above
-            it); with False every parallel aggregate gathers first.
+            (per-fragment partial aggregates below the exchange, a merge
+            above it); with False every parallel aggregate gathers first.
             With both switches off every parallel plan keeps the
             bit-identical contract.
     """

@@ -112,9 +112,8 @@ def format_physical_plan(
 def _render_op(op, depth: int, lines: List[str], verbose: bool,
                metrics: Optional[ExecutionMetrics]) -> None:
     line = "  " * depth + op.describe()
-    rationale = getattr(op, "rationale", "")
-    if verbose and rationale:
-        line += f"  [{rationale}]"
+    if verbose and op.rationale:
+        line += f"  [{op.rationale}]"
     if metrics is not None:
         actuals = metrics.actuals_for(op)
         if actuals is not None:
@@ -173,9 +172,8 @@ def format_parallel_plan(
 def _decisions(pplan: PhysicalPlan) -> List[str]:
     out: List[str] = []
     for op in pplan.operators():
-        rationale = getattr(op, "rationale", "")
-        if rationale:
-            out.append(f"{op.describe()}: {rationale}")
+        if op.rationale:
+            out.append(f"{op.describe()}: {op.rationale}")
     return out
 
 

@@ -8,12 +8,12 @@ on, and emits a typed physical plan of
 
 * **Scans** become :class:`PhysicalScan` with resolved replica choice,
   count-table restrictions (pushdown + propagation) and zone-map ranges;
-* **Joins** become :class:`MergeJoin` (both inputs ordered),
-  :class:`SandwichJoin` (co-clustered streams share a dimension over the
-  join key) or :class:`HashJoin`;
-* **Aggregations** become :class:`StreamAgg` (input ordered on the
-  keys), :class:`SandwichAgg` (keys functionally determine a carried
-  dimension use) or :class:`HashAgg`.
+* **Joins** become a :class:`Join` whose strategy is ``merge`` (both
+  inputs ordered), ``sandwich`` (co-clustered streams share a dimension
+  over the join key) or ``hash``;
+* **Aggregations** become an :class:`Aggregate` whose strategy is
+  ``stream`` (input ordered on the keys), ``sandwich`` (keys
+  functionally determine a carried dimension use) or ``hash``.
 
 Decisions rest on *guaranteed* physical stream properties (sort order,
 carried dimension uses, column ownership) that follow from the schema
@@ -62,19 +62,15 @@ from ..execution.expressions import (
     Or,
 )
 from ..execution.operators import (
+    Aggregate,
     DeltaMergeScan,
-    HashAgg,
-    HashJoin,
+    Join,
     Limit,
-    MergeJoin,
     PhysicalFilter,
     PhysicalOp,
     PhysicalProject,
     PhysicalScan,
-    SandwichAgg,
-    SandwichJoin,
     Sort,
-    StreamAgg,
     walk_physical,
 )
 from ..execution.relation import StreamUse, value_bytes
@@ -120,8 +116,8 @@ class ExecutionOptions:
     #: such plans trade the bit-identical result contract for the
     #: order-insensitive one (see docs/execution-model.md)
     enable_copartition: bool = True
-    #: lower eligible aggregations into per-fragment PartialAgg below
-    #: the exchange plus one MergeAgg above it (two-phase aggregation);
+    #: lower eligible aggregations into per-fragment partial aggregates
+    #: below the exchange plus one merge above it (two-phase aggregation);
     #: with False every parallel aggregate gathers first and the plan
     #: keeps the bit-identical contract.  A fragment-level knob like
     #: ``enable_copartition``: the serial lowering is untouched, so the
@@ -619,9 +615,9 @@ class _Lowering:
         est = self._join_estimate(node, left, right)
 
         if merge_ok:
-            op = MergeJoin(
+            op = Join(
                 left.op, right.op, node.left_cols, node.right_cols,
-                node.how, node.residual,
+                node.how, node.residual, strategy="merge",
                 rationale="both inputs ordered on the join keys",
             )
             return self._join_stream(node, op, left, right, probe="left", est=est)
@@ -643,10 +639,10 @@ class _Lowering:
             granted.append((left_use, right_use, g))
 
         if granted and total_bits > 0:
-            op = SandwichJoin(
+            op = Join(
                 left.op, right.op, node.left_cols, node.right_cols,
                 node.how, node.residual, build_side=build,
-                pairs=tuple(granted),
+                pairs=tuple(granted), strategy="sandwich",
                 rationale=(
                     "co-clustered via "
                     + "+".join(p[0].dimension.name for p in granted)
@@ -654,9 +650,9 @@ class _Lowering:
                 ),
             )
         else:
-            op = HashJoin(
+            op = Join(
                 left.op, right.op, node.left_cols, node.right_cols,
-                node.how, node.residual, build_side=build,
+                node.how, node.residual, build_side=build, strategy="hash",
                 rationale=f"build={build}",
             )
         probe = "right" if build == "left" else "left"
@@ -703,8 +699,6 @@ class _Lowering:
             # right-side uses are not valid on unmatched rows; drop them
             return _Stream(op, columns, owners, left.sorted_on, list(left.uses), est)
         sorted_on = left.sorted_on if probe == "left" else right.sorted_on
-        if isinstance(op, MergeJoin):
-            sorted_on = left.sorted_on
         uses = list(left.uses) + list(right.uses)
         return _Stream(op, columns, owners, sorted_on, uses, est)
 
@@ -817,8 +811,8 @@ class _Lowering:
         )
         out_uses: List[StreamUse] = []
         if streaming:
-            op = StreamAgg(
-                inp.op, node.keys, node.aggs,
+            op = Aggregate(
+                inp.op, node.keys, node.aggs, strategy="stream",
                 rationale="input ordered on (a determinant of) the keys",
                 est_groups=est, est_input_rows=inp.est_rows,
             )
@@ -830,8 +824,8 @@ class _Lowering:
                 g = min(use.bits, max(budget - total_bits, 0))
                 total_bits += g
                 granted.append((use, g))
-            op = SandwichAgg(
-                inp.op, node.keys, node.aggs,
+            op = Aggregate(
+                inp.op, node.keys, node.aggs, strategy="sandwich",
                 partition_uses=tuple(granted),
                 rationale=(
                     "keys determine "
@@ -842,8 +836,8 @@ class _Lowering:
             )
             out_uses = [u for u, _ in granted]
         else:
-            op = HashAgg(
-                inp.op, node.keys, node.aggs,
+            op = Aggregate(
+                inp.op, node.keys, node.aggs, strategy="hash",
                 est_groups=est, est_input_rows=inp.est_rows,
             )
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..execution.operators import HashJoin, PhysicalOp
+from ..execution.operators import Join, PhysicalOp
 from ..storage.database import Database
 from .analysis import PlanAnalysis, strip_prefix
 
@@ -191,8 +191,9 @@ class ResultContract:
 def _order_free_children(op: PhysicalOp) -> Tuple[str, ...]:
     """Child attributes whose row order cannot influence the operator's
     output at all: the probed-for-membership side of a semi/anti hash
-    join (only key membership matters, never match order)."""
-    if isinstance(op, HashJoin) and op.how in ("semi", "anti"):
+    or sandwich join (only key membership matters, never match order).
+    Not a merge join's: merging needs both sides ordered."""
+    if isinstance(op, Join) and op.strategy != "merge" and op.how in ("semi", "anti"):
         return ("right",)
     return ()
 

@@ -123,6 +123,6 @@ def descending_codes(values):
 
 
 def value_counts(values):
-    """``SandwichJoin._state``'s group sizes."""
+    """A sandwich join's group sizes."""
     _, counts = np.unique(values, return_counts=True)
     return counts

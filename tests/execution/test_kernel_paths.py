@@ -191,7 +191,7 @@ class TestBitIdenticalToTheSortedKernels:
         assert_same_bits(
             np.lexsort((-factorize(values)[0],)), np.lexsort((frozen.descending_codes(values),))
         )
-        # SandwichJoin._state reads the largest group and the group count
+        # a sandwich join's accounting reads the largest group and the group count
         sizes = np.bincount(factorize(values)[0])
         assert_same_bits(sizes[sizes > 0], frozen.value_counts(values))
 

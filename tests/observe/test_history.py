@@ -123,10 +123,22 @@ class TestCorruption:
         assert ledger.records == []
         assert any("unreadable" in e for e in ledger.errors)
 
-    def test_wrong_document_shape_is_reported(self, tmp_path):
+    @pytest.mark.parametrize(
+        "document, problem",
+        [
+            ([1, 2, 3], "expected an object"),
+            ({"bench": "bad", "ledger_schema_version": 1}, "records: missing"),
+            ({"bench": "bad", "ledger_schema_version": 1, "records": {}}, "records: expected list"),
+            ({"bench": "bad", "ledger_schema_version": 99, "records": []}, "ledger_schema_version"),
+            ({"ledger_schema_version": 1, "records": []}, "bench: missing"),
+        ],
+    )
+    def test_wrong_document_shape_is_reported(self, tmp_path, document, problem):
         path = tmp_path / "BENCH_bad.json"
-        path.write_text(json.dumps([1, 2, 3]))
-        assert read_ledger(path).errors
+        path.write_text(json.dumps(document))
+        ledger = read_ledger(path)
+        assert ledger.records == []
+        assert any(problem in e for e in ledger.errors), ledger.errors
 
     def test_build_record_refuses_invalid_metrics(self):
         with pytest.raises(ValueError):
@@ -174,7 +186,7 @@ class TestAppendRefusesCorruption:
     def test_wrong_document_shape(self, tmp_path):
         path = ledger_path("demo", tmp_path)
         message = self._refused(path, json.dumps([1, 2, 3]))
-        assert str(path) in message and "records" in message
+        assert str(path) in message and "expected an object" in message
 
     def test_one_bad_record_among_good_ones(self, tmp_path):
         append_record("demo", {"x": 1.0}, directory=tmp_path)

@@ -339,26 +339,24 @@ class TestPartialAggregation:
         return Executor(pdb, options=ExecutionOptions(**options))
 
     def test_plan_shape_partial_below_merge_above(self, bdcc_db):
-        from repro.execution.operators import HashAgg, MergeAgg, PartialAgg
-
         executor = self._executor(bdcc_db)
         parallel = executor.parallel_plan(executor.lower(self._plan()))
         assert parallel.is_parallel and parallel.reorders and parallel.reaggregates
-        partials = [op for op in parallel.operators() if isinstance(op, PartialAgg)]
-        merges = [op for op in parallel.operators() if isinstance(op, MergeAgg)]
+        partials = [op for op in parallel.operators() if op.kind == "PartialAgg"]
+        merges = [op for op in parallel.operators() if op.kind == "MergeAgg"]
         assert len(partials) >= 2 and len(merges) == 1
         # every partition fragment pre-aggregates; the one merge sits
         # directly above the canonical (order-insensitive) gather
         partitions = [f for f in parallel.fragments if f.role == "partition"]
         assert partitions and all(
-            any(isinstance(op, PartialAgg) for op in walk_physical(f.root))
+            any(op.kind == "PartialAgg" for op in walk_physical(f.root))
             for f in partitions
         )
         gather = merges[0].input
         assert isinstance(gather, UnionAll) and not gather.preserve_order
         assert gather.canonical
         # the serial HashAgg tail is fully replaced
-        assert not any(isinstance(op, HashAgg) for op in parallel.operators())
+        assert not any(op.kind == "HashAgg" for op in parallel.operators())
         # avg decomposes into sum + companion count; companions never
         # survive the merge
         partial_names = [spec.name for spec in partials[0].aggs]
@@ -389,7 +387,6 @@ class TestPartialAggregation:
         empties the later partitions once zone maps are off."""
         from repro.execution.aggregate import AggSpec
         from repro.execution.expressions import col
-        from repro.execution.operators import PartialAgg
         from repro.planner.logical import scan
         from repro.workload.differential import twin_mismatch
 
@@ -410,7 +407,7 @@ class TestPartialAggregation:
         partial_rows = [
             actuals.rows_in
             for actuals in parallel.metrics.operators.values()
-            if actuals.kind == PartialAgg.kind
+            if actuals.kind == "PartialAgg"
         ]
         assert 0 in partial_rows and any(partial_rows)
         assert serial.relation.column("mx").dtype == np.int64
@@ -419,13 +416,11 @@ class TestPartialAggregation:
             assert parallel.relation.column(name).dtype == serial.relation.column(name).dtype
 
     def test_ablation_disables_rewrite_and_stays_bit_identical(self, pdb):
-        from repro.execution.operators import MergeAgg, PartialAgg
-
         serial = Executor(pdb).execute(self._plan())
         executor = self._executor(pdb, enable_partial_agg=False)
         parallel = executor.parallel_plan(executor.lower(self._plan()))
         assert not any(
-            isinstance(op, (PartialAgg, MergeAgg)) for op in parallel.operators()
+            op.kind in ("PartialAgg", "MergeAgg") for op in parallel.operators()
         )
         assert not parallel.reaggregates
         result = executor.execute(self._plan())
@@ -438,7 +433,6 @@ class TestPartialAggregation:
         re-admits the rewrite."""
         from repro.execution.aggregate import AggSpec
         from repro.execution.expressions import col
-        from repro.execution.operators import PartialAgg
         from repro.planner.logical import scan
 
         def agg_plan():
@@ -451,7 +445,7 @@ class TestPartialAggregation:
         bare_limit = executor.parallel_plan(executor.lower(agg_plan().limit(3)))
         assert bare_limit.is_parallel
         assert not any(
-            isinstance(op, PartialAgg) for op in bare_limit.operators()
+            op.kind == "PartialAgg" for op in bare_limit.operators()
         )
         assert not bare_limit.reorders
 
@@ -460,7 +454,7 @@ class TestPartialAggregation:
                 agg_plan().sort([("l_returnflag", True)]).limit(3)
             )
         )
-        assert any(isinstance(op, PartialAgg) for op in sorted_limit.operators())
+        assert any(op.kind == "PartialAgg" for op in sorted_limit.operators())
 
     def test_sorted_stream_agg_consumer_blocks_rewrite(self, pk_db):
         """A StreamAgg whose sorted output a LIMIT consumes directly is
@@ -470,7 +464,6 @@ class TestPartialAggregation:
         contiguous, so the split stays ordered)."""
         from repro.execution.aggregate import AggSpec
         from repro.execution.expressions import col
-        from repro.execution.operators import PartialAgg, StreamAgg
         from repro.planner.logical import scan
 
         def agg_plan():
@@ -481,17 +474,17 @@ class TestPartialAggregation:
         executor = self._executor(pk_db)
         pplan = executor.lower(agg_plan().limit(5))
         assert any(
-            isinstance(op, StreamAgg) for op in walk_physical(pplan.root)
+            op.kind == "StreamAgg" for op in walk_physical(pplan.root)
         ), "PK clustering must pick the streaming aggregate"
         parallel = executor.parallel_plan(pplan)
         assert parallel.is_parallel
         assert not any(
-            isinstance(op, PartialAgg) for op in parallel.operators()
+            op.kind == "PartialAgg" for op in parallel.operators()
         )
 
         resorted = agg_plan().sort([("l_orderkey", True)]).limit(5)
         parallel = executor.parallel_plan(executor.lower(resorted))
-        assert any(isinstance(op, PartialAgg) for op in parallel.operators())
+        assert any(op.kind == "PartialAgg" for op in parallel.operators())
 
     def test_cost_rule_keeps_high_cardinality_groupings_serial(self, bdcc_db):
         """When the estimated group count is within a factor of the
@@ -500,7 +493,6 @@ class TestPartialAggregation:
         gather-then-aggregate tail stays."""
         from repro.execution.aggregate import AggSpec
         from repro.execution.expressions import col
-        from repro.execution.operators import PartialAgg
         from repro.planner.logical import scan
 
         plan = scan("supplier").groupby(
@@ -510,13 +502,12 @@ class TestPartialAggregation:
         parallel = executor.parallel_plan(executor.lower(plan))
         assert parallel.is_parallel, "the scan itself still splits"
         assert not any(
-            isinstance(op, PartialAgg) for op in parallel.operators()
+            op.kind == "PartialAgg" for op in parallel.operators()
         )
 
     def test_non_decomposable_aggregate_blocks_rewrite(self, bdcc_db):
         from repro.execution.aggregate import AggSpec
         from repro.execution.expressions import col
-        from repro.execution.operators import PartialAgg
         from repro.planner.logical import scan
 
         plan = scan("lineitem").groupby(
@@ -530,5 +521,5 @@ class TestPartialAggregation:
         parallel = executor.parallel_plan(executor.lower(plan))
         assert parallel.is_parallel
         assert not any(
-            isinstance(op, PartialAgg) for op in parallel.operators()
+            op.kind == "PartialAgg" for op in parallel.operators()
         )

@@ -188,10 +188,11 @@ class TestOrderContracts:
 
     @staticmethod
     def _join(pplan):
-        from repro.execution.operators import HashJoin, walk_physical
+        from repro.execution.operators import Join, walk_physical
 
         return next(
-            op for op in walk_physical(pplan.root) if isinstance(op, HashJoin)
+            op for op in walk_physical(pplan.root)
+            if isinstance(op, Join) and op.strategy != "merge"
         )
 
     def _base_join(self):
@@ -223,10 +224,10 @@ class TestOrderContracts:
 
     def test_streaming_aggregation_requires_serial_order(self, pk_db):
         """Under the PK scheme LINEITEM streams in key order: the
-        StreamAgg above the merge join forbids reorders below it."""
+        streaming aggregate above the merge join forbids reorders below it."""
         from repro.execution.aggregate import AggSpec
         from repro.execution.expressions import col
-        from repro.execution.operators import StreamAgg, walk_physical
+        from repro.execution.operators import walk_physical
         from repro.planner.executor import Executor
 
         plan = self._base_join().groupby(
@@ -234,7 +235,7 @@ class TestOrderContracts:
         )
         pplan = Executor(pk_db).lower(plan)
         ops = list(walk_physical(pplan.root))
-        agg = next((op for op in ops if isinstance(op, StreamAgg)), None)
+        agg = next((op for op in ops if op.kind == "StreamAgg"), None)
         if agg is None:
             import pytest
 
@@ -254,3 +255,18 @@ class TestOrderContracts:
         # membership side only contributes key membership
         assert not contracts[id(join.left)].reorder_admissible
         assert contracts[id(join.right)].reorder_admissible
+
+    def test_merge_semi_join_membership_side_is_not_order_free(self, pk_db):
+        """Merging needs both sides ordered: a merge-strategy semi
+        join's membership side is no more reorderable than its left."""
+        from repro.execution.operators import walk_physical
+        from repro.planner.logical import scan
+
+        plan = scan("orders").join(
+            scan("lineitem"), on=[("o_orderkey", "l_orderkey")], how="semi"
+        ).limit(5)
+        pplan, contracts = self._contracts(pk_db, plan)
+        join = next(op for op in walk_physical(pplan.root) if op.kind == "MergeJoin")
+        assert join.how == "semi"
+        assert not contracts[id(join.left)].reorder_admissible
+        assert not contracts[id(join.right)].reorder_admissible

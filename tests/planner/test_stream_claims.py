@@ -33,13 +33,11 @@ from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
 from repro.execution.metrics import ExecutionMetrics
 from repro.execution.operators import (
+    Aggregate,
     DeltaMergeScan,
     ExecutionContext,
-    MergeJoin,
+    Join,
     PhysicalOp,
-    SandwichAgg,
-    SandwichJoin,
-    StreamAgg,
 )
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
@@ -117,13 +115,13 @@ class ClaimChecker:
         self.violations.append(f"{op.describe()}: {what}")
 
     def _check(self, op, inputs) -> None:
-        # exact types: PartialAgg/MergeAgg/HashJoin claim nothing
-        if type(op) is MergeJoin:
+        # exact kinds: partial/merge aggregates and hash joins claim nothing
+        if op.kind == "MergeJoin":
             self.seen["merge_join"] += 1
             for side, rel, keys in zip(("left", "right"), inputs, (op.left_cols, op.right_cols)):
                 if not _non_decreasing([rel.column(k) for k in keys]):
                     self._fail(op, f"{side} input is not ordered on {keys}")
-        elif type(op) is StreamAgg:
+        elif op.kind == "StreamAgg":
             self.seen["stream_agg"] += 1
             (rel,) = inputs
             if rel.num_rows:
@@ -131,7 +129,7 @@ class ClaimChecker:
                 runs = 1 + np.count_nonzero(np.diff(codes))
                 if runs != codes.max() + 1:
                     self._fail(op, f"{codes.max() + 1} groups arrive in {runs} runs")
-        elif type(op) is SandwichJoin:
+        elif op.kind == "SandwichJoin":
             self.seen["sandwich_join"] += 1
             left, right = inputs
             if not (left.num_rows and right.num_rows):
@@ -157,7 +155,7 @@ class ClaimChecker:
                         f"equal keys disagree on the top {granted} bits of "
                         f"{left_use.column} / {right_use.column}",
                     )
-        elif type(op) is SandwichAgg:
+        elif op.kind == "SandwichAgg":
             self.seen["sandwich_agg"] += 1
             (rel,) = inputs
             if not rel.num_rows:
@@ -265,16 +263,17 @@ class TestCheckerBites:
         orders = lower(bdcc_db, scan("orders")).root
         lineitem = lower(bdcc_db, scan("lineitem")).root
         self._run(
-            MergeJoin(orders, lineitem, ("o_orderkey",), ("l_orderkey",)), environment
+            Join(orders, lineitem, ("o_orderkey",), ("l_orderkey",), strategy="merge"),
+            environment,
         )
         assert checker.seen["merge_join"] == 1
         assert len(checker.violations) == 2 and "not ordered" in checker.violations[0]
 
     def test_stream_agg_over_scattered_groups(self, checker, pk_db, environment):
         orders = lower(pk_db, scan("orders")).root
-        self._run(StreamAgg(orders, ("o_orderkey",)), environment)
+        self._run(Aggregate(orders, ("o_orderkey",), strategy="stream"), environment)
         assert checker.violations == []  # the PK order: one run per group
-        self._run(StreamAgg(orders, ("o_custkey",)), environment)
+        self._run(Aggregate(orders, ("o_custkey",), strategy="stream"), environment)
         assert len(checker.violations) == 1 and "runs" in checker.violations[0]
 
     def test_sandwich_operators_over_keys_that_do_not_determine_the_bins(
@@ -290,7 +289,7 @@ class TestCheckerBites:
         )
         agg = lower(bdcc_db, plan).root
         join = agg.input
-        assert type(agg) is SandwichAgg and type(join) is SandwichJoin
+        assert agg.kind == "SandwichAgg" and join.kind == "SandwichJoin"
         self._run(agg, environment)
         assert checker.violations == []
         # same granted pairs / partition uses, keys they do not follow from

@@ -59,16 +59,14 @@ class TestMergeOnRead:
         keys = result.relation.column("o_orderkey")
         assert np.all(np.diff(keys) >= 0), "merged PK stream must stay key-sorted"
         # the merge join over the PK order must still be planned
-        from repro.execution.operators import MergeJoin
-
         plan = scan("orders").join(scan("lineitem"), on=[("o_orderkey", "l_orderkey")])
         pplan = executor.lower(plan)
-        assert any(isinstance(op, MergeJoin) for op in pplan.operators())
+        assert any(op.kind == "MergeJoin" for op in pplan.operators())
 
     def test_bdcc_sandwich_strategies_survive_deltas(self, fresh):
         db, env, pdbs = fresh
         _commit_mixed(db, pdbs)
-        from repro.execution.operators import DeltaMergeScan, SandwichJoin
+        from repro.execution.operators import DeltaMergeScan
 
         executor = Executor(pdbs["bdcc"], disk=env.disk, costs=env.cost_model)
         plan = (
@@ -77,9 +75,8 @@ class TestMergeOnRead:
             .groupby(("o_orderpriority",), [AggSpec("s", "sum", col("l_extendedprice"))])
         )
         pplan = executor.lower(plan)
-        kinds = {type(op) for op in pplan.operators()}
-        assert DeltaMergeScan in kinds
-        assert SandwichJoin in kinds
+        assert any(isinstance(op, DeltaMergeScan) for op in pplan.operators())
+        assert any(op.kind == "SandwichJoin" for op in pplan.operators())
         result = executor.execute(plan)
         assert result.metrics.delta_rows_scanned > 0
 

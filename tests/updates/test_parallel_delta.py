@@ -14,7 +14,7 @@ import pytest
 
 from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
-from repro.execution.operators import DeltaMergeScan, PartialAgg
+from repro.execution.operators import DeltaMergeScan
 from repro.parallel.fragments import plan_fragments
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
@@ -102,7 +102,7 @@ class TestParallelDeltaScans:
         ]
         assert len(delta_scans) >= 2, "base+delta split into partitions"
         partials = [
-            op for op in parallel_plan.operators() if isinstance(op, PartialAgg)
+            op for op in parallel_plan.operators() if op.kind == "PartialAgg"
         ]
         assert len(partials) >= 2, "aggregate lowered below the gather"
         result = executor.execute(plan)
