@@ -41,7 +41,6 @@ from .core import (
     DimensionUse,
     SchemaAdvisor,
     SchemaDesign,
-    ScatterScan,
     assign_masks,
     assign_masks_major_minor,
     build_bdcc_table,
@@ -66,7 +65,7 @@ __all__ = [
     "BOOL", "DATE", "DECIMAL", "FLOAT64", "INT32", "INT64", "DataType",
     "ForeignKey", "IndexHint", "Schema", "SchemaError", "Table", "string_type",
     "AdvisorConfig", "BDCCBuildConfig", "BDCCTable", "Dimension",
-    "DimensionUse", "SchemaAdvisor", "SchemaDesign", "ScatterScan",
+    "DimensionUse", "SchemaAdvisor", "SchemaDesign",
     "assign_masks", "assign_masks_major_minor", "build_bdcc_table",
     "AggSpec", "CostModel", "Expr", "Relation", "col", "days", "lit", "year",
     "ExecutionOptions", "Executor", "Plan", "QueryResult", "scan",

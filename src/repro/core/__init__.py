@@ -1,4 +1,9 @@
-"""BDCC core: dimensions, interleaving, Algorithms 1 & 2, scatter scan."""
+"""BDCC core: dimensions, interleaving, count tables, Algorithms 1 & 2.
+
+The paper's §II scan has no class of its own here: the one
+``PhysicalScan`` reads a BDCC table through its count table (pushdown,
+group ids per entry), and a sandwich join charges scatter-order delivery
+of its inputs as ``2 × num_groups`` random accesses."""
 
 from .advisor import AdvisorConfig, SchemaAdvisor, SchemaDesign
 from .bdcc_table import BDCCBuildConfig, BDCCTable, build_bdcc_table
@@ -19,7 +24,6 @@ from .dimension_use import DimensionUse, check_bdcc_constraints
 from .histograms import GranularityStats, choose_granularity, collect_granularity_stats
 from .interleave import assign_masks, assign_masks_major_minor
 from .report import design_report
-from .scatter_scan import ScanResult, ScatterScan
 from .workload import UseScore, WorkloadAnalyzer, prune_design
 
 __all__ = [
@@ -48,8 +52,6 @@ __all__ = [
     "collect_granularity_stats",
     "assign_masks",
     "assign_masks_major_minor",
-    "ScanResult",
-    "ScatterScan",
     "UseScore",
     "WorkloadAnalyzer",
     "prune_design",

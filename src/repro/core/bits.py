@@ -98,9 +98,9 @@ def gather_use_bits(keys: np.ndarray, mask: int, num_bits: int | None = None) ->
 
     Returns an array of group numbers formed by the ``num_bits`` most
     significant positions of ``mask`` (all of them when ``num_bits`` is
-    None), preserving their MSB-to-LSB order.  This is what the scatter
-    scan uses to emit group identifiers in any major/minor dimension
-    order, and what sandwich operators use to align co-clustered inputs.
+    None), preserving their MSB-to-LSB order.  This is how a scan's
+    merged delta rows get their group identifiers, and what sandwich
+    operators use to align co-clustered inputs.
     """
     positions = mask_positions(mask)
     if num_bits is not None:

@@ -59,7 +59,6 @@ __all__ = [
     "ExecutionContext",
     "PhysicalOp",
     "PhysicalScan",
-    "DeltaMergeScan",
     "PhysicalFilter",
     "PhysicalProject",
     "Join",
@@ -269,7 +268,20 @@ class PhysicalScan(PhysicalOp):
     groups or blocks, masked deletes, a consolidated BDCC table, a
     fragment's partition.  A carried use's group column is a per-entry
     fact read off the count table; only merged delta rows, which have no
-    entry, extract it from their ``_bdcc_`` keys."""
+    entry, extract it from their ``_bdcc_`` keys.
+
+    A table with pending updates is read merge-on-read, and
+    ``delta_selected`` is set: per delta run, the rows that survive the
+    same count-table restrictions and zone-map ranges the base selection
+    went through (superset semantics — the residual predicate still
+    runs), so pushdown keeps pruning deltas zone-wise.  An
+    order-preserving merge unions them with the base selection in the
+    scheme's storage order — ``_bdcc_``-key order (stable: base rows
+    before delta rows, runs in commit order) on BDCC, primary-key order
+    on PK, arrival order on Plain — so every stream property lowering
+    inferred (sort order, carried dimension uses) holds with deltas
+    present and merge/sandwich strategies keep firing.  Plans, query
+    logs and metrics name such a scan ``DeltaMergeScan``."""
 
     table: str
     alias: str
@@ -291,37 +303,35 @@ class PhysicalScan(PhysicalOp):
     sandwich_uses: Tuple[Tuple[int, int, str], ...] = ()
     est_rows: float = 0.0
     replica_note: str = ""
+    #: (run_index, selected positions within the run) per delta run,
+    #: resolved at lowering from the delta store's keys/zone maps; None
+    #: for a table with no pending delta state.
+    delta_selected: Optional[Tuple[Tuple[int, np.ndarray], ...]] = None
 
-    kind = "Scan"
+    @property
+    def kind(self) -> str:
+        return "Scan" if self.delta_selected is None else "DeltaMergeScan"
 
     def describe(self) -> str:
         alias = "" if self.alias == self.table else f" as {self.alias}"
         pred = " WHERE ..." if self.predicate is not None else ""
         return f"{self.kind} {self.table}{alias}{pred}"
 
-    # ------------------------------------------------------- base reading
-    def _read_base(self, ctx: ExecutionContext):
-        """Charge and materialise the base storage's selected rows.
-
-        Returns ``(columns, num_selected)`` where ``columns`` maps
-        prefixed demanded names to gathered arrays.  Shared between the
-        plain scan and the delta-merging subclass.
-        """
+    def execute(self, ctx: ExecutionContext) -> Relation:
         if self.replica_note:
             ctx.metrics.note(self.replica_note)
         stored = self.stored
         demanded = list(self.demanded)
-        n = stored.stored_rows
         bdcc = stored.bdcc
         rows = self.selected_rows
 
         # --- IO ----------------------------------------------------------
         if rows is None:
             runs = stored.full_scan_runs()
-            num_selected = n
+            base_n = stored.stored_rows
         else:
             runs = _rows_to_runs(rows)
-            num_selected = len(rows)
+            base_n = len(rows)
         run_bytes = stored.io_run_bytes(runs, demanded)
         if bdcc is not None:
             # the stored _bdcc_ column (needed for group ids) compresses
@@ -332,7 +342,7 @@ class PhysicalScan(PhysicalOp):
             run_bytes.append(bdcc.count_table.num_entries * 8.0)
         io_seconds = ctx.disk.time_for_runs(run_bytes)
         ctx.metrics.charge_io(float(sum(run_bytes)), len(run_bytes), io_seconds)
-        ctx.metrics.rows_scanned += num_selected
+        ctx.metrics.rows_scanned += base_n
 
         # --- materialise -------------------------------------------------
         prefix = self.prefix
@@ -340,97 +350,28 @@ class PhysicalScan(PhysicalOp):
             columns = {prefix + c: stored.columns[c] for c in demanded}
         else:
             columns = {prefix + c: stored.columns[c][rows] for c in demanded}
-        ctx.metrics.charge_cpu(
-            num_selected * len(demanded) * ctx.costs.scan_value, "scan"
-        )
-        return columns, num_selected
+        ctx.metrics.charge_cpu(base_n * len(demanded) * ctx.costs.scan_value, "scan")
+        if self.delta_selected is None:
+            return self._finish(ctx, columns, None, base_n)
 
-    def _finish(self, ctx: ExecutionContext, columns, keys, num_selected, *extra_notes):
-        """Surface hidden group columns (from ``keys`` when given, else
-        per count-table entry), assemble the relation, note the selection
-        (plus ``extra_notes``), apply the residual predicate."""
-        if self.sandwich_uses:
-            bdcc, rows = self.stored.bdcc, self.selected_rows
-            ct = bdcc.count_table
-            if keys is None and rows is not None:
-                # each row's entry: the valid entries' offsets ascend in
-                # entry order, the consolidated region last
-                valid = np.flatnonzero(ct.valid)
-                entry = valid[np.searchsorted(ct.offsets[valid], rows, side="right") - 1]
-            for use_index, eff_bits, column_name in self.sandwich_uses:
-                if keys is not None:
-                    # top eff_bits positions of the full mask == the use's
-                    # bits that survive at count-table granularity
-                    values = gather_use_bits(keys, bdcc.uses[use_index].mask, eff_bits)
-                else:  # per entry; a dense count table's entries tile storage
-                    values = bdcc.entry_group_values(use_index, eff_bits)
-                    values = np.repeat(values, ct.counts) if rows is None else values[entry]
-                columns[column_name] = values
-            ctx.metrics.charge_cpu(
-                num_selected * ctx.costs.sandwich_row_overhead * len(self.sandwich_uses),
-                "scan",
-            )
-        rel = Relation(columns=columns)
-        note_bits = [*self.selection_notes, *extra_notes]
-        if note_bits:
-            ctx.metrics.note(f"scan {self.alias}: " + ", ".join(note_bits))
-        if self.predicate is not None:
-            rel = _filter(ctx, rel, self.predicate)
-        return rel
-
-    def execute(self, ctx: ExecutionContext) -> Relation:
-        columns, num_selected = self._read_base(ctx)
-        return self._finish(ctx, columns, None, num_selected)
-
-
-@dataclass(eq=False)
-class DeltaMergeScan(PhysicalScan):
-    """Merge-on-read scan: the base scan unioned with the table's live
-    delta runs through an order-preserving merge.
-
-    The lowering resolves, per delta run, which rows survive the same
-    count-table restrictions and zone-map ranges the base selection went
-    through (superset semantics — the residual predicate still runs), so
-    pushdown keeps pruning deltas zone-wise.  The merged stream restores
-    the scheme's storage order — ``_bdcc_``-key order (stable: base rows
-    before delta rows, runs in commit order) on BDCC, primary-key order
-    on PK, arrival order on Plain — so every stream property lowering
-    inferred (sort order, carried dimension uses) holds with deltas
-    present and merge/sandwich strategies keep firing.
-    """
-
-    #: (run_index, selected positions within the run), resolved at
-    #: lowering from the delta store's keys/zone maps.
-    delta_selected: Tuple[Tuple[int, np.ndarray], ...] = ()
-
-    kind = "DeltaMergeScan"
-
-    def execute(self, ctx: ExecutionContext) -> Relation:
-        columns, base_n = self._read_base(ctx)
-        stored = self.stored
-        bdcc = stored.bdcc
-        demanded = list(self.demanded)
-        prefix = self.prefix
-
+        # --- merge-on-read: the delta runs' selected rows ----------------
         # merge keys may need columns beyond the demanded set (a PK scan
         # does not have to materialise its sort columns to be ordered,
         # but merging deltas into that order does need the values read)
         merge_cols = [
             c for c in stored.sort_columns if bdcc is None and prefix + c not in columns
         ]
-        base_rows = self.selected_rows
         merge_values: Dict[str, List[np.ndarray]] = {
-            c: [stored.columns[c] if base_rows is None else stored.columns[c][base_rows]]
+            c: [stored.columns[c] if rows is None else stored.columns[c][rows]]
             for c in merge_cols
         }
         if merge_cols:
             self._charge_columns(ctx, base_n, merge_cols)
 
-        # --- read the delta runs ----------------------------------------
         pieces: Dict[str, List[np.ndarray]] = {name: [arr] for name, arr in columns.items()}
         key_pieces = None  # base keys: merged on only when delta rows join them
         if bdcc is not None and any(len(s) for _, s in self.delta_selected):
-            key_pieces = [bdcc.keys if base_rows is None else bdcc.keys[base_rows]]
+            key_pieces = [bdcc.keys if rows is None else bdcc.keys[rows]]
         delta_n = 0
         delta = stored.delta
         for run_index, sel in self.delta_selected:
@@ -467,6 +408,39 @@ class DeltaMergeScan(PhysicalScan):
         runs_read = sum(1 for _, s in self.delta_selected if len(s))
         note = f"delta merge {delta_n} rows from {runs_read} runs"
         return self._finish(ctx, merged, merged_keys, total, note)
+
+    def _finish(self, ctx: ExecutionContext, columns, keys, num_selected, *extra_notes):
+        """Surface hidden group columns (from ``keys`` when given, else
+        per count-table entry), assemble the relation, note the selection
+        (plus ``extra_notes``), apply the residual predicate."""
+        if self.sandwich_uses:
+            bdcc, rows = self.stored.bdcc, self.selected_rows
+            ct = bdcc.count_table
+            if keys is None and rows is not None:
+                # each row's entry: the valid entries' offsets ascend in
+                # entry order, the consolidated region last
+                valid = np.flatnonzero(ct.valid)
+                entry = valid[np.searchsorted(ct.offsets[valid], rows, side="right") - 1]
+            for use_index, eff_bits, column_name in self.sandwich_uses:
+                if keys is not None:
+                    # top eff_bits positions of the full mask == the use's
+                    # bits that survive at count-table granularity
+                    values = gather_use_bits(keys, bdcc.uses[use_index].mask, eff_bits)
+                else:  # per entry; a dense count table's entries tile storage
+                    values = bdcc.entry_group_values(use_index, eff_bits)
+                    values = np.repeat(values, ct.counts) if rows is None else values[entry]
+                columns[column_name] = values
+            ctx.metrics.charge_cpu(
+                num_selected * ctx.costs.sandwich_row_overhead * len(self.sandwich_uses),
+                "scan",
+            )
+        rel = Relation(columns=columns)
+        note_bits = [*self.selection_notes, *extra_notes]
+        if note_bits:
+            ctx.metrics.note(f"scan {self.alias}: " + ", ".join(note_bits))
+        if self.predicate is not None:
+            rel = _filter(ctx, rel, self.predicate)
+        return rel
 
     def _charge_columns(self, ctx: ExecutionContext, num_rows: int, cols, *extra_bytes):
         """Charge reading ``num_rows`` values of each of ``cols`` (one
@@ -619,8 +593,9 @@ def _account_hash_join(op, ctx, left, right) -> None:
                 f"max group {state_bytes/1e6:.3f} MB (full build {build_bytes/1e6:.2f} MB)"
             )
             ctx.metrics.bump("sandwich_joins")
-        # scatter-order delivery of both inputs: one random access per
-        # group run instead of a straight sequential pass
+        # the model of scatter-order delivery (the paper's §II scan) for
+        # both inputs: one random access per group and input instead of
+        # a straight sequential pass — no scan computes the exact runs
         ctx.metrics.charge_io(0.0, 2 * num_groups, 2 * num_groups * ctx.disk.access_latency)
         sandwich_cpu = (
             num_groups * costs.sandwich_group_overhead

@@ -61,7 +61,6 @@ import numpy as np
 from ..execution.aggregate import decompose_aggs
 from ..execution.operators import (
     Aggregate,
-    DeltaMergeScan,
     Join,
     Limit,
     PhysicalFilter,
@@ -376,12 +375,12 @@ class _FragmentPlanner:
     def _split(self, op: PhysicalOp) -> Optional[_Split]:
         """Try to turn ``op`` into per-partition clones; None when the
         subtree must stay serial."""
-        if isinstance(op, DeltaMergeScan):
-            # merge-on-read scans split along zone boundaries of the
-            # *merged* base+delta stream (BDCC only); Plain/PK delta
-            # scans stay serial — degrading, never failing
-            return self._split_delta_scan(op)
         if isinstance(op, PhysicalScan):
+            if op.delta_selected is not None:
+                # merge-on-read scans split along zone boundaries of the
+                # *merged* base+delta stream (BDCC only); Plain/PK delta
+                # scans stay serial — degrading, never failing
+                return self._split_delta_scan(op)
             return self._split_scan(op)
         if isinstance(op, (PhysicalFilter, PhysicalProject)):
             sub = self._split(op.input)
@@ -451,8 +450,7 @@ class _FragmentPlanner:
             if isinstance(node, PhysicalScan):
                 rows = node.selected_rows
                 total += node.stored.stored_rows if rows is None else len(rows)
-                if isinstance(node, DeltaMergeScan):
-                    total += sum(len(sel) for _, sel in node.delta_selected)
+                total += sum(len(sel) for _, sel in node.delta_selected or ())
             stack.extend(node.children())
         return total
 
@@ -543,7 +541,7 @@ class _FragmentPlanner:
         return _Split(clones, note, ordered=False, role="copartition")
 
     # --------------------------------------------------- delta scan splits
-    def _split_delta_scan(self, op: DeltaMergeScan) -> Optional[_Split]:
+    def _split_delta_scan(self, op: PhysicalScan) -> Optional[_Split]:
         """Partition a merge-on-read scan along BDCC zone boundaries of
         the merged stream.
 

@@ -63,7 +63,6 @@ from ..execution.expressions import (
 )
 from ..execution.operators import (
     Aggregate,
-    DeltaMergeScan,
     Join,
     Limit,
     PhysicalFilter,
@@ -249,21 +248,15 @@ def _resolve_selection(stored, restrictions, minmax_ranges):
             rows = count_table.rows_for_entries(entries)
 
     if minmax_ranges and n > 0:
-        mask: Optional[np.ndarray] = None
+        # lowering keeps only ranges that prune some block of this table
+        mask = np.ones(n, dtype=bool)
         for column, low, high in minmax_ranges:
-            index = stored.minmax_for(column)
-            keep_blocks = index.blocks_overlapping(low, high)
-            if keep_blocks.all():
-                continue
-            block_of_row = np.arange(n) // index.block_rows
-            row_keep = keep_blocks[block_of_row]
-            mask = row_keep if mask is None else (mask & row_keep)
-        if mask is not None:
-            if rows is None:
-                rows = np.flatnonzero(mask)
-            else:
-                rows = rows[mask[rows]]
-            note_bits.append(f"minmax {np.count_nonzero(mask)}/{n} rows")
+            mask &= stored.minmax_for(column).row_mask(low, high, n)
+        if rows is None:
+            rows = np.flatnonzero(mask)
+        else:
+            rows = rows[mask[rows]]
+        note_bits.append(f"minmax {np.count_nonzero(mask)}/{n} rows")
     return rows, note_bits
 
 
@@ -416,7 +409,7 @@ class _Lowering:
         rows, note_bits = _resolve_selection(stored, restrictions, minmax_ranges)
 
         # ---- merge-on-read: mask deletions, select delta-run rows -------
-        delta_selected: Tuple[Tuple[int, np.ndarray], ...] = ()
+        delta_selected: Optional[Tuple[Tuple[int, np.ndarray], ...]] = None
         delta_live = 0
         has_delta = stored.has_delta
         if has_delta:
@@ -465,7 +458,7 @@ class _Lowering:
                 "carries " + "+".join(u.dimension.name for u in uses)
             )
 
-        scan_fields = dict(
+        op = PhysicalScan(
             table=node.table,
             alias=node.alias,
             prefix=prefix,
@@ -480,11 +473,8 @@ class _Lowering:
             est_rows=est_rows,
             rationale=", ".join(rationale_bits),
             replica_note=replica_note,
+            delta_selected=delta_selected,
         )
-        if has_delta:
-            op: PhysicalScan = DeltaMergeScan(delta_selected=delta_selected, **scan_fields)
-        else:
-            op = PhysicalScan(**scan_fields)
         columns = {prefix + c: value_bytes(stored.columns[c]) for c in demanded}
         owners = {name: node.alias for name in columns}
         for _, _, column_name in sandwich_uses:
@@ -519,12 +509,7 @@ class _Lowering:
                 block_rows = stored.page_model.rows_per_page(
                     stored.stored_bytes_per_value(column)
                 )
-                index = run.minmax_for(column, block_rows)
-                keep_blocks = index.blocks_overlapping(low, high)
-                if keep_blocks.all():
-                    continue
-                block_of_row = np.arange(run.num_rows) // index.block_rows
-                keep &= keep_blocks[block_of_row]
+                keep &= run.minmax_for(column, block_rows).row_mask(low, high, run.num_rows)
             sel = np.flatnonzero(keep)
             total += len(sel)
             selected.append((run_index, sel))

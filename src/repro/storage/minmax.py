@@ -54,6 +54,13 @@ class MinMaxIndex:
             keep &= self.mins <= high
         return keep
 
+    def row_mask(self, low, high, num_rows: int) -> np.ndarray:
+        """Boolean per row of the indexed column (``num_rows`` long): may
+        the row's block contain a value in ``[low, high]``?  The verdicts
+        of :meth:`blocks_overlapping`, one per row."""
+        keep = self.blocks_overlapping(low, high)
+        return np.repeat(keep, self.block_rows)[:num_rows]
+
     def selectivity(self, low, high) -> float:
         """Fraction of blocks that must be read for the range."""
         if self.num_blocks == 0:

@@ -42,8 +42,10 @@ class PageModel:
         """Map row runs ``(start_row, num_rows)`` to page runs
         ``(start_page, num_pages)``, merging adjacent/overlapping ones.
 
-        Used to charge IO for a scatter scan: two groups that share a
-        page only read it once within a merged run.
+        Every scan's IO is charged through it
+        (:meth:`~repro.storage.stored_table.StoredTable.io_run_bytes`):
+        two selected runs that share a page only read it once within a
+        merged run.
         """
         rpp = self.rows_per_page(stored_bytes_per_value)
         page_runs: List[Tuple[int, int]] = []

@@ -4,7 +4,7 @@ Delta stores per stored table (:mod:`repro.updates.delta`), the buffered
 :class:`UpdateSession` write API (:mod:`repro.updates.session`), and the
 deterministic compaction policy (:mod:`repro.updates.compaction`).  Reads
 merge base and delta state through
-:class:`~repro.execution.operators.DeltaMergeScan`; every commit bumps
+:attr:`~repro.execution.operators.PhysicalScan.delta_selected`; every commit bumps
 the touched tables' epochs so plan caches invalidate.
 """
 

@@ -18,7 +18,8 @@ compacted):
 Per-run zone maps (:class:`~repro.storage.minmax.MinMaxIndex`, built
 lazily like the base table's) let the scan prune delta runs with the same
 superset semantics as base blocks.  Reads merge base and deltas through
-:class:`~repro.execution.operators.DeltaMergeScan`; compaction
+the scan's ``delta_selected``
+(:attr:`~repro.execution.operators.PhysicalScan.delta_selected`); compaction
 (:mod:`repro.updates.compaction`) folds everything back into the base
 layout and resets the store.
 """

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import INT32, Schema, string_type
 from repro.core.bdcc_table import BDCCBuildConfig, build_bdcc_table
@@ -165,17 +167,25 @@ class TestEntriesMatching:
         bins = bdcc.uses[0].dimension.bin_of_values([dkeys])
         assert set(np.unique(bins).tolist()) <= {0, 1}
 
-    def test_superset_guarantee(self, mini_db):
-        """Pruning must never lose qualifying rows."""
-        bdcc = build_bdcc_table(
-            mini_db, "fact", _uses(mini_db),
-            BDCCBuildConfig(efficient_access_bytes=256.0),
-        )
-        allowed = np.array([3], dtype=np.uint64)
+    @settings(max_examples=30, deadline=None)
+    @given(allowed=st.sets(st.integers(0, 7), min_size=1, max_size=8))
+    def test_superset_guarantee(self, fact_table, allowed):
+        """Pruning must never lose qualifying rows, whichever bins a
+        restriction allows."""
+        db, bdcc = fact_table
+        allowed = np.array(sorted(allowed), dtype=np.uint64)
         entries = bdcc.entries_matching([(0, allowed, bdcc.uses[0].dimension.bits)])
         rows = bdcc.count_table.rows_for_entries(entries)
-        selected_ids = set(mini_db.column("fact", "f_id")[bdcc.row_source[rows]].tolist())
-        dkeys = mini_db.column("fact", "f_dkey")
+        selected_ids = set(db.column("fact", "f_id")[bdcc.row_source[rows]].tolist())
+        dkeys = db.column("fact", "f_dkey")
         bins = bdcc.uses[0].dimension.bin_of_values([dkeys])
-        qualifying = set(mini_db.column("fact", "f_id")[bins == 3].tolist())
+        qualifying = set(db.column("fact", "f_id")[np.isin(bins, allowed)].tolist())
         assert qualifying <= selected_ids
+
+
+@pytest.fixture(scope="module")
+def fact_table():
+    db = _mini_db()
+    return db, build_bdcc_table(
+        db, "fact", _uses(db), BDCCBuildConfig(efficient_access_bytes=256.0)
+    )

@@ -1,4 +1,4 @@
-"""Count tables, group-size statistics and the scatter scan."""
+"""Count tables and group-size statistics."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,16 @@ from repro.core.bdcc_table import BDCCBuildConfig, build_bdcc_table
 from repro.core.count_table import CountTable, expand_runs
 from repro.core.dimension_use import DimensionUse, check_bdcc_constraints
 from repro.core.histograms import choose_granularity, collect_granularity_stats
-from repro.core.scatter_scan import ScatterScan
 from repro.execution.operators import _rows_to_runs
 
 from .test_bdcc_table import _mini_db, _uses
+
+
+@pytest.fixture(scope="module")
+def built_fact():
+    db = _mini_db(n_fact=600, seed=9)
+    config = BDCCBuildConfig(efficient_access_bytes=256.0, consolidate_max_fraction=None)
+    return build_bdcc_table(db, "fact", _uses(db), config)
 
 
 class TestCountTable:
@@ -48,6 +54,23 @@ class TestCountTable:
         ct = CountTable.from_sorted_keys(keys, 6, g)
         assert ct.total_rows() == len(keys)
         assert np.all(np.diff(ct.keys.astype(np.int64)) > 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=st.integers(min_value=0, max_value=7))
+    def test_count_table_coherent_across_granularities(self, built_fact, g):
+        ct = CountTable.from_sorted_keys(built_fact.keys, built_fact.total_bits, g)
+        assert ct.total_rows() == built_fact.stored_rows
+        # entries at granularity g are prefixes of entries at g+1
+        if g < built_fact.total_bits:
+            finer = CountTable.from_sorted_keys(built_fact.keys, built_fact.total_bits, g + 1)
+            coarse_from_finer = np.unique(finer.keys >> np.uint64(1))
+            assert np.array_equal(np.unique(ct.keys), coarse_from_finer)
+            # counts aggregate exactly
+            sums = {}
+            for key, count in zip(finer.keys.tolist(), finer.counts.tolist()):
+                sums[key >> 1] = sums.get(key >> 1, 0) + count
+            for key, count in zip(ct.keys.tolist(), ct.counts.tolist()):
+                assert sums[key] == count
 
 
 def _rows_per_entry_loop(ct: CountTable, entries) -> np.ndarray:
@@ -265,50 +288,3 @@ class TestDimensionUseConstraints:
         uses[0].mask = 0b1111  # 4 bits but D_DIM has 3
         with pytest.raises(ValueError):
             check_bdcc_constraints(uses, 4)
-
-
-class TestScatterScan:
-    @pytest.fixture()
-    def bdcc(self):
-        db = _mini_db(n_fact=512, seed=2)
-        return db, build_bdcc_table(
-            db, "fact", _uses(db),
-            BDCCBuildConfig(efficient_access_bytes=512.0, consolidate_max_fraction=None),
-        )
-
-    def test_native_order_is_storage_order(self, bdcc):
-        _, table = bdcc
-        result = ScatterScan(table).scan()
-        assert np.array_equal(result.rows, np.arange(table.stored_rows))
-        assert result.runs == [(0, table.stored_rows)]
-
-    def test_any_major_order_is_permutation(self, bdcc):
-        _, table = bdcc
-        for major in ([(0, None)], [(1, None)], [(1, None), (0, None)]):
-            result = ScatterScan(table).scan(major=major)
-            assert sorted(result.rows.tolist()) == list(range(table.stored_rows))
-
-    def test_group_ids_match_dimension_bins(self, bdcc):
-        db, table = bdcc
-        result = ScatterScan(table).scan(major=[(0, None)])
-        bits = table.effective_bits(0)
-        dkeys = db.column("fact", "f_dkey")[table.row_source[result.rows]]
-        full_bins = table.uses[0].dimension.bin_of_values([dkeys])
-        expected = full_bins >> np.uint64(table.uses[0].dimension.bits - bits)
-        assert np.array_equal(result.group_ids, expected)
-        # group-major: ids are non-decreasing along the stream
-        assert np.all(np.diff(result.group_ids.astype(np.int64)) >= 0)
-
-    def test_minor_order_costs_more_runs(self, bdcc):
-        _, table = bdcc
-        native = ScatterScan(table).scan()
-        scattered = ScatterScan(table).scan(major=[(1, None)])
-        assert len(scattered.runs) >= len(native.runs)
-
-    def test_restriction_reduces_rows(self, bdcc):
-        _, table = bdcc
-        allowed = np.array([0], dtype=np.uint64)
-        result = ScatterScan(table).scan(
-            restrictions=[(0, allowed, table.uses[0].dimension.bits)]
-        )
-        assert 0 < result.num_rows < table.stored_rows

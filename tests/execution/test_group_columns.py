@@ -20,7 +20,7 @@ from repro.core.bits import gather_use_bits
 from repro.execution import operators
 from repro.execution.expressions import col
 from repro.execution.metrics import ExecutionMetrics
-from repro.execution.operators import DeltaMergeScan, ExecutionContext, PhysicalScan
+from repro.execution.operators import ExecutionContext, PhysicalScan
 from repro.parallel.fragments import plan_fragments
 from repro.planner.executor import Executor
 from repro.planner.logical import scan
@@ -104,7 +104,7 @@ def _scans(pdb, plan, workers):
 
 
 def _has_delta_rows(op):
-    return isinstance(op, DeltaMergeScan) and any(len(s) for _, s in op.delta_selected)
+    return op.delta_selected is not None and any(len(s) for _, s in op.delta_selected)
 
 
 def _reference_groups(op):
@@ -113,7 +113,7 @@ def _reference_groups(op):
     bdcc = op.stored.bdcc
     rows = op.selected_rows
     keys = bdcc.keys if rows is None else bdcc.keys[rows]
-    if isinstance(op, DeltaMergeScan):
+    if op.delta_selected is not None:
         runs = op.stored.delta.runs
         # the merged stream is in _bdcc_ key order
         keys = np.sort(np.concatenate([keys] + [runs[i].keys[s] for i, s in op.delta_selected]))

@@ -15,19 +15,23 @@ import pytest
 
 from repro import tpch
 from repro.core.bdcc_table import BDCCBuildConfig
+from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
-from repro.execution.operators import DeltaMergeScan, PhysicalScan
+from repro.execution.operators import PhysicalScan
 from repro.observe.registry import REGISTRY
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
+from repro.storage.minmax import MinMaxIndex
 from repro.tpch.environment import make_environment
 from repro.tpch.harness import build_schemes
 from repro.tpch.queries import QUERIES
 from repro.tpch.runner import run_query
 from repro.updates import CompactionPolicy, UpdateSession
-from repro.workload.differential import run_differential
+from repro.workload.differential import reference_mismatch, run_differential
+from repro.workload.reference import evaluate_reference
 
 SMALL_SF = 0.003
+NO_COMPACTION = CompactionPolicy(max_delta_fraction=None)
 
 
 def _scan_op(pdb, plan) -> PhysicalScan:
@@ -109,7 +113,7 @@ class TestWholeTableIsNoSelection:
         session.delete_where("lineitem", col("l_tax").ge(0.07))
         session.commit()
         op = _scan_op(pdb, scan("lineitem"))
-        assert isinstance(op, DeltaMergeScan)
+        assert op.kind == "DeltaMergeScan"
         deleted = op.stored.delta.base_deleted
         assert deleted.any()
         assert np.array_equal(op.selected_rows, np.flatnonzero(~deleted))
@@ -186,6 +190,109 @@ class TestConsolidatedEndToEnd:
         assert report.ok, report.render()
         assert report.executions == 12 * 2
         assert {"lineitem", "orders"} <= split_consolidated
+
+
+def _cloned_orders(db, count=40):
+    """``count`` ORDERS rows cloned from the first ones, with fresh keys."""
+    orders = db.table_data("orders")
+    rows = {c: v[:count].copy() for c, v in orders.items()}
+    rows["o_orderkey"] = orders["o_orderkey"].max() + 1 + np.arange(count).astype(
+        orders["o_orderkey"].dtype
+    )
+    return rows
+
+
+def _zero_rows(db, env, pdbs):
+    """Every LINEITEM row deleted: a scan selects nothing and merges
+    nothing."""
+    session = UpdateSession(*pdbs.values(), policy=NO_COMPACTION)
+    session.delete_where("lineitem", col("l_quantity").ge(0.0))
+    session.commit()
+    return pdbs, "lineitem", lambda op: len(op.selected_rows) == 0 and op.delta_selected == ()
+
+
+def _single_zone(db, env, pdbs):
+    """BDCC ORDERS built into one count-table entry (``A_R`` between one
+    and two times the table's densest column), plus an insert run that
+    lands in that zone."""
+    orders = pdbs["bdcc"].table("orders").bdcc
+    width = orders.densest_bytes_per_tuple * orders.logical_rows
+    config = env.advisor_config(build=BDCCBuildConfig(efficient_access_bytes=1.5 * width))
+    pdbs = dict(pdbs, bdcc=build_schemes(db, env, include=["bdcc"], advisor_config=config)["bdcc"])
+    session = UpdateSession(*pdbs.values(), policy=NO_COMPACTION)
+    session.insert_rows("orders", _cloned_orders(db))
+    session.commit()
+    return pdbs, "orders", lambda op: (
+        op.stored.bdcc.count_table.num_entries == 1 and op.delta_selected is not None
+    )
+
+
+def _delta_pruned(db, env, pdbs):
+    """New ORDERS all dated on the last order date, read below the
+    median date: every delta row is pruned, the runs stay pending."""
+    rows = _cloned_orders(db)
+    rows["o_orderdate"][:] = db.column("orders", "o_orderdate").max()
+    session = UpdateSession(*pdbs.values(), policy=NO_COMPACTION)
+    session.insert_rows("orders", rows)
+    session.commit()
+    return pdbs, "orders", lambda op: (
+        op.delta_selected is not None
+        and len(op.delta_selected) == 1
+        and not any(len(sel) for _, sel in op.delta_selected)
+    )
+
+
+DEGENERATE = {
+    "zero rows, deletes only": _zero_rows,
+    "single zone": _single_zone,
+    "delta rows all pruned": _delta_pruned,
+}
+
+
+class TestDegenerateScans:
+    """Scans at the edges of the selection and merge paths, serial and
+    fragmented, against the naive reference."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_matches_the_reference(self, case, workers):
+        db = tpch.generate(scale_factor=0.002, seed=1234)
+        env = make_environment(0.002)
+        pdbs, table, shape = DEGENERATE[case](db, env, build_schemes(db, env))
+        early = col("o_orderdate").le(int(np.median(db.column("orders", "o_orderdate"))))
+        plans = [
+            scan("lineitem"),
+            scan("orders", predicate=early),
+            scan("orders", predicate=early)
+            .join(scan("lineitem"), on=[("o_orderkey", "l_orderkey")])
+            .groupby(
+                ("o_orderpriority",),
+                [AggSpec("s", "sum", col("l_extendedprice")), AggSpec("c", "count")],
+            ),
+        ]
+        scans = [
+            op for op in Executor(pdbs["bdcc"]).lower(plans[-1]).operators()
+            if isinstance(op, PhysicalScan) and op.table == table
+        ]
+        assert scans and all(shape(op) for op in scans), case
+        options = ExecutionOptions(workers=workers, min_partition_rows=256)
+        for plan in plans:
+            reference = evaluate_reference(db, plan)
+            for scheme, pdb in pdbs.items():
+                executor = Executor(pdb, disk=env.disk, costs=env.cost_model, options=options)
+                detail, _ = reference_mismatch(reference, executor.execute(plan).relation)
+                assert detail is None, (case, scheme, detail)
+
+
+@pytest.mark.parametrize("num_rows,block_rows", [(1000, 100), (1037, 100), (5, 16), (0, 16)])
+def test_row_mask_is_each_rows_block_verdict(num_rows, block_rows):
+    values = np.sort(np.random.default_rng(num_rows).integers(0, 1000, num_rows))
+    index = MinMaxIndex.build(values, block_rows)
+    assert index.num_blocks == -(-num_rows // block_rows)
+    keep_blocks = index.blocks_overlapping(200, 400)
+    expected = keep_blocks[np.arange(num_rows) // block_rows]
+    mask = index.row_mask(200, 400, num_rows)
+    assert mask.dtype == bool and np.array_equal(mask, expected)
 
 
 class TestFullScansAliasStorage:

@@ -66,8 +66,6 @@ class TestMergeOnRead:
     def test_bdcc_sandwich_strategies_survive_deltas(self, fresh):
         db, env, pdbs = fresh
         _commit_mixed(db, pdbs)
-        from repro.execution.operators import DeltaMergeScan
-
         executor = Executor(pdbs["bdcc"], disk=env.disk, costs=env.cost_model)
         plan = (
             scan("orders")
@@ -75,7 +73,7 @@ class TestMergeOnRead:
             .groupby(("o_orderpriority",), [AggSpec("s", "sum", col("l_extendedprice"))])
         )
         pplan = executor.lower(plan)
-        assert any(isinstance(op, DeltaMergeScan) for op in pplan.operators())
+        assert any(op.kind == "DeltaMergeScan" for op in pplan.operators())
         assert any(op.kind == "SandwichJoin" for op in pplan.operators())
         result = executor.execute(plan)
         assert result.metrics.delta_rows_scanned > 0
@@ -90,6 +88,28 @@ class TestMergeOnRead:
         for name, pdb in pdbs.items():
             got, names = _table_multiset(pdb, env, "lineitem")
             assert got == _db_multiset(db, "lineitem", names), name
+
+    def test_deletes_only_pk_scan_keeps_its_merge_charges(self, fresh):
+        """A PK table whose only change is deleted base rows merges no
+        delta row, yet its scan is still a delta merge and still reads
+        the undemanded sort columns over every selected base row.  The
+        charges are pinned: moving them must be a deliberate change."""
+        _, env, pdbs = fresh
+        session = UpdateSession(pdbs["pk"], policy=NO_COMPACTION)
+        session.delete_where("lineitem", col("l_discount").ge(0.08))
+        session.commit()
+        plan = scan("lineitem", predicate=col("l_quantity").lt(24.0)).groupby(
+            (), [AggSpec("revenue", "sum", col("l_extendedprice"))]
+        )
+        executor = Executor(pdbs["pk"], disk=env.disk, costs=env.cost_model)
+        assert executor.lower(plan).root.input.delta_selected == ()
+        result = executor.execute(plan)
+        [actuals] = [a for a in result.metrics.operators.values() if a.kind.endswith("Scan")]
+        assert actuals.kind == "DeltaMergeScan"
+        assert any("delta merge 0 rows from 0 runs" in note for note in result.metrics.notes)
+        assert (actuals.io_bytes, actuals.io_accesses, actuals.cpu_seconds) == (
+            299528.0, 4, 6.153e-05,
+        )
 
     def test_out_of_domain_inserts_clamp_into_existing_zones(self, fresh):
         db, env, pdbs = fresh

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.execution.expressions import col
-from repro.execution.operators import DeltaMergeScan
 from repro.planner.executor import Executor
 from repro.planner.explain import explain, format_physical_plan
 from repro.planner.logical import scan
@@ -96,5 +95,5 @@ class TestGoldenDeltaPlans:
             queries.QUERIES["Q02"](grabber)  # part/supplier: untouched tables
             for pplan in grabber.plans:
                 assert not any(
-                    isinstance(op, DeltaMergeScan) for op in pplan.operators()
+                    op.kind == "DeltaMergeScan" for op in pplan.operators()
                 ), scheme

@@ -14,7 +14,6 @@ import pytest
 
 from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
-from repro.execution.operators import DeltaMergeScan
 from repro.parallel.fragments import plan_fragments
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
@@ -72,7 +71,7 @@ class TestParallelDeltaScans:
             assert parallel_plan.is_parallel, "the delta scan must fragment"
             delta_scans = [
                 op for op in parallel_plan.operators()
-                if isinstance(op, DeltaMergeScan)
+                if op.kind == "DeltaMergeScan"
             ]
             assert len(delta_scans) >= 2, "base+delta split into partitions"
             result = executor.execute(plan)
@@ -98,7 +97,7 @@ class TestParallelDeltaScans:
         assert parallel_plan.is_parallel
         delta_scans = [
             op for op in parallel_plan.operators()
-            if isinstance(op, DeltaMergeScan)
+            if op.kind == "DeltaMergeScan"
         ]
         assert len(delta_scans) >= 2, "base+delta split into partitions"
         partials = [

@@ -7,7 +7,7 @@ would defeat the cache.
 
 import numpy as np
 
-from repro.execution.operators import DeltaMergeScan, PhysicalScan
+from repro.execution.operators import PhysicalScan
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
 from repro.updates import CompactionPolicy, UpdateSession
@@ -33,12 +33,12 @@ class TestPlanCacheEpoch:
         executor.execute(plan)  # a read must not bust the cache
         assert executor.lower(plan) is baseline
         assert isinstance(baseline.root, PhysicalScan)
-        assert not isinstance(baseline.root, DeltaMergeScan)
+        assert baseline.root.delta_selected is None
 
         _commit_some_orders(db, pdbs)
         refreshed = executor.lower(plan)
         assert refreshed is not baseline, "commit must invalidate the cached plan"
-        assert isinstance(refreshed.root, DeltaMergeScan)
+        assert refreshed.root.delta_selected is not None
         # the re-lowered plan is cached again until the next commit
         assert executor.lower(plan) is refreshed
         _commit_some_orders(db, pdbs, seed=1)
