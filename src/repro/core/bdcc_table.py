@@ -259,7 +259,7 @@ def _consolidate_small_groups(
         return
 
     small_indices = np.flatnonzero(small)  # already in key order
-    moved = ct.rows_for_entries(small_indices)
+    moved = ct.selection(small_indices).indexer()
     base = bdcc.stored_rows
     bdcc.row_source = np.concatenate([bdcc.row_source, bdcc.row_source[moved]])
     bdcc.keys = np.concatenate([bdcc.keys, bdcc.keys[moved]])

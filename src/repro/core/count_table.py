@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["CountTable", "expand_runs"]
+from .selection import Selection
+
+__all__ = ["CountTable"]
 
 
 @dataclass
@@ -120,42 +122,12 @@ class CountTable:
         mask = self.valid if entry_mask is None else (self.valid & entry_mask)
         return np.flatnonzero(mask)
 
-    @property
-    def is_dense(self) -> bool:
-        """True when the entries tile the stored table: every entry is
-        valid, the first starts at row 0 and each next one starts where
-        the previous ends, so the entries' rows are exactly
-        ``0..total_rows()-1`` in storage order.  A consolidated table
-        (invalid originals plus an appended region) is not dense.
-        O(groups)."""
-        return bool(self.valid.all()) and np.array_equal(
-            self.offsets, np.cumsum(self.counts) - self.counts
-        )
-
-    def rows_for_entries(self, entries: np.ndarray) -> np.ndarray:
-        """Concrete row indices (into the stored order) for the entries,
-        in *entry-index* order: entries are visited by ascending index
-        whatever order they are given in, each contributing its rows
-        ``offset..offset+count-1``.  That is key order on a freshly built
-        table; on a consolidated one the moved groups are the last
-        entries, so their rows come last whatever their key.  Always
-        ``int64``; no entries (or only empty ones) give an empty array."""
+    def selection(self, entries: np.ndarray) -> Selection:
+        """The stored rows of the given entries, in *entry-index* order:
+        entries are visited by ascending index whatever order they are
+        given in, each contributing its run ``offset..offset+count-1``.
+        That is key order on a freshly built table; on a consolidated
+        one the moved groups are the last entries, so their rows come
+        last whatever their key."""
         order = np.sort(np.asarray(entries, dtype=np.int64))
-        return expand_runs(self.offsets[order], self.counts[order])
-
-
-def expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``(start, length)`` runs -> the ``int64`` row indices they cover,
-    run after run, in a constant number of numpy calls.
-
-    Position ``p`` of run ``i`` is ``starts[i] + (p - first[i])`` where
-    ``first[i]`` is the output index at which run ``i`` begins; so the
-    result is one ``arange(total)`` plus each run's shift
-    ``starts[i] - first[i]`` repeated ``lengths[i]`` times."""
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    rows = np.arange(total, dtype=np.int64)
-    rows += np.repeat(starts - (ends - lengths), lengths)
-    return rows
+        return Selection(self.offsets[order], self.counts[order])

@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..core.count_table import expand_runs
+from ..core.selection import expand_runs
 from .aggregate import fold_keys, offsets
 
 __all__ = [

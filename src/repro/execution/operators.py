@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..core.bits import gather_use_bits
+from ..core.selection import Selection
 from ..storage.io_model import DiskModel
 from ..storage.stored_table import StoredTable
 from .aggregate import (
@@ -256,19 +257,20 @@ class PhysicalScan(PhysicalOp):
     """A table scan with all access-path decisions resolved at lowering:
     the physical copy to read (replica selection), the demanded columns,
     the count-table restrictions (pushdown + propagation), the zone-map
-    ranges that prune, the row selection they leave (``selected_rows``)
-    and the BDCC uses to carry as hidden group columns for downstream
-    sandwich operators.
+    ranges that prune, the row runs they leave (``selection``) and the
+    BDCC uses to carry as hidden group columns for downstream sandwich
+    operators.
 
-    A selection of the whole table is no selection: ``selected_rows`` is
-    ``None`` whenever the scan reads every stored row in storage order,
-    on every scheme, and the scan then hands its consumers *views* of
-    the stored columns — operators never write into the arrays they are
-    handed.  Row indices exist only for scans that really select: pruned
-    groups or blocks, masked deletes, a consolidated BDCC table, a
-    fragment's partition.  A carried use's group column is a per-entry
-    fact read off the count table; only merged delta rows, which have no
-    entry, extract it from their ``_bdcc_`` keys.
+    The selection is a :class:`~repro.core.selection.Selection` on every
+    scan — a whole table is the one run ``(0, n)`` — and is charged run
+    by run.  A selection of at most one run (a whole table, contiguous
+    surviving groups, most fragment partitions) hands its consumers
+    *views* of the stored columns — operators never write into the
+    arrays they are handed; more runs are gathered through one row
+    expansion a read.  A carried use's group column is a per-entry fact
+    read off the count table, per piece of the selection; only merged
+    delta rows, which have no entry, extract it from their ``_bdcc_``
+    keys.
 
     A table with pending updates is read merge-on-read, and
     ``delta_selected`` is set: per delta run, the rows that survive the
@@ -288,16 +290,15 @@ class PhysicalScan(PhysicalOp):
     prefix: str
     stored: StoredTable
     demanded: Tuple[str, ...]
+    #: the stored rows left by restrictions + minmax + delete masking,
+    #: in storage order.  Resolved once at lowering from metadata and
+    #: reused on every run.
+    selection: Selection
     predicate: Optional[Expr] = None
     #: (use_index, allowed_bins, bin_bits) count-table restrictions.
     restrictions: Tuple[Tuple[int, np.ndarray, int], ...] = ()
     #: (base_column, low, high) ranges whose zone maps prune blocks.
     minmax_ranges: Tuple[Tuple[str, float, float], ...] = ()
-    #: sorted int64 stored-row indices left by restrictions + minmax +
-    #: delete masking; None = every stored row in storage order, on
-    #: every scheme.  Resolved once at lowering from metadata and reused
-    #: on every run.
-    selected_rows: Optional[np.ndarray] = None
     selection_notes: Tuple[str, ...] = ()
     #: (use_index, effective_bits, hidden_column) BDCC uses to surface.
     sandwich_uses: Tuple[Tuple[int, int, str], ...] = ()
@@ -306,7 +307,7 @@ class PhysicalScan(PhysicalOp):
     #: (run_index, selected positions within the run) per delta run,
     #: resolved at lowering from the delta store's keys/zone maps; None
     #: for a table with no pending delta state.
-    delta_selected: Optional[Tuple[Tuple[int, np.ndarray], ...]] = None
+    delta_selected: Optional[Tuple[Tuple[int, Selection], ...]] = None
 
     @property
     def kind(self) -> str:
@@ -323,21 +324,15 @@ class PhysicalScan(PhysicalOp):
         stored = self.stored
         demanded = list(self.demanded)
         bdcc = stored.bdcc
-        rows = self.selected_rows
 
         # --- IO ----------------------------------------------------------
-        if rows is None:
-            runs = stored.full_scan_runs()
-            base_n = stored.stored_rows
-        else:
-            runs = _rows_to_runs(rows)
-            base_n = len(rows)
-        run_bytes = stored.io_run_bytes(runs, demanded)
+        base_n = len(self.selection)
+        run_bytes = stored.io_run_bytes(self.selection, demanded)
         if bdcc is not None:
             # the stored _bdcc_ column (needed for group ids) compresses
             # to ~1 byte/tuple: the table is sorted on it, so RLE applies;
             # plus the count table itself
-            for _, length in runs:
+            for length in self.selection.lengths.tolist():
                 run_bytes.append(length * 1.0)
             run_bytes.append(bdcc.count_table.num_entries * 8.0)
         io_seconds = ctx.disk.time_for_runs(run_bytes)
@@ -346,10 +341,8 @@ class PhysicalScan(PhysicalOp):
 
         # --- materialise -------------------------------------------------
         prefix = self.prefix
-        if rows is None:
-            columns = {prefix + c: stored.columns[c] for c in demanded}
-        else:
-            columns = {prefix + c: stored.columns[c][rows] for c in demanded}
+        rows = self.selection.indexer()
+        columns = {prefix + c: stored.columns[c][rows] for c in demanded}
         ctx.metrics.charge_cpu(base_n * len(demanded) * ctx.costs.scan_value, "scan")
         if self.delta_selected is None:
             return self._finish(ctx, columns, None, base_n)
@@ -362,8 +355,7 @@ class PhysicalScan(PhysicalOp):
             c for c in stored.sort_columns if bdcc is None and prefix + c not in columns
         ]
         merge_values: Dict[str, List[np.ndarray]] = {
-            c: [stored.columns[c] if rows is None else stored.columns[c][rows]]
-            for c in merge_cols
+            c: [stored.columns[c][rows]] for c in merge_cols
         }
         if merge_cols:
             self._charge_columns(ctx, base_n, merge_cols)
@@ -371,23 +363,24 @@ class PhysicalScan(PhysicalOp):
         pieces: Dict[str, List[np.ndarray]] = {name: [arr] for name, arr in columns.items()}
         key_pieces = None  # base keys: merged on only when delta rows join them
         if bdcc is not None and any(len(s) for _, s in self.delta_selected):
-            key_pieces = [bdcc.keys if rows is None else bdcc.keys[rows]]
+            key_pieces = [bdcc.keys[rows]]
         delta_n = 0
         delta = stored.delta
         for run_index, sel in self.delta_selected:
             run = delta.runs[run_index]
             if len(sel) == 0:
                 continue
-            delta_n += len(sel)
+            run_n, at = len(sel), sel.indexer()
+            delta_n += run_n
             # plus the run's key column on BDCC, ~1 byte/row
-            key_bytes = () if bdcc is None else (float(len(sel)),)
-            self._charge_columns(ctx, len(sel), demanded + merge_cols, *key_bytes)
+            key_bytes = () if bdcc is None else (float(run_n),)
+            self._charge_columns(ctx, run_n, demanded + merge_cols, *key_bytes)
             for c in demanded:
-                pieces[prefix + c].append(run.columns[c][sel])
+                pieces[prefix + c].append(run.columns[c][at])
             for c in merge_cols:
-                merge_values[c].append(run.columns[c][sel])
+                merge_values[c].append(run.columns[c][at])
             if key_pieces is not None:
-                key_pieces.append(run.keys[sel])
+                key_pieces.append(run.keys[at])
         ctx.metrics.rows_scanned += delta_n
         ctx.metrics.delta_rows_scanned += delta_n
         total = base_n + delta_n
@@ -414,21 +407,22 @@ class PhysicalScan(PhysicalOp):
         per count-table entry), assemble the relation, note the selection
         (plus ``extra_notes``), apply the residual predicate."""
         if self.sandwich_uses:
-            bdcc, rows = self.stored.bdcc, self.selected_rows
+            bdcc = self.stored.bdcc
             ct = bdcc.count_table
-            if keys is None and rows is not None:
-                # each row's entry: the valid entries' offsets ascend in
+            if keys is None:
+                # each piece's entry: the valid entries' offsets ascend in
                 # entry order, the consolidated region last
                 valid = np.flatnonzero(ct.valid)
-                entry = valid[np.searchsorted(ct.offsets[valid], rows, side="right") - 1]
+                _, lengths, bucket = self.selection.pieces(ct.offsets[valid])
+                entry = valid[bucket - 1]
             for use_index, eff_bits, column_name in self.sandwich_uses:
                 if keys is not None:
                     # top eff_bits positions of the full mask == the use's
                     # bits that survive at count-table granularity
                     values = gather_use_bits(keys, bdcc.uses[use_index].mask, eff_bits)
-                else:  # per entry; a dense count table's entries tile storage
+                else:  # per entry, repeated over each piece's rows
                     values = bdcc.entry_group_values(use_index, eff_bits)
-                    values = np.repeat(values, ct.counts) if rows is None else values[entry]
+                    values = np.repeat(values[entry], lengths)
                 columns[column_name] = values
             ctx.metrics.charge_cpu(
                 num_selected * ctx.costs.sandwich_row_overhead * len(self.sandwich_uses),
@@ -917,13 +911,3 @@ class Limit(PhysicalOp):
             rel = rel.take(np.arange(self.count))
         return rel
 
-
-def _rows_to_runs(rows: np.ndarray) -> List[Tuple[int, int]]:
-    """Sorted row indices -> (start, length) runs."""
-    if len(rows) == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(rows) != 1)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [len(rows) - 1]])
-    first = rows[starts]
-    return list(zip(first.tolist(), (rows[ends] - first + 1).tolist()))

@@ -21,10 +21,10 @@ Counter names in use:
 ``fragment_cache.hits``   fragment-plan cache hits
 ``fragment_cache.misses`` ... misses (the fragmenting pass ran)
 ``lowering.scans``     scans in freshly lowered plans (plan-cache misses)
-``lowering.full_scans``   ... whose ``selected_rows`` is None: every stored
-                       row in storage order, no row index materialised
-``lowering.rows_selected`` row indices lowering materialised for the rest
-                       (Σ ``len(selected_rows)``)
+``lowering.full_scans``   ... whose ``selection`` is the one run ``(0, n)``:
+                       every stored row in storage order
+``lowering.rows_selected`` rows the other scans select
+                       (Σ ``len(selection)``)
 ``queries_executed``   plans run through ``Executor.run``
 ``delta_rows_scanned`` merge-on-read rows served from delta runs
 ``commits``            update-session commits applied

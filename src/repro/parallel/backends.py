@@ -99,7 +99,7 @@ class SharedArrayStore:
     block while the dying array still occupies its id.  An ``id()`` hit
     therefore always means the *same* array, repeated plans export each
     base column once, and arrays nobody can reach any more — an old
-    epoch's columns, a collected plan's ``selected_rows`` — hold no
+    epoch's columns, a collected plan's selection runs — hold no
     ``/dev/shm`` space.  Nor does the parent keep a mapping: it unmaps a
     block right after copying into it (or its resident set would carry
     every base column twice); the name is all ``shm_unlink`` needs.

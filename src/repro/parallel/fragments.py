@@ -58,6 +58,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.selection import Selection
 from ..execution.aggregate import decompose_aggs
 from ..execution.operators import (
     Aggregate,
@@ -448,8 +449,7 @@ class _FragmentPlanner:
             ):
                 continue
             if isinstance(node, PhysicalScan):
-                rows = node.selected_rows
-                total += node.stored.stored_rows if rows is None else len(rows)
+                total += len(node.selection)
                 total += sum(len(sel) for _, sel in node.delta_selected or ())
             stack.extend(node.children())
         return total
@@ -558,20 +558,18 @@ class _FragmentPlanner:
         bdcc = stored.bdcc
         if bdcc is None:
             return None
-        rows = op.selected_rows
-        if rows is None:
-            rows = np.arange(stored.stored_rows, dtype=np.int64)
+        selection = op.selection
         delta = stored.delta
         run_sels = list(op.delta_selected)
-        total = len(rows) + sum(len(sel) for _, sel in run_sels)
+        total = len(selection) + sum(len(sel) for _, sel in run_sels)
         max_parts = total // self.min_partition_rows
         num_parts = min(self.workers, max_parts)
         if num_parts < 2:
             return None
         shift = np.uint64(bdcc.total_bits - bdcc.granularity)
-        base_zones = bdcc.keys[rows] >> shift
+        base_zones = bdcc.keys[selection.indexer()] >> shift
         run_zones = [
-            (index, delta.runs[index].keys[sel] >> shift) for index, sel in run_sels
+            (index, delta.runs[index].keys[sel.indexer()] >> shift) for index, sel in run_sels
         ]
         all_zones = np.concatenate([base_zones] + [z for _, z in run_zones])
         uniq, counts = np.unique(all_zones, return_counts=True)
@@ -599,17 +597,17 @@ class _FragmentPlanner:
         parts: List[PhysicalOp] = []
         n_parts = len(bounds) + 1
         for p in range(n_parts):
-            part_rows = rows[base_part == p]
+            part_base = selection.subset(base_part == p)
             part_sel = tuple(
-                (index, sel[parts_of_run == p])
+                (index, sel.subset(parts_of_run == p))
                 for (index, sel), (_, parts_of_run) in zip(run_sels, run_parts)
             )
-            part_live = len(part_rows) + sum(len(s) for _, s in part_sel)
+            part_live = len(part_base) + sum(len(s) for _, s in part_sel)
             share = f"{part_live} of {total} live rows"
             parts.append(
                 dataclasses.replace(
                     op,
-                    selected_rows=part_rows,
+                    selection=part_base,
                     delta_selected=part_sel,
                     est_rows=op.est_rows * part_live / max(total, 1),
                     selection_notes=op.selection_notes
@@ -626,32 +624,36 @@ class _FragmentPlanner:
     # --------------------------------------------------------- scan splits
     def _split_scan(self, op: PhysicalScan) -> Optional[_Split]:
         stored = op.stored
-        rows = op.selected_rows
-        total = stored.stored_rows if rows is None else len(rows)
+        selection = op.selection
+        total = len(selection)
         max_parts = total // self.min_partition_rows
         num_parts = min(self.workers, max_parts)
         if num_parts < 2:
             return None
-        positions = np.arange(total, dtype=np.int64) if rows is None else np.asarray(rows)
         if stored.bdcc is not None:
-            candidates = self._zone_boundaries(stored, positions)
+            # where a new BDCC zone (count-table group) starts
+            edges = np.sort(stored.bdcc.count_table.offsets)
             alignment = "zone"
         else:
-            candidates = self._page_boundaries(stored, op, positions)
+            # where the widest demanded column crosses a page boundary,
+            # so partition IO stays page-granular
+            widest = max(
+                (stored.stored_bytes_per_value(c) for c in op.demanded), default=8.0
+            )
+            edges = stored.page_model.page_starts(stored.stored_rows, widest)
             alignment = "page"
-        cuts = _pick_cuts(candidates, total, num_parts)
+        cuts = _pick_cuts(_cut_candidates(selection, edges), total, num_parts)
         if not cuts:
             return None
         bounds = [0] + cuts + [total]
         parts: List[PhysicalOp] = []
         for i in range(len(bounds) - 1):
             a, b = bounds[i], bounds[i + 1]
-            part_rows = positions[a:b]
             share = f"rows {a}..{b - 1} of {total}"
             parts.append(
                 dataclasses.replace(
                     op,
-                    selected_rows=part_rows,
+                    selection=selection.slice(a, b),
                     est_rows=op.est_rows * (b - a) / max(total, 1),
                     selection_notes=op.selection_notes
                     + (f"partition {i + 1}/{len(bounds) - 1} ({share})",),
@@ -664,27 +666,17 @@ class _FragmentPlanner:
         )
         return _Split(parts, note)
 
-    @staticmethod
-    def _zone_boundaries(stored, positions: np.ndarray) -> np.ndarray:
-        """Cut candidates (indices into the selected sequence) where a
-        new BDCC zone (count-table group) starts."""
-        offsets = np.sort(stored.bdcc.count_table.offsets)
-        zone_of = np.searchsorted(offsets, positions, side="right")
-        return np.flatnonzero(np.diff(zone_of) != 0) + 1
-
-    @staticmethod
-    def _page_boundaries(stored, op: PhysicalScan, positions: np.ndarray) -> np.ndarray:
-        """Cut candidates where the widest demanded column crosses a
-        page boundary, so partition IO stays page-granular."""
-        widest = max(
-            (stored.stored_bytes_per_value(c) for c in op.demanded), default=8.0
-        )
-        rows_per_page = max(stored.page_model.rows_per_page(widest), 1)
-        return np.flatnonzero(np.diff(positions // rows_per_page) != 0) + 1
-
 
 def _extend_rationale(rationale: str, extra: str) -> str:
     return f"{rationale}, {extra}" if rationale else extra
+
+
+def _cut_candidates(selection: Selection, edges: np.ndarray) -> np.ndarray:
+    """Cut candidates: the positions in the selected sequence whose row
+    lies past a stored-row edge its predecessor does not."""
+    _, lengths, bucket = selection.pieces(edges)
+    first = np.cumsum(lengths) - lengths
+    return first[1:][bucket[1:] != bucket[:-1]]
 
 
 def _pick_cuts(candidates: np.ndarray, total: int, num_parts: int) -> List[int]:

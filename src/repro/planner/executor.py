@@ -134,7 +134,9 @@ class Executor:
             pplan = lower(self.pdb, node, self.options)
         # counted here, not in lower(): lowering stays pure
         scans = [op for op in pplan.operators() if isinstance(op, PhysicalScan)]
-        selected = [op.selected_rows for op in scans if op.selected_rows is not None]
+        selected = [
+            op.selection for op in scans if not op.selection.is_whole(op.stored.stored_rows)
+        ]
         REGISTRY.inc("lowering.scans", len(scans))
         REGISTRY.inc("lowering.full_scans", len(scans) - len(selected))
         REGISTRY.inc("lowering.rows_selected", sum(map(len, selected)))

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..core.selection import Selection
 from ..execution.expressions import (
     And,
     Between,
@@ -220,44 +221,26 @@ def _resolve_selection(stored, restrictions, minmax_ranges):
     """Resolve a scan's selected row set from metadata only.
 
     Applies count-table group pruning (``restrictions``) and zone-map
-    block pruning (``minmax_ranges``); returns ``(rows, note_bits)``
-    where ``rows`` is None for "every stored row, in storage order" on
-    every scheme — for a BDCC scan, whenever the surviving groups are
-    all the groups of a dense count table (restrictions or not), which
-    a consolidated table never is.  Computed once here and carried on
-    the :class:`PhysicalScan` for every run."""
+    block pruning (``minmax_ranges``) to the whole table; returns
+    ``(selection, note_bits)``.  Computed once here and carried on the
+    :class:`PhysicalScan` for every run."""
     n = stored.stored_rows
     bdcc = stored.bdcc
     note_bits: List[str] = []
-    rows = None  # all rows, in storage order
-    if bdcc is not None:
-        count_table = bdcc.count_table
-        if restrictions:
-            entries = bdcc.entries_matching(list(restrictions))
-            note_bits.append(
-                f"pushdown {len(entries)}/{count_table.num_groups} groups"
-            )
-        else:
-            entries = bdcc.all_entries()
-        tiles_storage = (
-            len(entries) == count_table.num_entries
-            and count_table.is_dense
-            and count_table.total_rows() == n
-        )
-        if not tiles_storage:
-            rows = count_table.rows_for_entries(entries)
+    selection = stored.logical_selection()
+    if bdcc is not None and restrictions:
+        entries = bdcc.entries_matching(list(restrictions))
+        note_bits.append(f"pushdown {len(entries)}/{bdcc.count_table.num_groups} groups")
+        selection = bdcc.count_table.selection(entries)
 
     if minmax_ranges and n > 0:
         # lowering keeps only ranges that prune some block of this table
-        mask = np.ones(n, dtype=bool)
+        zones = Selection.whole(n)
         for column, low, high in minmax_ranges:
-            mask &= stored.minmax_for(column).row_mask(low, high, n)
-        if rows is None:
-            rows = np.flatnonzero(mask)
-        else:
-            rows = rows[mask[rows]]
-        note_bits.append(f"minmax {np.count_nonzero(mask)}/{n} rows")
-    return rows, note_bits
+            zones = zones.intersect(stored.minmax_for(column).select(low, high, n))
+        selection = selection.intersect(zones)
+        note_bits.append(f"minmax {len(zones)}/{n} rows")
+    return selection, note_bits
 
 
 @dataclass
@@ -406,19 +389,16 @@ class _Lowering:
                     continue
                 minmax_ranges.append((base, low, high))
 
-        rows, note_bits = _resolve_selection(stored, restrictions, minmax_ranges)
+        selection, note_bits = _resolve_selection(stored, restrictions, minmax_ranges)
 
         # ---- merge-on-read: mask deletions, select delta-run rows -------
-        delta_selected: Optional[Tuple[Tuple[int, np.ndarray], ...]] = None
+        delta_selected: Optional[Tuple[Tuple[int, Selection], ...]] = None
         delta_live = 0
         has_delta = stored.has_delta
         if has_delta:
             delta = stored.delta
             if delta.base_deleted.any():
-                if rows is None:
-                    rows = np.flatnonzero(~delta.base_deleted)
-                else:
-                    rows = rows[~delta.base_deleted[rows]]
+                selection = selection.intersect(Selection.from_mask(~delta.base_deleted))
                 note_bits.append(f"{delta.deleted_base_rows} deleted rows masked")
             delta_selected, delta_live = self._select_delta_rows(
                 stored, restrictions, minmax_ranges
@@ -427,7 +407,7 @@ class _Lowering:
                 f"+{delta_live}/{delta.live_delta_rows} delta rows "
                 f"({len(delta.runs)} runs, epoch {stored.epoch})"
             )
-        num_selected = (n if rows is None else len(rows)) + delta_live
+        num_selected = len(selection) + delta_live
         # block pruning yields a superset of the qualifying rows; the
         # value-based estimate bounds the residual predicate's effect
         total_rows = n + (stored.delta.total_delta_rows if has_delta else 0)
@@ -467,7 +447,7 @@ class _Lowering:
             predicate=node.predicate,
             restrictions=tuple(restrictions),
             minmax_ranges=tuple(minmax_ranges),
-            selected_rows=rows,
+            selection=selection,
             selection_notes=tuple(note_bits),
             sandwich_uses=tuple(sandwich_uses),
             est_rows=est_rows,
@@ -484,7 +464,7 @@ class _Lowering:
 
     def _select_delta_rows(
         self, stored, restrictions, minmax_ranges
-    ) -> Tuple[Tuple[Tuple[int, np.ndarray], ...], int]:
+    ) -> Tuple[Tuple[Tuple[int, Selection], ...], int]:
         """Per delta run, the row positions surviving the scan's
         count-table restrictions and zone-map ranges (the same superset
         semantics as the base selection: the residual predicate still
@@ -505,12 +485,13 @@ class _Lowering:
             if bdcc is not None and restrictions and run.keys is not None:
                 shift = np.uint64(bdcc.total_bits - bdcc.granularity)
                 keep &= bdcc.restriction_mask(run.keys >> shift, restrictions)
+            sel = Selection.from_mask(keep)
             for column, low, high in minmax_ranges:
                 block_rows = stored.page_model.rows_per_page(
                     stored.stored_bytes_per_value(column)
                 )
-                keep &= run.minmax_for(column, block_rows).row_mask(low, high, run.num_rows)
-            sel = np.flatnonzero(keep)
+                index = run.minmax_for(column, block_rows)
+                sel = sel.intersect(index.select(low, high, run.num_rows))
             total += len(sel)
             selected.append((run_index, sel))
         return tuple(selected), total

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.selection import Selection
+
 __all__ = ["MinMaxIndex"]
 
 
@@ -30,14 +32,9 @@ class MinMaxIndex:
     def build(cls, values: np.ndarray, block_rows: int) -> "MinMaxIndex":
         if block_rows <= 0:
             raise ValueError("block_rows must be positive")
-        n = len(values)
-        num_blocks = (n + block_rows - 1) // block_rows
-        mins = np.empty(num_blocks, dtype=values.dtype)
-        maxs = np.empty(num_blocks, dtype=values.dtype)
-        for b in range(num_blocks):
-            chunk = values[b * block_rows : (b + 1) * block_rows]
-            mins[b] = chunk.min()
-            maxs[b] = chunk.max()
+        starts = np.arange(0, len(values), block_rows)
+        mins = np.minimum.reduceat(values, starts)
+        maxs = np.maximum.reduceat(values, starts)
         return cls(block_rows=block_rows, mins=mins, maxs=maxs)
 
     @property
@@ -54,12 +51,11 @@ class MinMaxIndex:
             keep &= self.mins <= high
         return keep
 
-    def row_mask(self, low, high, num_rows: int) -> np.ndarray:
-        """Boolean per row of the indexed column (``num_rows`` long): may
-        the row's block contain a value in ``[low, high]``?  The verdicts
-        of :meth:`blocks_overlapping`, one per row."""
-        keep = self.blocks_overlapping(low, high)
-        return np.repeat(keep, self.block_rows)[:num_rows]
+    def select(self, low, high, num_rows: int) -> Selection:
+        """The rows of the indexed column (``num_rows`` long) whose block
+        may contain a value in ``[low, high]``: the verdicts of
+        :meth:`blocks_overlapping` as a run list."""
+        return Selection.from_blocks(self.blocks_overlapping(low, high), self.block_rows, num_rows)
 
     def selectivity(self, low, high) -> float:
         """Fraction of blocks that must be read for the range."""

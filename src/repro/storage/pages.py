@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import List, Tuple
+
+import numpy as np
+
+from ..core.selection import Selection
 
 __all__ = ["PageModel"]
 
@@ -36,33 +39,21 @@ class PageModel:
             raise ValueError("stored width must be positive")
         return max(1, int(self.page_bytes // stored_bytes_per_value))
 
-    def pages_for_row_runs(
-        self, runs: List[Tuple[int, int]], stored_bytes_per_value: float
-    ) -> List[Tuple[int, int]]:
-        """Map row runs ``(start_row, num_rows)`` to page runs
-        ``(start_page, num_pages)``, merging adjacent/overlapping ones.
+    def page_starts(self, num_rows: int, stored_bytes_per_value: float) -> np.ndarray:
+        """The first row of every page of a ``num_rows``-row column."""
+        return np.arange(0, num_rows, self.rows_per_page(stored_bytes_per_value), dtype=np.int64)
+
+    def pages_for_runs(self, selection: Selection, stored_bytes_per_value: float) -> Selection:
+        """The pages a selection's row runs touch, as page runs: a page
+        two runs share is read once, and runs of adjacent pages merge
+        into one access.  The runs ascend (a scan's always do), so a run
+        overlaps at most the page its predecessor ends in.
 
         Every scan's IO is charged through it
-        (:meth:`~repro.storage.stored_table.StoredTable.io_run_bytes`):
-        two selected runs that share a page only read it once within a
-        merged run.
+        (:meth:`~repro.storage.stored_table.StoredTable.io_run_bytes`).
         """
         rpp = self.rows_per_page(stored_bytes_per_value)
-        page_runs: List[Tuple[int, int]] = []
-        for start_row, num_rows in runs:
-            if num_rows <= 0:
-                continue
-            first = start_row // rpp
-            last = (start_row + num_rows - 1) // rpp
-            if page_runs:
-                prev_first, prev_len = page_runs[-1]
-                prev_last = prev_first + prev_len - 1
-                # merge forward-adjacent or overlapping runs (a shared
-                # boundary page is read once); backward jumps start a new
-                # run and will be charged a seek
-                if prev_first <= first <= prev_last + 1:
-                    new_last = max(prev_last, last)
-                    page_runs[-1] = (prev_first, new_last - prev_first + 1)
-                    continue
-            page_runs.append((first, last - first + 1))
-        return page_runs
+        first = selection.starts // rpp
+        end = (selection.starts + selection.lengths - 1) // rpp + 1
+        first[1:] = np.maximum(first[1:], end[:-1])
+        return Selection(first, end - first)

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..catalog import Table
 from ..core.bdcc_table import BDCCTable
+from ..core.selection import Selection
 from .minmax import MinMaxIndex
 from .pages import PageModel
 
@@ -109,6 +110,14 @@ class StoredTable:
         merged = {name: np.concatenate(arrs)[order] for name, arrs in pieces.items()}
         return merged, None if keys is None else keys[order]
 
+    def logical_selection(self) -> Selection:
+        """Every logical base row once, in storage-read order: on BDCC the
+        valid count-table entries' runs (skipping consolidated-away
+        originals), else the whole table."""
+        if self.bdcc is not None:
+            return self.bdcc.count_table.selection(self.bdcc.all_entries())
+        return Selection.whole(self.stored_rows)
+
     # ------------------------------------------------------------- layout
     def stored_bytes_per_value(self, column: str) -> float:
         return self.definition.column(column).datatype.stored_bytes
@@ -139,18 +148,12 @@ class StoredTable:
         return index
 
     # ----------------------------------------------------------------- IO
-    def io_run_bytes(
-        self, row_runs: List[Tuple[int, int]], columns: List[str]
-    ) -> List[float]:
+    def io_run_bytes(self, selection: Selection, columns: List[str]) -> List[float]:
         """Byte sizes of the separate disk accesses needed to read the
-        given row runs of the given columns (column store: one run list
+        selected rows of the given columns (column store: one run list
         per column, page-granular)."""
         sizes: List[float] = []
         for column in columns:
-            width = self.stored_bytes_per_value(column)
-            for _, num_pages in self.page_model.pages_for_row_runs(row_runs, width):
-                sizes.append(num_pages * self.page_model.page_bytes)
+            pages = self.page_model.pages_for_runs(selection, self.stored_bytes_per_value(column))
+            sizes.extend((pages.lengths * self.page_model.page_bytes).tolist())
         return sizes
-
-    def full_scan_runs(self) -> List[Tuple[int, int]]:
-        return [(0, self.stored_rows)] if self.stored_rows else []

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..core.count_table import CountTable
 from ..core.histograms import collect_granularity_stats
+from ..core.selection import Selection
 from ..execution.cost import CostModel
 from ..observe.registry import REGISTRY
 from ..storage.io_model import DiskModel
@@ -72,15 +73,6 @@ class CompactionPolicy:
         return pending / base_live >= self.max_delta_fraction
 
 
-def _base_logical_rows(stored: StoredTable) -> np.ndarray:
-    """Stored positions of the logical base rows, in storage-read order
-    (for BDCC: valid count-table entries, skipping consolidated-away
-    originals)."""
-    if stored.bdcc is not None:
-        return stored.bdcc.count_table.rows_for_entries(stored.bdcc.all_entries())
-    return np.arange(stored.stored_rows, dtype=np.int64)
-
-
 def compact_table(
     stored: StoredTable, disk: DiskModel, costs: CostModel
 ) -> Tuple[float, float]:
@@ -94,9 +86,10 @@ def compact_table(
     if delta is None or not delta.is_dirty:
         return 0.0, 0.0
 
-    base_rows = _base_logical_rows(stored)
-    live_base = base_rows[~delta.base_deleted[base_rows]]
-    live_runs = [(run, run.live_positions()) for run in delta.runs]
+    base_rows = stored.logical_selection()
+    live = base_rows.intersect(Selection.from_mask(~delta.base_deleted))
+    live_base = live.indexer()
+    live_runs = [(run, Selection.from_mask(~run.deleted).indexer()) for run in delta.runs]
     bdcc = stored.bdcc
     key_pieces = None
     if bdcc is not None:
@@ -108,7 +101,7 @@ def compact_table(
         },
         key_pieces,
     )
-    n = len(live_base) + delta.live_delta_rows
+    n = len(live) + delta.live_delta_rows
     # read base + deltas, write the merged table: the same bytes either way
     rewrite_bytes: List[float] = [
         n * stored.stored_bytes_per_value(name) for name in stored.columns
@@ -118,7 +111,7 @@ def compact_table(
         shift = np.uint64(bdcc.total_bits - bdcc.granularity)
         ct = bdcc.count_table
         valid = np.flatnonzero(ct.valid)
-        deleted_rows = base_rows[delta.base_deleted[base_rows]]
+        deleted_rows = base_rows.intersect(Selection.from_mask(delta.base_deleted)).indexer()
         removed_keys, removed_counts = np.unique(
             bdcc.keys[deleted_rows] >> shift, return_counts=True
         )

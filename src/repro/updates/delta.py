@@ -63,9 +63,6 @@ class DeltaRun:
     def live_rows(self) -> int:
         return self.num_rows - int(np.count_nonzero(self.deleted))
 
-    def live_positions(self) -> np.ndarray:
-        return np.flatnonzero(~self.deleted)
-
     def minmax_for(self, column: str, block_rows: int) -> MinMaxIndex:
         """Zone map over this run's values of one column (lazy, like the
         base table's)."""

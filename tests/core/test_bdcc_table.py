@@ -162,7 +162,7 @@ class TestEntriesMatching:
         entries = bdcc.entries_matching([(0, allowed, bdcc.uses[0].dimension.bits)])
         assert 0 < len(entries) < len(all_entries)
         # every selected row really has dkey in the allowed bins
-        rows = bdcc.count_table.rows_for_entries(entries)
+        rows = bdcc.count_table.selection(entries).rows()
         dkeys = mini_db.column("fact", "f_dkey")[bdcc.row_source[rows]]
         bins = bdcc.uses[0].dimension.bin_of_values([dkeys])
         assert set(np.unique(bins).tolist()) <= {0, 1}
@@ -175,7 +175,7 @@ class TestEntriesMatching:
         db, bdcc = fact_table
         allowed = np.array(sorted(allowed), dtype=np.uint64)
         entries = bdcc.entries_matching([(0, allowed, bdcc.uses[0].dimension.bits)])
-        rows = bdcc.count_table.rows_for_entries(entries)
+        rows = bdcc.count_table.selection(entries).rows()
         selected_ids = set(db.column("fact", "f_id")[bdcc.row_source[rows]].tolist())
         dkeys = db.column("fact", "f_dkey")
         bins = bdcc.uses[0].dimension.bin_of_values([dkeys])

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bdcc_table import BDCCBuildConfig, build_bdcc_table
-from repro.core.count_table import CountTable, expand_runs
+from repro.core.count_table import CountTable
 from repro.core.dimension_use import DimensionUse, check_bdcc_constraints
 from repro.core.histograms import choose_granularity, collect_granularity_stats
-from repro.execution.operators import _rows_to_runs
+from repro.core.selection import expand_runs
 
 from .test_bdcc_table import _mini_db, _uses
 
@@ -74,7 +74,7 @@ class TestCountTable:
 
 
 def _rows_per_entry_loop(ct: CountTable, entries) -> np.ndarray:
-    """The per-entry ``arange`` loop ``rows_for_entries`` used to be,
+    """The per-entry ``arange`` loop the entries' rows used to be,
     kept here as the reference the vectorised kernel must equal."""
     pieces = [
         np.arange(ct.offsets[idx], ct.offsets[idx] + ct.counts[idx])
@@ -112,24 +112,24 @@ def _count_tables(draw):
 
 
 class TestRunExpansion:
-    """``rows_for_entries`` is one vectorised kernel; the old loop lives
+    """An entry selection's rows are one vectorised kernel; the old loop lives
     on only as this class's reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(_count_tables())
     def test_kernel_equals_the_per_entry_loop(self, drawn):
         ct, entries = drawn  # entries arrive unsorted, possibly empty
-        rows = ct.rows_for_entries(entries)
+        rows = ct.selection(entries).rows()
         assert rows.dtype == np.int64
         assert np.array_equal(rows, _rows_per_entry_loop(ct, entries))
-        valid_rows = ct.rows_for_entries(ct.select_entries())
+        valid_rows = ct.selection(ct.select_entries()).rows()
         assert len(valid_rows) == ct.total_rows()
         assert len(np.unique(valid_rows)) == len(valid_rows)
 
     def test_empty_input_is_empty_int64(self):
         ct = CountTable.from_sorted_keys(np.array([0, 0, 1], dtype=np.uint64), 2, 2)
         for rows in (
-            ct.rows_for_entries(np.zeros(0, dtype=np.int64)),
+            ct.selection(np.zeros(0, dtype=np.int64)).rows(),
             expand_runs([], []),
             expand_runs([7, 3], [0, 0]),
         ):
@@ -145,7 +145,7 @@ class TestRunExpansion:
             offsets=np.array([0, 1, 3, 4]),
             valid=np.array([False, True, True, True]),
         )
-        assert ct.rows_for_entries(np.array([3, 2, 1])).tolist() == [1, 2, 3, 4]
+        assert ct.selection(np.array([3, 2, 1])).rows().tolist() == [1, 2, 3, 4]
 
     def test_runs_in_the_order_given(self):
         assert expand_runs([5, 0, 2], [2, 1, 3]).tolist() == [5, 6, 0, 2, 3, 4]
@@ -163,7 +163,7 @@ class TestRunExpansion:
         monkeypatch.setattr(
             np, "arange", lambda *a, **k: calls.append(1) or real_arange(*a, **k)
         )
-        rows = ct.rows_for_entries(ct.select_entries()[::2])
+        rows = ct.selection(ct.select_entries()[::2]).rows()
         monkeypatch.undo()
         assert len(calls) <= 2
         assert len(rows) == n and rows[:4].tolist() == [0, 1, 4, 5]
@@ -171,30 +171,37 @@ class TestRunExpansion:
     def test_adjacent_groups_read_as_one_run(self):
         keys = np.array([0, 0, 1, 3, 3], dtype=np.uint64)
         ct = CountTable.from_sorted_keys(keys, 2, 2)
-        assert _rows_to_runs(ct.rows_for_entries(np.array([0, 1, 2]))) == [(0, 5)]
-        runs = _rows_to_runs(ct.rows_for_entries(np.array([0, 2])))
+        assert ct.selection(np.array([0, 1, 2])).runs() == [(0, 5)]
+        runs = ct.selection(np.array([0, 2])).runs()
         assert runs == [(0, 2), (3, 2)]
         assert all(type(v) is int for run in runs for v in run)
+
+
+def _reads_whole(ct: CountTable) -> bool:
+    """Whether the valid entries select every row the entries span, in
+    storage order: one run from row 0 (what lowering calls a full scan)."""
+    return ct.selection(ct.select_entries()).is_whole(int(ct.counts.sum()))
 
 
 class TestDenseCountTable:
     def test_fresh_and_merged_tables_are_dense(self):
         keys = np.array([0, 0, 1, 3, 3], dtype=np.uint64)
         ct = CountTable.from_sorted_keys(keys, 2, 2)
-        assert ct.is_dense
+        assert _reads_whole(ct)
         merged = CountTable.merge_entries(
             2, ct.keys, ct.counts,
             added_keys=np.array([2], dtype=np.uint64), added_counts=np.array([4]),
             removed_keys=np.array([1], dtype=np.uint64), removed_counts=np.array([1]),
         )
-        assert merged.is_dense and merged.total_rows() == 8
-        assert CountTable.from_sorted_keys(np.zeros(0, dtype=np.uint64), 4, 2).is_dense
+        assert _reads_whole(merged) and merged.total_rows() == 8
+        assert _reads_whole(CountTable.from_sorted_keys(np.zeros(0, dtype=np.uint64), 4, 2))
 
     def test_dense_entries_are_the_identity_selection(self):
         keys = np.sort(np.random.default_rng(3).integers(0, 64, 500).astype(np.uint64))
         ct = CountTable.from_sorted_keys(keys, 6, 4)
-        assert ct.is_dense
-        assert np.array_equal(ct.rows_for_entries(ct.select_entries()), np.arange(500))
+        assert _reads_whole(ct)
+        assert ct.selection(ct.select_entries()).runs() == [(0, 500)]
+        assert np.array_equal(ct.selection(ct.select_entries()).rows(), np.arange(500))
 
     def test_invalid_gapped_or_shifted_tables_are_not(self):
         def table(counts, offsets, valid=None):
@@ -204,11 +211,11 @@ class TestDenseCountTable:
                 np.ones(n, dtype=bool) if valid is None else np.array(valid),
             )
 
-        assert table([2, 3], [0, 2]).is_dense
-        assert not table([2, 3], [0, 2], valid=[True, False]).is_dense
-        assert not table([2, 3], [0, 3]).is_dense      # a gap
-        assert not table([2, 3], [1, 3]).is_dense      # does not start at row 0
-        assert not table([2, 3], [3, 0]).is_dense      # tiles, but out of storage order
+        assert _reads_whole(table([2, 3], [0, 2]))
+        assert not _reads_whole(table([2, 3], [0, 2], valid=[True, False]))
+        assert not _reads_whole(table([2, 3], [0, 3]))      # a gap
+        assert not _reads_whole(table([2, 3], [1, 3]))      # does not start at row 0
+        assert not _reads_whole(table([2, 3], [3, 0]))      # tiles, but out of storage order
 
     def test_consolidated_build_is_not_dense(self):
         db = _mini_db(n_fact=512, seed=2)
@@ -219,8 +226,8 @@ class TestDenseCountTable:
         )
         ct = bdcc.count_table
         assert not ct.valid.all(), "the fixture must actually consolidate"
-        assert not ct.is_dense
-        rows = ct.rows_for_entries(bdcc.all_entries())
+        assert not _reads_whole(ct)
+        rows = ct.selection(bdcc.all_entries()).rows()
         assert np.array_equal(np.sort(bdcc.row_source[rows]), np.arange(512))
 
 

@@ -111,12 +111,13 @@ def _reference_groups(op):
     """The bits of every emitted row's key — what the scan computed per
     row before group columns came from the count table."""
     bdcc = op.stored.bdcc
-    rows = op.selected_rows
-    keys = bdcc.keys if rows is None else bdcc.keys[rows]
+    keys = bdcc.keys[op.selection.rows()]
     if op.delta_selected is not None:
         runs = op.stored.delta.runs
         # the merged stream is in _bdcc_ key order
-        keys = np.sort(np.concatenate([keys] + [runs[i].keys[s] for i, s in op.delta_selected]))
+        keys = np.sort(
+            np.concatenate([keys] + [runs[i].keys[s.rows()] for i, s in op.delta_selected])
+        )
     return {name: gather_use_bits(keys, bdcc.uses[u].mask, b) for u, b, name in op.sandwich_uses}
 
 
@@ -142,9 +143,10 @@ def _shape(op):
         return "deletes masked"
     if "minmax" in notes:
         return "zone-map pruned"
-    if op.selected_rows is not None:
+    if not op.selection.is_whole(op.stored.stored_rows):
         return "pushdown selected"
-    assert bdcc.count_table.is_dense
+    ct = bdcc.count_table
+    assert np.array_equal(ct.offsets, np.cumsum(ct.counts) - ct.counts)  # entries tile storage
     return "full dense scan"
 
 

@@ -20,12 +20,6 @@ SEED = 7
 NUM_QUERIES = 10
 
 
-def _serial_selection(scan: PhysicalScan) -> np.ndarray:
-    if scan.selected_rows is None:
-        return np.arange(scan.stored.stored_rows, dtype=np.int64)
-    return np.asarray(scan.selected_rows)
-
-
 def _identical(a, b) -> bool:
     if a.column_names != b.column_names or a.num_rows != b.num_rows:
         return False
@@ -66,9 +60,9 @@ class TestPartitionCoverage:
                 if isinstance(op, PhysicalScan):
                     partitioned.setdefault(op.alias, []).append(op)
         for alias, parts in partitioned.items():
-            pieces = [np.asarray(p.selected_rows) for p in parts]
+            pieces = [p.selection.rows() for p in parts]
             combined = np.concatenate(pieces)
-            serial = _serial_selection(serial_scans[alias])
+            serial = serial_scans[alias].selection.rows()
             # disjoint: sizes add up; cover *in storage order*: the
             # concatenation reproduces the serial selection exactly
             assert sum(len(p) for p in pieces) == len(serial)
@@ -135,7 +129,7 @@ class TestFragmentStructure:
             scan_op = next(
                 op for op in walk_physical(fragment.root) if isinstance(op, PhysicalScan)
             )
-            assert int(scan_op.selected_rows[0]) in offsets
+            assert int(scan_op.selection.starts[0]) in offsets
 
     def test_min_partition_rows_gates_splitting(self, bdcc_db):
         from repro.planner.logical import scan

@@ -1,10 +1,11 @@
-"""Selection resolution: ``selected_rows`` is metadata, and a selection
-of the whole table is no selection.
+"""Selection resolution: a scan's ``selection`` is metadata, a run list
+resolved at lowering, and a selection of the whole table is its one run.
 
-``None`` means "every stored row, in storage order" on every scheme; a
+``(0, n)`` means "every stored row, in storage order" on every scheme; a
 BDCC scan gets it whenever its surviving groups are all the groups of a
 dense count table.  Anything that really selects — pruned groups,
-masked deletes, a consolidated table — carries the row indices.
+masked deletes, a consolidated table — carries the runs it keeps, and a
+selection of at most one run is read as views of the stored columns.
 """
 
 import dataclasses
@@ -15,13 +16,14 @@ import pytest
 
 from repro import tpch
 from repro.core.bdcc_table import BDCCBuildConfig
+from repro.core.selection import Selection
 from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
-from repro.execution.operators import PhysicalScan
+from repro.execution.metrics import ExecutionMetrics
+from repro.execution.operators import ExecutionContext, PhysicalScan
 from repro.observe.registry import REGISTRY
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
-from repro.storage.minmax import MinMaxIndex
 from repro.tpch.environment import make_environment
 from repro.tpch.harness import build_schemes
 from repro.tpch.queries import QUERIES
@@ -29,6 +31,9 @@ from repro.tpch.runner import run_query
 from repro.updates import CompactionPolicy, UpdateSession
 from repro.workload.differential import reference_mismatch, run_differential
 from repro.workload.reference import evaluate_reference
+
+from ..core.test_selection import _rows_to_runs
+from ..storage.test_storage import _pages_for_row_runs
 
 SMALL_SF = 0.003
 NO_COMPACTION = CompactionPolicy(max_delta_fraction=None)
@@ -62,12 +67,68 @@ def consolidated(small_db):
     return env, pdb
 
 
-class TestWholeTableIsNoSelection:
+def _contiguous_groups(physical_dbs):
+    """A BDCC ORDERS scan from the first date whose bin sets the date
+    dimension's top bit: the surviving groups are the trailing half of
+    the key space, one run that does not start at row 0."""
+    pdb = physical_dbs["bdcc"]
+    dates = pdb.database.column("orders", "o_orderdate")
+    dimension = pdb.table("orders").bdcc.uses[0].dimension
+    assert dimension.name == "D_DATE"
+    bins = dimension.bin_of_values([dates])
+    cut = int(dates[bins >= 1 << (dimension.bits - 1)].min())
+    op = _scan_op(pdb, scan("orders", predicate=col("o_orderdate").ge(cut)))
+    assert op.selection_notes[0].startswith("pushdown")
+    assert not op.selection.is_whole(op.stored.stored_rows)
+    return op
+
+
+def _plain_partition(physical_dbs):
+    """The second of a Plain LINEITEM scan's page-aligned partitions at
+    ``workers=4``."""
+    executor = Executor(
+        physical_dbs["plain"], options=ExecutionOptions(workers=4, min_partition_rows=256)
+    )
+    parallel = executor.parallel_plan(executor.lower(scan("lineitem")))
+    parts = [f.root for f in parallel.fragments if f.role == "partition"]
+    assert len(parts) == 4 and all(isinstance(p, PhysicalScan) for p in parts)
+    return parts[1]
+
+
+#: scans whose selection is at most one run
+ONE_RUN = {
+    "whole table": lambda dbs: _scan_op(dbs["bdcc"], scan("orders")),
+    "contiguous groups": _contiguous_groups,
+    "plain partition": _plain_partition,
+}
+
+
+def _row_index_io(op, disk):
+    """The IO the scan charged when it held row indices: the runs the
+    rows diffed into, a page run list per demanded column, plus the
+    BDCC key column and the count table."""
+    stored = op.stored
+    runs = _rows_to_runs(op.selection.rows())
+    sizes = [
+        num_pages * stored.page_model.page_bytes
+        for column in op.demanded
+        for _, num_pages in _pages_for_row_runs(
+            runs, stored.page_model.rows_per_page(stored.stored_bytes_per_value(column))
+        )
+    ]
+    if op.stored.bdcc is not None:
+        sizes += [length * 1.0 for _, length in runs]
+        sizes.append(op.stored.bdcc.count_table.num_entries * 8.0)
+    return float(sum(sizes)), len(sizes), disk.time_for_runs(sizes)
+
+
+class TestWholeTableIsOneRun:
     def test_unrestricted_bdcc_scan(self, bdcc_db):
         for table in ("lineitem", "orders", "nation"):
             op = _scan_op(bdcc_db, scan(table))
             assert op.stored.bdcc is not None
-            assert op.selected_rows is None, table
+            assert op.selection.runs() == [(0, op.stored.stored_rows)], table
+            assert op.selection.is_whole(op.stored.stored_rows)
             assert op.selection_notes == ()
 
     def test_restriction_that_keeps_every_group(self, bdcc_db):
@@ -78,33 +139,48 @@ class TestWholeTableIsNoSelection:
         assert op.restrictions
         kept, total = re.fullmatch(r"pushdown (\d+)/(\d+) groups", op.selection_notes[0]).groups()
         assert kept == total == str(op.stored.bdcc.count_table.num_groups)
-        assert op.selected_rows is None
+        assert op.selection.is_whole(op.stored.stored_rows)
 
-    def test_pruning_restriction_materialises_rows(self, bdcc_db):
+    def test_pruning_restriction_selects_fewer_rows(self, bdcc_db):
         dates = bdcc_db.database.column("orders", "o_orderdate")
         op = _scan_op(bdcc_db, scan("orders", predicate=col("o_orderdate").ge(int(np.median(dates)))))
-        assert op.selected_rows is not None
-        assert op.selected_rows.dtype == np.int64
-        assert 0 < len(op.selected_rows) < op.stored.stored_rows
+        assert not op.selection.is_whole(op.stored.stored_rows)
+        assert op.selection.starts.dtype == op.selection.lengths.dtype == np.int64
+        assert 0 < len(op.selection) < op.stored.stored_rows
 
-    def test_full_scan_reads_views_and_charges_like_the_identity(self, bdcc_db, environment):
-        """``None`` and ``arange(n)`` are the same scan on the simulated
-        clock; only the host stops copying."""
-        executor = Executor(bdcc_db, disk=environment.disk, costs=environment.cost_model)
-        pplan = executor.lower(scan("orders"))
-        as_view = executor.run(pplan)
-        stored = pplan.root.stored
-        identity = dataclasses.replace(
-            pplan, root=dataclasses.replace(
-                pplan.root, selected_rows=np.arange(stored.stored_rows, dtype=np.int64)
-            ),
-        )
-        as_copy = executor.run(identity)
+    @pytest.mark.parametrize("case", sorted(ONE_RUN))
+    def test_full_scan_reads_views_and_charges_like_the_identity(
+        self, case, physical_dbs, environment, monkeypatch
+    ):
+        """A one-run selection and its expanded rows are the same scan on
+        the simulated clock, and the charge is the one the row indices
+        got; only the host stops copying.  (The residual predicate is
+        left out: it filters into fresh arrays whatever the scan hands
+        it.)"""
+        op = dataclasses.replace(ONE_RUN[case](physical_dbs), predicate=None)
+        assert len(op.selection.starts) == 1 and len(op.selection) > 0
+
+        def run():
+            metrics = ExecutionMetrics()
+            ctx = ExecutionContext(environment.disk, environment.cost_model, metrics)
+            return op.execute(ctx), metrics
+
+        as_view, view_metrics = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(Selection, "indexer", Selection.rows)
+            as_copy, copy_metrics = run()
         for name in ("io_seconds", "cpu_seconds", "io_bytes", "io_accesses", "rows_scanned"):
-            assert getattr(as_view.metrics, name) == getattr(as_copy.metrics, name), name
-        column = as_view.relation.column("o_orderkey")
-        assert np.shares_memory(column, stored.columns["o_orderkey"])
-        assert np.array_equal(column, as_copy.relation.column("o_orderkey"))
+            assert getattr(view_metrics, name) == getattr(copy_metrics, name), name
+        assert (
+            view_metrics.io_bytes, view_metrics.io_accesses, view_metrics.io_seconds
+        ) == _row_index_io(op, environment.disk)
+        assert view_metrics.rows_scanned == len(op.selection)
+        for column in op.demanded:
+            stored = op.stored.columns[column]
+            got = as_view.columns[op.prefix + column]
+            assert np.shares_memory(got, stored), column
+            assert not np.shares_memory(as_copy.columns[op.prefix + column], stored)
+            assert np.array_equal(got, stored[op.selection.rows()]), column
 
     def test_pending_deletes_select_the_survivors(self):
         db = tpch.generate(scale_factor=0.002, seed=1234)
@@ -116,20 +192,20 @@ class TestWholeTableIsNoSelection:
         assert op.kind == "DeltaMergeScan"
         deleted = op.stored.delta.base_deleted
         assert deleted.any()
-        assert np.array_equal(op.selected_rows, np.flatnonzero(~deleted))
+        assert np.array_equal(op.selection.rows(), np.flatnonzero(~deleted))
+        assert op.selection.runs() == _rows_to_runs(np.flatnonzero(~deleted))
 
     def test_consolidated_table_selects_through_the_count_table(self, consolidated):
         _, pdb = consolidated
         op = _scan_op(pdb, scan("lineitem"))
         bdcc = op.stored.bdcc
-        assert op.selected_rows is not None
-        assert len(op.selected_rows) == bdcc.logical_rows < op.stored.stored_rows
+        rows = op.selection.rows()
+        assert not op.selection.is_whole(op.stored.stored_rows)
+        assert len(rows) == bdcc.logical_rows < op.stored.stored_rows
         # each logical row exactly once, the moved groups read from the
         # appended region
-        assert np.array_equal(
-            np.sort(bdcc.row_source[op.selected_rows]), np.arange(bdcc.logical_rows)
-        )
-        assert op.selected_rows.max() >= bdcc.logical_rows
+        assert np.array_equal(np.sort(bdcc.row_source[rows]), np.arange(bdcc.logical_rows))
+        assert rows.max() >= bdcc.logical_rows
 
 
 class TestLoweringCounters:
@@ -143,16 +219,16 @@ class TestLoweringCounters:
         names = ("lowering.scans", "lowering.full_scans", "lowering.rows_selected")
         before = [REGISTRY.get(n) for n in names]
         pplan = executor.lower(plan)
-        selections = [
-            op.selected_rows for op in pplan.operators() if isinstance(op, PhysicalScan)
+        scans = [op for op in pplan.operators() if isinstance(op, PhysicalScan)]
+        selecting = [
+            op.selection for op in scans if op.selection.runs() != [(0, op.stored.stored_rows)]
         ]
-        materialised = [rows for rows in selections if rows is not None]
-        assert len(selections) == 2 and materialised
+        assert len(scans) == 2 and selecting
         moved = [REGISTRY.get(n) - b for n, b in zip(names, before)]
         assert moved == [
             2.0,
-            float(len(selections) - len(materialised)),
-            float(sum(len(rows) for rows in materialised)),
+            float(len(scans) - len(selecting)),
+            float(sum(len(selection) for selection in selecting)),
         ]
         executor.lower(plan)  # a cache hit lowers nothing and counts nothing
         assert [REGISTRY.get(n) - b for n, b in zip(names, before)] == moved
@@ -208,7 +284,7 @@ def _zero_rows(db, env, pdbs):
     session = UpdateSession(*pdbs.values(), policy=NO_COMPACTION)
     session.delete_where("lineitem", col("l_quantity").ge(0.0))
     session.commit()
-    return pdbs, "lineitem", lambda op: len(op.selected_rows) == 0 and op.delta_selected == ()
+    return pdbs, "lineitem", lambda op: len(op.selection) == 0 and op.delta_selected == ()
 
 
 def _single_zone(db, env, pdbs):
@@ -282,17 +358,6 @@ class TestDegenerateScans:
                 executor = Executor(pdb, disk=env.disk, costs=env.cost_model, options=options)
                 detail, _ = reference_mismatch(reference, executor.execute(plan).relation)
                 assert detail is None, (case, scheme, detail)
-
-
-@pytest.mark.parametrize("num_rows,block_rows", [(1000, 100), (1037, 100), (5, 16), (0, 16)])
-def test_row_mask_is_each_rows_block_verdict(num_rows, block_rows):
-    values = np.sort(np.random.default_rng(num_rows).integers(0, 1000, num_rows))
-    index = MinMaxIndex.build(values, block_rows)
-    assert index.num_blocks == -(-num_rows // block_rows)
-    keep_blocks = index.blocks_overlapping(200, 400)
-    expected = keep_blocks[np.arange(num_rows) // block_rows]
-    mask = index.row_mask(200, 400, num_rows)
-    assert mask.dtype == bool and np.array_equal(mask, expected)
 
 
 class TestFullScansAliasStorage:

@@ -2,14 +2,37 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import INT32, Schema, string_type
+from repro.core.selection import Selection
 from repro.storage.database import Database, lookup_rows
 from repro.storage.io_model import PAPER_SSD, DiskModel
 from repro.storage.minmax import MinMaxIndex
 from repro.storage.pages import PageModel
+
+
+def _pages_for_row_runs(runs, rpp):
+    """Row runs -> page runs, one run at a time: the loop every scan's
+    IO was charged through before page runs were computed per selection."""
+    page_runs = []
+    for start_row, num_rows in runs:
+        if num_rows <= 0:
+            continue
+        first = start_row // rpp
+        last = (start_row + num_rows - 1) // rpp
+        if page_runs:
+            prev_first, prev_len = page_runs[-1]
+            prev_last = prev_first + prev_len - 1
+            # merge forward-adjacent or overlapping runs (a shared
+            # boundary page is read once)
+            if prev_first <= first <= prev_last + 1:
+                new_last = max(prev_last, last)
+                page_runs[-1] = (prev_first, new_last - prev_first + 1)
+                continue
+        page_runs.append((first, last - first + 1))
+    return page_runs
 
 
 class TestPageModel:
@@ -25,18 +48,31 @@ class TestPageModel:
 
     def test_row_runs_to_page_runs_merging(self):
         pm = PageModel(1024)  # 256 rows/page at 4B
-        runs = pm.pages_for_row_runs([(0, 100), (100, 200)], 4.0)
+        runs = pm.pages_for_runs(Selection([0, 100], [100, 200]), 4.0).runs()
         assert runs == [(0, 2)]  # contiguous rows share pages
 
     def test_scattered_runs(self):
         pm = PageModel(1024)
-        runs = pm.pages_for_row_runs([(0, 10), (1000, 10)], 4.0)
+        runs = pm.pages_for_runs(Selection([0, 1000], [10, 10]), 4.0).runs()
         assert runs == [(0, 1), (3, 1)]
 
-    def test_backward_jump_new_run(self):
+    def test_shared_boundary_page_is_read_once(self):
         pm = PageModel(1024)
-        runs = pm.pages_for_row_runs([(1000, 10), (0, 10)], 4.0)
-        assert len(runs) == 2
+        runs = pm.pages_for_runs(Selection([0, 250, 300, 600], [10, 10, 5, 1]), 4.0).runs()
+        assert runs == [(0, 3)]  # pages 0-1, then 1 again, then 2 adjacent
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.booleans(), max_size=400).map(lambda v: np.array(v, dtype=bool)),
+        st.integers(1, 64),
+    )
+    def test_page_runs_equal_the_per_run_loop(self, mask, width):
+        """The per-run loop the page runs were computed by is the
+        reference, for any ascending selection and column width."""
+        pm = PageModel(256)
+        selection = Selection.from_mask(mask)
+        expected = _pages_for_row_runs(selection.runs(), pm.rows_per_page(float(width)))
+        assert pm.pages_for_runs(selection, float(width)).runs() == expected
 
 
 class TestDiskModel:
@@ -103,6 +139,28 @@ class TestMinMax:
         qualifying = np.flatnonzero((arr >= lo) & (arr <= hi))
         for row in qualifying:
             assert keep_blocks[row // 16]
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 300),
+        st.integers(1, 64),
+        st.sampled_from([np.int32, np.int64, np.float32, np.float64]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_build_equals_the_per_block_loop(self, n, block_rows, dtype, seed):
+        """``build`` is one ``reduceat`` per bound; the per-block loop it
+        replaced is the reference, bit for bit (``n % block_rows != 0``
+        and zero rows included)."""
+        rng = np.random.default_rng(seed)
+        values = (rng.standard_normal(n) * 1e6).astype(dtype)
+        idx = MinMaxIndex.build(values, block_rows)
+        num_blocks = -(-n // block_rows)
+        chunks = [values[b * block_rows:(b + 1) * block_rows] for b in range(num_blocks)]
+        mins = np.array([c.min() for c in chunks], dtype=dtype)
+        maxs = np.array([c.max() for c in chunks], dtype=dtype)
+        assert idx.mins.dtype == idx.maxs.dtype == values.dtype
+        assert idx.mins.tobytes() == mins.tobytes()
+        assert idx.maxs.tobytes() == maxs.tobytes()
 
 
 class TestDatabase:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.catalog import INT32, Schema, string_type
+from repro.core.selection import Selection
 from repro.storage.pages import PageModel
 from repro.storage.stored_table import StoredTable
 
@@ -43,26 +44,26 @@ class TestLayout:
 class TestIO:
     def test_full_scan_one_run_per_column(self):
         t = _table()
-        sizes = t.io_run_bytes(t.full_scan_runs(), ["a", "s"])
+        sizes = t.io_run_bytes(Selection.whole(t.stored_rows), ["a", "s"])
         assert len(sizes) == 2
         assert sizes[0] == 4 * 1024  # 4 pages of 'a'
         assert sizes[1] == 16 * 1024
 
     def test_scattered_runs_cost_more_accesses(self):
         t = _table()
-        contiguous = t.io_run_bytes([(0, 512)], ["a"])
-        scattered = t.io_run_bytes([(0, 256), (700, 256)], ["a"])
+        contiguous = t.io_run_bytes(Selection([0], [512]), ["a"])
+        scattered = t.io_run_bytes(Selection([0, 700], [256, 256]), ["a"])
         assert len(scattered) > len(contiguous)
         assert sum(scattered) >= sum(contiguous)
 
     def test_adjacent_runs_merge_to_one_access(self):
         t = _table()
-        sizes = t.io_run_bytes([(0, 256), (256, 256)], ["a"])
+        sizes = t.io_run_bytes(Selection([0, 256], [256, 256]), ["a"])
         assert len(sizes) == 1
 
     def test_empty_runs(self):
         t = _table()
-        assert t.io_run_bytes([], ["a"]) == []
+        assert t.io_run_bytes(Selection([], []), ["a"]) == []
 
 
 class TestMinMaxIntegration:

@@ -122,13 +122,13 @@ class TestParallelDeltaScans:
         ]
         assert partitions
         serial_scan = pplan.root
-        base_total = sum(len(p.selected_rows) for p in partitions)
-        assert base_total == len(serial_scan.selected_rows)
+        base_total = sum(len(p.selection) for p in partitions)
+        assert base_total == len(serial_scan.selection)
         for run_index, sel in serial_scan.delta_selected:
             pieces = np.concatenate([
-                dict(p.delta_selected)[run_index] for p in partitions
+                dict(p.delta_selected)[run_index].rows() for p in partitions
             ])
-            assert np.array_equal(np.sort(pieces), np.sort(sel))
+            assert np.array_equal(np.sort(pieces), np.sort(sel.rows()))
 
     def test_plain_and_pk_delta_scans_degrade_to_serial(self, dirty):
         _, env, pdbs = dirty
