@@ -138,9 +138,6 @@ class BDCCTable:
         )
         return np.flatnonzero(keep)
 
-    def all_entries(self) -> np.ndarray:
-        return self.count_table.select_entries()
-
     # ------------------------------------------------------------- updates
     def keys_for_rows(self, db: Database, row_indices: np.ndarray) -> np.ndarray:
         """``_bdcc_`` keys for the given rows of the live database,

@@ -117,10 +117,9 @@ class CountTable:
         count even after consolidation)."""
         return int(self.counts[self.valid].sum())
 
-    def select_entries(self, entry_mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Indices of valid entries, optionally intersected with a mask."""
-        mask = self.valid if entry_mask is None else (self.valid & entry_mask)
-        return np.flatnonzero(mask)
+    def select_entries(self) -> np.ndarray:
+        """Indices of valid entries."""
+        return np.flatnonzero(self.valid)
 
     def selection(self, entries: np.ndarray) -> Selection:
         """The stored rows of the given entries, in *entry-index* order:

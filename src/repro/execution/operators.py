@@ -849,8 +849,8 @@ class Aggregate(_ByStrategy, PhysicalOp):
             valid = None
             if spec.expr is not None:
                 values = np.asarray(spec.expr.eval(rel))
-                if isinstance(spec.expr, Col):
-                    valid = rel.valid.get(spec.expr.name)
+                masks = [rel.valid[c] for c in spec.expr.columns() if c in rel.valid]
+                valid = np.logical_and.reduce(masks) if masks else None  # NULL inputs skip the row
                 ctx.metrics.charge_cpu(n * ctx.costs.expr_value, "aggregate")
             columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, valid)
         # a sandwich aggregate's output keeps its uses' hidden group columns

@@ -20,7 +20,7 @@ checks it by replay:
    unless the plan's contract lets a gather reorder (``reorders`` —
    which re-aggregating plans imply), then as normalized multisets
    under per-dtype tolerances.  Optionally every served result is
-   additionally judged against the naive reference evaluator
+   additionally judged against the SQL reference
    (:func:`~repro.workload.differential.reference_mismatch`).
 
 A failed check is reported as the sweep's own

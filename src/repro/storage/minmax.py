@@ -56,9 +56,3 @@ class MinMaxIndex:
         may contain a value in ``[low, high]``: the verdicts of
         :meth:`blocks_overlapping` as a run list."""
         return Selection.from_blocks(self.blocks_overlapping(low, high), self.block_rows, num_rows)
-
-    def selectivity(self, low, high) -> float:
-        """Fraction of blocks that must be read for the range."""
-        if self.num_blocks == 0:
-            return 0.0
-        return float(np.count_nonzero(self.blocks_overlapping(low, high))) / self.num_blocks

@@ -115,7 +115,8 @@ class StoredTable:
         valid count-table entries' runs (skipping consolidated-away
         originals), else the whole table."""
         if self.bdcc is not None:
-            return self.bdcc.count_table.selection(self.bdcc.all_entries())
+            count_table = self.bdcc.count_table
+            return count_table.selection(count_table.select_entries())
         return Selection.whole(self.stored_rows)
 
     # ------------------------------------------------------------- layout

@@ -2,7 +2,7 @@
 
 An :class:`UpdateSession` spans one *logical* database and every physical
 database materialised over it — committing once keeps the logical arrays
-(what the naive reference evaluator and dimension paths read) and every
+(what the SQL reference and dimension paths read) and every
 scheme's delta stores in step:
 
 .. code-block:: python

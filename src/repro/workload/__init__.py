@@ -11,12 +11,13 @@ into a *property* checked over an unbounded query space:
   directions (N:1 and 1:N, inner/left/semi/anti, optional residuals),
   group-bys over key subsets, sort/limit — biased toward the shapes that
   exercise the merge, sandwich and hash paths;
-* :mod:`repro.workload.reference` — a naive reference evaluator that
-  computes each logical plan directly on the base numpy arrays,
-  independent of schemes, lowering and the physical operators;
+* :mod:`repro.workload.reference` — the SQL reference: each logical
+  plan printed as SQL and run by stdlib ``sqlite3`` over a copy of the
+  base tables, independent of schemes, lowering, the physical operators
+  and the expression evaluator;
 * :mod:`repro.workload.differential` — one verdict, one sweep.  The two
   verdict functions every driver judges results with
-  (``reference_mismatch`` against the naive reference, ``twin_mismatch``
+  (``reference_mismatch`` against the SQL reference, ``twin_mismatch``
   between two engine results — bit-for-bit, or as multisets when the
   plan's contract lets a gather reorder), and the one sweep built on
   them: every generated plan is executed under Plain/PK/BDCC x the

@@ -2,7 +2,7 @@
 
 Generates TPC-H data, builds the physical schemes, then sweeps ``N``
 seeded random plans through every scheme x ablation variant against the
-naive reference evaluator.  Exits non-zero on any result divergence.
+SQL reference.  Exits non-zero on any result divergence.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
                     "then the recorded event log is replayed solo against "
                     "a pristine identical database; every served result "
                     "must match its pinned-epoch solo run bit-for-bit "
-                    "(and the naive reference)"
+                    "(and the SQL reference)"
                 )
             )
         ],

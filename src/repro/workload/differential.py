@@ -1,6 +1,6 @@
 """Cross-scheme differential oracle over generated plans.
 
-Every generated plan is evaluated once by the naive reference
+Every generated plan is evaluated once by the SQL reference
 (:mod:`repro.workload.reference`) and then executed under each physical
 scheme x each ablation variant; normalized result multisets must agree
 everywhere.  A divergence fails loudly: the report carries the seed and
@@ -10,7 +10,7 @@ per-operator actuals.
 
 One verdict: "are these two results the same?" is decided here and
 nowhere else.  :func:`reference_mismatch` judges an engine result
-against the naive reference, :func:`twin_mismatch` two engine results
+against the SQL reference, :func:`twin_mismatch` two engine results
 against each other (bit-for-bit, or as multisets when the plan's
 contract lets a gather reorder); every driver — this sweep, the serving
 replay, the TPC-H suite's cross-scheme check — calls those two.
@@ -216,8 +216,8 @@ def rows_match(
     tolerances: Optional[List[Optional[tuple]]] = None,
 ) -> bool:
     """Pairwise comparison of two sorted row multisets; floats compare
-    with relative/absolute tolerance (the reference's pairwise ``np.sum``
-    and the engine's per-row accumulation round differently, and row
+    with relative/absolute tolerance (sqlite's running sum in the
+    reference and the engine's per-row accumulation round differently, and row
     order — hence accumulation order — differs per scheme).  With
     ``tolerances`` (see :func:`column_tolerances`) each column gets its
     own dtype-derived envelope; without, the float64 default applies."""
@@ -494,7 +494,7 @@ def _reference_rows(reference) -> Tuple[List[str], List[tuple]]:
 
 
 def reference_mismatch(reference, relation) -> Tuple[Optional[str], float]:
-    """The verdict against the naive reference: ``(detail, worst)`` —
+    """The verdict against the SQL reference: ``(detail, worst)`` —
     ``detail`` says how ``relation`` differs from ``reference`` (a
     :class:`~repro.workload.reference.RefRelation`) as a normalized
     multiset, ``None`` when it does not; ``worst`` is the largest
@@ -552,7 +552,7 @@ def run_differential(
     With ``update_rounds`` the sweep is update-aware: that many seeded
     insert/delete batches are committed through one
     :class:`~repro.updates.UpdateSession` (all schemes share the logical
-    database, so the naive reference sees every change automatically),
+    database, so the SQL reference sees every change automatically),
     each followed by ``num_queries // update_rounds`` queries.  Every
     BDCC table a commit compacts is additionally held to the full
     re-aggregation of its own key column (the oracle's second
@@ -626,7 +626,7 @@ def _check_one_query(
     observer: Optional[Callable] = None,
 ) -> None:
     """Run one generated query under every (scheme, variant) executor and
-    record divergences against the naive reference (parallel variants
+    record divergences against the SQL reference (parallel variants
     additionally against the scheme's serial default run)."""
     reference = evaluate_reference(db, query.plan)
     serial_relations: Dict[str, object] = {}

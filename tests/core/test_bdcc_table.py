@@ -157,7 +157,7 @@ class TestEntriesMatching:
             mini_db, "fact", _uses(mini_db),
             BDCCBuildConfig(efficient_access_bytes=256.0, consolidate_max_fraction=None),
         )
-        all_entries = bdcc.all_entries()
+        all_entries = bdcc.count_table.select_entries()
         allowed = np.array([0, 1], dtype=np.uint64)  # first two dim bins
         entries = bdcc.entries_matching([(0, allowed, bdcc.uses[0].dimension.bits)])
         assert 0 < len(entries) < len(all_entries)

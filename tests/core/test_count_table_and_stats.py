@@ -227,7 +227,7 @@ class TestDenseCountTable:
         ct = bdcc.count_table
         assert not ct.valid.all(), "the fixture must actually consolidate"
         assert not _reads_whole(ct)
-        rows = ct.selection(bdcc.all_entries()).rows()
+        rows = ct.selection(ct.select_entries()).rows()
         assert np.array_equal(np.sort(bdcc.row_source[rows]), np.arange(512))
 
 

@@ -236,7 +236,7 @@ class TestLoweringCounters:
 
 class TestConsolidatedEndToEnd:
     """Generated plans over consolidated tables, serial and ``workers=4``,
-    against the naive reference (and parallel against serial)."""
+    against the SQL reference (and parallel against serial)."""
 
     def test_generated_plans_match_the_reference(self, consolidated):
         env, pdb = consolidated
@@ -327,7 +327,7 @@ DEGENERATE = {
 
 class TestDegenerateScans:
     """Scans at the edges of the selection and merge paths, serial and
-    fragmented, against the naive reference."""
+    fragmented, against the SQL reference."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("case", sorted(DEGENERATE))

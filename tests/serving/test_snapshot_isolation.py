@@ -4,7 +4,7 @@ Seeded rounds where refresh commits and background compactions
 interleave arbitrarily with in-flight queries across Plain/PK/BDCC:
 every served query's result must be bit-identical to running it alone
 against the pinned epoch snapshot, and (round two) consistent with the
-naive reference evaluator — the update-differential oracle's machinery
+SQL reference — the update-differential oracle's machinery
 reused end to end."""
 
 import pytest
@@ -52,7 +52,7 @@ class TestSnapshotIsolation:
         assert report.queries_checked == 3 * 3 * 3  # streams x queries x schemes
 
     def test_reference_oracle_agrees_with_served_results(self):
-        """Every served result additionally matches the naive reference
+        """Every served result additionally matches the SQL reference
         evaluated at the pinned state — closing the loop with the
         update-differential's comparison machinery."""
         report = run_serving_differential(

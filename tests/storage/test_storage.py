@@ -123,12 +123,12 @@ class TestMinMax:
         values = rng.permutation(10_000)
         idx = MinMaxIndex.build(values, 100)
         # a 10% range still touches ~every block when data is shuffled
-        assert idx.selectivity(0, 999) > 0.95
+        assert np.mean(idx.blocks_overlapping(0, 999)) > 0.95
 
     def test_clustered_order_prunes(self):
         values = np.sort(np.random.default_rng(0).integers(0, 10_000, 10_000))
         idx = MinMaxIndex.build(values, 100)
-        assert idx.selectivity(0, 999) < 0.15
+        assert np.mean(idx.blocks_overlapping(0, 999)) < 0.15
 
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=300))
     def test_never_loses_rows(self, values):

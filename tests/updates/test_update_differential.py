@@ -1,7 +1,7 @@
 """The update-aware differential sweep (heavy; own CI job via -m updates).
 
 Seeded random insert/delete batches are committed between generated
-queries; every query must agree with the naive reference under all three
+queries; every query must agree with the SQL reference under all three
 schemes × the full ablation grid × workers 1/2/4 (parallel bit-for-bit
 against serial), after every commit.  Every BDCC table a commit
 compacts is additionally held to the full count-table rebuild.

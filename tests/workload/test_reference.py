@@ -1,9 +1,12 @@
-"""The naive reference evaluator, checked against hand-computed answers
-and against the engine on handwritten plans (including the NULL paths)."""
+"""The SQL reference, checked against hand-computed answers and against
+the engine on handwritten plans (including the NULL paths and the two
+named deviations), plus a generated plan whose joins pair millions of
+candidate rows."""
 
 import numpy as np
 import pytest
 
+from repro import tpch
 from repro.catalog import DECIMAL, INT32, Schema, string_type
 from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
@@ -11,7 +14,8 @@ from repro.planner.executor import Executor
 from repro.planner.logical import scan
 from repro.schemes.plain import PlainScheme
 from repro.storage.database import Database
-from repro.workload.differential import normalized_rows, rows_match
+from repro.workload.differential import normalized_rows, reference_mismatch, rows_match
+from repro.workload.generator import PlanGenerator
 from repro.workload.reference import evaluate_reference
 
 
@@ -93,8 +97,20 @@ class TestAgainstHandComputedAnswers:
         assert rel.num_rows == 0
 
 
+def _unmatched_dept(*aggs):
+    """Every department left-joined to its employees earning over 65:
+    dept 3 has none, so its employee columns are NULL (the engine's
+    placeholders are the first surviving employee's values: e_id 6,
+    e_sal 70)."""
+    return scan("dept").join(
+        scan("emp", predicate=col("e_sal").gt(65)), on=[("d_id", "e_dept")], how="left",
+    ).groupby(["d_id"], list(aggs))
+
+
 class TestAgainstEngine:
-    """The two implementations must agree on handwritten plans."""
+    """The two implementations must agree on handwritten plans.  An
+    aggregate skips a row whenever a column its expression reads is
+    NULL, in the reference (SQL) and in the engine alike."""
 
     @pytest.fixture(scope="class")
     def executor(self, db):
@@ -125,3 +141,57 @@ class TestAgainstEngine:
             normalized_rows(reference.columns, names),
             normalized_rows(result.relation.columns, names),
         )
+
+    @pytest.mark.parametrize("agg, expected", [
+        (AggSpec("v", "sum", col("e_sal") * 2), {1: 140.0, 2: 160.0, 3: 0.0}),
+        (AggSpec("v", "count", col("e_sal")), {1: 1, 2: 1, 3: 0}),
+        (AggSpec("v", "count_distinct", col("e_sal")), {1: 1, 2: 1, 3: 0}),
+    ])
+    def test_left_join_unmatched_rows(self, db, executor, agg, expected):
+        plan = _unmatched_dept(agg)
+        reference = evaluate_reference(db, plan)
+        got = executor.execute(plan).relation
+        assert dict(zip(reference.columns["d_id"].tolist(), reference.columns["v"].tolist())) == expected
+        assert dict(zip(got.column("d_id").tolist(), got.column("v").tolist())) == expected
+        assert reference_mismatch(reference, got)[0] is None
+
+    def test_sum_of_no_valid_row_is_zero(self, db, executor):
+        """Deviation one: SQL's SUM is NULL here, the engine's 0.0 —
+        the printer's TOTAL is 0.0 too."""
+        plan = _unmatched_dept(AggSpec("v", "sum", col("e_sal")))
+        reference = evaluate_reference(db, plan)
+        got = executor.execute(plan).relation
+        totals = dict(zip(reference.columns["d_id"].tolist(), reference.columns["v"].tolist()))
+        assert totals == {1: 70.0, 2: 80.0, 3: 0.0}
+        assert "v" not in reference.valid
+        assert reference_mismatch(reference, got)[0] is None
+
+    @pytest.mark.parametrize("fn, column, sentinel", [
+        ("min", "e_sal", np.inf), ("max", "e_sal", -np.inf),
+        ("min", "e_id", 0), ("max", "e_id", 0),
+    ])
+    def test_min_max_of_no_valid_row_is_the_kernel_sentinel(
+        self, db, executor, fn, column, sentinel
+    ):
+        """Deviation two: SQL returns NULL, the engine its kernel's
+        sentinel (the generator never aggregates a nullable column so)."""
+        plan = _unmatched_dept(AggSpec("v", fn, col(column)))
+        reference = evaluate_reference(db, plan)
+        got = executor.execute(plan).relation
+        unmatched = got.column("d_id").tolist().index(3)
+        assert got.column("v")[unmatched] == sentinel
+        row = reference.columns["d_id"].tolist().index(3)
+        assert not reference.valid["v"][row]
+        assert reference.valid["v"].sum() == 2
+
+
+@pytest.mark.workload
+def test_anti_join_over_lineitem_self_join_at_sf_001():
+    """Generated plan seed 0 / index 41 at SF 0.01: an anti join with a
+    residual over a LINEITEM self-join, millions of candidate row pairs.
+    The reference finishes and agrees with the Plain engine."""
+    database = tpch.generate(scale_factor=0.01, seed=7)
+    query = PlanGenerator(database).generate(0, 41)
+    reference = evaluate_reference(database, query.plan)
+    got = Executor(PlainScheme().build(database)).execute(query.plan).relation
+    assert reference_mismatch(reference, got)[0] is None
