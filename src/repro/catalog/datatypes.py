@@ -45,14 +45,6 @@ class DataType:
     numpy_dtype: str
     stored_bytes: float
 
-    @property
-    def is_string(self) -> bool:
-        return self.numpy_dtype.startswith("<U")
-
-    @property
-    def is_date(self) -> bool:
-        return self.name == "date"
-
     def empty(self, n: int) -> np.ndarray:
         """Allocate an uninitialised vector of ``n`` values of this type."""
         return np.empty(n, dtype=self.numpy_dtype)

@@ -195,10 +195,6 @@ class Schema:
     def table_names(self) -> List[str]:
         return list(self._tables)
 
-    @property
-    def foreign_keys(self) -> List[ForeignKey]:
-        return list(self._foreign_keys.values())
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]
@@ -267,13 +263,6 @@ class Schema:
         return tuple(
             c for c in self.table(table).column_names if c not in special
         )
-
-    def table_of_column(self, column: str) -> Optional[str]:
-        """The unique table owning ``column``, or None if absent/ambiguous."""
-        owners = [t.name for t in self._tables.values() if t.has_column(column)]
-        if len(owners) == 1:
-            return owners[0]
-        return None
 
     # ------------------------------------------------------------ traversal
     def leaves_first_order(self) -> List[str]:

@@ -55,9 +55,6 @@ class SchemaDesign:
     def uses_for(self, table: str) -> List[DimensionUse]:
         return self.table_uses.get(table, [])
 
-    def clustered_tables(self) -> List[str]:
-        return [t for t, uses in self.table_uses.items() if uses]
-
     def describe_dimensions(self) -> List[Tuple[str, int, str, str]]:
         """Rows of the paper's dimension table:
         (dimension, bits, host table, key)."""

@@ -40,9 +40,6 @@ class BDCCBuildConfig:
     #: bit interleaving: "round_robin" (Z-order, the automatic choice) or
     #: "major_minor" (the hand-tuned MDAM-style comparison layout).
     interleave: str = "round_robin"
-    #: use the prose variant of Algorithm 1(i) that groups round-robin
-    #: turns by foreign key (see :mod:`repro.core.interleave`).
-    fk_grouped: bool = False
     #: consolidate groups smaller than A_R if they hold at most this
     #: fraction of the data; None disables consolidation.
     consolidate_max_fraction: Optional[float] = 0.1
@@ -73,13 +70,6 @@ class BDCCTable:
     @property
     def stored_rows(self) -> int:
         return len(self.row_source)
-
-    @property
-    def effective_uses(self) -> List[DimensionUse]:
-        """Dimension uses with masks truncated to the count-table
-        granularity — what the paper's LINEITEM table prints (20 of 36
-        bits at SF100)."""
-        return [u.truncated(self.total_bits, self.granularity) for u in self.uses]
 
     # ------------------------------------------------------------- groups
     def entry_group_values(self, use_index: int, num_bits: Optional[int] = None) -> np.ndarray:
@@ -180,11 +170,7 @@ def build_bdcc_table(
     # (i) mask assignment at maximal granularity B = sum bits(D(U_i))
     bits_per_use = [u.dimension.bits for u in uses]
     if config.interleave == "round_robin":
-        masks = assign_masks(
-            bits_per_use,
-            fk_groups=[u.first_fk for u in uses],
-            fk_grouped=config.fk_grouped,
-        )
+        masks = assign_masks(bits_per_use)
     elif config.interleave == "major_minor":
         masks = assign_masks_major_minor(bits_per_use)
     else:

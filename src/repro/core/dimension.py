@@ -71,29 +71,6 @@ class Dimension:
         """Bin numbers straight from key attribute arrays."""
         return self.bin_of_codes(self.encoder.encode(attribute_values))
 
-    # -------------------------------------------------- predicate pushdown
-    def bin_range_for_codes(self, lo_code: int, hi_code: int) -> Optional[Tuple[int, int]]:
-        """The inclusive bin-number range overlapping ``[lo_code, hi_code]``,
-        or None when the code interval is empty."""
-        if hi_code < lo_code:
-            return None
-        lo_bin = int(np.searchsorted(self.uppers, lo_code, side="left"))
-        hi_bin = int(np.searchsorted(self.uppers, hi_code, side="left"))
-        lo_bin = min(lo_bin, self.num_bins - 1)
-        hi_bin = min(hi_bin, self.num_bins - 1)
-        return lo_bin, hi_bin
-
-    # -------------------------------------------------------- granularity
-    def reduced_bins(self, bins: np.ndarray, granularity: int) -> np.ndarray:
-        """Bin numbers at reduced granularity ``g < bits(D)`` — Definition
-        1(vii): chop off the ``bits(D) - g`` least significant bits."""
-        if granularity < 0 or granularity > self.bits:
-            raise ValueError(
-                f"granularity {granularity} out of [0, {self.bits}] for {self.name}"
-            )
-        shift = np.uint64(self.bits - granularity)
-        return bins.astype(np.uint64) >> shift
-
     # ------------------------------------------------------------- factory
     @classmethod
     def create(

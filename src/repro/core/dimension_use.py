@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .bits import ones, truncate_mask
+from .bits import ones
 from .dimension import Dimension
 
 __all__ = ["DimensionUse", "check_bdcc_constraints"]
@@ -42,19 +42,6 @@ class DimensionUse:
     def bits_used(self) -> int:
         """``ones(M)`` — number of clustering-key bits this use occupies."""
         return ones(self.mask)
-
-    @property
-    def first_fk(self) -> Optional[str]:
-        return self.path[0] if self.path else None
-
-    def truncated(self, total_bits: int, granularity: int) -> "DimensionUse":
-        """This use with its mask restricted to the top ``granularity``
-        key bits (the count-table granularity of Algorithm 1)."""
-        return DimensionUse(
-            dimension=self.dimension,
-            path=self.path,
-            mask=truncate_mask(self.mask, total_bits, granularity),
-        )
 
     def path_string(self) -> str:
         return ".".join(self.path) if self.path else "-"

@@ -8,14 +8,14 @@ key of ``B = sum_i bits(D(U_i))`` bits.
 Two discrepant readings of Algorithm 1(i) exist in the paper: the prose
 groups round-robin turns by foreign key, while the published TPC-H
 dimension-use tables show plain round-robin over the dimension uses.
-``assign_masks`` implements the published behaviour by default (verified
-bit-for-bit against the paper's tables) and the prose variant behind
-``fk_grouped=True``.
+``assign_masks`` implements the published tables, because they are the
+reading the paper's evaluation ran and it is verified bit-for-bit
+against them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .bits import MAX_KEY_BITS
 
@@ -36,11 +36,7 @@ def _check_bits(bits_per_use: Sequence[int]) -> int:
     return total
 
 
-def assign_masks(
-    bits_per_use: Sequence[int],
-    fk_groups: Optional[Sequence[object]] = None,
-    fk_grouped: bool = False,
-) -> List[int]:
+def assign_masks(bits_per_use: Sequence[int]) -> List[int]:
     """Round-robin (Z-order) mask assignment, Algorithm 1(i).
 
     Bits are handed out one at a time from the most significant key
@@ -50,12 +46,6 @@ def assign_masks(
 
     Args:
         bits_per_use: ``bits(D(U_i))`` for each dimension use, in order.
-        fk_groups: optional group label per use (e.g. the foreign key, or
-            None for a local dimension).  Only consulted when
-            ``fk_grouped`` is True.
-        fk_grouped: use the paper's *prose* variant: the round-robin
-            cycles over foreign-key groups, and uses sharing a group
-            alternate within that group's turns.
 
     Returns:
         One mask per use over a ``B``-bit key.  Masks are disjoint and
@@ -66,50 +56,19 @@ def assign_masks(
     masks = [0 for _ in bits_per_use]
     next_position = total - 1  # most significant first
 
-    if fk_grouped:
-        if fk_groups is None:
-            raise ValueError("fk_grouped=True requires fk_groups labels")
-        if len(fk_groups) != len(bits_per_use):
-            raise ValueError("fk_groups must align with bits_per_use")
-        group_order: List[object] = []
-        members: dict = {}
-        for idx, label in enumerate(fk_groups):
-            key = (idx,) if label is None else ("fk", label)
-            if key not in members:
-                members[key] = []
-                group_order.append(key)
-            members[key].append(idx)
-        turn_within = dict.fromkeys(group_order, 0)
-        while next_position >= 0:
-            progressed = False
-            for key in group_order:
-                live = [i for i in members[key] if remaining[i] > 0]
-                if not live:
-                    continue
-                pick = live[turn_within[key] % len(live)]
-                turn_within[key] += 1
-                masks[pick] |= 1 << next_position
-                remaining[pick] -= 1
-                next_position -= 1
-                progressed = True
-                if next_position < 0:
-                    break
-            if not progressed:
+    while next_position >= 0:
+        progressed = False
+        for idx in range(len(remaining)):
+            if remaining[idx] == 0:
+                continue
+            masks[idx] |= 1 << next_position
+            remaining[idx] -= 1
+            next_position -= 1
+            progressed = True
+            if next_position < 0:
                 break
-    else:
-        while next_position >= 0:
-            progressed = False
-            for idx in range(len(remaining)):
-                if remaining[idx] == 0:
-                    continue
-                masks[idx] |= 1 << next_position
-                remaining[idx] -= 1
-                next_position -= 1
-                progressed = True
-                if next_position < 0:
-                    break
-            if not progressed:
-                break
+        if not progressed:
+            break
 
     assert all(r == 0 for r in remaining)
     return masks

@@ -24,7 +24,7 @@ for untouched tables).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..catalog import Schema
 from ..planner.analysis import analyse_plan, strip_prefix
@@ -87,7 +87,7 @@ class WorkloadAnalyzer:
                 score = scores.get(key)
                 if score is None:
                     continue
-                host = self._walk_path(analysis, alias, use.path)
+                host = analysis.walk_path(alias, use.path)
                 if host is not None and self._host_restricted(analysis, host, predicated):
                     score.pushdown += 1
                 lead = use.path[0] if use.path else None
@@ -129,15 +129,6 @@ class WorkloadAnalyzer:
                     if set(fk.child_columns) <= base:
                         covered.add((alias, fk.name))
         return covered
-
-    def _walk_path(self, analysis, alias: str, path: Tuple[str, ...]) -> Optional[str]:
-        current = alias
-        for fk_name in path:
-            edge = analysis.edge_from(current, fk_name)
-            if edge is None or not edge.filters_child():
-                return None
-            current = edge.parent_alias
-        return current
 
     def _host_restricted(self, analysis, host_alias: str, predicated: set) -> bool:
         """Is the host (or a filtering ancestor of it) predicated?"""

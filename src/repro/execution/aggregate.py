@@ -4,12 +4,10 @@ Like the join kernels these are strategy-agnostic: hash, streaming and
 sandwiched aggregation all produce identical results through these
 functions; the planner's choice changes only cost and memory accounting.
 
-Everything that ranks a column — grouping, composite join keys, distinct
-counts, descending sorts, sandwich group sizes — goes through
-:func:`factorize` (tuples of columns: :func:`fold_keys`).  It ranks dense
-integer keys (surrogate keys, dates, flags, group ids) by offset instead
-of sorting them and holds the package's only ``np.unique`` call; group
-numbering follows key sort order on either path.
+Rows are ranked by the key kernels of :mod:`repro.storage.keys`
+(:func:`~repro.storage.keys.factorize`, and
+:func:`~repro.storage.keys.fold_keys` for tuples of columns); group
+numbering follows key sort order.
 """
 
 from __future__ import annotations
@@ -19,11 +17,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..storage.keys import factorize, fold_keys
+
 __all__ = [
     "AggSpec",
     "MergeSpec",
-    "factorize",
-    "fold_keys",
     "group_rows",
     "apply_aggregate",
     "decompose_aggs",
@@ -54,53 +52,6 @@ class AggSpec:
     def __post_init__(self) -> None:
         if self.fn not in SUPPORTED_AGGS:
             raise ValueError(f"unsupported aggregate {self.fn!r}")
-
-
-def offsets(keys: np.ndarray, low: np.generic) -> np.ndarray:
-    """``keys - low`` as int64, exact wherever the true difference fits.
-    Two's-complement wrap-around makes the detour through int64 right
-    for ``uint64`` keys beyond 2**63 and for narrow dtypes whose own
-    subtraction would overflow (``int8``: 127 - -128)."""
-    return keys.astype(np.int64, copy=False) - low.astype(np.int64)
-
-
-def factorize(column: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Order-preserving int64 codes: ``(codes, cardinality)`` with codes
-    in ``[0, cardinality)`` and ``a < b  <=>  code(a) < code(b)``.
-
-    An integer, bool or one-character column whose span is no larger
-    than its length is ranked by offset from its minimum (cardinality =
-    span; codes may have gaps); anything else by ``np.unique``.
-    """
-    ranked = column
-    if column.dtype.kind == "b":
-        ranked = column.view(np.uint8)
-    elif column.dtype == np.dtype("<U1"):
-        ranked = column.view(np.uint32)  # one UCS-4 code point a value
-    if ranked.dtype.kind in "iu" and len(ranked):
-        low = ranked.min()
-        span = int(ranked.max()) - int(low) + 1
-        if span <= len(ranked):
-            return offsets(ranked, low), span
-    uniques, inverse = np.unique(column, return_inverse=True)
-    return inverse.astype(np.int64), len(uniques)
-
-
-def fold_keys(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, int]:
-    """One int64 code per row for a tuple of key columns, mixed radix
-    over each column's :func:`factorize` codes, so code order is the
-    tuples' lexicographic order.  Returns ``(codes, code space)``.  The
-    running code is re-ranked before ``space * cardinality`` can leave
-    int64 — five 16-bit columns would otherwise wrap and merge rows
-    that differ only in the first."""
-    codes, space = np.zeros(len(columns[0]), dtype=np.int64), 1
-    for column in columns:
-        column_codes, cardinality = factorize(column)
-        if space * cardinality > np.iinfo(np.int64).max:
-            codes, space = factorize(codes)
-        codes = codes * np.int64(cardinality) + column_codes
-        space *= cardinality
-    return codes, space
 
 
 def group_rows(key_columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, int]:

@@ -19,7 +19,8 @@ The split matters for two reasons:
 
 Results are identical under every scheme and every strategy: a
 :class:`Join` or :class:`Aggregate` runs one result body over the
-kernels in :mod:`repro.execution.join_utils` and :mod:`.aggregate`; its
+kernels in :mod:`.join_utils`, :mod:`.aggregate` and
+:mod:`repro.storage.keys`; its
 strategy (a row of ``STRATEGIES``) fixes only ``kind``, the ordered
 inputs and the cost/memory accounting, as in the paper's evaluation.
 """
@@ -35,24 +36,19 @@ import numpy as np
 from ..core.bits import gather_use_bits
 from ..core.selection import Selection
 from ..storage.io_model import DiskModel
+from ..storage.keys import encode_join_keys, factorize
 from ..storage.stored_table import StoredTable
 from .aggregate import (
     AggSpec,
     MergeSpec,
     apply_aggregate,
     distinct_per_partition,
-    factorize,
     group_rows,
     merge_partial_aggregates,
 )
 from .cost import CostModel
 from .expressions import Col, Expr
-from .join_utils import (
-    encode_join_keys,
-    inner_join_pairs,
-    left_join_pairs,
-    semi_join_mask,
-)
+from .join_utils import inner_join_pairs, left_join_pairs, semi_join_mask
 from .metrics import ExecutionMetrics, OperatorActuals
 from .relation import Relation, StreamUse
 
@@ -66,6 +62,7 @@ __all__ = [
     "Aggregate",
     "Sort",
     "Limit",
+    "group_ids",
     "walk_physical",
 ]
 
@@ -535,17 +532,22 @@ class _ByStrategy:
         return self.STRATEGIES[self.strategy].ordered_inputs
 
 
-def _group_ids(rel: Relation, granted) -> Tuple[np.ndarray, int]:
-    """Per-row sandwich group ids over ``(use, granted_bits)`` pairs (the
-    top granted bits of each use's hidden column, dimension-major) and
-    the total bits granted."""
+def group_ids(rel: Relation, on) -> np.ndarray:
+    """Per-row sandwich group ids of a stream.
+
+    ``on`` holds ``(hidden group column, column bit width, bits taken)``
+    per dimension; the id concatenates the *top* ``taken`` bits of each
+    column, dimension-major (a dimension granted no bits adds none).
+    Equal join keys yield equal ids on both sides of a sandwich join, so
+    the join's per-group tables, the sandwich aggregate's partitions and
+    the rebinning :class:`~repro.parallel.exchange.Repartition` of a
+    co-partitioned join all cut streams by this one id."""
     ids = np.zeros(rel.num_rows, dtype=np.uint64)
-    total_bits = 0
-    for use, g in granted:
-        if g > 0:
-            ids = (ids << np.uint64(g)) | (rel.columns[use.column] >> np.uint64(use.bits - g))
-            total_bits += g
-    return ids, total_bits
+    for column, bits, take in on:
+        if take > 0:
+            values = rel.columns[column].astype(np.uint64, copy=False)
+            ids = (ids << np.uint64(take)) | (values >> np.uint64(bits - take))
+    return ids
 
 
 # ----------------------------------------------------------------- joins
@@ -572,9 +574,9 @@ def _account_hash_join(op, ctx, left, right) -> None:
 
     state_bytes, num_groups, sandwich_cpu = build_bytes, 1, 0.0
     if op.strategy == "sandwich":
-        build_gid, total_bits = _group_ids(
-            build_rel, [(l if build_is_left else r, g) for l, r, g in op.pairs]
-        )
+        build_uses = [(l if build_is_left else r, g) for l, r, g in op.pairs]
+        build_gid = group_ids(build_rel, [(u.column, u.bits, g) for u, g in build_uses])
+        total_bits = sum(g for _, g in build_uses if g > 0)
         if total_bits and len(build_gid):
             counts = np.bincount(factorize(build_gid)[0])  # rows per group id
             per_row = build_bytes / len(build_gid)
@@ -759,7 +761,8 @@ def _account_sandwich_agg(op, ctx, rel, group_index, num_groups, state_row) -> N
     (the paper's Q13/Q18 effect): the aggregation pre-partitions along
     those groups and holds only the largest partition's table."""
     n = rel.num_rows
-    per_part = distinct_per_partition(_group_ids(rel, op.partition_uses)[0], group_index)
+    on = [(use.column, use.bits, g) for use, g in op.partition_uses]
+    per_part = distinct_per_partition(group_ids(rel, on), group_index)
     max_state = float(per_part.max()) * state_row if len(per_part) else 0.0
     num_partitions = len(per_part)
     ctx.hold("agg:sandwich", max_state + num_partitions * _GROUP_HEADER_BYTES)

@@ -41,10 +41,6 @@ class Span:
     attributes: Dict[str, object] = field(default_factory=dict)
     children: List["Span"] = field(default_factory=list)
 
-    @property
-    def duration_seconds(self) -> float:
-        return max(self.end_seconds - self.start_seconds, 0.0)
-
     def walk(self):
         yield self
         for child in self.children:

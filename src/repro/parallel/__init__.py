@@ -36,7 +36,7 @@ from .backends import (
     SimulatedBackend,
     create_backend,
 )
-from .exchange import Exchange, Repartition, UnionAll, concat_relations, rebin_ids
+from .exchange import Exchange, Repartition, UnionAll, concat_relations
 from .fragments import (
     DEFAULT_MIN_PARTITION_ROWS,
     MIN_COPARTITION_PARTS,
@@ -61,7 +61,6 @@ __all__ = [
     "Repartition",
     "UnionAll",
     "concat_relations",
-    "rebin_ids",
     "DEFAULT_MIN_PARTITION_ROWS",
     "MIN_COPARTITION_PARTS",
     "Fragment",

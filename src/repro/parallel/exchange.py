@@ -25,7 +25,7 @@ unchanged:
   partition a stream into contiguous ascending storage ranges, so the
   concatenation reproduces the serial stream exactly — same rows, same
   order — the **bit-identical** result contract.  A co-partitioned
-  join's gather instead sets ``preserve_order=False, canonical=True``:
+  join's gather instead sets ``preserve_order=False`` (``canonical``):
   its inputs are bin-major, not storage-major, so the plan stops
   claiming the serial order (``ParallelPlan.reorders``) and the
   concatenation *in fragment-key order* becomes the **canonical order**
@@ -48,10 +48,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..execution.operators import ExecutionContext, PhysicalOp
+from ..execution.operators import ExecutionContext, PhysicalOp, group_ids
 from ..execution.relation import Relation
 
-__all__ = ["Exchange", "Repartition", "UnionAll", "concat_relations", "rebin_ids"]
+__all__ = ["Exchange", "Repartition", "UnionAll", "concat_relations"]
 
 
 def concat_relations(rels: List[Relation]) -> Relation:
@@ -79,21 +79,6 @@ def concat_relations(rels: List[Relation]) -> Relation:
             ]
         )
     return Relation(columns=columns, valid=valid)
-
-
-def rebin_ids(rel: Relation, on: Tuple[Tuple[str, int, int], ...]) -> np.ndarray:
-    """Per-row shared-dimension bin ids of a stream.
-
-    ``on`` holds ``(hidden group column, column bit width, bits taken)``
-    per shared dimension; the id concatenates the *top* ``taken`` bits
-    of each column, dimension-major — exactly how a sandwich join
-    (:class:`~repro.execution.operators.Join`) forms its group ids, so
-    equal join keys yield equal ids on both join sides."""
-    ids = np.zeros(rel.num_rows, dtype=np.uint64)
-    for column, bits, take in on:
-        values = rel.columns[column].astype(np.uint64, copy=False)
-        ids = (ids << np.uint64(take)) | (values >> np.uint64(bits - take))
-    return ids
 
 
 @dataclass(eq=False)
@@ -125,7 +110,8 @@ class Repartition(PhysicalOp):
 
     ``mode="rebin"``: the co-partitioned shuffle — read every producer
     of one join side (``source_fragments``), compute each row's shared
-    dimension bin (``on``, see :func:`rebin_ids`) and keep the rows
+    dimension bin (``on``, see
+    :func:`~repro.execution.operators.group_ids`) and keep the rows
     whose bin maps to this consumer's ``partition``.  Bins map to
     partitions by contiguous range: ``(bin * partitions) >> total_bits``
     — deterministic, and bin-major across the gathered partitions.  The
@@ -174,7 +160,7 @@ class Repartition(PhysicalOp):
         for source in self.source_fragments:
             rel = ctx.fragment_result(source)
             received += rel.num_rows
-            bins = rebin_ids(rel, self.on)
+            bins = group_ids(rel, self.on)
             mask = ((bins * parts) >> shift) == np.uint64(self.partition)
             bucket = rel.filter(mask)
             if bucket.num_rows:
@@ -206,19 +192,22 @@ class UnionAll(PhysicalOp):
 
     ``preserve_order=True`` vouches the inputs are contiguous storage
     ranges in stream order: the concatenation *is* the serial stream
-    (bit-identical contract).  ``canonical=True`` marks the gather of a
-    co-partitioned (re-binned) join: concatenation in fragment-key order
-    is the deterministic *canonical* order of the order-insensitive
-    contract — same multiset as serial, different row order.  Both are
-    plan metadata (``ParallelPlan.reorders`` reads ``preserve_order`` to
-    pick the result contract); ``execute`` concatenates the same way
-    under either."""
+    (bit-identical contract).  Any other gather is :attr:`canonical`:
+    that of a co-partitioned (re-binned) join, whose concatenation in
+    fragment-key order is the deterministic *canonical* order of the
+    order-insensitive contract — same multiset as serial, different row
+    order.  Both are plan metadata (``ParallelPlan.reorders`` reads
+    ``preserve_order`` to pick the result contract); ``execute``
+    concatenates the same way under either."""
 
     inputs: Tuple[PhysicalOp, ...] = ()
     preserve_order: bool = True
-    canonical: bool = False
 
     kind = "UnionAll"
+
+    @property
+    def canonical(self) -> bool:
+        return not self.preserve_order
 
     def children(self) -> Tuple[PhysicalOp, ...]:
         return tuple(self.inputs)

@@ -41,7 +41,7 @@ Two result contracts govern the gathers (docs/execution-model.md):
   — the basis for the workload oracle checking such parallel plans
   bit-for-bit against serial execution;
 * a co-partitioned join's partitions are bin-major, so its gather is
-  ``preserve_order=False, canonical=True``: a deterministic canonical
+  ``preserve_order=False`` (``canonical``): a deterministic canonical
   order (fragment-key concatenation) with the same row multiset as the
   serial plan but not its row order.  The fragmenter only chooses this
   split where the lowering's
@@ -220,13 +220,13 @@ class _FragmentPlanner:
         self,
         workers: int,
         min_partition_rows: int,
-        contracts: Optional[Dict[int, object]] = None,
+        contracts: Dict[int, object],
         enable_copartition: bool = True,
         enable_partial_agg: bool = True,
     ):
         self.workers = max(int(workers), 1)
         self.min_partition_rows = max(int(min_partition_rows), 1)
-        self.contracts = contracts or {}
+        self.contracts = contracts
         self.enable_copartition = enable_copartition
         self.enable_partial_agg = enable_partial_agg
         self.fragments: List[Fragment] = []
@@ -292,7 +292,6 @@ class _FragmentPlanner:
         return UnionAll(
             inputs=exchanges,
             preserve_order=split.ordered,
-            canonical=not split.ordered,
             rationale=rationale,
         )
 
@@ -429,8 +428,7 @@ class _FragmentPlanner:
 
     # ------------------------------------------------- co-partitioned join
     def _reorder_admissible(self, op: PhysicalOp) -> bool:
-        contract = self.contracts.get(id(op))
-        return bool(contract is not None and contract.reorder_admissible)
+        return self.contracts[id(op)].reorder_admissible
 
     @staticmethod
     def _live_rows(root: PhysicalOp) -> int:
@@ -712,8 +710,7 @@ def plan_fragments(
     Args:
         pplan: the lowered :class:`~repro.planner.lowering.PhysicalPlan`.
             Its ``contracts`` (result-contract map from lowering) gate
-            co-partitioned join splits and partial-aggregation rewrites;
-            when absent they are recomputed from the operator tree.
+            co-partitioned join splits and partial-aggregation rewrites.
         workers: simulated worker count (clamped to >= 1); also the
             maximum number of partitions any single split produces.
         min_partition_rows: scans (and co-partitioned joins, counting
@@ -727,14 +724,9 @@ def plan_fragments(
             With both switches off every parallel plan keeps the
             bit-identical contract.
     """
-    contracts = getattr(pplan, "contracts", None)
-    if contracts is None and (enable_copartition or enable_partial_agg):
-        from ..planner.propagation import compute_order_contracts
-
-        contracts = compute_order_contracts(pplan.root)
     planner = _FragmentPlanner(
         workers, min_partition_rows,
-        contracts=contracts, enable_copartition=enable_copartition,
+        contracts=pplan.contracts, enable_copartition=enable_copartition,
         enable_partial_agg=enable_partial_agg,
     )
     root = planner.visit(pplan.root)

@@ -77,6 +77,17 @@ class PlanAnalysis:
             e for e in self.edges if e.child_alias == child_alias and e.filters_child()
         ]
 
+    def walk_path(self, alias: str, path: Tuple[str, ...]) -> Optional[str]:
+        """Follow a dimension path through the query's filtering FK edges;
+        returns the host alias, or None when the path is not realised."""
+        current = alias
+        for fk_name in path:
+            edge = self.edge_from(current, fk_name)
+            if edge is None or not edge.filters_child():
+                return None
+            current = edge.parent_alias
+        return current
+
 
 def _output_owners(node: PlanNode, schema: Schema) -> Dict[str, str]:
     """Column name -> owning scan alias, for this node's output."""

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..execution.cost import DEFAULT_COSTS, CostModel
 from ..execution.metrics import ExecutionMetrics
@@ -53,6 +53,30 @@ from .lowering import ExecutionOptions, PhysicalPlan, lower
 __all__ = ["ExecutionOptions", "QueryResult", "Executor"]
 
 _PLAN_CACHE_SIZE = 32
+
+
+class _LruCache(OrderedDict):
+    """The executor's plan and fragment caches: at most
+    ``_PLAN_CACHE_SIZE`` entries, least recently used evicted first,
+    every lookup counted as ``<name>.hits`` / ``<name>.misses`` in the
+    registry."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def lookup(self, key):
+        """The entry under ``key`` (now the most recently used), or None."""
+        entry = self.get(key)
+        REGISTRY.inc(f"{self.name}.misses" if entry is None else f"{self.name}.hits")
+        if entry is not None:
+            self.move_to_end(key)
+        return entry
+
+    def store(self, key, entry) -> None:
+        self[key] = entry
+        while len(self) > _PLAN_CACHE_SIZE:
+            self.popitem(last=False)
 
 
 @dataclass
@@ -95,18 +119,14 @@ class Executor:
         #: Keyed by node *identity* (logical plans may hold unhashable
         #: expressions); the node is kept in the value so its id cannot
         #: be recycled while the entry lives.
-        self._plan_cache: "OrderedDict[Tuple[int, tuple], Tuple[object, PhysicalPlan]]" = (
-            OrderedDict()
-        )
+        self._plan_cache = _LruCache("plan_cache")
         #: (id(physical root), workers, min_partition_rows, copartition,
         #: epoch) -> (PhysicalPlan, ParallelPlan); fragmenting reuses the
         #: cached lowering, so changing the worker count (or the
         #: co-partition switch) never re-lowers a plan.  Like the plan
         #: cache, keys carry the update epoch so fragment plans over a
         #: stale delta state never run.
-        self._fragment_cache: "OrderedDict[tuple, Tuple[PhysicalPlan, ParallelPlan]]" = (
-            OrderedDict()
-        )
+        self._fragment_cache = _LruCache("fragment_cache")
 
     # ----------------------------------------------------------- planning
     def _span(self, name: str, **attributes):
@@ -124,12 +144,9 @@ class Executor:
         # commit bumps it and invalidates every cached lowering, while
         # plain reads keep hitting the cache
         key = (id(node), self.options.cache_key(self.pdb.epoch))
-        hit = self._plan_cache.get(key)
+        hit = self._plan_cache.lookup(key)
         if hit is not None:
-            REGISTRY.inc("plan_cache.hits")
-            self._plan_cache.move_to_end(key)
             return hit[1]
-        REGISTRY.inc("plan_cache.misses")
         with self._span("lower", scheme=self.pdb.scheme_name):
             pplan = lower(self.pdb, node, self.options)
         # counted here, not in lower(): lowering stays pure
@@ -140,9 +157,7 @@ class Executor:
         REGISTRY.inc("lowering.scans", len(scans))
         REGISTRY.inc("lowering.full_scans", len(scans) - len(selected))
         REGISTRY.inc("lowering.rows_selected", sum(map(len, selected)))
-        self._plan_cache[key] = (node, pplan)
-        while len(self._plan_cache) > _PLAN_CACHE_SIZE:
-            self._plan_cache.popitem(last=False)
+        self._plan_cache.store(key, (node, pplan))
         return pplan
 
     def parallel_plan(self, pplan: PhysicalPlan) -> ParallelPlan:
@@ -154,12 +169,9 @@ class Executor:
             bool(self.options.enable_copartition),
             bool(self.options.enable_partial_agg), self.pdb.epoch,
         )
-        hit = self._fragment_cache.get(key)
+        hit = self._fragment_cache.lookup(key)
         if hit is not None:
-            REGISTRY.inc("fragment_cache.hits")
-            self._fragment_cache.move_to_end(key)
             return hit[1]
-        REGISTRY.inc("fragment_cache.misses")
         with self._span("fragment", workers=workers):
             parallel = plan_fragments(
                 pplan, workers,
@@ -167,9 +179,7 @@ class Executor:
                 enable_copartition=self.options.enable_copartition,
                 enable_partial_agg=self.options.enable_partial_agg,
             )
-        self._fragment_cache[key] = (pplan, parallel)
-        while len(self._fragment_cache) > _PLAN_CACHE_SIZE:
-            self._fragment_cache.popitem(last=False)
+        self._fragment_cache.store(key, (pplan, parallel))
         return parallel
 
     def execution_plan(self, pplan: PhysicalPlan) -> ParallelPlan:

@@ -183,7 +183,7 @@ class PhysicalPlan:
 
     root: PhysicalOp
     scheme_name: str
-    contracts: Optional[Dict[int, "ResultContract"]] = None
+    contracts: Dict[int, ResultContract]
 
     def operators(self):
         return walk_physical(self.root)

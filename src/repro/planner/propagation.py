@@ -130,7 +130,7 @@ def compute_restrictions(
         for use_index, use in enumerate(bdcc.uses):
             if local_only and use.path:
                 continue
-            host_alias = _walk_path(analysis, alias, use.path)
+            host_alias = analysis.walk_path(alias, use.path)
             if host_alias is None:
                 continue
             host_scan = analysis.scans[host_alias]
@@ -152,18 +152,6 @@ def compute_restrictions(
         if entries:
             restrictions[alias] = entries
     return restrictions
-
-
-def _walk_path(analysis: PlanAnalysis, alias: str, path: Tuple[str, ...]) -> Optional[str]:
-    """Follow a dimension path through the query's filtering FK edges;
-    returns the host alias, or None when the path is not realised."""
-    current = alias
-    for fk_name in path:
-        edge = analysis.edge_from(current, fk_name)
-        if edge is None or not edge.filters_child():
-            return None
-        current = edge.parent_alias
-    return current
 
 
 # ------------------------------------------------------ result contracts

@@ -26,6 +26,7 @@ import numpy as np
 from ..planner.executor import ExecutionOptions, Executor
 from ..storage.database import Database
 from ..tpch.refresh import refresh_pair_size, stage_rf1, stage_rf2
+from ..tpch.runner import QueryRunner
 from ..updates.session import UpdateSession
 from ..workload.generator import PlanGenerator
 from ..workload.updates import UpdateGenerator
@@ -162,30 +163,6 @@ class TpchRefreshStream(RefreshStream):
 
 
 # ----------------------------------------------------- TPC-H capture
-class _CapturingRunner:
-    """A :class:`~repro.tpch.runner.QueryRunner`-shaped probe that
-    records each stage's *logical* plan while executing it (multi-stage
-    queries parametrize stage N+1 from stage N's result, so capture
-    must actually run the stages)."""
-
-    def __init__(self, executor: Executor):
-        self.executor = executor
-        self.logical_plans: List[object] = []
-
-    @property
-    def database(self) -> Database:
-        return self.executor.pdb.database
-
-    @property
-    def scale_factor(self) -> float:
-        sf = self.database.scale_factor
-        return 1.0 if sf is None else sf
-
-    def execute(self, plan):
-        self.logical_plans.append(plan)
-        return self.executor.execute(plan)
-
-
 def capture_tpch_items(
     pdb,
     queries: Dict[str, Callable],
@@ -203,7 +180,7 @@ def capture_tpch_items(
     options = ExecutionOptions(workers=1)
     with Executor(pdb, disk=disk, costs=costs, options=options) as executor:
         for qname, fn in queries.items():
-            runner = _CapturingRunner(executor)
+            runner = QueryRunner(executor)
             fn(runner)
             stages = runner.logical_plans
             for position, plan in enumerate(stages):

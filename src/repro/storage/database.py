@@ -13,37 +13,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..catalog import Schema
+from .keys import encode_join_keys, match_keys
 
 __all__ = ["Database", "lookup_rows"]
-
-
-def _pack_key(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Encode multi-column keys as int64 codes (order within each column
-    preserved; only equality semantics are needed here).
-
-    Returns the packed codes plus the per-column sorted-unique domains the
-    packing was computed against, so probe values can be packed the same
-    way via :func:`_pack_probe`.
-    """
-    domains = [np.unique(col) for col in columns]
-    codes = np.zeros(len(columns[0]), dtype=np.int64)
-    for col, domain in zip(columns, domains):
-        codes *= np.int64(len(domain) + 1)
-        codes += np.searchsorted(domain, col).astype(np.int64)
-    return codes, domains
-
-
-def _pack_probe(columns: Sequence[np.ndarray], domains: List[np.ndarray]) -> np.ndarray:
-    codes = np.zeros(len(columns[0]), dtype=np.int64)
-    valid = np.ones(len(columns[0]), dtype=bool)
-    for col, domain in zip(columns, domains):
-        ranks = np.searchsorted(domain, col)
-        np.minimum(ranks, len(domain) - 1, out=ranks)
-        valid &= domain[ranks] == col
-        codes *= np.int64(len(domain) + 1)
-        codes += ranks.astype(np.int64)
-    codes[~valid] = -1  # sentinel: cannot match any build key
-    return codes
 
 
 def lookup_rows(
@@ -51,22 +23,18 @@ def lookup_rows(
 ) -> np.ndarray:
     """Row index in the keyed table for each probe tuple, or -1.
 
-    ``key_columns`` must form a unique key (e.g. a primary key).
+    ``key_columns`` must form a unique key (e.g. a primary key): the
+    lookup is the join probe with the keyed table as its unique build
+    side, where a matched probe's run start is the row itself.
     """
     if len(key_columns) != len(probe_columns):
         raise ValueError("key/probe column count mismatch")
-    if len(key_columns) == 1:
-        keys, probes = key_columns[0], probe_columns[0]
-    else:
-        keys, domains = _pack_key(key_columns)
-        probes = _pack_probe(probe_columns, domains)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    pos = np.searchsorted(sorted_keys, probes)
-    np.minimum(pos, len(sorted_keys) - 1, out=pos)
-    found = sorted_keys[pos] == probes
-    result = np.where(found, order[pos], -1)
-    return result.astype(np.int64)
+    probes, keys = encode_join_keys(probe_columns, key_columns)
+    order, lo, counts = match_keys(probes, keys)
+    rows = np.full(len(probes), -1, dtype=np.int64)
+    found = counts > 0
+    rows[found] = order[lo[found]]
+    return rows
 
 
 class Database:

@@ -26,13 +26,16 @@ class QueryRunner:
     """Executes plan stages and accumulates one query's total cost.
 
     Stages go through the two-phase entry points — ``executor.lower``
-    then ``executor.run`` — and the lowered physical plans are kept in
-    ``physical_plans``, so callers (EXPLAIN, tests, the CLI) can inspect
-    what was planned per stage without re-running the query."""
+    then ``executor.run`` — and each stage's plan as submitted and its
+    lowering are kept in ``logical_plans`` and ``physical_plans``, so
+    callers (EXPLAIN, tests, the CLI, serving's TPC-H capture) can
+    inspect what was asked and planned per stage without re-running the
+    query."""
 
     def __init__(self, executor: Executor):
         self.executor = executor
         self.metrics = ExecutionMetrics()
+        self.logical_plans: List[object] = []
         self.physical_plans: List[PhysicalPlan] = []
         #: per-stage metrics, parallel to ``physical_plans`` (the merged
         #: ``metrics`` mixes stages; fragment timelines are per stage)
@@ -48,6 +51,7 @@ class QueryRunner:
         return 1.0 if sf is None else sf
 
     def execute(self, plan) -> QueryResult:
+        self.logical_plans.append(plan)
         pplan = plan if isinstance(plan, PhysicalPlan) else self.executor.lower(plan)
         self.physical_plans.append(pplan)
         result = self.executor.run(pplan)

@@ -57,7 +57,7 @@ class TestTPCHDiscovery:
 
     def test_region_stays_unclustered(self, tiny_tpch):
         design = SchemaAdvisor(tiny_tpch.schema).design(tiny_tpch)
-        assert "region" not in design.clustered_tables()
+        assert not design.uses_for("region")
 
     def test_build_covers_all_clustered_tables(self, tiny_tpch):
         advisor = SchemaAdvisor(tiny_tpch.schema)

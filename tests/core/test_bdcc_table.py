@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.catalog import INT32, Schema, string_type
 from repro.core.bdcc_table import BDCCBuildConfig, build_bdcc_table
-from repro.core.bits import gather_use_bits, truncate_mask
+from repro.core.bits import gather_use_bits, ones, truncate_mask
 from repro.core.dimension import Dimension
 from repro.core.dimension_use import DimensionUse
 from repro.storage.database import Database
@@ -81,12 +81,6 @@ class TestBuild:
         assert bdcc.uses[0].mask == 0b1110000
         assert bdcc.uses[1].mask == 0b0001111
 
-    def test_fk_grouped_variant_builds(self, mini_db):
-        bdcc = build_bdcc_table(
-            mini_db, "fact", _uses(mini_db), BDCCBuildConfig(fk_grouped=True)
-        )
-        assert bdcc.count_table.total_rows() == mini_db.num_rows("fact")
-
     def test_requires_uses(self, mini_db):
         with pytest.raises(ValueError):
             build_bdcc_table(mini_db, "fact", [])
@@ -118,8 +112,9 @@ class TestGranularitySelection:
             BDCCBuildConfig(efficient_access_bytes=512.0),
         )
         b = bdcc.granularity
-        for use, eff in zip(bdcc.uses, bdcc.effective_uses):
-            assert eff.mask == truncate_mask(use.mask, bdcc.total_bits, b)
+        for index, use in enumerate(bdcc.uses):
+            assert bdcc.effective_bits(index) == ones(truncate_mask(use.mask, bdcc.total_bits, b))
+        assert sum(map(bdcc.effective_bits, range(len(bdcc.uses)))) == b
 
 
 class TestConsolidation:

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bits import gather_use_bits
 from repro.core.dimension import Dimension
+from repro.execution.operators import group_ids
+from repro.execution.relation import Relation
 
 
 def _dimension_from(values, max_bits=4, name="D_T"):
@@ -61,16 +64,24 @@ class TestBinOf:
 
 
 class TestReducedGranularity:
+    """Def 1(vii) as the engine applies it: a sandwich group id takes
+    the top ``g`` bits of a stream's bin column (``group_ids``)."""
+
+    @staticmethod
+    def _reduced(dim, bins, g):
+        return group_ids(Relation(columns={"__grp__d": bins}), [("__grp__d", dim.bits, g)])
+
     def test_chops_lsbs(self):
         dim = _dimension_from(list(range(8)), max_bits=3)
         bins = dim.bin_of_values([np.arange(8)])
-        reduced = dim.reduced_bins(bins, 1)
+        reduced = self._reduced(dim, bins, 1)
         assert list(reduced) == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_rejects_bad_granularity(self):
+        # a use cannot be reduced to more bits than the dimension has
         dim = _dimension_from([1, 2])
         with pytest.raises(ValueError):
-            dim.reduced_bins(np.array([0], dtype=np.uint64), 7)
+            gather_use_bits(np.array([0], dtype=np.uint64), (1 << dim.bits) - 1, 7)
 
     @given(
         st.lists(st.integers(0, 255), min_size=2, max_size=100),
@@ -83,23 +94,29 @@ class TestReducedGranularity:
         g = min(g, dim.bits)
         arr = np.array(values)
         full = dim.bin_of_values([arr])
-        reduced = dim.reduced_bins(full, g)
+        reduced = self._reduced(dim, full, g)
         assert np.array_equal(reduced, full >> np.uint64(dim.bits - g))
         order = np.argsort(arr, kind="stable")
         assert np.all(np.diff(reduced[order].astype(np.int64)) >= 0)
 
 
 class TestBinRanges:
+    """A code interval maps to a contiguous run of bins (Def 1(v) is
+    order-respecting), which is what range pushdown relies on."""
+
     def test_range_for_codes(self):
         dim = _dimension_from([10, 20, 30, 40])
         enc = dim.encoder
         lo = enc.lower_code([20])
         hi = enc.upper_code([30])
-        assert dim.bin_range_for_codes(lo, hi) == (1, 2)
+        assert list(np.unique(dim.bin_of_codes(np.arange(lo, hi + 1)))) == [1, 2]
 
     def test_empty_interval(self):
+        # no host value lies in [15, 15]: the code interval is empty
         dim = _dimension_from([10, 20])
-        assert dim.bin_range_for_codes(5, 4) is None
+        lo, hi = dim.encoder.lower_code([15]), dim.encoder.upper_code([15])
+        assert hi < lo
+        assert len(dim.bin_of_codes(np.arange(lo, hi + 1))) == 0
 
     def test_rejects_unordered_bins(self):
         with pytest.raises(ValueError):

@@ -74,36 +74,6 @@ class TestRoundRobinProperties:
             assign_masks([])
 
 
-class TestFkGrouped:
-    def test_shared_fk_alternates_within_group(self):
-        # two dims over fk A, one over fk B: cycle is [A, B], A alternating
-        masks = assign_masks(
-            [2, 2, 2], fk_groups=["A", "A", "B"], fk_grouped=True
-        )
-        total = 6
-        # round 1: A -> use0 at bit5, B -> use2 at bit4
-        # round 2: A -> use1 at bit3, B -> use2 at bit2
-        # round 3: A -> use0 at bit1, B exhausted; round 4: A -> use1 at bit0
-        assert mask_to_string(masks[0], total) == "100010"
-        assert mask_to_string(masks[1], total) == "001001"
-        assert mask_to_string(masks[2], total) == "010100"
-
-    def test_requires_groups(self):
-        with pytest.raises(ValueError):
-            assign_masks([1, 1], fk_grouped=True)
-
-    @given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4))
-    def test_fk_grouped_also_partitions(self, bits):
-        groups = ["F" if i % 2 else None for i in range(len(bits))]
-        masks = assign_masks(bits, fk_groups=groups, fk_grouped=True)
-        combined = 0
-        for mask, b in zip(masks, bits):
-            assert ones(mask) == b
-            assert combined & mask == 0
-            combined |= mask
-        assert combined == (1 << sum(bits)) - 1
-
-
 class TestMajorMinor:
     def test_blocks(self):
         masks = assign_masks_major_minor([3, 2])

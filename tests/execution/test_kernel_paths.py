@@ -20,18 +20,11 @@ from repro.execution.aggregate import (
     MergeSpec,
     apply_aggregate,
     distinct_per_partition,
-    factorize,
-    fold_keys,
     group_rows,
     merge_partial_aggregates,
 )
-from repro.execution.join_utils import (
-    _match,
-    encode_join_keys,
-    inner_join_pairs,
-    left_join_pairs,
-    semi_join_mask,
-)
+from repro.execution.join_utils import inner_join_pairs, left_join_pairs, semi_join_mask
+from repro.storage.keys import encode_join_keys, factorize, fold_keys, match_keys
 
 from . import frozen_kernels as frozen
 
@@ -219,7 +212,7 @@ def _took_direct_path(probe, build):
     of the build rows."""
     span = int(build.max()) - int(build.min()) + 1
     assert span != len(build), "pick a build side with gaps"
-    return len(_match(probe, build)[0]) == span + 1  # + the spare slot
+    return len(match_keys(probe, build)[0]) == span + 1  # + the spare slot
 
 
 class TestDensityRuleBoundaries:
@@ -303,7 +296,7 @@ class TestProbedOnlySort:
     def test_sorts_only_what_is_probed(self, low, probe, reached):
         build = self.BUILD + low
         probe = np.array(probe, dtype=np.int64) + low
-        order, lo, counts = _match(probe, build)
+        order, lo, counts = match_keys(probe, build)
         assert len(order) == reached
         assert sorted(order.tolist()) == np.flatnonzero(np.isin(build, probe)).tolist()
         for i, key in enumerate(probe):
@@ -318,7 +311,7 @@ class TestProbedOnlySort:
             for key, reached in ((11, 1), (5, 0)):                # the max, a gap
                 probe = np.full(probe_rows, key, dtype=np.int64) + low
                 # the direct path sorts the reached rows, the sorted path all
-                assert len(_match(probe, build)[0]) == (reached if direct else 3)
+                assert len(match_keys(probe, build)[0]) == (reached if direct else 3)
                 _same_as_frozen(probe, build)
 
     @settings(max_examples=200, deadline=None)
@@ -343,10 +336,10 @@ class TestNoNegativeSlot:
         build = np.concatenate([build, build[-1:]])          # the last slot holds two rows
         probe = np.array([low - 1, low + 10, low - 1], dtype=np.int64)
         assert _took_direct_path(np.append(probe, low), build[:-1][::2])
-        _, slot, counts = _match(probe, build[:-1])  # unique: lo is the slot
+        _, slot, counts = match_keys(probe, build[:-1])  # unique: lo is the slot
         assert slot.tolist() == [10, 10, 10]         # the spare slot, not -1
         assert counts.tolist() == [0, 0, 0]
-        assert _match(probe, build)[2].tolist() == [0, 0, 0]
+        assert match_keys(probe, build)[2].tolist() == [0, 0, 0]
         assert len(inner_join_pairs(probe, build)[0]) == 0
         assert left_join_pairs(probe, build)[1].tolist() == [-1, -1, -1]
         assert not semi_join_mask(probe, build).any()

@@ -17,12 +17,8 @@ from repro.execution.aggregate import (
     distinct_per_partition,
     group_rows,
 )
-from repro.execution.join_utils import (
-    encode_join_keys,
-    inner_join_pairs,
-    left_join_pairs,
-    semi_join_mask,
-)
+from repro.execution.join_utils import inner_join_pairs, left_join_pairs, semi_join_mask
+from repro.storage.keys import encode_join_keys
 
 from .test_kernel_paths import CASTS  # a small key domain in every dtype
 

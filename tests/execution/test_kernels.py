@@ -11,13 +11,9 @@ from repro.execution.aggregate import (
     distinct_per_partition,
     group_rows,
 )
-from repro.execution.join_utils import (
-    encode_join_keys,
-    inner_join_pairs,
-    left_join_pairs,
-    semi_join_mask,
-)
+from repro.execution.join_utils import inner_join_pairs, left_join_pairs, semi_join_mask
 from repro.execution.sandwich import grouped_aggregate_reference, grouped_join_reference
+from repro.storage.keys import encode_join_keys
 
 keys_lists = st.lists(st.integers(0, 8), min_size=0, max_size=40)
 

@@ -235,7 +235,7 @@ class TestCoPartitionedJoins:
     def test_rebin_buckets_cover_producers_disjointly(self, bdcc_db):
         """Per join side, the per-partition rebin masks partition every
         producer row into exactly one bucket."""
-        from repro.parallel.exchange import rebin_ids
+        from repro.execution.operators import group_ids
 
         executor = self._executor(bdcc_db)
         parallel = executor.parallel_plan(executor.lower(self._plan()))
@@ -267,7 +267,7 @@ class TestCoPartitionedJoins:
             )
             for source in sources:
                 rel = ctx_results[source]
-                bins = rebin_ids(rel, on)
+                bins = group_ids(rel, on)
                 parts = (bins * np.uint64(side_ops[0].partitions)) >> np.uint64(
                     side_ops[0].total_bits
                 )

@@ -163,6 +163,33 @@ class TestMinMax:
         assert idx.maxs.tobytes() == maxs.tobytes()
 
 
+def _column(values, kind):
+    if kind == "str":
+        return np.array([f"k{v}" for v in values], dtype=str)
+    return np.array(values, dtype=kind)
+
+
+@st.composite
+def _lookup_cases(draw):
+    """A unique key of one or two columns and probe tuples against it.
+    Keys are dense (step 1: the direct-address probe) or sparse (step
+    1000: the sorted probe), may be negative or empty; probes mix hits
+    with values outside the key range.  Integer columns are int32 or
+    int64 on either side; a string column is a string on both."""
+    width = draw(st.integers(1, 2))
+    step = draw(st.sampled_from([1, 1000]))
+    value = st.integers(-20, 20).map(lambda v: v * step)
+    keys = draw(st.lists(st.tuples(*[value] * width), unique=True, max_size=30))
+    outside = st.tuples(*[st.integers(-10**6, 10**6)] * width)
+    probe = st.one_of(st.sampled_from(keys), outside) if keys else outside
+    probes = draw(st.lists(probe, max_size=40))
+    kinds = draw(st.lists(st.sampled_from(["int32", "int64", "str"]), min_size=width, max_size=width))
+    probe_kinds = [
+        kind if kind == "str" else draw(st.sampled_from(["int32", "int64"])) for kind in kinds
+    ]
+    return keys, probes, kinds, probe_kinds
+
+
 class TestDatabase:
     def _db(self):
         schema = Schema()
@@ -183,6 +210,33 @@ class TestDatabase:
         keys = [np.array([1, 1, 2]), np.array([10, 20, 10])]
         probes = [np.array([1, 2, 2]), np.array([20, 10, 99])]
         assert list(lookup_rows(keys, probes)) == [1, 2, -1]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_lookup_on_an_empty_key_side_finds_nothing(self, width):
+        keys = [np.zeros(0, dtype=np.int32)] * width
+        probes = [np.array([30, 10, 99], dtype=np.int32)] * width
+        rows = lookup_rows(keys, probes)
+        assert rows.tolist() == [-1, -1, -1] and rows.dtype == np.int64
+
+    def test_dangling_path_into_an_empty_parent_is_named(self):
+        db = self._db()
+        db.add_table_data("p", {"id": np.zeros(0, dtype=np.int32), "v": np.zeros(0, dtype=np.int32)})
+        with pytest.raises(ValueError, match="dangling foreign key"):
+            db.resolve_path_values("c", ("FK",), ["v"])
+
+    @given(case=_lookup_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_lookup_rows_matches_a_dict(self, case):
+        keys, probes, kinds, probe_kinds = case
+        oracle = {key: row for row, key in enumerate(keys)}
+        expected = [oracle.get(probe, -1) for probe in probes]
+        key_columns = [_column([k[i] for k in keys], kind) for i, kind in enumerate(kinds)]
+        probe_columns = [
+            _column([p[i] for p in probes], kind) for i, kind in enumerate(probe_kinds)
+        ]
+        rows = lookup_rows(key_columns, probe_columns)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == expected
 
     def test_follow_foreign_key(self):
         db = self._db()
@@ -212,3 +266,43 @@ class TestDatabase:
         db = self._db()
         with pytest.raises(ValueError):
             db.resolve_path_values("p", ("FK",), ["v"])
+
+
+def _package_imports(module):
+    """The ``repro`` subpackages a module imports, from its source."""
+    import ast
+    import importlib
+
+    source = importlib.import_module(module).__file__
+    with open(source, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    package = module.rsplit(".", 1)[0]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                name = ".".join(filter(None, [base, node.module]))
+            else:
+                name = node.module or ""
+            if name.startswith("repro."):
+                found.add(name.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("repro."))
+    return found
+
+
+class TestLayering:
+    """Storage sits below the operators: the key kernels the foreign-key
+    lookup and every join share live here, not in ``execution``."""
+
+    def test_key_kernels_are_pure_numpy(self):
+        assert _package_imports("repro.storage.keys") == set()
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.storage.database", "repro.storage.stored_table", "repro.storage.pages",
+         "repro.storage.minmax", "repro.storage.io_model"],
+    )
+    def test_storage_imports_no_higher_layer(self, module):
+        assert _package_imports(module) <= {"catalog", "core", "storage"}
