@@ -4,14 +4,14 @@ Builds a small TPC-H database under the BDCC scheme and runs Q1 and Q6
 at ``workers=4`` twice — once on the default **simulated** backend
 (in-process, deterministic scheduler) and once on the **process**
 backend (``ExecutionOptions(backend="process")``): real worker processes
-where base columns are exported once into
-`multiprocessing.shared_memory` blocks (zero-copy, read-only views in
-the workers), fragments are dispatched as their dependencies drain, and
-the serial tail runs in the parent.  The pool and the blocks belong to
-the process, not to an executor: every executor below shares them,
+forked over the stored tables, so every base column is inherited
+copy-on-write and a fragment payload names its tables instead of
+shipping them; fragments are dispatched as their dependencies drain,
+and the serial tail runs in the parent.  The pool belongs to the
+process, not to an executor: every executor below shares it,
 ``Executor.close()`` releases nothing, and
 ``repro.parallel.backends.shutdown()`` — which runs at exit anyway —
-stops the pool and unlinks the blocks.
+stops the pool.
 
 The script verifies the headline guarantee — the *same* ``ParallelPlan``
 produces **bit-identical** rows and **identical simulated charges** on
@@ -72,7 +72,7 @@ def main() -> None:
                 result = QUERIES[qname](runner)
                 out[qname] = (result.relation, runner.metrics)
         finally:
-            executor.close()  # the pool and the blocks stay: they are the process's
+            executor.close()  # the pool stays: it is the process's
         return out
 
     simulated = run("simulated")

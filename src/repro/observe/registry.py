@@ -33,15 +33,13 @@ Counter names in use:
 ====================== =================================================
 
 and, from the process backend (``repro.parallel.backends``), what "one
-pool per process, one shared-memory export per array" comes to:
+pool per process, payloads name tables" comes to:
 
 =================================== ====================================
-``process_backend.pool_starts``     worker pools forked
-``process_backend.blocks_exported`` arrays copied into shared memory
-``process_backend.bytes_exported``  ... and their bytes
-``process_backend.blocks_retired``  blocks unlinked (their array died, or
-                                    ``shutdown()``) and announced to the
-                                    workers
+``process_backend.pool_starts``     worker pools forked (a re-fork after
+                                    a commit or a compaction included)
+``process_backend.payload_bytes``   pickled task bytes of every fragment
+                                    dispatched to a worker
 =================================== ====================================
 """
 

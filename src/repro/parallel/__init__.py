@@ -11,7 +11,7 @@ simulated workers under a deterministic dependency-aware scheduler
 makespan over worker timelines.  Where the fragments *actually* execute
 is a pluggable backend (:mod:`repro.parallel.backends`): in-process
 under the simulated scheduler (the default), or on a real
-``multiprocessing`` pool over shared-memory column exports
+``multiprocessing`` pool forked over the stored tables
 (``ExecutionOptions(backend="process")``), which records measured
 wall clock next to the simulated charges.
 
@@ -32,7 +32,6 @@ from .backends import (
     BACKEND_NAMES,
     ExecutionBackend,
     ProcessBackend,
-    SharedArrayStore,
     SimulatedBackend,
     create_backend,
 )
@@ -79,6 +78,5 @@ __all__ = [
     "ExecutionBackend",
     "SimulatedBackend",
     "ProcessBackend",
-    "SharedArrayStore",
     "create_backend",
 ]

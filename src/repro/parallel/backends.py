@@ -8,10 +8,11 @@ of actually producing the fragment results — a backend is its
   topological order and wall clock is purely *modelled* by the
   deterministic scheduler.
 * :class:`ProcessBackend` — the same :class:`~repro.parallel.fragments.ParallelPlan`
-  on real worker processes: base numpy arrays are copied once into
-  :mod:`multiprocessing.shared_memory` blocks (workers map them as
-  zero-copy views), fragments are dispatched as their ``depends_on``
-  sets drain, exchange results are pickled back through the ordinary
+  on real worker processes forked from this one: the workers inherit
+  every stored table (so every base column, copy-on-write), a fragment
+  payload *names* the tables and dimensions it reads instead of carrying
+  them, fragments are dispatched as their ``depends_on`` sets drain,
+  exchange results are pickled back through the ordinary
   ``fragment_results`` map, and per-fragment wall-clock windows are
   recorded *alongside* the simulated charges.
 
@@ -27,45 +28,44 @@ tests check.  The measured quantities land in dedicated fields
 ``ExecutionMetrics.measured_wall_seconds``) and never contaminate the
 deterministic model outputs.
 
-One pool and one export table per *process* (lifetime rules:
-``docs/execution-model.md``): the worker pool and the
-:class:`SharedArrayStore` belong to this module, not to a backend or an
+One pool per *process* (lifetime rules: ``docs/execution-model.md``):
+the worker pool belongs to this module, not to a backend or an
 executor, so a cold ``Executor`` per query — what ``run_query`` and the
-CLI create — pays neither a fork nor a re-export.  A block lives as long
-as the array it copied: a ``weakref.finalize`` on the array unlinks the
-block and removes its ``id()`` entry before that id can be recycled, so
-a commit/compaction, which builds *new* arrays, exports *new* blocks and
-the old epoch's go with its arrays — epoch invalidation falls out of
-object identity.  Every task tells its worker which blocks were retired
-meanwhile, and the worker unmaps them.  ``close()`` on a backend or an
-executor therefore releases nothing; :func:`shutdown` (registered with
-``atexit``) stops the pool and unlinks every block.  The process
-backend is POSIX-only and dispatched from one thread at a time.
+CLI create — pays no fork.  The pool is forked over a snapshot: every
+live :class:`~repro.storage.stored_table.StoredTable` with its epoch,
+the tables the dispatching plan scans, and the ``Dimension`` of every
+BDCC use of those tables, all held by strong references so that no
+``id()`` a payload names can be recycled while the pool lives.  The
+payload pickler turns a snapshot object into its ``id()``; the worker's
+unpickler resolves that in its own inherited copy.  Every write to a
+stored table bumps its epoch (commit, compaction), so before a plan's
+first dispatch each table it scans is checked against the snapshot: one
+that is new, or whose epoch has moved, drops the pool, and the dispatch
+forks a fresh one over the current state — a worker never reads a stale
+table.  ``close()`` on a backend or an executor therefore releases
+nothing; :func:`shutdown` (registered with ``atexit``) stops the pool
+and releases the snapshot.  The process backend is POSIX-only (it needs
+``fork``) and dispatched from one thread at a time.
 """
 
 from __future__ import annotations
 
 import atexit
 import io
-import mmap
-import os
 import pickle
 import time
-import weakref
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context, resource_tracker, shared_memory
-from typing import Deque, Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from multiprocessing import get_context
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..execution.cost import CostModel
 from ..execution.metrics import ExecutionMetrics
-from ..execution.operators import walk_physical
+from ..execution.operators import PhysicalScan, walk_physical
 from ..execution.relation import Relation
 from ..observe.registry import REGISTRY
 from ..storage.io_model import DiskModel
+from ..storage.stored_table import LIVE_TABLES, StoredTable
 from .fragments import Fragment, ParallelPlan
 from .scheduler import merge_parallel_metrics, run_fragment
 
@@ -73,207 +73,65 @@ __all__ = [
     "ExecutionBackend",
     "SimulatedBackend",
     "ProcessBackend",
-    "SharedArrayStore",
     "create_backend",
     "shutdown",
     "BACKEND_NAMES",
 ]
 
-#: arrays below this size are pickled inline — a shared-memory block
-#: (mmap + attach syscalls in every worker) only pays off for real data.
-SHARED_MIN_BYTES = 4096
 
-#: how many of the latest retired block names ride along with every
-#: task; a worker that has missed more retirements than this (it sat idle,
-#: or was forked late) unmaps *every* block and re-attaches what it needs.
-RETIRED_SUFFIX = 256
-
-
-# ------------------------------------------------------- shared memory
-class SharedArrayStore:
-    """Parent-side table of numpy arrays copied into shared memory.
-
-    Arrays are deduplicated by object identity and an entry dies with
-    its array: the store holds no reference to it, only a
-    ``weakref.finalize`` that removes the ``id()`` entry and unlinks the
-    block while the dying array still occupies its id.  An ``id()`` hit
-    therefore always means the *same* array, repeated plans export each
-    base column once, and arrays nobody can reach any more — an old
-    epoch's columns, a collected plan's selection runs — hold no
-    ``/dev/shm`` space.  Nor does the parent keep a mapping: it unmaps a
-    block right after copying into it (or its resident set would carry
-    every base column twice); the name is all ``shm_unlink`` needs.
-    """
-
-    def __init__(self):
-        #: id(array) -> (finalizer, (block name, dtype, shape))
-        self._exports: Dict[int, tuple] = {}
-        #: blocks :meth:`_retire` has unlinked and :meth:`retirement`
-        #: has not yet unregistered, counted and announced
-        self._unlinked: Deque[str] = deque()
-        #: retirements settled so far, and the names of the latest ones
-        self._retired = 0
-        self._recent: Deque[str] = deque(maxlen=RETIRED_SUFFIX)
-
-    def names(self) -> Set[str]:
-        """The live blocks' names (a snapshot: finalizers drop entries any time)."""
-        return {descriptor[0] for _, descriptor in list(self._exports.values())}
-
-    def exportable(self, array: np.ndarray) -> bool:
-        return array.dtype.kind != "O" and array.nbytes >= SHARED_MIN_BYTES
-
-    def export(self, array: np.ndarray) -> Tuple[str, str, tuple]:
-        """The ``(block name, dtype, shape)`` descriptor of ``array``,
-        copying it into a fresh shared-memory block on first sight."""
-        key = id(array)
-        hit = self._exports.get(key)
-        if hit is not None:
-            return hit[1]
-        block = shared_memory.SharedMemory(create=True, size=max(array.nbytes, 1))
-        try:
-            np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)[...] = array
-        finally:
-            block.close()
-        descriptor = (block.name, array.dtype.str, array.shape)
-        finalizer = weakref.finalize(array, self._retire, key, os.getpid())
-        self._exports[key] = (finalizer, descriptor)
-        REGISTRY.inc("process_backend.blocks_exported")
-        REGISTRY.inc("process_backend.bytes_exported", array.nbytes)
-        return descriptor
-
-    def _retire(self, key: int, pid: int) -> None:
-        """Finalizer of an exported array.  It runs wherever the array
-        happens to die — inside any allocation, on the pool's manager
-        thread, in a forked child collecting its copy — so it takes no
-        lock and does only atomic things: drop the entry, ``shm_unlink``
-        the block, queue the name.  Not ``SharedMemory.unlink()``: that
-        also calls the resource tracker, which refuses re-entrant calls,
-        and a finalizer can interrupt the tracker call of an export in
-        progress; :meth:`retirement` unregisters later."""
-        if pid != os.getpid():
-            return  # the block belongs to the process that exported it
-        entry = self._exports.pop(key, None)
-        if entry is not None:
-            self._unlink(entry[1][0])
-
-    def _unlink(self, name: str) -> None:
-        try:
-            shared_memory._posixshmem.shm_unlink("/" + name)
-        except FileNotFoundError:
-            pass
-        self._unlinked.append(name)
-
-    def retirement(self) -> Tuple[int, Tuple[str, ...]]:
-        """``(blocks retired so far, names of the latest RETIRED_SUFFIX)``
-        for :func:`_release_retired` — after finishing, from ordinary
-        (never finalizer) code, what :meth:`_retire` began: unregister
-        the unlinked blocks from the resource tracker and count them."""
-        while self._unlinked:
-            name = self._unlinked.popleft()
-            resource_tracker.unregister("/" + name, "shared_memory")
-            self._retired += 1
-            self._recent.append(name)
-            REGISTRY.inc("process_backend.blocks_retired")
-        return self._retired, tuple(self._recent)
-
-    def close(self) -> None:
-        """Retire every live block.  The table is swapped out first, so
-        a finalizer firing meanwhile finds no entry and each block is
-        unlinked exactly once."""
-        exports, self._exports = self._exports, {}
-        for finalizer, descriptor in exports.values():
-            finalizer.detach()
-            self._unlink(descriptor[0])
-        self.retirement()
+# ------------------------------------------------- what workers inherit
+#: the current pool's snapshot, by ``id()``: the stored tables and the
+#: dimensions of their BDCC uses.  Strong references, so an id stays
+#: this object's until :func:`shutdown` lets go.
+_INHERITED: Dict[int, object] = {}
+#: ... and each snapshot table's epoch at the fork.
+_EPOCHS: Dict[int, int] = {}
+_MISSING = object()
 
 
-class _SharedArrayPickler(pickle.Pickler):
-    """Pickles plan payloads, routing large numpy arrays through the
-    shared store instead of the byte stream."""
+def _snapshot(tables: Iterable[StoredTable]) -> None:
+    global _INHERITED, _EPOCHS
+    _INHERITED = {id(t): t for t in tables}
+    _EPOCHS = {key: t.epoch for key, t in _INHERITED.items()}
+    for table in list(_INHERITED.values()):
+        if table.bdcc is not None:
+            for use in table.bdcc.uses:
+                _INHERITED[id(use.dimension)] = use.dimension
 
-    def __init__(self, file, store: SharedArrayStore):
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._store = store
+
+class _NamingPickler(pickle.Pickler):
+    """Pickles a payload, naming every snapshot object by its ``id()``."""
 
     def persistent_id(self, obj):
-        if isinstance(obj, np.ndarray) and self._store.exportable(obj):
-            return ("shm-ndarray", self._store.export(obj))
+        # against a sentinel: with ``.get(id(obj)) is obj`` an object
+        # missing from the snapshot would match the default, and every
+        # ``None`` would become a reference
+        if _INHERITED.get(id(obj), _MISSING) is obj:
+            return id(obj)
         return None
 
 
-#: worker-side cache of attached blocks, one per pool process: block
-#: name -> read-only mapping (open until the parent retires the block).
-_ATTACHED_BLOCKS: Dict[str, mmap.mmap] = {}
-
-#: how many of the parent's retirements this worker has acted on.
-_RETIRED_SEEN = 0
-
-
-def _attach_block(name: str) -> mmap.mmap:
-    """This worker's mapping of a block.  Opened with ``shm_open``
-    itself: ``SharedMemory(name=...)`` would register the block with a
-    resource tracker, and a block's lifetime is the parent's alone."""
-    mapping = _ATTACHED_BLOCKS.get(name)
-    if mapping is None:
-        fd = shared_memory._posixshmem.shm_open("/" + name, os.O_RDONLY, mode=0o600)
-        try:
-            mapping = _ATTACHED_BLOCKS[name] = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-        finally:
-            os.close(fd)
-    return mapping
-
-
-def _release_retired(retired: int, recent: Tuple[str, ...]) -> None:
-    """Worker side of a retirement: unmap the blocks the parent has
-    retired since this worker's previous task — the last ``behind``
-    names of ``recent``, or every attachment when ``recent`` does not
-    reach back that far (live blocks re-attach on their next use).  Runs
-    between tasks, and a worker keeps no view from one task to the next:
-    numpy views hold no buffer export, so unmapping under one still in
-    use would not raise, it would leave it dangling."""
-    global _RETIRED_SEEN
-    behind = retired - _RETIRED_SEEN
-    if behind <= 0:
-        return
-    _RETIRED_SEEN = retired
-    names = recent[-behind:] if behind <= len(recent) else tuple(_ATTACHED_BLOCKS)
-    for name in names:
-        mapping = _ATTACHED_BLOCKS.pop(name, None)
-        if mapping is not None:
-            mapping.close()
-
-
-class _SharedArrayUnpickler(pickle.Unpickler):
-    """Worker-side counterpart: persistent ids become zero-copy views
-    over the attached blocks, read-only like the mappings themselves."""
+class _NamingUnpickler(pickle.Unpickler):
+    """Worker side: a name resolves to this process's inherited copy."""
 
     def persistent_load(self, pid):
-        tag, descriptor = pid
-        if tag != "shm-ndarray":
-            raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
-        name, dtype, shape = descriptor
-        return np.ndarray(shape, dtype=np.dtype(dtype), buffer=_attach_block(name))
+        return _INHERITED[pid]
 
 
-def _dumps_shared(obj, store: SharedArrayStore) -> bytes:
+def _dumps(task) -> bytes:
     buffer = io.BytesIO()
-    _SharedArrayPickler(buffer, store).dump(obj)
+    _NamingPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(task)
     return buffer.getvalue()
 
 
-def _loads_shared(payload: bytes):
-    return _SharedArrayUnpickler(io.BytesIO(payload)).load()
-
-
 # ------------------------------------------------------ worker function
-def _run_fragment_task(payload: bytes, deps_blob: bytes, retirement: tuple):
+def _run_fragment_task(payload: bytes, deps_blob: bytes):
     """Executes one fragment in a pool worker.
 
     The payload carries ``(index, fragment root, disk, costs, profile)``
-    with base arrays as shared-memory references; ``deps_blob`` carries
-    the plainly pickled results of the fragment's dependencies;
-    ``retirement`` is :meth:`SharedArrayStore.retirement` at dispatch,
-    acted on before anything is attached.  Returns the fragment's
+    with the tables and dimensions it reads named, resolved against what
+    this worker inherited; ``deps_blob`` carries the plainly pickled
+    results of the fragment's dependencies.  Returns the fragment's
     relation, its metrics (operator actuals re-listed in pre-order walk
     position, since ``id()`` keys do not survive the process
     boundary) and the measured wall-clock window as absolute
@@ -283,8 +141,7 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes, retirement: tuple):
     ``profile`` the worker runs the fragment under ``cProfile`` and the
     top functions travel back on ``metrics.profile`` (plain dicts, so
     they pickle like everything else)."""
-    _release_retired(*retirement)
-    index, root, disk, costs, profile = _loads_shared(payload)
+    index, root, disk, costs, profile = _NamingUnpickler(io.BytesIO(payload)).load()
     deps: Dict[int, Relation] = pickle.loads(deps_blob)
     started = time.perf_counter()
     relation, metrics = run_fragment(root, disk, costs, deps, profile)
@@ -294,41 +151,45 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes, retirement: tuple):
     return index, relation, metrics, actuals, (started, ended)
 
 
-# ------------------------------------------- process-wide pool and store
-_STORE = SharedArrayStore()
+# ------------------------------------------------- process-wide pool
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """The process's worker pool, started on first use and replaced by
-    a larger one only when a plan asks for more workers than it has."""
+def _pool(workers: int, scanned: List[StoredTable]) -> ProcessPoolExecutor:
+    """The process's worker pool, forked on first use over the current
+    snapshot.  It is replaced when a plan asks for more workers than it
+    has, or scans a table its workers did not inherit at the table's
+    current epoch."""
     global _POOL, _POOL_WORKERS
-    if _POOL is not None and _POOL_WORKERS < workers:
-        _drop_pool()
+    # a pool forked again for a stale table keeps its size: it never shrinks
+    size = max(workers, _POOL_WORKERS)
+    # an id found in _EPOCHS is that table: the snapshot keeps it alive
+    stale = any(_EPOCHS.get(id(t)) != t.epoch for t in scanned)
+    if _POOL is not None and (_POOL_WORKERS < workers or stale):
+        shutdown()
     if _POOL is None:
         # fork keeps worker start cheap, inherits the loaded modules and
-        # shares the perf_counter origin of the measured windows; every
-        # worker is forked at the first submit, before the manager thread
-        _POOL = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
-        _POOL_WORKERS = workers
+        # the tables, and shares the perf_counter origin of the measured
+        # windows; every worker is forked at the first submit, before
+        # the manager thread — after this snapshot, so the workers
+        # inherit exactly the state it records
+        _snapshot([*LIVE_TABLES, *scanned])
+        _POOL = ProcessPoolExecutor(size, mp_context=get_context("fork"))
+        _POOL_WORKERS = size
         REGISTRY.inc("process_backend.pool_starts")
     return _POOL
 
 
-def _drop_pool() -> None:
+def shutdown() -> None:
+    """Stop the process-wide worker pool and release its snapshot.
+    Idempotent and registered with ``atexit``; the next process-backend
+    query forks a pool over the tables alive then."""
     global _POOL, _POOL_WORKERS
     pool, _POOL, _POOL_WORKERS = _POOL, None, 0
     if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-def shutdown() -> None:
-    """Stop the process-wide worker pool and unlink every exported
-    block.  Idempotent and registered with ``atexit``; the next
-    process-backend query starts a pool and exports what it needs."""
-    _drop_pool()
-    _STORE.close()
+    _snapshot(())
 
 
 atexit.register(shutdown)
@@ -364,7 +225,8 @@ class ExecutionBackend:
 
     def close(self) -> None:
         """Release what this *instance* holds: nothing, in both backends
-        — the process backend's pool and blocks are :func:`shutdown`'s."""
+        — the process backend's pool and its snapshot of the tables are
+        :func:`shutdown`'s."""
 
 
 class SimulatedBackend(ExecutionBackend):
@@ -388,9 +250,10 @@ class ProcessBackend(ExecutionBackend):
     measuring wall clock next to the simulated charges.
 
     An instance is a stateless handle onto this module's process-wide
-    pool and store: the pool is forked at the first fragment dispatched
-    and then serves every query of every executor (replaced only by a
-    larger one, when a plan asks for more workers).  The final
+    pool: the pool is forked at the first fragment dispatched and then
+    serves every query of every executor — replaced by a larger one
+    when a plan asks for more workers, and forked afresh when a plan
+    scans a table that is new or whose epoch has moved.  The final
     (serial-tail) fragment runs in the parent — it consumes every
     gathered partition anyway, so running it here saves one more
     process hop, and a one-fragment plan never touches the pool.
@@ -430,16 +293,23 @@ class ProcessBackend(ExecutionBackend):
             results[index] = relation
             fragment_metrics[index] = metrics
 
+        pool: Optional[ProcessPoolExecutor] = None
+
         def submit(fragment: Fragment) -> None:
-            task = (fragment.index, fragment.root, disk, costs, profile)
-            payload = _dumps_shared(task, _STORE)
+            nonlocal pool
+            if pool is None:  # this plan's first dispatch
+                scanned = [
+                    op.stored for f in plan.fragments for op in walk_physical(f.root)
+                    if isinstance(op, PhysicalScan)
+                ]
+                pool = _pool(plan.workers, scanned)
+            payload = _dumps((fragment.index, fragment.root, disk, costs, profile))
+            REGISTRY.inc("process_backend.payload_bytes", len(payload))
             deps_blob = pickle.dumps(
                 {dep: results[dep] for dep in fragment.depends_on},
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-            pending.add(_pool(plan.workers).submit(
-                _run_fragment_task, payload, deps_blob, _STORE.retirement()
-            ))
+            pending.add(pool.submit(_run_fragment_task, payload, deps_blob))
 
         try:
             for fragment in plan.fragments:
@@ -474,7 +344,7 @@ class ProcessBackend(ExecutionBackend):
                         submit(by_index[waiter])
         except BrokenProcessPool as error:
             # the executor has already failed the pool's other futures
-            _drop_pool()
+            shutdown()
             raise RuntimeError(
                 "process backend: a pool worker died (killed or crashed); "
                 "the query was abandoned, the pool discarded, and the next "

@@ -104,41 +104,25 @@ class _BatchClock:
 class TimelineSimulator:
     """The deterministic list scheduler, in online form.
 
-    Among ready works the one with the highest priority first (default:
-    most total work, ties by index) onto the lowest-numbered free
-    worker; concurrent IO phases share the disk through ``stream_rate``
-    — the per-stream rate as a function of the number of active
-    streams, defaulting to
-    :meth:`~repro.storage.io_model.DiskModel.stream_rate` of a device
-    with ``streams`` parallel streams; phase finishes are processed in
-    index order.  The interface is incremental because the serving
-    layer (``repro.serving``) keeps adding work — fragments of newly
-    admitted queries, refresh-commit work, background compaction:
-    :meth:`add_works` registers work at the current instant,
+    Among ready works the one with the most total work first (ties by
+    index) onto the lowest-numbered free worker; concurrent IO phases
+    share the disk through ``stream_rate`` — the per-stream rate as a
+    function of the number of active streams
+    (:meth:`~repro.storage.io_model.DiskModel.stream_rate`); phase
+    finishes are processed in index order.  The interface is incremental
+    because the serving layer (``repro.serving``) keeps adding work —
+    fragments of newly admitted queries, refresh-commit work, background
+    compaction: :meth:`add_works` registers work at the current instant,
     :meth:`run_until` advances the clock to the next completion (or a
     caller-supplied horizon), and the caller reacts to completions by
     adding more work.  A single query is the closed case — one
-    ``add_works``, then :meth:`run_to_idle` — so the single-query
-    timing model and the multi-query serving timeline are one piece of
-    code.
+    ``add_works``, then :meth:`run_to_idle` — so the single-query timing
+    model and the multi-query serving timeline are one piece of code.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        streams: int = 1,
-        stream_rate: Optional[Callable[[int], float]] = None,
-        priority: Optional[Callable[[FragmentWork], Tuple]] = None,
-    ):
+    def __init__(self, workers: int, stream_rate: Callable[[int], float]):
         self.workers = max(int(workers), 1)
-        if stream_rate is None:
-            stream_rate = DiskModel(
-                parallel_streams=max(int(streams), 1)
-            ).stream_rate
         self._stream_rate = stream_rate
-        self._priority_of = priority or (
-            lambda w: (-(w.io_seconds + w.cpu_seconds), w.index)
-        )
         self.now = 0.0
         self.works: Dict[int, FragmentWork] = {}
         self.slots: Dict[int, ScheduledFragment] = {}
@@ -164,8 +148,9 @@ class TimelineSimulator:
     def idle(self) -> bool:
         return not self._running and not self._ready
 
-    def _priority(self, index: int) -> Tuple:
-        return self._priority_of(self.works[index])
+    def _priority(self, index: int) -> Tuple[float, int]:
+        work = self.works[index]
+        return -(work.io_seconds + work.cpu_seconds), index
 
     # ------------------------------------------------------------ input
     def add_works(self, works: List[FragmentWork]) -> List[ScheduledFragment]:

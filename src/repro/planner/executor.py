@@ -197,10 +197,9 @@ class Executor:
     # ------------------------------------------------------------ running
     def backend(self) -> ExecutionBackend:
         """The execution backend the options name (created lazily and
-        cached).  A process backend owns nothing: the worker pool and
-        the shared-memory export are the *process's*
-        (:mod:`repro.parallel.backends`), shared by every executor, so
-        a cold executor per query pays for neither."""
+        cached).  A process backend owns nothing: the worker pool is
+        the *process's* (:mod:`repro.parallel.backends`), shared by
+        every executor, so a cold executor per query forks nothing."""
         name = self.options.backend
         backend = self._backends.get(name)
         if backend is None:
@@ -210,8 +209,8 @@ class Executor:
 
     def close(self) -> None:
         """Drop this executor's backend handles.  Releases nothing
-        shared — the process backend's pool and shared-memory blocks
-        outlive every executor and are torn down by
+        shared — the process backend's pool and the tables it holds for
+        its workers outlive every executor and are torn down by
         :func:`repro.parallel.backends.shutdown` (registered with
         ``atexit``).  Safe to call repeatedly; the executor stays
         usable."""

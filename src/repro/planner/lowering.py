@@ -125,7 +125,7 @@ class ExecutionOptions:
     enable_partial_agg: bool = True
     #: where parallel fragments execute: "simulated" (in-process under
     #: the deterministic scheduler) or "process" (a real
-    #: ``multiprocessing`` pool over shared-memory column exports; see
+    #: ``multiprocessing`` pool forked over the stored tables; see
     #: ``repro.parallel.backends``).  Results are bit-identical either
     #: way; the process backend additionally records measured wall
     #: clock.  Purely a runtime knob: it touches neither the lowering

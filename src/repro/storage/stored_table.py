@@ -11,10 +11,15 @@ an attached delta store (:mod:`repro.updates.delta`) — sorted insert runs
 plus a deletion bitmap — until compaction folds them back in.  ``epoch``
 counts the commits/compactions applied to this table; plan caches key on
 it so a cached plan can never read a stale delta state.
+
+:data:`LIVE_TABLES` holds every table alive in this process, weakly: the
+process backend forks its workers over them, so a fragment payload can
+name a table instead of shipping it (:mod:`repro.parallel.backends`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -26,10 +31,10 @@ from ..core.selection import Selection
 from .minmax import MinMaxIndex
 from .pages import PageModel
 
-__all__ = ["StoredTable"]
+__all__ = ["StoredTable", "LIVE_TABLES"]
 
 
-@dataclass
+@dataclass(eq=False)
 class StoredTable:
     name: str
     definition: Table
@@ -46,6 +51,9 @@ class StoredTable:
     #: include it in their keys.
     epoch: int = 0
     _minmax: Dict[str, MinMaxIndex] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        LIVE_TABLES.add(self)
 
     @property
     def stored_rows(self) -> int:
@@ -158,3 +166,8 @@ class StoredTable:
             pages = self.page_model.pages_for_runs(selection, self.stored_bytes_per_value(column))
             sizes.extend((pages.lengths * self.page_model.page_bytes).tolist())
         return sizes
+
+
+#: every :class:`StoredTable` alive in this process (identity-hashed,
+#: hence ``eq=False``); an entry goes with its table.
+LIVE_TABLES: "weakref.WeakSet[StoredTable]" = weakref.WeakSet()

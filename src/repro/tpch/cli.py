@@ -193,6 +193,9 @@ def main(argv: List[str] | None = None) -> int:
         if unknown:
             print(f"unknown queries: {unknown}", file=sys.stderr)
             return 2
+        if not wanted:
+            print(f"--queries {args.queries!r} selects no query", file=sys.stderr)
+            return 2
         selected = {q: QUERIES[q] for q in wanted}
 
     names, options, sink, env, build = open_session(
@@ -230,8 +233,8 @@ def main(argv: List[str] | None = None) -> int:
     if args.explain:
         for qname, fn in selected.items():
             for scheme_name, pdb in pdbs.items():
-                # close() drops backend handles only: the pool and the
-                # shared-memory blocks are the process's (backends.shutdown)
+                # close() drops backend handles only: the pool is the
+                # process's (backends.shutdown)
                 with Executor(
                     pdb, disk=env.disk, costs=env.cost_model, options=options
                 ) as executor:

@@ -44,7 +44,7 @@ def shared_flags(streams: str) -> argparse.ArgumentParser:
         help=(
             "where parallel fragments execute: 'simulated' (in-process, "
             "deterministic scheduler; the default) or 'process' (a real "
-            "multiprocessing pool over shared-memory column exports — "
+            "multiprocessing pool forked over the stored tables — "
             "bit-identical results held to the same contracts, with "
             "measured wall clock reported next to the simulated charges)"
         ),

@@ -193,7 +193,7 @@ def run_suite(
     observer here is called as ``observer(qname, sname, runner, result)``
     so sinks can label records by query and scheme.
     """
-    queries = queries or QUERIES
+    queries = QUERIES if queries is None else queries
     schemes = {name: SchemeResults(name) for name in physical_dbs}
     first_relations: Dict[str, object] = {}
     for qname, fn in queries.items():

@@ -611,8 +611,8 @@ def run_differential(
                 progress(index + 1, total)
         return report
     finally:
-        # drops backend handles only: the process backend's pool and
-        # shared-memory blocks outlive executors (backends.shutdown)
+        # drops backend handles only: the process backend's pool
+        # outlives executors (backends.shutdown)
         for executor in executors.values():
             executor.close()
 

@@ -4,23 +4,23 @@ plus the parallel-metrics correctness fixes that ride along (operator
 actuals accumulate instead of last-fragment-wins; ``Executor.metrics``
 exists before the first run).
 
-The process backend's pool and shared-memory export are process-wide
-(one pool per process, one block per array), so their lifetime rules and
-failure behaviour are pinned here too: blocks die with their arrays,
-workers let go of retired blocks, ``shutdown()`` leaves ``/dev/shm`` as
-it found it, and a worker that dies or a fragment that raises ends the
+The process backend's pool is process-wide and forked over the stored
+tables (one pool per process; payloads name tables and dimensions), so
+its lifetime rules and failure behaviour are pinned here too: a fork
+happens only for a table the workers did not inherit at its current
+epoch, a payload carries no table or dimension, a table the workers
+inherited outlives its last user until ``shutdown()``, nothing lands in
+``/dev/shm``, and a worker that dies or a fragment that raises ends the
 query in a named error — never a hang — with the next query clean.
 
 The fast tests here stay in tier-1 (one small process-backend smoke, the
-store's lifetime rules, the two fault tests and the one-pool/one-export
-counters included); the full scheme × query × worker matrix, the
-delta-store round, the worker-attachment and clean-exit checks and the
-seeded workload sweep carry the ``backend`` marker and run in their own
-CI job.
+lifetime rules, the two fault tests and the fork/payload counters
+included); the full scheme × query × worker matrix, the delta-store
+round, the clean-exit check and the seeded workload sweep carry the
+``backend`` marker and run in their own CI job.
 """
 
 import gc
-import io
 import multiprocessing
 import os
 import pickle
@@ -28,7 +28,7 @@ import signal
 import subprocess
 import sys
 import threading
-import time
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -44,7 +44,6 @@ from repro.parallel import backends
 from repro.parallel.backends import (
     BACKEND_NAMES,
     ProcessBackend,
-    SharedArrayStore,
     SimulatedBackend,
     create_backend,
 )
@@ -61,6 +60,38 @@ needs_dev_shm = pytest.mark.skipif(
 def _shm_blocks() -> set:
     """Names of the shared-memory blocks python has created on this host."""
     return {name for name in os.listdir(SHM_DIR) if name.startswith("psm_")}
+
+
+def _pool_starts() -> float:
+    return REGISTRY.get("process_backend.pool_starts")
+
+
+def _fresh_database(scheme="bdcc"):
+    """``(logical db, environment, physical db)`` built now, of this
+    test's own: a commit mutates it, and a build after the pool's fork
+    is what some tests are about."""
+    from repro import tpch
+    from repro.tpch.environment import make_environment
+    from repro.tpch.harness import build_schemes
+
+    db = tpch.generate(scale_factor=0.002, seed=1234)
+    env = make_environment(0.002)
+    return db, env, build_schemes(db, env, include=[scheme])[scheme]
+
+
+def _commit_lineitem_round(db, session, round_index):
+    """Insert 30 copied lineitem rows and delete the heaviest ones."""
+    from repro.execution.expressions import col
+
+    ld = db.table_data("lineitem")
+    pick = np.random.default_rng(round_index).integers(0, db.num_rows("lineitem"), 30)
+    rows = {c: v[pick] for c, v in ld.items()}
+    rows["l_linenumber"] = (
+        ld["l_linenumber"].max() + 1 + np.arange(30)
+    ).astype(ld["l_linenumber"].dtype)
+    session.insert_rows("lineitem", rows)
+    session.delete_where("lineitem", col("l_quantity").ge(49.0 - round_index))
+    return session.commit()
 
 
 def _run(pdb, environment, qname, workers=1, backend="simulated"):
@@ -224,121 +255,6 @@ class TestBackendBasics:
             assert b"Dimension" not in blob and b"StreamUse" not in blob
 
 
-@needs_dev_shm
-class TestSharedArrayLifetime:
-    """A block lives exactly as long as the array it copied."""
-
-    def test_block_dies_with_its_array(self):
-        store = SharedArrayStore()
-        array = np.arange(2048, dtype=np.int64)
-        name, dtype, shape = store.export(array)
-        assert store.export(array) == (name, dtype, shape)  # one export per array
-        assert store.names() == {name}
-        assert name in _shm_blocks()
-        assert np.array_equal(
-            np.fromfile(os.path.join(SHM_DIR, name), dtype=dtype)[:2048], array
-        )
-        del array
-        gc.collect()
-        assert not store.names() and name not in _shm_blocks()
-        assert store.retirement() == (1, (name,))
-
-    def test_a_recycled_id_never_hits_a_stale_block(self):
-        """Arrays created and dropped in a loop reuse each other's
-        ``id()``; every export must still hold its own array's data."""
-        store = SharedArrayStore()
-        ids = set()
-        for value in range(40):
-            array = np.full(1024, value, dtype=np.int64)
-            ids.add(id(array))
-            name, dtype, _ = store.export(array)
-            stored = np.fromfile(os.path.join(SHM_DIR, name), dtype=dtype)[:1024]
-            assert np.array_equal(stored, array), value
-            del array
-        assert len(ids) < 40, "no id() was recycled; the test shows nothing"
-        assert not store.names()
-        assert store.retirement()[0] == 40
-
-    def test_small_and_object_arrays_are_not_exported(self):
-        store = SharedArrayStore()
-        assert not store.exportable(np.arange(8))
-        assert not store.exportable(np.array([object()] * 4096, dtype=object))
-        assert store.exportable(np.zeros(backends.SHARED_MIN_BYTES, dtype=np.uint8))
-
-    def test_close_is_safe_against_finalizers_firing_meanwhile(self, monkeypatch):
-        store = SharedArrayStore()
-        arrays = [np.full(1024, i, dtype=np.int64) for i in range(6)]
-        names = {store.export(a)[0] for a in arrays}
-        assert names <= _shm_blocks()
-        unlinked = []
-        posixshmem = backends.shared_memory._posixshmem
-        real_unlink = posixshmem.shm_unlink
-
-        def unlink_and_collect(path):
-            # the first unlink of close() drops every other array, so
-            # their finalizers fire while close() is still iterating
-            unlinked.append(path.lstrip("/"))
-            real_unlink(path)
-            arrays.clear()
-            gc.collect()
-
-        monkeypatch.setattr(posixshmem, "shm_unlink", unlink_and_collect)
-        store.close()
-        assert sorted(unlinked) == sorted(names)  # each exactly once
-        assert not store.names() and names.isdisjoint(_shm_blocks())
-        assert store.retirement()[0] == 6
-        store.close()  # idempotent
-        assert store.retirement()[0] == 6
-
-    def test_worker_releases_what_the_parent_retired(self, monkeypatch):
-        """The worker half of a retirement, run in this process: the
-        retired suffix names what to unmap, and a worker that has
-        fallen behind the suffix unmaps everything."""
-        monkeypatch.setattr(backends, "RETIRED_SUFFIX", 2)
-        monkeypatch.setattr(backends, "_ATTACHED_BLOCKS", {})
-        monkeypatch.setattr(backends, "_RETIRED_SEEN", 0)
-        store = SharedArrayStore()
-        arrays = {k: np.full(1024, i, dtype=np.int64) for i, k in enumerate("abcdef")}
-        names = {k: store.export(a)[0] for k, a in arrays.items()}
-        views = backends._loads_shared(backends._dumps_shared(arrays, store))
-        assert all(np.array_equal(views[k], arrays[k]) for k in arrays)
-        assert not views["a"].flags.writeable
-        assert set(backends._ATTACHED_BLOCKS) == set(names.values())
-
-        views.clear()  # a worker keeps no view from one task to the next
-        del arrays["a"], arrays["b"]
-        gc.collect()
-        backends._release_retired(*store.retirement())
-        assert set(backends._ATTACHED_BLOCKS) == {names[k] for k in "cdef"}
-        backends._release_retired(*store.retirement())  # nothing new: a no-op
-        assert set(backends._ATTACHED_BLOCKS) == {names[k] for k in "cdef"}
-
-        del arrays["c"], arrays["d"], arrays["e"]  # three retirements > suffix of 2
-        gc.collect()
-        retired, recent = store.retirement()
-        assert retired == 5 and len(recent) == 2
-        backends._release_retired(retired, recent)
-        assert backends._ATTACHED_BLOCKS == {}  # fell behind: everything unmapped
-        # ... and what is still live re-attaches on its next use
-        again = backends._loads_shared(backends._dumps_shared(arrays, store))
-        assert np.array_equal(again["f"], arrays["f"])
-        assert set(backends._ATTACHED_BLOCKS) == {names["f"]}
-        with pytest.raises(ValueError):
-            again["f"][0] = 1  # the mapping is read-only: base data is immutable
-        del again
-        backends._ATTACHED_BLOCKS.pop(names["f"]).close()
-        store.close()
-
-
-def _worker_attachments(retirement):
-    """Runs in a pool worker: what a task does first, then the names
-    of the blocks the worker is attached to.  The nap lets the other
-    workers take the next probes."""
-    backends._release_retired(*retirement)
-    time.sleep(0.05)
-    return os.getpid(), set(backends._ATTACHED_BLOCKS)
-
-
 def _guarded(target, seconds=5.0) -> dict:
     """Run ``target`` on a thread under a watchdog: ``{"value": ...}``
     or ``{"error": ...}``, and a failed test — not a stuck suite — if it
@@ -437,18 +353,16 @@ class TestFailureIsDefined:
         assert _identical(sim_rel, proc_rel)
 
 
-@needs_dev_shm
-class TestOnePoolOneExport:
+class TestForkedOverTheTables:
+    """The workers inherit every table alive at the fork; a pool is
+    forked again only for a table that is new or whose epoch moved."""
+
     def test_the_promise_is_a_count(self, physical_dbs, environment):
         """Cold executors (``run_query`` makes one per query) share one
-        pool and one export: the second pass forks nothing and copies
-        only its plans' own arrays (run lists of a selection with
-        hundreds of runs — rows are never shipped), which die with the
-        plans."""
-        counters = [
-            "process_backend.pool_starts", "process_backend.blocks_exported",
-            "process_backend.bytes_exported", "process_backend.blocks_retired",
-        ]
+        pool: the first pass forks it, the second forks nothing, and both
+        ship the same payload bytes — plans and selections, never a
+        table."""
+        counters = ["process_backend.pool_starts", "process_backend.payload_bytes"]
         options = ExecutionOptions(workers=2, min_partition_rows=256, backend="process")
 
         def one_pass() -> dict:
@@ -459,41 +373,109 @@ class TestOnePoolOneExport:
                         physical_dbs[scheme], QUERIES[qname], disk=environment.disk,
                         costs=environment.cost_model, options=options,
                     )
-            gc.collect()
-            backends._STORE.retirement()  # settles what the collection retired
             return {name: REGISTRY.get(name) - before[name] for name in counters}
 
         backends.shutdown()
         first, second = one_pass(), one_pass()
         assert first["process_backend.pool_starts"] == 1
         assert second["process_backend.pool_starts"] == 0
-        assert first["process_backend.blocks_exported"] > 0
+        assert first["process_backend.payload_bytes"] > 0
         assert (
-            second["process_backend.bytes_exported"]
-            < 0.2 * first["process_backend.bytes_exported"]
-        )
-        # each pass retires its plans' arrays, and exactly what the second
-        # exported: nothing accumulates
-        assert (
-            first["process_backend.blocks_retired"]
-            == second["process_backend.blocks_exported"]
-        )
-        assert (
-            second["process_backend.blocks_retired"]
-            == second["process_backend.blocks_exported"]
+            second["process_backend.payload_bytes"]
+            == first["process_backend.payload_bytes"]
         )
 
+    def test_payloads_name_tables_and_dimensions(
+        self, physical_dbs, environment, monkeypatch
+    ):
+        """No payload pickles a ``StoredTable`` or a ``Dimension`` — the
+        sandwich operators' stream uses included — though the tasks, as
+        plain pickles, carry both."""
+        tasks, payloads = [], []
+        real_dumps = backends._dumps
+
+        def recording_dumps(task):
+            tasks.append(task)
+            payloads.append(real_dumps(task))
+            return payloads[-1]
+
+        monkeypatch.setattr(backends, "_dumps", recording_dumps)
+        for scheme in ("plain", "bdcc"):
+            for qname in ("Q03", "Q06"):
+                _run(physical_dbs[scheme], environment, qname, workers=2, backend="process")
+        assert payloads
+        for payload in payloads:
+            assert b"StoredTable" not in payload and b"Dimension" not in payload
+        plain = [pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL) for task in tasks]
+        assert any(b"StoredTable" in blob for blob in plain)
+        assert any(b"Dimension" in blob for blob in plain)
+        assert sum(map(len, payloads)) < sum(map(len, plain)) / 2
+
+    def test_a_repeated_read_only_query_forks_nothing(self, bdcc_db, environment):
+        first, _ = _run(bdcc_db, environment, "Q03", workers=2, backend="process")
+        starts = _pool_starts()
+        for _ in range(3):
+            again, _ = _run(bdcc_db, environment, "Q03", workers=2, backend="process")
+            assert _identical(first, again)
+        assert _pool_starts() == starts
+
+    def test_a_database_built_after_the_fork_forks_once(self, bdcc_db, environment):
+        _run(bdcc_db, environment, "Q06", workers=2, backend="process")
+        assert backends._POOL is not None
+        starts = _pool_starts()
+        _, env, pdb = _fresh_database()
+        sim_rel, _ = _run(pdb, env, "Q06", workers=2)
+        proc_rel, _ = _run(pdb, env, "Q06", workers=2, backend="process")
+        assert _pool_starts() == starts + 1  # its tables are new to the workers
+        assert _identical(sim_rel, proc_rel)
+        _run(pdb, env, "Q06", workers=2, backend="process")
+        _run(bdcc_db, environment, "Q06", workers=2, backend="process")
+        assert _pool_starts() == starts + 1  # the new pool inherited both
+
+    def test_a_commit_forks_exactly_one_more_pool(self):
+        from repro.updates import CompactionPolicy, UpdateSession
+
+        db, env, pdb = _fresh_database()
+        _run(pdb, env, "Q06", workers=2, backend="process")
+        starts = _pool_starts()
+        session = UpdateSession(pdb, policy=CompactionPolicy(max_delta_fraction=None))
+        _commit_lineitem_round(db, session, 0)
+        assert _pool_starts() == starts  # a commit forks nothing by itself ...
+        sim_rel, sim_metrics = _run(pdb, env, "Q06", workers=2)
+        proc_rel, proc_metrics = _run(pdb, env, "Q06", workers=2, backend="process")
+        assert _pool_starts() == starts + 1  # ... its first dispatch does
+        assert _identical(sim_rel, proc_rel)
+        assert proc_metrics.makespan_seconds == sim_metrics.makespan_seconds
+        assert proc_metrics.delta_rows_scanned == sim_metrics.delta_rows_scanned > 0
+        _run(pdb, env, "Q01", workers=2, backend="process")
+        assert _pool_starts() == starts + 1
+
+    def test_a_dropped_table_lives_until_shutdown(self):
+        """The snapshot holds what the workers inherited, so a table
+        dropped after the fork keeps its ``id()`` — no later object can
+        take it and be resolved to the dead table's inherited copy."""
+        _, env, pdb = _fresh_database("plain")
+        _run(pdb, env, "Q06", workers=2, backend="process")
+        lineitem = weakref.ref(pdb.table("lineitem"))
+        del pdb
+        gc.collect()
+        assert lineitem() is not None
+        backends.shutdown()
+        gc.collect()
+        assert lineitem() is None
+
+    @needs_dev_shm
     def test_shutdown_is_idempotent_and_the_next_query_recreates(
         self, bdcc_db, environment
     ):
         backends.shutdown()
         before = _shm_blocks()
         first, _ = _run(bdcc_db, environment, "Q06", workers=2, backend="process")
-        assert backends._POOL is not None and backends._STORE.names()
-        assert _shm_blocks() - before == backends._STORE.names()
+        assert backends._POOL is not None and backends._INHERITED
+        assert _shm_blocks() == before  # the workers inherit; nothing is exported
         backends.shutdown()
         backends.shutdown()
-        assert backends._POOL is None and not backends._STORE.names()
+        assert backends._POOL is None and not backends._INHERITED
         assert _shm_blocks() == before
         again, metrics = _run(bdcc_db, environment, "Q06", workers=2, backend="process")
         assert _identical(first, again) and metrics.backend == "process"
@@ -527,19 +509,15 @@ class TestProcessBackendMatrix:
     @needs_dev_shm
     def test_delta_store_round_survives_epoch_changes(self):
         """Commit through the update subsystem between process-backend
-        runs: compaction/epoch bumps create new base arrays, so a stale
-        shared-memory export keyed to a dead array would surface here —
-        and the dead epoch's blocks must not outlive it."""
-        from repro import tpch
+        runs: every commit, and the compaction that rewrites the table
+        into new arrays, bumps the epoch — each forks exactly one more
+        pool at its first dispatch, whose workers read the new state,
+        and nothing lands in ``/dev/shm``."""
         from repro.execution.expressions import col
-        from repro.tpch.environment import make_environment
-        from repro.tpch.harness import build_schemes
         from repro.updates import CompactionPolicy, UpdateSession
 
-        db = tpch.generate(scale_factor=0.002, seed=1234)
-        env = make_environment(0.002)
-        pdbs = build_schemes(db, env, include=["bdcc"])
-        pdb = pdbs["bdcc"]
+        before = _shm_blocks()
+        db, env, pdb = _fresh_database()
         executor = Executor(
             pdb, disk=env.disk, costs=env.cost_model,
             options=ExecutionOptions(
@@ -553,106 +531,45 @@ class TestProcessBackendMatrix:
         session = UpdateSession(
             pdb, policy=CompactionPolicy(max_delta_fraction=None)
         )
-        earlier = backends._STORE.names()  # other tests' blocks, still alive
-        try:
-            for round_index in range(2):
-                ld = db.table_data("lineitem")
-                rng = np.random.default_rng(round_index)
-                pick = rng.integers(0, db.num_rows("lineitem"), 30)
-                rows = {c: v[pick] for c, v in ld.items()}
-                rows["l_linenumber"] = (
-                    ld["l_linenumber"].max() + 1 + np.arange(30)
-                ).astype(ld["l_linenumber"].dtype)
-                session.insert_rows("lineitem", rows)
-                session.delete_where(
-                    "lineitem", col("l_quantity").ge(49.0 - round_index)
-                )
-                session.commit()
-                for qname in ("Q06", "Q01"):
-                    sim = QueryRunner(baseline)
-                    sim_result = QUERIES[qname](sim)
-                    proc = QueryRunner(executor)
-                    proc_result = QUERIES[qname](proc)
-                    assert _identical(
-                        sim_result.relation, proc_result.relation
-                    ), (round_index, qname)
-                    assert proc.metrics.backend == "process"
 
-            # a compaction rewrites the table into new arrays: the old
-            # epoch's column blocks are retired with the arrays, before
-            # any query of the new epoch runs ...
-            store = backends._STORE
-            old_columns = {
-                store.export(array)[0]
-                for array in pdb.table("lineitem").columns.values()
-                if store.exportable(array)
-            }
-            assert old_columns and old_columns <= _shm_blocks()
+        def both_backends_agree(label) -> None:
+            for qname in ("Q06", "Q01"):
+                sim_result = QUERIES[qname](QueryRunner(baseline))
+                proc = QueryRunner(executor)
+                proc_result = QUERIES[qname](proc)
+                assert _identical(sim_result.relation, proc_result.relation), (label, qname)
+                assert proc.metrics.backend == "process"
+
+        try:
+            both_backends_agree("before")
+            for round_index in range(2):
+                starts = _pool_starts()
+                _commit_lineitem_round(db, session, round_index)
+                both_backends_agree(round_index)
+                assert _pool_starts() == starts + 1, round_index
+
+            starts = _pool_starts()
+            old_columns = dict(pdb.table("lineitem").columns)
             session.policy = CompactionPolicy(max_delta_fraction=0.0, min_delta_rows=1)
             session.delete_where("lineitem", col("l_quantity").ge(47.0))
             assert session.commit().compacted_tables("bdcc") == ["lineitem"]
-            gc.collect()
-            assert old_columns.isdisjoint(store.names())
-            assert old_columns.isdisjoint(_shm_blocks())
-            for qname in ("Q06", "Q01"):
-                sim_result = QUERIES[qname](QueryRunner(baseline))
-                proc_result = QUERIES[qname](QueryRunner(executor))
-                assert _identical(sim_result.relation, proc_result.relation), qname
-            # ... and what only the executors' caches kept alive (old
-            # plans and their per-plan arrays — run lists, here too short
-            # to be exported) goes when they drop it: of this test's
-            # blocks, exactly the current storage's stay
-            for cached in (executor, baseline):
-                cached._plan_cache.clear()
-                cached._fragment_cache.clear()
-            gc.collect()
-            storage = []  # every array the current storage graph holds
-
-            class Collect(pickle.Pickler):
-                def persistent_id(self, obj):
-                    if isinstance(obj, np.ndarray):
-                        storage.append(obj)
-                        return len(storage)
-                    return None
-
-            Collect(io.BytesIO()).dump(pdb.stored)
-            assert store.names() - earlier == {
-                store.export(array)[0] for array in storage if id(array) in store._exports
-            } - earlier
-            assert store.names() <= _shm_blocks()
+            assert all(
+                pdb.table("lineitem").columns[name] is not array
+                for name, array in old_columns.items()
+            )
+            both_backends_agree("compacted")
+            assert _pool_starts() == starts + 1
+            assert _shm_blocks() == before
         finally:
             executor.close()
             baseline.close()
 
-    def test_workers_hold_only_live_blocks(self, bdcc_db, environment):
-        """Cold executors lower afresh, so every round exports new
-        per-plan arrays and retires the previous round's: the store must
-        not grow, and no worker may stay attached to a retired block."""
-        backends.shutdown()
-        live_counts = []
-        for _ in range(6):
-            for qname in ("Q06", "Q01", "Q03"):
-                _run(bdcc_db, environment, qname, workers=2, backend="process")
-            gc.collect()
-            retirement = backends._STORE.retirement()
-            live = backends._STORE.names()
-            live_counts.append(len(live))
-            probes = [
-                backends._pool(2).submit(_worker_attachments, retirement)
-                for _ in range(8)
-            ]
-            attached = dict(probe.result(timeout=30) for probe in probes)
-            assert any(attached.values())
-            for pid, names in attached.items():
-                assert names <= live, (pid, sorted(names - live))
-        assert retirement[0] > 0
-        assert live_counts[2] == live_counts[5], live_counts
-
     @needs_dev_shm
     def test_exit_without_close_leaves_nothing_behind(self):
         """A process that runs a process-backend query and just exits —
-        no ``close()``, no ``shutdown()`` — unlinks its blocks through
-        ``atexit`` and gives the resource tracker nothing to report."""
+        no ``close()``, no ``shutdown()`` — stops its pool through
+        ``atexit``, leaves no block in ``/dev/shm`` and gives the
+        resource tracker nothing to report."""
         script = (
             "from repro import tpch\n"
             "from repro.planner.executor import ExecutionOptions\n"
@@ -667,8 +584,8 @@ class TestProcessBackendMatrix:
             "options = ExecutionOptions(workers=2, min_partition_rows=256, backend='process')\n"
             "result, metrics = run_query(pdb, QUERIES['Q06'], disk=env.disk,\n"
             "                            costs=env.cost_model, options=options)\n"
-            "assert metrics.backend == 'process' and backends._STORE.names()\n"
-            "print('blocks', len(backends._STORE.names()))\n"
+            "assert metrics.backend == 'process' and backends._POOL is not None\n"
+            "print('inherited', len(backends._INHERITED))\n"
         )
         before = _shm_blocks()
         done = subprocess.run(
@@ -676,7 +593,7 @@ class TestProcessBackendMatrix:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("blocks ")
+        assert done.stdout.startswith("inherited ")
         assert "leaked shared_memory" not in done.stderr, done.stderr
         assert "resource_tracker" not in done.stderr, done.stderr
         assert _shm_blocks() == before

@@ -8,11 +8,17 @@ from repro.parallel.scheduler import (
     TimelineSimulator,
     concurrent_peak,
 )
+from repro.storage.io_model import DiskModel
+
+
+def _timeline(workers, streams):
+    """A timeline over a device with ``streams`` parallel streams."""
+    return TimelineSimulator(workers, DiskModel(parallel_streams=streams).stream_rate)
 
 
 def _place(works, workers, streams):
     """One closed batch on a private timeline: its slots and makespan."""
-    sim = TimelineSimulator(workers, streams=streams)
+    sim = _timeline(workers, streams)
     slots = sim.add_works(works)
     sim.run_to_idle()
     # a lone batch's own clock is the timeline's clock
@@ -138,7 +144,7 @@ class TestBatchClock:
             FragmentWork(12, io_seconds=0.1, cpu_seconds=0.05, depends_on=(10, 11)),
         ]
         private, _ = _place(batch, workers=2, streams=1)
-        shared = TimelineSimulator(2, streams=1)
+        shared = _timeline(2, streams=1)
         shared.add_works([FragmentWork(0, io_seconds=0.1, cpu_seconds=0.123)])
         shared.run_to_idle()
         assert shared.now > 0.0
@@ -150,7 +156,7 @@ class TestBatchClock:
         )
 
     def test_contended_batch_counts_from_its_registration(self):
-        shared = TimelineSimulator(1, streams=1)
+        shared = _timeline(1, streams=1)
         shared.add_works([FragmentWork(0, io_seconds=0.0, cpu_seconds=2.0)])
         shared.run_until(0.5)
         (late,) = shared.add_works([FragmentWork(1, io_seconds=0.0, cpu_seconds=1.0)])

@@ -66,7 +66,7 @@ class TestProcessBackend:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_streams_match_serial_on_real_processes(self, workers):
         """The real-process backend computes fragments in worker
-        processes over shared-memory exports; the serving layer must
+        processes forked over the stored tables; the serving layer must
         still hand every stream exactly its serial results."""
         report = _run(
             workers=workers, backend="process",

@@ -34,3 +34,13 @@ class TestCLI:
 
     def test_unknown_query_rejected(self, capsys):
         assert main(["--sf", "0.002", "--queries", "Q99"]) == 2
+
+    @pytest.mark.parametrize("streams", [[], ["--streams", "2"]])
+    def test_empty_selection_rejected(self, capsys, streams):
+        """Regression: ``--queries ,`` ran all 22 queries (an empty
+        selection read as "all"), and under ``--streams`` divided by
+        zero rotating the empty stream."""
+        assert main(["--sf", "0.002", "--queries", ",", *streams]) == 2
+        captured = capsys.readouterr()
+        assert "selects no query" in captured.err
+        assert "Q01" not in captured.out

@@ -100,6 +100,13 @@ class TestHarness:
                 check_results_match=True,
             )
 
+    def test_an_empty_query_set_runs_nothing(self, physical_dbs, environment):
+        """Regression: ``queries={}`` read as "all" and ran the suite;
+        only ``queries=None`` means every TPC-H query."""
+        result = run_suite(physical_dbs, environment, queries={})
+        assert set(result.schemes) == set(physical_dbs)
+        assert all(not s.measurements for s in result.schemes.values())
+
     def test_unknown_scheme_rejected(self, tpch_db, environment):
         with pytest.raises(ValueError):
             build_schemes(tpch_db, environment, include=("nosuch",))
