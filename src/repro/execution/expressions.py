@@ -92,8 +92,10 @@ class Const(Expr):
     value: object
 
     def eval(self, rel) -> np.ndarray:
-        cols = _columns_of(rel)
-        n = len(next(iter(cols.values()))) if cols else 0
+        if hasattr(rel, "num_rows"):
+            n = rel.num_rows
+        else:  # a mapping of columns
+            n = len(next(iter(rel.values()))) if rel else 0
         return np.full(n, self.value)
 
     def columns(self) -> Set[str]:

@@ -260,11 +260,12 @@ class PhysicalScan(PhysicalOp):
 
     The selection is a :class:`~repro.core.selection.Selection` on every
     scan — a whole table is the one run ``(0, n)`` — and is charged run
-    by run.  A selection of at most one run (a whole table, contiguous
-    surviving groups, most fragment partitions) hands its consumers
-    *views* of the stored columns — operators never write into the
-    arrays they are handed; more runs are gathered through one row
-    expansion a read.  A carried use's group column is a per-entry fact
+    by run.  The scan hands its consumers the stored columns at the
+    selection's indexer, each gathered when an operator first reads it:
+    a selection of at most one run (a whole table, contiguous surviving
+    groups, most fragment partitions) reads *views* of the stored
+    columns — operators never write into the arrays they are handed;
+    more runs share one row expansion.  A carried use's group column is a per-entry fact
     read off the count table, per piece of the selection; only merged
     delta rows, which have no entry, extract it from their ``_bdcc_``
     keys.
@@ -336,74 +337,61 @@ class PhysicalScan(PhysicalOp):
         ctx.metrics.charge_io(float(sum(run_bytes)), len(run_bytes), io_seconds)
         ctx.metrics.rows_scanned += base_n
 
-        # --- materialise -------------------------------------------------
+        # --- materialise (each column when an operator first reads it) ---
         prefix = self.prefix
         rows = self.selection.indexer()
-        columns = {prefix + c: stored.columns[c][rows] for c in demanded}
+        base = Relation.at({prefix + c: stored.columns[c] for c in demanded}, rows)
         ctx.metrics.charge_cpu(base_n * len(demanded) * ctx.costs.scan_value, "scan")
         if self.delta_selected is None:
-            return self._finish(ctx, columns, None, base_n)
+            return self._finish(ctx, base, None, base_n)
 
         # --- merge-on-read: the delta runs' selected rows ----------------
         # merge keys may need columns beyond the demanded set (a PK scan
         # does not have to materialise its sort columns to be ordered,
         # but merging deltas into that order does need the values read)
-        merge_cols = [
-            c for c in stored.sort_columns if bdcc is None and prefix + c not in columns
-        ]
-        merge_values: Dict[str, List[np.ndarray]] = {
-            c: [stored.columns[c][rows]] for c in merge_cols
-        }
+        merge_cols = [c for c in stored.sort_columns if bdcc is None and c not in demanded]
         if merge_cols:
             self._charge_columns(ctx, base_n, merge_cols)
-
-        pieces: Dict[str, List[np.ndarray]] = {name: [arr] for name, arr in columns.items()}
-        key_pieces = None  # base keys: merged on only when delta rows join them
-        if bdcc is not None and any(len(s) for _, s in self.delta_selected):
-            key_pieces = [bdcc.keys[rows]]
-        delta_n = 0
-        delta = stored.delta
+        reads = []  # (run, indexer) of every delta run some row is read from
         for run_index, sel in self.delta_selected:
-            run = delta.runs[run_index]
             if len(sel) == 0:
                 continue
-            run_n, at = len(sel), sel.indexer()
-            delta_n += run_n
             # plus the run's key column on BDCC, ~1 byte/row
-            key_bytes = () if bdcc is None else (float(run_n),)
-            self._charge_columns(ctx, run_n, demanded + merge_cols, *key_bytes)
-            for c in demanded:
-                pieces[prefix + c].append(run.columns[c][at])
-            for c in merge_cols:
-                merge_values[c].append(run.columns[c][at])
-            if key_pieces is not None:
-                key_pieces.append(run.keys[at])
+            key_bytes = () if bdcc is None else (float(len(sel)),)
+            self._charge_columns(ctx, len(sel), demanded + merge_cols, *key_bytes)
+            reads.append((stored.delta.runs[run_index], sel.indexer()))
+        delta_n = sum(len(s) for _, s in self.delta_selected)
         ctx.metrics.rows_scanned += delta_n
         ctx.metrics.delta_rows_scanned += delta_n
         total = base_n + delta_n
 
         # --- order-preserving merge --------------------------------------
         if delta_n == 0:
-            merged, merged_keys = columns, None  # base rows: groups per entry
+            merged, merged_keys = base, None  # base rows: groups per entry
         else:
-            merged, merged_keys = stored.merge_pieces(
-                pieces, key_pieces,
-                {
-                    c: merge_values[c] if c in merge_values else pieces[prefix + c]
-                    for c in stored.sort_columns
-                },
-            )
+            columns = {
+                prefix + c: [base.column(prefix + c)] + [run.columns[c][at] for run, at in reads]
+                for c in demanded
+            }
+            sort_values = {
+                c: [stored.columns[c][rows]] + [run.columns[c][at] for run, at in reads]
+                if c in merge_cols else columns[prefix + c]
+                for c in stored.sort_columns
+            }
+            keys = None if bdcc is None else [bdcc.keys[rows]] + [run.keys[at] for run, at in reads]
+            merged, merged_keys = stored.merge_pieces(columns, keys, sort_values)
+            merged = Relation(columns=merged)
             ctx.metrics.charge_cpu(total * ctx.costs.merge_row, "scan")
 
-        runs_read = sum(1 for _, s in self.delta_selected if len(s))
-        note = f"delta merge {delta_n} rows from {runs_read} runs"
+        note = f"delta merge {delta_n} rows from {len(reads)} runs"
         return self._finish(ctx, merged, merged_keys, total, note)
 
-    def _finish(self, ctx: ExecutionContext, columns, keys, num_selected, *extra_notes):
+    def _finish(self, ctx: ExecutionContext, rel, keys, num_selected, *extra_notes):
         """Surface hidden group columns (from ``keys`` when given, else
-        per count-table entry), assemble the relation, note the selection
-        (plus ``extra_notes``), apply the residual predicate."""
+        per count-table entry) beside ``rel``, note the selection (plus
+        ``extra_notes``), apply the residual predicate."""
         if self.sandwich_uses:
+            columns = {}
             bdcc = self.stored.bdcc
             ct = bdcc.count_table
             if keys is None:
@@ -425,7 +413,7 @@ class PhysicalScan(PhysicalOp):
                 num_selected * ctx.costs.sandwich_row_overhead * len(self.sandwich_uses),
                 "scan",
             )
-        rel = Relation(columns=columns)
+            rel = rel.beside(Relation(columns=columns))
         note_bits = [*self.selection_notes, *extra_notes]
         if note_bits:
             ctx.metrics.note(f"scan {self.alias}: " + ", ".join(note_bits))
@@ -494,11 +482,13 @@ class PhysicalProject(PhysicalOp):
             columns[name] = np.asarray(expr.eval(rel))
             if not isinstance(expr, Col):
                 expr_cost += rel.num_rows * ctx.costs.expr_value
-            elif expr.name in rel.valid:
-                valid[name] = rel.valid[expr.name]
+            # NULL in, NULL out: a computed value is valid where all its inputs are
+            masks = [rel.valid[c] for c in expr.columns() if c in rel.valid]
+            if masks:
+                valid[name] = masks[0] if len(masks) == 1 else np.logical_and.reduce(masks)
         ctx.metrics.charge_cpu(expr_cost, "project")
         for name in self.carry:
-            columns[name] = rel.columns[name]
+            columns[name] = rel.column(name)
         return Relation(columns=columns, valid=valid)
 
 
@@ -545,7 +535,7 @@ def group_ids(rel: Relation, on) -> np.ndarray:
     ids = np.zeros(rel.num_rows, dtype=np.uint64)
     for column, bits, take in on:
         if take > 0:
-            values = rel.columns[column].astype(np.uint64, copy=False)
+            values = rel.column(column).astype(np.uint64, copy=False)
             ids = (ids << np.uint64(take)) | (values >> np.uint64(bits - take))
     return ids
 
@@ -689,23 +679,11 @@ class Join(_ByStrategy, PhysicalOp):
 
 # ----------------------------------------------------- join assembly
 def _assemble_inner(left, right, lidx, ridx) -> Relation:
-    lpart = left.take(lidx)
-    rpart = right.take(ridx)
-    columns = dict(lpart.columns)
-    valid = dict(lpart.valid)
-    for name, arr in rpart.columns.items():
-        if name not in columns:
-            columns[name] = arr
-    for name, mask in rpart.valid.items():
-        if name not in valid:
-            valid[name] = mask
-    return Relation(columns=columns, valid=valid)
+    return left.take(lidx).beside(right.take(ridx))
 
 
 def _assemble_left(left, right, lidx, ridx) -> Relation:
     matched = ridx >= 0
-    safe_ridx = np.where(matched, ridx, 0)
-    lpart = left.take(lidx)
     if right.num_rows == 0:
         # nothing to gather: null-extend with typed placeholders
         rpart = Relation(
@@ -715,15 +693,12 @@ def _assemble_left(left, right, lidx, ridx) -> Relation:
             },
         )
     else:
-        rpart = right.take(safe_ridx)
-    columns = dict(lpart.columns)
-    valid = dict(lpart.valid)
-    for name, arr in rpart.columns.items():
-        if name not in columns:
-            columns[name] = arr
-            prior = rpart.valid.get(name)
-            valid[name] = matched if prior is None else (matched & prior)
-    return Relation(columns=columns, valid=valid)
+        rpart = right.take(np.where(matched, ridx, 0))
+    rpart.valid = {
+        name: matched if name not in rpart.valid else (matched & rpart.valid[name])
+        for name in rpart.columns
+    }
+    return left.take(lidx).beside(rpart)
 
 
 # ----------------------------------------------------------- aggregation
@@ -858,7 +833,7 @@ class Aggregate(_ByStrategy, PhysicalOp):
             columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, valid)
         # a sandwich aggregate's output keeps its uses' hidden group columns
         for use, _ in self.partition_uses:
-            columns[use.column] = rel.columns[use.column][first_rows]
+            columns[use.column] = rel.column(use.column)[first_rows]
         return Relation(columns=columns)
 
 

@@ -40,6 +40,8 @@ pool per process, payloads name tables" comes to:
                                     a commit or a compaction included)
 ``process_backend.payload_bytes``   pickled task bytes of every fragment
                                     dispatched to a worker
+``process_backend.deps_bytes``      pickled dependency results the
+                                    parent ships with those tasks
 =================================== ====================================
 """
 

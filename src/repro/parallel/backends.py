@@ -131,7 +131,9 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes):
     The payload carries ``(index, fragment root, disk, costs, profile)``
     with the tables and dimensions it reads named, resolved against what
     this worker inherited; ``deps_blob`` carries the plainly pickled
-    results of the fragment's dependencies.  Returns the fragment's
+    results of the fragment's dependencies (a relation pickles as its
+    gathered rows, never the arrays it indexes; counted in
+    ``process_backend.deps_bytes``).  Returns the fragment's
     relation, its metrics (operator actuals re-listed in pre-order walk
     position, since ``id()`` keys do not survive the process
     boundary) and the measured wall-clock window as absolute
@@ -309,6 +311,7 @@ class ProcessBackend(ExecutionBackend):
                 {dep: results[dep] for dep in fragment.depends_on},
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
+            REGISTRY.inc("process_backend.deps_bytes", len(deps_blob))
             pending.add(pool.submit(_run_fragment_task, payload, deps_blob))
 
         try:

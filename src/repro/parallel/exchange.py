@@ -44,41 +44,14 @@ only the parallel scheduler populates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..execution.operators import ExecutionContext, PhysicalOp, group_ids
-from ..execution.relation import Relation
+from ..execution.relation import Relation, concat_relations
 
 __all__ = ["Exchange", "Repartition", "UnionAll", "concat_relations"]
-
-
-def concat_relations(rels: List[Relation]) -> Relation:
-    """Concatenate structurally identical relations (the outputs of the
-    partition fragments of one split stream) in list order.
-
-    Columns are concatenated per name; validity masks are extended with
-    all-valid runs for parts that lack one.  Whether the result is the
-    serial stream is the plan's business (``UnionAll.preserve_order``),
-    not the batch's."""
-    if not rels:
-        return Relation(columns={})
-    base = rels[0]
-    names = list(base.columns)
-    columns: Dict[str, np.ndarray] = {
-        name: np.concatenate([r.columns[name] for r in rels]) for name in names
-    }
-    valid: Dict[str, np.ndarray] = {}
-    masked = {name for r in rels for name in r.valid if name in columns}
-    for name in masked:
-        valid[name] = np.concatenate(
-            [
-                r.valid.get(name, np.ones(r.num_rows, dtype=bool))
-                for r in rels
-            ]
-        )
-    return Relation(columns=columns, valid=valid)
 
 
 @dataclass(eq=False)

@@ -244,7 +244,8 @@ class Executor:
         REGISTRY.inc("queries_executed")
         if metrics.delta_rows_scanned:
             REGISTRY.inc("delta_rows_scanned", metrics.delta_rows_scanned)
-        return QueryResult(relation, metrics)
+        # leaving the engine: the gathered rows, not the inputs they index
+        return QueryResult(relation.materialised(), metrics)
 
     def execute(self, plan) -> QueryResult:
         """Lower (or fetch the cached lowering of) a plan and run it."""

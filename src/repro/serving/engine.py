@@ -310,7 +310,7 @@ class _ServeState:
         # the fragments' results die with this call (the merge at finish
         # reads only their metrics), so an in-flight query holds no
         # intermediate relation, and no final one it will not report
-        relation = results[plan.final.index] if engine.keep_results else None
+        relation = results[plan.final.index].materialised() if engine.keep_results else None
 
         works = fragment_works(plan, fragment_metrics, self.next_work_id)
         self.next_work_id += len(works)

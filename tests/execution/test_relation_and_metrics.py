@@ -1,6 +1,6 @@
 """Relation container, memory tracker, execution metrics, query runner."""
 
-import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -24,10 +24,15 @@ def _rel():
 class TestRelation:
     def test_is_columns_and_validity_only(self):
         # stream properties (order, carried uses, ownership) are plan
-        # facts owned by lowering; a batch must not grow them back
-        assert [f.name for f in dataclasses.fields(Relation)] == ["columns", "valid"]
+        # facts owned by lowering; a batch must not grow them back: its
+        # only public state is its columns and their validity
+        assert list(inspect.signature(Relation).parameters) == ["columns", "valid"]
+        assert [n for n in Relation.__slots__ if not n.startswith("_")] == ["valid"]
+        assert isinstance(Relation.columns, property) and Relation.columns.fset is None
         with pytest.raises(TypeError):
             Relation(columns={}, sorted_on=("a",))
+        with pytest.raises(AttributeError):
+            _rel().sorted_on = ("a",)
 
     def test_visible_columns_hide_group_ids(self):
         rel = _rel()

@@ -385,6 +385,32 @@ class TestForkedOverTheTables:
             == first["process_backend.payload_bytes"]
         )
 
+    def test_dependency_bytes_are_counted_and_repeat(self, bdcc_db, environment):
+        """What the parent ships back to workers — the results a
+        dependent fragment reads — is a count, equal pass after pass."""
+        options = ExecutionOptions(workers=2, min_partition_rows=256, backend="process")
+        executor = Executor(
+            bdcc_db, disk=environment.disk, costs=environment.cost_model, options=options
+        )
+        from repro.execution.aggregate import AggSpec
+        from repro.planner.logical import scan
+
+        pplan = executor.lower(
+            scan("customer")
+            .join(scan("orders"), on=[("c_custkey", "o_custkey")])
+            .groupby(["o_custkey"], [AggSpec("n", "count")])
+        )
+        plan = executor.execution_plan(pplan)
+        assert any(f.depends_on for f in plan.fragments if f is not plan.final)
+
+        def one_pass() -> float:
+            before = REGISTRY.get("process_backend.deps_bytes")
+            executor.run(pplan)
+            return REGISTRY.get("process_backend.deps_bytes") - before
+
+        first, second = one_pass(), one_pass()
+        assert first > 0 and second == first
+
     def test_payloads_name_tables_and_dimensions(
         self, physical_dbs, environment, monkeypatch
     ):

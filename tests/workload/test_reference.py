@@ -155,6 +155,32 @@ class TestAgainstEngine:
         assert dict(zip(got.column("d_id").tolist(), got.column("v").tolist())) == expected
         assert reference_mismatch(reference, got)[0] is None
 
+    def test_computed_projection_of_a_null_extended_column_is_null(self, db, executor):
+        """``v = e_sal * 2`` over dept 3's null-extended row is NULL, as
+        SQL says, not twice its placeholder: the aggregate above skips it."""
+        plan = scan("dept").join(
+            scan("emp", predicate=col("e_sal").gt(65)), on=[("d_id", "e_dept")], how="left",
+        ).project(d=col("d_id"), v=col("e_sal") * 2).groupby(
+            ["d"], [AggSpec("s", "sum", col("v")), AggSpec("n", "count", col("v"))]
+        )
+        got = executor.execute(plan).relation
+        assert dict(zip(got.column("d").tolist(), got.column("n").tolist())) == {1: 1, 2: 1, 3: 0}
+        assert reference_mismatch(evaluate_reference(db, plan), got)[0] is None
+
+    def test_computed_projection_over_a_tpch_left_join(self, tpch_db, plain_db):
+        plan = scan("customer").join(
+            scan("orders"), on=[("c_custkey", "o_custkey")], how="left"
+        ).project(c_nationkey=col("c_nationkey"), v=col("o_totalprice") * 2.0).groupby(
+            ["c_nationkey"], [AggSpec("s", "sum", col("v")), AggSpec("n", "count", col("v"))]
+        )
+        reference = evaluate_reference(tpch_db, plan)
+        result = Executor(plain_db).execute(plan)
+        names = sorted(result.relation.column_names)
+        assert rows_match(
+            normalized_rows(reference.columns, names),
+            normalized_rows(result.relation.columns, names),
+        )
+
     def test_sum_of_no_valid_row_is_zero(self, db, executor):
         """Deviation one: SQL's SUM is NULL here, the engine's 0.0 —
         the printer's TOTAL is 0.0 too."""
