@@ -84,6 +84,11 @@ class BDCCTable:
         use = self.uses[use_index]
         return bin(truncate_mask(use.mask, self.total_bits, self.granularity)).count("1")
 
+    def zone_of(self, keys: np.ndarray) -> np.ndarray:
+        """The zone of each ``_bdcc_`` key: its prefix at count-table
+        granularity, the key of the count-table entry it falls in."""
+        return keys >> np.uint64(self.total_bits - self.granularity)
+
     def restriction_mask(
         self,
         zone_prefixes: np.ndarray,

@@ -14,78 +14,11 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
-    "MemoryTracker",
-    "MemoryReservation",
     "OperatorActuals",
     "FragmentActuals",
     "ExecutionMetrics",
     "merge_operator_actuals",
 ]
-
-
-class MemoryReservation:
-    """A live allocation; context-manager style release."""
-
-    def __init__(self, tracker: "MemoryTracker", tag: str, num_bytes: float):
-        self._tracker = tracker
-        self.tag = tag
-        self.num_bytes = float(num_bytes)
-        self._released = False
-
-    def grow(self, extra_bytes: float) -> None:
-        if self._released:
-            raise RuntimeError("reservation already released")
-        self._tracker._grow(extra_bytes, self.tag)
-        self.num_bytes += extra_bytes
-
-    def release(self) -> None:
-        if not self._released:
-            self._tracker._release(self.num_bytes, self.tag)
-            self._released = True
-
-    def __enter__(self) -> "MemoryReservation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
-class MemoryTracker:
-    """Tracks current and peak live bytes, overall and per tag.
-
-    The overall peak (``peak_bytes``) is the Figure 3 quantity; the
-    per-tag current/peak pairs attribute it — which kind of blocking
-    state (hash build, aggregation table, sort buffer, exchange buffer)
-    was live when memory crested.  Tag peaks are each tag's own maximum
-    of concurrently live bytes, so they need not sum to ``peak_bytes``
-    (different tags can peak at different times).  Surfaced by
-    ``explain(analyze=True)`` and the query-log records."""
-
-    def __init__(self) -> None:
-        self.current_bytes = 0.0
-        self.peak_bytes = 0.0
-        #: tag -> currently live bytes under that tag.
-        self.tag_current: Dict[str, float] = {}
-        #: tag -> that tag's own peak of concurrently live bytes.
-        self.tag_peaks: Dict[str, float] = {}
-
-    def allocate(self, tag: str, num_bytes: float) -> MemoryReservation:
-        reservation = MemoryReservation(self, tag, 0.0)
-        reservation.grow(float(num_bytes))
-        return reservation
-
-    def _grow(self, num_bytes: float, tag: str) -> None:
-        self.current_bytes += num_bytes
-        if self.current_bytes > self.peak_bytes:
-            self.peak_bytes = self.current_bytes
-        current = self.tag_current.get(tag, 0.0) + num_bytes
-        self.tag_current[tag] = current
-        if current > self.tag_peaks.get(tag, 0.0):
-            self.tag_peaks[tag] = current
-
-    def _release(self, num_bytes: float, tag: str) -> None:
-        self.current_bytes -= num_bytes
-        self.tag_current[tag] = self.tag_current.get(tag, 0.0) - num_bytes
 
 
 @dataclass
@@ -253,7 +186,15 @@ class ExecutionMetrics:
     #: to query time by the refresh harness; not part of
     #: ``total_seconds``).
     compaction_seconds: float = 0.0
-    memory: MemoryTracker = field(default_factory=MemoryTracker)
+    #: peak of concurrently live operator state, the Figure 3 quantity.
+    #: A fragment holds every reservation until it ends, so on one
+    #: fragment's own metrics this is the sum of its holds; the
+    #: scheduler's merge takes the concurrent peak over fragments.
+    peak_memory_bytes: float = 0.0
+    #: the same peak per kind of blocking state (hash build, aggregation
+    #: table, sort buffer, exchange buffer).  Each tag peaks on its own,
+    #: so the tag peaks need not sum to ``peak_memory_bytes``.
+    peak_memory_by_tag: Dict[str, float] = field(default_factory=dict)
     #: free-form counters, e.g. per-operator attribution for explain.
     counters: Dict[str, float] = field(default_factory=dict)
     #: human-readable notes from the planner (strategy decisions).
@@ -308,10 +249,6 @@ class ExecutionMetrics:
         overlapped (1.0 for a serial run)."""
         wall = self.wall_seconds
         return self.total_seconds / wall if wall > 0.0 else 1.0
-
-    @property
-    def peak_memory_bytes(self) -> float:
-        return self.memory.peak_bytes
 
     def charge_io(self, num_bytes: float, num_accesses: int, seconds: float) -> None:
         self.io_bytes += num_bytes

@@ -103,10 +103,11 @@ class ExecutionContext:
     """Shared runtime state of one plan execution: the simulated device,
     the CPU cost model and the metrics being accumulated.
 
-    Memory reservations for blocking state (hash builds, aggregation
-    tables, sort buffers) are held until the end of the query,
-    approximating the concurrent footprint of a pipelined engine; the
-    peak is the paper's Figure 3 quantity.
+    Blocking state (hash builds, aggregation tables, sort buffers) is
+    held until the fragment ends, approximating the concurrent footprint
+    of a pipelined engine: :meth:`hold` only adds, so a fragment's peak
+    (the paper's Figure 3 quantity) is the sum of its holds, and overlap
+    across fragments is the scheduler's ``concurrent_peak``.
 
     The context also maintains the operator frame stack through which
     every charge is attributed to the operator that incurred it — the
@@ -126,7 +127,6 @@ class ExecutionContext:
         #: producer-fragment outputs visible to Exchange/Repartition
         #: leaves when this context runs one fragment of a parallel plan.
         self.fragment_results = fragment_results
-        self._live_reservations: List = []
         self._frames: List[_OpFrame] = []
 
     def fragment_result(self, index: int) -> Relation:
@@ -139,15 +139,15 @@ class ExecutionContext:
         return self.fragment_results[index]
 
     def hold(self, tag: str, num_bytes: float) -> None:
+        """Reserve ``num_bytes`` of blocking state until the fragment
+        ends: nothing is released earlier, so the peak is the sum."""
         if num_bytes > 0:
-            self._live_reservations.append(self.metrics.memory.allocate(tag, num_bytes))
+            num_bytes = float(num_bytes)
+            by_tag = self.metrics.peak_memory_by_tag
+            self.metrics.peak_memory_bytes += num_bytes
+            by_tag[tag] = by_tag.get(tag, 0.0) + num_bytes
             if self._frames:
-                self._frames[-1].held_bytes += float(num_bytes)
-
-    def release_all(self) -> None:
-        for reservation in self._live_reservations:
-            reservation.release()
-        self._live_reservations = []
+                self._frames[-1].held_bytes += num_bytes
 
     # ----------------------------------------------- operator attribution
     def enter_operator(self, op: "PhysicalOp") -> _OpFrame:
@@ -858,8 +858,12 @@ class Sort(PhysicalOp):
             for column, ascending in reversed(self.keys):
                 values = rel.column(column)
                 if not ascending:
-                    if values.dtype.kind in "iuf":
-                        values = -values.astype(np.float64)
+                    # ~ reverses every integer width (and bool) exactly;
+                    # a trip through float64 would tie keys beyond 2**53
+                    if values.dtype.kind in "iub":
+                        values = ~values
+                    elif values.dtype.kind == "f":
+                        values = -values
                     else:
                         values = -factorize(values)[0]
                 sort_keys.append(values)

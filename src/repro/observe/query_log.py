@@ -181,7 +181,7 @@ def build_record(
             "peak_bytes": float(metrics.peak_memory_bytes),
             "by_tag": {
                 tag: float(peak)
-                for tag, peak in sorted(metrics.memory.tag_peaks.items())
+                for tag, peak in sorted(metrics.peak_memory_by_tag.items())
             },
         },
         "counters": {k: float(v) for k, v in sorted(metrics.counters.items())},

@@ -564,10 +564,10 @@ class _FragmentPlanner:
         num_parts = min(self.workers, max_parts)
         if num_parts < 2:
             return None
-        shift = np.uint64(bdcc.total_bits - bdcc.granularity)
-        base_zones = bdcc.keys[selection.indexer()] >> shift
+        base_zones = bdcc.zone_of(bdcc.keys[selection.indexer()])
         run_zones = [
-            (index, delta.runs[index].keys[sel.indexer()] >> shift) for index, sel in run_sels
+            (index, bdcc.zone_of(delta.runs[index].keys[sel.indexer()]))
+            for index, sel in run_sels
         ]
         all_zones = np.concatenate([base_zones] + [z for _, z in run_zones])
         uniq, counts = np.unique(all_zones, return_counts=True)

@@ -28,7 +28,7 @@ three steps over a :class:`~repro.parallel.fragments.ParallelPlan`
    totals), the last fragment's finish becomes
    ``metrics.makespan_seconds``, and peak memory is recomputed as the
    peak of *concurrently live* footprints: overlapping fragments'
-   reservation peaks plus exchanged result buffers held from a
+   held bytes plus exchanged result buffers held from a
    producer's finish until its last consumer finishes.
 
 Shuffle accounting (co-partitioned joins): a producer feeding rebinning
@@ -350,7 +350,6 @@ def run_fragment(
     metrics = ExecutionMetrics()
     ctx = ExecutionContext(disk, costs, metrics, fragment_results=deps)
     relation, metrics.profile = profile_call(root.run, ctx, enabled=profile)
-    ctx.release_all()
     metrics.rows_produced = relation.num_rows
     metrics.output_bytes = relation.data_bytes()
     return relation, metrics
@@ -427,9 +426,9 @@ def merge_scheduled(
                 (slot.end_seconds, reads_end, output_bytes)
             )
         memory_intervals.append(
-            (slot.start_seconds, slot.end_seconds, metrics.memory.peak_bytes)
+            (slot.start_seconds, slot.end_seconds, metrics.peak_memory_bytes)
         )
-        for tag, tag_peak in metrics.memory.tag_peaks.items():
+        for tag, tag_peak in metrics.peak_memory_by_tag.items():
             tag_intervals.setdefault(tag, []).append(
                 (slot.start_seconds, slot.end_seconds, tag_peak)
             )
@@ -448,7 +447,7 @@ def merge_scheduled(
                 cpu_seconds=metrics.cpu_seconds,
                 rows_out=metrics.rows_produced,
                 output_bytes=output_bytes,
-                peak_memory_bytes=metrics.memory.peak_bytes,
+                peak_memory_bytes=metrics.peak_memory_bytes,
                 measured_seconds=metrics.measured_wall_seconds,
                 measured_start_seconds=metrics.measured_start_seconds,
                 measured_end_seconds=(
@@ -457,8 +456,8 @@ def merge_scheduled(
                 profile=list(metrics.profile),
             )
         )
-    merged.memory.peak_bytes = concurrent_peak(memory_intervals)
-    merged.memory.tag_peaks = {
+    merged.peak_memory_bytes = concurrent_peak(memory_intervals)
+    merged.peak_memory_by_tag = {
         tag: concurrent_peak(intervals)
         for tag, intervals in tag_intervals.items()
     }

@@ -27,9 +27,10 @@ Results are identical under every scheme *and every worker count* (the
 integration tests assert this bit-for-bit for all 22 TPC-H queries);
 what changes is the physical plan, its cost, and — in parallel — the
 makespan.  Because lowering and fragmenting are pure and deterministic,
-both are cached: lowered plans in an LRU dict keyed on
-``(id(node), options.cache_key())``, fragment plans keyed on the
-lowered plan and the worker count.
+both are cached, each in an LRU dict keyed on a node's identity and
+the physical database's update epoch: lowered plans on
+``(id(node), epoch)``, fragment plans on ``(id(pplan.root), epoch)``.
+The options are frozen, so they need no place in either key.
 """
 
 from __future__ import annotations
@@ -107,25 +108,18 @@ class Executor:
         #: touches the metrics — simulated charges and results are
         #: bit-identical with tracing on or off.
         self.tracer = tracer
-        #: metrics of the most recent execution; present from birth (an
-        #: empty ExecutionMetrics) so inspecting an executor before its
-        #: first run never raises.
-        self.metrics: ExecutionMetrics = ExecutionMetrics()
         #: backend name -> instantiated backend; created lazily on the
         #: first run (a process backend is only a handle: the process's
         #: one pool starts at the first fragment anyone dispatches).
         self._backends: dict = {}
-        #: (id(node), options key) -> (node, PhysicalPlan), LRU-ordered.
+        #: (id(node), epoch) -> (node, PhysicalPlan), LRU-ordered.
         #: Keyed by node *identity* (logical plans may hold unhashable
         #: expressions); the node is kept in the value so its id cannot
-        #: be recycled while the entry lives.
+        #: be recycled while the entry lives.  A commit bumps the epoch,
+        #: so a plan lowered against an older delta state never runs.
         self._plan_cache = _LruCache("plan_cache")
-        #: (id(physical root), workers, min_partition_rows, copartition,
-        #: epoch) -> (PhysicalPlan, ParallelPlan); fragmenting reuses the
-        #: cached lowering, so changing the worker count (or the
-        #: co-partition switch) never re-lowers a plan.  Like the plan
-        #: cache, keys carry the update epoch so fragment plans over a
-        #: stale delta state never run.
+        #: (id(physical root), epoch) -> (PhysicalPlan, ParallelPlan);
+        #: fragmenting reuses the cached lowering and never re-lowers.
         self._fragment_cache = _LruCache("fragment_cache")
 
     # ----------------------------------------------------------- planning
@@ -140,10 +134,7 @@ class Executor:
         from .logical import Plan
 
         node = plan.node if isinstance(plan, Plan) else plan
-        # the options key carries the physical database's update epoch: a
-        # commit bumps it and invalidates every cached lowering, while
-        # plain reads keep hitting the cache
-        key = (id(node), self.options.cache_key(self.pdb.epoch))
+        key = (id(node), self.pdb.epoch)
         hit = self._plan_cache.lookup(key)
         if hit is not None:
             return hit[1]
@@ -161,20 +152,15 @@ class Executor:
         return pplan
 
     def parallel_plan(self, pplan: PhysicalPlan) -> ParallelPlan:
-        """The fragment plan of a lowered plan for the current worker
+        """The fragment plan of a lowered plan for this executor's worker
         count (cached; derived from the lowering, never re-lowered)."""
-        workers = max(int(self.options.workers), 1)
-        key = (
-            id(pplan.root), workers, int(self.options.min_partition_rows),
-            bool(self.options.enable_copartition),
-            bool(self.options.enable_partial_agg), self.pdb.epoch,
-        )
+        key = (id(pplan.root), self.pdb.epoch)
         hit = self._fragment_cache.lookup(key)
         if hit is not None:
             return hit[1]
-        with self._span("fragment", workers=workers):
+        with self._span("fragment", workers=self.options.workers):
             parallel = plan_fragments(
-                pplan, workers,
+                pplan, self.options.workers,
                 min_partition_rows=self.options.min_partition_rows,
                 enable_copartition=self.options.enable_copartition,
                 enable_partial_agg=self.options.enable_partial_agg,
@@ -240,7 +226,6 @@ class Executor:
             relation, metrics = self.backend().run(
                 plan, self.disk, self.costs, profile=self.options.profile
             )
-        self.metrics = metrics
         REGISTRY.inc("queries_executed")
         if metrics.delta_rows_scanned:
             REGISTRY.inc("delta_rows_scanned", metrics.delta_rows_scanned)

@@ -223,12 +223,12 @@ def explain(executor: Executor, plan, analyze: bool = False) -> str:
             metrics.rows_produced,
         )
     )
-    if metrics.memory.tag_peaks:
+    if metrics.peak_memory_by_tag:
         # per-tag peaks are each tag's own concurrent maximum; they
         # attribute the overall peak but need not sum to it
         parts.append("memory by tag (per-tag peak):")
         ordered = sorted(
-            metrics.memory.tag_peaks.items(), key=lambda item: -item[1]
+            metrics.peak_memory_by_tag.items(), key=lambda item: -item[1]
         )
         parts.extend(
             f"  - {tag}: {peak / 1e6:.3f} MB" for tag, peak in ordered

@@ -44,7 +44,6 @@ contract semantics.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -93,7 +92,7 @@ from .propagation import ResultContract, compute_order_contracts, compute_restri
 __all__ = ["ExecutionOptions", "PhysicalPlan", "lower"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionOptions:
     """Feature switches (for ablations), sandwich tuning and the
     parallel-execution knobs.  The ablation switches are honoured at
@@ -101,7 +100,11 @@ class ExecutionOptions:
     the behaviour of the operators.  ``workers`` and
     ``min_partition_rows`` are honoured by the *fragmenting* pass
     (``repro.parallel``), which derives partition fragments from the
-    serially lowered plan — the lowering itself is worker-agnostic."""
+    serially lowered plan — the lowering itself is worker-agnostic.
+
+    Frozen: an executor's options never change, so its caches key on
+    the plan and the update epoch alone.  Other options mean another
+    executor (``dataclasses.replace(options, ...)``)."""
 
     enable_pushdown: bool = True      # BDCC group pruning from local predicates
     enable_propagation: bool = True   # ... and from co-clustered neighbours
@@ -139,34 +142,9 @@ class ExecutionOptions:
     #: profiler only observes the Python frames that produce them.
     profile: bool = False
 
-    #: fields that do not affect the lowered (serial) plan — they select
-    #: the *fragment* plan derived from it, cached separately by the
-    #: executor.  Excluded from ``cache_key`` so switching the worker
-    #: count reuses the cached lowering and never re-lowers.
-    _RUNTIME_ONLY = frozenset(
-        {
-            "workers",
-            "min_partition_rows",
-            "enable_copartition",
-            "enable_partial_agg",
-            "backend",
-            "profile",
-        }
-    )
-
-    def cache_key(self, epoch: int = 0) -> tuple:
-        # every planning field participates, so a future switch can never
-        # be forgotten and serve a stale cached lowering (a new field is
-        # included by default; it must be named in _RUNTIME_ONLY to opt
-        # out, which only fragment-level knobs may do).  The physical
-        # database's update ``epoch`` rides along: a commit bumps it, so
-        # plans lowered against an older delta state can never be served
-        # again — while plain reads (same epoch) keep hitting the cache.
-        return tuple(
-            getattr(self, spec.name)
-            for spec in dataclasses.fields(self)
-            if spec.name not in self._RUNTIME_ONLY
-        ) + (int(epoch),)
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -483,8 +461,7 @@ class _Lowering:
         for run_index, run in enumerate(delta.runs):
             keep = ~run.deleted
             if bdcc is not None and restrictions and run.keys is not None:
-                shift = np.uint64(bdcc.total_bits - bdcc.granularity)
-                keep &= bdcc.restriction_mask(run.keys >> shift, restrictions)
+                keep &= bdcc.restriction_mask(bdcc.zone_of(run.keys), restrictions)
             sel = Selection.from_mask(keep)
             for column, low, high in minmax_ranges:
                 block_rows = stored.page_model.rows_per_page(

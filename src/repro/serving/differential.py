@@ -144,7 +144,7 @@ def run_serving_differential(
     report = ServingDifferentialReport(
         seed=seed,
         policy=policy,
-        workers=max(int(options.workers), 1),
+        workers=options.workers,
         backend=options.backend,
     )
     serving_flags = (

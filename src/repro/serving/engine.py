@@ -116,7 +116,7 @@ class ServingEngine:
             pdb, disk=self.disk, costs=self.costs, options=self.options
         )
         self.policy: AdmissionPolicy = create_policy(policy)
-        self.workers = max(int(self.options.workers), 1)
+        self.workers = self.options.workers
         #: multiprogramming limit: how many queries may be in flight at
         #: once; defaults to the pool size, so admission pressure (and
         #: with it the fairness policy) kicks in exactly when the pool

@@ -65,13 +65,13 @@ class QueryRunner:
         # stage's actuals
         merged.absorb(stage)
         merged.rows_produced = stage.rows_produced
-        if stage.peak_memory_bytes > merged.memory.peak_bytes:
-            merged.memory.peak_bytes = stage.peak_memory_bytes
-        # stages run sequentially, so a tag's query peak is its maximum
-        # over the stages (never a sum)
-        for tag, peak in stage.memory.tag_peaks.items():
-            if peak > merged.memory.tag_peaks.get(tag, 0.0):
-                merged.memory.tag_peaks[tag] = peak
+        # stages run sequentially, so the query's peaks, overall and
+        # per tag, are their maxima over the stages (never sums)
+        merged.peak_memory_bytes = max(merged.peak_memory_bytes, stage.peak_memory_bytes)
+        by_tag = merged.peak_memory_by_tag
+        for tag, peak in stage.peak_memory_by_tag.items():
+            if peak > by_tag.get(tag, 0.0):
+                by_tag[tag] = peak
         # stages run one after another: wall clocks add up, and the
         # per-stage fragment timelines are kept for inspection
         merged.makespan_seconds += stage.makespan_seconds

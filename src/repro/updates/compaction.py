@@ -108,14 +108,13 @@ def compact_table(
     ]
 
     if bdcc is not None:
-        shift = np.uint64(bdcc.total_bits - bdcc.granularity)
         ct = bdcc.count_table
         valid = np.flatnonzero(ct.valid)
         deleted_rows = base_rows.intersect(Selection.from_mask(delta.base_deleted)).indexer()
         removed_keys, removed_counts = np.unique(
-            bdcc.keys[deleted_rows] >> shift, return_counts=True
+            bdcc.zone_of(bdcc.keys[deleted_rows]), return_counts=True
         )
-        added: List[np.ndarray] = [keys >> shift for keys in key_pieces[1:]]
+        added: List[np.ndarray] = [bdcc.zone_of(keys) for keys in key_pieces[1:]]
         added_all = np.concatenate(added) if added else np.zeros(0, dtype=np.uint64)
         added_keys, added_counts = np.unique(added_all, return_counts=True)
         bdcc.count_table = CountTable.merge_entries(

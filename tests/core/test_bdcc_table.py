@@ -116,6 +116,17 @@ class TestGranularitySelection:
             assert bdcc.effective_bits(index) == ones(truncate_mask(use.mask, bdcc.total_bits, b))
         assert sum(map(bdcc.effective_bits, range(len(bdcc.uses)))) == b
 
+    def test_zone_of_is_the_count_table_entry(self, mini_db):
+        bdcc = build_bdcc_table(
+            mini_db, "fact", _uses(mini_db),
+            BDCCBuildConfig(efficient_access_bytes=512.0, consolidate_max_fraction=None),
+        )
+        ct = bdcc.count_table
+        assert bdcc.granularity < bdcc.total_bits
+        assert np.array_equal(
+            bdcc.zone_of(bdcc.keys), np.repeat(ct.keys, ct.counts)
+        )
+
 
 class TestConsolidation:
     def test_small_groups_copied_and_invalidated(self):

@@ -1,4 +1,4 @@
-"""Relation container, memory tracker, execution metrics, query runner."""
+"""Relation container, held memory, execution metrics, query runner."""
 
 import inspect
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.execution.metrics import ExecutionMetrics, MemoryTracker
+from repro.execution.metrics import ExecutionMetrics
 from repro.execution.relation import Relation, row_bytes_of
 
 
@@ -128,36 +128,37 @@ class TestMaskIsACandidateList:
             assert got.valid["v"].tobytes() == valid[mask].tobytes()
 
 
-class TestMemoryTracker:
-    def test_peak_tracks_concurrent_allocations(self):
-        tracker = MemoryTracker()
-        r1 = tracker.allocate("a", 100)
-        r2 = tracker.allocate("b", 50)
-        assert tracker.peak_bytes == 150
-        r1.release()
-        r3 = tracker.allocate("c", 60)
-        assert tracker.peak_bytes == 150  # 50 + 60 < 150
-        r2.release(); r3.release()
-        assert tracker.current_bytes == 0
+class TestHold:
+    """A fragment holds its blocking state until it ends: ``hold`` only
+    adds, overall and per tag."""
 
-    def test_double_release_is_idempotent(self):
-        tracker = MemoryTracker()
-        r = tracker.allocate("a", 10)
-        r.release(); r.release()
-        assert tracker.current_bytes == 0
+    def _context(self):
+        from repro.execution.cost import DEFAULT_COSTS
+        from repro.execution.operators import ExecutionContext
+        from repro.storage.io_model import PAPER_SSD
 
-    def test_grow_after_release_rejected(self):
-        tracker = MemoryTracker()
-        r = tracker.allocate("a", 10)
-        r.release()
-        with pytest.raises(RuntimeError):
-            r.grow(5)
+        return ExecutionContext(PAPER_SSD, DEFAULT_COSTS, ExecutionMetrics())
 
-    def test_context_manager(self):
-        tracker = MemoryTracker()
-        with tracker.allocate("a", 10):
-            assert tracker.current_bytes == 10
-        assert tracker.current_bytes == 0
+    def test_peaks_are_sums_of_holds(self):
+        ctx = self._context()
+        ctx.hold("a", 100)
+        ctx.hold("b", 50)
+        ctx.hold("a", 60)
+        assert ctx.metrics.peak_memory_bytes == 210.0
+        assert ctx.metrics.peak_memory_by_tag == {"a": 160.0, "b": 50.0}
+
+    def test_non_positive_holds_are_not_recorded(self):
+        ctx = self._context()
+        ctx.hold("a", 0)
+        ctx.hold("b", -5)
+        assert ctx.metrics.peak_memory_bytes == 0.0
+        assert ctx.metrics.peak_memory_by_tag == {}
+
+    def test_holds_are_plain_floats(self):
+        ctx = self._context()
+        ctx.hold("a", np.int64(7))
+        assert type(ctx.metrics.peak_memory_bytes) is float
+        assert type(ctx.metrics.peak_memory_by_tag["a"]) is float
 
 
 class TestExecutionMetrics:
@@ -193,6 +194,22 @@ class TestQueryRunner:
         # peak is the max across stages, not the sum
         assert runner.metrics.peak_memory_bytes >= 0
         assert first.relation.num_rows == 1
+
+    def test_stage_peaks_merge_as_maxima(self, plain_db):
+        from repro.planner.executor import Executor
+        from repro.tpch.runner import QueryRunner
+
+        runner = QueryRunner(Executor(plain_db))
+        runner._merge(ExecutionMetrics(
+            peak_memory_bytes=10.0, peak_memory_by_tag={"sort": 10.0, "exchange": 0.0}
+        ))
+        runner._merge(ExecutionMetrics(
+            peak_memory_bytes=6.0, peak_memory_by_tag={"sort": 4.0, "agg:hash": 6.0}
+        ))
+        # stages run one after another: maxima, never sums, and a tag
+        # that held nothing in any stage stays out of the record
+        assert runner.metrics.peak_memory_bytes == 10.0
+        assert runner.metrics.peak_memory_by_tag == {"sort": 10.0, "agg:hash": 6.0}
 
     def test_scale_factor_defaults_to_one(self, plain_db):
         from repro.planner.executor import Executor

@@ -1,16 +1,17 @@
 """Accounting invariants the observability layer leans on: exclusive
 operator actuals summing to query totals (both backends), the
-counter/note merge rules of ``merge_parallel_metrics``, per-tag memory
-attribution, and its surfacing in ``explain(analyze=True)``."""
+counter/note merge rules of ``merge_parallel_metrics``, a fragment's
+held memory as the sum of its holds, per-tag memory attribution, and
+its surfacing in ``explain(analyze=True)``."""
 
 import pytest
 
-from repro.execution.metrics import MemoryTracker
 from repro.parallel.backends import SimulatedBackend
 from repro.parallel.scheduler import concurrent_peak, merge_parallel_metrics
 from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
-from repro.planner.executor import ExecutionOptions, Executor
+from repro.execution.operators import ExecutionContext
+from repro.planner.executor import ExecutionOptions, Executor, QueryResult
 from repro.planner.explain import explain
 from repro.planner.logical import scan
 from repro.tpch.dates import days
@@ -121,15 +122,15 @@ class TestMergeParallelMetrics:
         )
         # every merged tag peak is bounded by the sum of the fragment
         # peaks (concurrency can only lose overlap, never invent bytes)
-        for tag, peak in merged.memory.tag_peaks.items():
+        for tag, peak in merged.peak_memory_by_tag.items():
             if tag == "exchange":
                 continue  # exchange buffers exist only after the merge
             total = sum(
-                m.memory.tag_peaks.get(tag, 0.0)
+                m.peak_memory_by_tag.get(tag, 0.0)
                 for m in fragment_metrics.values()
             )
             biggest = max(
-                m.memory.tag_peaks.get(tag, 0.0)
+                m.peak_memory_by_tag.get(tag, 0.0)
                 for m in fragment_metrics.values()
             )
             assert biggest <= peak <= total + 1e-9
@@ -146,27 +147,71 @@ class TestConcurrentPeak:
         assert concurrent_peak([(0.0, 1.0, -5.0)]) == 0.0
 
 
+class _FragmentMemoryChecker(QueryRunner):
+    """A runner whose stages run their fragments on the simulated
+    backend, checking every fragment's held memory against the holds
+    recorded while it ran, before the merge."""
+
+    def __init__(self, executor, holds):
+        super().__init__(executor)
+        self.holds = holds
+        self.fragments = 0
+        self.parallel_stages = 0
+
+    def execute(self, plan):
+        executor = self.executor
+        fplan = executor.execution_plan(executor.lower(plan))
+        self.parallel_stages += fplan.is_parallel
+        results, per_fragment = SimulatedBackend().execute_fragments(
+            fplan, executor.disk, executor.costs
+        )
+        for metrics in per_fragment.values():
+            self.fragments += 1
+            held = self.holds.pop(id(metrics), {})
+            # a fragment holds everything until it ends: its peaks are sums
+            assert metrics.peak_memory_by_tag == {
+                tag: sum(values) for tag, values in held.items()
+            }
+            reserved = sum(a.reserved_bytes for a in metrics.operators.values())
+            assert metrics.peak_memory_bytes == pytest.approx(reserved, rel=1e-12)
+        assert not self.holds
+        relation, metrics = merge_parallel_metrics(
+            fplan, results, per_fragment, executor.disk
+        )
+        return QueryResult(relation, metrics)
+
+
 class TestMemoryTags:
-    def test_per_tag_current_and_peaks(self):
-        tracker = MemoryTracker()
-        hash_build = tracker.allocate("hash-build", 100.0)
-        sort = tracker.allocate("sort", 40.0)
-        assert tracker.peak_bytes == 140.0
-        assert tracker.tag_peaks == {"hash-build": 100.0, "sort": 40.0}
-        hash_build.release()
-        second = tracker.allocate("hash-build", 60.0)
-        # the tag peak keeps its own historical maximum
-        assert tracker.tag_peaks["hash-build"] == 100.0
-        assert tracker.tag_current["hash-build"] == 60.0
-        second.release()
-        sort.release()
-        assert tracker.current_bytes == 0.0
-        assert tracker.tag_current == {"hash-build": 0.0, "sort": 0.0}
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_fragment_peaks_are_sums_of_holds(
+        self, physical_dbs, environment, monkeypatch, workers
+    ):
+        holds = {}
+        hold = ExecutionContext.hold
+
+        def recording_hold(ctx, tag, num_bytes):
+            if num_bytes > 0:
+                by_tag = holds.setdefault(id(ctx.metrics), {})
+                by_tag.setdefault(tag, []).append(float(num_bytes))
+            hold(ctx, tag, num_bytes)
+
+        monkeypatch.setattr(ExecutionContext, "hold", recording_hold)
+        options = ExecutionOptions(workers=workers, min_partition_rows=256)
+        for pdb in physical_dbs.values():
+            executor = Executor(
+                pdb, disk=environment.disk, costs=environment.cost_model,
+                options=options,
+            )
+            checker = _FragmentMemoryChecker(executor, holds)
+            for query in QUERIES.values():
+                query(checker)
+            assert checker.fragments >= len(QUERIES)
+            assert (checker.parallel_stages > 0) == (workers > 1)
 
     def test_real_queries_attribute_their_peak(self, bdcc_db, environment):
         metrics = _run(bdcc_db, environment, "Q01")
-        assert metrics.memory.tag_peaks
-        assert max(metrics.memory.tag_peaks.values()) <= metrics.peak_memory_bytes
+        assert metrics.peak_memory_by_tag
+        assert max(metrics.peak_memory_by_tag.values()) <= metrics.peak_memory_bytes
 
     def test_explain_analyze_reports_tag_peaks(self, bdcc_db, environment):
         executor = Executor(

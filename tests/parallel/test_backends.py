@@ -1,8 +1,7 @@
 """Execution backends: the process backend must be a drop-in for the
 simulated one — bit-identical results, identical simulated charges —
-plus the parallel-metrics correctness fixes that ride along (operator
-actuals accumulate instead of last-fragment-wins; ``Executor.metrics``
-exists before the first run).
+plus the parallel-metrics correctness fix that rides along (operator
+actuals accumulate instead of last-fragment-wins).
 
 The process backend's pool is process-wide and forked over the stored
 tables (one pool per process; payloads name tables and dimensions), so
@@ -34,11 +33,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from repro.execution.metrics import (
-    ExecutionMetrics,
-    OperatorActuals,
-    merge_operator_actuals,
-)
+from repro.execution.metrics import OperatorActuals, merge_operator_actuals
 from repro.observe.registry import REGISTRY
 from repro.parallel import backends
 from repro.parallel.backends import (
@@ -130,18 +125,6 @@ def _identical(a, b) -> bool:
 
 
 class TestMetricsBugfixes:
-    def test_executor_metrics_exists_before_first_run(self, bdcc_db, environment):
-        """Regression: ``Executor.metrics`` used to appear only inside
-        ``run()``, so touching it before the first execution raised
-        AttributeError."""
-        executor = Executor(
-            bdcc_db, disk=environment.disk, costs=environment.cost_model
-        )
-        assert isinstance(executor.metrics, ExecutionMetrics)
-        assert executor.metrics.total_seconds == 0.0
-        assert executor.metrics.rows_produced == 0
-        assert not executor.metrics.operators
-
     def test_merge_accumulates_shared_operator_keys(self):
         """Regression: merging fragment metrics used ``dict.update`` —
         last fragment wins — so an operator object shared by several

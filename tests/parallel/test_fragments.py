@@ -6,6 +6,8 @@ storage order, and (b) yield parallel executions whose gathered output
 is *bit-identical* (values and row order) to the serial run.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,18 +152,24 @@ class TestFragmentStructure:
         pplan = executor.lower(plan)
         first = executor.parallel_plan(pplan)
         assert first.is_parallel
-        assert executor.parallel_plan(pplan) is first  # cached per worker count
+        assert executor.parallel_plan(pplan) is first  # cached
+        assert first.serial is pplan
         # fragments never re-lower: unsplit subtrees (here the broadcast
         # build side) are the very operator objects of the lowering
         serial_ops = {id(op) for op in walk_physical(pplan.root)}
         broadcast = [f for f in first.fragments if f.role == "broadcast"]
         assert broadcast and all(id(f.root) in serial_ops for f in broadcast)
-        # a different worker count is a different fragment plan derived
-        # from the *same* cached lowering — never re-lowered
-        executor.options.workers = 2
-        assert executor.lower(plan) is pplan
-        second = executor.parallel_plan(pplan)
-        assert second is not first and second.serial is pplan
+        # the options are frozen: a different worker count is another
+        # executor, whose fragment plan is derived from its own cached
+        # lowering — fragmenting never re-lowers
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            executor.options.workers = 2
+        other = Executor(bdcc_db, options=dataclasses.replace(executor.options, workers=2))
+        other_pplan = other.lower(plan)
+        assert other_pplan is not pplan  # a new executor lowers afresh
+        second = other.parallel_plan(other_pplan)
+        assert second is not first and second.serial is other_pplan
+        assert other.lower(plan) is other_pplan
 
     def test_unionall_preserves_order_flag(self, bdcc_db):
         from repro.planner.logical import scan

@@ -43,7 +43,7 @@ def test_serial_run_is_one_serial_fragment(physical_dbs, environment, qname, sch
             assert fragment.rows_out == metrics.rows_produced
             assert metrics.workers == 1 and metrics.backend == "simulated"
             assert metrics.measured_wall_seconds == 0.0
-            assert "exchange" not in metrics.memory.tag_peaks
+            assert "exchange" not in metrics.peak_memory_by_tag
             assert not any(note.startswith("[f") for note in metrics.notes)
             assert metrics.operators
     # one worker never consults the fragment planner or its cache

@@ -21,7 +21,6 @@ def _simulated(metrics) -> dict:
     """Every field of an ``ExecutionMetrics`` but the host-dependent
     measured wall clocks, in comparable form."""
     fields = {f.name: getattr(metrics, f.name) for f in dataclasses.fields(metrics)}
-    fields["memory"] = (metrics.memory.peak_bytes, metrics.memory.tag_peaks)
     fields["measured_wall_seconds"] = None
     fields["fragments"] = [
         dataclasses.replace(
