@@ -77,8 +77,9 @@ def run(scale_factor: float, seed: int, json_mode: bool = False) -> int:
     compaction_ms = {}
     for scheme, pdb in pdbs.items():
         seconds = 0.0
-        for stored in pdb.stored.values():
-            io_s, cpu_s = compact_table(stored, env.disk, env.cost_model)
+        for stored in list(pdb.stored.values()):
+            compacted, io_s, cpu_s = compact_table(stored, env.disk, env.cost_model)
+            pdb.publish({stored: compacted})
             seconds += io_s + cpu_s
         compaction_ms[scheme] = seconds * 1e3
     stages["compacted"] = _measure(pdbs, env)

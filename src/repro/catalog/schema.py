@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..errors import ReproError
 from .datatypes import DataType
 
 __all__ = ["Column", "Table", "ForeignKey", "IndexHint", "Schema", "SchemaError"]
 
 
-class SchemaError(ValueError):
+class SchemaError(ReproError, ValueError):
     """Raised for inconsistent catalog definitions or lookups."""
 
 

@@ -16,7 +16,7 @@ Given a table's dimension uses, the builder:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,13 +45,14 @@ class BDCCBuildConfig:
     consolidate_max_fraction: Optional[float] = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class BDCCTable:
     """A built BDCC table: physical order, key column, count table, stats.
 
     ``row_source[i]`` is the original row index stored at position ``i``;
     after small-group consolidation the storage holds duplicates, and only
     the count table's *valid* entries see each logical row exactly once.
+    A value: compaction builds a new one rather than changing this one.
     """
 
     table: str
@@ -219,7 +220,7 @@ def build_bdcc_table(
 
     # (v) post-bulk-load consolidation of very small groups
     if config.consolidate_max_fraction is not None and n > 0:
-        _consolidate_small_groups(
+        bdcc = _consolidate_small_groups(
             bdcc,
             threshold_bytes=config.efficient_access_bytes,
             max_fraction=config.consolidate_max_fraction,
@@ -229,10 +230,10 @@ def build_bdcc_table(
 
 def _consolidate_small_groups(
     bdcc: BDCCTable, threshold_bytes: float, max_fraction: float
-) -> None:
-    """Copy tuples of groups smaller than ``threshold_bytes`` (in the
-    densest column) to a contiguous region appended at the end; mark the
-    original count-table entries invalid.
+) -> BDCCTable:
+    """``bdcc`` with the tuples of groups smaller than ``threshold_bytes``
+    (in the densest column) copied to a contiguous region appended at
+    the end, and the original count-table entries marked invalid.
 
     Skipped when small groups hold more than ``max_fraction`` of the data
     (Algorithm 1 only tolerates a low percentage there) or when fewer than
@@ -242,24 +243,25 @@ def _consolidate_small_groups(
     small = ct.valid & (group_bytes < threshold_bytes)
     small_rows = int(ct.counts[small].sum())
     if np.count_nonzero(small) < 2 or small_rows == 0:
-        return
+        return bdcc
     if small_rows > max_fraction * bdcc.logical_rows:
-        return
+        return bdcc
 
     small_indices = np.flatnonzero(small)  # already in key order
     moved = ct.selection(small_indices).indexer()
     base = bdcc.stored_rows
-    bdcc.row_source = np.concatenate([bdcc.row_source, bdcc.row_source[moved]])
-    bdcc.keys = np.concatenate([bdcc.keys, bdcc.keys[moved]])
-
     new_keys = ct.keys[small_indices]
     new_counts = ct.counts[small_indices]
     new_offsets = base + np.concatenate([[0], np.cumsum(new_counts[:-1])]).astype(np.int64)
-    ct.valid[small_indices] = False
-    bdcc.count_table = CountTable(
-        granularity=ct.granularity,
-        keys=np.concatenate([ct.keys, new_keys]),
-        counts=np.concatenate([ct.counts, new_counts]),
-        offsets=np.concatenate([ct.offsets, new_offsets]),
-        valid=np.concatenate([ct.valid, np.ones(len(new_keys), dtype=bool)]),
+    return replace(
+        bdcc,
+        row_source=np.concatenate([bdcc.row_source, bdcc.row_source[moved]]),
+        keys=np.concatenate([bdcc.keys, bdcc.keys[moved]]),
+        count_table=CountTable(
+            granularity=ct.granularity,
+            keys=np.concatenate([ct.keys, new_keys]),
+            counts=np.concatenate([ct.counts, new_counts]),
+            offsets=np.concatenate([ct.offsets, new_offsets]),
+            valid=np.concatenate([ct.valid & ~small, np.ones(len(new_keys), dtype=bool)]),
+        ),
     )

@@ -1,0 +1,40 @@
+"""The named errors of the engine.
+
+Every error the engine raises on purpose derives from :class:`ReproError`,
+so a caller can tell a defined failure from a bug.  Each type also keeps
+the builtin base its callers caught before it had a name:
+
+* :class:`~repro.catalog.schema.SchemaError` — a malformed schema
+  (a ``ValueError``);
+* :class:`~repro.serving.snapshot.SnapshotViolation` — storage changed
+  under an in-flight read (a ``RuntimeError``);
+* :class:`WorkerLost` — a process-backend worker died mid-query;
+* :class:`FragmentFailed` — a fragment raised in a pool worker;
+* :class:`CommitAborted` — an :class:`~repro.updates.UpdateSession`
+  commit failed before it published, and changed nothing.
+
+Each is raised chained to its cause (``raise ... from error``).
+"""
+
+from __future__ import annotations
+
+__all__ = ["ReproError", "WorkerLost", "FragmentFailed", "CommitAborted"]
+
+
+class ReproError(Exception):
+    """Base of every error the engine raises on purpose."""
+
+
+class WorkerLost(ReproError, RuntimeError):
+    """A process-backend pool worker died (killed or crashed); the query
+    was abandoned and the pool discarded."""
+
+
+class FragmentFailed(ReproError, RuntimeError):
+    """A fragment raised in a process-backend pool worker; the query was
+    abandoned, the pool keeps serving."""
+
+
+class CommitAborted(ReproError):
+    """A commit failed before it published: no table, epoch or counter
+    moved, and the session still holds the buffered changes."""

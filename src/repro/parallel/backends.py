@@ -32,16 +32,16 @@ One pool per *process* (lifetime rules: ``docs/execution-model.md``):
 the worker pool belongs to this module, not to a backend or an
 executor, so a cold ``Executor`` per query — what ``run_query`` and the
 CLI create — pays no fork.  The pool is forked over a snapshot: every
-live :class:`~repro.storage.stored_table.StoredTable` with its epoch,
-the tables the dispatching plan scans, and the ``Dimension`` of every
-BDCC use of those tables, all held by strong references so that no
-``id()`` a payload names can be recycled while the pool lives.  The
-payload pickler turns a snapshot object into its ``id()``; the worker's
-unpickler resolves that in its own inherited copy.  Every write to a
-stored table bumps its epoch (commit, compaction), so before a plan's
-first dispatch each table it scans is checked against the snapshot: one
-that is new, or whose epoch has moved, drops the pool, and the dispatch
-forks a fresh one over the current state — a worker never reads a stale
+live :class:`~repro.storage.stored_table.StoredTable`, the tables the
+dispatching plan scans, and the ``Dimension`` of every BDCC use of
+those tables, all held by strong references so that no ``id()`` a
+payload names can be recycled while the pool lives.  The payload
+pickler turns a snapshot object into its ``id()``; the worker's
+unpickler resolves that in its own inherited copy.  A stored table is
+a value — a commit or a compaction publishes a new one — so before a
+plan's first dispatch each table it scans is looked up in the snapshot:
+one the snapshot does not hold drops the pool, and the dispatch forks a
+fresh one over the current tables — a worker never reads a stale
 table.  ``close()`` on a backend or an executor therefore releases
 nothing; :func:`shutdown` (registered with ``atexit``) stops the pool
 and releases the snapshot.  The process backend is POSIX-only (it needs
@@ -59,6 +59,7 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..errors import FragmentFailed, WorkerLost
 from ..execution.cost import CostModel
 from ..execution.metrics import ExecutionMetrics
 from ..execution.operators import PhysicalScan, walk_physical
@@ -84,15 +85,12 @@ __all__ = [
 #: dimensions of their BDCC uses.  Strong references, so an id stays
 #: this object's until :func:`shutdown` lets go.
 _INHERITED: Dict[int, object] = {}
-#: ... and each snapshot table's epoch at the fork.
-_EPOCHS: Dict[int, int] = {}
 _MISSING = object()
 
 
 def _snapshot(tables: Iterable[StoredTable]) -> None:
-    global _INHERITED, _EPOCHS
+    global _INHERITED
     _INHERITED = {id(t): t for t in tables}
-    _EPOCHS = {key: t.epoch for key, t in _INHERITED.items()}
     for table in list(_INHERITED.values()):
         if table.bdcc is not None:
             for use in table.bdcc.uses:
@@ -161,13 +159,13 @@ _POOL_WORKERS = 0
 def _pool(workers: int, scanned: List[StoredTable]) -> ProcessPoolExecutor:
     """The process's worker pool, forked on first use over the current
     snapshot.  It is replaced when a plan asks for more workers than it
-    has, or scans a table its workers did not inherit at the table's
-    current epoch."""
+    has, or scans a table its workers did not inherit."""
     global _POOL, _POOL_WORKERS
     # a pool forked again for a stale table keeps its size: it never shrinks
     size = max(workers, _POOL_WORKERS)
-    # an id found in _EPOCHS is that table: the snapshot keeps it alive
-    stale = any(_EPOCHS.get(id(t)) != t.epoch for t in scanned)
+    # stale = not held by the snapshot; its strong references keep every
+    # id it maps from being reused by another object
+    stale = any(_INHERITED.get(id(t), _MISSING) is not t for t in scanned)
     if _POOL is not None and (_POOL_WORKERS < workers or stale):
         shutdown()
     if _POOL is None:
@@ -255,15 +253,16 @@ class ProcessBackend(ExecutionBackend):
     pool: the pool is forked at the first fragment dispatched and then
     serves every query of every executor — replaced by a larger one
     when a plan asks for more workers, and forked afresh when a plan
-    scans a table that is new or whose epoch has moved.  The final
+    scans a table the workers did not inherit.  The final
     (serial-tail) fragment runs in the parent — it consumes every
     gathered partition anyway, so running it here saves one more
     process hop, and a one-fragment plan never touches the pool.
 
-    A fragment that raises in a worker, or a worker that dies, ends the
-    query in a ``RuntimeError`` chained from the cause, its unstarted
-    fragments cancelled; a pool that lost a worker is discarded and the
-    next dispatch forks a fresh one.
+    A fragment that raises in a worker ends the query in
+    :class:`~repro.errors.FragmentFailed`, a worker that dies in
+    :class:`~repro.errors.WorkerLost` (both ``RuntimeError`` types), chained
+    from the cause, its unstarted fragments cancelled; a pool that lost
+    a worker is discarded and the next dispatch forks a fresh one.
     """
 
     name = "process"
@@ -325,7 +324,7 @@ class ProcessBackend(ExecutionBackend):
                 if isinstance(error, BrokenProcessPool):
                     raise error
                 if error is not None:
-                    raise RuntimeError(
+                    raise FragmentFailed(
                         "process backend: a fragment failed in a pool worker"
                     ) from error
                 index, relation, metrics, actuals, window = future.result()
@@ -348,7 +347,7 @@ class ProcessBackend(ExecutionBackend):
         except BrokenProcessPool as error:
             # the executor has already failed the pool's other futures
             shutdown()
-            raise RuntimeError(
+            raise WorkerLost(
                 "process backend: a pool worker died (killed or crashed); "
                 "the query was abandoned, the pool discarded, and the next "
                 "query starts a fresh one"

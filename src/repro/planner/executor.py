@@ -27,10 +27,12 @@ Results are identical under every scheme *and every worker count* (the
 integration tests assert this bit-for-bit for all 22 TPC-H queries);
 what changes is the physical plan, its cost, and — in parallel — the
 makespan.  Because lowering and fragmenting are pure and deterministic,
-both are cached, each in an LRU dict keyed on a node's identity and
-the physical database's update epoch: lowered plans on
-``(id(node), epoch)``, fragment plans on ``(id(pplan.root), epoch)``.
-The options are frozen, so they need no place in either key.
+both are cached, each in an LRU dict keyed on a node's identity:
+lowered plans on ``id(node)``, fragment plans on ``id(pplan.root)``.
+The caches hold one epoch of the physical database: epochs only grow,
+so once a commit moves it no older entry can hit again, and both
+caches are emptied rather than left pinning the table versions their
+plans scan.  The options are frozen, so they need no place in a key.
 """
 
 from __future__ import annotations
@@ -112,15 +114,17 @@ class Executor:
         #: first run (a process backend is only a handle: the process's
         #: one pool starts at the first fragment anyone dispatches).
         self._backends: dict = {}
-        #: (id(node), epoch) -> (node, PhysicalPlan), LRU-ordered.
-        #: Keyed by node *identity* (logical plans may hold unhashable
-        #: expressions); the node is kept in the value so its id cannot
-        #: be recycled while the entry lives.  A commit bumps the epoch,
-        #: so a plan lowered against an older delta state never runs.
+        #: id(node) -> (node, PhysicalPlan), LRU-ordered.  Keyed by node
+        #: *identity* (logical plans may hold unhashable expressions);
+        #: the node is kept in the value so its id cannot be recycled
+        #: while the entry lives.
         self._plan_cache = _LruCache("plan_cache")
-        #: (id(physical root), epoch) -> (PhysicalPlan, ParallelPlan);
-        #: fragmenting reuses the cached lowering and never re-lowers.
+        #: id(physical root) -> (PhysicalPlan, ParallelPlan); fragmenting
+        #: reuses the cached lowering and never re-lowers.
         self._fragment_cache = _LruCache("fragment_cache")
+        #: the epoch both caches hold: a commit moves it, so they never
+        #: serve a plan lowered against an older version of a table.
+        self._cached_epoch = self.pdb.epoch
 
     # ----------------------------------------------------------- planning
     def _span(self, name: str, **attributes):
@@ -129,12 +133,22 @@ class Executor:
             return nullcontext()
         return self.tracer.span(name, **attributes)
 
+    def _drop_older_epoch(self) -> None:
+        """Empty both caches if the database's epoch moved since they
+        were filled."""
+        epoch = self.pdb.epoch
+        if epoch != self._cached_epoch:
+            self._plan_cache.clear()
+            self._fragment_cache.clear()
+            self._cached_epoch = epoch
+
     def lower(self, plan) -> PhysicalPlan:
         """Lower a logical plan (cached; pure — runs nothing)."""
         from .logical import Plan
 
         node = plan.node if isinstance(plan, Plan) else plan
-        key = (id(node), self.pdb.epoch)
+        key = id(node)
+        self._drop_older_epoch()
         hit = self._plan_cache.lookup(key)
         if hit is not None:
             return hit[1]
@@ -154,7 +168,8 @@ class Executor:
     def parallel_plan(self, pplan: PhysicalPlan) -> ParallelPlan:
         """The fragment plan of a lowered plan for this executor's worker
         count (cached; derived from the lowering, never re-lowered)."""
-        key = (id(pplan.root), self.pdb.epoch)
+        key = id(pplan.root)
+        self._drop_older_epoch()
         hit = self._fragment_cache.lookup(key)
         if hit is not None:
             return hit[1]

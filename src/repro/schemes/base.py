@@ -10,7 +10,7 @@ co-clustering).  A :class:`PhysicalScheme` materialises a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -31,6 +31,11 @@ class PhysicalDatabase:
     clustered on different dimension subsets (the paper's future-work
     direction (ii)); the executor picks, per scan, the copy whose groups
     the query's restrictions prune hardest.
+
+    The stored tables are values; this object is where the current
+    version of each is found.  :meth:`publish` swaps next versions in
+    by building new ``stored`` and ``replicas`` maps, so whoever holds a
+    table — or an old map — keeps reading what it held.
     """
 
     scheme_name: str
@@ -50,12 +55,19 @@ class PhysicalDatabase:
     def table(self, name: str) -> StoredTable:
         return self.stored[name]
 
-    def stored_copies(self, name: str):
+    def stored_copies(self, name: str) -> List[StoredTable]:
         """Every physical copy of a table: the primary plus replicas.
         The update path maintains delta state on each."""
-        yield self.stored[name]
-        for copy in self.replicas.get(name, ()):
-            yield copy
+        return [self.stored[name], *self.replicas.get(name, ())]
+
+    def publish(self, versions: Mapping[StoredTable, StoredTable]) -> None:
+        """Make each ``old -> new`` of ``versions`` current, all at once;
+        tables of other databases in ``versions`` are ignored."""
+        self.stored = {name: versions.get(t, t) for name, t in self.stored.items()}
+        self.replicas = {
+            name: [versions.get(t, t) for t in copies]
+            for name, copies in self.replicas.items()
+        }
 
     @property
     def epoch(self) -> int:

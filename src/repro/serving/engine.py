@@ -14,7 +14,7 @@ an event is processed:
   free multiprogramming slots;
 * **admit** — the query pins an :class:`~repro.serving.snapshot.EpochSnapshot`
   and is **physically executed right now**, in program order, before
-  any later commit mutates storage — that is the MVCC mechanism: reads
+  any later commit publishes — that is the MVCC mechanism: reads
   at the admission instant see exactly the pinned epochs, with zero
   copying.  This is the executor's own *run* stage
   (``backend.execute_fragments`` over ``executor.execution_plan``);

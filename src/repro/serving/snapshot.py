@@ -1,13 +1,15 @@
 """MVCC-style epoch snapshots for concurrent readers.
 
-The engine's storage is merge-on-read (PR 4): a commit appends delta
-runs and bumps each touched table's ``epoch``; compaction folds deltas
-into the base and bumps again.  There is no versioned storage to read
-*through* — so the serving layer gets snapshot isolation from the
-execute/schedule split instead: a query's fragments are **physically
-executed at its admission instant**, in program order, before any later
-commit mutates state, while their *time* interleaves with other queries
-and commit work on the shared simulated timeline.  The snapshot object
+The engine's storage is merge-on-read and its stored tables are
+values: a commit publishes the next version of each table it touches —
+one more delta run or deletion mask, ``epoch + 1`` — all at once or
+not at all, and compaction publishes a version with the deltas folded
+into the base.  A plan holds the versions it was lowered against; the
+serving layer gets snapshot isolation from the execute/schedule split:
+a query's fragments are **physically executed at its admission
+instant**, in program order, before any later commit publishes, while
+their *time* interleaves with other queries and commit work on the
+shared simulated timeline.  The snapshot object
 records the per-table epochs the query was admitted under; it is the
 proof obligation, not the mechanism — the engine asserts the epochs are
 unchanged across the physical run (reads never mutate), and the
@@ -20,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..errors import ReproError
 from ..schemes.base import PhysicalDatabase
 
 __all__ = ["EpochSnapshot", "SnapshotViolation"]
 
 
-class SnapshotViolation(RuntimeError):
+class SnapshotViolation(ReproError, RuntimeError):
     """A query's pinned epochs changed while it was being executed —
     something mutated storage inside a read, breaking the serving
     layer's snapshot-isolation invariant."""

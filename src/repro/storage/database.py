@@ -78,6 +78,19 @@ class Database:
         return len(next(iter(data.values())))
 
     # ------------------------------------------------------------- updates
+    def stage(self) -> "Database":
+        """A copy to stage a commit on: the same schema and arrays under
+        a table map of its own.  Appends and deletes rebind a table in
+        that map and never write an array, so nothing the copy does is
+        seen here until :meth:`publish`."""
+        staged = Database(self.schema, self.scale_factor)
+        staged._tables = dict(self._tables)
+        return staged
+
+    def publish(self, staged: "Database") -> None:
+        """Make a staged copy's tables this database's, all at once."""
+        self._tables = staged._tables
+
     def append_table_rows(self, table: str, rows: Dict[str, np.ndarray]) -> Tuple[int, int]:
         """Append complete rows at the end of a table's arrays.
 

@@ -6,11 +6,14 @@ order for BDCC — possibly with a consolidated small-group region), builds
 MinMax indices lazily per column, and knows its page layout for IO
 accounting.
 
-Updates never rewrite the base layout in place: committed changes live in
-an attached delta store (:mod:`repro.updates.delta`) — sorted insert runs
-plus a deletion bitmap — until compaction folds them back in.  ``epoch``
-counts the commits/compactions applied to this table; plan caches key on
-it so a cached plan can never read a stale delta state.
+A stored table is a value: nothing changes one after construction.
+A commit publishes the *next version* of each table it touches —
+``dataclasses.replace`` with a new delta store (:mod:`repro.updates.delta`:
+sorted insert runs plus a deletion bitmap) and ``epoch + 1``, sharing the
+base columns and their zone maps — and compaction publishes a version
+with the deltas folded into new base columns.  A plan lowered before a
+commit keeps reading the versions it holds; ``epoch`` counts the
+commits/compactions behind a version, and plan caches key on it.
 
 :data:`LIVE_TABLES` holds every table alive in this process, weakly: the
 process backend forks its workers over them, so a fragment payload can
@@ -34,7 +37,7 @@ from .pages import PageModel
 __all__ = ["StoredTable", "LIVE_TABLES"]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StoredTable:
     name: str
     definition: Table
@@ -45,11 +48,13 @@ class StoredTable:
     #: BDCC metadata when this table is co-clustered.
     bdcc: Optional[BDCCTable] = None
     #: pending updates (a ``repro.updates.delta.DeltaStore``), or None
-    #: while the table has never been written to since its last compaction.
+    #: while the table has never been written to.
     delta: Optional[object] = None
-    #: bumped on every commit/compaction touching this table; plan caches
-    #: include it in their keys.
+    #: one more than the version this one replaced (commit or
+    #: compaction); plan caches include it in their keys.
     epoch: int = 0
+    #: lazily built zone maps over ``columns``: a version that keeps the
+    #: base columns shares them, one with new columns starts empty.
     _minmax: Dict[str, MinMaxIndex] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -73,11 +78,6 @@ class StoredTable:
         """True when reads must merge delta state (live insert runs or
         deleted base rows)."""
         return self.delta is not None and self.delta.is_dirty
-
-    def invalidate_statistics(self) -> None:
-        """Drop lazily built zone maps (after compaction rewrote the
-        base columns)."""
-        self._minmax.clear()
 
     def storage_order(
         self, keys: Optional[np.ndarray], columns: Mapping[str, np.ndarray]

@@ -16,11 +16,17 @@ never change — the paper's flat-bin-numbering maintainability argument.
 Small-group consolidation is not re-applied (run Algorithm 1 afresh for
 that); the compacted table's ``row_source`` becomes the identity since
 the merged storage is its own origin.
+
+:func:`compact_table` is a pure function: it returns the compacted
+*version* of a table and changes nothing.  The update session publishes
+it after the commit that crossed the threshold has published, one table
+at a time, so the old base of one table at most is alive beside its new
+one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -29,7 +35,6 @@ from ..core.count_table import CountTable
 from ..core.histograms import collect_granularity_stats
 from ..core.selection import Selection
 from ..execution.cost import CostModel
-from ..observe.registry import REGISTRY
 from ..storage.io_model import DiskModel
 from ..storage.stored_table import StoredTable
 from .delta import DeltaStore
@@ -75,16 +80,15 @@ class CompactionPolicy:
 
 def compact_table(
     stored: StoredTable, disk: DiskModel, costs: CostModel
-) -> Tuple[float, float]:
-    """Rewrite ``stored`` as base ∪ deltas − deleted; returns the charged
-    ``(io_seconds, cpu_seconds)``.
-
-    The table's epoch bumps, its zone maps are rebuilt lazily over the
-    new storage, and its delta store is cleared.
+) -> Tuple[StoredTable, float, float]:
+    """The next version of ``stored``: base ∪ deltas − deleted, with an
+    empty delta store, fresh zone maps and ``epoch + 1``; returns it
+    with the charged ``(io_seconds, cpu_seconds)``.  ``stored`` itself
+    is returned, at no charge, when it has nothing to fold.
     """
     delta = stored.delta
     if delta is None or not delta.is_dirty:
-        return 0.0, 0.0
+        return stored, 0.0, 0.0
 
     base_rows = stored.logical_selection()
     live = base_rows.intersect(Selection.from_mask(~delta.base_deleted))
@@ -117,26 +121,30 @@ def compact_table(
         added: List[np.ndarray] = [bdcc.zone_of(keys) for keys in key_pieces[1:]]
         added_all = np.concatenate(added) if added else np.zeros(0, dtype=np.uint64)
         added_keys, added_counts = np.unique(added_all, return_counts=True)
-        bdcc.count_table = CountTable.merge_entries(
-            ct.granularity,
-            ct.keys[valid], ct.counts[valid],
-            added_keys=added_keys, added_counts=added_counts,
-            removed_keys=removed_keys, removed_counts=removed_counts,
+        bdcc = replace(
+            bdcc,
+            count_table=CountTable.merge_entries(
+                ct.granularity,
+                ct.keys[valid], ct.counts[valid],
+                added_keys=added_keys, added_counts=added_counts,
+                removed_keys=removed_keys, removed_counts=removed_counts,
+            ),
+            keys=merged_keys,
+            row_source=np.arange(n, dtype=np.int64),
+            logical_rows=n,
+            stats=collect_granularity_stats(merged_keys, bdcc.total_bits),
         )
-        bdcc.keys = merged_keys
-        bdcc.row_source = np.arange(n, dtype=np.int64)
-        bdcc.logical_rows = n
-        bdcc.stats = collect_granularity_stats(merged_keys, bdcc.total_bits)
         # the key column (RLE, ~1 byte/tuple) is read and rewritten too
         rewrite_bytes.append(float(n))
 
-    stored.columns = merged_columns
-    stored.invalidate_statistics()
-    stored.delta = DeltaStore(base_deleted=np.zeros(n, dtype=bool))
-    stored.epoch += 1
-    REGISTRY.inc("compactions")
-    REGISTRY.inc("epochs_bumped")
-
+    compacted = replace(
+        stored,
+        columns=merged_columns,
+        bdcc=bdcc,
+        delta=DeltaStore(base_deleted=np.zeros(n, dtype=bool)),
+        epoch=stored.epoch + 1,
+        _minmax={},
+    )
     io_seconds = 2 * disk.time_for_runs(rewrite_bytes)
     cpu_seconds = n * costs.merge_row + n * costs.scan_value * max(len(merged_columns), 1)
-    return io_seconds, cpu_seconds
+    return compacted, io_seconds, cpu_seconds

@@ -21,13 +21,17 @@ superset semantics as base blocks.  Reads merge base and deltas through
 the scan's ``delta_selected``
 (:attr:`~repro.execution.operators.PhysicalScan.delta_selected`); compaction
 (:mod:`repro.updates.compaction`) folds everything back into the base
-layout and resets the store.
+layout of a new table version with an empty store.
+
+Stores and runs are values, like the tables that hold them: a commit
+builds the next store of each table it touches — one more run, or masks
+or-ed into *new* arrays — and never changes one a reader may hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,23 +39,20 @@ from ..storage.database import Database
 from ..storage.minmax import MinMaxIndex
 from ..storage.stored_table import StoredTable
 
-__all__ = ["DeltaRun", "DeltaStore", "ensure_delta", "place_delta_run"]
+__all__ = ["DeltaRun", "DeltaStore", "place_delta_run"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaRun:
     """One committed insert batch, rows in scheme storage order."""
 
     columns: Dict[str, np.ndarray]
     #: full-granularity ``_bdcc_`` keys per row (BDCC tables only).
-    keys: Optional[np.ndarray] = None
+    keys: Optional[np.ndarray]
     #: rows of this run deleted by a later (or the same) commit.
-    deleted: np.ndarray = None  # type: ignore[assignment]
+    deleted: np.ndarray
+    #: lazily built zone maps, shared by every version of the run.
     _minmax: Dict[str, MinMaxIndex] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.deleted is None:
-            self.deleted = np.zeros(self.num_rows, dtype=bool)
 
     @property
     def num_rows(self) -> int:
@@ -73,14 +74,14 @@ class DeltaRun:
         return index
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaStore:
     """All uncompacted update state of one stored table."""
 
     #: deletion bitmap over the base storage (stored positions, so
     #: consolidated duplicate regions are marked consistently too).
     base_deleted: np.ndarray
-    runs: List[DeltaRun] = field(default_factory=list)
+    runs: Tuple[DeltaRun, ...] = ()
 
     @property
     def is_dirty(self) -> bool:
@@ -99,21 +100,12 @@ class DeltaStore:
         return int(np.count_nonzero(self.base_deleted))
 
 
-def ensure_delta(stored: StoredTable) -> DeltaStore:
-    """The table's delta store, created empty on first write."""
-    if stored.delta is None:
-        stored.delta = DeltaStore(
-            base_deleted=np.zeros(stored.stored_rows, dtype=bool)
-        )
-    return stored.delta
-
-
 def place_delta_run(
     stored: StoredTable, db: Database, n_old: int, n_new: int
 ) -> DeltaRun:
     """Build one scheme-ordered :class:`DeltaRun` for the ``n_new`` rows
-    just appended to the logical database (they sit at positions
-    ``n_old .. n_old+n_new`` of the db arrays).
+    just appended to ``db`` — the logical database a commit stages —
+    at positions ``n_old .. n_old+n_new`` of its arrays.
 
     Placement per scheme: BDCC rows are binned into existing zones; the
     run is then a one-piece merge into the table's storage order (key
@@ -128,4 +120,4 @@ def place_delta_run(
         {name: [values[n_old:n_old + n_new]] for name, values in data.items()},
         key_pieces,
     )
-    return DeltaRun(columns=columns, keys=keys)
+    return DeltaRun(columns=columns, keys=keys, deleted=np.zeros(n_new, dtype=bool))

@@ -1,4 +1,4 @@
-"""The write API: buffered inserts/deletes committed atomically.
+"""The write API: buffered inserts/deletes committed all or nothing.
 
 An :class:`UpdateSession` spans one *logical* database and every physical
 database materialised over it — committing once keeps the logical arrays
@@ -22,11 +22,20 @@ Commit semantics:
 * deletes run after the inserts (they see this commit's rows) in the
   order declared — delete children before, or together with, their
   parents (the TPC-H RF2 pattern);
-* every touched stored table gets its ``epoch`` bumped, its delta runs
-  binned into *existing* BDCC zones (out-of-domain keys clamp), and its
-  count-table view maintained incrementally — never rebuilt;
-* the compaction policy then folds any table whose delta volume crossed
-  the threshold, charging the amortized rewrite IO to the commit.
+* all or nothing: the commit is staged on a copy of the logical table map
+  and on the *next version* of every stored copy it touches (its delta
+  runs binned into *existing* BDCC zones — out-of-domain keys clamp —
+  deletion masks or-ed into new arrays, ``epoch + 1``), then published in
+  one last step.  A failure before that step raises
+  :class:`~repro.errors.CommitAborted`, chained to its cause, and
+  changes nothing: no table, epoch or counter moves, and the buffered
+  changes stay queued for a retry;
+* after the publish the compaction policy folds any table whose delta
+  volume crossed the threshold, one table at a time, each its own
+  publish, charging the amortized rewrite IO to the commit.  Compaction
+  changes no row a reader sees, so a compaction that raises leaves the
+  commit published and the table uncompacted until a later commit
+  touching it crosses the threshold again.
 
 The returned :class:`CommitResult` carries per-scheme simulated cost
 (binning CPU + delta-write IO + compaction) — the refresh-stream
@@ -35,11 +44,12 @@ The returned :class:`CommitResult` carries per-scheme simulated cost
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import CommitAborted
 from ..execution.cost import DEFAULT_COSTS, CostModel
 from ..execution.expressions import Expr
 from ..execution.metrics import ExecutionMetrics
@@ -49,7 +59,7 @@ from ..storage.database import Database
 from ..storage.io_model import PAPER_SSD, DiskModel
 from ..storage.stored_table import StoredTable
 from .compaction import CompactionPolicy, compact_table
-from .delta import ensure_delta, place_delta_run
+from .delta import DeltaStore, place_delta_run
 
 __all__ = ["UpdateSession", "CommitResult", "TableChange"]
 
@@ -136,8 +146,8 @@ class UpdateSession:
             table: a table of the session's schema (checked eagerly;
                 unknown names raise here, not at commit).
             rows: column name -> array of equal lengths covering *every*
-                column of the table (validated at :meth:`commit`, which
-                fails atomically before anything is applied).  Arrays
+                column of the table (checked when :meth:`commit` appends
+                them; a bad batch aborts the whole commit).  Arrays
                 are converted with ``np.asarray`` but not copied.
 
         Callers keep primary keys unique and foreign keys resolvable;
@@ -155,8 +165,8 @@ class UpdateSession:
         Args:
             table: a table of the session's schema (checked eagerly).
             predicate: an :class:`~repro.execution.expressions.Expr`
-                over the table's *own* (unprefixed) column names; names
-                outside the table fail :meth:`commit` validation.
+                over the table's *own* (unprefixed) column names; a
+                name outside the table aborts the :meth:`commit`.
 
         Deletes run after this commit's inserts — they see rows
         inserted in the same commit — and in declaration order, which
@@ -197,84 +207,113 @@ class UpdateSession:
             self.disk.time_for_runs(write_bytes),
         )
 
-    def _validate_pending(self) -> None:
-        """Fail the whole commit *before* anything is applied: every
-        insert batch must be complete and rectangular, every delete
-        predicate must only name columns of its table.  (Commits are
-        atomic by validation: nothing below this point raises on
-        well-formed data.)"""
-        for table, rows in self._inserts:
-            definition = self.db.schema.table(table)
-            missing = set(definition.column_names) - set(rows)
-            if missing:
-                raise ValueError(
-                    f"table {table!r} insert missing columns: {sorted(missing)}"
-                )
-            lengths = {len(v) for v in rows.values()}
-            if len(lengths) > 1:
-                raise ValueError(f"table {table!r}: ragged insert batch {lengths}")
-        for table, predicate in self._deletes:
-            known = set(self.db.schema.table(table).column_names)
-            unknown = predicate.columns() - known
-            if unknown:
-                raise ValueError(
-                    f"table {table!r} delete predicate references unknown "
-                    f"columns: {sorted(unknown)}"
-                )
-
     def commit(self) -> CommitResult:
-        """Apply all buffered changes; returns the per-scheme outcome.
+        """Apply all buffered changes, all or nothing; returns the
+        per-scheme outcome.  Raises :class:`~repro.errors.CommitAborted`,
+        having changed nothing, if anything fails before the publish.
         The session is reusable afterwards."""
-        result = CommitResult()
         if not self._inserts and not self._deletes:
-            for pdb in self.pdbs:
-                result.epochs[pdb.scheme_name] = pdb.epoch
-            return result
-        self._validate_pending()
+            return CommitResult(epochs={pdb.scheme_name: pdb.epoch for pdb in self.pdbs})
+        try:
+            staged, versions, result = self._stage()
+        except Exception as error:
+            raise CommitAborted(
+                f"commit aborted before publishing, nothing applied: {error}"
+            ) from error
+        # ---- publish: every table this commit touched, at once ----------
+        self.db.publish(staged)
+        for pdb in self.pdbs:
+            pdb.publish(versions)
+        REGISTRY.inc("commits")
+        REGISTRY.inc("epochs_bumped", len(versions))
+        self._inserts = []
+        self._deletes = []
+
+        # ---- compaction: one table at a time, each its own publish ------
+        for pdb in self.pdbs:
+            metrics = result.scheme_metrics[pdb.scheme_name]
+            for change in result.changes:
+                if change.scheme != pdb.scheme_name:
+                    continue
+                for stored in pdb.stored_copies(change.table):
+                    if self.policy.should_compact(stored):
+                        compacted, io_s, cpu_s = compact_table(stored, self.disk, self.costs)
+                        pdb.publish({stored: compacted})
+                        REGISTRY.inc("compactions")
+                        REGISTRY.inc("epochs_bumped")
+                        metrics.compaction_seconds += io_s + cpu_s
+                        change.compacted = True
+                        stored = compacted
+                    change.delta_rows = stored.delta.live_delta_rows
+                    change.epoch = stored.epoch
+            result.epochs[pdb.scheme_name] = pdb.epoch
+        return result
+
+    def _stage(self) -> Tuple[Database, Dict[StoredTable, StoredTable], CommitResult]:
+        """Build, without publishing any of it, the logical database
+        after this commit and the next version of every stored copy it
+        touches (keyed by the current version); also returns the result,
+        complete but for compaction and the epochs."""
+        db = self.db.stage()
+        result = CommitResult()
+        #: current version -> the delta store of its next version
+        deltas: Dict[StoredTable, DeltaStore] = {}
         per_table: Dict[Tuple[str, str], TableChange] = {}
 
-        def change_for(pdb: PhysicalDatabase, stored: StoredTable) -> TableChange:
-            key = (pdb.scheme_name, stored.name)
+        def change_for(pdb: PhysicalDatabase, table: str) -> TableChange:
+            key = (pdb.scheme_name, table)
             if key not in per_table:
-                per_table[key] = TableChange(scheme=pdb.scheme_name, table=stored.name)
+                per_table[key] = TableChange(scheme=pdb.scheme_name, table=table)
             return per_table[key]
+
+        def delta_of(stored: StoredTable) -> DeltaStore:
+            delta = deltas.get(stored, stored.delta)
+            if delta is None:
+                return DeltaStore(base_deleted=np.zeros(stored.stored_rows, dtype=bool))
+            return delta
 
         for pdb in self.pdbs:
             result.scheme_metrics.setdefault(pdb.scheme_name, ExecutionMetrics())
 
         # ---- inserts, parents first --------------------------------------
         for table, rows in self._ordered_inserts():
-            n_old, n_new = self.db.append_table_rows(table, rows)
+            n_old, n_new = db.append_table_rows(table, rows)
             if n_new == 0:
                 continue
             result.inserted[table] = result.inserted.get(table, 0) + n_new
             for pdb in self.pdbs:
                 metrics = result.scheme_metrics[pdb.scheme_name]
                 for stored in pdb.stored_copies(table):
-                    run = place_delta_run(stored, self.db, n_old, n_new)
-                    ensure_delta(stored).runs.append(run)
+                    delta = delta_of(stored)
+                    run = place_delta_run(stored, db, n_old, n_new)
+                    deltas[stored] = replace(delta, runs=delta.runs + (run,))
                     self._charge_insert(metrics, stored, n_new)
                 # logical row counts: once per table, not per replica copy
-                change_for(pdb, pdb.table(table)).rows_inserted += n_new
+                change_for(pdb, table).rows_inserted += n_new
 
         # ---- deletes, in declaration order -------------------------------
         for table, predicate in self._deletes:
-            mask = np.asarray(predicate.eval(self.db.table_data(table)), dtype=bool)
-            removed = self.db.delete_table_rows(table, mask)
+            unknown = predicate.columns() - set(db.schema.table(table).column_names)
+            if unknown:
+                raise ValueError(
+                    f"table {table!r} delete predicate references unknown "
+                    f"columns: {sorted(unknown)}"
+                )
+            removed = db.delete_table_rows(table, _matches(predicate, db.table_data(table)))
             if removed == 0:
                 continue  # nothing matched anywhere: no marks, no epoch bump
             result.deleted[table] = result.deleted.get(table, 0) + removed
             for pdb in self.pdbs:
                 metrics = result.scheme_metrics[pdb.scheme_name]
                 for stored in pdb.stored_copies(table):
-                    delta = ensure_delta(stored)
-                    base_mask = np.asarray(
-                        predicate.eval(stored.columns), dtype=bool
+                    delta = delta_of(stored)
+                    deltas[stored] = DeltaStore(
+                        base_deleted=delta.base_deleted | _matches(predicate, stored.columns),
+                        runs=tuple(
+                            replace(run, deleted=run.deleted | _matches(predicate, run.columns))
+                            for run in delta.runs
+                        ),
                     )
-                    delta.base_deleted |= base_mask
-                    for run in delta.runs:
-                        run_mask = np.asarray(predicate.eval(run.columns), dtype=bool)
-                        run.deleted |= run_mask
                     metrics.charge_cpu(
                         (stored.stored_rows + delta.total_delta_rows)
                         * max(len(predicate.columns()), 1) * self.costs.expr_value,
@@ -282,29 +321,15 @@ class UpdateSession:
                     )
                 # logical deletion count, once per table (the db-side count;
                 # stored-side marks may cover consolidated duplicates too)
-                change_for(pdb, pdb.table(table)).rows_deleted += removed
+                change_for(pdb, table).rows_deleted += removed
 
-        # ---- epoch bumps + compaction ------------------------------------
-        for pdb in self.pdbs:
-            metrics = result.scheme_metrics[pdb.scheme_name]
-            for (scheme, _), change in per_table.items():
-                if scheme != pdb.scheme_name:
-                    continue
-                for stored in pdb.stored_copies(change.table):
-                    stored.epoch += 1
-                    REGISTRY.inc("epochs_bumped")
-                    if self.policy.should_compact(stored):
-                        io_s, cpu_s = compact_table(stored, self.disk, self.costs)
-                        metrics.compaction_seconds += io_s + cpu_s
-                        change.compacted = True
-                    change.delta_rows = (
-                        stored.delta.live_delta_rows if stored.delta is not None else 0
-                    )
-                    change.epoch = stored.epoch
-            result.epochs[pdb.scheme_name] = pdb.epoch
         result.changes = list(per_table.values())
-        REGISTRY.inc("commits")
+        versions = {
+            stored: replace(stored, delta=delta, epoch=stored.epoch + 1)
+            for stored, delta in deltas.items()
+        }
+        return db, versions, result
 
-        self._inserts = []
-        self._deletes = []
-        return result
+
+def _matches(predicate: Expr, columns: Dict[str, np.ndarray]) -> np.ndarray:
+    return np.asarray(predicate.eval(columns), dtype=bool)

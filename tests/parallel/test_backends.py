@@ -6,11 +6,12 @@ actuals accumulate instead of last-fragment-wins).
 The process backend's pool is process-wide and forked over the stored
 tables (one pool per process; payloads name tables and dimensions), so
 its lifetime rules and failure behaviour are pinned here too: a fork
-happens only for a table the workers did not inherit at its current
-epoch, a payload carries no table or dimension, a table the workers
-inherited outlives its last user until ``shutdown()``, nothing lands in
-``/dev/shm``, and a worker that dies or a fragment that raises ends the
-query in a named error — never a hang — with the next query clean.
+happens only for a table the workers did not inherit (a commit
+publishes new tables), a payload carries no table or dimension, a table
+the workers inherited outlives its last user until ``shutdown()``,
+nothing lands in ``/dev/shm``, and a worker that dies or a fragment that
+raises ends the query in a named error — never a hang — with the next
+query clean.
 
 The fast tests here stay in tier-1 (one small process-backend smoke, the
 lifetime rules, the two fault tests and the fork/payload counters
@@ -26,13 +27,13 @@ import pickle
 import signal
 import subprocess
 import sys
-import threading
 import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from repro.errors import FragmentFailed, WorkerLost
 from repro.execution.metrics import OperatorActuals, merge_operator_actuals
 from repro.observe.registry import REGISTRY
 from repro.parallel import backends
@@ -45,6 +46,8 @@ from repro.parallel.backends import (
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.tpch.queries import QUERIES
 from repro.tpch.runner import QueryRunner, run_query
+
+from ..watchdog import guarded
 
 SHM_DIR = "/dev/shm"
 needs_dev_shm = pytest.mark.skipif(
@@ -238,25 +241,6 @@ class TestBackendBasics:
             assert b"Dimension" not in blob and b"StreamUse" not in blob
 
 
-def _guarded(target, seconds=5.0) -> dict:
-    """Run ``target`` on a thread under a watchdog: ``{"value": ...}``
-    or ``{"error": ...}``, and a failed test — not a stuck suite — if it
-    has not come back after ``seconds``."""
-    outcome = {}
-
-    def body():
-        try:
-            outcome["value"] = target()
-        except BaseException as error:  # handed to the test, which asserts on it
-            outcome["error"] = error
-
-    thread = threading.Thread(target=body, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"no outcome after {seconds} s: the backend hangs"
-    return outcome
-
-
 class _WorkerFault:
     """Stands in for ``backends.run_fragment``: once armed, the next
     fragment to start in a *pool worker* dies or raises (one shot — the
@@ -308,8 +292,8 @@ class TestFailureIsDefined:
         process()  # forks the pool, from the main thread
         starts = REGISTRY.get("process_backend.pool_starts")
         worker_fault.arm(_WorkerFault.KILL)
-        error = _guarded(process).get("error")
-        assert isinstance(error, RuntimeError), error
+        error = guarded(process).get("error")
+        assert isinstance(error, WorkerLost) and isinstance(error, RuntimeError), error
         assert "process backend: a pool worker died" in str(error)
         assert isinstance(error.__cause__, BrokenProcessPool)
         assert backends._POOL is None  # the broken pool is gone ...
@@ -326,8 +310,8 @@ class TestFailureIsDefined:
         process()
         starts = REGISTRY.get("process_backend.pool_starts")
         worker_fault.arm(_WorkerFault.RAISE)
-        error = _guarded(process).get("error")
-        assert isinstance(error, RuntimeError), error
+        error = guarded(process).get("error")
+        assert isinstance(error, FragmentFailed) and isinstance(error, RuntimeError), error
         assert "process backend: a fragment failed in a pool worker" in str(error)
         assert isinstance(error.__cause__, ValueError)
         assert "injected fragment failure" in str(error.__cause__)
@@ -338,7 +322,8 @@ class TestFailureIsDefined:
 
 class TestForkedOverTheTables:
     """The workers inherit every table alive at the fork; a pool is
-    forked again only for a table that is new or whose epoch moved."""
+    forked again only for a table they did not inherit — one built, or
+    published by a commit, after the fork."""
 
     def test_the_promise_is_a_count(self, physical_dbs, environment):
         """Cold executors (``run_query`` makes one per query) share one
@@ -519,7 +504,7 @@ class TestProcessBackendMatrix:
     def test_delta_store_round_survives_epoch_changes(self):
         """Commit through the update subsystem between process-backend
         runs: every commit, and the compaction that rewrites the table
-        into new arrays, bumps the epoch — each forks exactly one more
+        into new arrays, publishes a new table — each forks exactly one more
         pool at its first dispatch, whose workers read the new state,
         and nothing lands in ``/dev/shm``."""
         from repro.execution.expressions import col

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.count_table import CountTable
+from repro.errors import CommitAborted
 from repro.execution.expressions import col
 from repro.execution.aggregate import AggSpec
 from repro.planner.executor import ExecutionOptions, Executor
@@ -196,13 +197,17 @@ class TestCompaction:
     def test_zone_maps_rebuild_over_the_new_storage(self, fresh):
         db, env, pdbs = fresh
         stored = pdbs["plain"].table("lineitem")
-        stored.minmax_for("l_quantity")  # populate the lazy cache
-        assert stored._minmax
+        held = stored.minmax_for("l_quantity")  # populate the lazy cache
         policy = CompactionPolicy(max_delta_fraction=0.01, min_delta_rows=1)
         _commit_mixed(db, pdbs, policy=policy)
-        assert not stored._minmax  # invalidated; rebuilt lazily on demand
-        index = stored.minmax_for("l_quantity")
-        assert float(index.maxs.max()) == float(stored.columns["l_quantity"].max())
+        # the held version is unchanged, zone maps included ...
+        assert stored.minmax_for("l_quantity") is held
+        # ... and the compacted one starts without any, rebuilt lazily
+        # over its own storage
+        compacted = pdbs["plain"].table("lineitem")
+        assert compacted is not stored and not compacted._minmax
+        index = compacted.minmax_for("l_quantity")
+        assert float(index.maxs.max()) == float(compacted.columns["l_quantity"].max())
 
 
 class TestSessionValidation:
@@ -220,17 +225,19 @@ class TestSessionValidation:
             UpdateSession(pdbs["plain"], other_pdbs["plain"])
 
     def test_invalid_batches_rejected_before_anything_applies(self, fresh):
-        """Commits are atomic by up-front validation: a bad batch fails
-        the whole commit without touching the logical db, the delta
-        stores or the epochs — even when an earlier batch was valid."""
+        """Commits are all or nothing: a bad batch aborts the whole
+        commit without touching the logical db, the delta stores or the
+        epochs — even when an earlier batch was valid."""
         db, _, pdbs = fresh
         rng = np.random.default_rng(0)
         session = UpdateSession(*pdbs.values())
         orders_before = db.num_rows("orders")
         session.insert_rows("orders", sample_orders_insert(db, rng, 5))
         session.insert_rows("region", {"r_regionkey": np.array([9])})  # incomplete
-        with pytest.raises(ValueError):
+        with pytest.raises(CommitAborted) as aborted:
             session.commit()
+        assert isinstance(aborted.value.__cause__, ValueError)
+        assert "insert missing columns" in str(aborted.value.__cause__)
         assert db.num_rows("orders") == orders_before
         for pdb in pdbs.values():
             assert pdb.epoch == 0
@@ -240,8 +247,10 @@ class TestSessionValidation:
         _, _, pdbs = fresh
         session = UpdateSession(pdbs["plain"])
         session.delete_where("orders", col("no_such_column").ge(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(CommitAborted) as aborted:
             session.commit()
+        assert isinstance(aborted.value.__cause__, ValueError)
+        assert "unknown columns" in str(aborted.value.__cause__)
 
     def test_empty_commit_is_a_noop(self, fresh):
         _, _, pdbs = fresh

@@ -135,6 +135,7 @@ class TestCompactionEdgeCases:
         session = UpdateSession(pdbs["bdcc"], policy=ALWAYS_COMPACT)
         session.insert_rows("orders", rows)
         assert session.commit().compacted_tables() == ["orders"]
+        stored = pdbs["bdcc"].table("orders")  # the compacted version
         keys = stored.bdcc.keys
         assert np.all(keys[1:] >= keys[:-1])
         assert stored.bdcc.count_table.keys.max() <= top_zone
@@ -181,7 +182,7 @@ class TestOneStorageOrder:
             stored = pdb.table(table)
             assert stored.has_delta
             merged = executor.execute(scan(table)).relation
-            compact_table(stored, env.disk, env.cost_model)
+            stored, _, _ = compact_table(stored, env.disk, env.cost_model)
             assert not stored.has_delta
             for name, values in stored.columns.items():
                 read = merged.column(name)
