@@ -12,6 +12,10 @@ Given a table's dimension uses, the builder:
 (v)   optionally consolidates very small groups: their tuples are copied
       and appended contiguously, the original entries marked invalid —
       the paper's post-bulk-load step for better buffer locality.
+
+A built table is a value; what pushdown, scans and compaction read off
+its count table is derived once per version (:class:`BDCCTable`), so
+they work per group, never per row.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..storage.database import Database
-from .bits import gather_use_bits, scatter_bins_into_key, truncate_mask
+from .bits import gather_use_bits, ones, scatter_bins_into_key, truncate_mask
 from .count_table import CountTable
 from .dimension_use import DimensionUse, check_bdcc_constraints
 from .histograms import GranularityStats, choose_granularity, collect_granularity_stats
 from .interleave import assign_masks, assign_masks_major_minor
+from .selection import Selection
 
 __all__ = ["BDCCTable", "BDCCBuildConfig", "build_bdcc_table"]
 
@@ -53,6 +58,13 @@ class BDCCTable:
     after small-group consolidation the storage holds duplicates, and only
     the count table's *valid* entries see each logical row exactly once.
     A value: compaction builds a new one rather than changing this one.
+
+    The per-group metadata every lowering and scan reads is derived once,
+    when the version is made (``init=False`` fields, filled by
+    ``__post_init__``, so ``dataclasses.replace`` recomputes them for the
+    next version): each use's group number per count-table entry at the
+    use's effective bits, the valid entries with their offsets, and the
+    logical selection they make.  Nothing is cached beside the value.
     """
 
     table: str
@@ -66,6 +78,33 @@ class BDCCTable:
     densest_column: str
     densest_bytes_per_tuple: float
     logical_rows: int
+    #: per use, per count-table entry: the use's group number at its
+    #: effective bits (the bits that survive at count granularity).
+    entry_groups: Tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    #: indices of the valid count-table entries, ascending.
+    valid_entries: np.ndarray = field(init=False, repr=False, compare=False)
+    #: the valid entries' starting offsets (ascending: the consolidated
+    #: region comes last in both entry and storage order).
+    valid_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    #: every logical row once, in storage-read order: the valid entries'
+    #: runs, skipping consolidated-away originals.
+    logical_selection: Selection = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ct = self.count_table
+        valid = np.flatnonzero(ct.valid)
+        derived = {
+            "entry_groups": tuple(
+                gather_use_bits(ct.keys, self._entry_mask(i)) for i in range(len(self.uses))
+            ),
+            "valid_entries": valid,
+            "valid_offsets": ct.offsets[valid],
+            "logical_selection": ct.selection(valid),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        for array in (*self.entry_groups, self.valid_entries, self.valid_offsets):
+            array.flags.writeable = False  # shared by every reader of the version
 
     # ---------------------------------------------------------- accessors
     @property
@@ -73,22 +112,46 @@ class BDCCTable:
         return len(self.row_source)
 
     # ------------------------------------------------------------- groups
+    def _entry_mask(self, use_index: int) -> int:
+        """The use's mask over count-table keys (its top positions)."""
+        return truncate_mask(self.uses[use_index].mask, self.total_bits, self.granularity)
+
     def entry_group_values(self, use_index: int, num_bits: Optional[int] = None) -> np.ndarray:
         """Per count-table entry: the group number of one dimension use
-        (its ``num_bits`` most significant bits)."""
-        use = self.uses[use_index]
-        eff_mask = truncate_mask(use.mask, self.total_bits, self.granularity)
-        return gather_use_bits(self.count_table.keys, eff_mask, num_bits)
+        (its ``num_bits`` most significant bits, all effective bits when
+        None) — the derived :attr:`entry_groups`, shifted."""
+        groups = self.entry_groups[use_index]
+        eff_bits = self.effective_bits(use_index)
+        if num_bits is None or num_bits == eff_bits:
+            return groups
+        if num_bits < 0 or num_bits > eff_bits:
+            raise ValueError(f"num_bits {num_bits} out of range for {eff_bits} effective bits")
+        return groups >> np.uint64(eff_bits - num_bits)
 
     def effective_bits(self, use_index: int) -> int:
         """How many of this use's bits survive at count-table granularity."""
-        use = self.uses[use_index]
-        return bin(truncate_mask(use.mask, self.total_bits, self.granularity)).count("1")
+        return ones(self._entry_mask(use_index))
 
     def zone_of(self, keys: np.ndarray) -> np.ndarray:
         """The zone of each ``_bdcc_`` key: its prefix at count-table
         granularity, the key of the count-table entry it falls in."""
         return keys >> np.uint64(self.total_bits - self.granularity)
+
+    def _matching(self, group_values, count: int, restrictions) -> np.ndarray:
+        """``count`` flags: which items may satisfy all restrictions,
+        given ``group_values(use_index, bits)``, the items' group numbers
+        of a use at that many of its top effective bits."""
+        keep = np.ones(count, dtype=bool)
+        for use_index, allowed_bins, bin_bits in restrictions:
+            eff_bits = self.effective_bits(use_index)
+            if eff_bits == 0:
+                continue  # this use has no bits at count granularity
+            take = min(eff_bits, bin_bits)
+            allowed = np.unique(
+                np.asarray(allowed_bins, dtype=np.uint64) >> np.uint64(bin_bits - take)
+            )
+            keep &= np.isin(group_values(use_index, take), allowed)
+        return keep
 
     def restriction_mask(
         self,
@@ -103,34 +166,26 @@ class BDCCTable:
         ``bin_bits`` bits.  Bins are truncated to the use's effective bit
         count, making the selection a superset — pushdown never loses
         rows, the residual predicate still runs after the scan.  The one
-        truncation rule serves both the base count table
-        (:meth:`entries_matching`) and per-row delta zone tags
-        (merge-on-read scans), so base and delta pruning can never
-        diverge.
+        truncation rule (:meth:`_matching`) serves both the base count
+        table (:meth:`entries_matching`, over the derived entry groups)
+        and per-row delta zone tags (merge-on-read scans), so base and
+        delta pruning can never diverge.
         """
-        keep = np.ones(len(zone_prefixes), dtype=bool)
-        for use_index, allowed_bins, bin_bits in restrictions:
-            eff_bits = self.effective_bits(use_index)
-            if eff_bits == 0:
-                continue  # this use has no bits at count granularity
-            take = min(eff_bits, bin_bits)
-            eff_mask = truncate_mask(
-                self.uses[use_index].mask, self.total_bits, self.granularity
-            )
-            values = gather_use_bits(zone_prefixes, eff_mask, take)
-            allowed = np.unique(
-                np.asarray(allowed_bins, dtype=np.uint64) >> np.uint64(bin_bits - take)
-            )
-            keep &= np.isin(values, allowed)
-        return keep
+        return self._matching(
+            lambda use_index, take: gather_use_bits(
+                zone_prefixes, self._entry_mask(use_index), take
+            ),
+            len(zone_prefixes),
+            restrictions,
+        )
 
     def entries_matching(
         self, restrictions: Sequence[Tuple[int, np.ndarray, int]]
     ) -> np.ndarray:
         """Count-table entry indices whose groups may satisfy all
         restrictions (see :meth:`restriction_mask`)."""
-        keep = self.count_table.valid & self.restriction_mask(
-            self.count_table.keys, restrictions
+        keep = self.count_table.valid & self._matching(
+            self.entry_group_values, self.count_table.num_entries, restrictions
         )
         return np.flatnonzero(keep)
 

@@ -20,9 +20,11 @@ from .selection import Selection
 __all__ = ["CountTable"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountTable:
-    """Group metadata: parallel arrays over count-table entries."""
+    """Group metadata: parallel arrays over count-table entries.  A
+    value, like the :class:`~repro.core.bdcc_table.BDCCTable` holding it:
+    maintenance (:meth:`merge_entries`) builds a new one."""
 
     granularity: int
     keys: np.ndarray      # uint64 group key prefixes (top `granularity` bits)
@@ -34,10 +36,10 @@ class CountTable:
         n = len(self.keys)
         if not (len(self.counts) == len(self.offsets) == len(self.valid) == n):
             raise ValueError("count-table arrays must be parallel")
-        self.keys = np.asarray(self.keys, dtype=np.uint64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        self.valid = np.asarray(self.valid, dtype=bool)
+        object.__setattr__(self, "keys", np.asarray(self.keys, dtype=np.uint64))
+        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
+        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64))
+        object.__setattr__(self, "valid", np.asarray(self.valid, dtype=bool))
 
     @classmethod
     def from_sorted_keys(cls, sorted_keys: np.ndarray, total_bits: int, granularity: int) -> "CountTable":

@@ -11,14 +11,17 @@ the builtin base its callers caught before it had a name:
 * :class:`WorkerLost` — a process-backend worker died mid-query;
 * :class:`FragmentFailed` — a fragment raised in a pool worker;
 * :class:`CommitAborted` — an :class:`~repro.updates.UpdateSession`
-  commit failed before it published, and changed nothing.
+  commit failed before it published, and changed nothing;
+* :class:`DataflowError` — work waits on input that can never come: a
+  fragment dependency cycle, a serving deadlock, or a fragment reading
+  a producer result that is not there.
 
 Each is raised chained to its cause (``raise ... from error``).
 """
 
 from __future__ import annotations
 
-__all__ = ["ReproError", "WorkerLost", "FragmentFailed", "CommitAborted"]
+__all__ = ["ReproError", "WorkerLost", "FragmentFailed", "CommitAborted", "DataflowError"]
 
 
 class ReproError(Exception):
@@ -38,3 +41,10 @@ class FragmentFailed(ReproError, RuntimeError):
 class CommitAborted(ReproError):
     """A commit failed before it published: no table, epoch or counter
     moved, and the session still holds the buffered changes."""
+
+
+class DataflowError(ReproError, RuntimeError):
+    """Work waits on input that can never come: registered fragments
+    whose dependencies form a cycle, queries waiting in a serving loop
+    with nothing in flight, or an exchange leaf run outside the parallel
+    scheduler (its producer's result is not there)."""

@@ -245,6 +245,22 @@ def merge_partial_aggregates(
 def distinct_per_partition(partition_ids: np.ndarray, group_index: np.ndarray) -> np.ndarray:
     """Number of distinct aggregation groups inside each partition —
     the per-partition hash-table population a sandwiched aggregation
-    holds (its memory high-water mark is the max of these)."""
-    _, pair_rows, _ = group_rows([partition_ids, group_index])
-    return np.bincount(group_rows([partition_ids[pair_rows]])[0])  # pairs per partition
+    holds (its memory high-water mark is the max of these), in
+    partition-id order.
+
+    A sandwich aggregate's keys determine its partitions, so every
+    group lies in one partition: one scatter of each row's partition to
+    its group checks that in O(rows), and each group then counts once,
+    in its partition.  Otherwise (a NULL-extended group may span
+    partitions) the distinct (partition, group) pairs are factorised."""
+    num_groups = int(group_index.max()) + 1 if len(group_index) else 0
+    partition_of = np.zeros(num_groups, dtype=partition_ids.dtype)
+    partition_of[group_index] = partition_ids  # some row's partition per group
+    if np.array_equal(partition_of[group_index], partition_ids):
+        present = np.zeros(num_groups, dtype=bool)
+        present[group_index] = True
+        pair_partitions = partition_of[present]
+    else:
+        _, pair_rows, _ = group_rows([partition_ids, group_index])
+        pair_partitions = partition_ids[pair_rows]
+    return np.bincount(group_rows([pair_partitions])[0])  # pairs per partition

@@ -20,7 +20,7 @@ import numpy as np
 __all__ = [
     "Expr", "Col", "Const", "Arith", "Cmp", "Between", "InList", "Like",
     "And", "Or", "Not", "Case", "Substring", "Year", "days",
-    "col", "lit", "year",
+    "col", "lit", "year", "validity",
 ]
 
 
@@ -329,6 +329,16 @@ class Year(Expr):
 
 
 # ----------------------------------------------------------------- sugar
+def validity(expr: Expr, rel) -> Optional[np.ndarray]:
+    """Where ``expr`` evaluated over the relation ``rel`` is valid (not
+    NULL): where every input column it reads is valid — NULL in, NULL
+    out.  None when no input column carries a mask (every row valid)."""
+    masks = [rel.valid[c] for c in sorted(expr.columns()) if c in rel.valid]
+    if not masks:
+        return None
+    return masks[0] if len(masks) == 1 else np.logical_and.reduce(masks)
+
+
 def col(name: str) -> Col:
     return Col(name)
 

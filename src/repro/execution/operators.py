@@ -35,6 +35,7 @@ import numpy as np
 
 from ..core.bits import gather_use_bits
 from ..core.selection import Selection
+from ..errors import DataflowError
 from ..storage.io_model import DiskModel
 from ..storage.keys import encode_join_keys, factorize
 from ..storage.stored_table import StoredTable
@@ -47,7 +48,7 @@ from .aggregate import (
     merge_partial_aggregates,
 )
 from .cost import CostModel
-from .expressions import Col, Expr
+from .expressions import Col, Expr, validity
 from .join_utils import inner_join_pairs, left_join_pairs, semi_join_mask
 from .metrics import ExecutionMetrics, OperatorActuals
 from .relation import Relation, StreamUse
@@ -132,7 +133,7 @@ class ExecutionContext:
     def fragment_result(self, index: int) -> Relation:
         """The output of a producer fragment (parallel execution only)."""
         if self.fragment_results is None or index not in self.fragment_results:
-            raise RuntimeError(
+            raise DataflowError(
                 f"fragment {index} result not available: exchange operators "
                 "only run under the parallel scheduler"
             )
@@ -391,29 +392,36 @@ class PhysicalScan(PhysicalOp):
         per count-table entry) beside ``rel``, note the selection (plus
         ``extra_notes``), apply the residual predicate."""
         if self.sandwich_uses:
-            columns = {}
             bdcc = self.stored.bdcc
-            ct = bdcc.count_table
             if keys is None:
                 # each piece's entry: the valid entries' offsets ascend in
                 # entry order, the consolidated region last
-                valid = np.flatnonzero(ct.valid)
-                _, lengths, bucket = self.selection.pieces(ct.offsets[valid])
-                entry = valid[bucket - 1]
-            for use_index, eff_bits, column_name in self.sandwich_uses:
-                if keys is not None:
-                    # top eff_bits positions of the full mask == the use's
-                    # bits that survive at count-table granularity
-                    values = gather_use_bits(keys, bdcc.uses[use_index].mask, eff_bits)
-                else:  # per entry, repeated over each piece's rows
-                    values = bdcc.entry_group_values(use_index, eff_bits)
-                    values = np.repeat(values[entry], lengths)
-                columns[column_name] = values
+                _, lengths, bucket = self.selection.pieces(bdcc.valid_offsets)
+                group_of_row = np.repeat(bdcc.valid_entries[bucket - 1], lengths)
+                per_group = {
+                    name: bdcc.entry_group_values(use_index, eff_bits)
+                    for use_index, eff_bits, name in self.sandwich_uses
+                }
+            else:
+                # the merged keys ascend, so each zone is one run of rows
+                # (a merge reads at least one row); the top eff_bits
+                # positions of the full mask are the use's bits that
+                # survive at count-table granularity, read off each run head
+                zones = bdcc.zone_of(keys)
+                heads = np.flatnonzero(np.concatenate([[True], zones[1:] != zones[:-1]]))
+                group_of_row = np.repeat(
+                    np.arange(len(heads)), np.diff(heads, append=len(keys))
+                )
+                per_group = {
+                    name: gather_use_bits(keys[heads], bdcc.uses[use_index].mask, eff_bits)
+                    for use_index, eff_bits, name in self.sandwich_uses
+                }
+            # one value per group, gathered to the rows when first read
+            rel = rel.beside(Relation.at(per_group, group_of_row))
             ctx.metrics.charge_cpu(
                 num_selected * ctx.costs.sandwich_row_overhead * len(self.sandwich_uses),
                 "scan",
             )
-            rel = rel.beside(Relation(columns=columns))
         note_bits = [*self.selection_notes, *extra_notes]
         if note_bits:
             ctx.metrics.note(f"scan {self.alias}: " + ", ".join(note_bits))
@@ -482,10 +490,9 @@ class PhysicalProject(PhysicalOp):
             columns[name] = np.asarray(expr.eval(rel))
             if not isinstance(expr, Col):
                 expr_cost += rel.num_rows * ctx.costs.expr_value
-            # NULL in, NULL out: a computed value is valid where all its inputs are
-            masks = [rel.valid[c] for c in expr.columns() if c in rel.valid]
-            if masks:
-                valid[name] = masks[0] if len(masks) == 1 else np.logical_and.reduce(masks)
+            mask = validity(expr, rel)
+            if mask is not None:
+                valid[name] = mask
         ctx.metrics.charge_cpu(expr_cost, "project")
         for name in self.carry:
             columns[name] = rel.column(name)
@@ -827,8 +834,7 @@ class Aggregate(_ByStrategy, PhysicalOp):
             valid = None
             if spec.expr is not None:
                 values = np.asarray(spec.expr.eval(rel))
-                masks = [rel.valid[c] for c in spec.expr.columns() if c in rel.valid]
-                valid = np.logical_and.reduce(masks) if masks else None  # NULL inputs skip the row
+                valid = validity(spec.expr, rel)  # NULL inputs skip the row
                 ctx.metrics.charge_cpu(n * ctx.costs.expr_value, "aggregate")
             columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, valid)
         # a sandwich aggregate's output keeps its uses' hidden group columns

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..errors import DataflowError
 from ..execution.cost import CostModel
 from ..execution.metrics import ExecutionMetrics, FragmentActuals
 from ..execution.operators import ExecutionContext, PhysicalOp
@@ -298,7 +299,7 @@ class TimelineSimulator:
     def run_to_idle(self) -> List[int]:
         """Run until nothing is runnable, returning every completion in
         completion order.  Raises if registered works can never run
-        (dependency cycle)."""
+        (dependency cycle: :class:`~repro.errors.DataflowError`)."""
         completed: List[int] = []
         while True:
             batch = self.run_until(None)
@@ -306,9 +307,7 @@ class TimelineSimulator:
                 break
             completed.extend(batch)
         if self.pending and self.idle:
-            raise RuntimeError(
-                "fragment dependency cycle: nothing runnable"
-            )
+            raise DataflowError("fragment dependency cycle: nothing runnable")
         return completed
 
 

@@ -44,6 +44,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..errors import DataflowError
 from ..execution.cost import DEFAULT_COSTS, CostModel
 from ..execution.metrics import ExecutionMetrics
 from ..execution.operators import walk_physical
@@ -219,7 +220,7 @@ class _ServeState:
             t_ext = self.heap[0][0] if self.heap else None
             if t_ext is None and t_next is None:
                 if self.waiting:
-                    raise RuntimeError(
+                    raise DataflowError(
                         "serving deadlock: queries waiting with no "
                         "in-flight work or pending events"
                     )

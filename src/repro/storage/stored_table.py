@@ -121,10 +121,9 @@ class StoredTable:
     def logical_selection(self) -> Selection:
         """Every logical base row once, in storage-read order: on BDCC the
         valid count-table entries' runs (skipping consolidated-away
-        originals), else the whole table."""
+        originals, derived with the BDCC version), else the whole table."""
         if self.bdcc is not None:
-            count_table = self.bdcc.count_table
-            return count_table.selection(count_table.select_entries())
+            return self.bdcc.logical_selection
         return Selection.whole(self.stored_rows)
 
     # ------------------------------------------------------------- layout

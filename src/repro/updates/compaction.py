@@ -113,7 +113,7 @@ def compact_table(
 
     if bdcc is not None:
         ct = bdcc.count_table
-        valid = np.flatnonzero(ct.valid)
+        valid = bdcc.valid_entries
         deleted_rows = base_rows.intersect(Selection.from_mask(delta.base_deleted)).indexer()
         removed_keys, removed_counts = np.unique(
             bdcc.zone_of(bdcc.keys[deleted_rows]), return_counts=True

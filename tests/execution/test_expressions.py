@@ -10,6 +10,7 @@ from repro.execution.expressions import (
     col,
     days,
     lit,
+    validity,
     year,
 )
 
@@ -136,3 +137,30 @@ class TestCaseSubstringYear:
     def test_days_literal(self):
         assert days("1970-01-01") == 0
         assert days("1970-01-02") == 1
+
+
+class TestValidity:
+    """NULL in, NULL out: the one rule ``Project`` and ``Aggregate`` read."""
+
+    def _rel(self):
+        from repro.execution.relation import Relation
+
+        return Relation(
+            columns={"a": np.arange(4), "b": np.arange(4), "c": np.arange(4)},
+            valid={
+                "a": np.array([True, False, True, True]),
+                "b": np.array([True, True, False, True]),
+            },
+        )
+
+    def test_no_masked_input_is_every_row(self):
+        assert validity(col("c") * 2, self._rel()) is None
+        assert validity(lit(1), self._rel()) is None
+
+    def test_one_masked_input_is_its_mask(self):
+        rel = self._rel()
+        assert validity(col("a") + col("c"), rel) is rel.valid["a"]
+
+    def test_every_input_must_be_valid(self):
+        mask = validity(col("a") + col("b") * col("c"), self._rel())
+        assert mask.tolist() == [True, False, False, True]

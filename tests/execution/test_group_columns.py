@@ -3,8 +3,10 @@ table, and they must equal what extracting the bits from every selected
 row's ``_bdcc_`` key gave — value, order and dtype — on every scan shape:
 a full scan of a dense table, pushdown- and zone-map-selected scans,
 masked deletes, a consolidated table, the fragmenter's scan and
-delta-scan partitions, and a merge-on-read scan whose delta rows (which
-have no count-table entry) still take the per-row path.
+delta-scan partitions, and a merge-on-read scan — over several delta
+runs, on a dense and on a consolidated table — whose delta rows have no
+count-table entry: it extracts the bits once per zone run of the
+key-sorted merged keys, and each row reads its run's.
 """
 
 import dataclasses
@@ -61,11 +63,25 @@ def databases(bdcc_db, environment):
         session.commit()
         stage_rf2(session, delta[1].database, rng, 20)
         session.commit()
+    consolidated_delta = _bdcc(
+        SMALL_SF, 17, BDCCBuildConfig(efficient_access_bytes=1024.0, consolidate_max_fraction=0.5)
+    )
+    session = UpdateSession(
+        consolidated_delta[1], policy=CompactionPolicy(max_delta_fraction=None)
+    )
+    for _ in range(3):
+        stage_rf1(session, consolidated_delta[1].database, rng, 30)
+        session.commit()
+        stage_rf2(session, consolidated_delta[1].database, rng, 15)
+        session.commit()
+    lineitem = consolidated_delta[1].table("lineitem")
+    assert not lineitem.bdcc.count_table.valid.all() and len(lineitem.delta.runs) >= 3
     return {
         "dense": (environment, bdcc_db),
         "consolidated": consolidated,
         "deletes": deletes,
         "delta": delta,
+        "consolidated delta": consolidated_delta,
     }
 
 
@@ -107,17 +123,22 @@ def _has_delta_rows(op):
     return op.delta_selected is not None and any(len(s) for _, s in op.delta_selected)
 
 
-def _reference_groups(op):
-    """The bits of every emitted row's key — what the scan computed per
-    row before group columns came from the count table."""
-    bdcc = op.stored.bdcc
-    keys = bdcc.keys[op.selection.rows()]
+def _merged_keys(op):
+    """The ``_bdcc_`` key of every row the scan emits, in emission order."""
+    keys = op.stored.bdcc.keys[op.selection.rows()]
     if op.delta_selected is not None:
         runs = op.stored.delta.runs
         # the merged stream is in _bdcc_ key order
         keys = np.sort(
             np.concatenate([keys] + [runs[i].keys[s.rows()] for i, s in op.delta_selected])
         )
+    return keys
+
+
+def _reference_groups(op):
+    """The bits of every emitted row's key, extracted row by row."""
+    bdcc = op.stored.bdcc
+    keys = _merged_keys(op)
     return {name: gather_use_bits(keys, bdcc.uses[u].mask, b) for u, b, name in op.sandwich_uses}
 
 
@@ -171,15 +192,18 @@ def test_every_shape_matches_the_per_row_bits_and_takes_its_path(databases, monk
                 for op in _scans(pdb, make(pdb.database, lo, hi), workers=4):
                     calls.clear()
                     _check(op, env)
-                    # only rows without an entry extract bits per row
+                    # only a merge extracts bits from keys, once per zone run
                     assert bool(calls) == _has_delta_rows(op), _shape(op)
+                    if calls:
+                        zones = len(np.unique(op.stored.bdcc.zone_of(_merged_keys(op))))
+                        assert calls == [zones] * len(op.sandwich_uses), _shape(op)
                     seen.add(_shape(op))
     assert seen == SHAPES
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(["dense", "consolidated", "deletes", "delta"]),
+    st.sampled_from(["dense", "consolidated", "deletes", "delta", "consolidated delta"]),
     st.sampled_from(sorted(PLANS)),
     st.floats(0.0, 1.0),
     st.floats(0.0, 1.0),
