@@ -37,15 +37,6 @@ def expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _overlaps(a_starts, a_ends, b_starts, b_ends) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(i, j)``, ``i``-major, of the half-open intervals
-    ``a`` and ``b`` that may overlap.  ``b`` ascends without overlaps, so
-    an ``a`` meets one contiguous block of it: O(runs)."""
-    lo = np.searchsorted(b_ends, a_starts, side="right")
-    counts = np.maximum(np.searchsorted(b_starts, a_ends, side="left") - lo, 0)
-    return np.repeat(np.arange(len(a_starts)), counts), expand_runs(lo, counts)
-
-
 @dataclass(frozen=True, eq=False)
 class Selection:
     """Stored rows as ``int64`` runs ``(starts, lengths)`` in emission
@@ -119,7 +110,11 @@ class Selection:
     def intersect(self, other: "Selection") -> "Selection":
         """The rows both select, in this selection's order."""
         ends, other_ends = self.starts + self.lengths, other.starts + other.lengths
-        i, j = _overlaps(self.starts, ends, other.starts, other_ends)
+        # ``other`` ascends without overlaps, so a run meets one
+        # contiguous block of its runs ``j``: O(runs)
+        lo = np.searchsorted(other_ends, self.starts, side="right")
+        counts = np.maximum(np.searchsorted(other.starts, ends, side="left") - lo, 0)
+        i, j = np.repeat(np.arange(len(ends)), counts), expand_runs(lo, counts)
         starts = np.maximum(self.starts[i], other.starts[j])
         return Selection(starts, np.minimum(ends[i], other_ends[j]) - starts)
 
@@ -143,11 +138,19 @@ class Selection:
         ``bucket`` is ``searchsorted(edges, row, "right")`` of each of its
         rows — the piece lies within ``[edges[bucket-1], edges[bucket])``."""
         edges = np.asarray(edges, dtype=np.int64)
-        lower = np.concatenate([[_INT64.min], edges])
-        upper = np.concatenate([edges, [_INT64.max]])
         ends = self.starts + self.lengths
-        i, bucket = _overlaps(self.starts, ends, lower, upper)
-        starts = np.maximum(self.starts[i], lower[bucket])
-        lengths = np.minimum(ends[i], upper[bucket]) - starts
+        # a run meets the buckets of its first row through its last
+        first = np.searchsorted(edges, self.starts, side="right")
+        counts = np.searchsorted(edges, ends, side="left") + 1 - first
+        i, bucket = np.repeat(np.arange(len(ends)), counts), expand_runs(first, counts)
+        # bucket b spans [edges[b-1], edges[b]), unbounded past either end
+        lower = np.full(len(bucket), _INT64.min)
+        upper = np.full(len(bucket), _INT64.max)
+        inner = bucket > 0
+        lower[inner] = edges[bucket[inner] - 1]
+        inner = bucket < len(edges)
+        upper[inner] = edges[bucket[inner]]
+        starts = np.maximum(self.starts[i], lower)
+        lengths = np.minimum(ends[i], upper) - starts
         keep = lengths > 0  # repeated edges bound empty buckets
         return starts[keep], lengths[keep], bucket[keep]

@@ -25,12 +25,14 @@ __all__ = [
 class OperatorActuals:
     """Measured per-operator quantities of one plan execution.
 
-    All charges are *exclusive*: what this operator itself consumed, with
-    its children's consumption subtracted out — so the values across a
-    plan sum to the query totals.  ``reserved_bytes`` is the blocking
-    state (hash builds, aggregation tables, sort buffers) this operator
-    held; the query-wide peak of concurrently live reservations remains
-    the Figure 3 quantity on :class:`ExecutionMetrics`.
+    All charges are *exclusive*: the execution context adds each one to
+    the running operator's record alone, so the values across a plan sum
+    to the query totals (up to float summation order); ``rows_in`` is
+    what a leaf read, else its children's rows out.  ``reserved_bytes``
+    is the blocking state (hash builds, aggregation tables, sort
+    buffers) this operator held; the query-wide peak of concurrently
+    live reservations remains the Figure 3 quantity on
+    :class:`ExecutionMetrics`.
 
     ``executions`` counts how many times the operator ran within the
     recorded window.  An operator object can execute more than once per
@@ -195,7 +197,7 @@ class ExecutionMetrics:
     #: table, sort buffer, exchange buffer).  Each tag peaks on its own,
     #: so the tag peaks need not sum to ``peak_memory_bytes``.
     peak_memory_by_tag: Dict[str, float] = field(default_factory=dict)
-    #: free-form counters, e.g. per-operator attribution for explain.
+    #: free-form counters: CPU seconds per charge kind, and event counts.
     counters: Dict[str, float] = field(default_factory=dict)
     #: human-readable notes from the planner (strategy decisions).
     notes: List[str] = field(default_factory=list)

@@ -72,34 +72,6 @@ _AGG_STATE_BYTES = 8.0        # bytes per aggregate per group
 _GROUP_HEADER_BYTES = 32.0    # per-group bookkeeping of sandwiched operators
 
 
-class _OpFrame:
-    """Open attribution window of one operator invocation: snapshots of
-    the shared metrics at entry, plus the inclusive consumption of the
-    operator's children (subtracted out on exit, so per-operator actuals
-    are exclusive and sum to the query totals)."""
-
-    __slots__ = (
-        "op", "io_bytes", "io_accesses", "io_seconds", "cpu_seconds",
-        "rows_scanned", "held_bytes",
-        "child_rows", "child_io_bytes", "child_io_accesses",
-        "child_io_seconds", "child_cpu_seconds",
-    )
-
-    def __init__(self, op: "PhysicalOp", metrics: ExecutionMetrics):
-        self.op = op
-        self.io_bytes = metrics.io_bytes
-        self.io_accesses = metrics.io_accesses
-        self.io_seconds = metrics.io_seconds
-        self.cpu_seconds = metrics.cpu_seconds
-        self.rows_scanned = metrics.rows_scanned
-        self.held_bytes = 0.0
-        self.child_rows = 0
-        self.child_io_bytes = 0.0
-        self.child_io_accesses = 0
-        self.child_io_seconds = 0.0
-        self.child_cpu_seconds = 0.0
-
-
 class ExecutionContext:
     """Shared runtime state of one plan execution: the simulated device,
     the CPU cost model and the metrics being accumulated.
@@ -110,10 +82,12 @@ class ExecutionContext:
     (the paper's Figure 3 quantity) is the sum of its holds, and overlap
     across fragments is the scheduler's ``concurrent_peak``.
 
-    The context also maintains the operator frame stack through which
-    every charge is attributed to the operator that incurred it — the
-    per-operator actuals surfaced by ``EXPLAIN ANALYZE`` and the
-    workload differential report."""
+    Every charge (:meth:`charge_io`, :meth:`charge_runs`,
+    :meth:`charge_cpu`, :meth:`scanned`, :meth:`hold`) adds to the query
+    totals and to the :class:`OperatorActuals` of the innermost running
+    operator, the top of ``running`` — whose bottom record takes charges
+    made outside any operator and is never kept — so the per-operator
+    actuals of ``EXPLAIN ANALYZE`` are exclusive by construction."""
 
     def __init__(
         self,
@@ -128,7 +102,8 @@ class ExecutionContext:
         #: producer-fragment outputs visible to Exchange/Repartition
         #: leaves when this context runs one fragment of a parallel plan.
         self.fragment_results = fragment_results
-        self._frames: List[_OpFrame] = []
+        #: the actuals of the running operators, innermost last
+        self.running: List[OperatorActuals] = [OperatorActuals("", "")]
 
     def fragment_result(self, index: int) -> Relation:
         """The output of a producer fragment (parallel execution only)."""
@@ -139,6 +114,30 @@ class ExecutionContext:
             )
         return self.fragment_results[index]
 
+    def charge_io(self, num_bytes: float, num_accesses: int, seconds: float) -> None:
+        self.metrics.charge_io(num_bytes, num_accesses, seconds)
+        actuals = self.running[-1]
+        actuals.io_bytes += num_bytes
+        actuals.io_accesses += num_accesses
+        actuals.io_seconds += seconds
+
+    def charge_runs(self, run_bytes: List[float]) -> None:
+        """One disk access per entry of ``run_bytes``, timed by the disk model."""
+        self.charge_io(float(sum(run_bytes)), len(run_bytes), self.disk.time_for_runs(run_bytes))
+
+    def charge_cpu(self, seconds: float, counter: str) -> None:
+        self.metrics.charge_cpu(seconds, counter)
+        self.running[-1].cpu_seconds += seconds
+
+    def scanned(self, num_rows: int, delta: bool = False) -> None:
+        """Count ``num_rows`` read from the store (``delta``: from delta
+        runs) — the reading operator's rows in."""
+        totals = self.metrics
+        totals.rows_scanned += num_rows
+        if delta:
+            totals.delta_rows_scanned += num_rows
+        self.running[-1].rows_in += num_rows
+
     def hold(self, tag: str, num_bytes: float) -> None:
         """Reserve ``num_bytes`` of blocking state until the fragment
         ends: nothing is released earlier, so the peak is the sum."""
@@ -147,46 +146,7 @@ class ExecutionContext:
             by_tag = self.metrics.peak_memory_by_tag
             self.metrics.peak_memory_bytes += num_bytes
             by_tag[tag] = by_tag.get(tag, 0.0) + num_bytes
-            if self._frames:
-                self._frames[-1].held_bytes += num_bytes
-
-    # ----------------------------------------------- operator attribution
-    def enter_operator(self, op: "PhysicalOp") -> _OpFrame:
-        frame = _OpFrame(op, self.metrics)
-        self._frames.append(frame)
-        return frame
-
-    def exit_operator(self, frame: _OpFrame, output: Relation) -> None:
-        metrics = self.metrics
-        popped = self._frames.pop()
-        assert popped is frame, "operator frames must nest"
-        inclusive_io_bytes = metrics.io_bytes - frame.io_bytes
-        inclusive_io_accesses = metrics.io_accesses - frame.io_accesses
-        inclusive_io_seconds = metrics.io_seconds - frame.io_seconds
-        inclusive_cpu_seconds = metrics.cpu_seconds - frame.cpu_seconds
-        rows_out = output.num_rows
-        if frame.op.children():
-            rows_in = frame.child_rows
-        else:  # leaves read the store: rows in = rows scanned
-            rows_in = metrics.rows_scanned - frame.rows_scanned
-        metrics.operators[id(frame.op)] = OperatorActuals(
-            kind=frame.op.kind,
-            description=frame.op.describe(),
-            rows_in=rows_in,
-            rows_out=rows_out,
-            io_bytes=inclusive_io_bytes - frame.child_io_bytes,
-            io_accesses=inclusive_io_accesses - frame.child_io_accesses,
-            io_seconds=inclusive_io_seconds - frame.child_io_seconds,
-            cpu_seconds=inclusive_cpu_seconds - frame.child_cpu_seconds,
-            reserved_bytes=frame.held_bytes,
-        )
-        if self._frames:
-            parent = self._frames[-1]
-            parent.child_rows += rows_out
-            parent.child_io_bytes += inclusive_io_bytes
-            parent.child_io_accesses += inclusive_io_accesses
-            parent.child_io_seconds += inclusive_io_seconds
-            parent.child_cpu_seconds += inclusive_cpu_seconds
+            self.running[-1].reserved_bytes += num_bytes
 
 
 @dataclass(eq=False)
@@ -227,11 +187,17 @@ class PhysicalOp:
         )
 
     def run(self, ctx: ExecutionContext) -> Relation:
-        """Execute this operator (recursing through ``children``) and
-        record its per-operator actuals on the context's metrics."""
-        frame = ctx.enter_operator(self)
+        """Execute this operator (recursing through ``children``): what
+        ``execute`` charges lands on a fresh :class:`OperatorActuals`,
+        recorded on the context's metrics with the rows out, which are
+        the parent's rows in."""
+        actuals = OperatorActuals(self.kind, self.describe())
+        ctx.running.append(actuals)
         rel = self.execute(ctx)
-        ctx.exit_operator(frame, rel)
+        ctx.running.pop()
+        actuals.rows_out = rel.num_rows
+        ctx.running[-1].rows_in += rel.num_rows
+        ctx.metrics.operators[id(self)] = actuals
         return rel
 
     def execute(self, ctx: ExecutionContext) -> Relation:
@@ -334,15 +300,14 @@ class PhysicalScan(PhysicalOp):
             for length in self.selection.lengths.tolist():
                 run_bytes.append(length * 1.0)
             run_bytes.append(bdcc.count_table.num_entries * 8.0)
-        io_seconds = ctx.disk.time_for_runs(run_bytes)
-        ctx.metrics.charge_io(float(sum(run_bytes)), len(run_bytes), io_seconds)
-        ctx.metrics.rows_scanned += base_n
+        ctx.charge_runs(run_bytes)
+        ctx.scanned(base_n)
 
         # --- materialise (each column when an operator first reads it) ---
         prefix = self.prefix
         rows = self.selection.indexer()
         base = Relation.at({prefix + c: stored.columns[c] for c in demanded}, rows)
-        ctx.metrics.charge_cpu(base_n * len(demanded) * ctx.costs.scan_value, "scan")
+        ctx.charge_cpu(base_n * len(demanded) * ctx.costs.scan_value, "scan")
         if self.delta_selected is None:
             return self._finish(ctx, base, None, base_n)
 
@@ -362,8 +327,7 @@ class PhysicalScan(PhysicalOp):
             self._charge_columns(ctx, len(sel), demanded + merge_cols, *key_bytes)
             reads.append((stored.delta.runs[run_index], sel.indexer()))
         delta_n = sum(len(s) for _, s in self.delta_selected)
-        ctx.metrics.rows_scanned += delta_n
-        ctx.metrics.delta_rows_scanned += delta_n
+        ctx.scanned(delta_n, delta=True)
         total = base_n + delta_n
 
         # --- order-preserving merge --------------------------------------
@@ -382,7 +346,7 @@ class PhysicalScan(PhysicalOp):
             keys = None if bdcc is None else [bdcc.keys[rows]] + [run.keys[at] for run, at in reads]
             merged, merged_keys = stored.merge_pieces(columns, keys, sort_values)
             merged = Relation(columns=merged)
-            ctx.metrics.charge_cpu(total * ctx.costs.merge_row, "scan")
+            ctx.charge_cpu(total * ctx.costs.merge_row, "scan")
 
         note = f"delta merge {delta_n} rows from {len(reads)} runs"
         return self._finish(ctx, merged, merged_keys, total, note)
@@ -418,7 +382,7 @@ class PhysicalScan(PhysicalOp):
                 }
             # one value per group, gathered to the rows when first read
             rel = rel.beside(Relation.at(per_group, group_of_row))
-            ctx.metrics.charge_cpu(
+            ctx.charge_cpu(
                 num_selected * ctx.costs.sandwich_row_overhead * len(self.sandwich_uses),
                 "scan",
             )
@@ -434,10 +398,8 @@ class PhysicalScan(PhysicalOp):
         access per column, plus one per ``extra_bytes``) and their scan CPU."""
         run_bytes = [num_rows * self.stored.stored_bytes_per_value(c) for c in cols]
         run_bytes.extend(extra_bytes)
-        ctx.metrics.charge_io(
-            float(sum(run_bytes)), len(run_bytes), ctx.disk.time_for_runs(run_bytes)
-        )
-        ctx.metrics.charge_cpu(num_rows * len(cols) * ctx.costs.scan_value, "scan")
+        ctx.charge_runs(run_bytes)
+        ctx.charge_cpu(num_rows * len(cols) * ctx.costs.scan_value, "scan")
 
 
 # ---------------------------------------------------------------- filter
@@ -456,7 +418,7 @@ def _filter(ctx: ExecutionContext, rel: Relation, predicate: Expr) -> Relation:
     """The rows ``predicate`` keeps (a scan's residual or a filter's),
     charged per input row and column read."""
     mask = np.asarray(predicate.eval(rel), dtype=bool)
-    ctx.metrics.charge_cpu(
+    ctx.charge_cpu(
         rel.num_rows * max(len(predicate.columns()), 1) * ctx.costs.expr_value, "filter"
     )
     return rel.filter(mask)
@@ -493,7 +455,7 @@ class PhysicalProject(PhysicalOp):
             mask = validity(expr, rel)
             if mask is not None:
                 valid[name] = mask
-        ctx.metrics.charge_cpu(expr_cost, "project")
+        ctx.charge_cpu(expr_cost, "project")
         for name in self.carry:
             columns[name] = rel.column(name)
         return Relation(columns=columns, valid=valid)
@@ -554,7 +516,7 @@ def _account_merge_join(op, ctx, left, right) -> None:
     ctx.metrics.note(
         f"merge join on {op.left_cols} ({op.how}, {left.num_rows}x{right.num_rows})"
     )
-    ctx.metrics.charge_cpu((left.num_rows + right.num_rows) * ctx.costs.merge_row, "join")
+    ctx.charge_cpu((left.num_rows + right.num_rows) * ctx.costs.merge_row, "join")
 
 
 def _account_hash_join(op, ctx, left, right) -> None:
@@ -589,7 +551,7 @@ def _account_hash_join(op, ctx, left, right) -> None:
         # the model of scatter-order delivery (the paper's §II scan) for
         # both inputs: one random access per group and input instead of
         # a straight sequential pass — no scan computes the exact runs
-        ctx.metrics.charge_io(0.0, 2 * num_groups, 2 * num_groups * ctx.disk.access_latency)
+        ctx.charge_io(0.0, 2 * num_groups, 2 * num_groups * ctx.disk.access_latency)
         sandwich_cpu = (
             num_groups * costs.sandwich_group_overhead
             + (left.num_rows + right.num_rows) * costs.sandwich_row_overhead
@@ -601,7 +563,7 @@ def _account_hash_join(op, ctx, left, right) -> None:
         )
     ctx.hold(f"join:{op.left_cols}", state_bytes + num_groups * _GROUP_HEADER_BYTES)
     factor = costs.cache_factor(state_bytes)
-    ctx.metrics.charge_cpu(
+    ctx.charge_cpu(
         build_rel.num_rows * costs.hash_build_row * factor
         + probe_rel.num_rows * costs.hash_probe_row * factor
         + sandwich_cpu,
@@ -660,26 +622,26 @@ class Join(_ByStrategy, PhysicalOp):
             joined = _assemble_inner(left, right, lidx, ridx)
             if self.residual is not None:
                 mask = np.asarray(self.residual.eval(joined), dtype=bool)
-                ctx.metrics.charge_cpu(len(lidx) * costs.expr_value, "join")
+                ctx.charge_cpu(len(lidx) * costs.expr_value, "join")
                 joined = joined.filter(mask)
-            ctx.metrics.charge_cpu(joined.num_rows * costs.join_output_row, "join")
+            ctx.charge_cpu(joined.num_rows * costs.join_output_row, "join")
             return joined
         if how == "left":
             lidx, ridx = left_join_pairs(lkeys, rkeys)
-            ctx.metrics.charge_cpu(len(lidx) * costs.join_output_row, "join")
+            ctx.charge_cpu(len(lidx) * costs.join_output_row, "join")
             return _assemble_left(left, right, lidx, ridx)
         if how in ("semi", "anti"):
             if self.residual is not None:
                 lidx, ridx = inner_join_pairs(lkeys, rkeys)
                 joined = _assemble_inner(left, right, lidx, ridx)
                 mask_pairs = np.asarray(self.residual.eval(joined), dtype=bool)
-                ctx.metrics.charge_cpu(len(lidx) * costs.expr_value, "join")
+                ctx.charge_cpu(len(lidx) * costs.expr_value, "join")
                 matched = np.zeros(left.num_rows, dtype=bool)
                 matched[lidx[mask_pairs]] = True
             else:
                 matched = semi_join_mask(lkeys, rkeys)
             keep = matched if how == "semi" else ~matched
-            ctx.metrics.charge_cpu(int(keep.sum()) * costs.join_output_row, "join")
+            ctx.charge_cpu(int(keep.sum()) * costs.join_output_row, "join")
             return left.filter(keep)
         raise AssertionError(how)
 
@@ -715,7 +677,7 @@ def _account_table_agg(op, ctx, rel, group_index, num_groups, state_row) -> None
     total_state = num_groups * state_row
     ctx.hold(f"agg:{op.strategy}", total_state)
     factor = ctx.costs.cache_factor(total_state)
-    ctx.metrics.charge_cpu(rel.num_rows * ctx.costs.agg_update_row * factor, "aggregate")
+    ctx.charge_cpu(rel.num_rows * ctx.costs.agg_update_row * factor, "aggregate")
     if op.strategy == "partial":
         ctx.metrics.bump("partial_agg_rows", num_groups)
     elif op.keys and op.strategy == "hash":
@@ -734,7 +696,7 @@ def _account_stream_agg(op, ctx, rel, group_index, num_groups, state_row) -> Non
     """The input arrives ordered on (a functional determinant of) the
     grouping keys: one live group at a time."""
     ctx.metrics.note(f"streaming aggregation on {op.keys}")
-    ctx.metrics.charge_cpu(rel.num_rows * ctx.costs.stream_agg_row, "aggregate")
+    ctx.charge_cpu(rel.num_rows * ctx.costs.stream_agg_row, "aggregate")
     ctx.hold("agg:stream", state_row)  # one live group
 
 
@@ -749,13 +711,13 @@ def _account_sandwich_agg(op, ctx, rel, group_index, num_groups, state_row) -> N
     num_partitions = len(per_part)
     ctx.hold("agg:sandwich", max_state + num_partitions * _GROUP_HEADER_BYTES)
     factor = ctx.costs.cache_factor(max_state)
-    ctx.metrics.charge_cpu(
+    ctx.charge_cpu(
         n * ctx.costs.agg_update_row * factor
         + num_partitions * ctx.costs.sandwich_group_overhead
         + n * ctx.costs.sandwich_row_overhead,
         "aggregate",
     )
-    ctx.metrics.charge_io(0.0, num_partitions, num_partitions * ctx.disk.access_latency)
+    ctx.charge_io(0.0, num_partitions, num_partitions * ctx.disk.access_latency)
     ctx.metrics.note(
         f"sandwich aggregation on {op.keys} via "
         + "+".join(u.dimension.name for u, _ in op.partition_uses)
@@ -835,7 +797,7 @@ class Aggregate(_ByStrategy, PhysicalOp):
             if spec.expr is not None:
                 values = np.asarray(spec.expr.eval(rel))
                 valid = validity(spec.expr, rel)  # NULL inputs skip the row
-                ctx.metrics.charge_cpu(n * ctx.costs.expr_value, "aggregate")
+                ctx.charge_cpu(n * ctx.costs.expr_value, "aggregate")
             columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, valid)
         # a sandwich aggregate's output keeps its uses' hidden group columns
         for use, _ in self.partition_uses:
@@ -876,7 +838,7 @@ class Sort(PhysicalOp):
             order = np.lexsort(tuple(sort_keys))
             rel = rel.take(order)
         ctx.hold("sort", rel.data_bytes())
-        ctx.metrics.charge_cpu(
+        ctx.charge_cpu(
             n * max(math.log2(max(n, 2)), 1.0) * ctx.costs.sort_row, "sort"
         )
         return rel

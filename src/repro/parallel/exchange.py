@@ -2,8 +2,8 @@
 
 A partition-parallel plan moves data between fragments through three
 physical operators, all ordinary :class:`~repro.execution.operators.PhysicalOp`
-nodes so EXPLAIN, per-operator actuals and the attribution frames work
-unchanged:
+nodes charging through the execution context, so EXPLAIN and
+per-operator actuals work unchanged:
 
 * :class:`Exchange` — the consumer-side leaf reading **one** partition
   fragment's output (one partition of a split stream);
@@ -120,7 +120,7 @@ class Repartition(PhysicalOp):
             return self._execute_rebin(ctx)
         rel = ctx.fragment_result(self.source_fragment)
         # receiving the shipped batch costs per row on this worker
-        ctx.metrics.charge_cpu(rel.num_rows * ctx.costs.exchange_row, "exchange")
+        ctx.charge_cpu(rel.num_rows * ctx.costs.exchange_row, "exchange")
         ctx.metrics.bump("exchange_rows", rel.num_rows)
         return rel
 
@@ -142,16 +142,11 @@ class Repartition(PhysicalOp):
         out = concat_relations(kept)
         # the modelled shuffle: re-binning CPU over everything received,
         # plus one bucket read per producer through the disk model
-        ctx.metrics.charge_cpu(
+        ctx.charge_cpu(
             received * ctx.costs.rebin_row + out.num_rows * ctx.costs.exchange_row,
             "exchange",
         )
-        if bucket_bytes:
-            ctx.metrics.charge_io(
-                float(sum(bucket_bytes)),
-                len(bucket_bytes),
-                ctx.disk.time_for_runs(bucket_bytes),
-            )
+        ctx.charge_runs(bucket_bytes)
         ctx.metrics.bump("exchange_rows", received)
         ctx.metrics.bump("shuffle_rows", out.num_rows)
         ctx.metrics.bump("shuffle_bytes", float(sum(bucket_bytes)))
@@ -192,5 +187,5 @@ class UnionAll(PhysicalOp):
     def execute(self, ctx: ExecutionContext) -> Relation:
         rels = [child.run(ctx) for child in self.inputs]
         out = concat_relations(rels)
-        ctx.metrics.charge_cpu(out.num_rows * ctx.costs.exchange_row, "exchange")
+        ctx.charge_cpu(out.num_rows * ctx.costs.exchange_row, "exchange")
         return out

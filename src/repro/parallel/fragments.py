@@ -629,8 +629,8 @@ class _FragmentPlanner:
         if num_parts < 2:
             return None
         if stored.bdcc is not None:
-            # where a new BDCC zone (count-table group) starts
-            edges = np.sort(stored.bdcc.count_table.offsets)
+            # where a new BDCC zone (count-table group) starts; offsets ascend
+            edges = stored.bdcc.count_table.offsets
             alignment = "zone"
         else:
             # where the widest demanded column crosses a page boundary,

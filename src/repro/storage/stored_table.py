@@ -159,12 +159,15 @@ class StoredTable:
     def io_run_bytes(self, selection: Selection, columns: List[str]) -> List[float]:
         """Byte sizes of the separate disk accesses needed to read the
         selected rows of the given columns (column store: one run list
-        per column, page-granular)."""
-        sizes: List[float] = []
-        for column in columns:
-            pages = self.page_model.pages_for_runs(selection, self.stored_bytes_per_value(column))
-            sizes.extend((pages.lengths * self.page_model.page_bytes).tolist())
-        return sizes
+        per column, page-granular); columns of one stored width read the
+        same pages."""
+        widths = [self.stored_bytes_per_value(c) for c in columns]
+        page_bytes = self.page_model.page_bytes
+        runs = {
+            width: (self.page_model.pages_for_runs(selection, width).lengths * page_bytes).tolist()
+            for width in set(widths)
+        }
+        return [size for width in widths for size in runs[width]]
 
 
 #: every :class:`StoredTable` alive in this process (identity-hashed,

@@ -118,6 +118,7 @@ def ablation_variants(full: bool = True) -> Dict[str, ExecutionOptions]:
 
 # ---------------------------------------------------------- normalization
 _NAN_SENTINEL = -8.98846567431158e307   # distinct, sortable stand-ins
+
 #: comparison tolerance; the sort-key rounding granule (7 significant
 #: digits: at most 1e-6 relative, at mantissa ~1) stays at or below
 #: half this, so two rows that can end up ordered differently on the
@@ -130,6 +131,26 @@ _ABS_TOL = 2e-6
 #: float32 only carries ~7 — whenever either side stored one, the
 #: looser envelope applies to that column.
 _DTYPE_TOLERANCES = {8: (_REL_TOL, _ABS_TOL), 4: (1e-4, 1e-4)}
+
+
+@functools.total_ordering
+class _Null:
+    """NULL in a normalized row, whatever placeholder the column holds
+    under it: equal only to itself, sorting before every value."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other) -> bool:
+        return other is self
+
+    def __lt__(self, other) -> bool:
+        return other is not self
+
+    def __repr__(self) -> str:
+        return "NULL"
+
+
+NULL = _Null()
 
 
 def column_tolerances(names: Sequence[str], *column_maps) -> List[Optional[tuple]]:
@@ -187,16 +208,24 @@ def _sort_key_column(array: np.ndarray, raw: list) -> list:
     return (np.round(values * scale) / scale).tolist()
 
 
-def normalized_rows(columns: Dict[str, np.ndarray], names: Sequence[str]) -> List[tuple]:
+def normalized_rows(
+    columns: Dict[str, np.ndarray], names: Sequence[str], valid: Optional[Dict] = None
+) -> List[tuple]:
     """Canonically ordered multiset of rows over ``names`` (column order
     by name, row order by rounded sort keys, so neither engine/reference
-    column orderings nor scheme-dependent row orderings matter)."""
+    column orderings nor scheme-dependent row orderings matter).  With
+    ``valid`` (per-column masks, False = NULL; a column without one is
+    all valid) every NULL normalises to :data:`NULL`."""
     ordered = sorted(names)
     arrays = [np.asarray(columns[n]) for n in ordered]
     raw_cols = [_normalize_column(a) for a in arrays]
     if not raw_cols:
         return []
     key_cols = [_sort_key_column(a, raw) for a, raw in zip(arrays, raw_cols)]
+    masks = valid or {}
+    for name, raw, key in zip(ordered, raw_cols, key_cols):
+        for row in np.flatnonzero(~masks[name]).tolist() if name in masks else ():
+            raw[row] = key[row] = NULL
     rows = list(zip(*raw_cols))
     keys = list(zip(*key_cols))
     order = sorted(range(len(rows)), key=keys.__getitem__)
@@ -204,6 +233,8 @@ def normalized_rows(columns: Dict[str, np.ndarray], names: Sequence[str]) -> Lis
 
 
 def _values_match(a, b, tol: Optional[tuple] = None) -> bool:
+    if a is NULL or b is NULL:
+        return a is b
     if isinstance(a, float) or isinstance(b, float):
         rel, abs_ = tol if tol is not None else (_REL_TOL, _ABS_TOL)
         return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
@@ -301,6 +332,11 @@ class Divergence:
 def _indent(text: str, spaces: int) -> str:
     pad = " " * spaces
     return "\n".join(pad + line for line in text.splitlines())
+
+
+#: the :class:`~repro.execution.metrics.OperatorActuals` fields a sweep
+#: sums per operator kind, beside the number of calls
+_OPERATOR_SUMS = ("rows_out", "io_seconds", "cpu_seconds", "reserved_bytes")
 
 
 @dataclass
@@ -411,7 +447,8 @@ def bitwise_mismatch(serial, got) -> Optional[str]:
     execution's relation against the same scheme's serial default run.
     Fragmented plans without a reordering exchange gather partitions in
     storage order, so their parallel stream must reproduce the serial
-    one *exactly* — no tolerance.  (Plans *with* a reordering
+    one *exactly* — no tolerance, values and validity masks alike (a
+    missing mask is all valid).  (Plans *with* a reordering
     co-partition gather carry the order-insensitive contract instead and
     are only held to the normalized-multiset check vs the reference.)"""
     serial_names = serial.column_names
@@ -437,6 +474,11 @@ def bitwise_mismatch(serial, got) -> Optional[str]:
                 f"column {name!r} differs (first at row {where}: "
                 f"serial {a[where]!r}, parallel {b[where]!r})"
             )
+        # a gather adds all-true masks that a serial run lacks
+        a, b = (r.valid.get(name, np.ones(r.num_rows, dtype=bool)) for r in (serial, got))
+        if not np.array_equal(a, b):
+            where = int(np.flatnonzero(a != b)[0])
+            return f"column {name!r}: row {where} is NULL on one side only (serial valid {a[where]})"
     return None
 
 
@@ -477,7 +519,7 @@ def _multiset_mismatch(
     got_names = sorted(got.column_names)
     if got_names != names:
         return f"column mismatch: expected {names}, got {got_names}", 0.0
-    got_rows = normalized_rows(got.columns, names)
+    got_rows = normalized_rows(got.columns, names, got.valid)
     tolerances = column_tolerances(names, expected_columns, got.columns)
     if not rows_match(expected_rows, got_rows, tolerances):
         return _diff_detail(expected_rows, got_rows, tolerances), 0.0
@@ -490,7 +532,7 @@ def _reference_rows(reference) -> Tuple[List[str], List[tuple]]:
     last one is kept, because the sweep judges every scheme x variant
     against the same reference in a row."""
     names = sorted(reference.visible_names)
-    return names, normalized_rows(reference.columns, names)
+    return names, normalized_rows(reference.columns, names, reference.valid)
 
 
 def reference_mismatch(reference, relation) -> Tuple[Optional[str], float]:
@@ -518,7 +560,7 @@ def twin_mismatch(expected, got, exact: bool) -> Optional[str]:
     detail = bitwise_mismatch(expected, got)
     if detail is not None and not exact:   # bit-identical relations are equal multisets
         names = sorted(expected.column_names)
-        rows = normalized_rows(expected.columns, names)
+        rows = normalized_rows(expected.columns, names, expected.valid)
         detail = _multiset_mismatch(names, expected.columns, rows, got)[0]
     if detail is not None:
         return detail
@@ -676,20 +718,11 @@ def _check_one_query(
                 if actuals is None:
                     continue
                 totals = report.operator_totals.setdefault(
-                    op.kind,
-                    {
-                        "calls": 0.0,
-                        "rows_out": 0.0,
-                        "io_seconds": 0.0,
-                        "cpu_seconds": 0.0,
-                        "reserved_bytes": 0.0,
-                    },
+                    op.kind, dict.fromkeys(("calls",) + _OPERATOR_SUMS, 0.0)
                 )
                 totals["calls"] += 1
-                totals["rows_out"] += actuals.rows_out
-                totals["io_seconds"] += actuals.io_seconds
-                totals["cpu_seconds"] += actuals.cpu_seconds
-                totals["reserved_bytes"] += actuals.reserved_bytes
+                for key in _OPERATOR_SUMS:
+                    totals[key] += getattr(actuals, key)
 
 
 def _compaction_second_reference(

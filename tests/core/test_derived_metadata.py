@@ -100,6 +100,17 @@ def test_derived_metadata_equals_the_count_table(tables, name):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_offsets_strictly_ascend(tables, name):
+    """Fragment splits cut at the offsets as stored, unsorted: built
+    entries come in key order with no empty group, and a consolidated
+    region starts past every original row."""
+    bdcc = tables[name]
+    offsets = bdcc.count_table.offsets
+    assert (np.diff(offsets) > 0).all()
+    assert offsets[-1] < bdcc.stored_rows
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_a_new_version_derives_its_own(tables, name):
     bdcc = tables[name]
     ct = bdcc.count_table

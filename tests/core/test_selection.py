@@ -181,6 +181,34 @@ class TestOperations:
         breaks = np.count_nonzero((np.diff(rows) != 1) | (np.diff(row_bucket) != 0))
         assert len(starts) == (breaks + 1 if len(rows) else 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_selections(), st.data())
+    def test_pieces_at_edges_on_and_inside_runs(self, drawn, data):
+        """Edges where binning the runs can slip — none at all, repeated,
+        on a run's first row, one past its last, inside it (the run
+        straddles them) and beyond the table at either end: each piece
+        is one bucket ``searchsorted(edges, row, "right")`` of its rows
+        and lies within ``[edges[bucket-1], edges[bucket])``."""
+        selection, n = drawn
+        ends = selection.starts + selection.lengths
+        middles = selection.starts + selection.lengths // 2
+        points = np.concatenate([selection.starts, ends, middles, [-3, n + 3]])
+        edges = np.sort(np.array(
+            data.draw(st.lists(st.sampled_from(points.tolist()), max_size=12)),
+            dtype=np.int64,
+        ))
+        starts, lengths, bucket = selection.pieces(edges)
+        rows = selection.rows()
+        assert (lengths > 0).all()
+        assert np.array_equal(expand_runs(starts, lengths), rows)
+        assert np.array_equal(
+            np.repeat(bucket, lengths), np.searchsorted(edges, rows, side="right")
+        )
+        inner = bucket > 0
+        assert (starts[inner] >= edges[bucket[inner] - 1]).all()
+        inner = bucket < len(edges)
+        assert (starts[inner] + lengths[inner] <= edges[bucket[inner]]).all()
+
     @settings(max_examples=200, deadline=None)
     @given(_count_tables(), _masks())
     def test_group_values_per_piece_equal_the_per_row_lookup(self, drawn, deleted):

@@ -1,19 +1,28 @@
 """Accounting invariants the observability layer leans on: exclusive
-operator actuals summing to query totals (both backends), the
+operator actuals summing to query totals (both backends) and holding
+exactly the charges each operator made, the
 counter/note merge rules of ``merge_parallel_metrics``, a fragment's
 held memory as the sum of its holds, per-tag memory attribution, and
 its surfacing in ``explain(analyze=True)``."""
 
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 import pytest
 
 from repro.parallel.backends import SimulatedBackend
 from repro.parallel.scheduler import concurrent_peak, merge_parallel_metrics
 from repro.execution.aggregate import AggSpec
+from repro.execution.cost import DEFAULT_COSTS
 from repro.execution.expressions import col
-from repro.execution.operators import ExecutionContext
+from repro.execution.metrics import ExecutionMetrics
+from repro.execution.operators import ExecutionContext, PhysicalOp
+from repro.execution.relation import Relation
 from repro.planner.executor import ExecutionOptions, Executor, QueryResult
 from repro.planner.explain import explain
 from repro.planner.logical import scan
+from repro.storage.io_model import PAPER_SSD
 from repro.tpch.dates import days
 from repro.tpch.queries import QUERIES
 from repro.tpch.runner import QueryRunner
@@ -77,6 +86,80 @@ class TestOperatorSumInvariant:
         )
         assert metrics.measured_wall_seconds > 0.0
         _assert_operators_sum_to_totals(metrics)
+
+
+@dataclass(eq=False)
+class _Charging(PhysicalOp):
+    """A fake operator: charges ``before`` CPU seconds (and ``reads``
+    rows read from the store), runs its input if it has one, charges
+    ``after``, and emits ``rows`` rows."""
+
+    before: float = 0.0
+    after: float = 0.0
+    reads: int = 0
+    rows: int = 0
+    input: Optional[PhysicalOp] = None
+
+    kind = "Charging"
+
+    def execute(self, ctx):
+        ctx.charge_cpu(self.before, "test")
+        ctx.scanned(self.reads)
+        if self.input is not None:
+            self.input.run(ctx)
+        ctx.charge_cpu(self.after, "test")
+        return Relation(columns={"x": np.zeros(self.rows)})
+
+
+def _context():
+    return ExecutionContext(PAPER_SSD, DEFAULT_COSTS, ExecutionMetrics())
+
+
+class TestExclusiveByConstruction:
+    """Each operator's actuals are the sum of its own charges — no
+    snapshot of the totals is subtracted, so no float residue of the
+    other operators' charges reaches them."""
+
+    def test_each_operator_holds_exactly_its_own_charges(self):
+        child = _Charging(before=0.2, reads=5, rows=3)
+        parent = _Charging(before=0.1, after=0.3, rows=1, input=child)
+        ctx = _context()
+        parent.run(ctx)
+        metrics = ctx.metrics
+        assert metrics.actuals_for(child).cpu_seconds == 0.2
+        assert metrics.actuals_for(parent).cpu_seconds == 0.1 + 0.3
+        # what subtracting the totals at the child's start from those at
+        # its end reads instead
+        assert (0.1 + 0.2) - 0.1 == 0.20000000000000004
+        assert metrics.cpu_seconds == 0.1 + 0.2 + 0.3
+        assert metrics.counters["test"] == 0.1 + 0.2 + 0.3
+        # a leaf's rows in are the rows it read; a parent's, its
+        # children's rows out
+        leaf, top = metrics.actuals_for(child), metrics.actuals_for(parent)
+        assert (leaf.rows_in, leaf.rows_out) == (5, 3)
+        assert (top.rows_in, top.rows_out) == (3, 1)
+        assert metrics.rows_scanned == 5
+        # recorded as each operator finishes: children first
+        assert list(metrics.operators) == [id(child), id(parent)]
+
+    def test_charges_outside_any_operator_reach_only_the_totals(self):
+        ctx = _context()
+        ctx.charge_cpu(0.5, "test")
+        ctx.charge_io(100.0, 2, 0.25)
+        ctx.scanned(7, delta=True)
+        ctx.hold("test", 64)
+        metrics = ctx.metrics
+        assert (metrics.cpu_seconds, metrics.io_bytes, metrics.io_accesses) == (0.5, 100.0, 2)
+        assert (metrics.io_seconds, metrics.peak_memory_bytes) == (0.25, 64.0)
+        assert (metrics.rows_scanned, metrics.delta_rows_scanned) == (7, 7)
+        assert metrics.operators == {}
+        # an operator that runs afterwards starts from nothing
+        op = _Charging(before=0.2, rows=1)
+        op.run(ctx)
+        actuals = metrics.actuals_for(op)
+        assert (actuals.cpu_seconds, actuals.io_seconds, actuals.io_accesses) == (0.2, 0.0, 0)
+        assert (actuals.rows_in, actuals.reserved_bytes) == (0, 0.0)
+        assert list(metrics.operators) == [id(op)]
 
 
 class TestMergeParallelMetrics:

@@ -132,7 +132,7 @@ class TestPerOperatorActuals:
             if isinstance(op, PhysicalScan):
                 assert actuals.io_seconds > 0
             elif op.kind == "HashJoin":
-                assert actuals.io_seconds == 0  # children's IO subtracted out
+                assert actuals.io_seconds == 0  # the scans' IO is the scans'
                 assert actuals.reserved_bytes > 0  # build side held
 
     def test_runner_merges_stage_actuals(self, bdcc_db, environment):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.catalog import INT32, Schema, string_type
+from repro.catalog import DATE, FLOAT64, INT32, INT64, Schema, string_type
 from repro.core.selection import Selection
 from repro.storage.pages import PageModel
 from repro.storage.stored_table import StoredTable
@@ -64,6 +64,32 @@ class TestIO:
     def test_empty_runs(self):
         t = _table()
         assert t.io_run_bytes(Selection([], []), ["a"]) == []
+
+    @pytest.mark.parametrize(
+        "selection",
+        [Selection.whole(1000), Selection([0, 700], [256, 256]),
+         Selection([3, 40, 41 * 7, 990], [5, 200, 13, 10]), Selection([], [])],
+    )
+    def test_mixed_widths_read_each_columns_own_pages(self, selection):
+        """Page runs are computed once per stored width; the list is
+        still one run list per column, in column order."""
+        schema = Schema()
+        widths = [("i", INT32), ("l", INT64), ("d", DATE), ("s", string_type(16)),
+                  ("f", FLOAT64), ("j", INT32)]
+        schema.add_table("m", widths)
+        t = StoredTable(
+            name="m",
+            definition=schema.table("m"),
+            columns={name: np.zeros(1000, dtype=np.int64) for name, _ in widths},
+            page_model=PageModel(1024),
+        )
+        columns = ["i", "l", "d", "s", "f", "j", "i"]
+        expected = []
+        for column in columns:
+            pages = t.page_model.pages_for_runs(selection, t.stored_bytes_per_value(column))
+            expected.extend((pages.lengths * t.page_model.page_bytes).tolist())
+        assert t.io_run_bytes(selection, columns) == expected
+        assert len({t.stored_bytes_per_value(c) for c in columns}) == 3
 
 
 class TestMinMaxIntegration:

@@ -166,6 +166,47 @@ def test_twin_mismatch_rejects_a_dtype_kind_change():
     assert twin_mismatch(narrow, Relation(_columns(x=[1.0])), exact=True) is None
 
 
+class TestValidityVerdicts:
+    """NULL is one value to every verdict: a mask hides the placeholder
+    under it, and a missing mask is all valid (a gather adds all-true
+    masks that a serial run lacks)."""
+
+    def test_null_normalises_to_one_token_sorting_first(self):
+        rows = normalized_rows(
+            {"x": np.array([3.0, 7.0, 1.0]), "s": np.array(["b", "?", "a"])},
+            ["x", "s"],
+            {"s": np.array([True, False, True]), "x": np.array([True, False, True])},
+        )
+        assert [repr(row) for row in rows] == ["(NULL, NULL)", "('a', 1.0)", "('b', 3.0)"]
+        # the two-argument call reads no validity
+        assert normalized_rows({"x": np.array([3.0, 7.0])}, ["x"]) == [(3.0,), (7.0,)]
+
+    def test_placeholders_under_null_do_not_matter(self):
+        expected = Relation(_columns(k=[1, 2], x=[10.0, 5.0]), {"x": np.array([True, False])})
+        got = Relation(_columns(k=[2, 1], x=[7.0, 10.0]), {"x": np.array([False, True])})
+        assert twin_mismatch(expected, got, exact=False) is None
+        reference = RefRelation(expected.columns, expected.valid)
+        assert reference_mismatch(reference, got)[0] is None
+
+    def test_a_missing_mask_is_all_valid(self):
+        bare = Relation(_columns(x=[1.0, 2.0]))
+        masked = Relation(_columns(x=[1.0, 2.0]), {"x": np.array([True, True])})
+        for exact in (True, False):
+            assert twin_mismatch(bare, masked, exact=exact) is None
+            assert twin_mismatch(masked, bare, exact=exact) is None
+
+    def test_null_against_a_value_is_a_divergence(self):
+        bare = Relation(_columns(x=[1.0, 2.0]))
+        masked = Relation(_columns(x=[1.0, 2.0]), {"x": np.array([True, False])})
+        assert twin_mismatch(bare, masked, exact=True) == (
+            "column 'x': row 1 is NULL on one side only (serial valid True)"
+        )
+        assert twin_mismatch(bare, masked, exact=False) is not None
+        assert twin_mismatch(masked, bare, exact=False) is not None
+        reference = RefRelation(masked.columns, masked.valid)
+        assert reference_mismatch(reference, bare)[0] is not None
+
+
 class TestOneContractFlag:
     """``reaggregates`` implies ``reorders`` (a partial aggregate's
     streams are gathered unordered), so ``not plan.reorders`` is the

@@ -10,6 +10,7 @@ from repro import tpch
 from repro.catalog import DECIMAL, INT32, Schema, string_type
 from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
+from repro.execution.relation import Relation
 from repro.planner.executor import Executor
 from repro.planner.logical import scan
 from repro.schemes.plain import PlainScheme
@@ -19,8 +20,9 @@ from repro.workload.generator import PlanGenerator
 from repro.workload.reference import evaluate_reference
 
 
-@pytest.fixture(scope="module")
-def db():
+def _dept_emp(departments):
+    """Departments ``1..len(departments)`` named ``departments``, and
+    eight employees in departments 1-3."""
     schema = Schema()
     schema.add_table(
         "dept", [("d_id", INT32), ("d_name", string_type(10))], primary_key=["d_id"]
@@ -33,8 +35,8 @@ def db():
     schema.add_foreign_key("FK_E_D", "emp", ["e_dept"], "dept")
     database = Database(schema)
     database.add_table_data("dept", {
-        "d_id": np.array([1, 2, 3], dtype=np.int32),
-        "d_name": np.array(["eng", "ops", "hr"]),
+        "d_id": np.arange(1, len(departments) + 1, dtype=np.int32),
+        "d_name": np.array(departments),
     })
     database.add_table_data("emp", {
         "e_id": np.arange(8, dtype=np.int32),
@@ -42,6 +44,17 @@ def db():
         "e_sal": np.array([10.0, 20, 30, 40, 50, 60, 70, 80]),
     })
     return database
+
+
+@pytest.fixture(scope="module")
+def db():
+    return _dept_emp(["eng", "ops", "hr"])
+
+
+@pytest.fixture(scope="module")
+def lonely_db():
+    """Plus department 4, which has no employee."""
+    return _dept_emp(["eng", "ops", "hr", "fin"])
 
 
 class TestAgainstHandComputedAnswers:
@@ -209,6 +222,44 @@ class TestAgainstEngine:
         row = reference.columns["d_id"].tolist().index(3)
         assert not reference.valid["v"][row]
         assert reference.valid["v"].sum() == 2
+
+
+def _dept_left_join_emp():
+    return scan("dept").join(scan("emp"), on=[("d_id", "e_dept")], how="left")
+
+
+class TestJudgeReadsValidity:
+    """``dept LEFT JOIN emp`` emits department 4's employee columns
+    raw: NULL in the reference, a masked placeholder in the engine.
+    The judge compares NULL with NULL, not with the placeholder."""
+
+    @pytest.fixture(scope="class")
+    def executor(self, lonely_db):
+        return Executor(PlainScheme().build(lonely_db))
+
+    @pytest.mark.parametrize("make_plan", [
+        _dept_left_join_emp,
+        lambda: _dept_left_join_emp().sort([("e_sal", True)]),
+    ])
+    def test_a_raw_nullable_output_is_judged_equal(self, lonely_db, executor, make_plan):
+        plan = make_plan()
+        reference = evaluate_reference(lonely_db, plan)
+        got = executor.execute(plan).relation
+        row = got.column("d_id").tolist().index(4)
+        assert not got.valid["e_sal"][row] and got.valid["e_sal"].sum() == 8
+        assert reference.valid["e_sal"].sum() == 8
+        assert reference_mismatch(reference, got)[0] is None
+
+    def test_a_value_where_the_reference_is_null_is_reported(self, lonely_db, executor):
+        plan = _dept_left_join_emp()
+        reference = evaluate_reference(lonely_db, plan)
+        got = executor.execute(plan).relation
+        unmasked = Relation(
+            columns=dict(got.columns),
+            valid={name: mask for name, mask in got.valid.items() if name != "e_sal"},
+        )
+        detail = reference_mismatch(reference, unmasked)[0]
+        assert detail is not None and "NULL" in detail
 
 
 @pytest.mark.workload
