@@ -31,6 +31,7 @@ from repro import (
     string_type,
 )
 from repro.core.bits import mask_to_string
+from repro.planner import format_physical_plan
 
 # a device scaled to this toy data volume (A_R = page = 256 B), so the
 # self-tuned count tables get useful granularity — the scaling rule of
@@ -94,6 +95,15 @@ def build_database(seed: int = 3) -> Database:
     return db
 
 
+def show(executor: Executor, label: str, plan) -> None:
+    """Run ``plan`` and print its count and its plan with the actuals."""
+    pplan = executor.lower(plan)
+    result = executor.run(pplan)
+    print(f"   {label}: {result.rows[0][0]}")
+    for line in format_physical_plan(pplan, metrics=result.metrics).splitlines():
+        print(f"   {line}")
+
+
 def main() -> None:
     db = build_database()
     scheme = BDCCScheme(
@@ -116,29 +126,23 @@ def main() -> None:
 
     print("\n== B joins both A and C with sandwiched execution ==")
     executor = Executor(pdb, disk=DISK)
-    result = executor.execute(
+    show(executor, "joined rows", (
         scan("b")
         .join(scan("a"), on=[("b_a", "a_id")])
         .join(scan("c"), on=[("b_c", "c_id")])
         .groupby([], [AggSpec("rows", "count")])
-    )
-    print(f"   joined rows: {result.rows[0][0]}")
-    for note in result.metrics.notes:
-        print(f"   - {note}")
+    ))
 
     print("\n== A and C co-clustered on D1 without an FK between them ==")
     # "tuples in A and C from matching nations" (Section II): join the two
     # fact tables on the shared geography key, filtered to one continent
-    result = executor.execute(
+    show(executor, "matching-geography pairs in Asia", (
         scan("a")
         .join(scan("c"), on=[("a_geo", "c_geo")])
         .join(scan("d1", predicate=col("continent").eq("Asia")),
               on=[("a_geo", "geo")])
         .groupby([], [AggSpec("pairs", "count")])
-    )
-    print(f"   matching-geography pairs in Asia: {result.rows[0][0]}")
-    for note in result.metrics.notes:
-        print(f"   - {note}")
+    ))
 
 
 if __name__ == "__main__":

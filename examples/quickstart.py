@@ -25,6 +25,7 @@ from repro import (
     scan,
     string_type,
 )
+from repro.planner import format_physical_plan
 
 
 def build_catalog() -> Schema:
@@ -112,15 +113,16 @@ def main() -> None:
     results = {}
     for name, pdb in physical.items():
         executor = Executor(pdb)
-        result = executor.execute(revenue_per_region_query())
+        pplan = executor.lower(revenue_per_region_query())
+        result = executor.run(pplan)
         results[name] = result
         m = result.metrics
         print(
             f"  {name:>5}: simulated {m.total_seconds * 1e3:7.3f} ms, "
             f"IO {m.io_bytes / 1e6:6.2f} MB, peak mem {m.peak_memory_bytes / 1e3:8.1f} KB"
         )
-        for note in m.notes:
-            print(f"         - {note}")
+        for line in format_physical_plan(pplan, metrics=m).splitlines():
+            print(f"         {line}")
     assert sorted(results["plain"].rows) == sorted(results["bdcc"].rows)
     speedup = (
         results["plain"].metrics.total_seconds / results["bdcc"].metrics.total_seconds

@@ -14,14 +14,23 @@ the builtin base its callers caught before it had a name:
   commit failed before it published, and changed nothing;
 * :class:`DataflowError` — work waits on input that can never come: a
   fragment dependency cycle, a serving deadlock, or a fragment reading
-  a producer result that is not there.
+  a producer result that is not there;
+* :class:`CorruptArtifact` — a query log, trace or ledger on disk that
+  does not parse, or a ledger refused for append (a ``ValueError``).
 
 Each is raised chained to its cause (``raise ... from error``).
 """
 
 from __future__ import annotations
 
-__all__ = ["ReproError", "WorkerLost", "FragmentFailed", "CommitAborted", "DataflowError"]
+__all__ = [
+    "ReproError",
+    "WorkerLost",
+    "FragmentFailed",
+    "CommitAborted",
+    "DataflowError",
+    "CorruptArtifact",
+]
 
 
 class ReproError(Exception):
@@ -48,3 +57,9 @@ class DataflowError(ReproError, RuntimeError):
     whose dependencies form a cycle, queries waiting in a serving loop
     with nothing in flight, or an exchange leaf run outside the parallel
     scheduler (its producer's result is not there)."""
+
+
+class CorruptArtifact(ReproError, ValueError):
+    """An artifact on disk is damaged: a query-log line or a trace or
+    ledger document that is not JSON, or a ledger the reader has a
+    problem with, which is refused for append and left untouched."""

@@ -199,8 +199,6 @@ class ExecutionMetrics:
     peak_memory_by_tag: Dict[str, float] = field(default_factory=dict)
     #: free-form counters: CPU seconds per charge kind, and event counts.
     counters: Dict[str, float] = field(default_factory=dict)
-    #: human-readable notes from the planner (strategy decisions).
-    notes: List[str] = field(default_factory=list)
     #: per-operator actuals, keyed by physical-operator identity
     #: (``id(op)``); populated by the execution context as it runs.
     operators: Dict[int, OperatorActuals] = field(default_factory=dict)
@@ -262,12 +260,9 @@ class ExecutionMetrics:
         if counter:
             self.counters[counter] = self.counters.get(counter, 0.0) + seconds
 
-    def note(self, message: str) -> None:
-        self.notes.append(message)
-
-    def absorb(self, other: "ExecutionMetrics", note_prefix: str = "") -> None:
+    def absorb(self, other: "ExecutionMetrics") -> None:
         """Add another execution's charges to this one: IO/CPU seconds,
-        scan counts, counters, notes and per-operator actuals (see
+        scan counts, counters and per-operator actuals (see
         :func:`merge_operator_actuals`).  How the two *overlapped* —
         wall clock, peak memory, fragment timelines — is the caller's
         to say."""
@@ -278,7 +273,6 @@ class ExecutionMetrics:
         self.compaction_seconds += other.compaction_seconds
         for key, value in other.counters.items():
             self.counters[key] = self.counters.get(key, 0.0) + value
-        self.notes.extend(note_prefix + note for note in other.notes)
         merge_operator_actuals(self.operators, other.operators)
 
     def bump(self, counter: str, amount: float = 1.0) -> None:

@@ -264,11 +264,9 @@ class PhysicalScan(PhysicalOp):
     restrictions: Tuple[Tuple[int, np.ndarray, int], ...] = ()
     #: (base_column, low, high) ranges whose zone maps prune blocks.
     minmax_ranges: Tuple[Tuple[str, float, float], ...] = ()
-    selection_notes: Tuple[str, ...] = ()
     #: (use_index, effective_bits, hidden_column) BDCC uses to surface.
     sandwich_uses: Tuple[Tuple[int, int, str], ...] = ()
     est_rows: float = 0.0
-    replica_note: str = ""
     #: (run_index, selected positions within the run) per delta run,
     #: resolved at lowering from the delta store's keys/zone maps; None
     #: for a table with no pending delta state.
@@ -284,8 +282,6 @@ class PhysicalScan(PhysicalOp):
         return f"{self.kind} {self.table}{alias}{pred}"
 
     def execute(self, ctx: ExecutionContext) -> Relation:
-        if self.replica_note:
-            ctx.metrics.note(self.replica_note)
         stored = self.stored
         demanded = list(self.demanded)
         bdcc = stored.bdcc
@@ -347,14 +343,12 @@ class PhysicalScan(PhysicalOp):
             merged, merged_keys = stored.merge_pieces(columns, keys, sort_values)
             merged = Relation(columns=merged)
             ctx.charge_cpu(total * ctx.costs.merge_row, "scan")
+        return self._finish(ctx, merged, merged_keys, total)
 
-        note = f"delta merge {delta_n} rows from {len(reads)} runs"
-        return self._finish(ctx, merged, merged_keys, total, note)
-
-    def _finish(self, ctx: ExecutionContext, rel, keys, num_selected, *extra_notes):
+    def _finish(self, ctx: ExecutionContext, rel, keys, num_selected):
         """Surface hidden group columns (from ``keys`` when given, else
-        per count-table entry) beside ``rel``, note the selection (plus
-        ``extra_notes``), apply the residual predicate."""
+        per count-table entry) beside ``rel``, apply the residual
+        predicate."""
         if self.sandwich_uses:
             bdcc = self.stored.bdcc
             if keys is None:
@@ -386,9 +380,6 @@ class PhysicalScan(PhysicalOp):
                 num_selected * ctx.costs.sandwich_row_overhead * len(self.sandwich_uses),
                 "scan",
             )
-        note_bits = [*self.selection_notes, *extra_notes]
-        if note_bits:
-            ctx.metrics.note(f"scan {self.alias}: " + ", ".join(note_bits))
         if self.predicate is not None:
             rel = _filter(ctx, rel, self.predicate)
         return rel
@@ -513,9 +504,6 @@ def group_ids(rel: Relation, on) -> np.ndarray:
 def _account_merge_join(op, ctx, left, right) -> None:
     """Both inputs arrive ordered on the join keys (the PK scheme's
     LINEITEM/ORDERS and PART/PARTSUPP cases); state-free."""
-    ctx.metrics.note(
-        f"merge join on {op.left_cols} ({op.how}, {left.num_rows}x{right.num_rows})"
-    )
     ctx.charge_cpu((left.num_rows + right.num_rows) * ctx.costs.merge_row, "join")
 
 
@@ -541,12 +529,6 @@ def _account_hash_join(op, ctx, left, right) -> None:
             per_row = build_bytes / len(build_gid)
             state_bytes = float(counts.max()) * per_row
             num_groups = int(np.count_nonzero(counts))
-            ctx.metrics.note(
-                f"sandwich join on {op.left_cols} via "
-                + "+".join(p[0].dimension.name for p in op.pairs)
-                + f" @{total_bits} bits: {num_groups} groups, "
-                f"max group {state_bytes/1e6:.3f} MB (full build {build_bytes/1e6:.2f} MB)"
-            )
             ctx.metrics.bump("sandwich_joins")
         # the model of scatter-order delivery (the paper's §II scan) for
         # both inputs: one random access per group and input instead of
@@ -555,11 +537,6 @@ def _account_hash_join(op, ctx, left, right) -> None:
         sandwich_cpu = (
             num_groups * costs.sandwich_group_overhead
             + (left.num_rows + right.num_rows) * costs.sandwich_row_overhead
-        )
-    else:
-        ctx.metrics.note(
-            f"hash join on {op.left_cols} ({op.how}), build "
-            f"{build_rel.num_rows} rows / {build_bytes/1e6:.2f} MB"
         )
     ctx.hold(f"join:{op.left_cols}", state_bytes + num_groups * _GROUP_HEADER_BYTES)
     factor = costs.cache_factor(state_bytes)
@@ -680,22 +657,11 @@ def _account_table_agg(op, ctx, rel, group_index, num_groups, state_row) -> None
     ctx.charge_cpu(rel.num_rows * ctx.costs.agg_update_row * factor, "aggregate")
     if op.strategy == "partial":
         ctx.metrics.bump("partial_agg_rows", num_groups)
-    elif op.keys and op.strategy == "hash":
-        ctx.metrics.note(
-            f"hash aggregation on {op.keys}: {num_groups} groups, "
-            f"{total_state/1e6:.2f} MB"
-        )
-    elif op.keys:
-        ctx.metrics.note(
-            f"merge aggregation on {op.keys}: {num_groups} groups "
-            f"from {rel.num_rows} partial rows"
-        )
 
 
 def _account_stream_agg(op, ctx, rel, group_index, num_groups, state_row) -> None:
     """The input arrives ordered on (a functional determinant of) the
     grouping keys: one live group at a time."""
-    ctx.metrics.note(f"streaming aggregation on {op.keys}")
     ctx.charge_cpu(rel.num_rows * ctx.costs.stream_agg_row, "aggregate")
     ctx.hold("agg:stream", state_row)  # one live group
 
@@ -718,12 +684,6 @@ def _account_sandwich_agg(op, ctx, rel, group_index, num_groups, state_row) -> N
         "aggregate",
     )
     ctx.charge_io(0.0, num_partitions, num_partitions * ctx.disk.access_latency)
-    ctx.metrics.note(
-        f"sandwich aggregation on {op.keys} via "
-        + "+".join(u.dimension.name for u, _ in op.partition_uses)
-        + f": {num_partitions} partitions, max state "
-        f"{max_state/1e6:.3f} MB (full {num_groups * state_row/1e6:.2f} MB)"
-    )
     ctx.metrics.bump("sandwich_aggs")
 
 
@@ -825,6 +785,11 @@ class Sort(PhysicalOp):
             sort_keys = []
             for column, ascending in reversed(self.keys):
                 values = rel.column(column)
+                valid = rel.valid.get(column)
+                if valid is not None:
+                    # NULLs tie with each other, whatever placeholder lies
+                    # under them, and come first ascending, last descending
+                    values = np.where(valid, values, values[np.argmax(valid)])
                 if not ascending:
                     # ~ reverses every integer width (and bool) exactly;
                     # a trip through float64 would tie keys beyond 2**53
@@ -835,6 +800,8 @@ class Sort(PhysicalOp):
                     else:
                         values = -factorize(values)[0]
                 sort_keys.append(values)
+                if valid is not None:
+                    sort_keys.append(valid if ascending else ~valid)
             order = np.lexsort(tuple(sort_keys))
             rel = rel.take(order)
         ctx.hold("sort", rel.data_bytes())

@@ -24,6 +24,7 @@ import json
 import sys
 from typing import List
 
+from ..errors import CorruptArtifact
 from .history import current_git_sha, ledger_paths, read_ledger
 from .query_log import (
     RECORD_SPEC,
@@ -54,7 +55,10 @@ def _validate_file(path: str) -> List[str]:
             return ["no records"]
         return _log_problems(records)
     with open(path) as fh:
-        document = json.load(fh)
+        try:
+            document = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CorruptArtifact(f"not JSON ({exc})") from None
     if isinstance(document, dict) and "traceEvents" in document:
         errors = validate_trace(document)
         if not errors and not document["traceEvents"]:

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..errors import CorruptArtifact
 from .schema import NUMBER, problems
 
 __all__ = [
@@ -269,14 +270,15 @@ def append_record(
     an atomic rename, so a crashed benchmark can truncate at worst its
     own append.  A ledger the reader has any problem with — truncated
     JSON, the wrong document shape, one corrupt record among good ones
-    — is refused with ``ValueError`` and left byte-for-byte untouched:
+    — is refused with :class:`~repro.errors.CorruptArtifact` (a
+    ``ValueError``) and left byte-for-byte untouched:
     rewriting it from the records that still parse would replace the
     evidence with a shorter, clean-looking trajectory before
     ``regress`` ever saw it."""
     path = ledger_path(name, directory)
     ledger = read_ledger(path, name=name)
     if ledger.errors:
-        raise ValueError(
+        raise CorruptArtifact(
             f"refusing to append to corrupt ledger {path}: "
             + "; ".join(ledger.errors[:5])
         )

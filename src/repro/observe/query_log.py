@@ -18,10 +18,10 @@ emitted record to it.
 Records are plain JSON: finite floats, ints, strings, lists,
 string-keyed dicts.  ``SCHEMA_VERSION`` bumps whenever a required field
 changes meaning, and the validator accepts exactly the current version
-(2: the per-record ``registry_delta`` — counter increments since the
-previous record, next to the cumulative ``registry`` snapshot, which in
-a suite run includes every prior query's counters — and the per-fragment
-``profile`` entries).  The shape is declared once, in ``RECORD_SPEC``
+(3: no free-text ``notes``; a decision is the operator's rationale in
+the plan and a number is its entry in ``operators``; 2 added the
+per-record ``registry_delta`` and the per-fragment ``profile``
+entries).  The shape is declared once, in ``RECORD_SPEC``
 (checked by :mod:`~repro.observe.schema`); the ``operators`` /
 ``fragments`` entries and the ``simulated`` block are derived from the
 :mod:`~repro.execution.metrics` dataclasses that own those fields.
@@ -36,6 +36,7 @@ import math
 import typing
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import CorruptArtifact
 from ..execution.metrics import (
     ExecutionMetrics,
     FragmentActuals,
@@ -57,7 +58,7 @@ __all__ = [
     "latency_stats",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------- fingerprints
@@ -185,7 +186,6 @@ def build_record(
             },
         },
         "counters": {k: float(v) for k, v in sorted(metrics.counters.items())},
-        "notes": list(metrics.notes),
         "operators": [_entry(a, _OPERATOR) for a in metrics.operators.values()],
         "fragments": [_entry(f, _FRAGMENT) for f in metrics.fragments],
         "registry": registry.snapshot(),
@@ -225,7 +225,6 @@ RECORD_SPEC = {
     "measured": {"wall_seconds": NUMBER},
     "memory": {"peak_bytes": NUMBER, "by_tag": {...: NUMBER}},
     "counters": {...: NUMBER},
-    "notes": list,
     "operators": [_shape(_OPERATOR)],
     "fragments": [Rule(_shape(_FRAGMENT), _fragment_order)],
     "registry": {"counters": {...: NUMBER}, "gauges": {...: NUMBER}},
@@ -280,7 +279,8 @@ class QueryLog:
 def read_records(path: str) -> List[dict]:
     """Load a JSONL query log (no schema validation; pair with
     :func:`record_errors` to check).  A line that is not JSON — a
-    half-written last line — raises ``ValueError`` naming the line."""
+    half-written last line — raises :class:`~repro.errors.CorruptArtifact`
+    naming the line."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
@@ -288,7 +288,7 @@ def read_records(path: str) -> List[dict]:
                 try:
                     records.append(json.loads(line))
                 except json.JSONDecodeError as exc:
-                    raise ValueError(
+                    raise CorruptArtifact(
                         f"line {number}: not JSON ({exc.msg})"
                     ) from None
     return records

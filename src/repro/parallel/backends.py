@@ -132,9 +132,10 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes):
     results of the fragment's dependencies (a relation pickles as its
     gathered rows, never the arrays it indexes; counted in
     ``process_backend.deps_bytes``).  Returns the fragment's
-    relation, its metrics (operator actuals re-listed in pre-order walk
-    position, since ``id()`` keys do not survive the process
-    boundary) and the measured wall-clock window as absolute
+    relation, its metrics (each operator's actuals as a pair of its
+    pre-order walk position and the record, in the order they were
+    recorded, since ``id()`` keys do not survive the process boundary)
+    and the measured wall-clock window as absolute
     ``perf_counter`` timestamps — with the fork start method the clock
     is shared with the parent, which rebases the window onto the run's
     origin to place the fragment on the measured timeline.  With
@@ -146,7 +147,8 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes):
     started = time.perf_counter()
     relation, metrics = run_fragment(root, disk, costs, deps, profile)
     ended = time.perf_counter()
-    actuals = [metrics.operators.get(id(op)) for op in walk_physical(root)]
+    position = {id(op): i for i, op in enumerate(walk_physical(root))}
+    actuals = [(position[key], record) for key, record in metrics.operators.items()]
     metrics.operators = {}
     return index, relation, metrics, actuals, (started, ended)
 
@@ -331,13 +333,11 @@ class ProcessBackend(ExecutionBackend):
                 fragment = by_index[index]
                 # the worker ran a pickled copy of the fragment tree; its
                 # id() keys are meaningless here, so the actuals come back
-                # as a pre-order list and are re-keyed against our tree —
-                # structurally identical across the pickle round-trip
-                metrics.operators = {
-                    id(op): record
-                    for op, record in zip(walk_physical(fragment.root), actuals)
-                    if record is not None
-                }
+                # by pre-order position and are re-keyed against our tree
+                # (structurally identical across the pickle round-trip) in
+                # the order the worker recorded them
+                ops = list(walk_physical(fragment.root))
+                metrics.operators = {id(ops[i]): record for i, record in actuals}
                 keep(index, relation, metrics, window)
                 for waiter in dependents.get(index, ()):
                     deps = remaining[waiter]

@@ -53,7 +53,7 @@ Two result contracts govern the gathers (docs/execution-model.md):
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -136,7 +136,6 @@ class ParallelPlan:
     workers: int
     scheme_name: str
     serial: object       # the PhysicalPlan this was derived from
-    notes: List[str] = field(default_factory=list)
 
     @property
     def final(self) -> Fragment:
@@ -230,7 +229,6 @@ class _FragmentPlanner:
         self.enable_copartition = enable_copartition
         self.enable_partial_agg = enable_partial_agg
         self.fragments: List[Fragment] = []
-        self.notes: List[str] = []
 
     # ------------------------------------------------------------ building
     def _add(self, root: PhysicalOp, role: str, note: str) -> int:
@@ -280,7 +278,6 @@ class _FragmentPlanner:
             Exchange(source_fragment=s, partition=i, partitions=len(parts))
             for i, s in enumerate(sources)
         )
-        self.notes.append(note)
         if not rationale:
             if split.ordered:
                 rationale = f"gather {len(parts)} partitions ({note})"
@@ -460,7 +457,6 @@ class _FragmentPlanner:
         sub = self._split(side)
         if sub is None:
             return (self._add(side, "source", "repartition source: serial subtree"),)
-        self.notes.append(sub.note)
         return tuple(
             self._add(
                 part, "source",
@@ -593,8 +589,7 @@ class _FragmentPlanner:
         base_part = part_of(base_zones)
         run_parts = [(index, part_of(zones)) for index, zones in run_zones]
         parts: List[PhysicalOp] = []
-        n_parts = len(bounds) + 1
-        for p in range(n_parts):
+        for p in range(len(bounds) + 1):
             part_base = selection.subset(base_part == p)
             part_sel = tuple(
                 (index, sel.subset(parts_of_run == p))
@@ -608,8 +603,6 @@ class _FragmentPlanner:
                     selection=part_base,
                     delta_selected=part_sel,
                     est_rows=op.est_rows * part_live / max(total, 1),
-                    selection_notes=op.selection_notes
-                    + (f"partition {p + 1}/{n_parts} ({share})",),
                     rationale=_extend_rationale(op.rationale, f"zone-aligned {share}"),
                 )
             )
@@ -653,8 +646,6 @@ class _FragmentPlanner:
                     op,
                     selection=selection.slice(a, b),
                     est_rows=op.est_rows * (b - a) / max(total, 1),
-                    selection_notes=op.selection_notes
-                    + (f"partition {i + 1}/{len(bounds) - 1} ({share})",),
                     rationale=_extend_rationale(op.rationale, f"{alignment}-aligned {share}"),
                 )
             )
@@ -738,5 +729,4 @@ def plan_fragments(
         workers=planner.workers,
         scheme_name=pplan.scheme_name,
         serial=pplan,
-        notes=planner.notes,
     )

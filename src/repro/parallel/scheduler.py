@@ -411,11 +411,7 @@ def merge_scheduled(
     for fragment in plan.fragments:
         metrics = fragment_metrics[fragment.index]
         slot = slot_of[fragment.index]
-        # notes keep their fragment provenance; a one-fragment plan has
-        # none to keep
-        merged.absorb(
-            metrics, note_prefix=f"[f{fragment.index}] " if plan.is_parallel else ""
-        )
+        merged.absorb(metrics)
         output_bytes = 0.0
         if consumers.get(fragment.index):
             output_bytes = metrics.output_bytes

@@ -9,8 +9,13 @@ hash aggregation, pushdown/minmax scan pruning and replica choice.
 ``explain(executor, plan, analyze=True)`` additionally *runs* the plan
 and annotates every physical node with its per-operator actuals — rows
 in/out, exclusive simulated IO and CPU seconds, and reserved operator
-memory — plus the executor's runtime notes (actual group counts, build
-sizes) and the query totals, like SQL's ``EXPLAIN ANALYZE``.
+memory — plus the query totals and the peak memory per tag, like SQL's
+``EXPLAIN ANALYZE``.  A decision is read off its operator's rationale
+and a number off its operator's actuals: a sandwich join's group count
+is its ``io`` accesses (one per group and input), a hash aggregate's
+group count its ``rows`` out.  :func:`format_explain` renders that text
+for one lowered plan; ``python -m repro.tpch --explain`` calls it once
+per query stage.
 
 When the executor's options ask for ``workers > 1`` the rendering
 switches to the *fragment* view: every plan fragment with its role
@@ -48,7 +53,13 @@ from .logical import (
 )
 from .lowering import PhysicalPlan
 
-__all__ = ["format_plan", "format_physical_plan", "format_parallel_plan", "explain"]
+__all__ = [
+    "format_plan",
+    "format_physical_plan",
+    "format_parallel_plan",
+    "format_explain",
+    "explain",
+]
 
 
 def _describe(node: PlanNode) -> str:
@@ -177,40 +188,25 @@ def _decisions(pplan: PhysicalPlan) -> List[str]:
     return out
 
 
-def explain(executor: Executor, plan, analyze: bool = False) -> str:
-    """Physical plan + strategy decisions; with ``analyze``, also run the
-    query and report actual notes and simulated costs.  With
-    ``options.workers > 1`` the plan is rendered as its fragments."""
-    pplan = executor.lower(plan)
+def format_explain(
+    executor: Executor,
+    pplan: PhysicalPlan,
+    metrics: Optional[ExecutionMetrics] = None,
+) -> str:
+    """The EXPLAIN text of one lowered plan: the operator tree with each
+    operator's rationale — as its fragments when ``executor``'s options
+    make the plan parallel — and, with ``metrics`` from a run of it,
+    every operator's actuals, the cost line and the peak memory per
+    tag (EXPLAIN ANALYZE)."""
     parallel = executor.execution_plan(pplan)
-    metrics: Optional[ExecutionMetrics] = None
-    if analyze:
-        metrics = executor.run(pplan).metrics
-    scheme_line = f"scheme: {executor.pdb.scheme_name}"
     if parallel.is_parallel:
-        scheme_line += f", workers: {parallel.workers}"
-        body = format_parallel_plan(parallel, verbose=True, metrics=metrics)
+        tree = format_parallel_plan(parallel, verbose=True, metrics=metrics)
     else:
-        body = format_physical_plan(pplan, verbose=True, metrics=metrics)
+        tree = format_physical_plan(pplan, verbose=True, metrics=metrics)
+    if metrics is None:
+        return tree
     parts = [
-        scheme_line,
-        body,
-        "",
-        "decisions:",
-    ]
-    decisions = _decisions(pplan)
-    if decisions:
-        parts.extend(f"  - {d}" for d in decisions)
-    else:
-        parts.append("  - (none: plain scans and default strategies)")
-    if not analyze:
-        return "\n".join(parts)
-
-    parts.append("")
-    parts.append("actual:")
-    if metrics.notes:
-        parts.extend(f"  - {note}" for note in metrics.notes)
-    parts.append(
+        tree,
         "cost: %.3f ms simulated (IO %.3f ms / %.2f MB in %d accesses, "
         "CPU %.3f ms), peak memory %.3f MB, %d rows out"
         % (
@@ -221,8 +217,8 @@ def explain(executor: Executor, plan, analyze: bool = False) -> str:
             metrics.cpu_seconds * 1e3,
             metrics.peak_memory_bytes / 1e6,
             metrics.rows_produced,
-        )
-    )
+        ),
+    ]
     if metrics.peak_memory_by_tag:
         # per-tag peaks are each tag's own concurrent maximum; they
         # attribute the overall peak but need not sum to it
@@ -233,4 +229,24 @@ def explain(executor: Executor, plan, analyze: bool = False) -> str:
         parts.extend(
             f"  - {tag}: {peak / 1e6:.3f} MB" for tag, peak in ordered
         )
+    return "\n".join(parts)
+
+
+def explain(executor: Executor, plan, analyze: bool = False) -> str:
+    """Physical plan + strategy decisions; with ``analyze``, also run the
+    query and report its actuals and simulated costs
+    (:func:`format_explain`).  With ``options.workers > 1`` the plan is
+    rendered as its fragments."""
+    pplan = executor.lower(plan)
+    metrics = executor.run(pplan).metrics if analyze else None
+    scheme_line = f"scheme: {executor.pdb.scheme_name}"
+    parallel = executor.execution_plan(pplan)
+    if parallel.is_parallel:
+        scheme_line += f", workers: {parallel.workers}"
+    parts = [scheme_line, format_explain(executor, pplan, metrics), "", "decisions:"]
+    decisions = _decisions(pplan)
+    if decisions:
+        parts.extend(f"  - {d}" for d in decisions)
+    else:
+        parts.append("  - (none: plain scans and default strategies)")
     return "\n".join(parts)

@@ -200,15 +200,15 @@ def _resolve_selection(stored, restrictions, minmax_ranges):
 
     Applies count-table group pruning (``restrictions``) and zone-map
     block pruning (``minmax_ranges``) to the whole table; returns
-    ``(selection, note_bits)``.  Computed once here and carried on the
+    ``(selection, rationale_bits)``.  Computed once here and carried on the
     :class:`PhysicalScan` for every run."""
     n = stored.stored_rows
     bdcc = stored.bdcc
-    note_bits: List[str] = []
+    bits: List[str] = []
     selection = stored.logical_selection()
     if bdcc is not None and restrictions:
         entries = bdcc.entries_matching(list(restrictions))
-        note_bits.append(f"pushdown {len(entries)}/{bdcc.count_table.num_groups} groups")
+        bits.append(f"pushdown {len(entries)}/{bdcc.count_table.num_groups} groups")
         selection = bdcc.count_table.selection(entries)
 
     if minmax_ranges and n > 0:
@@ -217,8 +217,8 @@ def _resolve_selection(stored, restrictions, minmax_ranges):
         for column, low, high in minmax_ranges:
             zones = zones.intersect(stored.minmax_for(column).select(low, high, n))
         selection = selection.intersect(zones)
-        note_bits.append(f"minmax {len(zones)}/{n} rows")
-    return selection, note_bits
+        bits.append(f"minmax {len(zones)}/{n} rows")
+    return selection, bits
 
 
 @dataclass
@@ -311,12 +311,12 @@ class _Lowering:
             best = min(candidates, key=selected_fraction)
             if best[0] is not primary:
                 index = next(i for i, c in enumerate(copies) if c is best[0])
-                note = (
-                    f"scan {alias}: replica #{index + 1} selected "
+                reason = (
+                    f"replica #{index + 1} selected "
                     f"({selected_fraction(best):.0%} of rows vs "
                     f"{selected_fraction(candidates[0]):.0%} on the primary)"
                 )
-                self._replica_choice[alias] = (best[0], best[1], note)
+                self._replica_choice[alias] = (best[0], best[1], reason)
 
     # ----------------------------------------------------------- dispatch
     def _lower(self, node: PlanNode) -> _Stream:
@@ -338,10 +338,11 @@ class _Lowering:
 
     # --------------------------------------------------------------- scan
     def _lower_scan(self, node: ScanNode) -> _Stream:
-        replica_note = ""
+        rationale_bits = []
         chosen = self._replica_choice.get(node.alias)
         if chosen is not None:
-            stored, restrictions, replica_note = chosen
+            stored, restrictions, reason = chosen
+            rationale_bits.append(reason)
         else:
             stored = self.pdb.table(node.table)
             restrictions = self._restrictions.get(node.alias, [])
@@ -367,7 +368,8 @@ class _Lowering:
                     continue
                 minmax_ranges.append((base, low, high))
 
-        selection, note_bits = _resolve_selection(stored, restrictions, minmax_ranges)
+        selection, selection_bits = _resolve_selection(stored, restrictions, minmax_ranges)
+        rationale_bits.extend(selection_bits)
 
         # ---- merge-on-read: mask deletions, select delta-run rows -------
         delta_selected: Optional[Tuple[Tuple[int, Selection], ...]] = None
@@ -377,11 +379,11 @@ class _Lowering:
             delta = stored.delta
             if delta.base_deleted.any():
                 selection = selection.intersect(Selection.from_mask(~delta.base_deleted))
-                note_bits.append(f"{delta.deleted_base_rows} deleted rows masked")
+                rationale_bits.append(f"{delta.deleted_base_rows} deleted rows masked")
             delta_selected, delta_live = self._select_delta_rows(
                 stored, restrictions, minmax_ranges
             )
-            note_bits.append(
+            rationale_bits.append(
                 f"+{delta_live}/{delta.live_delta_rows} delta rows "
                 f"({len(delta.runs)} runs, epoch {stored.epoch})"
             )
@@ -407,10 +409,6 @@ class _Lowering:
                     StreamUse(node.alias, use.dimension, use.path, eff_bits, column_name)
                 )
 
-        rationale_bits = []
-        if replica_note:
-            rationale_bits.append(replica_note.split(": ", 1)[1])
-        rationale_bits.extend(note_bits)
         if uses:
             rationale_bits.append(
                 "carries " + "+".join(u.dimension.name for u in uses)
@@ -426,11 +424,9 @@ class _Lowering:
             restrictions=tuple(restrictions),
             minmax_ranges=tuple(minmax_ranges),
             selection=selection,
-            selection_notes=tuple(note_bits),
             sandwich_uses=tuple(sandwich_uses),
             est_rows=est_rows,
             rationale=", ".join(rationale_bits),
-            replica_note=replica_note,
             delta_selected=delta_selected,
         )
         columns = {prefix + c: value_bytes(stored.columns[c]) for c in demanded}

@@ -331,7 +331,6 @@ class _ServeState:
             record = QueryRecord(
                 stream=ticket.stream,
                 seq=ticket.seq,
-                global_seq=ticket.submit_seq,
                 description=ticket.description,
                 submit_seconds=ticket.submitted,
                 admit_seconds=admit_seconds,

@@ -32,7 +32,6 @@ class QueryRecord:
 
     stream: str
     seq: int                      # index within its stream
-    global_seq: int               # global submission sequence
     description: str
     submit_seconds: float
     admit_seconds: float

@@ -23,7 +23,7 @@ from ..core.advisor import SchemaAdvisor
 from ..core.report import design_report
 from ..observe import SCHEMA_VERSION
 from ..planner.executor import Executor
-from ..planner.explain import format_parallel_plan, format_physical_plan
+from ..planner.explain import format_explain
 from ..serving import (
     PlanListStream,
     ServingEngine,
@@ -244,38 +244,11 @@ def main(argv: List[str] | None = None) -> int:
                     runner = QueryRunner(executor)
                     result = fn(runner)
                     observe(qname, scheme_name, runner, result)
-                    for stage, pplan in enumerate(runner.physical_plans):
+                    stages = zip(runner.physical_plans, runner.stage_metrics)
+                    for stage, (pplan, stage_metrics) in enumerate(stages):
                         if len(runner.physical_plans) > 1:
                             print(f"-- stage {stage + 1}")
-                        stage_metrics = runner.stage_metrics[stage]
-                        parallel = executor.execution_plan(pplan)
-                        if parallel.is_parallel:
-                            print(format_parallel_plan(parallel, metrics=stage_metrics))
-                        else:
-                            print(format_physical_plan(pplan, metrics=stage_metrics))
-                    print(
-                        "cost: %.3f ms simulated, peak memory %.3f MB, %d rows"
-                        % (
-                            runner.metrics.total_seconds * 1e3,
-                            runner.metrics.peak_memory_bytes / 1e6,
-                            result.relation.num_rows,
-                        )
-                    )
-                    # single-stage queries already printed the same
-                    # number inside the fragment view above
-                    if (
-                        runner.metrics.measured_wall_seconds > 0.0
-                        and len(runner.stage_metrics) > 1
-                    ):
-                        print(
-                            "measured: %.3f ms wall on the %s backend"
-                            % (
-                                runner.metrics.measured_wall_seconds * 1e3,
-                                runner.metrics.backend,
-                            )
-                        )
-                    for note in runner.metrics.notes:
-                        print(f"  - {note}")
+                        print(format_explain(executor, pplan, stage_metrics))
         sink.finish()
         return 0
 

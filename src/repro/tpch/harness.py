@@ -10,7 +10,7 @@ reported numbers, so paper and measured read side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..core.advisor import AdvisorConfig
 from ..planner.executor import ExecutionOptions
@@ -29,13 +29,11 @@ __all__ = ["QueryMeasurement", "SchemeResults", "SuiteResult", "build_schemes", 
 
 @dataclass
 class QueryMeasurement:
-    query: str
     seconds: float
     io_seconds: float
     cpu_seconds: float
     peak_memory_bytes: float
     rows: int
-    notes: List[str] = field(default_factory=list)
     #: simulated wall clock (scheduler makespan; == seconds when serial)
     makespan_seconds: float = 0.0
     workers: int = 1
@@ -213,13 +211,11 @@ def run_suite(
                 observer=hook,
             )
             schemes[sname].measurements[qname] = QueryMeasurement(
-                query=qname,
                 seconds=metrics.total_seconds,
                 io_seconds=metrics.io_seconds,
                 cpu_seconds=metrics.cpu_seconds,
                 peak_memory_bytes=metrics.peak_memory_bytes,
                 rows=result.relation.num_rows,
-                notes=list(metrics.notes),
                 makespan_seconds=metrics.makespan_seconds,
                 workers=metrics.workers,
             )

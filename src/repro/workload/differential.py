@@ -28,7 +28,7 @@ import numpy as np
 from ..core.count_table import CountTable
 from ..execution.cost import CostModel
 from ..planner.executor import ExecutionOptions, Executor
-from ..planner.explain import format_physical_plan, format_plan
+from ..planner.explain import format_explain, format_plan
 from ..schemes.base import PhysicalDatabase
 from ..storage.io_model import DiskModel
 from ..updates import UpdateSession
@@ -301,13 +301,11 @@ class Divergence:
     @classmethod
     def of(cls, executor: Executor, plan, metrics=None, **fields) -> "Divergence":
         """The divergence of ``plan`` under ``executor``: renders the
-        logical plan and the executor's physical plan for it, annotated
-        with the per-operator actuals of ``metrics`` when it ran."""
+        logical plan and the executor's EXPLAIN of it, with the actuals
+        of ``metrics`` when it ran."""
         return cls(
             logical_plan=format_plan(plan),
-            physical_plan=format_physical_plan(
-                executor.lower(plan), verbose=True, metrics=metrics
-            ),
+            physical_plan=format_explain(executor, executor.lower(plan), metrics),
             **fields,
         )
 

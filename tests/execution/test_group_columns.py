@@ -153,16 +153,17 @@ def _check(op, env):
 
 def _shape(op):
     bdcc = op.stored.bdcc
-    notes = " ".join(op.selection_notes)
+    # a partition's rationale ends in its zone-aligned share of the scan
+    rationale = op.rationale
     if _has_delta_rows(op):
-        return "delta partition" if "partition" in notes else "delta merge"
-    if "partition" in notes:
+        return "delta partition" if "-aligned" in rationale else "delta merge"
+    if "-aligned" in rationale:
         return "partition"
     if not bdcc.count_table.valid.all():
         return "consolidated"
-    if "deleted rows masked" in notes:
+    if "deleted rows masked" in rationale:
         return "deletes masked"
-    if "minmax" in notes:
+    if "minmax" in rationale:
         return "zone-map pruned"
     if not op.selection.is_whole(op.stored.stored_rows):
         return "pushdown selected"

@@ -169,12 +169,10 @@ class TestExecutionMetrics:
         assert m.total_seconds == pytest.approx(0.75)
         assert m.counters["join"] == pytest.approx(0.25)
 
-    def test_notes_and_bumps(self):
+    def test_bumps(self):
         m = ExecutionMetrics()
-        m.note("hello")
         m.bump("sandwich_joins")
         m.bump("sandwich_joins")
-        assert m.notes == ["hello"]
         assert m.counters["sandwich_joins"] == 2.0
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
+from repro.execution.operators import PhysicalScan
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
 from repro.schemes.bdcc import BDCCScheme
@@ -39,17 +40,28 @@ def _date_query():
     )
 
 
+def _scans(executor, plan):
+    """``{alias: scan}`` of the plan as lowered: a replica choice is a
+    scan's stored copy, and its reason leads the scan's rationale."""
+    return {
+        op.alias: op for op in executor.lower(plan).operators()
+        if isinstance(op, PhysicalScan)
+    }
+
+
 class TestReplicaSelection:
     def test_part_query_uses_replica(self, replicated_db, environment, tpch_db):
         n_part = tpch_db.num_rows("part")
         executor = Executor(replicated_db, disk=environment.disk)
-        result = executor.execute(_part_query(1, max(2, n_part // 20)))
-        assert any("replica #1 selected" in n for n in result.metrics.notes)
+        lineitem = _scans(executor, _part_query(1, max(2, n_part // 20)))["lineitem"]
+        assert lineitem.stored is replicated_db.replicas["lineitem"][0]
+        assert lineitem.rationale.startswith("replica #1 selected (")
 
     def test_date_query_keeps_primary(self, replicated_db, environment):
         executor = Executor(replicated_db, disk=environment.disk)
-        result = executor.execute(_date_query())
-        assert not any("replica" in n for n in result.metrics.notes)
+        for op in _scans(executor, _date_query()).values():
+            assert op.stored is replicated_db.table(op.table)
+            assert "replica" not in op.rationale
 
     def test_results_identical_with_and_without_replica(
         self, replicated_db, bdcc_db, environment, tpch_db
@@ -77,8 +89,9 @@ class TestReplicaSelection:
             disk=environment.disk,
             options=ExecutionOptions(enable_pushdown=False),
         )
-        result = executor.execute(_part_query(1, 10))
-        assert not any("replica" in n for n in result.metrics.notes)
+        for op in _scans(executor, _part_query(1, 10)).values():
+            assert op.stored is replicated_db.table(op.table)
+            assert "replica" not in op.rationale
 
     def test_replica_without_uses_rejected(self, tpch_db, environment):
         scheme = BDCCScheme(

@@ -176,13 +176,12 @@ class TestMergeParallelMetrics:
         )
         return parallel, results, fragment_metrics
 
-    def test_counters_sum_and_notes_concatenate(self, bdcc_db, environment):
+    def test_counters_sum(self, bdcc_db, environment):
         parallel, results, fragment_metrics = self._fragment_run(
             bdcc_db, environment
         )
         for index, metrics in fragment_metrics.items():
             metrics.counters["test.marker"] = 1.0
-            metrics.notes.append("synthetic note")
         _, merged = merge_parallel_metrics(
             parallel, results, fragment_metrics, environment.disk
         )
@@ -192,9 +191,6 @@ class TestMergeParallelMetrics:
                 m.counters.get(key, 0.0) for m in fragment_metrics.values()
             )
             assert merged.counters[key] == pytest.approx(expected)
-        # notes keep their fragment provenance
-        for index in fragment_metrics:
-            assert f"[f{index}] synthetic note" in merged.notes
 
     def test_tag_peaks_use_the_concurrent_peak_rule(self, bdcc_db, environment):
         parallel, results, fragment_metrics = self._fragment_run(

@@ -80,7 +80,7 @@ class TestRecordShape:
         record = _record(bdcc_db, environment, "Q01", workers=4)
         assert sorted(record) == [
             "backend", "counters", "epoch", "fragments", "label", "measured",
-            "memory", "notes", "operators", "options", "plan_fingerprint",
+            "memory", "operators", "options", "plan_fingerprint",
             "registry", "registry_delta", "result", "schema_version",
             "scheme", "simulated", "table_epochs", "workers",
         ]
@@ -182,11 +182,17 @@ class TestValidator:
 
     def test_v2_requires_registry_delta(self, bdcc_db, environment):
         record = _record(bdcc_db, environment, "Q06")
-        assert record["schema_version"] == 2
+        assert record["schema_version"] == SCHEMA_VERSION == 3
         assert "registry_delta" in record
         stripped = dict(record)
         del stripped["registry_delta"]
         assert any("registry_delta" in e for e in record_errors(stripped))
+
+    def test_v3_has_no_free_text_notes(self, bdcc_db, environment):
+        record = dict(_record(bdcc_db, environment, "Q13"))
+        assert "notes" not in record
+        record["notes"] = ["scan orders: pushdown 25/25 groups"]
+        assert any("notes" in e for e in record_errors(record))
 
     def test_only_the_current_schema_version_is_accepted(
         self, bdcc_db, environment

@@ -211,6 +211,21 @@ class TestBackendBasics:
         assert any(f.measured_seconds > 0.0 for f in proc_metrics.fragments)
         assert all(f.measured_seconds >= 0.0 for f in proc_metrics.fragments)
 
+    def test_operator_actuals_list_in_one_order_on_both_backends(
+        self, bdcc_db, environment
+    ):
+        """A worker hands back each operator's actuals in the order it
+        recorded them, so a query's records list the same operators in
+        the same order on both backends and two runs diff entry by
+        entry."""
+        _, sim = _run(bdcc_db, environment, "Q03", workers=2)
+        _, proc = _run(bdcc_db, environment, "Q03", workers=2, backend="process")
+        assert len(sim.fragments) > 1
+        assert [a.kind for a in proc.operators.values()] == [
+            a.kind for a in sim.operators.values()
+        ]
+        assert list(proc.operators.values()) == list(sim.operators.values())
+
     def test_fragment_results_ship_arrays_only(self, bdcc_db, environment):
         """What crosses the pool's pipe is columns + validity.  Carried
         dimension uses are plan facts, so no fragment result pickles a

@@ -170,7 +170,7 @@ class TestPKScheme:
             scan("emp", alias="x").join(scan("emp", alias="y"), on=[("x.e_id", "y.e_id")])
         )
         assert res.relation.num_rows == 8
-        assert any("merge join" in n for n in res.metrics.notes)
+        assert "MergeJoin" in [a.kind for a in res.metrics.operators.values()]
 
     def test_merge_disabled_by_option(self):
         db = _db()
@@ -181,7 +181,8 @@ class TestPKScheme:
         res = executor.execute(
             scan("emp", alias="x").join(scan("emp", alias="y"), on=[("x.e_id", "y.e_id")])
         )
-        assert not any("merge join" in n for n in res.metrics.notes)
+        kinds = [a.kind for a in res.metrics.operators.values()]
+        assert "HashJoin" in kinds and "MergeJoin" not in kinds
 
 
 class TestMetrics:

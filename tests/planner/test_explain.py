@@ -73,7 +73,7 @@ class TestExplain:
     def test_explain_analyze_runs_and_reports_costs(self, bdcc_db, environment):
         executor = Executor(bdcc_db, disk=environment.disk, costs=environment.cost_model)
         text = explain(executor, _plan(), analyze=True)
-        assert "actual:" in text
+        assert "(actual " in text
         assert "cost:" in text and "simulated" in text
 
 

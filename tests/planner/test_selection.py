@@ -78,7 +78,7 @@ def _contiguous_groups(physical_dbs):
     bins = dimension.bin_of_values([dates])
     cut = int(dates[bins >= 1 << (dimension.bits - 1)].min())
     op = _scan_op(pdb, scan("orders", predicate=col("o_orderdate").ge(cut)))
-    assert op.selection_notes[0].startswith("pushdown")
+    assert op.rationale.startswith("pushdown")
     assert not op.selection.is_whole(op.stored.stored_rows)
     return op
 
@@ -129,7 +129,8 @@ class TestWholeTableIsOneRun:
             assert op.stored.bdcc is not None
             assert op.selection.runs() == [(0, op.stored.stored_rows)], table
             assert op.selection.is_whole(op.stored.stored_rows)
-            assert op.selection_notes == ()
+            assert not op.restrictions and not op.minmax_ranges
+            assert "pushdown" not in op.rationale and "minmax" not in op.rationale
 
     def test_restriction_that_keeps_every_group(self, bdcc_db):
         # excludes a sliver of the date domain: finer than the bits
@@ -137,7 +138,7 @@ class TestWholeTableIsOneRun:
         first_day = int(bdcc_db.database.column("orders", "o_orderdate").min())
         op = _scan_op(bdcc_db, scan("orders", predicate=col("o_orderdate").ge(first_day + 1)))
         assert op.restrictions
-        kept, total = re.fullmatch(r"pushdown (\d+)/(\d+) groups", op.selection_notes[0]).groups()
+        kept, total = re.match(r"pushdown (\d+)/(\d+) groups,", op.rationale).groups()
         assert kept == total == str(op.stored.bdcc.count_table.num_groups)
         assert op.selection.is_whole(op.stored.stored_rows)
 

@@ -103,11 +103,13 @@ class TestMergeOnRead:
             (), [AggSpec("revenue", "sum", col("l_extendedprice"))]
         )
         executor = Executor(pdbs["pk"], disk=env.disk, costs=env.cost_model)
-        assert executor.lower(plan).root.input.delta_selected == ()
+        scan_op = executor.lower(plan).root.input
+        assert scan_op.delta_selected == ()
+        assert "+0/0 delta rows (0 runs" in scan_op.rationale
         result = executor.execute(plan)
         [actuals] = [a for a in result.metrics.operators.values() if a.kind.endswith("Scan")]
         assert actuals.kind == "DeltaMergeScan"
-        assert any("delta merge 0 rows from 0 runs" in note for note in result.metrics.notes)
+        assert result.metrics.delta_rows_scanned == 0
         assert (actuals.io_bytes, actuals.io_accesses, actuals.cpu_seconds) == (
             299528.0, 4, 6.153e-05,
         )

@@ -262,6 +262,38 @@ class TestJudgeReadsValidity:
         assert detail is not None and "NULL" in detail
 
 
+class TestSortPlacesNull:
+    """``Sort`` puts NULL first ascending and last descending, as the
+    reference (sqlite) does; NULL rows tie with each other whatever
+    placeholder lies under them, so the next key orders them."""
+
+    @pytest.fixture(scope="class")
+    def lonelier_db(self):
+        """Departments 4 and 5 have no employee: two NULL rows."""
+        return _dept_emp(["eng", "ops", "hr", "fin", "law"])
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    @pytest.mark.parametrize("next_ascending", [True, False])
+    @pytest.mark.parametrize("database", ["lonely_db", "lonelier_db"])
+    def test_the_order_is_the_references(
+        self, request, database, ascending, next_ascending
+    ):
+        database = request.getfixturevalue(database)
+        plan = _dept_left_join_emp().sort([("e_sal", ascending), ("d_id", next_ascending)])
+        reference = evaluate_reference(database, plan)
+        got = Executor(PlainScheme().build(database)).execute(plan).relation
+        assert got.valid["e_sal"].tolist() == reference.valid["e_sal"].tolist()
+        assert got.valid["e_sal"][0] != ascending  # NULL leads ascending only
+        assert got.column("d_id").tolist() == reference.columns["d_id"].tolist()
+
+    def test_limit_over_the_ascending_sort_is_the_null_row(self, lonely_db):
+        plan = _dept_left_join_emp().sort([("e_sal", True)]).limit(1)
+        reference = evaluate_reference(lonely_db, plan)
+        got = Executor(PlainScheme().build(lonely_db)).execute(plan).relation
+        assert got.column("d_id").tolist() == [4] and not got.valid["e_sal"][0]
+        assert reference_mismatch(reference, got)[0] is None
+
+
 @pytest.mark.workload
 def test_anti_join_over_lineitem_self_join_at_sf_001():
     """Generated plan seed 0 / index 41 at SF 0.01: an anti join with a
