@@ -1,10 +1,14 @@
 """Vectorised expression language for predicates and projections.
 
-Expressions evaluate against a :class:`~repro.execution.relation.Relation`
-(or any mapping of column name to numpy array) and return numpy arrays.
-The repertoire covers everything the 22 TPC-H queries need: arithmetic,
-comparisons, BETWEEN, IN, SQL LIKE (``%`` wildcards), CASE, SUBSTRING,
-EXTRACT(YEAR), and boolean connectives.
+An expression evaluates against a :class:`~repro.execution.relation.Relation`
+to its values *and* its validity — the one place the engine's NULL rule
+lives: a NULL input gives a NULL output, ``And``/``Or``/``Not`` follow
+Kleene's three-valued logic, a ``Case`` branch fires only where its
+condition is TRUE, and :meth:`Expr.holds` is the rows a predicate keeps
+(TRUE, neither FALSE nor NULL).  The repertoire covers everything the 22
+TPC-H queries need: arithmetic, comparisons, BETWEEN, IN, SQL LIKE
+(``%`` wildcards), CASE, SUBSTRING, EXTRACT(YEAR), and boolean
+connectives.
 
 Date values are ``int32`` days since 1970-01-01; :func:`days` converts a
 literal ``"YYYY-MM-DD"``.
@@ -13,15 +17,19 @@ literal ``"YYYY-MM-DD"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterator, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "Expr", "Col", "Const", "Arith", "Cmp", "Between", "InList", "Like",
     "And", "Or", "Not", "Case", "Substring", "Year", "days",
-    "col", "lit", "year", "validity",
+    "col", "lit", "year",
 ]
+
+#: an evaluated expression: its values and where they are valid (not
+#: NULL), None when every row is
+Evaluated = Tuple[np.ndarray, Optional[np.ndarray]]
 
 
 def days(date_literal: str) -> int:
@@ -29,21 +37,30 @@ def days(date_literal: str) -> int:
     return int(np.datetime64(date_literal, "D").astype(np.int64))
 
 
-def _columns_of(rel) -> Dict[str, np.ndarray]:
-    if hasattr(rel, "columns"):
-        return rel.columns
-    return rel
+def _both(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Valid where both inputs are: NULL in, NULL out."""
+    if a is None:
+        return b
+    return a if b is None else a & b
 
 
 class Expr:
     """Base expression node."""
 
-    def eval(self, rel) -> np.ndarray:
+    def eval(self, rel) -> Evaluated:
+        """``(values, valid)`` over the relation ``rel``; the values
+        under a NULL are unspecified."""
         raise NotImplementedError
 
+    def holds(self, rel) -> np.ndarray:
+        """Where this predicate is TRUE: the rows a filter keeps."""
+        values, valid = self.eval(rel)
+        values = np.asarray(values, dtype=bool)
+        return values if valid is None else values & valid
+
     def columns(self) -> Set[str]:
-        """All column names this expression reads."""
-        raise NotImplementedError
+        """All column names this expression reads: its operands'."""
+        return set().union(*(e.columns() for e in _operands(vars(self).values())))
 
     # ------------------------------------------------------ sugar builders
     def __add__(self, other): return Arith("+", self, _wrap(other))
@@ -70,6 +87,16 @@ class Expr:
     def __invert__(self): return Not(self)
 
 
+def _operands(fields) -> Iterator[Expr]:
+    """The expressions among an expression's fields (nested in
+    sequences: ``Case.whens``)."""
+    for value in fields:
+        if isinstance(value, Expr):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            yield from _operands(value)
+
+
 def _wrap(value) -> "Expr":
     if isinstance(value, Expr):
         return value
@@ -80,8 +107,8 @@ def _wrap(value) -> "Expr":
 class Col(Expr):
     name: str
 
-    def eval(self, rel) -> np.ndarray:
-        return _columns_of(rel)[self.name]
+    def eval(self, rel) -> Evaluated:
+        return rel.column(self.name), rel.valid.get(self.name)
 
     def columns(self) -> Set[str]:
         return {self.name}
@@ -91,15 +118,8 @@ class Col(Expr):
 class Const(Expr):
     value: object
 
-    def eval(self, rel) -> np.ndarray:
-        if hasattr(rel, "num_rows"):
-            n = rel.num_rows
-        else:  # a mapping of columns
-            n = len(next(iter(rel.values()))) if rel else 0
-        return np.full(n, self.value)
-
-    def columns(self) -> Set[str]:
-        return set()
+    def eval(self, rel) -> Evaluated:
+        return np.full(rel.num_rows, self.value), None
 
 
 _ARITH = {
@@ -116,11 +136,9 @@ class Arith(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, rel) -> np.ndarray:
-        return _ARITH[self.op](self.left.eval(rel), self.right.eval(rel))
-
-    def columns(self) -> Set[str]:
-        return self.left.columns() | self.right.columns()
+    def eval(self, rel) -> Evaluated:
+        (left, lvalid), (right, rvalid) = self.left.eval(rel), self.right.eval(rel)
+        return _ARITH[self.op](left, right), _both(lvalid, rvalid)
 
 
 _CMP = {
@@ -139,11 +157,9 @@ class Cmp(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, rel) -> np.ndarray:
-        return _CMP[self.op](self.left.eval(rel), self.right.eval(rel))
-
-    def columns(self) -> Set[str]:
-        return self.left.columns() | self.right.columns()
+    def eval(self, rel) -> Evaluated:
+        (left, lvalid), (right, rvalid) = self.left.eval(rel), self.right.eval(rel)
+        return _CMP[self.op](left, right), _both(lvalid, rvalid)
 
 
 @dataclass(frozen=True)
@@ -152,12 +168,8 @@ class Between(Expr):
     low: Expr
     high: Expr
 
-    def eval(self, rel) -> np.ndarray:
-        values = self.operand.eval(rel)
-        return (values >= self.low.eval(rel)) & (values <= self.high.eval(rel))
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns() | self.low.columns() | self.high.columns()
+    def eval(self, rel) -> Evaluated:
+        return And(self.operand.ge(self.low), self.operand.le(self.high)).eval(rel)
 
 
 class InList(Expr):
@@ -165,11 +177,9 @@ class InList(Expr):
         self.operand = operand
         self.values = list(values)
 
-    def eval(self, rel) -> np.ndarray:
-        return np.isin(self.operand.eval(rel), self.values)
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
+    def eval(self, rel) -> Evaluated:
+        values, valid = self.operand.eval(rel)
+        return np.isin(values, self.values), valid
 
 
 class Like(Expr):
@@ -188,11 +198,11 @@ class Like(Expr):
         self.anchored_start = not pattern.startswith("%")
         self.anchored_end = not pattern.endswith("%")
 
-    def eval(self, rel) -> np.ndarray:
-        values = self.operand.eval(rel)
+    def eval(self, rel) -> Evaluated:
+        values, valid = self.operand.eval(rel)
         n = len(values)
         if not self.segments:
-            return np.ones(n, dtype=bool)
+            return np.ones(n, dtype=bool), valid
         result = np.ones(n, dtype=bool)
         position = np.zeros(n, dtype=np.int64)
         for i, segment in enumerate(self.segments):
@@ -216,10 +226,7 @@ class Like(Expr):
                 result &= ends & (position <= lengths)
                 # the trailing segment must not overlap an earlier match
                 result &= lengths - len(last) >= position - len(last)
-        return result
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
+        return result, valid
 
 
 def _find_from(values: np.ndarray, segment: str, start: np.ndarray) -> np.ndarray:
@@ -242,16 +249,28 @@ def _find_from(values: np.ndarray, segment: str, start: np.ndarray) -> np.ndarra
     return out
 
 
+def _kleene(left: Evaluated, right: Evaluated, deciding: bool) -> Optional[np.ndarray]:
+    """Where a Kleene connective is known: where both sides are, or
+    where one known side alone decides it (FALSE for ``And``, TRUE for
+    ``Or``)."""
+    (lvalues, lvalid), (rvalues, rvalid) = left, right
+    if lvalid is None and rvalid is None:
+        return None
+    return (
+        _both(lvalid, rvalid)
+        | _both(lvalid, lvalues == deciding)
+        | _both(rvalid, rvalues == deciding)
+    )
+
+
 @dataclass(frozen=True)
 class And(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, rel) -> np.ndarray:
-        return self.left.eval(rel) & self.right.eval(rel)
-
-    def columns(self) -> Set[str]:
-        return self.left.columns() | self.right.columns()
+    def eval(self, rel) -> Evaluated:
+        left, right = self.left.eval(rel), self.right.eval(rel)
+        return left[0] & right[0], _kleene(left, right, False)
 
 
 @dataclass(frozen=True)
@@ -259,41 +278,38 @@ class Or(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, rel) -> np.ndarray:
-        return self.left.eval(rel) | self.right.eval(rel)
-
-    def columns(self) -> Set[str]:
-        return self.left.columns() | self.right.columns()
+    def eval(self, rel) -> Evaluated:
+        left, right = self.left.eval(rel), self.right.eval(rel)
+        return left[0] | right[0], _kleene(left, right, True)
 
 
 @dataclass(frozen=True)
 class Not(Expr):
     operand: Expr
 
-    def eval(self, rel) -> np.ndarray:
-        return ~self.operand.eval(rel)
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
+    def eval(self, rel) -> Evaluated:
+        values, valid = self.operand.eval(rel)
+        return ~values, valid
 
 
 class Case(Expr):
-    """``CASE WHEN cond THEN value ... ELSE default END``."""
+    """``CASE WHEN cond THEN value ... ELSE default END``: the first
+    branch whose condition is TRUE gives the value, NULL where that
+    value is NULL."""
 
     def __init__(self, whens: Sequence[Tuple[Expr, Expr]], default: Union[Expr, object] = 0):
         self.whens = [(c, _wrap(v)) for c, v in whens]
         self.default = _wrap(default)
 
-    def eval(self, rel) -> np.ndarray:
-        conditions = [c.eval(rel) for c, _ in self.whens]
-        choices = [v.eval(rel) for _, v in self.whens]
-        return np.select(conditions, choices, default=self.default.eval(rel))
-
-    def columns(self) -> Set[str]:
-        out: Set[str] = set(self.default.columns())
-        for c, v in self.whens:
-            out |= c.columns() | v.columns()
-        return out
+    def eval(self, rel) -> Evaluated:
+        conditions = [c.holds(rel) for c, _ in self.whens]
+        choices = [v.eval(rel) for _, v in self.whens] + [self.default.eval(rel)]
+        values = np.select(conditions, [v for v, _ in choices[:-1]], default=choices[-1][0])
+        if all(valid is None for _, valid in choices):
+            return values, None
+        every = np.ones(rel.num_rows, dtype=bool)
+        masks = [every if valid is None else valid for _, valid in choices]
+        return values, np.select(conditions, masks[:-1], default=masks[-1])
 
 
 @dataclass(frozen=True)
@@ -304,14 +320,11 @@ class Substring(Expr):
     start: int
     length: int
 
-    def eval(self, rel) -> np.ndarray:
-        values = self.operand.eval(rel)
+    def eval(self, rel) -> Evaluated:
+        values, valid = self.operand.eval(rel)
         lo = self.start - 1
         hi = lo + self.length
-        return np.array([v[lo:hi] for v in values], dtype=f"<U{self.length}")
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
+        return np.array([v[lo:hi] for v in values], dtype=f"<U{self.length}"), valid
 
 
 @dataclass(frozen=True)
@@ -320,25 +333,13 @@ class Year(Expr):
 
     operand: Expr
 
-    def eval(self, rel) -> np.ndarray:
-        values = self.operand.eval(rel).astype("datetime64[D]")
-        return values.astype("datetime64[Y]").astype(np.int64) + 1970
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
+    def eval(self, rel) -> Evaluated:
+        values, valid = self.operand.eval(rel)
+        values = values.astype("datetime64[D]")
+        return values.astype("datetime64[Y]").astype(np.int64) + 1970, valid
 
 
 # ----------------------------------------------------------------- sugar
-def validity(expr: Expr, rel) -> Optional[np.ndarray]:
-    """Where ``expr`` evaluated over the relation ``rel`` is valid (not
-    NULL): where every input column it reads is valid — NULL in, NULL
-    out.  None when no input column carries a mask (every row valid)."""
-    masks = [rel.valid[c] for c in sorted(expr.columns()) if c in rel.valid]
-    if not masks:
-        return None
-    return masks[0] if len(masks) == 1 else np.logical_and.reduce(masks)
-
-
 def col(name: str) -> Col:
     return Col(name)
 

@@ -48,7 +48,7 @@ from .aggregate import (
     merge_partial_aggregates,
 )
 from .cost import CostModel
-from .expressions import Col, Expr, validity
+from .expressions import Col, Expr
 from .join_utils import inner_join_pairs, left_join_pairs, semi_join_mask
 from .metrics import ExecutionMetrics, OperatorActuals
 from .relation import Relation, StreamUse
@@ -408,7 +408,7 @@ class PhysicalFilter(PhysicalOp):
 def _filter(ctx: ExecutionContext, rel: Relation, predicate: Expr) -> Relation:
     """The rows ``predicate`` keeps (a scan's residual or a filter's),
     charged per input row and column read."""
-    mask = np.asarray(predicate.eval(rel), dtype=bool)
+    mask = predicate.holds(rel)
     ctx.charge_cpu(
         rel.num_rows * max(len(predicate.columns()), 1) * ctx.costs.expr_value, "filter"
     )
@@ -440,10 +440,9 @@ class PhysicalProject(PhysicalOp):
         valid: Dict[str, np.ndarray] = {}
         expr_cost = 0.0
         for name, expr in self.exprs:
-            columns[name] = np.asarray(expr.eval(rel))
+            columns[name], mask = expr.eval(rel)
             if not isinstance(expr, Col):
                 expr_cost += rel.num_rows * ctx.costs.expr_value
-            mask = validity(expr, rel)
             if mask is not None:
                 valid[name] = mask
         ctx.charge_cpu(expr_cost, "project")
@@ -598,7 +597,7 @@ class Join(_ByStrategy, PhysicalOp):
                 lidx, ridx = inner_join_pairs(lkeys, rkeys)
             joined = _assemble_inner(left, right, lidx, ridx)
             if self.residual is not None:
-                mask = np.asarray(self.residual.eval(joined), dtype=bool)
+                mask = self.residual.holds(joined)
                 ctx.charge_cpu(len(lidx) * costs.expr_value, "join")
                 joined = joined.filter(mask)
             ctx.charge_cpu(joined.num_rows * costs.join_output_row, "join")
@@ -611,7 +610,7 @@ class Join(_ByStrategy, PhysicalOp):
             if self.residual is not None:
                 lidx, ridx = inner_join_pairs(lkeys, rkeys)
                 joined = _assemble_inner(left, right, lidx, ridx)
-                mask_pairs = np.asarray(self.residual.eval(joined), dtype=bool)
+                mask_pairs = self.residual.holds(joined)
                 ctx.charge_cpu(len(lidx) * costs.expr_value, "join")
                 matched = np.zeros(left.num_rows, dtype=bool)
                 matched[lidx[mask_pairs]] = True
@@ -752,11 +751,9 @@ class Aggregate(_ByStrategy, PhysicalOp):
                 merge_partial_aggregates(self.merges, group_index, num_groups, rel.columns)
             )
         for spec in self.aggs:
-            values = None
-            valid = None
+            values = valid = None
             if spec.expr is not None:
-                values = np.asarray(spec.expr.eval(rel))
-                valid = validity(spec.expr, rel)  # NULL inputs skip the row
+                values, valid = spec.expr.eval(rel)  # NULL inputs skip the row
                 ctx.charge_cpu(n * ctx.costs.expr_value, "aggregate")
             columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, valid)
         # a sandwich aggregate's output keeps its uses' hidden group columns

@@ -38,6 +38,7 @@ import numpy as np
 
 from ..execution.aggregate import group_rows
 from ..execution.operators import Join, PhysicalOp
+from ..execution.relation import Relation
 from ..storage.database import Database
 from .analysis import PlanAnalysis, strip_prefix
 
@@ -75,8 +76,8 @@ class _HostEvaluator:
         data = self._db.table_data(scan.table)
         mask: Optional[np.ndarray] = None
         if scan.predicate is not None:
-            env = {scan.prefix + name: values for name, values in data.items()}
-            mask = np.asarray(scan.predicate.eval(env), dtype=bool)
+            env = Relation({scan.prefix + name: values for name, values in data.items()})
+            mask = scan.predicate.holds(env)
         if self._local_only:
             self._memo[alias] = mask
             return mask

@@ -53,6 +53,7 @@ from ..errors import CommitAborted
 from ..execution.cost import DEFAULT_COSTS, CostModel
 from ..execution.expressions import Expr
 from ..execution.metrics import ExecutionMetrics
+from ..execution.relation import Relation
 from ..observe.registry import REGISTRY
 from ..schemes.base import PhysicalDatabase
 from ..storage.database import Database
@@ -332,4 +333,4 @@ class UpdateSession:
 
 
 def _matches(predicate: Expr, columns: Dict[str, np.ndarray]) -> np.ndarray:
-    return np.asarray(predicate.eval(columns), dtype=bool)
+    return predicate.holds(Relation(columns))

@@ -10,37 +10,44 @@ from repro.execution.expressions import (
     col,
     days,
     lit,
-    validity,
     year,
 )
+from repro.execution.relation import Relation
 
 
 def _rel(**cols):
-    return {k: np.asarray(v) for k, v in cols.items()}
+    return Relation({k: np.asarray(v) for k, v in cols.items()})
+
+
+def _values(expr, rel):
+    """The values of an expression over a relation with no NULL."""
+    values, valid = expr.eval(rel)
+    assert valid is None
+    return values
 
 
 class TestArithmeticAndComparison:
     def test_revenue_expression(self):
         rel = _rel(price=[100.0, 200.0], disc=[0.1, 0.5])
         expr = col("price") * (1 - col("disc"))
-        assert list(expr.eval(rel)) == [90.0, 100.0]
+        assert list(_values(expr, rel)) == [90.0, 100.0]
 
     def test_comparisons(self):
         rel = _rel(x=[1, 2, 3])
-        assert list(col("x").lt(2).eval(rel)) == [True, False, False]
-        assert list(col("x").ge(2).eval(rel)) == [False, True, True]
-        assert list(col("x").ne(2).eval(rel)) == [True, False, True]
+        assert list(_values(col("x").lt(2), rel)) == [True, False, False]
+        assert list(_values(col("x").ge(2), rel)) == [False, True, True]
+        assert list(_values(col("x").ne(2), rel)) == [True, False, True]
 
     def test_between_and_isin(self):
         rel = _rel(x=[1, 5, 9])
-        assert list(col("x").between(2, 8).eval(rel)) == [False, True, False]
-        assert list(col("x").isin([1, 9]).eval(rel)) == [True, False, True]
+        assert list(_values(col("x").between(2, 8), rel)) == [False, True, False]
+        assert list(_values(col("x").isin([1, 9]), rel)) == [True, False, True]
 
     def test_boolean_connectives(self):
         rel = _rel(x=[1, 2, 3, 4])
         expr = (col("x").gt(1) & col("x").lt(4)) | col("x").eq(1)
-        assert list(expr.eval(rel)) == [True, True, True, False]
-        assert list((~col("x").eq(2)).eval(rel)) == [True, False, True, True]
+        assert list(_values(expr, rel)) == [True, True, True, False]
+        assert list(_values(~col("x").eq(2), rel)) == [True, False, True, True]
 
     def test_columns_tracking(self):
         expr = (col("a") + col("b")).gt(col("c"))
@@ -48,8 +55,8 @@ class TestArithmeticAndComparison:
 
     def test_rsub_rmul(self):
         rel = _rel(x=[2.0])
-        assert (1 - col("x")).eval(rel)[0] == -1.0
-        assert (3 * col("x")).eval(rel)[0] == 6.0
+        assert _values(1 - col("x"), rel)[0] == -1.0
+        assert _values(3 * col("x"), rel)[0] == 6.0
 
 
 class TestLike:
@@ -58,42 +65,42 @@ class TestLike:
                        "forest green things", "green forest"])
 
     def test_prefix(self):
-        out = col("s").like("PROMO%").eval(self._values())
+        out = _values(col("s").like("PROMO%"), self._values())
         assert list(out) == [True, False, False, False, False]
 
     def test_suffix(self):
-        out = col("s").like("%BRASS").eval(self._values())
+        out = _values(col("s").like("%BRASS"), self._values())
         assert list(out) == [False, True, True, False, False]
 
     def test_contains(self):
-        out = col("s").like("%green%").eval(self._values())
+        out = _values(col("s").like("%green%"), self._values())
         assert list(out) == [False, False, False, True, True]
 
     def test_double_wildcard_ordered(self):
         rel = _rel(s=["special handling requests", "requests special", "special requests",
                       "nothing here"])
-        out = col("s").like("%special%requests%").eval(rel)
+        out = _values(col("s").like("%special%requests%"), rel)
         assert list(out) == [True, False, True, False]
 
     def test_not_like(self):
         rel = _rel(s=["MEDIUM POLISHED TIN", "SMALL POLISHED TIN"])
-        out = col("s").not_like("MEDIUM POLISHED%").eval(rel)
+        out = _values(col("s").not_like("MEDIUM POLISHED%"), rel)
         assert list(out) == [False, True]
 
     def test_exact_without_wildcards(self):
         rel = _rel(s=["abc", "abcd", "ab"])
-        out = col("s").like("abc").eval(rel)
+        out = _values(col("s").like("abc"), rel)
         assert list(out) == [True, False, False]
 
     def test_overlap_not_double_counted(self):
         # pattern needs two separate occurrences
         rel = _rel(s=["abab", "aba"])
-        out = col("s").like("%ab%ab%").eval(rel)
+        out = _values(col("s").like("%ab%ab%"), rel)
         assert list(out) == [True, False]
 
     def test_anchored_both_ends_with_middle(self):
         rel = _rel(s=["a-x-b", "a-b", "xa-b"])
-        out = col("s").like("a%b").eval(rel)
+        out = _values(col("s").like("a%b"), rel)
         assert list(out) == [True, True, False]
 
     def test_underscore_unsupported(self):
@@ -110,7 +117,7 @@ class TestLike:
             regex = "^" + ".*".join(re.escape(seg) for seg in pattern.split("%")) + "$"
             regex = regex.replace(".*$", ".*$") if pattern.endswith("%") else regex
             expected = [re.match("^" + ".*".join(map(re.escape, pattern.split("%"))) + "$", s) is not None for s in strings]
-            got = list(col("s").like(pattern).eval(rel))
+            got = list(_values(col("s").like(pattern), rel))
             assert got == expected, pattern
 
 
@@ -118,21 +125,21 @@ class TestCaseSubstringYear:
     def test_case(self):
         rel = _rel(x=[1, 2, 3])
         expr = Case([(col("x").eq(1), lit(10)), (col("x").eq(2), lit(20))], 0)
-        assert list(expr.eval(rel)) == [10, 20, 0]
+        assert list(_values(expr, rel)) == [10, 20, 0]
 
     def test_case_with_expressions(self):
         rel = _rel(x=[1.0, 2.0], y=[5.0, 7.0])
         expr = Case([(col("x").gt(1.5), col("y"))], 0.0)
-        assert list(expr.eval(rel)) == [0.0, 7.0]
+        assert list(_values(expr, rel)) == [0.0, 7.0]
 
     def test_substring(self):
         rel = _rel(phone=["13-555-123", "31-999-000"])
         expr = Substring(col("phone"), 1, 2)
-        assert list(expr.eval(rel)) == ["13", "31"]
+        assert list(_values(expr, rel)) == ["13", "31"]
 
     def test_year(self):
         rel = _rel(d=[days("1994-01-01"), days("1995-12-31"), days("1992-06-15")])
-        assert list(year("d").eval(rel)) == [1994, 1995, 1992]
+        assert list(_values(year("d"), rel)) == [1994, 1995, 1992]
 
     def test_days_literal(self):
         assert days("1970-01-01") == 0
@@ -140,11 +147,10 @@ class TestCaseSubstringYear:
 
 
 class TestValidity:
-    """NULL in, NULL out: the one rule ``Project`` and ``Aggregate`` read."""
+    """NULL in, NULL out, and Kleene logic for the connectives: the one
+    rule every operator reads off ``eval``."""
 
     def _rel(self):
-        from repro.execution.relation import Relation
-
         return Relation(
             columns={"a": np.arange(4), "b": np.arange(4), "c": np.arange(4)},
             valid={
@@ -154,13 +160,36 @@ class TestValidity:
         )
 
     def test_no_masked_input_is_every_row(self):
-        assert validity(col("c") * 2, self._rel()) is None
-        assert validity(lit(1), self._rel()) is None
+        assert (col("c") * 2).eval(self._rel())[1] is None
+        assert lit(1).eval(self._rel())[1] is None
 
     def test_one_masked_input_is_its_mask(self):
         rel = self._rel()
-        assert validity(col("a") + col("c"), rel) is rel.valid["a"]
+        assert (col("a") + col("c")).eval(rel)[1] is rel.valid["a"]
 
     def test_every_input_must_be_valid(self):
-        mask = validity(col("a") + col("b") * col("c"), self._rel())
+        _, mask = (col("a") + col("b") * col("c")).eval(self._rel())
         assert mask.tolist() == [True, False, False, True]
+
+    def test_kleene_connectives(self):
+        """a NULL is unknown: FALSE AND NULL is FALSE, TRUE OR NULL is
+        TRUE, NOT NULL is NULL — and a filter keeps only TRUE."""
+        rel = Relation(
+            columns={"x": np.array([1, 0, 1, 0]), "y": np.array([1, 1, 0, 0])},
+            valid={"y": np.array([False, False, False, True])},
+        )
+        x, y = col("x").eq(1), col("y").eq(1)
+        assert (x & y).eval(rel)[1].tolist() == [False, True, False, True]
+        assert (x | y).eval(rel)[1].tolist() == [True, False, True, True]
+        assert (~y).eval(rel)[1].tolist() == [False, False, False, True]
+        assert (x | y).holds(rel).tolist() == [True, False, True, False]
+        assert (~y).holds(rel).tolist() == [False, False, False, True]
+
+    def test_a_case_branch_fires_only_where_its_condition_is_true(self):
+        rel = Relation(
+            columns={"x": np.array([1, 1, 2]), "y": np.array([5, 6, 7])},
+            valid={"x": np.array([True, False, True]), "y": np.array([True, True, False])},
+        )
+        values, valid = Case([(col("x").eq(1), lit(10))], col("y")).eval(rel)
+        assert values.tolist()[:2] == [10, 6] and valid.tolist() == [True, True, False]
+

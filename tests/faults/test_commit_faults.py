@@ -37,7 +37,8 @@ class _FailsOn(Expr):
         self.inner, self.target, self.armed = inner, target, True
 
     def eval(self, rel):
-        if self.armed and rel is self.target.columns:
+        reads = next(iter(self.inner.columns()))
+        if self.armed and rel.column(reads) is self.target.columns[reads]:
             raise InjectedFault(f"delete failed on a copy of {self.target.name}")
         return self.inner.eval(rel)
 
