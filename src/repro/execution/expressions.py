@@ -8,7 +8,8 @@ condition is TRUE, and :meth:`Expr.holds` is the rows a predicate keeps
 (TRUE, neither FALSE nor NULL).  The repertoire covers everything the 22
 TPC-H queries need: arithmetic, comparisons, BETWEEN, IN, SQL LIKE
 (``%`` wildcards), CASE, SUBSTRING, EXTRACT(YEAR), and boolean
-connectives.
+connectives.  Expressions are frozen dataclasses: they hash and compare
+by structure.
 
 Date values are ``int32`` days since 1970-01-01; :func:`days` converts a
 literal ``"YYYY-MM-DD"``.
@@ -16,8 +17,8 @@ literal ``"YYYY-MM-DD"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class Expr:
     def gt(self, other): return Cmp(">", self, _wrap(other))
     def ge(self, other): return Cmp(">=", self, _wrap(other))
     def between(self, low, high): return Between(self, _wrap(low), _wrap(high))
-    def isin(self, values): return InList(self, list(values))
+    def isin(self, values): return InList(self, values)
     def like(self, pattern): return Like(self, pattern)
     def not_like(self, pattern): return Not(Like(self, pattern))
 
@@ -88,12 +89,12 @@ class Expr:
 
 
 def _operands(fields) -> Iterator[Expr]:
-    """The expressions among an expression's fields (nested in
-    sequences: ``Case.whens``)."""
+    """The expressions among an expression's fields (nested in tuples:
+    ``Case.whens``)."""
     for value in fields:
         if isinstance(value, Expr):
             yield value
-        elif isinstance(value, (list, tuple)):
+        elif isinstance(value, tuple):
             yield from _operands(value)
 
 
@@ -172,16 +173,20 @@ class Between(Expr):
         return And(self.operand.ge(self.low), self.operand.le(self.high)).eval(rel)
 
 
+@dataclass(frozen=True)
 class InList(Expr):
-    def __init__(self, operand: Expr, values: Sequence[object]):
-        self.operand = operand
-        self.values = list(values)
+    operand: Expr
+    values: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
 
     def eval(self, rel) -> Evaluated:
         values, valid = self.operand.eval(rel)
         return np.isin(values, self.values), valid
 
 
+@dataclass(frozen=True)
 class Like(Expr):
     """SQL LIKE with ``%`` wildcards (no ``_``), vectorised.
 
@@ -189,14 +194,18 @@ class Like(Expr):
     first/last anchored when the pattern does not start/end with ``%``.
     """
 
-    def __init__(self, operand: Expr, pattern: str):
-        if "_" in pattern:
+    operand: Expr
+    pattern: str
+    segments: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    anchored_start: bool = field(init=False, repr=False, compare=False)
+    anchored_end: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if "_" in self.pattern:
             raise NotImplementedError("LIKE '_' wildcard not supported")
-        self.operand = operand
-        self.pattern = pattern
-        self.segments = [s for s in pattern.split("%") if s]
-        self.anchored_start = not pattern.startswith("%")
-        self.anchored_end = not pattern.endswith("%")
+        object.__setattr__(self, "segments", tuple(s for s in self.pattern.split("%") if s))
+        object.__setattr__(self, "anchored_start", not self.pattern.startswith("%"))
+        object.__setattr__(self, "anchored_end", not self.pattern.endswith("%"))
 
     def eval(self, rel) -> Evaluated:
         values, valid = self.operand.eval(rel)
@@ -292,14 +301,18 @@ class Not(Expr):
         return ~values, valid
 
 
+@dataclass(frozen=True)
 class Case(Expr):
     """``CASE WHEN cond THEN value ... ELSE default END``: the first
     branch whose condition is TRUE gives the value, NULL where that
     value is NULL."""
 
-    def __init__(self, whens: Sequence[Tuple[Expr, Expr]], default: Union[Expr, object] = 0):
-        self.whens = [(c, _wrap(v)) for c, v in whens]
-        self.default = _wrap(default)
+    whens: Tuple[Tuple[Expr, Expr], ...]
+    default: Union[Expr, object] = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "whens", tuple((c, _wrap(v)) for c, v in self.whens))
+        object.__setattr__(self, "default", _wrap(self.default))
 
     def eval(self, rel) -> Evaluated:
         conditions = [c.holds(rel) for c, _ in self.whens]

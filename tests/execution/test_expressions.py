@@ -5,6 +5,7 @@ import pytest
 
 from repro.execution.expressions import (
     Case,
+    InList,
     Like,
     Substring,
     col,
@@ -193,3 +194,15 @@ class TestValidity:
         values, valid = Case([(col("x").eq(1), lit(10))], col("y")).eval(rel)
         assert values.tolist()[:2] == [10, 6] and valid.tolist() == [True, True, False]
 
+
+class TestStructuralIdentity:
+    def test_equal_predicates_built_apart_are_equal_and_hash_equal(self):
+        def build():
+            return (
+                col("a").isin([1, 2]) & col("s").like("%x%")
+                | Case([(col("a").gt(1), col("b"))], 0).eq(lit(3))
+            )
+        first, second = build(), build()
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert InList(col("a"), [1, 2]).values == (1, 2)
+        assert build() != (col("a").isin([1, 3]) & col("s").like("%x%"))
