@@ -294,6 +294,44 @@ class TestSortPlacesNull:
         assert reference_mismatch(reference, got)[0] is None
 
 
+class TestSqlNullSemantics:
+    """Over ``dept LEFT JOIN emp`` of ``lonely_db`` department 4's
+    employee columns are NULL; the engine answers as SQL does."""
+
+    @pytest.fixture(scope="class")
+    def executor(self, lonely_db):
+        return Executor(PlainScheme().build(lonely_db))
+
+    def _judge(self, lonely_db, executor, plan, rows):
+        reference = evaluate_reference(lonely_db, plan)
+        got = executor.execute(plan).relation
+        assert (reference.num_rows, got.num_rows) == (rows, rows)
+        assert reference_mismatch(reference, got)[0] is None
+        return got
+
+    @pytest.mark.parametrize("predicate, rows", [
+        (col("e_sal").gt(5), 8),
+        (~col("e_sal").gt(15), 1),
+    ])
+    def test_a_filter_keeps_a_row_only_where_its_predicate_is_true(
+        self, lonely_db, executor, predicate, rows
+    ):
+        self._judge(lonely_db, executor, _dept_left_join_emp().filter(predicate), rows)
+
+    @pytest.mark.parametrize("how, residual, rows", [
+        ("inner", col("e_sal").gt(5), 8),
+        ("semi", ~col("e_sal").gt(15), 1),
+        ("anti", ~col("e_sal").gt(15), 8),
+    ])
+    def test_a_join_residual_keeps_a_pair_only_where_it_is_true(
+        self, lonely_db, executor, how, residual, rows
+    ):
+        plan = _dept_left_join_emp().join(
+            scan("dept", alias="d2"), on=[("d_id", "d2.d_id")], how=how, residual=residual
+        )
+        self._judge(lonely_db, executor, plan, rows)
+
+
 @pytest.mark.workload
 def test_anti_join_over_lineitem_self_join_at_sf_001():
     """Generated plan seed 0 / index 41 at SF 0.01: an anti join with a
