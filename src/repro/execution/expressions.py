@@ -25,7 +25,7 @@ import numpy as np
 __all__ = [
     "Expr", "Col", "Const", "Arith", "Cmp", "Between", "InList", "Like",
     "And", "Or", "Not", "Case", "Substring", "Year", "days",
-    "col", "lit", "year",
+    "col", "lit", "year", "fill_nulls",
 ]
 
 #: an evaluated expression: its values and where they are valid (not
@@ -43,6 +43,15 @@ def _both(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarr
     if a is None:
         return b
     return a if b is None else a & b
+
+
+def fill_nulls(values: np.ndarray, valid: Optional[np.ndarray]) -> np.ndarray:
+    """``values`` with every NULL on its dtype's one placeholder (zero,
+    False or the empty string), so NULLs tie with each other whatever
+    lay under them; ``values`` itself when ``valid`` is None."""
+    if valid is None:
+        return values
+    return np.where(valid, values, np.zeros((), dtype=values.dtype))
 
 
 class Expr:

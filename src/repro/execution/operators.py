@@ -48,7 +48,7 @@ from .aggregate import (
     merge_partial_aggregates,
 )
 from .cost import CostModel
-from .expressions import Col, Expr
+from .expressions import Col, Expr, fill_nulls
 from .join_utils import inner_join_pairs, left_join_pairs, semi_join_mask
 from .metrics import ExecutionMetrics, OperatorActuals
 from .relation import Relation, StreamUse
@@ -728,8 +728,11 @@ class Aggregate(_ByStrategy, PhysicalOp):
     def execute(self, ctx: ExecutionContext) -> Relation:
         rel = self.input.run(ctx)
         n = rel.num_rows
-        if self.keys:
-            group_index, first_rows, num_groups = group_rows([rel.column(k) for k in self.keys])
+        ranks = {key: _key_ranks(rel, key) for key in self.keys}
+        if self.keys:  # NULL keys form one group, numbered first
+            group_index, first_rows, num_groups = group_rows(
+                [rank for key in self.keys for rank in ranks[key]]
+            )
         else:  # no keys is one group, no rows is no group
             group_index = np.zeros(n, dtype=np.int64)
             first_rows = np.zeros(1 if n else 0, dtype=np.int64)
@@ -745,24 +748,36 @@ class Aggregate(_ByStrategy, PhysicalOp):
         account(self, ctx, rel, group_index, num_groups, state_row)
 
         # ---- execute (strategy-independent kernels) ---------------------
-        columns = {key: rel.column(key)[first_rows] for key in self.keys}
+        columns = {key: ranks[key][-1][first_rows] for key in self.keys}
+        valid = {key: rel.valid[key][first_rows] for key in self.keys if key in rel.valid}
         if self.strategy == "merge":
             columns.update(
                 merge_partial_aggregates(self.merges, group_index, num_groups, rel.columns)
             )
         for spec in self.aggs:
-            values = valid = None
+            values = mask = None
             if spec.expr is not None:
-                values, valid = spec.expr.eval(rel)  # NULL inputs skip the row
+                values, mask = spec.expr.eval(rel)  # NULL inputs skip the row
                 ctx.charge_cpu(n * ctx.costs.expr_value, "aggregate")
-            columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, valid)
+            columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, mask)
         # a sandwich aggregate's output keeps its uses' hidden group columns
         for use, _ in self.partition_uses:
             columns[use.column] = rel.column(use.column)[first_rows]
-        return Relation(columns=columns)
+        return Relation(columns=columns, valid=valid)
 
 
 # ------------------------------------------------------------ sort/limit
+def _key_ranks(rel: Relation, column: str) -> List[np.ndarray]:
+    """What orders a grouping or sort key, most significant first: its
+    validity where it has NULLs (False ranks first: NULL leads ascending
+    and trails descending), then its values with every NULL on the
+    column's one placeholder, so NULL keys tie whatever lies under them."""
+    valid = rel.valid.get(column)
+    values = fill_nulls(rel.column(column), valid)
+    return [values] if valid is None else [valid, values]
+
+
+
 @dataclass(eq=False)
 class Sort(PhysicalOp):
     input: PhysicalOp
@@ -780,25 +795,19 @@ class Sort(PhysicalOp):
         n = rel.num_rows
         if n:
             sort_keys = []
+            # np.lexsort's last key is its first: keys and ranks reversed
             for column, ascending in reversed(self.keys):
-                values = rel.column(column)
-                valid = rel.valid.get(column)
-                if valid is not None:
-                    # NULLs tie with each other, whatever placeholder lies
-                    # under them, and come first ascending, last descending
-                    values = np.where(valid, values, values[np.argmax(valid)])
-                if not ascending:
-                    # ~ reverses every integer width (and bool) exactly;
-                    # a trip through float64 would tie keys beyond 2**53
-                    if values.dtype.kind in "iub":
-                        values = ~values
-                    elif values.dtype.kind == "f":
-                        values = -values
-                    else:
-                        values = -factorize(values)[0]
-                sort_keys.append(values)
-                if valid is not None:
-                    sort_keys.append(valid if ascending else ~valid)
+                for values in reversed(_key_ranks(rel, column)):
+                    if not ascending:
+                        # ~ reverses every integer width (and bool) exactly;
+                        # a trip through float64 would tie keys beyond 2**53
+                        if values.dtype.kind in "iub":
+                            values = ~values
+                        elif values.dtype.kind == "f":
+                            values = -values
+                        else:
+                            values = -factorize(values)[0]
+                    sort_keys.append(values)
             order = np.lexsort(tuple(sort_keys))
             rel = rel.take(order)
         ctx.hold("sort", rel.data_bytes())

@@ -11,7 +11,7 @@ from repro.catalog import DECIMAL, INT32, Schema, string_type
 from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
 from repro.execution.relation import Relation
-from repro.planner.executor import Executor
+from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
 from repro.schemes.plain import PlainScheme
 from repro.storage.database import Database
@@ -331,6 +331,17 @@ class TestSqlNullSemantics:
         )
         self._judge(lonely_db, executor, plan, rows)
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_null_group_keys_form_one_group_numbered_first(self, lonely_db, workers):
+        plan = _dept_left_join_emp().groupby(["e_dept"], [AggSpec("n", "count")])
+        executor = Executor(
+            PlainScheme().build(lonely_db),
+            options=ExecutionOptions(workers=workers, min_partition_rows=1),
+        )
+        got = self._judge(lonely_db, executor, plan, 4)
+        assert got.valid["e_dept"].tolist() == [False, True, True, True]
+        assert got.column("e_dept").tolist() == [0, 1, 2, 3]  # the placeholder leads
+        assert got.column("n").tolist() == [1, 3, 4, 1]
 
 @pytest.mark.workload
 def test_anti_join_over_lineitem_self_join_at_sf_001():
