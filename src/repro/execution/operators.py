@@ -584,6 +584,7 @@ class Join(_ByStrategy, PhysicalOp):
             [left.column(c) for c in self.left_cols],
             [right.column(c) for c in self.right_cols],
         )
+        lvalid, rvalid = _keys_valid(left, self.left_cols), _keys_valid(right, self.right_cols)
         self.STRATEGIES[self.strategy].account(self, ctx, left, right)
         costs = ctx.costs
         how = self.how
@@ -592,9 +593,9 @@ class Join(_ByStrategy, PhysicalOp):
             # join does — this is what lets a later merge join see the
             # PK scheme's key order through an earlier N:1 join
             if self.build_side == "left":
-                ridx, lidx = inner_join_pairs(rkeys, lkeys)
+                ridx, lidx = inner_join_pairs(rkeys, lkeys, rvalid, lvalid)
             else:
-                lidx, ridx = inner_join_pairs(lkeys, rkeys)
+                lidx, ridx = inner_join_pairs(lkeys, rkeys, lvalid, rvalid)
             joined = _assemble_inner(left, right, lidx, ridx)
             if self.residual is not None:
                 mask = self.residual.holds(joined)
@@ -603,19 +604,19 @@ class Join(_ByStrategy, PhysicalOp):
             ctx.charge_cpu(joined.num_rows * costs.join_output_row, "join")
             return joined
         if how == "left":
-            lidx, ridx = left_join_pairs(lkeys, rkeys)
+            lidx, ridx = left_join_pairs(lkeys, rkeys, lvalid, rvalid)
             ctx.charge_cpu(len(lidx) * costs.join_output_row, "join")
             return _assemble_left(left, right, lidx, ridx)
         if how in ("semi", "anti"):
             if self.residual is not None:
-                lidx, ridx = inner_join_pairs(lkeys, rkeys)
+                lidx, ridx = inner_join_pairs(lkeys, rkeys, lvalid, rvalid)
                 joined = _assemble_inner(left, right, lidx, ridx)
                 mask_pairs = self.residual.holds(joined)
                 ctx.charge_cpu(len(lidx) * costs.expr_value, "join")
                 matched = np.zeros(left.num_rows, dtype=bool)
                 matched[lidx[mask_pairs]] = True
             else:
-                matched = semi_join_mask(lkeys, rkeys)
+                matched = semi_join_mask(lkeys, rkeys, lvalid, rvalid)
             keep = matched if how == "semi" else ~matched
             ctx.charge_cpu(int(keep.sum()) * costs.join_output_row, "join")
             return left.filter(keep)
@@ -623,6 +624,13 @@ class Join(_ByStrategy, PhysicalOp):
 
 
 # ----------------------------------------------------- join assembly
+def _keys_valid(rel: Relation, cols: Tuple[str, ...]) -> Optional[np.ndarray]:
+    """Where none of a join side's key columns is NULL; None when no
+    key column has a NULL."""
+    masks = [rel.valid[c] for c in cols if c in rel.valid]
+    return np.logical_and.reduce(masks) if masks else None
+
+
 def _assemble_inner(left, right, lidx, ridx) -> Relation:
     return left.take(lidx).beside(right.take(ridx))
 

@@ -325,6 +325,29 @@ class TestProbedOnlySort:
         _same_as_frozen(probe, build)
 
 
+class TestNullKeysMatchNothing:
+    """A key whose ``valid`` is False matches nothing, on the probe side
+    and on the build side, on both paths of :func:`match_keys`."""
+
+    PROBE_VALID = np.array([True, True, False, True])
+    BUILD_VALID = np.array([True, False, True, True])
+
+    @pytest.mark.parametrize("scale, direct", [(1, True), (1000, False)], ids=["direct", "sorted"])
+    def test_inner_left_semi_anti(self, scale, direct):
+        probe = np.array([1, 2, 1, 1], dtype=np.int64) * scale
+        build = np.array([1, 1, 2, 4], dtype=np.int64) * scale
+        kept = build[self.BUILD_VALID]
+        span = int(kept.max()) - int(kept.min()) + 1
+        assert (len(match_keys(probe, kept)[0]) == span + 1) == direct
+        valid = (self.PROBE_VALID, self.BUILD_VALID)
+        lidx, ridx = inner_join_pairs(probe, build, *valid)
+        assert list(zip(lidx.tolist(), ridx.tolist())) == [(0, 0), (1, 2), (3, 0)]
+        lidx, ridx = left_join_pairs(probe, build, *valid)
+        assert list(zip(lidx.tolist(), ridx.tolist())) == [(0, 0), (1, 2), (2, -1), (3, 0)]
+        semi = semi_join_mask(probe, build, *valid)
+        assert semi.tolist() == [True, True, False, True]  # anti keeps the NULL row: ~semi
+
+
 class TestNoNegativeSlot:
     """A probe key below the build side's minimum has a negative offset;
     used as an index it would wrap to the table's end and match the last

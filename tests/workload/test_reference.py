@@ -343,6 +343,30 @@ class TestSqlNullSemantics:
         assert got.column("e_dept").tolist() == [0, 1, 2, 3]  # the placeholder leads
         assert got.column("n").tolist() == [1, 3, 4, 1]
 
+    @pytest.mark.parametrize("null_side, how, rows", [
+        ("left", "inner", 8), ("left", "left", 9), ("left", "semi", 8), ("left", "anti", 1),
+        ("right", "inner", 8), ("right", "left", 9),
+    ])
+    def test_a_null_join_key_matches_nothing(self, lonely_db, executor, null_side, how, rows):
+        """Department 4's NULL ``e_dept`` lies over the placeholder 1;
+        anti keeps its row, as ``NOT EXISTS`` does."""
+        nullable, departments = _dept_left_join_emp(), scan("dept", alias="d2")
+        if null_side == "left":
+            plan = nullable.join(departments, on=[("e_dept", "d2.d_id")], how=how)
+        else:
+            plan = departments.join(nullable, on=[("d2.d_id", "e_dept")], how=how)
+        self._judge(lonely_db, executor, plan, rows)
+
+    @pytest.mark.parametrize("how, rows", [("inner", 8), ("left", 9), ("semi", 8), ("anti", 1)])
+    def test_a_null_join_key_matches_nothing_on_the_sorted_path(
+        self, lonely_db, executor, how, rows
+    ):
+        """Keys 1000 apart span more slots than both sides have rows."""
+        nullable = _dept_left_join_emp().project(d_id=col("d_id"), k=col("e_dept") * 1000)
+        departments = scan("dept", alias="d2").project(k2=col("d2.d_id") * 1000)
+        plan = nullable.join(departments, on=[("k", "k2")], how=how)
+        self._judge(lonely_db, executor, plan, rows)
+
 @pytest.mark.workload
 def test_anti_join_over_lineitem_self_join_at_sf_001():
     """Generated plan seed 0 / index 41 at SF 0.01: an anti join with a
