@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..storage.keys import factorize, fold_keys
+from .expressions import Evaluated, fill_nulls
 
 __all__ = [
     "AggSpec",
@@ -41,8 +42,9 @@ DECOMPOSABLE_AGGS = ("sum", "count", "avg", "min", "max")
 class AggSpec:
     """One output aggregate: ``name = fn(expr)``.
 
-    ``expr`` may be None for ``count(*)``.  ``valid`` masks (outer-join
-    nulls) are honoured: null inputs do not contribute.
+    ``expr`` may be None for ``count(*)``.  A row where ``expr`` is NULL
+    does not contribute, and ``sum``, ``avg``, ``min`` and ``max`` over
+    no valid row are NULL, as in SQL (:func:`apply_aggregate`).
     """
 
     name: str
@@ -95,56 +97,69 @@ def apply_aggregate(
     num_groups: int,
     values: Optional[np.ndarray],
     valid: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Evaluate one aggregate over pre-factorised groups."""
+) -> Evaluated:
+    """Evaluate one aggregate over pre-factorised groups: its values and
+    their validity.  NULL inputs (``valid`` False) do not contribute; a
+    ``sum``, ``avg``, ``min`` or ``max`` over no valid row is NULL, over
+    its dtype's placeholder (:func:`~repro.execution.expressions.fill_nulls`),
+    so a serial and a merged run agree bit for bit.  The validity is
+    None when the input carries no mask; a count is never NULL."""
     if spec.fn == "count":
         counted = group_index if valid is None else group_index[valid]
-        return np.bincount(counted, minlength=num_groups).astype(np.int64)
+        return np.bincount(counted, minlength=num_groups).astype(np.int64), None
 
     if values is None:
         raise ValueError(f"aggregate {spec.fn} requires an expression")
     if valid is not None:
         group_index = group_index[valid]
         values = values[valid]
+    out = _aggregate(spec.fn, group_index, num_groups, values)
+    if valid is None or spec.fn == "count_distinct":
+        return out, None
+    seen = np.bincount(group_index, minlength=num_groups) > 0
+    return fill_nulls(out, seen), seen
 
-    if spec.fn == "sum":
+
+def _aggregate(fn: str, group_index: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:
+    """One aggregate of the valid rows ``values``; a group with no row
+    gets whatever its kernel leaves there."""
+    if fn == "sum":
         return _group_sums(group_index, values, num_groups)
-    if spec.fn == "avg":
+    if fn == "avg":
         sums = _group_sums(group_index, values, num_groups)
         counts = np.bincount(group_index, minlength=num_groups)
         with np.errstate(invalid="ignore", divide="ignore"):
             return sums / counts
-    if spec.fn in ("min", "max"):
+    if fn in ("min", "max"):
         if values.dtype.kind == "U":
             # string extrema via per-group sort (rare; small inputs): the
             # first (min) or last (max) row of each group's run — no run,
             # hence nothing to pick, when the input is empty
             order = np.lexsort((values, group_index))
             gsorted = group_index[order]
-            if spec.fn == "min":
+            if fn == "min":
                 picks = np.flatnonzero(np.diff(np.append(-1, gsorted)))
             else:
                 picks = np.flatnonzero(np.diff(np.append(gsorted, -1)))
-            out = np.empty(num_groups, dtype=values.dtype)
+            out = np.zeros(num_groups, dtype=values.dtype)
             out[gsorted[picks]] = values[order][picks]
             return out
-        ufunc = np.minimum if spec.fn == "min" else np.maximum
+        ufunc = np.minimum if fn == "min" else np.maximum
         if values.dtype.kind in "iu":
             # exact in int64: a detour through float64 rounds beyond
             # 2**53 to a value that is not in the input
             info = np.iinfo(np.int64)
-            out = np.full(num_groups, info.max if spec.fn == "min" else info.min, dtype=np.int64)
+            out = np.full(num_groups, info.max if fn == "min" else info.min, dtype=np.int64)
             ufunc.at(out, group_index, values.astype(np.int64, copy=False))
-            seen = np.bincount(group_index, minlength=num_groups) > 0
-            return np.where(seen, out, 0)  # 0 for an all-null group
-        out = np.full(num_groups, np.inf if spec.fn == "min" else -np.inf, dtype=np.float64)
+            return out
+        out = np.full(num_groups, np.inf if fn == "min" else -np.inf, dtype=np.float64)
         ufunc.at(out, group_index, values.astype(np.float64, copy=False))
         return out
-    if spec.fn == "count_distinct":
+    if fn == "count_distinct":
         # one representative row per distinct (group, value) pair
         _, pair_rows, _ = group_rows([group_index, values])
         return np.bincount(group_index[pair_rows], minlength=num_groups).astype(np.int64)
-    raise AssertionError(spec.fn)
+    raise AssertionError(fn)
 
 
 @dataclass(frozen=True)
@@ -152,14 +167,10 @@ class MergeSpec:
     """How one final aggregate is recovered from partial-state columns.
 
     ``value`` names the partial column carrying the primary state (the
-    per-partition sums, counts or extrema); ``count`` names the
-    companion validity-count column two cases need:
-
-    * ``avg`` merges as ``sum(partial sums) / sum(partial counts)``;
-    * ``min``/``max`` must ignore partials of partitions where every
-      input row of the group was null — the kernels emit a type-specific
-      "empty" sentinel there (0 for ints, ±inf for floats, uninitialised
-      for strings) that would otherwise poison the merge.
+    per-partition sums, counts or extrema — NULL in a partition where
+    the group saw no valid row, and the merge skips it); ``count`` names
+    the companion valid-row count that only ``avg`` needs: it merges as
+    ``sum(partial sums) / sum(partial counts)``.
     """
 
     name: str
@@ -177,15 +188,15 @@ def decompose_aggs(
     ======  =======================  ============================
     fn      partial state            merge
     ======  =======================  ============================
-    sum     sum(expr)                sum(partial sums)
+    sum     sum(expr)                sum of valid partial sums
     count   count(expr)              sum(partial counts)
     avg     sum(expr), count(expr)   sum(sums) / sum(counts)
-    min     min(expr), count(expr)   min over valid partials
-    max     max(expr), count(expr)   max over valid partials
+    min     min(expr)                min of valid partials
+    max     max(expr)                max of valid partials
     ======  =======================  ============================
 
-    Partial columns keep the final output names (the companion counts
-    are ``__pcnt__``-prefixed and internal); returns None when any
+    Partial columns keep the final output names (``avg``'s companion
+    count is ``__pcnt__``-prefixed and internal); returns None when any
     aggregate is not decomposable (``count_distinct``), which keeps the
     serial gather-then-aggregate plan.
     """
@@ -194,15 +205,14 @@ def decompose_aggs(
     for spec in aggs:
         if spec.fn not in DECOMPOSABLE_AGGS:
             return None
-        if spec.fn in ("sum", "count"):
-            partials.append(spec)
-            merges.append(MergeSpec(spec.name, spec.fn, spec.name))
-        else:
+        if spec.fn == "avg":
             count_name = f"__pcnt__{spec.name}"
-            partial_fn = "sum" if spec.fn == "avg" else spec.fn
-            partials.append(AggSpec(spec.name, partial_fn, spec.expr))
+            partials.append(AggSpec(spec.name, "sum", spec.expr))
             partials.append(AggSpec(count_name, "count", spec.expr))
             merges.append(MergeSpec(spec.name, spec.fn, spec.name, count_name))
+        else:
+            partials.append(spec)
+            merges.append(MergeSpec(spec.name, spec.fn, spec.name))
     return tuple(partials), tuple(merges)
 
 
@@ -210,35 +220,30 @@ def merge_partial_aggregates(
     merges: Sequence[MergeSpec],
     group_index: np.ndarray,
     num_groups: int,
-    columns: Dict[str, np.ndarray],
-) -> Dict[str, np.ndarray]:
-    """Recombine gathered partial-state columns into the final
-    aggregates, group numbering pre-factorised like :func:`group_rows`.
+    partials,
+) -> Dict[str, Evaluated]:
+    """Recombine the gathered partial-state relation ``partials`` into
+    the final aggregates, group numbering pre-factorised like
+    :func:`group_rows`.
 
-    Matches the serial kernels' output dtypes and null semantics
-    exactly: counts come back int64, an all-null group's min/max
-    reproduces the serial sentinel (0 for ints, ±inf for floats), and
-    an empty group set yields the same kernels' zero-length output — an
-    integer extremum stays int64 when a partition filtered to nothing."""
-    out: Dict[str, np.ndarray] = {}
+    Matches the serial kernels' output dtypes and NULLs exactly: a NULL
+    partial is skipped, so a group NULL in every partition is NULL over
+    the serial run's placeholder; counts come back int64, and an empty
+    group set yields the same kernels' zero-length output — an integer
+    extremum stays int64 when a partition filtered to nothing."""
+    out: Dict[str, Evaluated] = {}
     for m in merges:
-        values = np.asarray(columns[m.value])
-        if m.fn == "sum":
-            out[m.name] = _group_sums(group_index, values, num_groups)
-        elif m.fn == "count":
-            out[m.name] = _group_sums(group_index, values, num_groups).astype(np.int64)
-        elif m.fn == "avg":
-            sums = _group_sums(group_index, values, num_groups)
-            counts = _group_sums(
-                group_index, np.asarray(columns[m.count]), num_groups
-            ).astype(np.int64)
+        values, valid = partials.column(m.value), partials.valid.get(m.value)
+        if m.fn == "count":
+            out[m.name] = _group_sums(group_index, values, num_groups).astype(np.int64), None
+            continue
+        fn = "sum" if m.fn == "avg" else m.fn
+        merged, seen = apply_aggregate(AggSpec(m.name, fn), group_index, num_groups, values, valid)
+        if m.fn == "avg":
+            counts = _group_sums(group_index, partials.column(m.count), num_groups).astype(np.int64)
             with np.errstate(invalid="ignore", divide="ignore"):
-                out[m.name] = sums / counts
-        else:  # min / max: only partials whose partition saw a valid row
-            valid = np.asarray(columns[m.count]) > 0
-            out[m.name] = apply_aggregate(
-                AggSpec(m.name, m.fn), group_index, num_groups, values, valid
-            )
+                merged = fill_nulls(merged / counts, seen)
+        out[m.name] = merged, seen
     return out
 
 

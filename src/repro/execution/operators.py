@@ -758,16 +758,19 @@ class Aggregate(_ByStrategy, PhysicalOp):
         # ---- execute (strategy-independent kernels) ---------------------
         columns = {key: ranks[key][-1][first_rows] for key in self.keys}
         valid = {key: rel.valid[key][first_rows] for key in self.keys if key in rel.valid}
+        results = {}
         if self.strategy == "merge":
-            columns.update(
-                merge_partial_aggregates(self.merges, group_index, num_groups, rel.columns)
-            )
+            results = merge_partial_aggregates(self.merges, group_index, num_groups, rel)
         for spec in self.aggs:
             values = mask = None
             if spec.expr is not None:
                 values, mask = spec.expr.eval(rel)  # NULL inputs skip the row
                 ctx.charge_cpu(n * ctx.costs.expr_value, "aggregate")
-            columns[spec.name] = apply_aggregate(spec, group_index, num_groups, values, mask)
+            results[spec.name] = apply_aggregate(spec, group_index, num_groups, values, mask)
+        for name, (values, mask) in results.items():
+            columns[name] = values
+            if mask is not None:
+                valid[name] = mask
         # a sandwich aggregate's output keeps its uses' hidden group columns
         for use, _ in self.partition_uses:
             columns[use.column] = rel.column(use.column)[first_rows]

@@ -32,14 +32,8 @@ as floats (``CAST(a AS REAL) / b``), ``EXTRACT(YEAR)`` goes through
 ``strftime``, LIKE is case-sensitive (``PRAGMA case_sensitive_like``),
 a scalar aggregate over no rows returns no row (``HAVING COUNT(*) >
 0``), semi and anti joins are ``[NOT] EXISTS``, and on duplicate column
-names the left side of a join wins.  Aggregates skip NULL inputs, as
-the engine does for every column an aggregate's expression reads.  Two
-deviations remain, both over a group with no valid input row:
-
-* ``sum`` is 0.0 in the engine, so the printer uses ``TOTAL`` (also
-  0.0) rather than ``SUM`` (NULL);
-* ``min``/``max`` return the kernel's sentinels (0 for integers, +-inf
-  for floats) where SQL returns NULL.  The generator never emits it.
+names the left side of a join wins.  NULLs need no settling: the engine
+follows SQL's rules (:mod:`repro.execution.expressions`).
 """
 
 from __future__ import annotations
@@ -146,7 +140,7 @@ def _q(name: str) -> str:
 
 _CMP = {"==": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _AGG = {
-    "count": "COUNT({})", "sum": "TOTAL({})", "avg": "AVG({})", "min": "MIN({})",
+    "count": "COUNT({})", "sum": "SUM({})", "avg": "AVG({})", "min": "MIN({})",
     "max": "MAX({})", "count_distinct": "COUNT(DISTINCT {})",
 }
 

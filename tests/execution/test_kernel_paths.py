@@ -24,6 +24,7 @@ from repro.execution.aggregate import (
     merge_partial_aggregates,
 )
 from repro.execution.join_utils import inner_join_pairs, left_join_pairs, semi_join_mask
+from repro.execution.relation import Relation
 from repro.storage.keys import encode_join_keys, factorize, fold_keys, match_keys
 
 from . import frozen_kernels as frozen
@@ -166,7 +167,7 @@ class TestBitIdenticalToTheSortedKernels:
         groups, values = cols
         group_index, _, num_groups = frozen.group_rows([groups])
         assert_same_bits(
-            apply_aggregate(AggSpec("d", "count_distinct", object()), group_index, num_groups, values),
+            apply_aggregate(AggSpec("d", "count_distinct", object()), group_index, num_groups, values)[0],
             frozen.count_distinct(group_index, num_groups, values),
         )
         partition_ids = group_index.astype(np.uint64) << np.uint64(40)
@@ -201,7 +202,7 @@ class TestBitIdenticalToTheSortedKernels:
         group_index = np.array([r[0] for r in rows], dtype=np.int64)
         values = np.array([r[1] for r in rows], dtype=np.int64).astype(dtype)
         valid = np.array([r[2] for r in rows], dtype=bool)
-        got = apply_aggregate(AggSpec("m", fn, object()), group_index, 6, values, valid)
+        got = apply_aggregate(AggSpec("m", fn, object()), group_index, 6, values, valid)[0]
         assert_same_bits(got, frozen.integer_extremum(fn, group_index[valid], 6, values[valid]))
 
 
@@ -419,27 +420,31 @@ class TestIntegerExtremaAreExact:
 
     @pytest.mark.parametrize("fn,expected", [("max", 2**53 + 3), ("min", 2**53 + 1)])
     def test_apply_aggregate(self, fn, expected):
-        got = apply_aggregate(AggSpec("m", fn, object()), np.zeros(2, dtype=np.int64), 1, self.VALUES)
-        assert got.dtype == np.int64 and got.tolist() == [expected]
+        got, valid = apply_aggregate(
+            AggSpec("m", fn, object()), np.zeros(2, dtype=np.int64), 1, self.VALUES
+        )
+        assert valid is None and got.dtype == np.int64 and got.tolist() == [expected]
         # through float64 the answer was a value that is not in the input
         assert frozen.integer_extremum("max", np.zeros(2, dtype=np.int64), 1, self.VALUES).tolist() \
             == [2**53 + 4]
 
     @pytest.mark.parametrize("fn,expected", [("max", 2**53 + 3), ("min", 2**53 + 1)])
     def test_merge_partial_aggregates(self, fn, expected):
-        columns = {"m": self.VALUES, "__pcnt__m": np.array([1, 1])}
-        merged = merge_partial_aggregates(
-            [MergeSpec("m", fn, "m", "__pcnt__m")], np.zeros(2, dtype=np.int64), 1, columns
-        )
-        assert merged["m"].dtype == np.int64 and merged["m"].tolist() == [expected]
+        partials = Relation({"m": self.VALUES})
+        merged, valid = merge_partial_aggregates(
+            [MergeSpec("m", fn, "m")], np.zeros(2, dtype=np.int64), 1, partials
+        )["m"]
+        assert valid is None and merged.dtype == np.int64 and merged.tolist() == [expected]
 
     def test_the_ends_of_int64_and_what_callers_pin(self):
-        values = np.array([I64.max, I64.min, 5], dtype=np.int64)
-        group_index = np.array([0, 1, 1], dtype=np.int64)
+        values = np.array([I64.max, I64.min, 5, 7], dtype=np.int64)
+        group_index = np.array([0, 1, 1, 2], dtype=np.int64)
+        valid = np.array([True, True, True, False])
         for fn, expected in (("max", [I64.max, 5, 0]), ("min", [I64.max, I64.min, 0])):
-            got = apply_aggregate(AggSpec("m", fn, object()), group_index, 3, values)
-            assert got.dtype == np.int64 and got.tolist() == expected   # group 2: no row, 0
+            got, seen = apply_aggregate(AggSpec("m", fn, object()), group_index, 3, values, valid)
+            assert got.dtype == np.int64 and got.tolist() == expected   # group 2: NULL over 0
+            assert seen.tolist() == [True, True, False]
             empty = apply_aggregate(
                 AggSpec("m", fn, object()), np.zeros(0, dtype=np.int64), 0, values[:0]
-            )
+            )[0]
             assert empty.dtype == np.int64 and len(empty) == 0

@@ -266,7 +266,7 @@ def test_apply_aggregate_matches_python_reference(seed, fn):
     values = rng.randint(-50, 50, n).astype(np.float64)
     valid = rng.random_sample(n) < 0.7  # includes all-NULL groups
     spec = AggSpec("x", fn, object()) if fn != "count" else AggSpec("x", fn)
-    result = apply_aggregate(
+    result, result_valid = apply_aggregate(
         spec, group_index, num_groups,
         values if fn != "count" else None,
         valid if fn not in ("count_distinct",) else None,
@@ -277,7 +277,7 @@ def test_apply_aggregate_matches_python_reference(seed, fn):
         if fn == "count":
             expected = len([i for i in rows if valid[i]])
         elif fn == "sum":
-            expected = sum(masked)
+            expected = sum(masked) if masked else None
         elif fn == "avg":
             expected = sum(masked) / len(masked) if masked else None
         elif fn == "min":
@@ -286,26 +286,30 @@ def test_apply_aggregate_matches_python_reference(seed, fn):
             expected = max(masked) if masked else None
         else:  # count_distinct ignores validity, like the kernel
             expected = len({values[i] for i in rows})
-        if expected is None:
-            continue  # empty-group sentinel behaviour pinned elsewhere
+        if expected is None:  # no valid row: NULL over the placeholder
+            assert not result_valid[g] and result[g] == 0
+            continue
         assert result[g] == pytest.approx(expected)
+        assert result_valid is None or result_valid[g]
 
 
 def test_apply_aggregate_all_null_masks():
+    """No valid row: a count is 0, every other aggregate NULL."""
     group_index = np.array([0, 0, 1], dtype=np.int64)
     values = np.array([5.0, 7.0, 9.0])
     no_valid = np.zeros(3, dtype=bool)
-    count = apply_aggregate(AggSpec("c", "count", object()), group_index, 2, values, no_valid)
-    assert count.tolist() == [0, 0]
-    total = apply_aggregate(AggSpec("s", "sum", object()), group_index, 2, values, no_valid)
-    assert total.tolist() == [0.0, 0.0]
+    count, valid = apply_aggregate(AggSpec("c", "count", object()), group_index, 2, values, no_valid)
+    assert count.tolist() == [0, 0] and valid is None
+    for fn in ("sum", "avg", "min", "max"):
+        out, valid = apply_aggregate(AggSpec("s", fn, object()), group_index, 2, values, no_valid)
+        assert valid.tolist() == [False, False] and out.tolist() == [0.0, 0.0], fn
 
 
 def test_apply_aggregate_string_min_max():
     group_index = np.array([0, 1, 0, 1], dtype=np.int64)
     values = np.array(["pear", "fig", "apple", "quince"])
-    low = apply_aggregate(AggSpec("m", "min", object()), group_index, 2, values)
-    high = apply_aggregate(AggSpec("m", "max", object()), group_index, 2, values)
+    low = apply_aggregate(AggSpec("m", "min", object()), group_index, 2, values)[0]
+    high = apply_aggregate(AggSpec("m", "max", object()), group_index, 2, values)[0]
     assert low.tolist() == ["apple", "fig"]
     assert high.tolist() == ["pear", "quince"]
 
@@ -322,21 +326,23 @@ def test_apply_aggregate_empty_input(dtype):
         fns += ("sum", "avg")
     for fn in fns:
         spec = AggSpec("x", fn, object() if fn != "count" else None)
-        result = apply_aggregate(spec, group_index, 0, values if fn != "count" else None)
+        result = apply_aggregate(spec, group_index, 0, values if fn != "count" else None)[0]
         filled = apply_aggregate(
             spec, np.zeros(1, dtype=np.int64), 1,
             np.zeros(1, dtype=dtype) if fn != "count" else None,
-        )
+        )[0]
         assert len(result) == 0
         assert result.dtype == filled.dtype, fn
     # ... and a group whose every row is null (string extrema included)
-    # still gets its slot
+    # still gets its slot: a NULL over the dtype's placeholder
     for fn in ("min", "max"):
-        masked = apply_aggregate(
+        masked, valid = apply_aggregate(
             AggSpec("x", fn, object()), np.zeros(2, dtype=np.int64), 1,
-            np.zeros(2, dtype=dtype), valid=np.zeros(2, dtype=bool),
+            np.ones(2, dtype=dtype), valid=np.zeros(2, dtype=bool),
         )
-        assert len(masked) == 1 and masked.dtype == np.zeros(1, dtype=dtype).dtype
+        placeholder = np.zeros(1, dtype=dtype)
+        assert masked.dtype == placeholder.dtype and masked.tolist() == placeholder.tolist()
+        assert valid.tolist() == [False]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -119,42 +119,42 @@ class TestAggregates:
 
     def test_sum_avg_count(self):
         idx, n, values = self._grouped()
-        assert list(apply_aggregate(AggSpec("s", "sum", object()), idx, n, values)) == [3.0, 7.0]
-        assert list(apply_aggregate(AggSpec("a", "avg", object()), idx, n, values)) == [1.5, 3.5]
-        assert list(apply_aggregate(AggSpec("c", "count"), idx, n, None)) == [2, 2]
+        assert list(apply_aggregate(AggSpec("s", "sum", object()), idx, n, values)[0]) == [3.0, 7.0]
+        assert list(apply_aggregate(AggSpec("a", "avg", object()), idx, n, values)[0]) == [1.5, 3.5]
+        assert list(apply_aggregate(AggSpec("c", "count"), idx, n, None)[0]) == [2, 2]
 
     def test_min_max(self):
         idx, n, values = self._grouped()
-        assert list(apply_aggregate(AggSpec("m", "min", object()), idx, n, values)) == [1.0, 3.0]
-        assert list(apply_aggregate(AggSpec("m", "max", object()), idx, n, values)) == [2.0, 4.0]
+        assert list(apply_aggregate(AggSpec("m", "min", object()), idx, n, values)[0]) == [1.0, 3.0]
+        assert list(apply_aggregate(AggSpec("m", "max", object()), idx, n, values)[0]) == [2.0, 4.0]
 
     def test_min_int_dtype(self):
         idx = np.array([0, 0, 1])
-        out = apply_aggregate(AggSpec("m", "min", object()), idx, 2, np.array([5, 3, 9]))
+        out = apply_aggregate(AggSpec("m", "min", object()), idx, 2, np.array([5, 3, 9]))[0]
         assert list(out) == [3, 9]
 
     def test_string_min_max(self):
         idx = np.array([0, 0, 1])
         vals = np.array(["b", "a", "z"])
-        assert list(apply_aggregate(AggSpec("m", "min", object()), idx, 2, vals)) == ["a", "z"]
-        assert list(apply_aggregate(AggSpec("m", "max", object()), idx, 2, vals)) == ["b", "z"]
+        assert list(apply_aggregate(AggSpec("m", "min", object()), idx, 2, vals)[0]) == ["a", "z"]
+        assert list(apply_aggregate(AggSpec("m", "max", object()), idx, 2, vals)[0]) == ["b", "z"]
 
     def test_count_distinct(self):
         idx = np.array([0, 0, 0, 1])
         vals = np.array([7, 7, 8, 7])
-        out = apply_aggregate(AggSpec("d", "count_distinct", object()), idx, 2, vals)
+        out = apply_aggregate(AggSpec("d", "count_distinct", object()), idx, 2, vals)[0]
         assert list(out) == [2, 1]
 
     def test_count_with_validity(self):
         idx = np.array([0, 0, 1])
         valid = np.array([True, False, False])
-        out = apply_aggregate(AggSpec("c", "count", object()), idx, 2, np.ones(3), valid)
+        out = apply_aggregate(AggSpec("c", "count", object()), idx, 2, np.ones(3), valid)[0]
         assert list(out) == [1, 0]
 
     def test_sum_skips_nulls(self):
         idx = np.array([0, 0])
         valid = np.array([True, False])
-        out = apply_aggregate(AggSpec("s", "sum", object()), idx, 1, np.array([5.0, 9.0]), valid)
+        out = apply_aggregate(AggSpec("s", "sum", object()), idx, 1, np.array([5.0, 9.0]), valid)[0]
         assert out[0] == 5.0
 
     def test_unknown_fn_rejected(self):
@@ -167,7 +167,7 @@ class TestAggregates:
         groups = np.array([g for g, _ in rows])
         values = np.array([v for _, v in rows])
         idx, firsts, n = group_rows([groups])
-        out = apply_aggregate(AggSpec("s", "sum", object()), idx, n, values)
+        out = apply_aggregate(AggSpec("s", "sum", object()), idx, n, values)[0]
         expected = {}
         for g, v in rows:
             expected[g] = expected.get(g, 0.0) + v

@@ -1,7 +1,6 @@
 """The SQL reference, checked against hand-computed answers and against
-the engine on handwritten plans (including the NULL paths and the two
-named deviations), plus a generated plan whose joins pair millions of
-candidate rows."""
+the engine on handwritten plans (including SQL's NULL rules), plus a
+generated plan whose joins pair millions of candidate rows."""
 
 import numpy as np
 import pytest
@@ -156,7 +155,7 @@ class TestAgainstEngine:
         )
 
     @pytest.mark.parametrize("agg, expected", [
-        (AggSpec("v", "sum", col("e_sal") * 2), {1: 140.0, 2: 160.0, 3: 0.0}),
+        (AggSpec("v", "sum", col("e_sal") * 2), {1: 140.0, 2: 160.0, 3: None}),
         (AggSpec("v", "count", col("e_sal")), {1: 1, 2: 1, 3: 0}),
         (AggSpec("v", "count_distinct", col("e_sal")), {1: 1, 2: 1, 3: 0}),
     ])
@@ -164,8 +163,8 @@ class TestAgainstEngine:
         plan = _unmatched_dept(agg)
         reference = evaluate_reference(db, plan)
         got = executor.execute(plan).relation
-        assert dict(zip(reference.columns["d_id"].tolist(), reference.columns["v"].tolist())) == expected
-        assert dict(zip(got.column("d_id").tolist(), got.column("v").tolist())) == expected
+        assert _per_dept(reference) == expected
+        assert _per_dept(got) == expected
         assert reference_mismatch(reference, got)[0] is None
 
     def test_computed_projection_of_a_null_extended_column_is_null(self, db, executor):
@@ -194,34 +193,29 @@ class TestAgainstEngine:
             normalized_rows(result.relation.columns, names),
         )
 
-    def test_sum_of_no_valid_row_is_zero(self, db, executor):
-        """Deviation one: SQL's SUM is NULL here, the engine's 0.0 —
-        the printer's TOTAL is 0.0 too."""
-        plan = _unmatched_dept(AggSpec("v", "sum", col("e_sal")))
-        reference = evaluate_reference(db, plan)
-        got = executor.execute(plan).relation
-        totals = dict(zip(reference.columns["d_id"].tolist(), reference.columns["v"].tolist()))
-        assert totals == {1: 70.0, 2: 80.0, 3: 0.0}
-        assert "v" not in reference.valid
-        assert reference_mismatch(reference, got)[0] is None
-
-    @pytest.mark.parametrize("fn, column, sentinel", [
-        ("min", "e_sal", np.inf), ("max", "e_sal", -np.inf),
-        ("min", "e_id", 0), ("max", "e_id", 0),
+    @pytest.mark.parametrize("fn, column", [
+        ("sum", "e_sal"), ("avg", "e_sal"), ("min", "e_sal"), ("max", "e_sal"),
+        ("sum", "e_id"), ("min", "e_id"), ("max", "e_id"),
     ])
-    def test_min_max_of_no_valid_row_is_the_kernel_sentinel(
-        self, db, executor, fn, column, sentinel
-    ):
-        """Deviation two: SQL returns NULL, the engine its kernel's
-        sentinel (the generator never aggregates a nullable column so)."""
+    def test_an_aggregate_of_no_valid_row_is_null(self, db, executor, fn, column):
+        """SQL's SUM, AVG, MIN and MAX over no valid row are NULL, and so
+        are the engine's, over the dtype's placeholder."""
         plan = _unmatched_dept(AggSpec("v", fn, col(column)))
         reference = evaluate_reference(db, plan)
         got = executor.execute(plan).relation
-        unmatched = got.column("d_id").tolist().index(3)
-        assert got.column("v")[unmatched] == sentinel
-        row = reference.columns["d_id"].tolist().index(3)
-        assert not reference.valid["v"][row]
-        assert reference.valid["v"].sum() == 2
+        assert _per_dept(reference)[3] is None and _per_dept(got)[3] is None
+        assert got.column("v")[got.column("d_id").tolist().index(3)] == 0
+        assert reference.valid["v"].sum() == got.valid["v"].sum() == 2
+        assert reference_mismatch(reference, got)[0] is None
+
+
+def _per_dept(rel):
+    """``d_id -> v``, NULL as None."""
+    valid = rel.valid.get("v", np.ones(rel.num_rows, dtype=bool))
+    return {
+        d: v if ok else None
+        for d, v, ok in zip(rel.columns["d_id"].tolist(), rel.columns["v"].tolist(), valid)
+    }
 
 
 def _dept_left_join_emp():
@@ -366,6 +360,11 @@ class TestSqlNullSemantics:
         departments = scan("dept", alias="d2").project(k2=col("d2.d_id") * 1000)
         plan = nullable.join(departments, on=[("k", "k2")], how=how)
         self._judge(lonely_db, executor, plan, rows)
+
+    def test_min_of_a_department_with_no_employee_is_null(self, lonely_db, executor):
+        plan = _dept_left_join_emp().groupby(["d_id"], [AggSpec("v", "min", col("e_sal"))])
+        got = self._judge(lonely_db, executor, plan, 4)
+        assert _per_dept(got) == {1: 10.0, 2: 30.0, 3: 60.0, 4: None}
 
 @pytest.mark.workload
 def test_anti_join_over_lineitem_self_join_at_sf_001():
