@@ -34,6 +34,7 @@ from .query_log import (
 )
 from .regress import check_ledger, format_table
 from .schema import problems
+from .sink import run_main
 from .trace_events import validate_trace
 
 __all__ = ["main"]
@@ -221,4 +222,4 @@ def main(argv: List[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_main(main)

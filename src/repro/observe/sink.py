@@ -7,17 +7,35 @@ out to whatever the command line enabled: the Perfetto trace builder
 (``--trace``), the validated JSONL query log (``--query-log``) and the
 in-memory record list a ``--json`` document embeds.  One sink, so the
 three surfaces cannot drift apart and a flag cannot be honoured in one
-mode and dropped in another.
+mode and dropped in another.  :func:`run_main` is how each ``python
+-m`` driver hands its printed output to a reader that may go away.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import os
+import sys
+from typing import Callable, List, NoReturn, Optional
 
 from .query_log import QueryLog, build_record
 from .trace_events import TraceBuilder
 
-__all__ = ["ObservabilitySink"]
+__all__ = ["ObservabilitySink", "run_main"]
+
+
+def run_main(main: Callable[[], int]) -> NoReturn:
+    """Exit a ``python -m`` driver with ``main()``'s status.  A reader
+    that goes away (``... | head``) ends the run with status 0 and no
+    traceback: what was left to print has no one to read it."""
+    try:
+        status = main()
+        sys.stdout.flush()  # a write that fails must fail here, not at exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more on its way out: point
+        # it at /dev/null, where that flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    raise SystemExit(status)
 
 
 class ObservabilitySink:

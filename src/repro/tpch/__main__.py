@@ -1,5 +1,6 @@
 """Entry point for ``python -m repro.tpch``."""
 
+from ..observe.sink import run_main
 from .cli import main
 
-raise SystemExit(main())
+run_main(main)

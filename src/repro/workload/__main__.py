@@ -15,6 +15,7 @@ import time
 from typing import List
 
 from ..observe import SCHEMA_VERSION
+from ..observe.sink import run_main
 from ..serving import run_serving_differential, serving_trace
 from ..tpch.driver import open_session, shared_flags
 from .differential import (
@@ -177,4 +178,4 @@ def main(argv: List[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run_main(main)
