@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.execution.expressions import (
+    And,
+    Between,
     Case,
+    Cmp,
+    Col,
+    Const,
     InList,
     Like,
+    Not,
+    Or,
     Substring,
     col,
     days,
@@ -14,6 +23,12 @@ from repro.execution.expressions import (
     year,
 )
 from repro.execution.relation import Relation
+from repro.planner.executor import Executor
+from repro.schemes.plain import PlainScheme
+from repro.workload.differential import reference_mismatch
+from repro.workload.reference import evaluate_reference
+
+from ..workload.test_reference import _dept_emp, _dept_left_join_emp
 
 
 def _rel(**cols):
@@ -206,3 +221,62 @@ class TestStructuralIdentity:
         assert first is not second and first == second and hash(first) == hash(second)
         assert InList(col("a"), [1, 2]).values == (1, 2)
         assert build() != (col("a").isin([1, 3]) & col("s").like("%x%"))
+
+
+# ------------------------------------------------- Kleene logic against SQL
+#: literals per column of ``dept LEFT JOIN emp`` (``e_*`` are nullable)
+LITERALS = {"d_id": [1, 2, 4], "e_id": [0, 3, 7], "e_dept": [1, 2, 3], "e_sal": [10.0, 35.0, 80.0]}
+COLUMNS = st.sampled_from(sorted(LITERALS))
+PICK = st.integers(0, 2)
+
+
+def _between(name, i, j):
+    low, high = sorted((LITERALS[name][i], LITERALS[name][j]))
+    return Between(Col(name), Const(low), Const(high))
+
+
+LEAVES = st.one_of(
+    st.builds(
+        lambda name, op, i: Cmp(op, Col(name), Const(LITERALS[name][i])),
+        COLUMNS, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), PICK,
+    ),
+    st.builds(_between, COLUMNS, PICK, PICK),
+    st.builds(
+        lambda name, picks: InList(Col(name), [LITERALS[name][i] for i in sorted(picks)]),
+        COLUMNS, st.sets(PICK, min_size=1),
+    ),
+    st.builds(lambda pattern: Like(Col("d_name"), pattern), st.sampled_from(["e%", "%o%", "hr"])),
+)
+
+
+def _extend(inner):
+    """Connectives over predicates, and a CASE whose branch is a
+    nullable value compared in turn."""
+    case = st.builds(
+        lambda when, name: Case([(when, Col(name))], 0.0).gt(25.0),
+        inner, st.sampled_from(["e_sal", "d_id"]),
+    )
+    return st.one_of(st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Not, inner), case)
+
+
+PREDICATES = st.recursive(LEAVES, _extend, max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def lonely():
+    """``lonely_db``: department 4 has no employee, so its ``e_*``
+    columns are NULL in ``dept LEFT JOIN emp``."""
+    database = _dept_emp(["eng", "ops", "hr", "fin"])
+    return database, Executor(PlainScheme().build(database))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(predicate=PREDICATES)
+def test_kleene_logic_is_sqls(lonely, predicate):
+    """Projected, a predicate is TRUE, FALSE or NULL where SQL says so;
+    as a filter, it keeps exactly SQL's rows."""
+    database, executor = lonely
+    joined = _dept_left_join_emp()
+    for plan in (joined.project(d=col("d_id"), e=col("e_id"), p=predicate), joined.filter(predicate)):
+        got = executor.execute(plan).relation
+        assert reference_mismatch(evaluate_reference(database, plan), got)[0] is None, predicate
