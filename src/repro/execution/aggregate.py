@@ -110,56 +110,51 @@ def apply_aggregate(
 
     if values is None:
         raise ValueError(f"aggregate {spec.fn} requires an expression")
+    seen = None  # the groups with a valid row, when some row is NULL
     if valid is not None:
         group_index = group_index[valid]
         values = values[valid]
-    out = _aggregate(spec.fn, group_index, num_groups, values)
-    if valid is None or spec.fn == "count_distinct":
-        return out, None
-    seen = np.bincount(group_index, minlength=num_groups) > 0
-    return fill_nulls(out, seen), seen
+        if spec.fn != "count_distinct":
+            seen = np.bincount(group_index, minlength=num_groups) > 0
 
-
-def _aggregate(fn: str, group_index: np.ndarray, num_groups: int, values: np.ndarray) -> np.ndarray:
-    """One aggregate of the valid rows ``values``; a group with no row
-    gets whatever its kernel leaves there."""
-    if fn == "sum":
-        return _group_sums(group_index, values, num_groups)
-    if fn == "avg":
+    if spec.fn == "sum":
+        out = _group_sums(group_index, values, num_groups)
+    elif spec.fn == "avg":
         sums = _group_sums(group_index, values, num_groups)
         counts = np.bincount(group_index, minlength=num_groups)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return sums / counts
-    if fn in ("min", "max"):
-        if values.dtype.kind == "U":
-            # string extrema via per-group sort (rare; small inputs): the
-            # first (min) or last (max) row of each group's run — no run,
-            # hence nothing to pick, when the input is empty
-            order = np.lexsort((values, group_index))
-            gsorted = group_index[order]
-            if fn == "min":
-                picks = np.flatnonzero(np.diff(np.append(-1, gsorted)))
-            else:
-                picks = np.flatnonzero(np.diff(np.append(gsorted, -1)))
-            out = np.zeros(num_groups, dtype=values.dtype)
-            out[gsorted[picks]] = values[order][picks]
-            return out
-        ufunc = np.minimum if fn == "min" else np.maximum
+            out = sums / counts
+    elif spec.fn in ("min", "max") and values.dtype.kind == "U":
+        # string extrema via per-group sort (rare; small inputs): the
+        # first (min) or last (max) row of each group's run — no run,
+        # hence nothing to pick, when the input is empty
+        order = np.lexsort((values, group_index))
+        gsorted = group_index[order]
+        if spec.fn == "min":
+            picks = np.flatnonzero(np.diff(np.append(-1, gsorted)))
+        else:
+            picks = np.flatnonzero(np.diff(np.append(gsorted, -1)))
+        out = np.zeros(num_groups, dtype=values.dtype)
+        out[gsorted[picks]] = values[order][picks]
+    elif spec.fn in ("min", "max"):
+        ufunc = np.minimum if spec.fn == "min" else np.maximum
         if values.dtype.kind in "iu":
             # exact in int64: a detour through float64 rounds beyond
             # 2**53 to a value that is not in the input
             info = np.iinfo(np.int64)
-            out = np.full(num_groups, info.max if fn == "min" else info.min, dtype=np.int64)
-            ufunc.at(out, group_index, values.astype(np.int64, copy=False))
-            return out
-        out = np.full(num_groups, np.inf if fn == "min" else -np.inf, dtype=np.float64)
-        ufunc.at(out, group_index, values.astype(np.float64, copy=False))
-        return out
-    if fn == "count_distinct":
+            out = np.full(num_groups, info.max if spec.fn == "min" else info.min, dtype=np.int64)
+            values = values.astype(np.int64, copy=False)
+        else:
+            out = np.full(num_groups, np.inf if spec.fn == "min" else -np.inf, dtype=np.float64)
+            values = values.astype(np.float64, copy=False)
+        ufunc.at(out, group_index, values)
+    elif spec.fn == "count_distinct":
         # one representative row per distinct (group, value) pair
         _, pair_rows, _ = group_rows([group_index, values])
-        return np.bincount(group_index[pair_rows], minlength=num_groups).astype(np.int64)
-    raise AssertionError(fn)
+        out = np.bincount(group_index[pair_rows], minlength=num_groups).astype(np.int64)
+    else:
+        raise AssertionError(spec.fn)
+    return fill_nulls(out, seen), seen
 
 
 @dataclass(frozen=True)
@@ -234,12 +229,11 @@ def merge_partial_aggregates(
     out: Dict[str, Evaluated] = {}
     for m in merges:
         values, valid = partials.column(m.value), partials.valid.get(m.value)
-        if m.fn == "count":
-            out[m.name] = _group_sums(group_index, values, num_groups).astype(np.int64), None
-            continue
-        fn = "sum" if m.fn == "avg" else m.fn
+        fn = m.fn if m.fn in ("min", "max") else "sum"  # counts and avg's sums add up
         merged, seen = apply_aggregate(AggSpec(m.name, fn), group_index, num_groups, values, valid)
-        if m.fn == "avg":
+        if m.fn == "count":
+            merged = merged.astype(np.int64)
+        elif m.fn == "avg":
             counts = _group_sums(group_index, partials.column(m.count), num_groups).astype(np.int64)
             with np.errstate(invalid="ignore", divide="ignore"):
                 merged = fill_nulls(merged / counts, seen)

@@ -63,10 +63,10 @@ class Expr:
         raise NotImplementedError
 
     def holds(self, rel) -> np.ndarray:
-        """Where this predicate is TRUE: the rows a filter keeps."""
+        """Where this predicate is TRUE: the rows a filter keeps (a NULL
+        is the bool placeholder, False)."""
         values, valid = self.eval(rel)
-        values = np.asarray(values, dtype=bool)
-        return values if valid is None else values & valid
+        return fill_nulls(np.asarray(values, dtype=bool), valid)
 
     def columns(self) -> Set[str]:
         """All column names this expression reads: its operands'."""

@@ -440,11 +440,9 @@ class PhysicalProject(PhysicalOp):
         valid: Dict[str, np.ndarray] = {}
         expr_cost = 0.0
         for name, expr in self.exprs:
-            columns[name], mask = expr.eval(rel)
+            columns[name], valid[name] = expr.eval(rel)
             if not isinstance(expr, Col):
                 expr_cost += rel.num_rows * ctx.costs.expr_value
-            if mask is not None:
-                valid[name] = mask
         ctx.charge_cpu(expr_cost, "project")
         for name in self.carry:
             columns[name] = rel.column(name)
@@ -768,9 +766,7 @@ class Aggregate(_ByStrategy, PhysicalOp):
                 ctx.charge_cpu(n * ctx.costs.expr_value, "aggregate")
             results[spec.name] = apply_aggregate(spec, group_index, num_groups, values, mask)
         for name, (values, mask) in results.items():
-            columns[name] = values
-            if mask is not None:
-                valid[name] = mask
+            columns[name], valid[name] = values, mask
         # a sandwich aggregate's output keeps its uses' hidden group columns
         for use, _ in self.partition_uses:
             columns[use.column] = rel.column(use.column)[first_rows]
@@ -786,7 +782,6 @@ def _key_ranks(rel: Relation, column: str) -> List[np.ndarray]:
     valid = rel.valid.get(column)
     values = fill_nulls(rel.column(column), valid)
     return [values] if valid is None else [valid, values]
-
 
 
 @dataclass(eq=False)

@@ -151,7 +151,9 @@ class Relation:
         self._index: Tuple[Indexer, ...] = (slice(0, num_rows),) if columns else ()
         self._num_rows = num_rows
         self._gathered = columns
-        self.valid: Dict[str, np.ndarray] = {} if valid is None else valid
+        # a mask of None is no mask: every row of that column is valid
+        valid = {} if valid is None else valid
+        self.valid: Dict[str, np.ndarray] = {n: m for n, m in valid.items() if m is not None}
 
     @classmethod
     def at(cls, columns: Dict[str, np.ndarray], rows: Indexer) -> "Relation":

@@ -7,8 +7,7 @@ out to whatever the command line enabled: the Perfetto trace builder
 (``--trace``), the validated JSONL query log (``--query-log``) and the
 in-memory record list a ``--json`` document embeds.  One sink, so the
 three surfaces cannot drift apart and a flag cannot be honoured in one
-mode and dropped in another.  :func:`run_main` is how each ``python
--m`` driver hands its printed output to a reader that may go away.
+mode and dropped in another.
 """
 
 from __future__ import annotations
@@ -24,15 +23,13 @@ __all__ = ["ObservabilitySink", "run_main"]
 
 
 def run_main(main: Callable[[], int]) -> NoReturn:
-    """Exit a ``python -m`` driver with ``main()``'s status.  A reader
-    that goes away (``... | head``) ends the run with status 0 and no
-    traceback: what was left to print has no one to read it."""
+    """Exit a ``python -m`` driver with ``main()``'s status, or with 0
+    and no traceback when its reader went away (``... | head``)."""
     try:
         status = main()
         sys.stdout.flush()  # a write that fails must fail here, not at exit
     except BrokenPipeError:
-        # the interpreter flushes stdout once more on its way out: point
-        # it at /dev/null, where that flush cannot fail
+        # stdout is flushed once more at exit: /dev/null takes that write
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = 0
     raise SystemExit(status)
