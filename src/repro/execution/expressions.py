@@ -132,44 +132,28 @@ class Const(Expr):
         return np.full(rel.num_rows, self.value), None
 
 
-_ARITH = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.divide,
-}
-
-
 @dataclass(frozen=True)
-class Arith(Expr):
+class _Binary(Expr):
+    """``left op right``, elementwise, for an ``op`` of the class's ``OPS``."""
+
     op: str
     left: Expr
     right: Expr
 
     def eval(self, rel) -> Evaluated:
         (left, lvalid), (right, rvalid) = self.left.eval(rel), self.right.eval(rel)
-        return _ARITH[self.op](left, right), _both(lvalid, rvalid)
+        return self.OPS[self.op](left, right), _both(lvalid, rvalid)
 
 
-_CMP = {
-    "==": np.equal,
-    "!=": np.not_equal,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-}
+class Arith(_Binary):
+    OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-@dataclass(frozen=True)
-class Cmp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-    def eval(self, rel) -> Evaluated:
-        (left, lvalid), (right, rvalid) = self.left.eval(rel), self.right.eval(rel)
-        return _CMP[self.op](left, right), _both(lvalid, rvalid)
+class Cmp(_Binary):
+    OPS = {
+        "==": np.equal, "!=": np.not_equal, "<": np.less,
+        "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+    }
 
 
 @dataclass(frozen=True)
@@ -267,38 +251,30 @@ def _find_from(values: np.ndarray, segment: str, start: np.ndarray) -> np.ndarra
     return out
 
 
-def _kleene(left: Evaluated, right: Evaluated, deciding: bool) -> Optional[np.ndarray]:
-    """Where a Kleene connective is known: where both sides are, or
-    where one known side alone decides it (FALSE for ``And``, TRUE for
-    ``Or``)."""
-    (lvalues, lvalid), (rvalues, rvalid) = left, right
-    if lvalid is None and rvalid is None:
-        return None
-    return (
-        _both(lvalid, rvalid)
-        | _both(lvalid, lvalues == deciding)
-        | _both(rvalid, rvalues == deciding)
-    )
-
-
 @dataclass(frozen=True)
-class And(Expr):
+class _Kleene(Expr):
+    """A connective of Kleene's logic: known where both sides are, or
+    where one known side alone decides it (``DECIDES``: FALSE for
+    ``And``, TRUE for ``Or``)."""
+
     left: Expr
     right: Expr
 
     def eval(self, rel) -> Evaluated:
-        left, right = self.left.eval(rel), self.right.eval(rel)
-        return left[0] & right[0], _kleene(left, right, False)
+        (left, lvalid), (right, rvalid) = self.left.eval(rel), self.right.eval(rel)
+        values = self.OP(left, right)
+        if lvalid is None and rvalid is None:
+            return values, None
+        decided = _both(lvalid, left == self.DECIDES) | _both(rvalid, right == self.DECIDES)
+        return values, _both(lvalid, rvalid) | decided
 
 
-@dataclass(frozen=True)
-class Or(Expr):
-    left: Expr
-    right: Expr
+class And(_Kleene):
+    OP, DECIDES = np.bitwise_and, False
 
-    def eval(self, rel) -> Evaluated:
-        left, right = self.left.eval(rel), self.right.eval(rel)
-        return left[0] | right[0], _kleene(left, right, True)
+
+class Or(_Kleene):
+    OP, DECIDES = np.bitwise_or, True
 
 
 @dataclass(frozen=True)
