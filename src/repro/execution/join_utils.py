@@ -30,10 +30,7 @@ __all__ = [
 ]
 
 
-Valid = Optional[np.ndarray]
-
-
-def _match(left_keys, right_keys, left_valid: Valid, right_valid: Valid):
+def _match(left_keys, right_keys, left_valid, right_valid):
     """:func:`match_keys` of the left keys against the right ones, where
     a NULL key matches nothing."""
     if right_valid is None:
@@ -49,7 +46,7 @@ def _match(left_keys, right_keys, left_valid: Valid, right_valid: Valid):
 
 def inner_join_pairs(
     left_keys: np.ndarray, right_keys: np.ndarray,
-    left_valid: Valid = None, right_valid: Valid = None,
+    left_valid: Optional[np.ndarray] = None, right_valid: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Matching (left_idx, right_idx) pairs, left-major order."""
     order, lo, counts = _match(left_keys, right_keys, left_valid, right_valid)
@@ -59,7 +56,7 @@ def inner_join_pairs(
 
 def left_join_pairs(
     left_keys: np.ndarray, right_keys: np.ndarray,
-    left_valid: Valid = None, right_valid: Valid = None,
+    left_valid: Optional[np.ndarray] = None, right_valid: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Left-outer pairs: every left row appears; unmatched rows carry
     right index -1."""
@@ -74,7 +71,7 @@ def left_join_pairs(
 
 def semi_join_mask(
     left_keys: np.ndarray, right_keys: np.ndarray,
-    left_valid: Valid = None, right_valid: Valid = None,
+    left_valid: Optional[np.ndarray] = None, right_valid: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Boolean mask over left rows with at least one match (semi join);
     invert for anti join, which keeps a NULL key as ``NOT EXISTS`` does."""
