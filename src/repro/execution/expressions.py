@@ -18,7 +18,7 @@ literal ``"YYYY-MM-DD"``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Set, Tuple, Union
+from typing import Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -69,8 +69,8 @@ class Expr:
         return fill_nulls(np.asarray(values, dtype=bool), valid)
 
     def columns(self) -> Set[str]:
-        """All column names this expression reads: its operands'."""
-        return set().union(*(e.columns() for e in _operands(vars(self).values())))
+        """All column names this expression reads."""
+        raise NotImplementedError
 
     # ------------------------------------------------------ sugar builders
     def __add__(self, other): return Arith("+", self, _wrap(other))
@@ -97,16 +97,6 @@ class Expr:
     def __invert__(self): return Not(self)
 
 
-def _operands(fields) -> Iterator[Expr]:
-    """The expressions among an expression's fields (nested in tuples:
-    ``Case.whens``)."""
-    for value in fields:
-        if isinstance(value, Expr):
-            yield value
-        elif isinstance(value, tuple):
-            yield from _operands(value)
-
-
 def _wrap(value) -> "Expr":
     if isinstance(value, Expr):
         return value
@@ -131,6 +121,9 @@ class Const(Expr):
     def eval(self, rel) -> Evaluated:
         return np.full(rel.num_rows, self.value), None
 
+    def columns(self) -> Set[str]:
+        return set()
+
 
 @dataclass(frozen=True)
 class _Binary(Expr):
@@ -143,6 +136,9 @@ class _Binary(Expr):
     def eval(self, rel) -> Evaluated:
         (left, lvalid), (right, rvalid) = self.left.eval(rel), self.right.eval(rel)
         return self.OPS[self.op](left, right), _both(lvalid, rvalid)
+
+    def columns(self) -> Set[str]:
+        return self.left.columns() | self.right.columns()
 
 
 class Arith(_Binary):
@@ -165,6 +161,9 @@ class Between(Expr):
     def eval(self, rel) -> Evaluated:
         return And(self.operand.ge(self.low), self.operand.le(self.high)).eval(rel)
 
+    def columns(self) -> Set[str]:
+        return self.operand.columns() | self.low.columns() | self.high.columns()
+
 
 @dataclass(frozen=True)
 class InList(Expr):
@@ -177,6 +176,9 @@ class InList(Expr):
     def eval(self, rel) -> Evaluated:
         values, valid = self.operand.eval(rel)
         return np.isin(values, self.values), valid
+
+    def columns(self) -> Set[str]:
+        return self.operand.columns()
 
 
 @dataclass(frozen=True)
@@ -230,6 +232,9 @@ class Like(Expr):
                 result &= lengths - len(last) >= position - len(last)
         return result, valid
 
+    def columns(self) -> Set[str]:
+        return self.operand.columns()
+
 
 def _find_from(values: np.ndarray, segment: str, start: np.ndarray) -> np.ndarray:
     """Per-element ``str.find(segment, start)``."""
@@ -268,6 +273,9 @@ class _Kleene(Expr):
         decided = _both(lvalid, left == self.DECIDES) | _both(rvalid, right == self.DECIDES)
         return values, _both(lvalid, rvalid) | decided
 
+    def columns(self) -> Set[str]:
+        return self.left.columns() | self.right.columns()
+
 
 class And(_Kleene):
     OP, DECIDES = np.bitwise_and, False
@@ -284,6 +292,9 @@ class Not(Expr):
     def eval(self, rel) -> Evaluated:
         values, valid = self.operand.eval(rel)
         return ~values, valid
+
+    def columns(self) -> Set[str]:
+        return self.operand.columns()
 
 
 @dataclass(frozen=True)
@@ -309,6 +320,12 @@ class Case(Expr):
         masks = [every if valid is None else valid for _, valid in choices]
         return values, np.select(conditions, masks[:-1], default=masks[-1])
 
+    def columns(self) -> Set[str]:
+        out: Set[str] = set(self.default.columns())
+        for c, v in self.whens:
+            out |= c.columns() | v.columns()
+        return out
+
 
 @dataclass(frozen=True)
 class Substring(Expr):
@@ -324,6 +341,9 @@ class Substring(Expr):
         hi = lo + self.length
         return np.array([v[lo:hi] for v in values], dtype=f"<U{self.length}"), valid
 
+    def columns(self) -> Set[str]:
+        return self.operand.columns()
+
 
 @dataclass(frozen=True)
 class Year(Expr):
@@ -335,6 +355,9 @@ class Year(Expr):
         values, valid = self.operand.eval(rel)
         values = values.astype("datetime64[D]")
         return values.astype("datetime64[Y]").astype(np.int64) + 1970, valid
+
+    def columns(self) -> Set[str]:
+        return self.operand.columns()
 
 
 # ----------------------------------------------------------------- sugar
