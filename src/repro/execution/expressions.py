@@ -68,9 +68,15 @@ class Expr:
         values, valid = self.eval(rel)
         return fill_nulls(np.asarray(values, dtype=bool), valid)
 
+    #: the fields holding the expressions this one reads
+    OPERANDS = ("operand",)
+
     def columns(self) -> Set[str]:
         """All column names this expression reads."""
-        raise NotImplementedError
+        out: Set[str] = set()
+        for name in self.OPERANDS:
+            out |= getattr(self, name).columns()
+        return out
 
     # ------------------------------------------------------ sugar builders
     def __add__(self, other): return Arith("+", self, _wrap(other))
@@ -118,11 +124,10 @@ class Col(Expr):
 class Const(Expr):
     value: object
 
+    OPERANDS = ()
+
     def eval(self, rel) -> Evaluated:
         return np.full(rel.num_rows, self.value), None
-
-    def columns(self) -> Set[str]:
-        return set()
 
 
 @dataclass(frozen=True)
@@ -133,12 +138,11 @@ class _Binary(Expr):
     left: Expr
     right: Expr
 
+    OPERANDS = ("left", "right")
+
     def eval(self, rel) -> Evaluated:
         (left, lvalid), (right, rvalid) = self.left.eval(rel), self.right.eval(rel)
         return self.OPS[self.op](left, right), _both(lvalid, rvalid)
-
-    def columns(self) -> Set[str]:
-        return self.left.columns() | self.right.columns()
 
 
 class Arith(_Binary):
@@ -158,11 +162,10 @@ class Between(Expr):
     low: Expr
     high: Expr
 
+    OPERANDS = ("operand", "low", "high")
+
     def eval(self, rel) -> Evaluated:
         return And(self.operand.ge(self.low), self.operand.le(self.high)).eval(rel)
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns() | self.low.columns() | self.high.columns()
 
 
 @dataclass(frozen=True)
@@ -176,9 +179,6 @@ class InList(Expr):
     def eval(self, rel) -> Evaluated:
         values, valid = self.operand.eval(rel)
         return np.isin(values, self.values), valid
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
 
 
 @dataclass(frozen=True)
@@ -232,9 +232,6 @@ class Like(Expr):
                 result &= lengths - len(last) >= position - len(last)
         return result, valid
 
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
-
 
 def _find_from(values: np.ndarray, segment: str, start: np.ndarray) -> np.ndarray:
     """Per-element ``str.find(segment, start)``."""
@@ -265,6 +262,8 @@ class _Kleene(Expr):
     left: Expr
     right: Expr
 
+    OPERANDS = ("left", "right")
+
     def eval(self, rel) -> Evaluated:
         (left, lvalid), (right, rvalid) = self.left.eval(rel), self.right.eval(rel)
         values = self.OP(left, right)
@@ -272,9 +271,6 @@ class _Kleene(Expr):
             return values, None
         decided = _both(lvalid, left == self.DECIDES) | _both(rvalid, right == self.DECIDES)
         return values, _both(lvalid, rvalid) | decided
-
-    def columns(self) -> Set[str]:
-        return self.left.columns() | self.right.columns()
 
 
 class And(_Kleene):
@@ -292,9 +288,6 @@ class Not(Expr):
     def eval(self, rel) -> Evaluated:
         values, valid = self.operand.eval(rel)
         return ~values, valid
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
 
 
 @dataclass(frozen=True)
@@ -341,9 +334,6 @@ class Substring(Expr):
         hi = lo + self.length
         return np.array([v[lo:hi] for v in values], dtype=f"<U{self.length}"), valid
 
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
-
 
 @dataclass(frozen=True)
 class Year(Expr):
@@ -355,9 +345,6 @@ class Year(Expr):
         values, valid = self.operand.eval(rel)
         values = values.astype("datetime64[D]")
         return values.astype("datetime64[Y]").astype(np.int64) + 1970, valid
-
-    def columns(self) -> Set[str]:
-        return self.operand.columns()
 
 
 # ----------------------------------------------------------------- sugar
