@@ -366,6 +366,7 @@ class TestSqlNullSemantics:
         got = self._judge(lonely_db, executor, plan, 4)
         assert _per_dept(got) == {1: 10.0, 2: 30.0, 3: 60.0, 4: None}
 
+
 @pytest.mark.workload
 def test_anti_join_over_lineitem_self_join_at_sf_001():
     """Generated plan seed 0 / index 41 at SF 0.01: an anti join with a
