@@ -34,6 +34,12 @@ class OperatorActuals:
     live reservations remains the Figure 3 quantity on
     :class:`ExecutionMetrics`.
 
+    ``host_seconds`` is the one host-clock number: the real seconds the
+    operator's own ``execute`` took, exclusive of its children's (see
+    :meth:`~repro.execution.operators.PhysicalOp.run`).  It depends on
+    the machine, so it takes no part in equality: two runs whose
+    simulated actuals agree compare equal.
+
     ``executions`` counts how many times the operator ran within the
     recorded window.  An operator object can execute more than once per
     query — fragmenting clones only the spine of a plan, so a leaf or
@@ -52,6 +58,7 @@ class OperatorActuals:
     io_seconds: float = 0.0
     cpu_seconds: float = 0.0
     reserved_bytes: float = 0.0
+    host_seconds: float = field(default=0.0, compare=False)
     executions: int = 1
 
     @property
@@ -70,6 +77,7 @@ class OperatorActuals:
             io_seconds=self.io_seconds + other.io_seconds,
             cpu_seconds=self.cpu_seconds + other.cpu_seconds,
             reserved_bytes=self.reserved_bytes + other.reserved_bytes,
+            host_seconds=self.host_seconds + other.host_seconds,
             executions=self.executions + other.executions,
         )
 
@@ -79,6 +87,7 @@ class OperatorActuals:
         parts.append(f"io={self.io_seconds * 1e3:.3f}ms")
         parts.append(f"cpu={self.cpu_seconds * 1e3:.3f}ms")
         parts.append(f"mem={self.reserved_bytes / 1e6:.3f}MB")
+        parts.append(f"host={self.host_seconds * 1e3:.3f}ms")
         if self.executions > 1:
             parts.append(f"execs={self.executions}")
         return "(actual " + " ".join(parts) + ")"
@@ -135,11 +144,6 @@ class FragmentActuals:
     #: the measured lane set); both 0.0 on purely simulated runs.
     measured_start_seconds: float = 0.0
     measured_end_seconds: float = 0.0
-    #: top-N cProfile function stats of this fragment's run (wall clock,
-    #: opt-in via ``ExecutionOptions.profile``); empty when profiling is
-    #: off.  Entries: ``{"function", "calls", "total_seconds",
-    #: "cumulative_seconds"}``, sorted by exclusive time descending.
-    profile: List[dict] = field(default_factory=list)
 
     @property
     def queue_wait_seconds(self) -> float:
@@ -227,11 +231,6 @@ class ExecutionMetrics:
     #: where its measured window starts, relative to the run's origin
     #: (``measured_wall_seconds`` is then the window's length).
     measured_start_seconds: float = 0.0
-    #: on a single fragment's own metrics: top-N cProfile function
-    #: stats of its run (opt-in via ``ExecutionOptions.profile``; see
-    #: ``repro.observe.profiling``).  Merged query metrics carry them
-    #: on ``fragments[i].profile`` and leave this empty.
-    profile: List[dict] = field(default_factory=list)
 
     @property
     def total_seconds(self) -> float:

@@ -28,6 +28,7 @@ inputs and the cost/memory accounting, as in the paper's evaluation.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -190,13 +191,20 @@ class PhysicalOp:
         """Execute this operator (recursing through ``children``): what
         ``execute`` charges lands on a fresh :class:`OperatorActuals`,
         recorded on the context's metrics with the rows out, which are
-        the parent's rows in."""
+        the parent's rows in.  The host clock is attributed the same
+        way: this run's inclusive seconds are added here and taken off
+        the parent's, whose clock so pauses while a child runs."""
         actuals = OperatorActuals(self.kind, self.describe())
         ctx.running.append(actuals)
+        started = time.perf_counter()
         rel = self.execute(ctx)
+        inclusive = time.perf_counter() - started
         ctx.running.pop()
+        parent = ctx.running[-1]
+        actuals.host_seconds += inclusive
+        parent.host_seconds -= inclusive
         actuals.rows_out = rel.num_rows
-        ctx.running[-1].rows_in += rel.num_rows
+        parent.rows_in += rel.num_rows
         ctx.metrics.operators[id(self)] = actuals
         return rel
 

@@ -8,8 +8,9 @@ Three subcommands:
   invalid artifact (the CI ``observe`` job gate).  A bad file ends in
   ``INVALID`` and the path of each offending field, never a traceback.
 * ``summary FILE...`` — aggregate JSONL query logs into per-query
-  p50/p95 simulated seconds, cache hit rates and delta-scan totals;
-  nothing is aggregated from a log ``validate`` would refuse.
+  p50/p95 simulated seconds, cache hit rates, delta-scan totals and,
+  per operator kind, host seconds against simulated seconds; nothing
+  is aggregated from a log ``validate`` would refuse.
 * ``regress [LEDGER...]`` — the regression gate: every benchmark
   ledger whose newest record was produced at the checked-out commit
   must equal its previous same-configuration record on every metric;
@@ -49,12 +50,16 @@ def _log_problems(records: List[dict]) -> List[str]:
     ]
 
 
+def _log_file_problems(records: List[dict]) -> List[str]:
+    """Why a loaded JSONL log cannot be trusted (empty = it can)."""
+    if not records:
+        return ["no records"]
+    return _log_problems(records)
+
+
 def _validate_file(path: str) -> List[str]:
     if path.endswith(".jsonl"):
-        records = read_records(path)
-        if not records:
-            return ["no records"]
-        return _log_problems(records)
+        return _log_file_problems(read_records(path))
     with open(path) as fh:
         try:
             document = json.load(fh)
@@ -110,7 +115,7 @@ def _cmd_summary(files: List[str], as_json: bool) -> int:
     for path in files:
         try:
             batch = read_records(path)
-            errors = _log_problems(batch)
+            errors = _log_file_problems(batch)
         except (OSError, ValueError) as exc:  # unreadable, or a non-JSON line
             errors = [str(exc)]
         if errors:
@@ -147,6 +152,18 @@ def _cmd_summary(files: List[str], as_json: bool) -> int:
                 f"{stats['p50_simulated_seconds']:>14.6f}"
                 f"{stats['p95_simulated_seconds']:>14.6f}"
                 f"{stats['delta_rows_scanned']:>12.0f}"
+            )
+    if summary["operators"]:
+        print(
+            f"  {'operator':<28}{'execs':>6}{'host s':>14}{'sim s':>14}"
+            f"{'host/sim':>12}"
+        )
+        for kind, stats in summary["operators"].items():
+            host, sim = stats["host_seconds"], stats["simulated_seconds"]
+            ratio = f"{host / sim:>12.2f}" if sim > 0 else f"{'-':>12}"
+            print(
+                f"  {kind:<28}{stats['executions']:>6.0f}"
+                f"{host:>14.6f}{sim:>14.6f}{ratio}"
             )
     return 0
 

@@ -18,11 +18,12 @@ emitted record to it.
 Records are plain JSON: finite floats, ints, strings, lists,
 string-keyed dicts.  ``SCHEMA_VERSION`` bumps whenever a required field
 changes meaning, and the validator accepts exactly the current version
-(3: no free-text ``notes``; a decision is the operator's rationale in
+(4: every ``operators`` entry carries its exclusive ``host_seconds``,
+and the per-fragment lists of hottest functions that 2 added are gone;
+3: no free-text ``notes``, a decision is the operator's rationale in
 the plan and a number is its entry in ``operators``; 2 added the
-per-record ``registry_delta`` and the per-fragment ``profile``
-entries).  The shape is declared once, in ``RECORD_SPEC``
-(checked by :mod:`~repro.observe.schema`); the ``operators`` /
+per-record ``registry_delta``).  The shape is declared once, in
+``RECORD_SPEC`` (checked by :mod:`~repro.observe.schema`); the ``operators`` /
 ``fragments`` entries and the ``simulated`` block are derived from the
 :mod:`~repro.execution.metrics` dataclasses that own those fields.
 """
@@ -58,7 +59,7 @@ __all__ = [
     "latency_stats",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 # ---------------------------------------------------------- fingerprints
@@ -84,19 +85,12 @@ def plan_fingerprint(plans) -> str:
 
 
 # --------------------------------------------------------------- records
-#: what one per-fragment cProfile entry holds (``observe/profiling.py``).
-_PROFILE_ENTRY = {
-    "function": str, "calls": NUMBER,
-    "total_seconds": NUMBER, "cumulative_seconds": NUMBER,
-}
-
 #: declared type of an actuals attribute -> (cast to plain JSON, spec)
 _BY_TYPE = {
     str: (str, str),
     int: (int, NUMBER),
     float: (float, NUMBER),
     Tuple[int, ...]: (lambda ids: [int(i) for i in ids], [COUNT]),
-    List[dict]: (lambda entries: [dict(e) for e in entries], [_PROFILE_ENTRY]),
 }
 
 
@@ -330,17 +324,27 @@ def summarize_records(records: List[dict]) -> dict:
     """Aggregate valid query-log records into a per-label latency/cache
     view.
 
-    Returns ``{"queries": {label: {...}}, "overall": {...}}``: per label
-    the record count, p50/p95 simulated seconds and delta-scan totals;
+    Returns ``{"queries": {label: {...}}, "operators": {kind: {...}},
+    "overall": {...}}``: per label the record count, p50/p95 simulated
+    seconds and delta-scan totals; per operator kind its executions and
+    the host seconds it took beside the simulated seconds it charged;
     overall the record count, total delta rows and the plan-/fragment-
     cache hit rates, from the per-record ``registry_delta`` counters
     summed over the log."""
     by_label: Dict[str, List[dict]] = {}
     cache_counters: Dict[str, float] = {}
+    operators: Dict[str, Dict[str, float]] = {}
     for record in records:
         by_label.setdefault(record["label"], []).append(record)
         for name, value in record["registry_delta"]["counters"].items():
             cache_counters[name] = cache_counters.get(name, 0.0) + value
+        for entry in record["operators"]:
+            totals = operators.setdefault(entry["kind"], dict.fromkeys(
+                ("executions", "host_seconds", "simulated_seconds"), 0.0
+            ))
+            totals["executions"] += entry["executions"]
+            totals["host_seconds"] += entry["host_seconds"]
+            totals["simulated_seconds"] += entry["io_seconds"] + entry["cpu_seconds"]
     queries: Dict[str, dict] = {}
     for label, group in sorted(by_label.items()):
         stats = latency_stats([r["simulated"]["total_seconds"] for r in group])
@@ -361,4 +365,8 @@ def summarize_records(records: List[dict]) -> dict:
         "plan_cache_hit_rate": _hit_rate(cache_counters, "plan_cache"),
         "fragment_cache_hit_rate": _hit_rate(cache_counters, "fragment_cache"),
     }
-    return {"queries": queries, "overall": overall}
+    return {
+        "queries": queries,
+        "operators": {kind: operators[kind] for kind in sorted(operators)},
+        "overall": overall,
+    }

@@ -14,12 +14,6 @@ https://ui.perfetto.dev or ``chrome://tracing``:
   ``io_end``) nests inside its fragment slice and reports the
   *stretch*: scheduled IO window minus charged (uncontended) IO
   seconds, i.e. exactly the time lost to disk-stream sharing;
-* **profiled functions are child slices** — when the execution ran with
-  ``ExecutionOptions.profile``, each fragment's top functions (by
-  exclusive cProfile time) nest under the fragment slice, laid out
-  proportionally to their share of the profiled time (profile times are
-  wall-clock, the parent slice simulated; the real seconds are in
-  ``args``);
 * **exchanges are flow events** — every ``depends_on`` edge becomes an
   ``"s"``/``"f"`` flow pair from the producer's end to the consumer's
   start, so Perfetto draws the dataflow arrows across lanes;
@@ -179,30 +173,6 @@ class TraceBuilder:
                             ),
                         },
                     )
-            if f.profile:
-                # profiled times are wall-clock while the parent slice is
-                # (usually) simulated, so the top functions are laid out
-                # *proportionally* across the fragment slice: each child's
-                # width is its share of the profiled exclusive time; the
-                # real seconds live in args
-                slice_us = (end - start) * _US
-                profiled = sum(entry["total_seconds"] for entry in f.profile)
-                cursor = ts
-                for entry in f.profile:
-                    share = (
-                        entry["total_seconds"] / profiled if profiled > 0.0 else 0.0
-                    )
-                    self.slice(
-                        pid, tid, entry["function"], "profile",
-                        cursor, slice_us * share,
-                        args={
-                            "calls": entry["calls"],
-                            "total_seconds": entry["total_seconds"],
-                            "cumulative_seconds": entry["cumulative_seconds"],
-                            "share_of_profiled": share,
-                        },
-                    )
-                    cursor += slice_us * share
         for f in metrics.fragments:
             if f.index not in positions:
                 continue

@@ -126,7 +126,7 @@ def _dumps(task) -> bytes:
 def _run_fragment_task(payload: bytes, deps_blob: bytes):
     """Executes one fragment in a pool worker.
 
-    The payload carries ``(index, fragment root, disk, costs, profile)``
+    The payload carries ``(index, fragment root, disk, costs)``
     with the tables and dimensions it reads named, resolved against what
     this worker inherited; ``deps_blob`` carries the plainly pickled
     results of the fragment's dependencies (a relation pickles as its
@@ -138,14 +138,11 @@ def _run_fragment_task(payload: bytes, deps_blob: bytes):
     and the measured wall-clock window as absolute
     ``perf_counter`` timestamps — with the fork start method the clock
     is shared with the parent, which rebases the window onto the run's
-    origin to place the fragment on the measured timeline.  With
-    ``profile`` the worker runs the fragment under ``cProfile`` and the
-    top functions travel back on ``metrics.profile`` (plain dicts, so
-    they pickle like everything else)."""
-    index, root, disk, costs, profile = _NamingUnpickler(io.BytesIO(payload)).load()
+    origin to place the fragment on the measured timeline."""
+    index, root, disk, costs = _NamingUnpickler(io.BytesIO(payload)).load()
     deps: Dict[int, Relation] = pickle.loads(deps_blob)
     started = time.perf_counter()
-    relation, metrics = run_fragment(root, disk, costs, deps, profile)
+    relation, metrics = run_fragment(root, disk, costs, deps)
     ended = time.perf_counter()
     position = {id(op): i for i, op in enumerate(walk_physical(root))}
     actuals = [(position[key], record) for key, record in metrics.operators.items()]
@@ -204,8 +201,7 @@ class ExecutionBackend:
     name = "abstract"
 
     def execute_fragments(
-        self, plan: ParallelPlan, disk: DiskModel, costs: CostModel,
-        profile: bool = False,
+        self, plan: ParallelPlan, disk: DiskModel, costs: CostModel
     ) -> Tuple[Dict[int, Relation], Dict[int, ExecutionMetrics]]:
         """The *run* stage: every fragment executed once — per-fragment
         exact results and charged metrics, not yet placed on any
@@ -215,14 +211,11 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def run(
-        self, plan: ParallelPlan, disk: DiskModel, costs: CostModel,
-        profile: bool = False,
+        self, plan: ParallelPlan, disk: DiskModel, costs: CostModel
     ) -> Tuple[Relation, ExecutionMetrics]:
         """A solo execution: run, place, merge.  Returns the final
         fragment's relation and the query's metrics."""
-        results, fragment_metrics = self.execute_fragments(
-            plan, disk, costs, profile=profile
-        )
+        results, fragment_metrics = self.execute_fragments(plan, disk, costs)
         return merge_parallel_metrics(plan, results, fragment_metrics, disk)
 
     def close(self) -> None:
@@ -237,12 +230,12 @@ class SimulatedBackend(ExecutionBackend):
 
     name = "simulated"
 
-    def execute_fragments(self, plan, disk, costs, profile=False):
+    def execute_fragments(self, plan, disk, costs):
         results: Dict[int, Relation] = {}
         fragment_metrics: Dict[int, ExecutionMetrics] = {}
         for fragment in plan.fragments:  # topological by construction
             results[fragment.index], fragment_metrics[fragment.index] = (
-                run_fragment(fragment.root, disk, costs, results, profile)
+                run_fragment(fragment.root, disk, costs, results)
             )
         return results, fragment_metrics
 
@@ -269,7 +262,7 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def execute_fragments(self, plan, disk, costs, profile=False):
+    def execute_fragments(self, plan, disk, costs):
         """Dispatch the fragment DAG on the pool; the final (serial
         tail) fragment runs in the parent.  Every fragment's metrics
         carry its measured wall-clock window, rebased onto this call's
@@ -306,7 +299,7 @@ class ProcessBackend(ExecutionBackend):
                     if isinstance(op, PhysicalScan)
                 ]
                 pool = _pool(plan.workers, scanned)
-            payload = _dumps((fragment.index, fragment.root, disk, costs, profile))
+            payload = _dumps((fragment.index, fragment.root, disk, costs))
             REGISTRY.inc("process_backend.payload_bytes", len(payload))
             deps_blob = pickle.dumps(
                 {dep: results[dep] for dep in fragment.depends_on},
@@ -358,7 +351,7 @@ class ProcessBackend(ExecutionBackend):
 
         # serial tail in the parent, over the gathered worker results
         tail_start = time.perf_counter()
-        relation, metrics = run_fragment(final.root, disk, costs, results, profile)
+        relation, metrics = run_fragment(final.root, disk, costs, results)
         keep(final.index, relation, metrics, (tail_start, time.perf_counter()))
         return results, fragment_metrics
 

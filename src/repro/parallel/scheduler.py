@@ -53,7 +53,6 @@ from ..execution.cost import CostModel
 from ..execution.metrics import ExecutionMetrics, FragmentActuals
 from ..execution.operators import ExecutionContext, PhysicalOp
 from ..execution.relation import Relation
-from ..observe.profiling import profile_call
 from ..storage.io_model import DiskModel
 from .fragments import ParallelPlan
 
@@ -336,19 +335,16 @@ def run_fragment(
     disk: DiskModel,
     costs: CostModel,
     deps: Optional[Dict[int, Relation]] = None,
-    profile: bool = False,
 ) -> Tuple[Relation, ExecutionMetrics]:
     """The *run* stage of one fragment: execute its operator tree once,
     in this process, under a fresh metrics object — producing the exact
     result and the fragment's charged (uncontended) metrics.  ``deps``
     holds the producer-fragment results its exchange leaves read.
     Every backend — and every worker process — runs fragments through
-    this function.  With ``profile`` the run happens under ``cProfile``
-    and its top functions land on ``metrics.profile`` (passive: charges
-    and results are unaffected)."""
+    this function."""
     metrics = ExecutionMetrics()
     ctx = ExecutionContext(disk, costs, metrics, fragment_results=deps)
-    relation, metrics.profile = profile_call(root.run, ctx, enabled=profile)
+    relation = root.run(ctx)
     metrics.rows_produced = relation.num_rows
     metrics.output_bytes = relation.data_bytes()
     return relation, metrics
@@ -448,7 +444,6 @@ def merge_scheduled(
                 measured_end_seconds=(
                     metrics.measured_start_seconds + metrics.measured_wall_seconds
                 ),
-                profile=list(metrics.profile),
             )
         )
     merged.peak_memory_bytes = concurrent_peak(memory_intervals)

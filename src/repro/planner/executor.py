@@ -238,9 +238,7 @@ class Executor:
         else:
             attributes = dict(backend="serial", workers=1)
         with self._span("execute", **attributes):
-            relation, metrics = self.backend().run(
-                plan, self.disk, self.costs, profile=self.options.profile
-            )
+            relation, metrics = self.backend().run(plan, self.disk, self.costs)
         REGISTRY.inc("queries_executed")
         if metrics.delta_rows_scanned:
             REGISTRY.inc("delta_rows_scanned", metrics.delta_rows_scanned)

@@ -134,13 +134,6 @@ class ExecutionOptions:
     #: clock.  Purely a runtime knob: it touches neither the lowering
     #: nor the fragment plan.
     backend: str = "simulated"
-    #: run every fragment (and the serial root) under ``cProfile`` and
-    #: attach the top functions by exclusive time to the execution
-    #: metrics (rendered as child slices in the Perfetto export and
-    #: embedded in query-log records).  Passive: simulated charges and
-    #: results are bit-identical with profiling on or off, because the
-    #: profiler only observes the Python frames that produce them.
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:

@@ -304,7 +304,7 @@ class _ServeState:
         executor = engine.executor
         plan = executor.execution_plan(executor.lower(ticket.plan))
         results, fragment_metrics = executor.backend().execute_fragments(
-            plan, engine.disk, engine.costs, profile=engine.options.profile
+            plan, engine.disk, engine.costs
         )
         # reads must not move epochs: the MVCC invariant, checked hot
         snapshot.check(engine.pdb)

@@ -107,9 +107,9 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     # the design report and the refresh-cost report hand no execution to
     # the sink: refuse its flags rather than accept and drop them
     reports_only = args.design or (args.refresh > 0 and args.streams == 0)
-    if reports_only and (args.trace or args.query_log or args.json or args.profile):
+    if reports_only and (args.trace or args.query_log or args.json):
         parser.error(
-            "--trace/--query-log/--json/--profile observe query executions; "
+            "--trace/--query-log/--json observe query executions; "
             "--design and --refresh (without --streams) report none"
         )
     return args

@@ -91,15 +91,6 @@ def shared_flags(streams: str) -> argparse.ArgumentParser:
             "plus query-log-shaped records) instead of the text report"
         ),
     )
-    parent.add_argument(
-        "--profile", action="store_true",
-        help=(
-            "run every fragment under cProfile and attach the top "
-            "functions to query-log records and trace slices (passive: "
-            "simulated charges, results and the oracle's contracts are "
-            "unchanged)"
-        ),
-    )
     return parent
 
 
@@ -108,15 +99,14 @@ def open_session(
 ) -> tuple:
     """Parsed shared flags -> ``(schemes, options, sink, env, build)``.
 
-    ``options`` carries ``--backend``/``--profile`` plus the driver's
-    worker count and feature ``switches``; ``sink`` is opened on
+    ``options`` carries ``--backend`` plus the driver's worker count
+    and feature ``switches``; ``sink`` is opened on
     ``--trace``/``--query-log``/``--json`` (the caller must ``finish()``
     it); ``build()`` generates the data and builds the requested schemes
     afresh on every call — the serving replay needs a pristine copy."""
     names = [s.strip() for s in args.schemes.split(",") if s.strip()]
     options = ExecutionOptions(
-        workers=max(workers, 1), backend=args.backend, profile=args.profile,
-        **switches,
+        workers=max(workers, 1), backend=args.backend, **switches
     )
     sink = ObservabilitySink(args.trace, args.query_log, collect=args.json)
     env = make_environment(args.sf)

@@ -36,7 +36,7 @@ Command line
 ``--schemes plain,pk,bdcc``, ``--variants default|all``, ``--updates
 ROUNDS``, ``--streams N``, ``--fail-fast``, ``--verbose``; every mode
 hands its executions to the one observability sink, so ``--trace``,
-``--query-log``, ``--json`` and ``--profile`` work in all of them).
+``--query-log`` and ``--json`` work in all of them).
 Exit status is non-zero when any divergence was found;
 each divergence report carries everything needed to reproduce it:
 the ``--seed``, the query index, and the data flags (``--sf``,

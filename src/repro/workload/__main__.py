@@ -8,7 +8,6 @@ SQL reference.  Exits non-zero on any result divergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -143,11 +142,6 @@ def main(argv: List[str] | None = None) -> int:
                 [n for n in counts if n > 1], backend=args.backend
             )
         )
-        if args.profile:
-            variants = {
-                name: dataclasses.replace(variant, profile=True)
-                for name, variant in variants.items()
-            }
         kind = "workload_differential"
         report = run_differential(
             build(),

@@ -334,7 +334,9 @@ def _indent(text: str, spaces: int) -> str:
 
 #: the :class:`~repro.execution.metrics.OperatorActuals` fields a sweep
 #: sums per operator kind, beside the number of calls
-_OPERATOR_SUMS = ("rows_out", "io_seconds", "cpu_seconds", "reserved_bytes")
+_OPERATOR_SUMS = (
+    "rows_out", "io_seconds", "cpu_seconds", "reserved_bytes", "host_seconds"
+)
 
 
 @dataclass
@@ -422,7 +424,7 @@ class WorkloadReport:
             lines.append("per-operator actuals (default variant, all schemes):")
             lines.append(
                 f"  {'operator':<14}{'calls':>8}{'rows out':>12}"
-                f"{'io ms':>10}{'cpu ms':>10}{'mem MB':>10}"
+                f"{'io ms':>10}{'cpu ms':>10}{'mem MB':>10}{'host ms':>10}"
             )
             for kind in sorted(self.operator_totals):
                 totals = self.operator_totals[kind]
@@ -432,6 +434,7 @@ class WorkloadReport:
                     f"{totals['io_seconds'] * 1e3:>10.2f}"
                     f"{totals['cpu_seconds'] * 1e3:>10.2f}"
                     f"{totals['reserved_bytes'] / 1e6:>10.2f}"
+                    f"{totals['host_seconds'] * 1e3:>10.2f}"
                 )
         for divergence in self.divergences:
             lines.append("")

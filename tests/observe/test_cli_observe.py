@@ -1,5 +1,5 @@
-"""The CLIs' observability surfaces: ``--trace``, ``--query-log``,
-``--json`` and ``--profile`` on ``repro.tpch`` and ``repro.workload``,
+"""The CLIs' observability surfaces: ``--trace``, ``--query-log`` and
+``--json`` on ``repro.tpch`` and ``repro.workload``,
 numeric query id normalization, and the ``repro.observe`` subcommands
 (validate / summary / regress)."""
 
@@ -77,27 +77,16 @@ class TestTpchCli:
         assert record_errors(record) == []
 
 
-class TestProfileFlag:
-    def test_profile_reaches_the_query_log(self, tmp_path, capsys):
-        log = tmp_path / "log.jsonl"
-        code = tpch_main(
-            SMALL
-            + ["--queries", "1", "--workers", "2", "--profile",
-               "--query-log", str(log)]
-        )
-        assert code == 0
-        (record,) = read_records(str(log))
-        assert record_errors(record) == []
-        assert any(f.get("profile") for f in record["fragments"])
+class TestNoProfileFlag:
+    """Every operator carries its host seconds, so there is no opt-in
+    profiler to switch on: ``--profile`` is an unknown argument."""
 
-    def test_workload_profile_flag(self, capsys):
-        code = workload_main(
-            ["--queries", "1", "--variants", "default", "--sf", "0.002",
-             "--profile", "--json"]
-        )
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["report"]["ok"] is True
+    @pytest.mark.parametrize("main", [tpch_main, workload_main])
+    def test_profile_is_unrecognised(self, main, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(SMALL + ["--queries", "1", "--profile"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
 
 class TestObserveCli:
@@ -192,12 +181,28 @@ class TestObserveCli:
             ["validate", str(tmp_path / "BENCH_demo.json")]
         ) == 0
 
+    def test_summary_refuses_an_empty_log(self, tmp_path, capsys):
+        # the rule validate applies: a log with no record proves nothing
+        log = tmp_path / "empty.jsonl"
+        log.write_text("")
+        assert observe_main(["validate", str(log)]) == 1
+        capsys.readouterr()
+        for flags in ([], ["--json"]):
+            assert observe_main(["summary", *flags, str(log)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{log}: INVALID" in captured.err
+            assert "- no records" in captured.err
+
     def test_summary_subcommand(self, tmp_path, capsys):
         log = self._write_log(tmp_path)
         capsys.readouterr()
         assert observe_main(["summary", str(log)]) == 0
         out = capsys.readouterr().out
         assert "Q06/bdcc" in out
+        # host seconds against simulated seconds, per operator kind
+        assert "host/sim" in out
+        assert any(line.split()[:1] == ["Scan"] for line in out.splitlines())
 
     def test_summary_json(self, tmp_path, capsys):
         log = self._write_log(tmp_path)
@@ -205,6 +210,8 @@ class TestObserveCli:
         assert observe_main(["summary", "--json", str(log)]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["overall"]["records"] == 1
+        scan = document["operators"]["Scan"]
+        assert scan["host_seconds"] > 0.0 and scan["simulated_seconds"] > 0.0
 
     def _fresh_ledger(self, tmp_path, values, metric="q.seconds"):
         """Records the CLI will judge: produced at this checkout's HEAD."""
@@ -279,7 +286,7 @@ class TestServingModesFeedTheSink:
     """``--streams N`` hands served queries to the same sink as every
     other mode, in both CLIs."""
 
-    def test_workload_streams_honours_trace_log_json_and_profile(
+    def test_workload_streams_honours_trace_log_and_json(
         self, tmp_path, capsys
     ):
         trace = tmp_path / "trace.json"
@@ -287,7 +294,7 @@ class TestServingModesFeedTheSink:
         code = workload_main(
             SMALL
             + ["--streams", "2", "--queries", "4", "--updates", "1",
-               "--workers", "2", "--profile", "--json",
+               "--workers", "2", "--json",
                "--trace", str(trace), "--query-log", str(log)]
         )
         assert code == 0
@@ -300,10 +307,7 @@ class TestServingModesFeedTheSink:
             assert record_errors(record) == []
             assert record["scheme"] == "bdcc"
             assert record["options"]["workers"] == 2
-            assert record["options"]["profile"] is True
-        assert any(
-            f.get("profile") for r in records for f in r["fragments"]
-        )
+            assert all(e["host_seconds"] > 0.0 for e in record["operators"])
         trace_document = json.loads(trace.read_text())
         assert validate_trace(trace_document) == []
         assert _process_names(trace_document) == {
@@ -345,8 +349,7 @@ class TestModesWithoutExecutionsRejectSinkFlags:
 
     @pytest.mark.parametrize("mode", [["--design"], ["--refresh", "1"]])
     @pytest.mark.parametrize(
-        "flag", [["--query-log", "FILE"], ["--trace", "FILE"], ["--json"],
-                 ["--profile"]],
+        "flag", [["--query-log", "FILE"], ["--trace", "FILE"], ["--json"]],
     )
     def test_rejected(self, mode, flag, tmp_path, capsys):
         target = tmp_path / "artifact"

@@ -1,10 +1,12 @@
 """Accounting invariants the observability layer leans on: exclusive
 operator actuals summing to query totals (both backends) and holding
-exactly the charges each operator made, the
+exactly the charges each operator made, the exclusive host clock beside
+them (carried home by process workers, moving no simulated number), the
 counter/note merge rules of ``merge_parallel_metrics``, a fragment's
 held memory as the sum of its holds, per-tag memory attribution, and
 its surfacing in ``explain(analyze=True)``."""
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,7 +18,7 @@ from repro.parallel.scheduler import concurrent_peak, merge_parallel_metrics
 from repro.execution.aggregate import AggSpec
 from repro.execution.cost import DEFAULT_COSTS
 from repro.execution.expressions import col
-from repro.execution.metrics import ExecutionMetrics
+from repro.execution.metrics import ExecutionMetrics, OperatorActuals
 from repro.execution.operators import ExecutionContext, PhysicalOp
 from repro.execution.relation import Relation
 from repro.planner.executor import ExecutionOptions, Executor, QueryResult
@@ -43,7 +45,7 @@ def _q6_plan():
     )
 
 
-def _run(pdb, environment, qname, workers=1, backend="simulated"):
+def _run(pdb, environment, qname, workers=1, backend="simulated", result=False):
     executor = Executor(
         pdb, disk=environment.disk, costs=environment.cost_model,
         options=ExecutionOptions(
@@ -52,8 +54,8 @@ def _run(pdb, environment, qname, workers=1, backend="simulated"):
     )
     try:
         runner = QueryRunner(executor)
-        QUERIES[qname](runner)
-        return runner.metrics
+        relation = QUERIES[qname](runner).relation
+        return (relation, runner.metrics) if result else runner.metrics
     finally:
         executor.close()
 
@@ -91,13 +93,14 @@ class TestOperatorSumInvariant:
 @dataclass(eq=False)
 class _Charging(PhysicalOp):
     """A fake operator: charges ``before`` CPU seconds (and ``reads``
-    rows read from the store), runs its input if it has one, charges
-    ``after``, and emits ``rows`` rows."""
+    rows read from the store), sleeps ``sleep`` host seconds, runs its
+    input if it has one, charges ``after``, and emits ``rows`` rows."""
 
     before: float = 0.0
     after: float = 0.0
     reads: int = 0
     rows: int = 0
+    sleep: float = 0.0
     input: Optional[PhysicalOp] = None
 
     kind = "Charging"
@@ -105,6 +108,7 @@ class _Charging(PhysicalOp):
     def execute(self, ctx):
         ctx.charge_cpu(self.before, "test")
         ctx.scanned(self.reads)
+        time.sleep(self.sleep)
         if self.input is not None:
             self.input.run(ctx)
         ctx.charge_cpu(self.after, "test")
@@ -160,6 +164,58 @@ class TestExclusiveByConstruction:
         assert (actuals.cpu_seconds, actuals.io_seconds, actuals.io_accesses) == (0.2, 0.0, 0)
         assert (actuals.rows_in, actuals.reserved_bytes) == (0, 0.0)
         assert list(metrics.operators) == [id(op)]
+
+
+class TestHostClock:
+    """``host_seconds`` is the host time of an operator's own
+    ``execute``: its clock pauses while a child runs."""
+
+    def test_a_parent_does_not_pay_for_its_sleeping_child(self):
+        child = _Charging(sleep=0.02, rows=1)
+        parent = _Charging(rows=1, input=child)
+        ctx = _context()
+        parent.run(ctx)
+        assert ctx.metrics.actuals_for(child).host_seconds >= 0.02
+        assert ctx.metrics.actuals_for(parent).host_seconds < 0.02
+
+    @pytest.mark.parametrize("qname", ["Q01", "Q03", "Q13"])
+    def test_exclusive_times_fit_in_the_serial_wall(
+        self, physical_dbs, environment, qname
+    ):
+        for pdb in physical_dbs.values():
+            started = time.perf_counter()
+            metrics = _run(pdb, environment, qname)
+            wall = time.perf_counter() - started
+            hosts = [a.host_seconds for a in metrics.operators.values()]
+            assert hosts and min(hosts) >= 0.0
+            assert sum(hosts) <= wall
+
+    def test_process_workers_carry_host_seconds_home(self, bdcc_db, environment):
+        metrics = _run(bdcc_db, environment, "Q06", workers=2, backend="process")
+        assert metrics.backend == "process" and len(metrics.fragments) > 1
+        assert all(a.host_seconds > 0.0 for a in metrics.operators.values())
+
+    def test_repeats_add_up_and_equality_ignores_the_host(self):
+        one = OperatorActuals("Scan", "Scan t", cpu_seconds=0.5, host_seconds=1.0)
+        two = OperatorActuals("Scan", "Scan t", cpu_seconds=0.5, host_seconds=2.0)
+        assert one == two
+        assert one.plus(two).host_seconds == 3.0
+        assert "host=1000.000ms" in one.summary()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_charges_and_results_do_not_depend_on_the_host_clock(
+        self, bdcc_db, environment, workers
+    ):
+        """Two runs of one query take different host times and charge
+        bit-identically: the simulated clock never reads the host's."""
+        rel_a, a = _run(bdcc_db, environment, "Q01", workers=workers, result=True)
+        rel_b, b = _run(bdcc_db, environment, "Q01", workers=workers, result=True)
+        assert rel_a.column_names == rel_b.column_names
+        for name in rel_a.column_names:
+            assert np.array_equal(rel_a.column(name), rel_b.column(name))
+        for name in ("total_seconds", "makespan_seconds", "io_bytes", "peak_memory_bytes"):
+            assert getattr(a, name) == getattr(b, name)
+        assert list(a.operators.values()) == list(b.operators.values())
 
 
 class TestMergeParallelMetrics:

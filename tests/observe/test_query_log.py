@@ -25,9 +25,9 @@ from repro.tpch.queries import QUERIES
 from repro.tpch.runner import QueryRunner
 
 
-def _record(pdb, environment, qname, workers=1, profile=False):
+def _record(pdb, environment, qname, workers=1, backend="simulated"):
     options = ExecutionOptions(
-        workers=workers, min_partition_rows=256, profile=profile
+        workers=workers, min_partition_rows=256, backend=backend
     )
     executor = Executor(
         pdb, disk=environment.disk, costs=environment.cost_model, options=options
@@ -69,6 +69,15 @@ class TestBuildRecord:
         record = _record(bdcc_db, environment, "Q15")
         assert record_errors(record) == []
 
+    @pytest.mark.parametrize("backend", ["simulated", "process"])
+    def test_every_operator_entry_carries_host_seconds(
+        self, bdcc_db, environment, backend
+    ):
+        record = _record(bdcc_db, environment, "Q06", workers=2, backend=backend)
+        assert record_errors(record) == []
+        assert record["backend"] == backend
+        assert all(entry["host_seconds"] > 0.0 for entry in record["operators"])
+
 
 class TestRecordShape:
     """The entries are derived from the dataclasses that own the fields;
@@ -93,14 +102,14 @@ class TestRecordShape:
         assert list(record["operators"][0]) == [
             "kind", "description", "rows_in", "rows_out", "io_bytes",
             "io_accesses", "io_seconds", "cpu_seconds", "reserved_bytes",
-            "executions",
+            "host_seconds", "executions",
         ]
         assert list(record["fragments"][0]) == [
             "index", "role", "description", "worker", "depends_on",
             "ready_seconds", "start_seconds", "io_end_seconds", "end_seconds",
             "io_seconds", "cpu_seconds", "rows_out", "output_bytes",
             "peak_memory_bytes", "measured_seconds", "measured_start_seconds",
-            "measured_end_seconds", "profile",
+            "measured_end_seconds",
         ]
 
     def test_entries_follow_the_dataclasses(self, bdcc_db, environment):
@@ -182,7 +191,7 @@ class TestValidator:
 
     def test_v2_requires_registry_delta(self, bdcc_db, environment):
         record = _record(bdcc_db, environment, "Q06")
-        assert record["schema_version"] == SCHEMA_VERSION == 3
+        assert record["schema_version"] == SCHEMA_VERSION == 4
         assert "registry_delta" in record
         stripped = dict(record)
         del stripped["registry_delta"]
@@ -193,6 +202,17 @@ class TestValidator:
         assert "notes" not in record
         record["notes"] = ["scan orders: pushdown 25/25 groups"]
         assert any("notes" in e for e in record_errors(record))
+
+    def test_v4_operators_carry_host_seconds(self, bdcc_db, environment):
+        """A v3 record — no ``host_seconds`` on its operators, its old
+        version number — is refused."""
+        record = json.loads(json.dumps(_record(bdcc_db, environment, "Q06")))
+        for entry in record["operators"]:
+            del entry["host_seconds"]
+        record["schema_version"] = 3
+        errors = record_errors(record)
+        assert any(e.startswith("schema_version") for e in errors)
+        assert "operators[0].host_seconds: missing" in errors
 
     def test_only_the_current_schema_version_is_accepted(
         self, bdcc_db, environment
@@ -218,6 +238,8 @@ class TestValidator:
             (("operators", 0, "rows_out"), "many", "operators[0].rows_out"),
             (("fragments", 0, "depends_on"), [0, "one"],
              "fragments[0].depends_on[1]"),
+            (("operators", 0, "host_seconds"), float("nan"),
+             "operators[0].host_seconds"),
         ],
     )
     def test_one_idea_of_a_number(
@@ -238,22 +260,6 @@ class TestValidator:
         record["registry_delta"] = {"counters": {"plan_cache.hits": "three"}}
         assert any("registry_delta" in e for e in record_errors(record))
 
-    def test_fragment_profile_entries_are_validated(
-        self, bdcc_db, environment
-    ):
-        record = _record(bdcc_db, environment, "Q01", workers=4, profile=True)
-        assert record_errors(record) == []
-        assert any(f.get("profile") for f in record["fragments"])
-
-        tampered = dict(record)
-        fragments = [dict(f) for f in record["fragments"]]
-        profiled = next(i for i, f in enumerate(fragments) if f.get("profile"))
-        entries = [dict(e) for e in fragments[profiled]["profile"]]
-        entries[0]["calls"] = "many"
-        fragments[profiled]["profile"] = entries
-        tampered["fragments"] = fragments
-        assert any("profile" in e for e in record_errors(tampered))
-
 
 class TestSummarize:
     def test_per_label_and_overall_view(self, bdcc_db, environment):
@@ -263,7 +269,7 @@ class TestSummarize:
             _record(bdcc_db, environment, "Q01", workers=4),
         ]
         summary = summarize_records(records)
-        assert set(summary) == {"queries", "overall"}
+        assert set(summary) == {"queries", "operators", "overall"}
         q06 = summary["queries"]["Q06/bdcc"]
         assert q06["records"] == 2
         assert q06["p50_simulated_seconds"] > 0.0
@@ -281,10 +287,20 @@ class TestSummarize:
             for r in records
         )
         assert overall["plan_cache_hit_rate"] == hits / (hits + misses)
+        # per operator kind: the host clock beside the simulated one,
+        # each the sum of that kind's entries over the log
+        entries = [e for r in records for e in r["operators"]]
+        assert set(summary["operators"]) == {e["kind"] for e in entries}
+        scans = [e for e in entries if e["kind"] == "Scan"]
+        assert summary["operators"]["Scan"] == {
+            "executions": sum(e["executions"] for e in scans),
+            "host_seconds": sum(e["host_seconds"] for e in scans),
+            "simulated_seconds": sum(e["io_seconds"] + e["cpu_seconds"] for e in scans),
+        }
 
     def test_empty_log(self):
         summary = summarize_records([])
-        assert summary["queries"] == {}
+        assert summary["queries"] == summary["operators"] == {}
         assert summary["overall"]["records"] == 0
 
 

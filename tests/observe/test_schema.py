@@ -144,7 +144,7 @@ _JSON = st.recursive(
             # reach the nested checks and the cross-field rules
             ["ph", "ts", "dur", "id", "cat", "name", "pid", "tid",
              "metrics", "meta", "host", "fragments", "operators",
-             "simulated", "start_seconds", "end_seconds", "profile",
+             "simulated", "start_seconds", "end_seconds", "host_seconds",
              "registry_delta", "counters", "traceEvents"]
         ),
         children, max_size=5,

@@ -177,172 +177,172 @@ def _masked_fragment_skeleton(pdb, environment, qname, workers=4) -> str:
 
 _Q01_FRAGMENTS = """\
 fragment # [partition] partition #/#: scan lineitem: # zone-aligned partitions over # rows + partial pre-aggregation  (worker # start=#ms busy=#ms wait=#ms)
-  PartialAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=sum, __pcnt__avg_qty=count, avg_price=sum, __pcnt__avg_price=count, avg_disc=sum, __pcnt__avg_disc=count, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  PartialAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=sum, __pcnt__avg_qty=count, avg_price=sum, __pcnt__avg_price=count, avg_disc=sum, __pcnt__avg_disc=count, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [partition] partition #/#: scan lineitem: # zone-aligned partitions over # rows + partial pre-aggregation  (worker # start=#ms busy=#ms wait=#ms)
-  PartialAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=sum, __pcnt__avg_qty=count, avg_price=sum, __pcnt__avg_price=count, avg_disc=sum, __pcnt__avg_disc=count, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  PartialAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=sum, __pcnt__avg_qty=count, avg_price=sum, __pcnt__avg_price=count, avg_disc=sum, __pcnt__avg_disc=count, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [partition] partition #/#: scan lineitem: # zone-aligned partitions over # rows + partial pre-aggregation  (worker # start=#ms busy=#ms wait=#ms)
-  PartialAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=sum, __pcnt__avg_qty=count, avg_price=sum, __pcnt__avg_price=count, avg_disc=sum, __pcnt__avg_disc=count, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  PartialAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=sum, __pcnt__avg_qty=count, avg_price=sum, __pcnt__avg_price=count, avg_disc=sum, __pcnt__avg_disc=count, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [partition] partition #/#: scan lineitem: # zone-aligned partitions over # rows + partial pre-aggregation  (worker # start=#ms busy=#ms wait=#ms)
-  PartialAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=sum, __pcnt__avg_qty=count, avg_price=sum, __pcnt__avg_price=count, avg_disc=sum, __pcnt__avg_disc=count, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  PartialAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=sum, __pcnt__avg_qty=count, avg_price=sum, __pcnt__avg_price=count, avg_disc=sum, __pcnt__avg_disc=count, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [final] serial tail above the gathers <- f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  Sort [l_returnflag, l_linestatus]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    MergeAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=avg, avg_price=avg, avg_disc=avg, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      UnionAll [# partitions, canonical order]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-        Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-        Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-        Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-        Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Sort [l_returnflag, l_linestatus]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    MergeAgg [l_returnflag, l_linestatus] -> sum_qty=sum, sum_base_price=sum, sum_disc_price=sum, sum_charge=sum, avg_qty=avg, avg_price=avg, avg_disc=avg, count_order=count  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      UnionAll [# partitions, canonical order]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+        Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+        Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+        Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+        Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 makespan: # ms over # workers (# ms resource-seconds, speedup #x)"""
 
 _Q06_FRAGMENTS = """\
 fragment # [partition] partition #/#: scan lineitem: # zone-aligned partitions over # rows + partial pre-aggregation  (worker # start=#ms busy=#ms wait=#ms)
-  PartialAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  PartialAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [partition] partition #/#: scan lineitem: # zone-aligned partitions over # rows + partial pre-aggregation  (worker # start=#ms busy=#ms wait=#ms)
-  PartialAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  PartialAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [partition] partition #/#: scan lineitem: # zone-aligned partitions over # rows + partial pre-aggregation  (worker # start=#ms busy=#ms wait=#ms)
-  PartialAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  PartialAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [partition] partition #/#: scan lineitem: # zone-aligned partitions over # rows + partial pre-aggregation  (worker # start=#ms busy=#ms wait=#ms)
-  PartialAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  PartialAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [final] serial tail above the gathers <- f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  MergeAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    UnionAll [# partitions, canonical order]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  MergeAgg [<scalar>] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    UnionAll [# partitions, canonical order]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 makespan: # ms over # workers (# ms resource-seconds, speedup #x)"""
 
 
 _Q03_FRAGMENTS = """\
 fragment # [source] repartition source: serial subtree  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON c_custkey=o_custkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan customer WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Scan orders WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON c_custkey=o_custkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan customer WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Scan orders WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem WHERE ...  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [final] serial tail above the gathers <- f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  Limit #  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Sort [revenue desc, o_orderdate]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      SandwichAgg [l_orderkey, o_orderdate, o_shippriority] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-        UnionAll [# partitions, canonical order]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Limit #  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Sort [revenue desc, o_orderdate]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      SandwichAgg [l_orderkey, o_orderdate, o_shippriority] -> revenue=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+        UnionAll [# partitions, canonical order]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 makespan: # ms over # workers (# ms resource-seconds, speedup #x)"""
 
 _Q18_FRAGMENTS = """\
 fragment # [broadcast] SandwichJoin left (build) side, shipped to every partition  (worker # start=#ms busy=#ms wait=#ms)
-  Scan customer  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan customer  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [broadcast] SandwichJoin right (build) side, shipped to every partition  (worker # start=#ms busy=#ms wait=#ms)
-  Filter  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    SandwichAgg [l#.l_orderkey] -> sum_qty=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Scan lineitem as l#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Filter  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    SandwichAgg [l#.l_orderkey] -> sum_qty=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Scan lineitem as l#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan orders: # zone-aligned partitions over # rows <- f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin semi ON o_orderkey=l#.l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    SandwichJoin inner ON c_custkey=o_custkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Scan orders  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin semi ON o_orderkey=l#.l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    SandwichJoin inner ON c_custkey=o_custkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Scan orders  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan orders: # zone-aligned partitions over # rows <- f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin semi ON o_orderkey=l#.l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    SandwichJoin inner ON c_custkey=o_custkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Scan orders  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin semi ON o_orderkey=l#.l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    SandwichJoin inner ON c_custkey=o_custkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Scan orders  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan orders: # zone-aligned partitions over # rows <- f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin semi ON o_orderkey=l#.l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    SandwichJoin inner ON c_custkey=o_custkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      Scan orders  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin semi ON o_orderkey=l#.l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    SandwichJoin inner ON c_custkey=o_custkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      Scan orders  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition broadcast <- fragment #  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [source] repartition source #/#: scan lineitem: # zone-aligned partitions over # rows  (worker # start=#ms busy=#ms wait=#ms)
-  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Scan lineitem  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#, f#, f#, f#, f#, f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#, f#, f#, f#, f#, f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#, f#, f#, f#, f#, f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#, f#, f#, f#, f#, f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#, f#, f#, f#, f#, f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#, f#, f#, f#, f#, f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#, f#, f#, f#, f#, f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [copartition] copartition #/#: co-partitioned SandwichJoin on D_DATE+D_NATION @# bits: # bin ranges over # live rows (both sides split) <- f#, f#, f#, f#, f#, f#, f#, f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  SandwichJoin inner ON o_orderkey=l_orderkey  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__orders__#+__grp__orders__#@# <- f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Repartition rebin [#/#] on __grp__lineitem__#+__grp__lineitem__#@# <- f#, f#, f#, f#, f#, f#, f#, f#  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 fragment # [final] serial tail above the gathers <- f#, f#, f#, f#, f#, f#, f#, f#  (worker # start=#ms busy=#ms wait=#ms)
-  Limit #  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-    Sort [o_totalprice desc, o_orderdate]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-      SandwichAgg [c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice] -> sum_quantity=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-        UnionAll [# partitions, canonical order]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
-          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB)
+  Limit #  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+    Sort [o_totalprice desc, o_orderdate]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+      SandwichAgg [c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice] -> sum_quantity=sum  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+        UnionAll [# partitions, canonical order]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
+          Exchange <- fragment # [#/#]  (actual rows=#-># io=#ms cpu=#ms mem=#MB host=#ms)
 makespan: # ms over # workers (# ms resource-seconds, speedup #x)"""
 
 

@@ -147,8 +147,8 @@ class TestAccounting:
             run_stage = backend.execute_fragments
             produced, alive_at_finish = [], []
 
-            def execute_fragments(plan, disk, costs, profile=False):
-                results, metrics = run_stage(plan, disk, costs, profile=profile)
+            def execute_fragments(plan, disk, costs):
+                results, metrics = run_stage(plan, disk, costs)
                 produced.extend(weakref.ref(r) for r in results.values())
                 return results, metrics
 

@@ -303,10 +303,12 @@ class TestSmokeSweep:
         assert report.strategies.get("Scan", 0) > 0
         assert "Scan" in report.operator_totals
         assert report.operator_totals["Scan"]["io_seconds"] > 0
+        assert report.operator_totals["Scan"]["host_seconds"] > 0
 
     def test_render_mentions_outcome(self, report):
         text = report.render()
         assert "divergences=0" in text
+        assert "host ms" in text
         assert text.endswith("PASS")
 
 
