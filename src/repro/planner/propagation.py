@@ -40,6 +40,7 @@ from ..execution.aggregate import group_rows
 from ..execution.operators import Join, PhysicalOp
 from ..execution.relation import Relation
 from ..storage.database import Database
+from ..storage.memo import derive
 from .analysis import PlanAnalysis, strip_prefix
 
 __all__ = [
@@ -73,11 +74,14 @@ class _HostEvaluator:
             return self._memo[alias]
         self._memo[alias] = None  # cycle guard (FK graphs are acyclic anyway)
         scan = self._analysis.scans[alias]
-        data = self._db.table_data(scan.table)
+        version = self._db.version(scan.table)
+        data = version.columns
         mask: Optional[np.ndarray] = None
         if scan.predicate is not None:
+            # derived once per table version, whichever lowering asks first
             env = Relation({scan.prefix + name: values for name, values in data.items()})
-            mask = scan.predicate.holds(env)
+            key = ("holds", scan.prefix, scan.predicate)
+            mask = derive(version, key, lambda: scan.predicate.holds(env))
         if self._local_only:
             self._memo[alias] = mask
             return mask

@@ -2,12 +2,14 @@
 
 This is the *logical* content a physical scheme (plain / PK / BDCC)
 re-organises.  Columns are numpy arrays; rows across the arrays of one
-table are aligned.  Parent-key lookup indices support foreign-key
+table are aligned.  A table is a :class:`TableVersion`, which an append or
+delete replaces.  Parent-key lookup indices support foreign-key
 traversal (dimension paths, referential-integrity checks).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -15,7 +17,7 @@ import numpy as np
 from ..catalog import Schema
 from .keys import encode_join_keys, match_keys
 
-__all__ = ["Database", "lookup_rows"]
+__all__ = ["Database", "TableVersion", "lookup_rows"]
 
 
 def lookup_rows(
@@ -37,6 +39,13 @@ def lookup_rows(
     return rows
 
 
+@dataclass(frozen=True, eq=False)
+class TableVersion:
+    """One version of a logical table's columns; nothing writes them."""
+
+    columns: Dict[str, np.ndarray]
+
+
 class Database:
     """Schema plus per-table column data.
 
@@ -47,7 +56,7 @@ class Database:
     def __init__(self, schema: Schema, scale_factor: Optional[float] = None):
         self.schema = schema
         self.scale_factor = scale_factor
-        self._tables: Dict[str, Dict[str, np.ndarray]] = {}
+        self._tables: Dict[str, TableVersion] = {}
 
     # --------------------------------------------------------------- data
     def add_table_data(self, table: str, columns: Dict[str, np.ndarray]) -> None:
@@ -58,15 +67,18 @@ class Database:
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"table {table!r}: ragged column lengths {lengths}")
-        self._tables[table] = {
-            name: np.asarray(columns[name]) for name in definition.column_names
-        }
+        self._tables[table] = TableVersion(
+            {name: np.asarray(columns[name]) for name in definition.column_names}
+        )
 
-    def table_data(self, table: str) -> Dict[str, np.ndarray]:
+    def version(self, table: str) -> TableVersion:
         try:
             return self._tables[table]
         except KeyError:
             raise KeyError(f"no data loaded for table {table!r}") from None
+
+    def table_data(self, table: str) -> Dict[str, np.ndarray]:
+        return self.version(table).columns
 
     def column(self, table: str, column: str) -> np.ndarray:
         return self.table_data(table)[column]
@@ -79,10 +91,10 @@ class Database:
 
     # ------------------------------------------------------------- updates
     def stage(self) -> "Database":
-        """A copy to stage a commit on: the same schema and arrays under
-        a table map of its own.  Appends and deletes rebind a table in
-        that map and never write an array, so nothing the copy does is
-        seen here until :meth:`publish`."""
+        """A copy to stage a commit on: the same schema and table versions
+        under a table map of its own.  Appends and deletes bind a new
+        version in that map and never write an array, so nothing the
+        copy does is seen here until :meth:`publish`."""
         staged = Database(self.schema, self.scale_factor)
         staged._tables = dict(self._tables)
         return staged
@@ -116,7 +128,7 @@ class Database:
             if base.dtype.kind in "iuf" and extra.dtype != base.dtype:
                 extra = extra.astype(base.dtype)
             merged[name] = np.concatenate([base, extra])
-        self._tables[table] = merged
+        self._tables[table] = TableVersion(merged)
         return n_old, n_new
 
     def delete_table_rows(self, table: str, mask: np.ndarray) -> int:
@@ -131,7 +143,7 @@ class Database:
         if removed == 0:
             return 0
         keep = ~mask
-        self._tables[table] = {name: values[keep] for name, values in data.items()}
+        self._tables[table] = TableVersion({name: values[keep] for name, values in data.items()})
         return removed
 
     @property

@@ -2,18 +2,19 @@
 
 A :class:`StoredTable` materialises one physical row order of a logical
 table (generation order for Plain, primary-key order for PK, ``_bdcc_``
-order for BDCC — possibly with a consolidated small-group region), builds
-MinMax indices lazily per column, and knows its page layout for IO
-accounting.
+order for BDCC — possibly with a consolidated small-group region), derives
+a MinMax index per column on first request, and knows its page layout
+for IO accounting.
 
 A stored table is a value: nothing changes one after construction.
 A commit publishes the *next version* of each table it touches —
 ``dataclasses.replace`` with a new delta store (:mod:`repro.updates.delta`:
 sorted insert runs plus a deletion bitmap) and ``epoch + 1``, sharing the
-base columns and their zone maps — and compaction publishes a version
-with the deltas folded into new base columns.  A plan lowered before a
-commit keeps reading the versions it holds; ``epoch`` counts the
-commits/compactions behind a version, and plan caches key on it.
+base columns — and compaction publishes a version with the deltas folded
+into new base columns; each version derives its own zone maps
+(:mod:`repro.storage.memo`).  A plan lowered before a commit keeps
+reading the versions it holds; ``epoch`` counts the commits/compactions
+behind a version, and plan caches key on it.
 
 :data:`LIVE_TABLES` holds every table alive in this process, weakly: the
 process backend forks its workers over them, so a fragment payload can
@@ -23,7 +24,7 @@ name a table instead of shipping it (:mod:`repro.parallel.backends`).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from ..catalog import Table
 from ..core.bdcc_table import BDCCTable
 from ..core.selection import Selection
+from .memo import derive
 from .minmax import MinMaxIndex
 from .pages import PageModel
 
@@ -53,9 +55,6 @@ class StoredTable:
     #: one more than the version this one replaced (commit or
     #: compaction); plan caches include it in their keys.
     epoch: int = 0
-    #: lazily built zone maps over ``columns``: a version that keeps the
-    #: base columns shares them, one with new columns starts empty.
-    _minmax: Dict[str, MinMaxIndex] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         LIVE_TABLES.add(self)
@@ -146,14 +145,11 @@ class StoredTable:
 
     # ------------------------------------------------------------- minmax
     def minmax_for(self, column: str) -> MinMaxIndex:
-        """Zone map with one block per page of that column (built lazily;
-        Vectorwise maintains these automatically on every table)."""
-        index = self._minmax.get(column)
-        if index is None:
-            block_rows = self.page_model.rows_per_page(self.stored_bytes_per_value(column))
-            index = MinMaxIndex.build(self.columns[column], block_rows)
-            self._minmax[column] = index
-        return index
+        """Zone map with one block per page of that column (built on first
+        request; Vectorwise maintains these automatically on every table)."""
+        block_rows = self.page_model.rows_per_page(self.stored_bytes_per_value(column))
+        key = ("minmax", column, block_rows)
+        return derive(self, key, lambda: MinMaxIndex.build(self.columns[column], block_rows))
 
     # ----------------------------------------------------------------- IO
     def io_run_bytes(self, selection: Selection, columns: List[str]) -> List[float]:

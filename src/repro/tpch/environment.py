@@ -9,11 +9,12 @@ artificially coarse.
 
 ``make_environment`` therefore scales the page size (and with it ``A_R``
 and the access latency, preserving ``A_R(80%) == page``) linearly with
-the scale factor, clamped to [256 B, 32 KB].  Tables then span page
-counts proportional to the paper's setup, so Algorithm 1 picks
-granularities with the same *relative* resolution (e.g. LINEITEM gets
-``ceil(log2(pages(l_comment)))`` bits, exactly the paper's rule) and
-MinMax pruning has SF100-like resolution.  All three schemes share the
+the scale factor, clamped to [256 B, 32 KB].  Below SF 1 a table then
+spans the page count it has at SF 1 — 1/100 of the paper's SF100 counts
+(fewer below SF ~0.008, where the 256 B floor holds) — so Algorithm 1
+picks granularities that do not shrink with the data (LINEITEM gets
+``ceil(log2(pages(l_comment)))`` bits, the paper's rule) and MinMax
+pruning has SF 1's resolution, not SF100's.  All three schemes share the
 device, so comparisons stay apples-to-apples.
 """
 
@@ -52,12 +53,11 @@ class Environment:
 
 
 def scaled_page_bytes(scale_factor: float) -> int:
-    """Page size scaled so tables span SF100-like page *counts*.
+    """Page size scaled so tables span SF 1's page *counts* below SF 1.
 
     ``page = 32 KB * SF`` (clamped to [256 B, 32 KB]): at SF >= 1 the
-    paper's absolute geometry is used; below that, shrinking the page
-    keeps per-table page counts — and hence granularity selection and
-    zone-map resolution — in the regime the paper operates in."""
+    paper's absolute page is used; below that, shrinking the page keeps
+    page counts — granularity and zone-map resolution — at SF 1's."""
     raw = PAPER_PAGE_BYTES * scale_factor
     return int(min(PAPER_PAGE_BYTES, max(256, raw)))
 

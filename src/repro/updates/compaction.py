@@ -143,7 +143,6 @@ def compact_table(
         bdcc=bdcc,
         delta=DeltaStore(base_deleted=np.zeros(n, dtype=bool)),
         epoch=stored.epoch + 1,
-        _minmax={},
     )
     io_seconds = 2 * disk.time_for_runs(rewrite_bytes)
     cpu_seconds = n * costs.merge_row + n * costs.scan_value * max(len(merged_columns), 1)

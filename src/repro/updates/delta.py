@@ -15,10 +15,10 @@ compacted):
 * a **deletion bitmap** over the base storage plus one per run, so
   deletes never rewrite anything either.
 
-Per-run zone maps (:class:`~repro.storage.minmax.MinMaxIndex`, built
-lazily like the base table's) let the scan prune delta runs with the same
-superset semantics as base blocks.  Reads merge base and deltas through
-the scan's ``delta_selected``
+Per-run zone maps (:class:`~repro.storage.minmax.MinMaxIndex`, derived
+per run version like the base table's) let the scan prune delta runs
+with the same superset semantics as base blocks.  Reads merge base and
+deltas through the scan's ``delta_selected``
 (:attr:`~repro.execution.operators.PhysicalScan.delta_selected`); compaction
 (:mod:`repro.updates.compaction`) folds everything back into the base
 layout of a new table version with an empty store.
@@ -30,12 +30,13 @@ or-ed into *new* arrays — and never changes one a reader may hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..storage.database import Database
+from ..storage.memo import derive
 from ..storage.minmax import MinMaxIndex
 from ..storage.stored_table import StoredTable
 
@@ -51,8 +52,6 @@ class DeltaRun:
     keys: Optional[np.ndarray]
     #: rows of this run deleted by a later (or the same) commit.
     deleted: np.ndarray
-    #: lazily built zone maps, shared by every version of the run.
-    _minmax: Dict[str, MinMaxIndex] = field(default_factory=dict, repr=False)
 
     @property
     def num_rows(self) -> int:
@@ -65,13 +64,10 @@ class DeltaRun:
         return self.num_rows - int(np.count_nonzero(self.deleted))
 
     def minmax_for(self, column: str, block_rows: int) -> MinMaxIndex:
-        """Zone map over this run's values of one column (lazy, like the
-        base table's)."""
-        index = self._minmax.get(column)
-        if index is None:
-            index = MinMaxIndex.build(self.columns[column], max(block_rows, 1))
-            self._minmax[column] = index
-        return index
+        """Zone map over this run's values of one column, derived like
+        the base table's."""
+        key = ("minmax", column, block_rows)
+        return derive(self, key, lambda: MinMaxIndex.build(self.columns[column], block_rows))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from repro.execution.expressions import col
 from repro.execution.aggregate import AggSpec
 from repro.planner.executor import ExecutionOptions, Executor
 from repro.planner.logical import scan
+from repro.storage.minmax import MinMaxIndex
 from repro.updates import CompactionPolicy, UpdateSession
 from repro.workload.differential import normalized_rows
 from repro.workload.updates import UpdateGenerator
@@ -199,17 +200,54 @@ class TestCompaction:
     def test_zone_maps_rebuild_over_the_new_storage(self, fresh):
         db, env, pdbs = fresh
         stored = pdbs["plain"].table("lineitem")
-        held = stored.minmax_for("l_quantity")  # populate the lazy cache
+        held = stored.minmax_for("l_quantity")
         policy = CompactionPolicy(max_delta_fraction=0.01, min_delta_rows=1)
         _commit_mixed(db, pdbs, policy=policy)
         # the held version is unchanged, zone maps included ...
         assert stored.minmax_for("l_quantity") is held
-        # ... and the compacted one starts without any, rebuilt lazily
-        # over its own storage
+        # ... and the compacted one derives its own over its own storage
         compacted = pdbs["plain"].table("lineitem")
-        assert compacted is not stored and not compacted._minmax
+        assert compacted is not stored
         index = compacted.minmax_for("l_quantity")
-        assert float(index.maxs.max()) == float(compacted.columns["l_quantity"].max())
+        assert index is not held and compacted.minmax_for("l_quantity") is index
+        rebuilt = MinMaxIndex.build(compacted.columns["l_quantity"], held.block_rows)
+        assert index.block_rows == rebuilt.block_rows
+        np.testing.assert_array_equal(index.mins, rebuilt.mins)
+        np.testing.assert_array_equal(index.maxs, rebuilt.maxs)
+
+    def test_a_plan_lowered_before_a_commit_reads_its_own_version(self, fresh):
+        """A lowered plan holds the table versions it was lowered over:
+        run after a compacting commit, it still reads its version's
+        zone maps and delta selection, and returns what it returned
+        before the commit."""
+        db, env, pdbs = fresh
+        pdb = pdbs["pk"]
+        _commit_mixed(db, pdbs)  # a dirty LINEITEM: one run, deleted rows
+        keys = db.table_data("lineitem")["l_orderkey"]
+        plan = scan("lineitem", predicate=col("l_orderkey").le(int(np.median(keys))))
+        executor = Executor(pdb, disk=env.disk, costs=env.cost_model)
+        pplan = executor.lower(plan)
+        (op,) = [op for op in pplan.operators() if op.kind == "DeltaMergeScan"]
+        held = op.stored
+        assert [c for c, _, _ in op.minmax_ranges] == ["l_orderkey"]
+        index = held.minmax_for("l_orderkey")
+        delta_selected = op.delta_selected
+        assert len(delta_selected) == len(held.delta.runs) == 1
+        before = executor.run(pplan)
+
+        policy = CompactionPolicy(max_delta_fraction=0.0001, min_delta_rows=1)
+        _commit_mixed(db, pdbs, policy=policy)
+        current = pdb.table("lineitem")
+        assert current is not held and not current.has_delta
+        assert current.minmax_for("l_orderkey") is not index
+        assert op.stored is held and held.minmax_for("l_orderkey") is index
+        assert op.delta_selected is delta_selected and len(held.delta.runs) == 1
+        after = Executor(pdb, disk=env.disk, costs=env.cost_model).run(pplan)
+        names = sorted(before.relation.column_names)
+        assert normalized_rows(after.relation.columns, names) == normalized_rows(
+            before.relation.columns, names
+        )
+        assert after.metrics.total_seconds == before.metrics.total_seconds
 
 
 class TestSessionValidation:
