@@ -7,7 +7,7 @@ statements (interpreted as BDCC hints), never at a workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError

@@ -18,14 +18,13 @@ co-clustered schema:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..catalog import IndexHint, Schema
 from ..storage.database import Database
 from .bdcc_table import BDCCBuildConfig, BDCCTable, build_bdcc_table
-from .binning import KeyEncoder, equi_frequency_cuts
 from .dimension import Dimension
 from .dimension_use import DimensionUse
 

@@ -9,7 +9,7 @@ sequence of bins.  We represent bins as intervals of the order-preserving
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np

@@ -13,7 +13,7 @@ groups than ``2**g``) directly visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

@@ -23,12 +23,12 @@ for untouched tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from ..catalog import Schema
-from ..planner.analysis import analyse_plan, strip_prefix
-from ..planner.logical import GroupByNode, JoinNode, Plan, PlanNode, ScanNode, walk
+from ..planner.analysis import analyse_plan
+from ..planner.logical import GroupByNode, Plan, PlanNode, walk
 from .advisor import SchemaDesign
 from .dimension_use import DimensionUse
 
@@ -78,8 +78,15 @@ class WorkloadAnalyzer:
             for alias, scan_node in analysis.scans.items()
             if scan_node.predicate is not None
         }
-        joined_fks = self._joined_fks(node, analysis)
-        grouped_fk_covers = self._grouped_covers(node, analysis)
+        joined_fks = {(edge.child_alias, edge.fk_name) for edge in analysis.edges}
+        # (alias, fk name) pairs a group-by's keys cover; None = the primary key
+        grouped_fk_covers = set()
+        for n in walk(node):
+            if isinstance(n, GroupByNode):
+                for cover in analysis.covers(n.input, n.keys):
+                    grouped_fk_covers.update((cover.alias, fk.name) for fk in cover.fks)
+                    if cover.pk:
+                        grouped_fk_covers.add((cover.alias, None))
 
         for alias, scan_node in analysis.scans.items():
             for use in design.uses_for(scan_node.table):
@@ -88,61 +95,14 @@ class WorkloadAnalyzer:
                 if score is None:
                     continue
                 host = analysis.walk_path(alias, use.path)
-                if host is not None and self._host_restricted(analysis, host, predicated):
+                # the host, or a filtering ancestor of it, is predicated
+                if host is not None and analysis.parents(host, filtering=True) & predicated:
                     score.pushdown += 1
                 lead = use.path[0] if use.path else None
                 if lead is not None and (alias, lead) in joined_fks:
                     score.sandwich += 1
                 if (alias, lead) in grouped_fk_covers or (alias, None) in grouped_fk_covers:
                     score.aggregation += 1
-
-    def _joined_fks(self, node: PlanNode, analysis) -> set:
-        out = set()
-        for edge in analysis.edges:
-            out.add((edge.child_alias, edge.fk_name))
-        return out
-
-    def _grouped_covers(self, node: PlanNode, analysis) -> set:
-        """(alias, fk_name-or-None) pairs whose columns a group-by covers
-        (None = the alias's primary key is covered)."""
-        from .advisor import AdvisorConfig  # no cycle; just locality
-
-        covered = set()
-        for n in walk(node):
-            if not isinstance(n, GroupByNode):
-                continue
-            by_alias: Dict[str, set] = {}
-            for alias, scan_node in analysis.scans.items():
-                prefix = scan_node.prefix
-                base = {
-                    strip_prefix(k, prefix)
-                    for k in n.keys
-                    if self.schema.table(scan_node.table).has_column(strip_prefix(k, prefix))
-                }
-                if base:
-                    by_alias[alias] = base
-            for alias, base in by_alias.items():
-                table = self.schema.table(analysis.scans[alias].table)
-                if table.primary_key and set(table.primary_key) <= base:
-                    covered.add((alias, None))
-                for fk in self.schema.outgoing_foreign_keys(table.name):
-                    if set(fk.child_columns) <= base:
-                        covered.add((alias, fk.name))
-        return covered
-
-    def _host_restricted(self, analysis, host_alias: str, predicated: set) -> bool:
-        """Is the host (or a filtering ancestor of it) predicated?"""
-        frontier = [host_alias]
-        seen = set()
-        while frontier:
-            current = frontier.pop()
-            if current in predicated:
-                return True
-            seen.add(current)
-            for edge in analysis.usable_edges_from(current):
-                if edge.parent_alias not in seen:
-                    frontier.append(edge.parent_alias)
-        return False
 
 
 def prune_design(

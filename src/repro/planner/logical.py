@@ -12,8 +12,8 @@ differs from the table name, in which case they are prefixed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple, Union
 
 from ..execution.aggregate import AggSpec
 from ..execution.expressions import Expr

@@ -16,9 +16,10 @@ on, and emits a typed physical plan of
   functionally determine a carried dimension use) or ``hash``.
 
 Decisions rest on *guaranteed* physical stream properties (sort order,
-carried dimension uses, column ownership) that follow from the schema
-design and are inferred here, in :class:`_Stream`, and nowhere else —
-no batch carries them at run time.  That a plan never claims an order
+carried dimension uses) that follow from the schema design and are
+inferred here, in :class:`_Stream`, and nowhere else — no batch carries
+them at run time; who owns a column and which keys a column set covers
+are asked of :class:`PlanAnalysis`.  That a plan never claims an order
 or a co-clustering the data will not have is checked against executed
 data by ``tests/planner/test_stream_claims.py``.  Cardinalities, in
 contrast, are *estimates* (count-table and zone-map metadata plus
@@ -46,8 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from ..core.selection import Selection
 from ..execution.expressions import (
@@ -221,11 +220,11 @@ class _Stream:
     these imply already taken, and a run-time
     :class:`~repro.execution.relation.Relation` carries none of them.
     ``columns`` maps every output column (including hidden group
-    columns) to estimated engine bytes per value."""
+    columns) to estimated engine bytes per value.  Column ownership is
+    not a stream property but the analysis's (``PlanAnalysis.owners``)."""
 
     op: PhysicalOp
     columns: Dict[str, float]
-    owners: Dict[str, str]
     sorted_on: Tuple[str, ...]
     uses: List[StreamUse]
     est_rows: float
@@ -423,11 +422,10 @@ class _Lowering:
             delta_selected=delta_selected,
         )
         columns = {prefix + c: value_bytes(stored.columns[c]) for c in demanded}
-        owners = {name: node.alias for name in columns}
         for _, _, column_name in sandwich_uses:
             columns[column_name] = 8.0
         sorted_on = tuple(prefix + c for c in stored.sort_columns)
-        return _Stream(op, columns, owners, sorted_on, uses, max(est_rows, 1.0))
+        return _Stream(op, columns, sorted_on, uses, max(est_rows, 1.0))
 
     def _select_delta_rows(
         self, stored, restrictions, minmax_ranges
@@ -501,8 +499,7 @@ class _Lowering:
         inp = self._lower(node.input)
         op = PhysicalFilter(inp.op, node.predicate)
         est = inp.est_rows * _selectivity(node.predicate)
-        return _Stream(op, dict(inp.columns), dict(inp.owners), inp.sorted_on,
-                       list(inp.uses), max(est, 1.0))
+        return _Stream(op, dict(inp.columns), inp.sorted_on, list(inp.uses), max(est, 1.0))
 
     # ------------------------------------------------------------ project
     def _lower_project(self, node: ProjectNode) -> _Stream:
@@ -512,18 +509,15 @@ class _Lowering:
         carry = tuple(use.column for use in inp.uses)
         op = PhysicalProject(inp.op, node.exprs, carry=carry)
         columns: Dict[str, float] = {}
-        owners: Dict[str, str] = {}
         for name, expr in node.exprs:
             if isinstance(expr, Col):
                 columns[name] = inp.columns.get(expr.name, 8.0)
-                if expr.name in inp.owners:
-                    owners[name] = inp.owners[expr.name]
             else:
                 columns[name] = 8.0
         for name in carry:
             columns[name] = 8.0
         sorted_on = inp.sorted_on if all(c in columns for c in inp.sorted_on) else ()
-        return _Stream(op, columns, owners, sorted_on, list(inp.uses), inp.est_rows)
+        return _Stream(op, columns, sorted_on, list(inp.uses), inp.est_rows)
 
     # --------------------------------------------------------------- join
     def _lower_join(self, node: JoinNode) -> _Stream:
@@ -594,21 +588,12 @@ class _Lowering:
         if node.how in ("semi", "anti"):
             return max(left.est_rows * 0.5, 1.0)
         est = max(left.est_rows, right.est_rows)
-        la = {left.owners.get(c) for c in node.left_cols}
-        ra = {right.owners.get(c) for c in node.right_cols}
-        if len(la) == 1 and len(ra) == 1 and None not in la and None not in ra:
-            l_alias, r_alias = la.pop(), ra.pop()
-            for edge in self.analysis.edges:
-                aliases = {edge.child_alias, edge.parent_alias}
-                if aliases != {l_alias, r_alias}:
-                    continue
-                child, parent = (
-                    (left, right) if edge.child_alias == l_alias else (right, left)
-                )
-                parent_scan = self.analysis.scans[edge.parent_alias]
-                parent_rows = max(self.pdb.table(parent_scan.table).logical_rows, 1)
-                est = child.est_rows * (parent.est_rows / parent_rows)
-                break
+        edge = self.analysis.join_edges.get(id(node))
+        if edge is not None:
+            child, parent = (left, right) if edge.child_is_left else (right, left)
+            parent_scan = self.analysis.scans[edge.parent_alias]
+            parent_rows = max(self.pdb.table(parent_scan.table).logical_rows, 1)
+            est = child.est_rows * (parent.est_rows / parent_rows)
         if node.residual is not None:
             est *= _selectivity(node.residual)
         if node.how == "left":
@@ -620,22 +605,20 @@ class _Lowering:
         probe: str, est: float,
     ) -> _Stream:
         if node.how in ("semi", "anti"):
-            return _Stream(op, dict(left.columns), dict(left.owners),
-                           left.sorted_on, list(left.uses), est)
+            return _Stream(op, dict(left.columns), left.sorted_on, list(left.uses), est)
         columns = dict(left.columns)
         for name, width in right.columns.items():
             columns.setdefault(name, width)
-        owners = dict(left.owners)
-        owners.update(right.owners)
         if node.how == "left":
             # right-side uses are not valid on unmatched rows; drop them
-            return _Stream(op, columns, owners, left.sorted_on, list(left.uses), est)
+            return _Stream(op, columns, left.sorted_on, list(left.uses), est)
         sorted_on = left.sorted_on if probe == "left" else right.sorted_on
         uses = list(left.uses) + list(right.uses)
-        return _Stream(op, columns, owners, sorted_on, uses, est)
+        return _Stream(op, columns, sorted_on, uses, est)
 
     # ------------------------------------------------------ use matching
-    def _use_anchors(self, stream: _Stream, join_cols: Tuple[str, ...], other_cols: Tuple[str, ...]):
+    def _use_anchors(self, stream: _Stream, node: PlanNode,
+                     join_cols: Tuple[str, ...], other_cols: Tuple[str, ...]):
         """Dimension uses of ``stream`` whose group is determined by (a
         subset of) the join columns, with their co-clustering identity.
 
@@ -655,31 +638,15 @@ class _Lowering:
         tables A and C sharing D1), which covers fact-fact self joins
         (Q21) and composite-key joins (LINEITEM-PARTSUPP in Q9).
         """
-        schema = self.pdb.schema
-        by_alias: Dict[str, List[int]] = {}
-        for pos, column in enumerate(join_cols):
-            alias = stream.owners.get(column)
-            if alias is not None:
-                by_alias.setdefault(alias, []).append(pos)
+        other = dict(zip(join_cols, other_cols))
         anchors = []
-        for alias, positions in by_alias.items():
-            scan = self.analysis.scans.get(alias)
-            if scan is None:
-                continue
-            base_to_other = {
-                strip_prefix(join_cols[p], scan.prefix): other_cols[p] for p in positions
-            }
-            base_to_self = {
-                strip_prefix(join_cols[p], scan.prefix): join_cols[p] for p in positions
-            }
-            table = schema.table(scan.table)
+        for cover in self.analysis.covers(node, join_cols):
+            uses = stream.uses_for_alias(cover.alias)
             # via an outgoing foreign key covered by the join columns
-            for fk in schema.outgoing_foreign_keys(scan.table):
-                if not set(fk.child_columns) <= set(base_to_other):
-                    continue
-                own = tuple(base_to_self[c] for c in fk.child_columns)
-                carrier = tuple(base_to_other[c] for c in fk.child_columns)
-                for use in stream.uses_for_alias(alias):
+            for fk in cover.fks:
+                own = tuple(cover.columns[c] for c in fk.child_columns)
+                carrier = tuple(other[c] for c in own)
+                for use in uses:
                     if use.path and use.path[0] == fk.name:
                         identity = (
                             use.dimension.name, use.path[1:],
@@ -687,13 +654,12 @@ class _Lowering:
                         )
                         anchors.append((identity, own, carrier, use))
             # the table itself is the referenced side (join on its PK)
-            if table.primary_key and set(table.primary_key) <= set(base_to_other):
-                own = tuple(base_to_self[c] for c in table.primary_key)
-                carrier = tuple(base_to_other[c] for c in table.primary_key)
-                for use in stream.uses_for_alias(alias):
+            if cover.pk:
+                own = tuple(cover.columns[c] for c in cover.pk)
+                carrier = tuple(other[c] for c in own)
+                for use in uses:
                     identity = (
-                        use.dimension.name, use.path,
-                        scan.table, tuple(table.primary_key),
+                        use.dimension.name, use.path, cover.table, cover.pk,
                     )
                     anchors.append((identity, own, carrier, use))
         return anchors
@@ -709,8 +675,8 @@ class _Lowering:
         — then equal join keys imply equal dimension bins on both sides,
         the precondition for sandwiched (pre-grouped) execution [3].
         """
-        left_anchors = self._use_anchors(left, node.left_cols, node.right_cols)
-        right_anchors = self._use_anchors(right, node.right_cols, node.left_cols)
+        left_anchors = self._use_anchors(left, node.left, node.left_cols, node.right_cols)
+        right_anchors = self._use_anchors(right, node.right, node.right_cols, node.left_cols)
         pairs: List[Tuple[StreamUse, StreamUse]] = []
         seen = set()
         for l_identity, l_own, l_carrier, left_use in left_anchors:
@@ -730,16 +696,17 @@ class _Lowering:
     # ------------------------------------------------------------ groupby
     def _lower_groupby(self, node: GroupByNode) -> _Stream:
         inp = self._lower(node.input)
-        streaming = bool(node.keys) and self._streaming_ok(inp, node.keys)
+        streaming = bool(node.keys) and self._streaming_ok(inp, node.input, node.keys)
         partition_uses: List[StreamUse] = []
         if not streaming and node.keys and self.options.enable_sandwich:
-            partition_uses = self._partition_uses(inp, node.keys)
+            partition_uses = self._partition_uses(inp, node.input, node.keys)
 
         # recorded on the operator for the fragmenter's partial-agg cost
         # rule (estimated groups vs input rows); the estimate itself is
         # this stream's est_rows, computed the same way below
         est = 1.0 if not node.keys else min(
-            inp.est_rows, max(inp.est_rows ** 0.75, 1.0), self._group_domain(inp, node.keys)
+            inp.est_rows, max(inp.est_rows ** 0.75, 1.0),
+            self._group_domain(node.input, node.keys),
         )
         out_uses: List[StreamUse] = []
         if streaming:
@@ -774,38 +741,29 @@ class _Lowering:
             )
 
         columns: Dict[str, float] = {}
-        owners: Dict[str, str] = {}
         for key in node.keys:
             columns[key] = inp.columns.get(key, 8.0)
-            if key in inp.owners:
-                owners[key] = inp.owners[key]
         for spec in node.aggs:
             columns[spec.name] = 8.0
         for use in out_uses:
             columns[use.column] = 8.0
-        return _Stream(op, columns, owners, tuple(node.keys), out_uses, est)
+        return _Stream(op, columns, tuple(node.keys), out_uses, est)
 
-    def _group_domain(self, stream: _Stream, keys: Tuple[str, ...]) -> float:
+    def _group_domain(self, node: PlanNode, keys: Tuple[str, ...]) -> float:
         """Upper bound on the number of groups from key domains: a
         single grouping key that is a table's primary key or a
         single-column foreign key cannot have more distinct values than
         the (referenced) table has rows."""
         if len(keys) != 1:
             return float("inf")
-        alias = stream.owners.get(keys[0])
-        scan = self.analysis.scans.get(alias) if alias is not None else None
-        if scan is None:
-            return float("inf")
-        base = strip_prefix(keys[0], scan.prefix)
-        schema = self.pdb.schema
-        if tuple(schema.table(scan.table).primary_key) == (base,):
-            return float(self.pdb.table(scan.table).logical_rows)
-        for fk in schema.outgoing_foreign_keys(scan.table):
-            if fk.child_columns == [base] or tuple(fk.child_columns) == (base,):
-                return float(self.pdb.table(fk.parent_table).logical_rows)
+        for cover in self.analysis.covers(node, keys):
+            if cover.pk:
+                return float(self.pdb.table(cover.table).logical_rows)
+            if cover.fks:
+                return float(self.pdb.table(cover.fks[0].parent_table).logical_rows)
         return float("inf")
 
-    def _streaming_ok(self, stream: _Stream, keys: Tuple[str, ...]) -> bool:
+    def _streaming_ok(self, stream: _Stream, node: PlanNode, keys: Tuple[str, ...]) -> bool:
         """Can the aggregation stream over the input's sort order?
 
         Either the keys literally are a prefix of the sort order, or the
@@ -822,27 +780,16 @@ class _Lowering:
         lead = stream.sorted_on[0]
         if lead not in keys:
             return False
-        alias = stream.owners.get(lead)
-        if alias is None:
-            return False
-        scan = self.analysis.scans.get(alias)
-        if scan is None:
-            return False
-        pk = self.pdb.schema.table(scan.table).primary_key
-        if tuple(pk) != (strip_prefix(lead, scan.prefix),):
+        keyed = [c.alias for c in self.analysis.covers(node, (lead,)) if c.pk]
+        if not keyed:
             return False
         # aliases whose rows (hence columns) the lead key determines
-        determined = {alias}
-        frontier = [alias]
-        while frontier:
-            current = frontier.pop()
-            for edge in self.analysis.edges:
-                if edge.child_alias == current and edge.parent_alias not in determined:
-                    determined.add(edge.parent_alias)
-                    frontier.append(edge.parent_alias)
-        return all(stream.owners.get(k) in determined for k in keys)
+        determined = self.analysis.parents(keyed[0])
+        owners = self.analysis.owners[id(node)]
+        return all(owners.get(k) in determined for k in keys)
 
-    def _partition_uses(self, stream: _Stream, keys: Sequence[str]) -> List[StreamUse]:
+    def _partition_uses(self, stream: _Stream, node: PlanNode,
+                        keys: Sequence[str]) -> List[StreamUse]:
         """Stream uses whose group id is functionally determined by the
         grouping keys: the keys contain the child columns of the use's
         leading foreign key, or the primary key of the use's own table.
@@ -851,30 +798,14 @@ class _Lowering:
         ``o_custkey``-determined keys (or LINEITEM by ``l_orderkey``)
         pre-partitions the aggregation along the carried D_NATION /
         D_DATE groups."""
-        schema = self.pdb.schema
-        by_alias: Dict[str, Set[str]] = {}
-        for key in keys:
-            alias = stream.owners.get(key)
-            if alias is not None:
-                by_alias.setdefault(alias, set()).add(key)
         result: List[StreamUse] = []
         seen = set()
-        for alias, owned in by_alias.items():
-            scan = self.analysis.scans.get(alias)
-            if scan is None:
-                continue
-            base_cols = {strip_prefix(c, scan.prefix) for c in owned}
-            table = schema.table(scan.table)
-            pk_covered = bool(table.primary_key) and set(table.primary_key) <= base_cols
-            covered_fks = {
-                fk.name
-                for fk in schema.outgoing_foreign_keys(scan.table)
-                if set(fk.child_columns) <= base_cols
-            }
-            for use in stream.uses_for_alias(alias):
+        for cover in self.analysis.covers(node, keys):
+            covered_fks = {fk.name for fk in cover.fks}
+            for use in stream.uses_for_alias(cover.alias):
                 if use.instance_key() in seen:
                     continue
-                if pk_covered or (use.path and use.path[0] in covered_fks):
+                if cover.pk or (use.path and use.path[0] in covered_fks):
                     result.append(use)
                     seen.add(use.instance_key())
         return result
@@ -884,14 +815,13 @@ class _Lowering:
         inp = self._lower(node.input)
         op = Sort(inp.op, node.keys)
         sorted_on = tuple(c for c, asc in node.keys) if all(asc for _, asc in node.keys) else ()
-        return _Stream(op, dict(inp.columns), dict(inp.owners), sorted_on,
-                       list(inp.uses), inp.est_rows)
+        return _Stream(op, dict(inp.columns), sorted_on, list(inp.uses), inp.est_rows)
 
     def _lower_limit(self, node: LimitNode) -> _Stream:
         inp = self._lower(node.input)
         op = Limit(inp.op, node.count)
-        return _Stream(op, dict(inp.columns), dict(inp.owners), inp.sorted_on,
-                       list(inp.uses), min(inp.est_rows, float(node.count)))
+        return _Stream(op, dict(inp.columns), inp.sorted_on, list(inp.uses),
+                       min(inp.est_rows, float(node.count)))
 
 
 def lower(

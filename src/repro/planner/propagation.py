@@ -41,7 +41,7 @@ from ..execution.operators import Join, PhysicalOp
 from ..execution.relation import Relation
 from ..storage.database import Database
 from ..storage.memo import derive
-from .analysis import PlanAnalysis, strip_prefix
+from .analysis import PlanAnalysis
 
 __all__ = [
     "ScanRestrictions",

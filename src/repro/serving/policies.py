@@ -13,7 +13,7 @@ the same interleaving — the admission-determinism tests pin this.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 __all__ = [
     "AdmissionPolicy",

@@ -17,7 +17,7 @@ that ``A_R(80%) = 32 KB``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 __all__ = ["DiskModel", "PAPER_SSD"]
 

@@ -9,8 +9,7 @@ stages (stages run one after another).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..execution.metrics import ExecutionMetrics
 from ..planner.executor import ExecutionOptions, Executor, QueryResult

@@ -57,6 +57,22 @@ class TestScoring:
         assert scores[("lineitem", "D_DATE", ("FK_L_O",))].aggregation == 1
         assert scores[("lineitem", "D_PART", ("FK_L_P",))].aggregation == 0
 
+    def test_group_key_credits_only_the_scan_that_owns_it(self, tpch_db, design):
+        # two NATION scans; the group key is the unprefixed one's column,
+        # so the prefixed ``nation2`` scan's primary key is not covered
+        q = (
+            scan("supplier")
+            .join(scan("nation"), on=[("s_nationkey", "n_nationkey")])
+            .join(scan("customer"), on=[("s_nationkey", "c_nationkey")])
+            .join(scan("nation", alias="nation2"),
+                  on=[("c_nationkey", "nation2.n_nationkey")])
+            .groupby(["n_nationkey"], [AggSpec("n", "count")])
+        )
+        scores = WorkloadAnalyzer(tpch_db.schema).score(design, [q])
+        assert scores[("nation", "D_NATION", ())].aggregation == 1
+        assert scores[("supplier", "D_NATION", ("FK_S_N",))].sandwich == 1
+        assert scores[("customer", "D_NATION", ("FK_C_N",))].sandwich == 1
+
     def test_multi_stage_workload_accumulates(self, tpch_db, design):
         analyzer = WorkloadAnalyzer(tpch_db.schema)
         scores = analyzer.score(design, _date_workload() * 3)

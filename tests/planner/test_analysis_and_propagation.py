@@ -1,12 +1,13 @@
-"""Plan analysis (FK edges, demands) and selection propagation."""
+"""Plan analysis (owners, key covers, FK edges, demands) and selection propagation."""
 
 import numpy as np
 import pytest
 
+from repro.execution.aggregate import AggSpec
 from repro.execution.expressions import col
 from repro.planner.analysis import analyse_plan
 from repro.planner.executor import ExecutionOptions, Executor
-from repro.planner.logical import scan
+from repro.planner.logical import scan, walk
 from repro.planner.predicates import column_ranges
 from repro.planner.propagation import compute_restrictions
 from repro.tpch import queries
@@ -46,6 +47,9 @@ class TestPlanAnalysis:
         edges = {(e.child_alias, e.fk_name, e.parent_alias) for e in analysis.edges}
         assert ("orders", "FK_O_C", "customer") in edges
         assert ("lineitem", "FK_L_O", "orders") in edges
+        # each join knows the edge it follows
+        top = analysis.join_edges[id(plan.node)]
+        assert (top.child_alias, top.fk_name, top.child_is_left) == ("lineitem", "FK_L_O", False)
 
     def test_demands_only_referenced_columns(self, tpch_db):
         plan = (
@@ -74,6 +78,94 @@ class TestPlanAnalysis:
         edge = analysis.edges[0]
         # orders is the child on the non-preserved side -> restrictable
         assert edge.child_alias == "orders" and edge.filters_child()
+
+
+def _owners(plan, schema):
+    return analyse_plan(plan.node, schema).owners[id(plan.node)]
+
+
+class TestOwners:
+    def test_renamed_projection_column_has_no_owner(self, tpch_db):
+        plan = scan("orders").project(key=col("o_orderkey"), o_custkey=col("o_custkey"))
+        assert _owners(plan, tpch_db.schema) == {"o_custkey": "orders"}
+
+    @pytest.mark.parametrize("how", ["semi", "anti"])
+    def test_semi_and_anti_joins_keep_only_the_left_side(self, tpch_db, how):
+        plan = scan("customer").join(scan("orders"), on=[("c_custkey", "o_custkey")], how=how)
+        owners = _owners(plan, tpch_db.schema)
+        assert owners["c_custkey"] == "customer"
+        assert set(owners.values()) == {"customer"}
+
+    def test_left_join_keeps_the_right_side(self, tpch_db):
+        plan = scan("customer").join(scan("orders"), on=[("c_custkey", "o_custkey")], how="left")
+        owners = _owners(plan, tpch_db.schema)
+        assert owners["c_custkey"] == "customer"
+        assert owners["o_orderkey"] == "orders"
+
+    def test_groupby_keeps_only_its_keys(self, tpch_db):
+        plan = scan("orders").groupby(["o_custkey"], [AggSpec("n", "count")])
+        assert _owners(plan, tpch_db.schema) == {"o_custkey": "orders"}
+
+    def test_every_node_has_a_map(self, tpch_db):
+        plan = (
+            scan("customer")
+            .join(scan("orders"), on=[("c_custkey", "o_custkey")])
+            .filter(col("o_totalprice").gt(0))
+        )
+        analysis = analyse_plan(plan.node, tpch_db.schema)
+        assert set(analysis.owners) == {id(n) for n in walk(plan.node)}
+
+
+class TestCovers:
+    def _covers(self, plan, columns, schema):
+        return analyse_plan(plan.node, schema).covers(plan.node, columns)
+
+    def test_primary_key(self, tpch_db):
+        (cover,) = self._covers(scan("orders"), ["o_orderkey", "o_totalprice"], tpch_db.schema)
+        assert (cover.alias, cover.table) == ("orders", "orders")
+        assert cover.pk == ("o_orderkey",)
+        assert cover.fks == ()
+
+    def test_single_column_foreign_key(self, tpch_db):
+        (cover,) = self._covers(scan("orders"), ["o_custkey"], tpch_db.schema)
+        assert cover.pk == ()
+        assert [fk.name for fk in cover.fks] == ["FK_O_C"]
+
+    def test_composite_foreign_key_to_partsupp(self, tpch_db):
+        plan = scan("lineitem", alias="li")
+        (cover,) = self._covers(plan, ["li.l_partkey", "li.l_suppkey"], tpch_db.schema)
+        assert cover.columns == {"l_partkey": "li.l_partkey", "l_suppkey": "li.l_suppkey"}
+        assert [fk.name for fk in cover.fks] == ["FK_L_P", "FK_L_S", "FK_L_PS"]
+        (half,) = self._covers(plan, ["li.l_partkey"], tpch_db.schema)
+        assert [fk.name for fk in half.fks] == ["FK_L_P"]
+
+    def test_nothing_for_a_renamed_key(self, tpch_db):
+        plan = scan("orders").project(key=col("o_orderkey"))
+        assert self._covers(plan, ["key"], tpch_db.schema) == []
+
+    def test_one_cover_per_owning_scan_in_column_order(self, tpch_db):
+        plan = scan("customer").join(scan("orders"), on=[("c_custkey", "o_custkey")])
+        covers = self._covers(plan, ["o_orderkey", "c_custkey", "o_custkey"], tpch_db.schema)
+        assert [c.alias for c in covers] == ["orders", "customer"]
+        assert covers[0].pk == ("o_orderkey",)
+        assert [fk.name for fk in covers[0].fks] == ["FK_O_C"]
+        assert covers[1].pk == ("c_custkey",)
+
+
+class TestParents:
+    @pytest.mark.parametrize("how", ["left", "anti"])
+    def test_filtering_stops_at_a_preserved_child(self, tpch_db, how):
+        plan = (
+            scan("lineitem")
+            .join(scan("orders"), on=[("l_orderkey", "o_orderkey")])
+            .join(scan("customer"), on=[("o_custkey", "c_custkey")], how=how)
+        )
+        analysis = analyse_plan(plan.node, tpch_db.schema)
+        edge = analysis.edge_from("orders", "FK_O_C")
+        assert edge.child_is_left and not edge.filters_child()
+        assert analysis.parents("lineitem", filtering=True) == {"lineitem", "orders"}
+        assert analysis.parents("lineitem") == {"lineitem", "orders", "customer"}
+        assert analysis.parents("customer") == {"customer"}
 
 
 class TestPropagation:
@@ -196,7 +288,7 @@ class TestOrderContracts:
         )
 
     def _base_join(self):
-        from repro.planner.logical import scan
+        from repro.planner.logical import scan, walk
 
         return scan("orders").join(
             scan("lineitem"), on=[("o_orderkey", "l_orderkey")]
@@ -244,7 +336,7 @@ class TestOrderContracts:
         assert not pplan.contracts[id(child)].reorder_admissible
 
     def test_semi_join_membership_side_is_order_free(self, bdcc_db):
-        from repro.planner.logical import scan
+        from repro.planner.logical import scan, walk
 
         plan = scan("orders").join(
             scan("lineitem"), on=[("o_orderkey", "l_orderkey")], how="semi"
@@ -260,7 +352,7 @@ class TestOrderContracts:
         """Merging needs both sides ordered: a merge-strategy semi
         join's membership side is no more reorderable than its left."""
         from repro.execution.operators import walk_physical
-        from repro.planner.logical import scan
+        from repro.planner.logical import scan, walk
 
         plan = scan("orders").join(
             scan("lineitem"), on=[("o_orderkey", "l_orderkey")], how="semi"
