@@ -32,6 +32,10 @@ Counter names in use:
 ``compactions``        delta stores folded back into base layouts
 ====================== =================================================
 
+plus ``updates.logical_bytes_copied``, the bytes of logical table arrays
+(insert batches, deletion bitmaps, folded bases) that commits and folds
+allocated,
+
 and, from the process backend (``repro.parallel.backends``), what "one
 pool per process, payloads name tables" comes to:
 

@@ -40,7 +40,6 @@ from ..execution.aggregate import group_rows
 from ..execution.operators import Join, PhysicalOp
 from ..execution.relation import Relation
 from ..storage.database import Database
-from ..storage.memo import derive
 from .analysis import PlanAnalysis
 
 __all__ = [
@@ -75,13 +74,14 @@ class _HostEvaluator:
         self._memo[alias] = None  # cycle guard (FK graphs are acyclic anyway)
         scan = self._analysis.scans[alias]
         version = self._db.version(scan.table)
-        data = version.columns
         mask: Optional[np.ndarray] = None
         if scan.predicate is not None:
-            # derived once per table version, whichever lowering asks first
-            env = Relation({scan.prefix + name: values for name, values in data.items()})
-            key = ("holds", scan.prefix, scan.predicate)
-            mask = derive(version, key, lambda: scan.predicate.holds(env))
+            # derived once per piece of the table (its base and each run),
+            # whichever lowering asks first: a commit pays for its runs only
+            mask = version.derive_per_piece(
+                ("holds", scan.prefix, scan.predicate),
+                lambda columns: scan.predicate.holds(_environment(scan, columns)),
+            )
         if self._local_only:
             self._memo[alias] = mask
             return mask
@@ -92,12 +92,19 @@ class _HostEvaluator:
             fk = self._db.schema.foreign_key(edge.fk_name)
             parent_data = self._db.table_data(fk.parent_table)
             surviving = _key_membership(
-                [data[c] for c in fk.child_columns],
+                [version[c] for c in fk.child_columns],
                 [parent_data[c][parent_mask] for c in fk.parent_columns],
             )
             mask = surviving if mask is None else (mask & surviving)
         self._memo[alias] = mask
         return mask
+
+
+def _environment(scan, columns) -> Relation:
+    """The columns a scan's predicate reads, under the scan's prefixed
+    names (one, for the row count, when it reads none)."""
+    names = scan.predicate.columns() or [scan.prefix + name for name in list(columns)[:1]]
+    return Relation({name: columns[name[len(scan.prefix):]] for name in names})
 
 
 def _key_membership(child_cols: List[np.ndarray], parent_cols: List[np.ndarray]) -> np.ndarray:

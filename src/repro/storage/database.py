@@ -2,22 +2,29 @@
 
 This is the *logical* content a physical scheme (plain / PK / BDCC)
 re-organises.  Columns are numpy arrays; rows across the arrays of one
-table are aligned.  A table is a :class:`TableVersion`, which an append or
-delete replaces.  Parent-key lookup indices support foreign-key
-traversal (dimension paths, referential-integrity checks).
+table are aligned.  A table is a :class:`TableVersion` with the shape of
+a stored table's update state: its base columns, one appended run per
+committed insert batch and one deletion bitmap per piece.  An append or
+a delete binds a new version that shares every old piece and adds at
+most the batch and new bitmaps, so a write copies its batch, never the
+table; readers see the merged rows, a column merged the first time it
+is read.  Parent-key lookup indices support foreign-key traversal
+(dimension paths, referential-integrity checks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..catalog import Schema
 from .keys import encode_join_keys, match_keys
+from .memo import derive
 
-__all__ = ["Database", "TableVersion", "lookup_rows"]
+__all__ = ["Database", "TablePiece", "TableVersion", "lookup_rows"]
 
 
 def lookup_rows(
@@ -40,10 +47,106 @@ def lookup_rows(
 
 
 @dataclass(frozen=True, eq=False)
-class TableVersion:
-    """One version of a logical table's columns; nothing writes them."""
+class TablePiece:
+    """The base columns of a logical table, or one appended run: rows
+    nothing writes, shared by every version that holds the piece, so a
+    fact derived on it (a host predicate's mask) outlives commits."""
 
     columns: Dict[str, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class TableVersion(Mapping):
+    """One version of a logical table: the base, the runs appended since
+    the last fold in commit order, and one deletion bitmap per piece
+    (base first).  The rows it holds are the base rows not deleted,
+    then each run's rows not deleted.
+
+    The version is also the read-only mapping of its merged columns by
+    name, whose lookups merge (so nothing it memoises refers back to it:
+    a version dropped by its database is freed at once)."""
+
+    base: TablePiece
+    runs: Tuple[TablePiece, ...]
+    deleted: Tuple[np.ndarray, ...]
+
+    # a version is equal only to itself, not to a mapping of equal columns
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.base.columns:
+            raise KeyError(name)
+        return self.column(name)
+
+    def __contains__(self, name) -> bool:
+        return name in self.base.columns
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.base.columns)
+
+    def __len__(self) -> int:
+        return len(self.base.columns)
+
+    @classmethod
+    def of(cls, columns: Dict[str, np.ndarray]) -> "TableVersion":
+        """A version whose rows are ``columns``, none deleted."""
+        rows = len(next(iter(columns.values()))) if columns else 0
+        return cls(TablePiece(columns), (), (np.zeros(rows, dtype=bool),))
+
+    @property
+    def pieces(self) -> Tuple[TablePiece, ...]:
+        return (self.base,) + self.runs
+
+    @property
+    def live(self) -> Tuple[Optional[np.ndarray], ...]:
+        """Per piece, the mask of its rows not deleted, or None where
+        none is."""
+        return derive(self, ("live",), lambda: tuple(
+            ~deleted if deleted.any() else None for deleted in self.deleted
+        ))
+
+    @property
+    def is_flat(self) -> bool:
+        """No runs and no deletions: the base arrays are the rows."""
+        return not self.runs and self.live[0] is None
+
+    @property
+    def num_rows(self) -> int:
+        return derive(self, ("num_rows",), lambda: sum(
+            len(deleted) - int(np.count_nonzero(deleted)) for deleted in self.deleted
+        ))
+
+    def gather(self, per_piece: Sequence[np.ndarray]) -> np.ndarray:
+        """The merged-rows array of one array per piece (a column, or a
+        mask): each piece's rows not deleted, in piece order.  A flat
+        version's is the base array itself."""
+        if self.is_flat:
+            return per_piece[0]
+        parts = [
+            values if live is None else values[live]
+            for values, live in zip(per_piece, self.live)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def column(self, name: str) -> np.ndarray:
+        """One merged column, merged on first read and kept."""
+        return derive(self, ("column", name), lambda: self.gather(
+            [piece.columns[name] for piece in self.pieces]
+        ))
+
+    def dtype(self, name: str) -> np.dtype:
+        """The merged column's dtype, known without merging."""
+        return np.result_type(*(piece.columns[name] for piece in self.pieces))
+
+    def derive_per_piece(self, key, build: Callable[[Dict[str, np.ndarray]], np.ndarray]):
+        """The merged-rows array whose piece arrays ``build(piece_columns)``
+        makes, memoised under ``key`` on each piece and on the version:
+        a new version pays only for the runs it added."""
+        return derive(self, key, lambda: self.gather([
+            derive(piece, key, lambda piece=piece: build(piece.columns))
+            for piece in self.pieces
+        ]))
 
 
 class Database:
@@ -51,11 +154,14 @@ class Database:
 
     ``scale_factor`` is optional metadata set by generators whose
     workloads are parameterised by data volume (TPC-H Q11's threshold).
+    ``copied_bytes`` counts the bytes of the arrays that appends and
+    deletes allocated here: what a staged commit copies.
     """
 
     def __init__(self, schema: Schema, scale_factor: Optional[float] = None):
         self.schema = schema
         self.scale_factor = scale_factor
+        self.copied_bytes = 0
         self._tables: Dict[str, TableVersion] = {}
 
     # --------------------------------------------------------------- data
@@ -67,7 +173,7 @@ class Database:
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"table {table!r}: ragged column lengths {lengths}")
-        self._tables[table] = TableVersion(
+        self._tables[table] = TableVersion.of(
             {name: np.asarray(columns[name]) for name in definition.column_names}
         )
 
@@ -77,24 +183,23 @@ class Database:
         except KeyError:
             raise KeyError(f"no data loaded for table {table!r}") from None
 
-    def table_data(self, table: str) -> Dict[str, np.ndarray]:
-        return self.version(table).columns
+    def table_data(self, table: str) -> TableVersion:
+        """The table's merged columns: its version, a read-only mapping."""
+        return self.version(table)
 
     def column(self, table: str, column: str) -> np.ndarray:
-        return self.table_data(table)[column]
+        return self.version(table).column(column)
 
     def num_rows(self, table: str) -> int:
-        data = self.table_data(table)
-        if not data:
-            return 0
-        return len(next(iter(data.values())))
+        return self.version(table).num_rows
 
     # ------------------------------------------------------------- updates
     def stage(self) -> "Database":
         """A copy to stage a commit on: the same schema and table versions
-        under a table map of its own.  Appends and deletes bind a new
-        version in that map and never write an array, so nothing the
-        copy does is seen here until :meth:`publish`."""
+        under a table map of its own, counting its own ``copied_bytes``.
+        Appends and deletes bind a new version in that map and never
+        write an array, so nothing the copy does is seen here until
+        :meth:`publish`."""
         staged = Database(self.schema, self.scale_factor)
         staged._tables = dict(self._tables)
         return staged
@@ -104,13 +209,14 @@ class Database:
         self._tables = staged._tables
 
     def append_table_rows(self, table: str, rows: Dict[str, np.ndarray]) -> Tuple[int, int]:
-        """Append complete rows at the end of a table's arrays.
+        """Append complete rows as one new run of the table, after every
+        row it holds; the run is a copy of the batch.
 
         Returns ``(n_old, n_new)``.  Numeric columns keep the table's
         dtype; string columns may widen (numpy promotion), never truncate.
         """
         definition = self.schema.table(table)
-        data = self.table_data(table)
+        version = self.version(table)
         missing = set(definition.column_names) - set(rows)
         if missing:
             raise ValueError(f"table {table!r} insert missing columns: {sorted(missing)}")
@@ -118,33 +224,67 @@ class Database:
         if len(lengths) != 1:
             raise ValueError(f"table {table!r}: ragged insert batch {lengths}")
         n_new = lengths.pop()
-        n_old = self.num_rows(table)
+        n_old = version.num_rows
         if n_new == 0:
             return n_old, 0
-        merged: Dict[str, np.ndarray] = {}
+        run: Dict[str, np.ndarray] = {}
         for name in definition.column_names:
-            base = data[name]
-            extra = np.asarray(rows[name])
-            if base.dtype.kind in "iuf" and extra.dtype != base.dtype:
-                extra = extra.astype(base.dtype)
-            merged[name] = np.concatenate([base, extra])
-        self._tables[table] = TableVersion(merged)
+            dtype, extra = version.dtype(name), np.asarray(rows[name])
+            run[name] = np.array(extra, dtype=dtype if dtype.kind in "iuf" else extra.dtype)
+        deleted = np.zeros(n_new, dtype=bool)
+        self._tables[table] = replace(
+            version,
+            runs=version.runs + (TablePiece(run),),
+            deleted=version.deleted + (deleted,),
+        )
+        self.copied_bytes += sum(values.nbytes for values in run.values()) + deleted.nbytes
         return n_old, n_new
 
     def delete_table_rows(self, table: str, mask: np.ndarray) -> int:
-        """Physically remove the rows where ``mask`` is True; returns the
-        number removed.  Callers maintain referential integrity (delete
-        children before, or together with, their parents)."""
-        data = self.table_data(table)
+        """Delete the rows where ``mask`` (over the merged rows) is True;
+        returns the number removed.  Each piece the mask hits gets a new
+        bitmap, the old one or-ed with the hits; no column is touched.
+        Callers maintain referential integrity (delete children before,
+        or together with, their parents)."""
+        version = self.version(table)
         mask = np.asarray(mask, dtype=bool)
-        if len(mask) != self.num_rows(table):
+        if len(mask) != version.num_rows:
             raise ValueError(f"table {table!r}: delete mask length mismatch")
         removed = int(np.count_nonzero(mask))
         if removed == 0:
             return 0
-        keep = ~mask
-        self._tables[table] = TableVersion({name: values[keep] for name, values in data.items()})
+        bitmaps: List[np.ndarray] = []
+        start = 0
+        for deleted, live in zip(version.deleted, version.live):
+            n_live = len(deleted) if live is None else int(np.count_nonzero(live))
+            hits = mask[start:start + n_live]
+            start += n_live
+            if not hits.any():
+                bitmaps.append(deleted)
+                continue
+            if live is None:
+                bitmap = hits.copy()
+            else:
+                bitmap = deleted.copy()
+                bitmap[live] = hits
+            bitmaps.append(bitmap)
+            self.copied_bytes += bitmap.nbytes
+        self._tables[table] = replace(version, deleted=tuple(bitmaps))
         return removed
+
+    def fold(self, table: str) -> int:
+        """Fold the table's pieces into a new base holding its merged
+        rows, with no runs and no deletions (what compacting a stored
+        copy of the table does to that copy); returns the bytes of the
+        arrays the new version allocated.  The rows do not change."""
+        version = self.version(table)
+        if version.is_flat:
+            return 0
+        folded = TableVersion.of(dict(version))
+        self._tables[table] = folded
+        return folded.deleted[0].nbytes + sum(
+            values.nbytes for values in folded.base.columns.values()
+        )
 
     @property
     def loaded_tables(self) -> List[str]:

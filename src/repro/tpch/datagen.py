@@ -33,7 +33,7 @@ from . import text
 from .dates import CURRENT_DATE, ORDER_DATE_MAX, ORDER_DATE_MIN
 from .schema import add_paper_hints, build_schema
 
-__all__ = ["generate", "orders_with_lineitems", "table_cardinalities"]
+__all__ = ["clerk_domain", "generate", "orders_with_lineitems", "table_cardinalities"]
 
 
 def table_cardinalities(scale_factor: float) -> Dict[str, int]:
@@ -56,6 +56,13 @@ def _zfill(values: np.ndarray, width: int) -> np.ndarray:
 
 def _tagged_names(prefix: str, keys: np.ndarray) -> np.ndarray:
     return np.char.add(f"{prefix}#", _zfill(keys, 9))
+
+
+def clerk_domain(scale_factor: float) -> np.ndarray:
+    """Every clerk an order may name, in order: ``Clerk#1`` to
+    ``Clerk#max(1, int(1000·SF))``, dbgen's rule for the load and for
+    RF1 alike."""
+    return _tagged_names("Clerk", np.arange(1, max(1, int(1000 * scale_factor)) + 1))
 
 
 def _phones(rng: np.random.Generator, nationkeys: np.ndarray) -> np.ndarray:
@@ -222,14 +229,14 @@ def generate(
         ).astype(np.int32)
         return l_part, l_supp, p_retail[l_part - 1]
 
-    clerk_count = max(1, int(1000 * scale_factor))
+    clerks = clerk_domain(scale_factor)
     orders, lineitem = orders_with_lineitems(
         rng,
         np.arange(1, card["orders"] + 1, dtype=np.int64),
         # a third of customers place no orders (custkey % 3 == 0 is skipped)
         c_key[c_key % 3 != 0],
         pick_parts,
-        lambda n: np.char.add("Clerk#", _zfill(rng.integers(1, clerk_count + 1, n), 9)),
+        lambda n: clerks[rng.integers(0, len(clerks), n)],
     )
     db.add_table_data("lineitem", lineitem)
     db.add_table_data("orders", orders)

@@ -27,7 +27,7 @@ from ..execution.expressions import Col, InList
 from ..schemes.base import PhysicalDatabase
 from ..storage.database import Database, lookup_rows
 from ..updates import CompactionPolicy, UpdateSession
-from .datagen import orders_with_lineitems
+from .datagen import clerk_domain, orders_with_lineitems
 from .environment import Environment
 from .queries import QUERIES
 from .runner import run_query
@@ -61,13 +61,13 @@ def generate_rf1(
         part_row = lookup_rows([part["p_partkey"]], [l_part])
         return l_part, partsupp["ps_suppkey"][ps_pick], part["p_retailprice"][part_row]
 
-    clerk_domain = np.unique(orders["o_clerk"])
+    clerks = clerk_domain(db.scale_factor)
     return orders_with_lineitems(
         rng,
         orders["o_orderkey"].max() + 1 + np.arange(num_orders, dtype=np.int64),
         customers[customers % 3 != 0],
         pick_parts,
-        lambda n: rng.choice(clerk_domain, n),
+        lambda n: rng.choice(clerks, n),
     )
 
 

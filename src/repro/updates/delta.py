@@ -96,24 +96,22 @@ class DeltaStore:
         return int(np.count_nonzero(self.base_deleted))
 
 
-def place_delta_run(
-    stored: StoredTable, db: Database, n_old: int, n_new: int
-) -> DeltaRun:
-    """Build one scheme-ordered :class:`DeltaRun` for the ``n_new`` rows
-    just appended to ``db`` — the logical database a commit stages —
-    at positions ``n_old .. n_old+n_new`` of its arrays.
+def place_delta_run(stored: StoredTable, db: Database, n_old: int) -> DeltaRun:
+    """Build one scheme-ordered :class:`DeltaRun` from the run just
+    appended to ``db`` — the logical database a commit stages — whose
+    rows follow the ``n_old`` rows the table held before it.
 
     Placement per scheme: BDCC rows are binned into existing zones; the
     run is then a one-piece merge into the table's storage order (key
     order on BDCC, primary-key order on PK, arrival order on Plain).
     """
+    run = db.version(stored.name).runs[-1]
+    n_new = len(next(iter(run.columns.values())))
     key_pieces = None
     if stored.bdcc is not None:
         row_indices = np.arange(n_old, n_old + n_new, dtype=np.int64)
         key_pieces = [stored.bdcc.keys_for_rows(db, row_indices)]
-    data = db.table_data(stored.name)
     columns, keys = stored.merge_pieces(
-        {name: [values[n_old:n_old + n_new]] for name, values in data.items()},
-        key_pieces,
+        {name: [values] for name, values in run.columns.items()}, key_pieces
     )
     return DeltaRun(columns=columns, keys=keys, deleted=np.zeros(n_new, dtype=bool))

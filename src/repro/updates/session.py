@@ -23,19 +23,26 @@ Commit semantics:
   order declared — delete children before, or together with, their
   parents (the TPC-H RF2 pattern);
 * all or nothing: the commit is staged on a copy of the logical table map
-  and on the *next version* of every stored copy it touches (its delta
-  runs binned into *existing* BDCC zones — out-of-domain keys clamp —
-  deletion masks or-ed into new arrays, ``epoch + 1``), then published in
-  one last step.  A failure before that step raises
+  and on the *next version* of every stored copy it touches, then
+  published in one last step.  Logical and stored tables change the same
+  way: an insert batch becomes one more run (on a stored copy, binned
+  into *existing* BDCC zones — out-of-domain keys clamp — and in that
+  copy's storage order), a delete or-s its matches into *new* per-piece
+  bitmaps, and no column of the table is copied; a stored copy also gets
+  ``epoch + 1``.  The registry's ``updates.logical_bytes_copied`` counts
+  the bytes of logical arrays a commit allocates: the batch and the
+  bitmaps.  A failure before that step raises
   :class:`~repro.errors.CommitAborted`, chained to its cause, and
   changes nothing: no table, epoch or counter moves, and the buffered
   changes stay queued for a retry;
 * after the publish the compaction policy folds any table whose delta
   volume crossed the threshold, one table at a time, each its own
-  publish, charging the amortized rewrite IO to the commit.  Compaction
-  changes no row a reader sees, so a compaction that raises leaves the
-  commit published and the table uncompacted until a later commit
-  touching it crosses the threshold again.
+  publish, charging the amortized rewrite IO to the commit.  Compacting
+  a stored copy of a table folds the logical table's pieces into a new
+  base too, in the same publish; without compaction they stay pieces.
+  Compaction changes no row a reader sees, so a compaction that raises
+  leaves the commit published and the table uncompacted until a later
+  commit touching it crosses the threshold again.
 
 The returned :class:`CommitResult` carries per-scheme simulated cost
 (binning CPU + delta-write IO + compaction) — the refresh-stream
@@ -226,6 +233,7 @@ class UpdateSession:
         for pdb in self.pdbs:
             pdb.publish(versions)
         REGISTRY.inc("commits")
+        REGISTRY.inc("updates.logical_bytes_copied", staged.copied_bytes)
         REGISTRY.inc("epochs_bumped", len(versions))
         self._inserts = []
         self._deletes = []
@@ -240,6 +248,7 @@ class UpdateSession:
                     if self.policy.should_compact(stored):
                         compacted, io_s, cpu_s = compact_table(stored, self.disk, self.costs)
                         pdb.publish({stored: compacted})
+                        REGISTRY.inc("updates.logical_bytes_copied", self.db.fold(change.table))
                         REGISTRY.inc("compactions")
                         REGISTRY.inc("epochs_bumped")
                         metrics.compaction_seconds += io_s + cpu_s
@@ -286,7 +295,7 @@ class UpdateSession:
                 metrics = result.scheme_metrics[pdb.scheme_name]
                 for stored in pdb.stored_copies(table):
                     delta = delta_of(stored)
-                    run = place_delta_run(stored, db, n_old, n_new)
+                    run = place_delta_run(stored, db, n_old)
                     deltas[stored] = replace(delta, runs=delta.runs + (run,))
                     self._charge_insert(metrics, stored, n_new)
                 # logical row counts: once per table, not per replica copy
@@ -300,7 +309,10 @@ class UpdateSession:
                     f"table {table!r} delete predicate references unknown "
                     f"columns: {sorted(unknown)}"
                 )
-            removed = db.delete_table_rows(table, _matches(predicate, db.table_data(table)))
+            version = db.version(table)
+            removed = db.delete_table_rows(
+                table, version.gather([_matches(predicate, p.columns) for p in version.pieces])
+            )
             if removed == 0:
                 continue  # nothing matched anywhere: no marks, no epoch bump
             result.deleted[table] = result.deleted.get(table, 0) + removed
@@ -333,4 +345,7 @@ class UpdateSession:
 
 
 def _matches(predicate: Expr, columns: Dict[str, np.ndarray]) -> np.ndarray:
-    return predicate.holds(Relation(columns))
+    """Where ``predicate`` holds on ``columns``, reading only the columns
+    it names (one, for the row count, when it names none)."""
+    names = predicate.columns() or list(columns)[:1]
+    return predicate.holds(Relation({name: columns[name] for name in names}))

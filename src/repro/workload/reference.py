@@ -11,10 +11,11 @@ Three parts:
 * **the loader** — one in-memory connection per
   :class:`~repro.storage.database.Database` (held weakly), with every
   table loaded on first use (dates stay day integers).  A table is
-  reloaded when ``db.table_data(t)`` is no longer the dict that was
-  loaded: an append or delete replaces that dict, so a commit is seen
-  on the next call.  The loaded dict stays referenced, so its identity
-  cannot be recycled by a later one;
+  reloaded when ``db.table_data(t)`` is no longer the mapping that was
+  loaded: there is one per table version, and an append, a delete or a
+  fold binds a new version, so a commit is seen on the next call.  The
+  loaded mapping stays referenced, so its identity cannot be recycled
+  by a later one;
 * **the printer** — the 7 node types and 13 expression classes as SQL
   text.  Literals are bound as named parameters (sqlite's own decimal
   parser can miss a double by one ulp, and generated literals are
@@ -100,7 +101,7 @@ def evaluate_reference(db: Database, plan) -> RefRelation:
 
 
 # ------------------------------------------------------------------ loader
-#: per database: its connection and the table dicts it holds a copy of
+#: per database: its connection and the table mappings it holds a copy of
 _LOADED: "weakref.WeakKeyDictionary[Database, Tuple[sqlite3.Connection, dict]]" = (
     weakref.WeakKeyDictionary()
 )

@@ -1,11 +1,14 @@
-"""A host predicate's mask is derived once per logical table version.
+"""A host predicate's mask is derived once per piece of a logical table.
 
 Propagation asks the host table's current version for the rows a
 predicate holds on; the version memoises the mask, so lowering the
 same query again — through a fresh executor per lowering, as
 ``run_query`` does — evaluates nothing again until a commit publishes a
-new version of that table.  A table the commit did not touch keeps its
-version and its masks.
+new version of that table.  The version builds its mask from one mask
+per piece (the base and each appended run), memoised on the piece, so
+after a commit the predicate runs over the commit's run alone; a fold
+makes a new base, which pays once.  A table the commit did not touch
+keeps its version and its masks.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ from repro.updates import CompactionPolicy, UpdateSession
 SF = 0.002
 R_NAME = col("r_name").eq("ASIA")
 O_COMMENT = col("o_comment").not_like("%special%requests%")
+RF1_ORDERS = 6
 
 
 class _Capture:
@@ -64,6 +68,19 @@ def evaluated(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def like_rows(monkeypatch):
+    """The row count of every relation a ``Like`` is evaluated over."""
+    rows = []
+
+    def counted(self, rel, _eval=expressions.Like.eval):
+        rows.append(rel.num_rows)
+        return _eval(self, rel)
+
+    monkeypatch.setattr(expressions.Like, "eval", counted)
+    return rows
+
+
 def _unbuilt():
     raise AssertionError("the fact was not memoised")
 
@@ -72,10 +89,10 @@ def _lower(pdb, query):
     return Executor(pdb).lower(_plan(query))
 
 
-def _commit_refresh_pair(db, pdb):
-    session = UpdateSession(pdb, policy=CompactionPolicy(max_delta_fraction=None))
+def _commit_refresh_pair(db, pdb, policy=CompactionPolicy(max_delta_fraction=None)):
+    session = UpdateSession(pdb, policy=policy)
     rng = np.random.default_rng(3)
-    stage_rf1(session, db, rng, 6)
+    stage_rf1(session, db, rng, RF1_ORDERS)
     stage_rf2(session, db, rng, 6)
     session.commit()
 
@@ -96,6 +113,28 @@ def test_a_committed_refresh_pair_evaluates_it_once_more(bdcc, evaluated):
     _lower(pdb, q13)
     _lower(pdb, q13)
     assert evaluated == [O_COMMENT.operand] * 2
+
+
+def test_after_a_refresh_pair_the_comment_filter_reads_the_rf1_run_only(bdcc, like_rows):
+    db, pdb = bdcc
+    _lower(pdb, q13)
+    assert like_rows == [db.num_rows("orders")]
+    _commit_refresh_pair(db, pdb)
+    (run,) = db.version("orders").runs
+    assert len(run.columns["o_comment"]) == RF1_ORDERS
+    _lower(pdb, q13)
+    _lower(pdb, q13)
+    assert like_rows[1:] == [RF1_ORDERS]
+
+
+def test_a_fold_evaluates_it_once_over_the_new_base(bdcc, like_rows):
+    db, pdb = bdcc
+    _lower(pdb, q13)
+    _commit_refresh_pair(db, pdb, CompactionPolicy(max_delta_fraction=0.0, min_delta_rows=1))
+    assert db.version("orders").is_flat
+    _lower(pdb, q13)
+    _lower(pdb, q13)
+    assert like_rows[1:] == [db.num_rows("orders")]
 
 
 def test_a_table_the_commit_did_not_touch_keeps_its_masks(bdcc, evaluated):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tpch import text
-from repro.tpch.datagen import generate, table_cardinalities
+from repro.tpch.datagen import clerk_domain, generate, table_cardinalities
 from repro.tpch.dates import CURRENT_DATE, ORDER_DATE_MAX, ORDER_DATE_MIN
 
 
@@ -36,6 +36,17 @@ class TestCardinalities:
     def test_rejects_bad_sf(self):
         with pytest.raises(ValueError):
             generate(0.0)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("scale_factor", [0.002, 0.006, 0.025, 0.05])
+def test_the_clerk_domain_is_every_clerk_the_load_draws(scale_factor, seed):
+    # RF1 draws from clerk_domain instead of np.unique over the live
+    # orders; equal arrays keep its draws bit-identical
+    clerks = np.unique(generate(scale_factor, seed=seed).column("orders", "o_clerk"))
+    domain = clerk_domain(scale_factor)
+    assert domain.dtype == clerks.dtype
+    assert np.array_equal(domain, clerks)
 
 
 class TestReferentialIntegrity:

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.observe.registry import REGISTRY
 from repro.tpch.cli import main
 from repro.tpch.refresh import (
     generate_rf1,
     refresh_pair_size,
     rf2_order_keys,
     run_refresh_suite,
+    stage_rf2,
 )
+from repro.updates import CompactionPolicy, UpdateSession
 
 
 class TestRefreshFunctions:
@@ -38,6 +41,25 @@ class TestRefreshFunctions:
         keys = rf2_order_keys(db, np.random.default_rng(2), 10)
         assert len(keys) == len(set(keys.tolist())) == 10
         assert set(keys.tolist()) <= set(db.table_data("orders")["o_orderkey"].tolist())
+
+
+def test_a_refresh_pair_copies_its_batch_and_bitmaps_not_the_tables(fresh):
+    db, _, pdbs = fresh
+    rng = np.random.default_rng(4)
+    session = UpdateSession(*pdbs.values(), policy=CompactionPolicy(max_delta_fraction=None))
+    batches = dict(zip(("orders", "lineitem"), generate_rf1(db, rng, 12)))
+    for table, rows in batches.items():
+        session.insert_rows(table, rows)
+    stage_rf2(session, db, rng, 12)
+    copied = REGISTRY.get("updates.logical_bytes_copied")
+    session.commit()
+    copied = REGISTRY.get("updates.logical_bytes_copied") - copied
+
+    batch = sum(v.nbytes for rows in batches.values() for v in rows.values())
+    # at most one bitmap per piece of each touched table: its base and
+    # the run this commit appended
+    bitmaps = sum(len(deleted) for t in batches for deleted in db.version(t).deleted)
+    assert batch <= copied <= batch + bitmaps
 
 
 class TestRefreshSuite:
