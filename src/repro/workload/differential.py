@@ -14,12 +14,18 @@ against the SQL reference, :func:`twin_mismatch` two engine results
 against each other (bit-for-bit, or as multisets when the plan's
 contract lets a gather reorder); every driver — this sweep, the serving
 replay, the TPC-H suite's cross-scheme check — calls those two.
+
+The multiset verdict compares canonical columns, not python rows: each
+column, in name order, is one canonical array and one NULL mask, one
+stable ``np.lexsort`` orders the rows (:func:`_sorted_columns`), and one
+comparator holds two sides' columns to each other with one vector
+expression per column (:func:`_agreement`).
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -133,24 +139,18 @@ _ABS_TOL = 2e-6
 _DTYPE_TOLERANCES = {8: (_REL_TOL, _ABS_TOL), 4: (1e-4, 1e-4)}
 
 
-@functools.total_ordering
 class _Null:
     """NULL in a normalized row, whatever placeholder the column holds
-    under it: equal only to itself, sorting before every value."""
-
-    __hash__ = object.__hash__
-
-    def __eq__(self, other) -> bool:
-        return other is self
-
-    def __lt__(self, other) -> bool:
-        return other is not self
+    under it: equal only to itself."""
 
     def __repr__(self) -> str:
         return "NULL"
 
 
 NULL = _Null()
+
+#: one canonical column: its values and its validity (False = NULL)
+_Column = Tuple[np.ndarray, np.ndarray]
 
 
 def column_tolerances(names: Sequence[str], *column_maps) -> List[Optional[tuple]]:
@@ -161,84 +161,93 @@ def column_tolerances(names: Sequence[str], *column_maps) -> List[Optional[tuple
     that was stored narrower legitimately rounds more coarsely."""
     tolerances: List[Optional[tuple]] = []
     for name in sorted(names):
-        tol: Optional[tuple] = None
-        for columns in column_maps:
-            array = np.asarray(columns[name])
-            if array.dtype.kind != "f":
-                continue
-            candidate = _DTYPE_TOLERANCES.get(
-                array.dtype.itemsize, _DTYPE_TOLERANCES[8]
-            )
-            if tol is None or candidate[0] > tol[0]:
-                tol = candidate
-        tolerances.append(tol)
+        dtypes = [np.asarray(columns[name]).dtype for columns in column_maps]
+        envelopes = [_DTYPE_TOLERANCES.get(d.itemsize, _DTYPE_TOLERANCES[8])
+                     for d in dtypes if d.kind == "f"]
+        tolerances.append(max(envelopes, key=lambda tol: tol[0], default=None))
     return tolerances
 
 
-def _normalize_column(array: np.ndarray) -> list:
-    """Comparable canonical form of one output column.  Floats are *not*
-    rounded — any digit-rounding can straddle a boundary and turn
-    summation-order noise into a spurious mismatch; instead row
-    comparison is tolerance-based (see :func:`rows_match`).  NaN is
-    replaced by a sortable sentinel, -0.0 by 0.0."""
-    if array.dtype.kind == "f":
-        values = array.astype(np.float64)
-        values = np.where(values == 0, 0.0, values)  # -0.0 -> 0.0
-        values = np.where(np.isnan(values), _NAN_SENTINEL, values)
-        return values.tolist()
-    if array.dtype.kind in "iub":
-        return array.astype(np.int64).tolist()
-    return [str(v) for v in array.tolist()]
-
-
-def _sort_key_column(array: np.ndarray, raw: list) -> list:
-    """Row-ordering form of one column: floats rounded to 7 significant
-    digits so summation-order noise (~1e-11 relative) cannot reorder
-    rows across the two sides unless the rows are within comparison
-    tolerance anyway."""
-    if array.dtype.kind != "f":
-        return raw
-    values = np.asarray(raw, dtype=np.float64)
-    magnitude = np.abs(values)
-    exponent = np.zeros(len(values))
-    nonzero = magnitude > 0
-    with np.errstate(divide="ignore"):
-        exponent[nonzero] = np.floor(np.log10(magnitude[nonzero]))
-    scale = np.power(10.0, 6.0 - exponent)
-    return (np.round(values * scale) / scale).tolist()
+def _sorted_columns(
+    columns, names: Sequence[str], valid: Optional[Dict] = None
+) -> List[_Column]:
+    """The canonical columns over ``sorted(names)``: floats as float64
+    with -0.0 as 0.0 and NaN as a sortable sentinel, integers and bools
+    as int64, anything else as strings; ``valid`` holds per-column
+    masks, a column without one is all valid.  Floats are *not* rounded
+    — any digit-rounding can straddle a boundary and turn summation-order
+    noise into a spurious mismatch; the comparison is tolerance-based
+    instead (:func:`_agreement`).  One stable lexsort orders the rows,
+    per column NULL first (one constant key under every NULL), then the
+    value, floats rounded to 7 significant digits so summation-order
+    noise (~1e-11 relative) cannot reorder rows across the two sides
+    unless the rows are within comparison tolerance anyway."""
+    masks = valid or {}
+    canonical: List[_Column] = []
+    keys: List[np.ndarray] = []
+    for name in sorted(names):
+        array = np.asarray(columns[name])
+        ok = np.asarray(masks[name], bool) if name in masks else np.ones(len(array), bool)
+        if array.dtype.kind == "f":
+            # + 0.0 turns -0.0 into 0.0
+            values = np.where(np.isnan(array), _NAN_SENTINEL, array.astype(np.float64)) + 0.0
+            exponent = np.floor(np.log10(np.where(values == 0, 1.0, np.abs(values))))
+            scale = np.power(10.0, 6.0 - exponent)
+            with np.errstate(invalid="ignore"):   # an infinity's key is NaN
+                key = np.round(values * scale) / scale
+        else:
+            values = key = array.astype(np.int64 if array.dtype.kind in "iub" else str, copy=False)
+        canonical.append((values, ok))
+        keys += [ok, np.where(ok, key, np.zeros((), key.dtype))]
+    order = np.lexsort(keys[::-1]) if keys else None
+    return [(values[order], ok[order]) for values, ok in canonical]
 
 
 def normalized_rows(
     columns: Dict[str, np.ndarray], names: Sequence[str], valid: Optional[Dict] = None
 ) -> List[tuple]:
-    """Canonically ordered multiset of rows over ``names`` (column order
-    by name, row order by rounded sort keys, so neither engine/reference
-    column orderings nor scheme-dependent row orderings matter).  With
-    ``valid`` (per-column masks, False = NULL; a column without one is
-    all valid) every NULL normalises to :data:`NULL`."""
-    ordered = sorted(names)
-    arrays = [np.asarray(columns[n]) for n in ordered]
-    raw_cols = [_normalize_column(a) for a in arrays]
-    if not raw_cols:
-        return []
-    key_cols = [_sort_key_column(a, raw) for a, raw in zip(arrays, raw_cols)]
-    masks = valid or {}
-    for name, raw, key in zip(ordered, raw_cols, key_cols):
-        for row in np.flatnonzero(~masks[name]).tolist() if name in masks else ():
-            raw[row] = key[row] = NULL
-    rows = list(zip(*raw_cols))
-    keys = list(zip(*key_cols))
-    order = sorted(range(len(rows)), key=keys.__getitem__)
-    return [rows[i] for i in order]
+    """Canonically ordered multiset of rows over ``names`` as tuples
+    (see :func:`_sorted_columns`): every NULL is :data:`NULL`, every
+    other value a python float, int or str."""
+    columns = _sorted_columns(columns, names, valid)
+    cells = (np.where(ok, values.astype(object), NULL).tolist() for values, ok in columns)
+    return list(zip(*cells))
 
 
-def _values_match(a, b, tol: Optional[tuple] = None) -> bool:
-    if a is NULL or b is NULL:
-        return a is b
-    if isinstance(a, float) or isinstance(b, float):
-        rel, abs_ = tol if tol is not None else (_REL_TOL, _ABS_TOL)
-        return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
-    return a == b
+def _transposed(rows: List[tuple]) -> List[_Column]:
+    """Rows of one width (as :func:`normalized_rows` returns them) back
+    into columns, :data:`NULL` into validity."""
+    cells = np.array(rows, dtype=object).reshape(len(rows), len(rows[0]) if rows else 0)
+    return [(np.array(np.where(c != NULL, c, 0).tolist()), c != NULL) for c in cells.T]
+
+
+def _agreement(expected: List[_Column], got: List[_Column], tolerances) -> Tuple[np.ndarray, float]:
+    """Which aligned rows (as many as the shorter side has) of two
+    column lists agree, and the largest relative float error over the
+    cells both sides hold.  NULL must meet NULL; non-float columns must
+    be equal; a float column (or an int against a float) must lie within
+    its ``(rel, abs)`` envelope by ``math.isclose``'s symmetric rule —
+    never ``np.isclose``, which scales by one side only.  A column
+    without a tolerance takes the float64 default."""
+    agree, worst = np.True_, 0.0
+    for (a, a_ok), (b, b_ok), tol in zip(expected, got, tolerances or [None] * len(got)):
+        rows = min(len(a), len(b))
+        a, a_ok, b, b_ok = a[:rows], a_ok[:rows], b[:rows], b_ok[:rows]
+        kinds = a.dtype.kind + b.dtype.kind
+        numeric = set(kinds) <= set("biuf")
+        if numeric and "f" in kinds:
+            rel, abs_ = tol if tol is not None else (_REL_TOL, _ABS_TOL)
+            a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+            with np.errstate(over="ignore", invalid="ignore"):
+                diff = np.abs(a - b)
+            scale, finite = np.maximum(np.abs(a), np.abs(b)), np.isfinite(diff)
+            same = (a == b) | finite & (diff <= np.maximum(rel * scale, abs_))
+            counted = a_ok & b_ok & finite & (scale > 0)
+            worst = max(worst, float((diff[counted] / scale[counted]).max(initial=0.0)))
+        else:
+            same = (a == b) if numeric or kinds[0] == kinds[1] else False
+        agree &= (a_ok == b_ok) & (same | ~a_ok)
+    return agree, worst
 
 
 def rows_match(
@@ -254,14 +263,8 @@ def rows_match(
     own dtype-derived envelope; without, the float64 default applies."""
     if len(expected) != len(got):
         return False
-    for expected_row, got_row in zip(expected, got):
-        if len(expected_row) != len(got_row):
-            return False
-        for index, (a, b) in enumerate(zip(expected_row, got_row)):
-            tol = tolerances[index] if tolerances is not None else None
-            if not _values_match(a, b, tol):
-                return False
-    return True
+    expected, got = _transposed(expected), _transposed(got)
+    return len(expected) == len(got) and bool(_agreement(expected, got, tolerances)[0].all())
 
 
 def worst_relative_error(expected: List[tuple], got: List[tuple]) -> float:
@@ -269,15 +272,7 @@ def worst_relative_error(expected: List[tuple], got: List[tuple]) -> float:
     multisets — the sweep reports its maximum so the gap between the
     noise actually observed and the comparison tolerance stays
     visible."""
-    worst = 0.0
-    for expected_row, got_row in zip(expected, got):
-        for a, b in zip(expected_row, got_row):
-            if not (isinstance(a, float) or isinstance(b, float)):
-                continue
-            denominator = max(abs(a), abs(b))
-            if denominator > 0.0:
-                worst = max(worst, abs(a - b) / denominator)
-    return worst
+    return _agreement(_transposed(expected), _transposed(got), None)[1]
 
 
 # -------------------------------------------------------------- reporting
@@ -362,6 +357,10 @@ class WorkloadReport:
     compactions: int = 0
     #: compacted BDCC tables held to the full count-table rebuild
     rebuild_checks: int = 0
+    #: host seconds the sweep took, and the part of them spent judging
+    #: (in :func:`reference_mismatch` and :func:`twin_mismatch`)
+    wall_seconds: float = 0.0
+    judge_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -386,6 +385,8 @@ class WorkloadReport:
             "rows_deleted": int(self.rows_deleted),
             "compactions": int(self.compactions),
             "rebuild_checks": int(self.rebuild_checks),
+            "wall_seconds": float(self.wall_seconds),
+            "judge_seconds": float(self.judge_seconds),
             "divergences": [
                 {
                     "seed": d.seed,
@@ -414,6 +415,9 @@ class WorkloadReport:
             lines.append(
                 f"worst float relative error: {self.worst_rel_error:.2e} "
                 f"(tolerance {_REL_TOL:.0e})"
+            )
+            lines.append(
+                f"judge {self.judge_seconds:.1f} s of {self.wall_seconds:.1f} s"
             )
         if self.strategies:
             strategies = ", ".join(
@@ -460,17 +464,11 @@ def bitwise_mismatch(serial, got) -> Optional[str]:
         return f"row count mismatch: serial {serial.num_rows}, parallel {got.num_rows}"
     for name in serial_names:
         a, b = serial.column(name), got.column(name)
-        equal = (
-            np.array_equal(a, b, equal_nan=True)
-            if a.dtype.kind == "f" and b.dtype.kind == "f"
-            else np.array_equal(a, b)
-        )
-        if not equal:
-            same = a == b
-            if a.dtype.kind == "f" and b.dtype.kind == "f":
-                same = same | (np.isnan(a) & np.isnan(b))  # NaN pairs match
-            rows = np.flatnonzero(~same) if len(a) else np.zeros(0, dtype=int)
-            where = int(rows[0]) if len(rows) else -1
+        same = a == b
+        if a.dtype.kind == "f" and b.dtype.kind == "f":
+            same = same | (np.isnan(a) & np.isnan(b))  # NaN pairs match
+        if not np.all(same):
+            where = int(np.flatnonzero(~same)[0])
             return (
                 f"column {name!r} differs (first at row {where}: "
                 f"serial {a[where]!r}, parallel {b[where]!r})"
@@ -484,56 +482,49 @@ def bitwise_mismatch(serial, got) -> Optional[str]:
 
 
 # ---------------------------------------------------------------- verdicts
-def _diff_detail(
-    expected: List[tuple],
-    got: List[tuple],
-    tolerances: Optional[List[Optional[tuple]]] = None,
-) -> str:
-    lines = [f"expected {len(expected)} rows, got {len(got)} rows"]
-    shown = 0
-    for i in range(min(len(expected), len(got))):
-        if shown >= 3:
-            lines.append("...")
-            break
-        if not all(
-            _values_match(a, b, tolerances[j] if tolerances else None)
-            for j, (a, b) in enumerate(zip(expected[i], got[i]))
-        ):
-            lines.append(f"row {i}: expected {expected[i]}")
-            lines.append(f"row {i}: got      {got[i]}")
-            shown += 1
-    if len(expected) != len(got):
-        longer, label = (expected, "missing") if len(expected) > len(got) else (got, "unexpected")
-        for row in longer[min(len(expected), len(got)):][:3]:
-            lines.append(f"{label}: {row}")
-    return "\n".join(lines)
-
-
 def _multiset_mismatch(
-    names: List[str], expected_columns, expected_rows: List[tuple], got
+    names: List[str], expected_columns, expected: List[_Column], got
 ) -> Tuple[Optional[str], float]:
-    """Compare relation ``got`` with an expected side already normalized
-    over its sorted visible ``names``, each column under the loosest
-    tolerance either side's dtype needs; returns the mismatch text
-    (``None`` when equal) and the worst relative float error between
-    the matched rows."""
+    """Compare relation ``got`` with an expected side already in
+    canonical columns over its sorted visible ``names``, each column
+    under the loosest tolerance either side's dtype needs; returns the
+    mismatch text (``None`` when equal: the row counts, the first three
+    aligned rows that differ and the first three rows only one side
+    has) and the worst relative float error between the matched rows."""
     got_names = sorted(got.column_names)
     if got_names != names:
         return f"column mismatch: expected {names}, got {got_names}", 0.0
-    got_rows = normalized_rows(got.columns, names, got.valid)
     tolerances = column_tolerances(names, expected_columns, got.columns)
-    if not rows_match(expected_rows, got_rows, tolerances):
-        return _diff_detail(expected_rows, got_rows, tolerances), 0.0
-    return None, worst_relative_error(expected_rows, got_rows)
+    got = _sorted_columns(got.columns, names, got.valid)
+    counts = [len(columns[0][0]) if columns else 0 for columns in (expected, got)]
+    agree, worst = _agreement(expected, got, tolerances)
+    if counts[0] == counts[1] and agree.all():
+        return None, worst
+
+    def row(columns, i):
+        return tuple(v[i].item() if ok[i] else NULL for v, ok in columns)
+
+    common = min(counts)
+    differing = np.flatnonzero(~agree)
+    lines = [f"expected {counts[0]} rows, got {counts[1]} rows"]
+    for i in differing[:3]:
+        lines.append(f"row {i}: expected {row(expected, i)}")
+        lines.append(f"row {i}: got      {row(got, i)}")
+    if len(differing) > 3:
+        lines.append("...")
+    longer, label = (expected, "missing") if counts[0] > counts[1] else (got, "unexpected")
+    for i in range(common, min(common + 3, max(counts))):
+        lines.append(f"{label}: {row(longer, i)}")
+    return "\n".join(lines), 0.0
 
 
 @functools.lru_cache(maxsize=1)
-def _reference_rows(reference) -> Tuple[List[str], List[tuple]]:
-    """``(sorted visible names, normalized rows)`` of a reference; the
+def _reference_columns(reference) -> Tuple[List[str], List[_Column]]:
+    """``(sorted visible names, canonical columns)`` of a reference; the
     last one is kept, because the sweep judges every scheme x variant
     against the same reference in a row."""
     names = sorted(reference.visible_names)
-    return names, normalized_rows(reference.columns, names, reference.valid)
+    return names, _sorted_columns(reference.columns, names, reference.valid)
 
 
 def reference_mismatch(reference, relation) -> Tuple[Optional[str], float]:
@@ -543,8 +534,8 @@ def reference_mismatch(reference, relation) -> Tuple[Optional[str], float]:
     multiset, ``None`` when it does not; ``worst`` is the largest
     relative float error between the matched rows, which the sweep
     reports next to the tolerance."""
-    names, rows = _reference_rows(reference)
-    return _multiset_mismatch(names, reference.columns, rows, relation)
+    names, columns = _reference_columns(reference)
+    return _multiset_mismatch(names, reference.columns, columns, relation)
 
 
 def twin_mismatch(expected, got, exact: bool) -> Optional[str]:
@@ -561,8 +552,8 @@ def twin_mismatch(expected, got, exact: bool) -> Optional[str]:
     detail = bitwise_mismatch(expected, got)
     if detail is not None and not exact:   # bit-identical relations are equal multisets
         names = sorted(expected.column_names)
-        rows = normalized_rows(expected.columns, names, expected.valid)
-        detail = _multiset_mismatch(names, expected.columns, rows, got)[0]
+        columns = _sorted_columns(expected.columns, names, expected.valid)
+        detail = _multiset_mismatch(names, expected.columns, columns, got)[0]
     if detail is not None:
         return detail
     for name in expected.column_names:
@@ -628,6 +619,7 @@ def run_differential(
         )
         repro_flags = f"{repro_flags} --updates {update_rounds}".strip()
     batch = None
+    started = time.perf_counter()
 
     try:
         for index in range(total):
@@ -652,6 +644,7 @@ def run_differential(
                 break
             if progress is not None:
                 progress(index + 1, total)
+        report.wall_seconds = time.perf_counter() - started
         return report
     finally:
         # drops backend handles only: the process backend's pool
@@ -681,6 +674,7 @@ def _check_one_query(
             observer(query, scheme, variant, executor, result)
         if variant == "default":
             serial_relations[scheme] = result.relation
+        clock = time.perf_counter()
         detail, worst = reference_mismatch(reference, result.relation)
         report.worst_rel_error = max(report.worst_rel_error, worst)
         if (
@@ -702,6 +696,7 @@ def _check_one_query(
                     f"workers={executor.options.workers} diverges {contract} "
                     f"from the serial default run:\n{mismatch}"
                 )
+        report.judge_seconds += time.perf_counter() - clock
         if detail is not None:
             report.divergences.append(
                 Divergence.of(
