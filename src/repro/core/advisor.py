@@ -134,27 +134,23 @@ class SchemaAdvisor:
     ) -> Dict[str, Dimension]:
         """Create each dimension from the union of key values across all
         tables that use it, joined over their dimension paths
-        (Algorithm 2(ii), standing in for tech report [4])."""
+        (Algorithm 2(ii), standing in for tech report [4]): the union is
+        the host rows those tables' rows reach, with multiplicity, so
+        each host row's key is encoded once."""
         dimensions: Dict[str, Dimension] = {}
         for name, spec in pending.items():
             host_values = [db.column(spec.table, attr) for attr in spec.key]
-            union_parts: List[List[np.ndarray]] = []
+            reached: List[np.ndarray] = []
             for using_table, path in spec.usages:
-                union_parts.append(db.resolve_path_values(using_table, path, spec.key))
-            if union_parts:
-                weights = [
-                    np.concatenate([part[i] for part in union_parts])
-                    for i in range(len(spec.key))
-                ]
-            else:
-                weights = None
+                host, rows = db.walk_path(using_table, path)
+                reached.append(np.arange(db.num_rows(host)) if rows is None else rows)
             dimensions[name] = Dimension.create(
                 name=name,
                 table=spec.table,
                 key=spec.key,
                 attribute_values=host_values,
                 max_bits=self.config.max_dimension_bits,
-                weights_values=weights,
+                weight_rows=np.concatenate(reached) if reached else None,
             )
         return dimensions
 

@@ -220,8 +220,11 @@ def build_bdcc_table(
     """Run Algorithm 1 for one table.
 
     The given uses need no masks; they are assigned here according to the
-    configured interleaving.  Dimension bin numbers are resolved over each
-    use's dimension path against the live database.
+    configured interleaving.  Each use's bins are computed once per row
+    of the dimension's host table, then gathered for every row of
+    ``table`` over the use's dimension path (:meth:`Database.walk_path`)
+    against the live database: rows that reach the same host row share
+    its bin, so no using row's key values are encoded or searched.
     """
     config = config or BDCCBuildConfig()
     if not uses:
@@ -245,9 +248,11 @@ def build_bdcc_table(
     n = db.num_rows(table)
     keys = np.zeros(n, dtype=np.uint64)
     for use in uses:
-        values = db.resolve_path_values(table, use.path, use.dimension.key)
-        bins = use.dimension.bin_of_values(values)
-        scatter_bins_into_key(bins, use.dimension.bits, use.mask, keys)
+        dim = use.dimension
+        host, rows = db.walk_path(table, use.path)
+        host_bins = dim.bin_of_values([db.column(host, a) for a in dim.key])
+        bins = host_bins if rows is None else host_bins[rows]
+        scatter_bins_into_key(bins, dim.bits, use.mask, keys)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     stats = collect_granularity_stats(sorted_keys, total_bits)

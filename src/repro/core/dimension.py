@@ -80,7 +80,7 @@ class Dimension:
         key: Sequence[str],
         attribute_values: Sequence[np.ndarray],
         max_bits: int = 13,
-        weights_values: Optional[Sequence[np.ndarray]] = None,
+        weight_rows: Optional[np.ndarray] = None,
     ) -> "Dimension":
         """Build a dimension from observed key values.
 
@@ -89,15 +89,17 @@ class Dimension:
             attribute_values: key attribute arrays from the host table —
                 they define the encodable domain.
             max_bits: granularity cap (the paper uses ``bits(D) <= 13``).
-            weights_values: optional key attribute arrays drawn from the
-                union of *all* tables using the dimension (each resolved
-                over its dimension path), per Algorithm 2(ii); bins are
-                equi-depth on this distribution.  Defaults to the host
-                table's own values.
+            weight_rows: optional host-row indices, with multiplicity:
+                the host row every row of every table using the
+                dimension reaches over its dimension path, per Algorithm
+                2(ii); bins are equi-depth on the key values of these
+                rows.  Each host row is encoded once and its code
+                gathered.  Defaults to every host row once.
         """
         encoder = KeyEncoder(attribute_values)
-        freq_source = weights_values if weights_values is not None else attribute_values
-        codes = encoder.encode(freq_source)
+        codes = encoder.encode(attribute_values)
+        if weight_rows is not None:
+            codes = codes[weight_rows]
         uppers = equi_frequency_cuts(codes, max_bits)
         return cls(name=name, table=table, key=tuple(key), encoder=encoder, uppers=uppers)
 

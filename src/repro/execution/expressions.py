@@ -332,7 +332,11 @@ class Substring(Expr):
         values, valid = self.operand.eval(rel)
         lo = self.start - 1
         hi = lo + self.length
-        return np.array([v[lo:hi] for v in values], dtype=f"<U{self.length}"), valid
+        # one character per cell: cut or NUL-pad to ``hi`` characters, keep
+        # the window; trailing NULs make shorter strings come out short
+        chars = values.astype(f"<U{hi}").view("<U1").reshape(len(values), hi)
+        window = np.ascontiguousarray(chars[:, lo:])
+        return window.view(f"<U{self.length}").reshape(len(values)), valid
 
 
 @dataclass(frozen=True)

@@ -308,19 +308,17 @@ class Database:
         key_cols = [parent_data[c] for c in fk.parent_columns]
         return lookup_rows(key_cols, probe_cols)
 
-    def resolve_path_values(
-        self,
-        table: str,
-        path: Sequence[str],
-        attributes: Sequence[str],
-        rows: Optional[np.ndarray] = None,
-    ) -> List[np.ndarray]:
-        """Dimension-key attribute values for each row of ``table``,
-        resolved over the dimension path (Definition 2).
+    def walk_path(
+        self, table: str, path: Sequence[str], rows: Optional[np.ndarray] = None
+    ) -> Tuple[str, Optional[np.ndarray]]:
+        """Follow a dimension path's foreign keys from ``table``
+        (Definition 2).
 
-        With an empty path the attributes are local to ``table``.  With
-        ``rows`` only that subset of the table's rows is resolved (the
-        incremental update path bins just the appended rows).
+        Returns the table the path ends at (a dimension's host table)
+        and, for each row of ``table`` — or of the subset ``rows`` — the
+        index of the row it reaches there.  The index is ``None`` for an
+        empty path over every row: each row reaches itself.  A dangling
+        reference raises ``ValueError``.
         """
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
@@ -339,7 +337,25 @@ class Database:
                 )
             rows = parent_rows
             current = fk.parent_table
-        data = self.table_data(current)
+        return current, rows
+
+    def resolve_path_values(
+        self,
+        table: str,
+        path: Sequence[str],
+        attributes: Sequence[str],
+        rows: Optional[np.ndarray] = None,
+    ) -> List[np.ndarray]:
+        """Dimension-key attribute values for each row of ``table``,
+        resolved over the dimension path: :meth:`walk_path`, then a
+        gather of the host table's attributes.
+
+        With an empty path the attributes are local to ``table``.  With
+        ``rows`` only that subset of the table's rows is resolved (the
+        incremental update path bins just the appended rows).
+        """
+        host, rows = self.walk_path(table, path, rows)
+        data = self.table_data(host)
         if rows is None:
             return [data[a] for a in attributes]
         return [data[a][rows] for a in attributes]

@@ -20,11 +20,28 @@ Simplifications: order keys are contiguous
 from dbgen's vocabularies with a compact grammar, and the "special
 requests" / "Customer Complaints" comment patterns are injected at
 dbgen-like rates so Q13/Q16 remain selective.
+
+Word-chain text (every comment and ``p_name``) is built by
+:func:`_word_chains` in one byte buffer: each word position's
+vocabulary indices are drawn with one ``rng.choice``, the words' ASCII
+bytes and trailing spaces gathered from a padded word table, the
+padding and everything past the column width masked away, and the
+remaining stream laid into a ``(rows, width)`` byte buffer that is
+widened once to the ``<U{width}`` column — no python loop per row and
+no per-word intermediate string array.
+
+The generator's call order is a contract: every table draws from one
+``np.random.Generator`` in the order of this module, and RF1
+(:func:`orders_with_lineitems` through ``tpch/refresh.py``) continues
+from the same kind of stream.  The generated bytes, and so the
+``benchmarks/e2e`` data digests and served-round goldens and the
+CRC pins in ``tests/tpch/test_datagen.py``, depend on every draw's
+position; a change that adds, drops or reorders a draw moves them all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +102,42 @@ def _addresses(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.char.add(np.char.add(numbers, " "), streets)
 
 
+def _word_chains(
+    rng: np.random.Generator, words: Sequence[str], n: int, num_words: int, width: int
+) -> np.ndarray:
+    """``n`` chains of ``num_words`` words from the ASCII vocabulary
+    ``words``, joined by single spaces and cut at ``width`` characters
+    (as ``astype`` cuts), as a ``<U{width}`` array.
+
+    Draws one ``rng.choice`` over the vocabulary's positions per word
+    position, first word first — the draws ``rng.choice(np.array(words),
+    n)`` makes per position — so the generator's state afterwards does
+    not depend on how the text is assembled."""
+    longest = max(len(word) for word in words)
+    table = np.zeros((len(words), longest + 1), dtype=np.uint8)
+    for i, word in enumerate(words):
+        table[i, : len(word) + 1] = np.frombuffer(f"{word} ".encode("ascii"), dtype=np.uint8)
+    # each word's length with its space, in int16: at SF 0.05's comment
+    # shapes the builder's traced peak is 88 MiB this way and 110 MiB with
+    # int64 offsets; so no chain or width may reach 32 768 characters
+    if num_words * (longest + 1) >= 2**15 or width >= 2**15:
+        raise ValueError(
+            f"word chains must stay below 32768 characters: {num_words} words "
+            f"of up to {longest + 1}, width {width}"
+        )
+    spans = np.array([len(word) + 1 for word in words], dtype=np.int16)
+    picks = np.stack([rng.choice(len(words), n) for _ in range(num_words)], axis=1)
+    span = spans[picks]
+    start = np.cumsum(span, axis=1, dtype=np.int16) - span  # each word's offset
+    # the last word keeps no trailing space; nothing past the width survives
+    length = np.minimum(start[:, -1] + span[:, -1] - 1, width)
+    keep = np.clip(np.minimum(span, length[:, None] - start), 0, None)
+    stream = table[picks][np.arange(longest + 1, dtype=np.int16) < keep[:, :, None]]
+    buffer = np.zeros((n, width), dtype=np.uint8)
+    buffer[np.arange(width, dtype=np.int16) < length[:, None]] = stream
+    return buffer.astype(np.uint32).view(f"<U{width}").reshape(n)
+
+
 def _comments(
     rng: np.random.Generator,
     n: int,
@@ -95,22 +148,19 @@ def _comments(
 ) -> np.ndarray:
     """Random word-chain comments; optionally splice a two-word marker
     (e.g. ("special", "requests")) into a fraction of rows."""
-    vocab = np.array(text.COMMENT_WORDS)
-    out = rng.choice(vocab, n)
-    for _ in range(num_words - 1):
-        out = np.char.add(np.char.add(out, " "), rng.choice(vocab, n))
+    out = _word_chains(rng, text.COMMENT_WORDS, n, num_words, width)
     if inject is not None and inject_rate > 0 and n > 0:
         hit = rng.random(n) < inject_rate
         if hit.any():
+            vocab = np.array(text.COMMENT_WORDS)
             k = int(hit.sum())
             filler = rng.choice(vocab, k)
             marker = np.char.add(
                 np.char.add(np.char.add(np.array(inject[0]), " "), filler),
                 np.char.add(" ", np.array(inject[1])),
             )
-            out = out.astype(f"<U{width}")
             out[hit] = np.char.add(np.char.add(marker, " "), rng.choice(vocab, k))
-    return out.astype(f"<U{width}")
+    return out
 
 
 def _money(rng: np.random.Generator, low: float, high: float, n: int) -> np.ndarray:
@@ -183,10 +233,7 @@ def generate(
     # --------------------------------------------------------------- part
     n_part = card["part"]
     p_key = np.arange(1, n_part + 1, dtype=np.int32)
-    colors = np.array(text.COLORS)
-    p_name = rng.choice(colors, n_part)
-    for _ in range(4):
-        p_name = np.char.add(np.char.add(p_name, " "), rng.choice(colors, n_part))
+    p_name = _word_chains(rng, text.COLORS, n_part, 5, 55)
     mfgr_num = rng.integers(1, 6, n_part)
     brand_num = mfgr_num * 10 + rng.integers(1, 6, n_part)
     p_retail = np.round(
@@ -194,7 +241,7 @@ def generate(
     )
     db.add_table_data("part", {
         "p_partkey": p_key,
-        "p_name": p_name.astype("<U55"),
+        "p_name": p_name,
         "p_mfgr": np.char.add("Manufacturer#", mfgr_num.astype("<U1")),
         "p_brand": np.char.add("Brand#", brand_num.astype("<U2")),
         "p_type": rng.choice(np.array(text.TYPES), n_part),

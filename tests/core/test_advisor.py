@@ -5,6 +5,8 @@ import pytest
 
 from repro.catalog import DATE, INT32, Schema
 from repro.core.advisor import AdvisorConfig, SchemaAdvisor
+from repro.core.binning import equi_frequency_cuts
+from repro.core.bits import scatter_bins_into_key
 from repro.storage.database import Database
 from repro.tpch.datagen import generate
 
@@ -12,6 +14,31 @@ from repro.tpch.datagen import generate
 @pytest.fixture(scope="module")
 def tiny_tpch():
     return generate(scale_factor=0.002, seed=5)
+
+
+@pytest.mark.parametrize("max_bits", [13, 4])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_host_row_binning_equals_binning_every_using_row(seed, max_bits):
+    # bins are computed once per host row and gathered over each path;
+    # the reference resolves and bins every using row's key values
+    # (4 bits forces quantile cuts, where multiplicities matter)
+    db = generate(scale_factor=0.002, seed=seed)
+    advisor = SchemaAdvisor(db.schema, AdvisorConfig(max_dimension_bits=max_bits))
+    pending, _ = advisor.discover()
+    design = advisor.design(db)
+    for name, spec in pending.items():
+        dim = design.dimensions[name]
+        parts = [db.resolve_path_values(t, path, spec.key) for t, path in spec.usages]
+        values = [np.concatenate([part[i] for part in parts]) for i in range(len(spec.key))]
+        expected = equi_frequency_cuts(dim.encoder.encode(values), max_bits)
+        assert np.array_equal(dim.uppers, expected), name
+    for table, bdcc in advisor.build(db, design).items():
+        keys = np.zeros(db.num_rows(table), dtype=np.uint64)
+        for use in bdcc.uses:
+            values = db.resolve_path_values(table, use.path, use.dimension.key)
+            bins = use.dimension.bin_of_values(values)
+            scatter_bins_into_key(bins, use.dimension.bits, use.mask, keys)
+        assert np.array_equal(bdcc.keys, keys[bdcc.row_source]), table
 
 
 class TestTPCHDiscovery:

@@ -28,10 +28,11 @@ class TestCreate:
 
     def test_weights_drive_binning(self):
         host = np.arange(16)
-        # usage distribution concentrated on low values
-        weights = np.concatenate([np.zeros(100, dtype=int), np.arange(16)])
+        # usage distribution concentrated on low values: the host rows the
+        # using rows reach (row i holds value i)
+        weight_rows = np.concatenate([np.zeros(100, dtype=int), np.arange(16)])
         dim = Dimension.create(
-            "D", "t", ["k"], [host], max_bits=1, weights_values=[weights]
+            "D", "t", ["k"], [host], max_bits=1, weight_rows=weight_rows
         )
         assert dim.num_bins == 2
         bins = dim.bin_of_values([host])

@@ -153,6 +153,26 @@ class TestCaseSubstringYear:
         expr = Substring(col("phone"), 1, 2)
         assert list(_values(expr, rel)) == ["13", "31"]
 
+    @settings(max_examples=60, derandomize=True)
+    @given(
+        st.lists(st.text("ab-1 ", max_size=8), max_size=12),
+        st.integers(1, 9),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_substring_is_python_slicing(self, strings, start, length, data):
+        # strings shorter than the window and empty strings included; the
+        # validity passes through, whatever lies under a NULL
+        flags = st.lists(st.booleans(), min_size=len(strings), max_size=len(strings))
+        valid = np.array(data.draw(flags), dtype=bool)
+        rel = Relation(
+            columns={"s": np.array(strings, dtype="<U8")}, valid={"s": valid}
+        )
+        values, got_valid = Substring(col("s"), start, length).eval(rel)
+        assert values.dtype == np.dtype(f"<U{length}")
+        assert list(values) == [s[start - 1 : start - 1 + length] for s in strings]
+        assert np.array_equal(got_valid, valid)
+
     def test_year(self):
         rel = _rel(d=[days("1994-01-01"), days("1995-12-31"), days("1992-06-15")])
         assert list(_values(year("d"), rel)) == [1994, 1995, 1992]
