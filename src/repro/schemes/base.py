@@ -3,8 +3,9 @@
 The paper's evaluation compares three configurations of the *same*
 system: Plain (load order, no indexing), PK (primary-key sorted — the
 classical merge-join-friendly layout) and BDCC (advisor-designed
-co-clustering).  A :class:`PhysicalScheme` materialises a
-:class:`PhysicalDatabase`; the executor consumes the latter.
+co-clustering).  A :class:`PhysicalScheme` builds a
+:class:`PhysicalDatabase` — one row order per table, each column
+gathered into it when first read; the executor consumes the latter.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..catalog import Schema
 from ..core.bdcc_table import BDCCTable
 from ..storage.database import Database
 from ..storage.pages import PageModel
-from ..storage.stored_table import StoredTable
+from ..storage.stored_table import StoredColumns, StoredTable
 
 __all__ = ["PhysicalDatabase", "PhysicalScheme"]
 
@@ -102,7 +103,7 @@ class PhysicalScheme:
         raise NotImplementedError
 
     # ------------------------------------------------------------ helpers
-    def _materialise(
+    def _stored_table(
         self,
         db: Database,
         table_name: str,
@@ -110,15 +111,14 @@ class PhysicalScheme:
         sort_columns=(),
         bdcc=None,
     ) -> StoredTable:
-        data = db.table_data(table_name)
-        if row_source is None:
-            columns = {name: values for name, values in data.items()}
-        else:
-            columns = {name: values[row_source] for name, values in data.items()}
+        """The table stored in ``row_source`` order (load order where it
+        is None).  Nothing is copied here: the stored table's columns
+        gather from the table's current logical version as they are
+        first read (:class:`~repro.storage.stored_table.StoredColumns`)."""
         return StoredTable(
             name=table_name,
             definition=db.schema.table(table_name),
-            columns=columns,
+            columns=StoredColumns(db.table_data(table_name), row_source),
             page_model=self.page_model,
             sort_columns=tuple(sort_columns),
             bdcc=bdcc,

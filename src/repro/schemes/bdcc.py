@@ -56,8 +56,8 @@ class BDCCScheme(PhysicalScheme):
     def build_table(self, db: Database, table_name: str) -> StoredTable:
         bdcc = self._built.get(table_name)
         if bdcc is None:
-            return self._materialise(db, table_name, row_source=None)
-        return self._materialise(
+            return self._stored_table(db, table_name, row_source=None)
+        return self._stored_table(
             db, table_name, row_source=bdcc.row_source, bdcc=bdcc
         )
 
@@ -76,7 +76,7 @@ class BDCCScheme(PhysicalScheme):
                 uses = [base_uses[i] for i in subset]
                 bdcc = build_bdcc_table(db, table_name, uses, self.advisor_config.build)
                 copies.append(
-                    self._materialise(
+                    self._stored_table(
                         db, table_name, row_source=bdcc.row_source, bdcc=bdcc
                     )
                 )

@@ -19,4 +19,4 @@ class PlainScheme(PhysicalScheme):
     name = "plain"
 
     def build_table(self, db: Database, table_name: str) -> StoredTable:
-        return self._materialise(db, table_name, row_source=None)
+        return self._stored_table(db, table_name, row_source=None)

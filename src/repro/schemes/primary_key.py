@@ -25,8 +25,8 @@ class PrimaryKeyScheme(PhysicalScheme):
         definition = db.schema.table(table_name)
         pk = definition.primary_key
         if not pk:
-            return self._materialise(db, table_name, row_source=None)
+            return self._stored_table(db, table_name, row_source=None)
         data = db.table_data(table_name)
         # lexsort: last key is primary
         order = np.lexsort(tuple(data[c] for c in reversed(pk)))
-        return self._materialise(db, table_name, row_source=order, sort_columns=pk)
+        return self._stored_table(db, table_name, row_source=order, sort_columns=pk)

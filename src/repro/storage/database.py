@@ -14,6 +14,7 @@ is read.  Parent-key lookup indices support foreign-key traversal
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -73,6 +74,11 @@ class TableVersion(Mapping):
     # a version is equal only to itself, not to a mapping of equal columns
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def __getstate__(self) -> dict:
+        # a pickled version carries its rows, not the facts derived on it
+        # (a memo key may hold a weak reference, which does not pickle)
+        return {k: v for k, v in self.__dict__.items() if k != "_derived"}
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self.base.columns:
@@ -308,6 +314,19 @@ class Database:
         key_cols = [parent_data[c] for c in fk.parent_columns]
         return lookup_rows(key_cols, probe_cols)
 
+    def parent_rows(self, fk_name: str) -> np.ndarray:
+        """:meth:`follow_foreign_key` for every child row, derived once
+        per (child version, parent version): on the child's version,
+        keyed by a weak reference to the parent's, so the memo neither
+        keeps a replaced parent alive nor matches the version that
+        replaces it."""
+        fk = self.schema.foreign_key(fk_name)
+        parent = weakref.ref(self.version(fk.parent_table))
+        return derive(
+            self.version(fk.child_table), ("parent_rows", fk_name, parent),
+            lambda: self.follow_foreign_key(fk_name),
+        )
+
     def walk_path(
         self, table: str, path: Sequence[str], rows: Optional[np.ndarray] = None
     ) -> Tuple[str, Optional[np.ndarray]]:
@@ -318,9 +337,13 @@ class Database:
         and, for each row of ``table`` — or of the subset ``rows`` — the
         index of the row it reaches there.  The index is ``None`` for an
         empty path over every row: each row reaches itself.  A dangling
-        reference raises ``ValueError``.
+        reference raises ``ValueError``.  Over every row, each step is
+        the foreign key's :meth:`parent_rows` gathered at the rows the
+        path has reached, so a design walks each foreign key once
+        however many paths share it; a subset probes only its rows.
         """
-        if rows is not None:
+        whole = rows is None
+        if not whole:
             rows = np.asarray(rows, dtype=np.int64)
         current = table
         for fk_name in path:
@@ -330,7 +353,11 @@ class Database:
                     f"path step {fk_name!r} starts at {fk.child_table!r}, "
                     f"expected {current!r}"
                 )
-            parent_rows = self.follow_foreign_key(fk_name, rows)
+            if whole:
+                step = self.parent_rows(fk_name)
+                parent_rows = step if rows is None else step[rows]
+            else:
+                parent_rows = self.follow_foreign_key(fk_name, rows)
             if np.any(parent_rows < 0):
                 raise ValueError(
                     f"dangling foreign key {fk_name!r} while resolving path"

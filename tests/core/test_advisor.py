@@ -41,6 +41,33 @@ def test_host_row_binning_equals_binning_every_using_row(seed, max_bits):
         assert np.array_equal(bdcc.keys, keys[bdcc.row_source]), table
 
 
+def test_a_design_and_build_walk_each_foreign_key_once(monkeypatch):
+    # a whole-table walk derives each step's parent rows once per
+    # (child version, parent version) and gathers the rows reached; it
+    # equals probing every row step by step, the way a subset walks
+    db = generate(scale_factor=0.002, seed=7)
+    walked = []
+    follow = Database.follow_foreign_key
+
+    def counting(self, fk_name, child_rows=None):
+        walked.append(fk_name)
+        return follow(self, fk_name, child_rows)
+
+    monkeypatch.setattr(Database, "follow_foreign_key", counting)
+    advisor = SchemaAdvisor(db.schema)
+    design = advisor.design(db)
+    advisor.build(db, design)
+    assert walked and len(walked) == len(set(walked))
+    for table, uses in design.table_uses.items():
+        for use in uses:
+            host, rows = db.walk_path(table, use.path)
+            every = np.arange(db.num_rows(table))
+            probed_host, probed = db.walk_path(table, use.path, every)
+            assert host == probed_host
+            assert np.array_equal(every if rows is None else rows, probed)
+    assert len(walked) > len(set(walked))  # the probing walks above
+
+
 class TestTPCHDiscovery:
     def test_three_dimensions_created(self, tiny_tpch):
         design = SchemaAdvisor(tiny_tpch.schema).design(tiny_tpch)

@@ -515,6 +515,28 @@ class TestProcessBackendMatrix:
                 sim_metrics.makespan_seconds
             ), (scheme, qname, workers)
 
+    @pytest.mark.parametrize("scheme", ["pk", "bdcc"])
+    def test_columns_first_read_after_the_fork(self, scheme):
+        """A stored copy gathers a column when it is first read, so a
+        column the parent had not read at the fork is gathered by each
+        worker that reads it: Q13 reads ``o_comment``, Q16
+        ``s_comment``.  Rows and simulated charges stay the simulated
+        backend's."""
+        _, env, pdb = _fresh_database(scheme)
+        _run(pdb, env, "Q06", workers=4, backend="process")  # forks over pdb
+        starts = _pool_starts()
+        assert "o_comment" not in pdb.table("orders").columns.gathered
+        assert "s_comment" not in pdb.table("supplier").columns.gathered
+        for qname in ("Q13", "Q16"):
+            proc_rel, proc = _run(pdb, env, qname, workers=4, backend="process")
+            sim_rel, sim = _run(pdb, env, qname, workers=4)
+            assert proc.backend == "process"
+            assert _identical(sim_rel, proc_rel), (scheme, qname)
+            assert (proc.makespan_seconds, proc.total_seconds, proc.io_bytes) == (
+                sim.makespan_seconds, sim.total_seconds, sim.io_bytes
+            ), (scheme, qname)
+        assert _pool_starts() == starts  # the workers forked before the reads
+
     @needs_dev_shm
     def test_delta_store_round_survives_epoch_changes(self):
         """Commit through the update subsystem between process-backend
