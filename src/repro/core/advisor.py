@@ -86,6 +86,10 @@ class SchemaAdvisor:
     def __init__(self, schema: Schema, config: Optional[AdvisorConfig] = None):
         self.schema = schema
         self.config = config or AdvisorConfig()
+        #: every foreign key's parent rows this advisor's walks followed
+        #: (``Database.parent_rows``): a design and its build probe each
+        #: foreign key once, and nothing outlives the advisor
+        self._walks: dict = {}
 
     # ------------------------------------------------------------ phase i
     def discover(self) -> Tuple[Dict[str, _PendingDimension], Dict[str, List[Tuple[str, Tuple[str, ...]]]]]:
@@ -142,7 +146,7 @@ class SchemaAdvisor:
             host_values = [db.column(spec.table, attr) for attr in spec.key]
             reached: List[np.ndarray] = []
             for using_table, path in spec.usages:
-                host, rows = db.walk_path(using_table, path)
+                host, rows = db.walk_path(using_table, path, walks=self._walks)
                 reached.append(np.arange(db.num_rows(host)) if rows is None else rows)
             dimensions[name] = Dimension.create(
                 name=name,
@@ -175,5 +179,7 @@ class SchemaAdvisor:
             uses = design.uses_for(table)
             if not uses:
                 continue
-            built[table] = build_bdcc_table(db, table, uses, self.config.build)
+            built[table] = build_bdcc_table(
+                db, table, uses, self.config.build, walks=self._walks
+            )
         return built

@@ -216,6 +216,7 @@ def build_bdcc_table(
     table: str,
     uses: Sequence[DimensionUse],
     config: Optional[BDCCBuildConfig] = None,
+    walks: Optional[dict] = None,
 ) -> BDCCTable:
     """Run Algorithm 1 for one table.
 
@@ -225,6 +226,8 @@ def build_bdcc_table(
     ``table`` over the use's dimension path (:meth:`Database.walk_path`)
     against the live database: rows that reach the same host row share
     its bin, so no using row's key values are encoded or searched.
+    ``walks`` keeps the foreign keys' parent rows across the walks of a
+    design (:meth:`Database.parent_rows`).
     """
     config = config or BDCCBuildConfig()
     if not uses:
@@ -249,7 +252,7 @@ def build_bdcc_table(
     keys = np.zeros(n, dtype=np.uint64)
     for use in uses:
         dim = use.dimension
-        host, rows = db.walk_path(table, use.path)
+        host, rows = db.walk_path(table, use.path, walks=walks)
         host_bins = dim.bin_of_values([db.column(host, a) for a in dim.key])
         bins = host_bins if rows is None else host_bins[rows]
         scatter_bins_into_key(bins, dim.bits, use.mask, keys)

@@ -14,7 +14,6 @@ is read.  Parent-key lookup indices support foreign-key traversal
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -74,11 +73,6 @@ class TableVersion(Mapping):
     # a version is equal only to itself, not to a mapping of equal columns
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __getstate__(self) -> dict:
-        # a pickled version carries its rows, not the facts derived on it
-        # (a memo key may hold a weak reference, which does not pickle)
-        return {k: v for k, v in self.__dict__.items() if k != "_derived"}
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self.base.columns:
@@ -314,21 +308,26 @@ class Database:
         key_cols = [parent_data[c] for c in fk.parent_columns]
         return lookup_rows(key_cols, probe_cols)
 
-    def parent_rows(self, fk_name: str) -> np.ndarray:
-        """:meth:`follow_foreign_key` for every child row, derived once
-        per (child version, parent version): on the child's version,
-        keyed by a weak reference to the parent's, so the memo neither
-        keeps a replaced parent alive nor matches the version that
-        replaces it."""
+    def parent_rows(self, fk_name: str, walks: Optional[dict] = None) -> np.ndarray:
+        """:meth:`follow_foreign_key` for every child row, kept in
+        ``walks`` when given: a dict its caller owns, keyed by the
+        foreign key and the current versions of its two tables, so one
+        dict serves any number of walks and database states, and what
+        it keeps goes with it."""
+        if walks is None:
+            return self.follow_foreign_key(fk_name)
         fk = self.schema.foreign_key(fk_name)
-        parent = weakref.ref(self.version(fk.parent_table))
-        return derive(
-            self.version(fk.child_table), ("parent_rows", fk_name, parent),
-            lambda: self.follow_foreign_key(fk_name),
-        )
+        key = (fk_name, self.version(fk.child_table), self.version(fk.parent_table))
+        if key not in walks:
+            walks[key] = self.follow_foreign_key(fk_name)
+        return walks[key]
 
     def walk_path(
-        self, table: str, path: Sequence[str], rows: Optional[np.ndarray] = None
+        self,
+        table: str,
+        path: Sequence[str],
+        rows: Optional[np.ndarray] = None,
+        walks: Optional[dict] = None,
     ) -> Tuple[str, Optional[np.ndarray]]:
         """Follow a dimension path's foreign keys from ``table``
         (Definition 2).
@@ -338,9 +337,10 @@ class Database:
         index of the row it reaches there.  The index is ``None`` for an
         empty path over every row: each row reaches itself.  A dangling
         reference raises ``ValueError``.  Over every row, each step is
-        the foreign key's :meth:`parent_rows` gathered at the rows the
-        path has reached, so a design walks each foreign key once
-        however many paths share it; a subset probes only its rows.
+        the foreign key's :meth:`parent_rows` (kept in ``walks``)
+        gathered at the rows the path has reached, so walks sharing a
+        ``walks`` dict probe each foreign key once; a subset probes
+        only its rows.
         """
         whole = rows is None
         if not whole:
@@ -354,7 +354,7 @@ class Database:
                     f"expected {current!r}"
                 )
             if whole:
-                step = self.parent_rows(fk_name)
+                step = self.parent_rows(fk_name, walks)
                 parent_rows = step if rows is None else step[rows]
             else:
                 parent_rows = self.follow_foreign_key(fk_name, rows)

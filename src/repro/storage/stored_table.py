@@ -10,15 +10,17 @@ into stored order the first time it is read — as a column store reads
 only the columns a query names, no copy pays memory for a column no
 query reads.
 
-A stored table is a value: nothing changes one after construction.
-A commit publishes the *next version* of each table it touches —
-``dataclasses.replace`` with a new delta store (:mod:`repro.updates.delta`:
-sorted insert runs plus a deletion bitmap) and ``epoch + 1``, sharing the
-base columns — and compaction publishes a version with the deltas folded
-into new base columns; each version derives its own zone maps
-(:mod:`repro.storage.memo`).  A plan lowered before a commit keeps
-reading the versions it holds; ``epoch`` counts the commits/compactions
-behind a version, and plan caches key on it.
+A stored table is a value: nothing changes one after construction (a
+gather fills in a column, it never changes one).  A commit publishes
+the *next version* of each table it touches — ``dataclasses.replace``
+with a new delta store (:mod:`repro.updates.delta`: sorted insert runs
+plus a deletion bitmap) and ``epoch + 1``, sharing the base columns'
+mapping and so every column gathered before or after — and compaction
+publishes a version with the deltas folded into new base columns; each
+version derives its own zone maps (:mod:`repro.storage.memo`).  A plan
+lowered before a commit keeps reading the versions it holds; ``epoch``
+counts the commits/compactions behind a version, and plan caches key
+on it.
 
 :data:`LIVE_TABLES` holds every table alive in this process, weakly: the
 process backend forks its workers over them, so a fragment payload can

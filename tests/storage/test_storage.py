@@ -242,15 +242,17 @@ class TestDatabase:
         db = self._db()
         assert list(db.follow_foreign_key("FK")) == [1, 0, 2, 1]
 
-    def test_parent_rows_are_derived_per_child_and_parent_version(self):
+    def test_parent_rows_are_kept_per_child_and_parent_version(self):
         db = self._db()
-        first = db.parent_rows("FK")
-        assert first.tolist() == [1, 0, 2, 1] and db.parent_rows("FK") is first
+        walks = {}
+        first = db.parent_rows("FK", walks)
+        assert first.tolist() == [1, 0, 2, 1] and db.parent_rows("FK", walks) is first
         db.append_table_rows("c", {"cid": np.array([4]), "pid": np.array([30])})
-        assert db.parent_rows("FK").tolist() == [1, 0, 2, 1, 2]
+        assert db.parent_rows("FK", walks).tolist() == [1, 0, 2, 1, 2]
         db.delete_table_rows("p", np.array([True, False, False]))
+        assert db.parent_rows("FK", walks).tolist() == [0, -1, 1, 0, 1]
+        assert len(walks) == 3 and first.tolist() == [1, 0, 2, 1]
         assert db.parent_rows("FK").tolist() == [0, -1, 1, 0, 1]
-        assert first.tolist() == [1, 0, 2, 1]
 
     def test_resolve_path_values(self):
         db = self._db()
