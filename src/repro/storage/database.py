@@ -308,14 +308,12 @@ class Database:
         key_cols = [parent_data[c] for c in fk.parent_columns]
         return lookup_rows(key_cols, probe_cols)
 
-    def parent_rows(self, fk_name: str, walks: Optional[dict] = None) -> np.ndarray:
+    def parent_rows(self, fk_name: str, walks: dict) -> np.ndarray:
         """:meth:`follow_foreign_key` for every child row, kept in
-        ``walks`` when given: a dict its caller owns, keyed by the
-        foreign key and the current versions of its two tables, so one
-        dict serves any number of walks and database states, and what
-        it keeps goes with it."""
-        if walks is None:
-            return self.follow_foreign_key(fk_name)
+        ``walks``: a dict its caller owns, keyed by the foreign key and
+        the current versions of its two tables, so one dict serves any
+        number of walks and database states, and what it keeps goes
+        with it."""
         fk = self.schema.foreign_key(fk_name)
         key = (fk_name, self.version(fk.child_table), self.version(fk.parent_table))
         if key not in walks:
@@ -343,7 +341,9 @@ class Database:
         only its rows.
         """
         whole = rows is None
-        if not whole:
+        if whole:
+            walks = {} if walks is None else walks
+        else:
             rows = np.asarray(rows, dtype=np.int64)
         current = table
         for fk_name in path:

@@ -252,7 +252,6 @@ class TestDatabase:
         db.delete_table_rows("p", np.array([True, False, False]))
         assert db.parent_rows("FK", walks).tolist() == [0, -1, 1, 0, 1]
         assert len(walks) == 3 and first.tolist() == [1, 0, 2, 1]
-        assert db.parent_rows("FK").tolist() == [0, -1, 1, 0, 1]
 
     def test_resolve_path_values(self):
         db = self._db()
