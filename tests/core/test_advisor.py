@@ -42,9 +42,10 @@ def test_host_row_binning_equals_binning_every_using_row(seed, max_bits):
 
 
 def test_a_design_and_build_walk_each_foreign_key_once(monkeypatch):
-    # a whole-table walk derives each step's parent rows once per
-    # (child version, parent version) and gathers the rows reached; it
-    # equals probing every row step by step, the way a subset walks
+    # the advisor keeps each foreign key's parent rows across the walks
+    # of a design and its build, and a whole-table walk gathers them at
+    # the rows reached: the same rows as probing every row step by step,
+    # the way a subset walks
     db = generate(scale_factor=0.002, seed=7)
     walked = []
     follow = Database.follow_foreign_key
@@ -65,7 +66,6 @@ def test_a_design_and_build_walk_each_foreign_key_once(monkeypatch):
             probed_host, probed = db.walk_path(table, use.path, every)
             assert host == probed_host
             assert np.array_equal(every if rows is None else rows, probed)
-    assert len(walked) > len(set(walked))  # the probing walks above
 
 
 class TestTPCHDiscovery:
