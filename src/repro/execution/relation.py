@@ -65,17 +65,17 @@ class StreamUse:
         return (self.alias, self.dimension.name, self.path)
 
 
-def value_bytes(array: np.ndarray) -> float:
-    """Approximate engine-side bytes per value (unicode arrays store
-    4 bytes/char in numpy; a real engine stores ~1)."""
-    if array.dtype.kind == "U":
-        return array.dtype.itemsize / 4.0
-    return float(array.dtype.itemsize)
+def value_bytes(dtype: np.dtype) -> float:
+    """Approximate engine-side bytes per value of a dtype (unicode
+    arrays store 4 bytes/char in numpy; a real engine stores ~1)."""
+    if dtype.kind == "U":
+        return dtype.itemsize / 4.0
+    return float(dtype.itemsize)
 
 
 def row_bytes_of(columns: Dict[str, np.ndarray]) -> float:
     """Bytes per row across the given columns."""
-    return float(sum(value_bytes(a) for a in columns.values()))
+    return float(sum(value_bytes(a.dtype) for a in columns.values()))
 
 
 class _Columns(Mapping):
@@ -208,7 +208,7 @@ class Relation:
     def row_bytes(self, columns: Optional[Sequence[str]] = None) -> float:
         """Bytes per row of ``columns`` (default: all), from the dtypes."""
         names = self._layout if columns is None else dict.fromkeys(columns)
-        return float(sum(value_bytes(self._layout[n][1]) for n in names))
+        return float(sum(value_bytes(self._layout[n][1].dtype) for n in names))
 
     def data_bytes(self, columns: Optional[Sequence[str]] = None) -> float:
         return self.row_bytes(columns) * self.num_rows

@@ -353,7 +353,7 @@ class _Lowering:
                 base = strip_prefix(column, prefix)
                 if base not in stored.columns:
                     continue
-                if stored.columns[base].dtype.kind not in "iuf":
+                if stored.columns.dtype(base).kind not in "iuf":
                     continue
                 index = stored.minmax_for(base)
                 if index.blocks_overlapping(low, high).all():
@@ -421,7 +421,7 @@ class _Lowering:
             rationale=", ".join(rationale_bits),
             delta_selected=delta_selected,
         )
-        columns = {prefix + c: value_bytes(stored.columns[c]) for c in demanded}
+        columns = {prefix + c: value_bytes(stored.columns.dtype(c)) for c in demanded}
         for _, _, column_name in sandwich_uses:
             columns[column_name] = 8.0
         sorted_on = tuple(prefix + c for c in stored.sort_columns)
@@ -472,7 +472,7 @@ class _Lowering:
             base = strip_prefix(column, prefix)
             if base not in stored.columns or stored.stored_rows == 0:
                 continue
-            if stored.columns[base].dtype.kind not in "iuf":
+            if stored.columns.dtype(base).kind not in "iuf":
                 continue
             index = stored.minmax_for(base)
             gmin, gmax = float(index.mins.min()), float(index.maxs.max())

@@ -17,9 +17,9 @@ import numpy as np
 
 from ..catalog import Schema
 from ..core.bdcc_table import BDCCTable
-from ..storage.database import Database
+from ..storage.database import Database, IndexedColumns
 from ..storage.pages import PageModel
-from ..storage.stored_table import StoredColumns, StoredTable
+from ..storage.stored_table import StoredTable
 
 __all__ = ["PhysicalDatabase", "PhysicalScheme"]
 
@@ -113,12 +113,13 @@ class PhysicalScheme:
     ) -> StoredTable:
         """The table stored in ``row_source`` order (load order where it
         is None).  Nothing is copied here: the stored table's columns
-        gather from the table's current logical version as they are
-        first read (:class:`~repro.storage.stored_table.StoredColumns`)."""
+        gather from the pieces of the table's current logical version
+        as they are first read
+        (:class:`~repro.storage.database.IndexedColumns`)."""
         return StoredTable(
             name=table_name,
             definition=db.schema.table(table_name),
-            columns=StoredColumns(db.table_data(table_name), row_source),
+            columns=IndexedColumns(db.table_data(table_name), row_source),
             page_model=self.page_model,
             sort_columns=tuple(sort_columns),
             bdcc=bdcc,

@@ -8,8 +8,11 @@ committed insert batch and one deletion bitmap per piece.  An append or
 a delete binds a new version that shares every old piece and adds at
 most the batch and new bitmaps, so a write copies its batch, never the
 table; readers see the merged rows, a column merged the first time it
-is read.  Parent-key lookup indices support foreign-key traversal
-(dimension paths, referential-integrity checks).
+is read.  A fold copies no column either: the new base is an
+:class:`IndexedColumns` over the old pieces' arrays and one index of
+the rows still live — the mapping a stored copy's columns are too.
+Parent-key lookup indices support foreign-key traversal (dimension
+paths, referential-integrity checks).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from ..catalog import Schema
 from .keys import encode_join_keys, match_keys
 from .memo import derive
 
-__all__ = ["Database", "TablePiece", "TableVersion", "lookup_rows"]
+__all__ = ["Database", "IndexedColumns", "TablePiece", "TableVersion", "lookup_rows"]
 
 
 def lookup_rows(
@@ -46,13 +49,158 @@ def lookup_rows(
     return rows
 
 
+def _rows_of(columns: Mapping[str, np.ndarray]) -> int:
+    return len(next(iter(columns.values()))) if columns else 0
+
+
+def _layout(parts) -> Tuple[Dict[str, np.dtype], List[Mapping], Optional[np.ndarray]]:
+    """The dtypes, source pieces and row index of each ``(source, rows)``
+    of ``parts`` in turn (``rows`` None: all of them).  A source is a
+    dict of arrays, a :class:`TableVersion` (its pieces' live rows) or
+    an :class:`IndexedColumns`; pieces are never nested.  A piece no
+    index entry reads is dropped, but the dtypes stay what concatenating
+    every source gives; the index is None where it reads every row in
+    order."""
+    dtypes: Dict[str, np.dtype] = {}
+    pieces: List[Mapping] = []
+    indices: List[Tuple[Optional[np.ndarray], int, int]] = []
+    offset = 0
+    for source, rows in parts:
+        if isinstance(source, IndexedColumns):
+            source_dtypes, sub_pieces, sub_index = source._dtypes, source._pieces, source._index
+        elif isinstance(source, TableVersion):
+            source_dtypes, sub_pieces, sub_index = _layout([
+                (piece.columns, None if live is None else np.flatnonzero(live))
+                for piece, live in zip(source.pieces, source.live)
+            ])
+        else:
+            source_dtypes = {name: values.dtype for name, values in source.items()}
+            sub_pieces, sub_index = (source,), None
+        span = sum(_rows_of(piece) for piece in sub_pieces)
+        n = span if sub_index is None else len(sub_index)
+        if isinstance(rows, slice):
+            rows = None if rows.indices(n) == (0, n, 1) else np.arange(n)[rows]
+        if rows is not None:
+            sub_index = rows if sub_index is None else sub_index[rows]
+        for name, dtype in source_dtypes.items():
+            dtypes[name] = np.result_type(dtypes.get(name, dtype), dtype)
+        pieces.extend(sub_pieces)
+        indices.append((sub_index, offset, span))
+        offset += span
+    if all(index is None for index, _, _ in indices):
+        return dtypes, pieces, None
+    full = [np.arange(span) if index is None else index for index, _, span in indices]
+    index = full[0] if len(full) == 1 else np.concatenate(
+        [rows + start for rows, (_, start, _) in zip(full, indices)]
+    )
+    sizes = np.array([_rows_of(piece) for piece in pieces], dtype=np.int64)
+    piece_of = np.searchsorted(np.cumsum(sizes) - sizes, index, side="right") - 1
+    used = np.bincount(piece_of, minlength=len(pieces)) > 0
+    if not used.all():
+        dropped = np.where(used, 0, sizes)
+        index = index - (np.cumsum(dropped) - dropped)[piece_of]
+        pieces = [piece for piece, keep in zip(pieces, used.tolist()) if keep]
+    return dtypes, pieces, index
+
+
+class IndexedColumns(Mapping):
+    """A table's columns by name, read-only: *source pieces* — mappings
+    of aligned arrays, never copied — and one row index over their rows
+    concatenated.  Column ``name`` is
+    ``np.concatenate([piece[name] for piece in pieces])[index]``,
+    gathered the first time it is read and kept; with no index the
+    pieces' rows in order, so one piece and no index hands out the
+    piece's own arrays.
+
+    Every table laid out or folded is one: a stored copy at build (the
+    logical pieces in the copy's row order), a compacted stored copy and
+    a folded logical base (:meth:`compose`).  The names, :attr:`rows`
+    and each column's :meth:`dtype` are known without gathering, and a
+    piece no index entry reads is dropped, so a batch whose rows were
+    all deleted is released.  A stored table's ``columns`` value, so
+    ``dataclasses.replace`` shares it: every version a commit publishes
+    reuses each column an earlier one gathered."""
+
+    __slots__ = ("_dtypes", "_pieces", "_index", "_gathered", "rows")
+
+    def __init__(self, source: Mapping[str, np.ndarray], index=None, runs=()):
+        """The columns of ``source`` at the rows ``index`` (a row array or
+        a slice; all rows, in order, when None), then the rows of each
+        ``(columns, rows)`` of ``runs``.  A source is a mapping of
+        arrays, a :class:`TableVersion` or an :class:`IndexedColumns`,
+        whose pieces this one reads."""
+        self._dtypes, pieces, self._index = _layout([(source, index), *runs])
+        self._pieces = tuple(pieces)
+        self._gathered: Dict[str, np.ndarray] = {}
+        self.rows = sum(map(_rows_of, pieces)) if self._index is None else len(self._index)
+
+    def compose(
+        self, rows, runs: Sequence[Tuple[Mapping[str, np.ndarray], Optional[np.ndarray]]] = ()
+    ) -> "IndexedColumns":
+        """The rows ``rows`` of these columns (all when None), then the
+        rows of each ``(columns, rows)`` of ``runs``, as one mapping over
+        all their pieces and one row index: no column is copied."""
+        return IndexedColumns(self, rows, runs)
+
+    # a mapping is equal only to itself: comparing columns would gather them
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        values = self._gathered.get(name)
+        if values is not None:
+            return values
+        dtype = self._dtypes[name]
+        arrays = [piece[name] for piece in self._pieces]
+        if self._index is None and len(arrays) == 1 and arrays[0].dtype == dtype:
+            return arrays[0]
+        if not arrays:
+            values = np.empty(0, dtype=dtype)
+        else:
+            values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+            if self._index is not None:
+                values = values[self._index]
+            values = values.astype(dtype, copy=False)
+        self._gathered[name] = values
+        return values
+
+    def __contains__(self, name) -> bool:
+        return name in self._dtypes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._dtypes)
+
+    def __len__(self) -> int:
+        return len(self._dtypes)
+
+    def dtype(self, name: str) -> np.dtype:
+        """The column's dtype, known without gathering it."""
+        return self._dtypes[name]
+
+    @property
+    def index_bytes(self) -> int:
+        """The bytes of the row index (none without one)."""
+        return 0 if self._index is None else self._index.nbytes
+
+    @property
+    def gathered(self) -> Tuple[str, ...]:
+        """The columns gathered so far (never any from one piece read
+        whole)."""
+        return tuple(self._gathered)
+
+
 @dataclass(frozen=True, eq=False)
 class TablePiece:
     """The base columns of a logical table, or one appended run: rows
     nothing writes, shared by every version that holds the piece, so a
-    fact derived on it (a host predicate's mask) outlives commits."""
+    fact derived on it (a host predicate's mask) outlives commits.  A
+    dict of arrays handed in is wrapped."""
 
-    columns: Dict[str, np.ndarray]
+    columns: IndexedColumns
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.columns, IndexedColumns):
+            object.__setattr__(self, "columns", IndexedColumns(self.columns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +237,10 @@ class TableVersion(Mapping):
         return len(self.base.columns)
 
     @classmethod
-    def of(cls, columns: Dict[str, np.ndarray]) -> "TableVersion":
+    def of(cls, columns: Mapping[str, np.ndarray]) -> "TableVersion":
         """A version whose rows are ``columns``, none deleted."""
-        rows = len(next(iter(columns.values()))) if columns else 0
-        return cls(TablePiece(columns), (), (np.zeros(rows, dtype=bool),))
+        base = TablePiece(columns)
+        return cls(base, (), (np.zeros(base.columns.rows, dtype=bool),))
 
     @property
     def pieces(self) -> Tuple[TablePiece, ...]:
@@ -137,7 +285,7 @@ class TableVersion(Mapping):
 
     def dtype(self, name: str) -> np.dtype:
         """The merged column's dtype, known without merging."""
-        return np.result_type(*(piece.columns[name] for piece in self.pieces))
+        return np.result_type(*(piece.columns.dtype(name) for piece in self.pieces))
 
     def derive_per_piece(self, key, build: Callable[[Dict[str, np.ndarray]], np.ndarray]):
         """The merged-rows array whose piece arrays ``build(piece_columns)``
@@ -274,17 +422,17 @@ class Database:
 
     def fold(self, table: str) -> int:
         """Fold the table's pieces into a new base holding its merged
-        rows, with no runs and no deletions (what compacting a stored
-        copy of the table does to that copy); returns the bytes of the
-        arrays the new version allocated.  The rows do not change."""
+        rows, with no runs and no deletions — what compacting a stored
+        copy of the table does to that copy.  The base is an
+        :class:`IndexedColumns` over the pieces' arrays and the rows not
+        deleted, so no column is copied; returns the bytes of that index
+        and of the new bitmap.  The rows do not change."""
         version = self.version(table)
         if version.is_flat:
             return 0
-        folded = TableVersion.of(dict(version))
+        folded = TableVersion.of(IndexedColumns(version))
         self._tables[table] = folded
-        return folded.deleted[0].nbytes + sum(
-            values.nbytes for values in folded.base.columns.values()
-        )
+        return folded.deleted[0].nbytes + folded.base.columns.index_bytes
 
     @property
     def loaded_tables(self) -> List[str]:

@@ -4,11 +4,12 @@ A :class:`StoredTable` is one physical row order of a logical table
 (generation order for Plain, primary-key order for PK, ``_bdcc_`` order
 for BDCC — possibly with a consolidated small-group region), derives a
 MinMax index per column on first request, and knows its page layout for
-IO accounting.  Its columns are :class:`StoredColumns`: the logical
-table version it was built from and that row order, a column gathered
-into stored order the first time it is read — as a column store reads
-only the columns a query names, no copy pays memory for a column no
-query reads.
+IO accounting.  Its columns are an
+:class:`~repro.storage.database.IndexedColumns`: the pieces of the
+logical table version it was built from and that row order, a column
+gathered into stored order the first time it is read — as a column
+store reads only the columns a query names, no copy pays memory for a
+column no query reads.
 
 A stored table is a value: nothing changes one after construction (a
 gather fills in a column, it never changes one).  A commit publishes
@@ -16,8 +17,10 @@ the *next version* of each table it touches — ``dataclasses.replace``
 with a new delta store (:mod:`repro.updates.delta`: sorted insert runs
 plus a deletion bitmap) and ``epoch + 1``, sharing the base columns'
 mapping and so every column gathered before or after — and compaction
-publishes a version with the deltas folded into new base columns; each
-version derives its own zone maps (:mod:`repro.storage.memo`).  A plan
+publishes a version whose columns are the same pieces plus the delta
+runs' and one index of the live rows in storage order, gathered as they
+are read; each version derives its own zone maps
+(:mod:`repro.storage.memo`).  A plan
 lowered before a commit keeps reading the versions it holds; ``epoch``
 counts the commits/compactions behind a version, and plan caches key
 on it.
@@ -32,70 +35,19 @@ from __future__ import annotations
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..catalog import Table
 from ..core.bdcc_table import BDCCTable
 from ..core.selection import Selection
-from .database import TableVersion
+from .database import IndexedColumns
 from .memo import derive
 from .minmax import MinMaxIndex
 from .pages import PageModel
 
-__all__ = ["StoredColumns", "StoredTable", "LIVE_TABLES"]
-
-
-class StoredColumns(Mapping):
-    """A stored copy's columns by name, read-only: ``source[name][order]``,
-    gathered the first time a column is looked up and kept — with no
-    ``order``, ``source[name]`` itself.  ``source`` is the logical table
-    version the copy was built from, or the merged columns compaction
-    wrote.  The mapping is a stored table's ``columns`` value, so
-    ``dataclasses.replace`` shares it: every version a commit publishes
-    reuses each column an earlier one gathered.  ``rows`` is known
-    without gathering anything."""
-
-    __slots__ = ("_source", "_order", "_gathered", "rows")
-
-    def __init__(
-        self, source: Mapping[str, np.ndarray], order: Optional[np.ndarray] = None
-    ):
-        self._source = source
-        self._order = order
-        self._gathered: Dict[str, np.ndarray] = {}
-        if order is not None:
-            self.rows = len(order)
-        elif isinstance(source, TableVersion):
-            self.rows = source.num_rows
-        else:
-            self.rows = len(next(iter(source.values()))) if source else 0
-
-    # a mapping is equal only to itself: comparing columns would gather them
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if self._order is None:
-            return self._source[name]
-        if name not in self._gathered:
-            self._gathered[name] = self._source[name][self._order]
-        return self._gathered[name]
-
-    def __contains__(self, name) -> bool:
-        return name in self._source
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._source)
-
-    def __len__(self) -> int:
-        return len(self._source)
-
-    @property
-    def gathered(self) -> Tuple[str, ...]:
-        """The columns gathered so far (never any without an order)."""
-        return tuple(self._gathered)
+__all__ = ["StoredTable", "LIVE_TABLES"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +55,7 @@ class StoredTable:
     name: str
     definition: Table
     #: stored order; a plain dict is wrapped on construction
-    columns: StoredColumns
+    columns: IndexedColumns
     page_model: PageModel
     #: physical sort columns (PK scheme); empty otherwise.
     sort_columns: Tuple[str, ...] = ()
@@ -117,8 +69,8 @@ class StoredTable:
     epoch: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.columns, StoredColumns):
-            object.__setattr__(self, "columns", StoredColumns(self.columns))
+        if not isinstance(self.columns, IndexedColumns):
+            object.__setattr__(self, "columns", IndexedColumns(self.columns))
         LIVE_TABLES.add(self)
 
     @property

@@ -2,12 +2,15 @@
 
 A deterministic, per-table policy decides when the merge-on-read overhead
 is no longer worth it: once the uncompacted volume (live delta inserts
-plus deleted base rows) exceeds a fraction of the live base, the table is
-rewritten once — base rows minus deletions merged with the delta runs in
-scheme order — and the delta store resets.  The rewrite is charged
-through the :class:`~repro.storage.io_model.DiskModel` (read base +
-deltas, write the merged table, all sequential), which is the amortized
-IO a log-structured engine pays for cheap writes.
+plus deleted base rows) exceeds a fraction of the live base, the table
+gets a new base layout — base rows minus deletions merged with the delta
+runs in scheme order — and the delta store resets.  The new base copies
+no column: it is the old base's source pieces plus the runs' and one row
+index (:meth:`~repro.storage.database.IndexedColumns.compose`), each
+column gathered when a query first reads it.  The simulated rewrite is
+charged through the :class:`~repro.storage.io_model.DiskModel` (read
+base + deltas, write the merged table, all sequential), which is the
+amortized IO a log-structured engine pays for cheap writes.
 
 BDCC count tables are maintained *incrementally* across the fold
 (:meth:`~repro.core.count_table.CountTable.merge_entries`): per-zone
@@ -20,8 +23,7 @@ the merged storage is its own origin.
 :func:`compact_table` is a pure function: it returns the compacted
 *version* of a table and changes nothing.  The update session publishes
 it after the commit that crossed the threshold has published, one table
-at a time, so the old base of one table at most is alive beside its new
-one.
+at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from ..core.count_table import CountTable
 from ..core.histograms import collect_granularity_stats
 from ..core.selection import Selection
 from ..execution.cost import CostModel
+from ..storage.database import IndexedColumns
 from ..storage.io_model import DiskModel
 from ..storage.stored_table import StoredTable
 from .delta import DeltaStore
@@ -85,6 +88,12 @@ def compact_table(
     empty delta store, fresh zone maps and ``epoch + 1``; returns it
     with the charged ``(io_seconds, cpu_seconds)``.  ``stored`` itself
     is returned, at no charge, when it has nothing to fold.
+
+    The merged ``_bdcc_`` keys and the count table are computed here;
+    the columns are the old columns' pieces and the runs' behind one
+    index of the live rows in storage order (the keys' stable argsort,
+    the primary-key lexsort, or arrival order on Plain), so what a
+    query read before the fold does not change what it copies: nothing.
     """
     delta = stored.delta
     if delta is None or not delta.is_dirty:
@@ -95,16 +104,16 @@ def compact_table(
     live_base = live.indexer()
     live_runs = [(run, Selection.from_mask(~run.deleted).indexer()) for run in delta.runs]
     bdcc = stored.bdcc
-    key_pieces = None
+    keys = key_pieces = None
     if bdcc is not None:
         key_pieces = [bdcc.keys[live_base]] + [run.keys[at] for run, at in live_runs]
-    merged_columns, merged_keys = stored.merge_pieces(
-        {
-            name: [values[live_base]] + [run.columns[name][at] for run, at in live_runs]
-            for name, values in stored.columns.items()
-        },
-        key_pieces,
-    )
+        keys = np.concatenate(key_pieces)
+    # the live rows over the old pieces and the runs': no column is copied
+    columns = stored.columns.compose(live_base, [(run.columns, at) for run, at in live_runs])
+    order = stored.storage_order(keys, columns)
+    if order is not None:
+        columns = IndexedColumns(columns, order)
+        keys = None if keys is None else keys[order]
     n = len(live) + delta.live_delta_rows
     # read base + deltas, write the merged table: the same bytes either way
     rewrite_bytes: List[float] = [
@@ -129,21 +138,21 @@ def compact_table(
                 added_keys=added_keys, added_counts=added_counts,
                 removed_keys=removed_keys, removed_counts=removed_counts,
             ),
-            keys=merged_keys,
+            keys=keys,
             row_source=np.arange(n, dtype=np.int64),
             logical_rows=n,
-            stats=collect_granularity_stats(merged_keys, bdcc.total_bits),
+            stats=collect_granularity_stats(keys, bdcc.total_bits),
         )
         # the key column (RLE, ~1 byte/tuple) is read and rewritten too
         rewrite_bytes.append(float(n))
 
     compacted = replace(
         stored,
-        columns=merged_columns,
+        columns=columns,
         bdcc=bdcc,
         delta=DeltaStore(base_deleted=np.zeros(n, dtype=bool)),
         epoch=stored.epoch + 1,
     )
     io_seconds = 2 * disk.time_for_runs(rewrite_bytes)
-    cpu_seconds = n * costs.merge_row + n * costs.scan_value * max(len(merged_columns), 1)
+    cpu_seconds = n * costs.merge_row + n * costs.scan_value * max(len(columns), 1)
     return compacted, io_seconds, cpu_seconds

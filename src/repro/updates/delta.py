@@ -106,7 +106,7 @@ def place_delta_run(stored: StoredTable, db: Database, n_old: int) -> DeltaRun:
     order on BDCC, primary-key order on PK, arrival order on Plain).
     """
     run = db.version(stored.name).runs[-1]
-    n_new = len(next(iter(run.columns.values())))
+    n_new = run.columns.rows
     key_pieces = None
     if stored.bdcc is not None:
         row_indices = np.arange(n_old, n_old + n_new, dtype=np.int64)

@@ -5,13 +5,20 @@ piece; its merged rows must be exactly what copying the whole table on
 every write gives — the same values, dtypes, row order and row count —
 while the base arrays stay the same objects from version to version, a
 version hands out one column mapping, and an abandoned stage changes
-nothing published.
+nothing published.  A fold copies no column: the folded base gathers a
+column when it is first read, its dtypes and the next append read none,
+and a run whose rows were all deleted is released.
 """
 
+import gc
+import weakref
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import tpch
 from repro.catalog import FLOAT64, INT64, Schema, string_type
 from repro.storage.database import Database
 
@@ -151,4 +158,58 @@ def test_a_write_copies_its_batch_and_bitmaps_only():
     assert db.copied_bytes == 0
     assert db.fold("t") == 0  # the published version is flat
     db.publish(staged)
-    assert db.fold("t") == 505 * (8 + 8 + 4 * 6) + 505
+    # a fold copies no column: the int64 index of the live rows, plus
+    # the new bitmap
+    assert db.fold("t") == 505 * 8 + 505
+
+
+def _folded(db: Database, table: str) -> dict:
+    """Fold ``table``; returns its merged columns from before the fold."""
+    merged = {name: values.copy() for name, values in db.table_data(table).items()}
+    db.fold(table)
+    return merged
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_a_folded_tpch_table_gathers_on_first_read(seed):
+    db = tpch.generate(scale_factor=0.002, seed=seed)
+    rng = np.random.default_rng(seed)
+    for table in ("orders", "lineitem"):
+        data = db.table_data(table)
+        n = db.num_rows(table)
+        # a run of some rows again, then the base's and the run's first rows deleted
+        db.append_table_rows(table, {name: values[:n // 10] for name, values in data.items()})
+        mask = rng.random(db.num_rows(table)) < 0.2
+        mask[0] = mask[n] = True
+        db.delete_table_rows(table, mask)
+        merged = _folded(db, table)
+        version = db.version(table)
+        assert version.is_flat and version.base.columns.gathered == ()
+        # dtypes and the next append gather nothing
+        assert {name: version.dtype(name) for name in merged} == {
+            name: values.dtype for name, values in merged.items()
+        }
+        data = db.table_data(table)
+        db.append_table_rows(table, {name: merged[name][:3] for name in merged})
+        assert version.base.columns.gathered == ()
+        for name, expected in merged.items():
+            got = data[name]
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        assert version.base.columns.gathered == tuple(merged)
+
+
+def test_a_fold_releases_a_run_whose_rows_were_all_deleted():
+    db = Database(_schema())
+    db.add_table_data("t", _batch(1, 50, wide=False, cast=False))
+    db.append_table_rows("t", _batch(2, 10, wide=True, cast=False))
+    db.append_table_rows("t", _batch(3, 10, wide=False, cast=False))
+    gone = weakref.ref(db.version("t").runs[0].columns["k"])
+    kept = db.version("t").runs[1].columns["k"]
+    db.delete_table_rows("t", (np.arange(70) >= 50) & (np.arange(70) < 60))
+    merged = _folded(db, "t")
+    gc.collect()
+    assert gone() is None
+    # the released run's wider strings still set the folded dtype
+    assert db.version("t").dtype("s") == merged["s"].dtype == np.dtype("<U6")
+    assert np.array_equal(db.column("t", "k"), merged["k"])
+    assert np.array_equal(db.column("t", "k")[50:], kept)
