@@ -115,7 +115,10 @@ class PhysicalScheme:
         is None).  Nothing is copied here: the stored table's columns
         gather from the pieces of the table's current logical version
         as they are first read
-        (:class:`~repro.storage.database.IndexedColumns`)."""
+        (:class:`~repro.storage.database.IndexedColumns`).  A
+        ``row_source`` that is the load order — a PK sort of a table
+        loaded sorted on its key — is dropped there, so such a copy
+        hands out the logical arrays themselves."""
         return StoredTable(
             name=table_name,
             definition=db.schema.table(table_name),

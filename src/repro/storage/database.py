@@ -59,8 +59,11 @@ def _layout(parts) -> Tuple[Dict[str, np.dtype], List[Mapping], Optional[np.ndar
     dict of arrays, a :class:`TableVersion` (its pieces' live rows) or
     an :class:`IndexedColumns`; pieces are never nested.  A piece no
     index entry reads is dropped, but the dtypes stay what concatenating
-    every source gives; the index is None where it reads every row in
-    order."""
+    every source gives.  The index is None wherever it would read every
+    row of the pieces kept, in order — a build in logical order, a fold
+    with no deletes — so such a table's columns are the pieces' own
+    arrays, not a gathered duplicate; this is the one place that rule
+    is applied."""
     dtypes: Dict[str, np.dtype] = {}
     pieces: List[Mapping] = []
     indices: List[Tuple[Optional[np.ndarray], int, int]] = []
@@ -100,7 +103,19 @@ def _layout(parts) -> Tuple[Dict[str, np.dtype], List[Mapping], Optional[np.ndar
         dropped = np.where(used, 0, sizes)
         index = index - (np.cumsum(dropped) - dropped)[piece_of]
         pieces = [piece for piece, keep in zip(pieces, used.tolist()) if keep]
+        sizes = sizes[used]
+    if _reads_in_order(index, int(sizes.sum())):
+        return dtypes, pieces, None
     return dtypes, pieces, index
+
+
+def _reads_in_order(index: np.ndarray, rows: int) -> bool:
+    """Whether ``index`` reads each of ``rows`` rows once, in order: its
+    length and ends decide in O(1) when it does not, and only then is
+    it compared whole (strictly rising from 0 to ``rows - 1``)."""
+    if len(index) != rows or rows and (index[0] != 0 or index[-1] != rows - 1):
+        return False
+    return bool((index[1:] > index[:-1]).all())
 
 
 class IndexedColumns(Mapping):
@@ -110,7 +125,10 @@ class IndexedColumns(Mapping):
     ``np.concatenate([piece[name] for piece in pieces])[index]``,
     gathered the first time it is read and kept; with no index the
     pieces' rows in order, so one piece and no index hands out the
-    piece's own arrays.
+    piece's own arrays.  An index that would read every row in order is
+    never kept (an identity position list is the base itself), so a
+    copy stored in logical order — a PK copy of a table loaded sorted
+    on its key — gathers nothing and its scans read views.
 
     Every table laid out or folded is one: a stored copy at build (the
     logical pieces in the copy's row order), a compacted stored copy and
@@ -161,6 +179,7 @@ class IndexedColumns(Mapping):
             if self._index is not None:
                 values = values[self._index]
             values = values.astype(dtype, copy=False)
+        values.flags.writeable = False
         self._gathered[name] = values
         return values
 
@@ -194,13 +213,19 @@ class TablePiece:
     """The base columns of a logical table, or one appended run: rows
     nothing writes, shared by every version that holds the piece, so a
     fact derived on it (a host predicate's mask) outlives commits.  A
-    dict of arrays handed in is wrapped."""
+    dict of arrays handed in is wrapped.  The arrays it wraps are made
+    read-only: the logical table, Plain and every copy stored in
+    logical order hand them out, so a stray write raises instead of
+    changing all of them."""
 
     columns: IndexedColumns
 
     def __post_init__(self) -> None:
         if not isinstance(self.columns, IndexedColumns):
             object.__setattr__(self, "columns", IndexedColumns(self.columns))
+        for piece in self.columns._pieces:
+            for values in piece.values():
+                values.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +339,8 @@ class Database:
 
     # --------------------------------------------------------------- data
     def add_table_data(self, table: str, columns: Dict[str, np.ndarray]) -> None:
+        """Load a table: the arrays handed in become its base piece, not
+        copied, and read-only from then on."""
         definition = self.schema.table(table)
         missing = set(definition.column_names) - set(columns)
         if missing:

@@ -9,7 +9,8 @@ IO accounting.  Its columns are an
 logical table version it was built from and that row order, a column
 gathered into stored order the first time it is read — as a column
 store reads only the columns a query names, no copy pays memory for a
-column no query reads.
+column no query reads.  A copy whose row order is the logical order
+gathers nothing: its columns are the logical arrays.
 
 A stored table is a value: nothing changes one after construction (a
 gather fills in a column, it never changes one).  A commit publishes

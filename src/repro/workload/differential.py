@@ -19,7 +19,9 @@ The multiset verdict compares canonical columns, not python rows: each
 column, in name order, is one canonical array and one NULL mask, one
 stable ``np.lexsort`` orders the rows (:func:`_sorted_columns`), and one
 comparator holds two sides' columns to each other with one vector
-expression per column (:func:`_agreement`).
+expression per column (:func:`_agreement`).  The sweep judges each
+distinct result of a plan once: one bit-identical to a result already
+judged against the same reference takes that verdict.
 """
 
 from __future__ import annotations
@@ -663,9 +665,12 @@ def _check_one_query(
 ) -> None:
     """Run one generated query under every (scheme, variant) executor and
     record divergences against the SQL reference (parallel variants
-    additionally against the scheme's serial default run)."""
+    additionally against the scheme's serial default run, execution by
+    execution).  Each distinct result is judged against the reference
+    once (:func:`_judge`)."""
     reference = evaluate_reference(db, query.plan)
     serial_relations: Dict[str, object] = {}
+    judged: List[Tuple[object, Tuple[Optional[str], float]]] = []
 
     for (scheme, variant), executor in executors.items():
         result = executor.execute(query.plan)
@@ -675,7 +680,7 @@ def _check_one_query(
         if variant == "default":
             serial_relations[scheme] = result.relation
         clock = time.perf_counter()
-        detail, worst = reference_mismatch(reference, result.relation)
+        detail, worst = _judge(judged, reference, result.relation)
         report.worst_rel_error = max(report.worst_rel_error, worst)
         if (
             detail is None
@@ -719,6 +724,23 @@ def _check_one_query(
                 totals["calls"] += 1
                 for key in _OPERATOR_SUMS:
                     totals[key] += getattr(actuals, key)
+
+
+def _judge(judged: list, reference, relation) -> Tuple[Optional[str], float]:
+    """:func:`reference_mismatch`, once per distinct result of a query:
+    ``judged`` holds each ``(relation, verdict)`` judged against
+    ``reference`` so far, and a relation identical to one of them — bit
+    for bit (:func:`bitwise_mismatch`) and in every column's dtype, on
+    which the tolerances depend — takes that verdict."""
+    for seen, verdict in judged:
+        if bitwise_mismatch(seen, relation) is None and all(
+            seen.column(name).dtype == relation.column(name).dtype
+            for name in seen.column_names
+        ):
+            return verdict
+    verdict = reference_mismatch(reference, relation)
+    judged.append((relation, verdict))
+    return verdict
 
 
 def _compaction_second_reference(

@@ -13,8 +13,9 @@ from repro.core.dimension_use import DimensionUse
 from repro.storage.database import Database
 
 
-def _mini_db(n_fact=256, seed=0):
-    """fact -> dim over FK_F_D; dim has 8 distinct keys."""
+def _mini_db(n_fact=256, seed=0, heavy=0):
+    """fact -> dim over FK_F_D; dim has 8 distinct keys.  The first
+    ``heavy`` fact rows reference key 0 (one heavy bin)."""
     rng = np.random.default_rng(seed)
     schema = Schema()
     schema.add_table("dim", [("d_key", INT32), ("d_val", INT32)], primary_key=["d_key"])
@@ -24,6 +25,8 @@ def _mini_db(n_fact=256, seed=0):
         primary_key=["f_id"],
     )
     schema.add_foreign_key("FK_F_D", "fact", ["f_dkey"], "dim")
+    f_dkey = rng.integers(0, 8, n_fact).astype(np.int32)
+    f_dkey[:heavy] = 0
     db = Database(schema)
     db.add_table_data("dim", {
         "d_key": np.arange(8, dtype=np.int32),
@@ -31,7 +34,7 @@ def _mini_db(n_fact=256, seed=0):
     })
     db.add_table_data("fact", {
         "f_id": np.arange(n_fact, dtype=np.int32),
-        "f_dkey": rng.integers(0, 8, n_fact).astype(np.int32),
+        "f_dkey": f_dkey,
         "f_local": rng.integers(0, 16, n_fact).astype(np.int32),
         "f_pad": np.full(n_fact, "x" * 32),
     })
@@ -131,8 +134,7 @@ class TestGranularitySelection:
 class TestConsolidation:
     def test_small_groups_copied_and_invalidated(self):
         # skew: one huge group, several tiny ones
-        db = _mini_db(n_fact=512, seed=3)
-        db.table_data("fact")["f_dkey"][:450] = 0  # heavy bin
+        db = _mini_db(n_fact=512, seed=3, heavy=450)  # heavy bin
         bdcc = build_bdcc_table(
             db, "fact", _uses(db),
             BDCCBuildConfig(efficient_access_bytes=2048.0, consolidate_max_fraction=0.5),

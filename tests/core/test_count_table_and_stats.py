@@ -218,8 +218,7 @@ class TestDenseCountTable:
         assert not _reads_whole(table([2, 3], [3, 0]))      # tiles, but out of storage order
 
     def test_consolidated_build_is_not_dense(self):
-        db = _mini_db(n_fact=512, seed=2)
-        db.table_data("fact")["f_dkey"][:450] = 0  # one heavy bin, many tiny groups
+        db = _mini_db(n_fact=512, seed=2, heavy=450)  # one heavy bin, many tiny groups
         bdcc = build_bdcc_table(
             db, "fact", _uses(db),
             BDCCBuildConfig(efficient_access_bytes=512.0, consolidate_max_fraction=0.5),

@@ -8,7 +8,9 @@ byte for byte, a commit's next version reuses what an earlier one
 gathered, compaction copies no column — a compacted copy reads as the
 eager merge did, releases a run whose rows were all deleted and does
 not depend on what was read before it — and a build and a compacting
-commit hold a small share of the logical bytes.
+commit hold a small share of the logical bytes.  A copy whose row order
+is the logical order keeps no row index: it hands out the logical
+arrays, and no query gathers a duplicate of them.
 """
 
 import gc
@@ -24,7 +26,7 @@ from repro.execution.expressions import Cmp, Col, InList, lit
 from repro.planner import Executor, explain, scan
 from repro.schemes.bdcc import BDCCScheme
 from repro.tpch.environment import make_environment
-from repro.tpch.harness import build_schemes
+from repro.tpch.harness import build_schemes, run_suite
 from repro.tpch.refresh import refresh_pair_size, stage_rf1, stage_rf2
 from repro.updates import CompactionPolicy, UpdateSession
 from repro.updates.compaction import compact_table
@@ -304,3 +306,49 @@ def test_the_commit_that_compacts_orders_holds_less_than_its_logical_bytes():
         tracemalloc.stop()
     assert {c.scheme for c in result.changes if c.compacted and c.table == "orders"} == {"pk", "bdcc"}
     assert peak - before < orders, (peak - before, orders)
+
+
+#: tables TPC-H loads sorted on their primary key (PARTSUPP is not)
+IN_KEY_ORDER = ("lineitem", "orders", "customer", "part", "supplier", "nation", "region")
+
+
+def _assert_in_order_copies(db, pdbs):
+    """PK copies of the tables loaded in key order are the logical
+    arrays; PK PARTSUPP and BDCC LINEITEM keep their index and read as
+    the permuted logical columns."""
+    for name in IN_KEY_ORDER:
+        stored = pdbs["pk"].table(name)
+        rows = _row_source(db, "pk", stored)
+        data = db.table_data(name)
+        assert stored.columns.index_bytes == 0, name
+        for column in stored.definition.column_names:
+            values = stored.columns[column]
+            assert np.shares_memory(values, data[column]), (name, column)
+            assert _same_array(values, data[column][rows]), (name, column)
+    for scheme, name in (("pk", "partsupp"), ("bdcc", "lineitem")):
+        stored = pdbs[scheme].table(name)
+        rows = _row_source(db, scheme, stored)
+        data = db.table_data(name)
+        assert stored.columns.index_bytes == rows.nbytes, (scheme, name)
+        for column in stored.definition.column_names:
+            values = stored.columns[column]
+            assert not np.shares_memory(values, data[column]), (scheme, name, column)
+            assert _same_array(values, data[column][rows]), (scheme, name, column)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_copy_in_logical_order_is_the_logical_arrays(seed):
+    db = tpch.generate(scale_factor=0.01, seed=seed)
+    _assert_in_order_copies(db, build_schemes(db, make_environment(0.01), include=["pk", "bdcc"]))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_tpch_queries_gather_nothing_from_a_copy_in_logical_order(seed):
+    db = tpch.generate(scale_factor=0.01, seed=seed)
+    env = make_environment(0.01)
+    pdbs = build_schemes(db, env, include=["pk", "bdcc"])
+    run_suite({"pk": pdbs["pk"]}, env)
+    for name in IN_KEY_ORDER:
+        assert pdbs["pk"].table(name).columns.gathered == (), name
+    assert pdbs["pk"].table("partsupp").columns.gathered
+    _assert_in_order_copies(db, pdbs)

@@ -7,7 +7,9 @@ while the base arrays stay the same objects from version to version, a
 version hands out one column mapping, and an abandoned stage changes
 nothing published.  A fold copies no column: the folded base gathers a
 column when it is first read, its dtypes and the next append read none,
-and a run whose rows were all deleted is released.
+and a run whose rows were all deleted is released.  An index that reads
+every row in order is no index: such a table hands out its pieces' own
+arrays.
 """
 
 import gc
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import tpch
 from repro.catalog import FLOAT64, INT64, Schema, string_type
-from repro.storage.database import Database
+from repro.storage.database import Database, IndexedColumns, TablePiece, TableVersion
 
 COLUMNS = ("k", "x", "s")
 
@@ -213,3 +215,50 @@ def test_a_fold_releases_a_run_whose_rows_were_all_deleted():
     assert db.version("t").dtype("s") == merged["s"].dtype == np.dtype("<U6")
     assert np.array_equal(db.column("t", "k"), merged["k"])
     assert np.array_equal(db.column("t", "k")[50:], kept)
+
+
+def _same_columns(a, b) -> None:
+    assert list(a) == list(b) and a.rows == b.rows
+    for name in a:
+        assert a.dtype(name) == b.dtype(name), name
+        assert a[name].dtype == b[name].dtype and a[name].tobytes() == b[name].tobytes(), name
+
+
+def test_an_index_that_reads_every_row_in_order_is_no_index():
+    source = _batch(1, 40, wide=False, cast=False)
+    run = _batch(2, 6, wide=True, cast=False)
+    whole, ranged = IndexedColumns(source), IndexedColumns(source, np.arange(40))
+    _same_columns(ranged, whole)
+    assert ranged.index_bytes == 0 and ranged.gathered == ()
+    for name in COLUMNS:
+        assert ranged[name] is source[name]
+    # then the rows of a run: the two pieces concatenated, no index
+    composed = ranged.compose(None, [(run, None)])
+    _same_columns(composed, whole.compose(None, [(run, None)]))
+    assert composed.index_bytes == 0
+    assert ranged.compose(np.arange(40), [(run, np.arange(6))]).index_bytes == 0
+    # a fold with no deletes of a base laid out with that index
+    base = TableVersion.of(IndexedColumns(source, np.arange(40)))
+    version = TableVersion(base.base, (TablePiece(run),), base.deleted + (np.zeros(6, dtype=bool),))
+    folded = IndexedColumns(version)
+    _same_columns(folded, IndexedColumns(TableVersion(
+        TablePiece(source), (TablePiece(run),), version.deleted,
+    )))
+    assert folded.index_bytes == 0
+    # a reordering, a repeat or a gap keeps its index
+    for rows in (np.arange(40)[::-1], np.r_[0, np.arange(39)], np.r_[np.arange(20), np.arange(21, 40), 39]):
+        assert IndexedColumns(source, rows).index_bytes == rows.nbytes
+
+
+def test_the_arrays_a_table_holds_are_read_only():
+    columns = _batch(1, 20, wide=False, cast=False)
+    db = Database(_schema())
+    db.add_table_data("t", columns)
+    db.append_table_rows("t", _batch(2, 5, wide=False, cast=False))
+    db.delete_table_rows("t", np.arange(25) % 3 == 0)
+    db.fold("t")
+    pieces = [columns] + [piece.columns for piece in db.version("t").pieces]
+    for piece in pieces:
+        for name in COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                piece[name][:1] = piece[name][1:2]
